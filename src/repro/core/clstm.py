@@ -50,8 +50,11 @@ from ..nn.backprop import (
     weighted_loss_grad,
 )
 from ..nn.fused import (
+    GateInputs,
     coupled_pair_forward_fused,
+    coupled_pair_forward_gated,
     fused_cache_fresh,
+    gather_gate_inputs,
     prewarm_cell,
     transplant_fused_cache,
 )
@@ -246,18 +249,39 @@ class CLSTM(nn.Module):
         """Resolve a per-call precision override against the model default."""
         return self.precision if precision is None else resolve_precision(precision)
 
+    def _kernel(self, precision: Optional[str]) -> dict:
+        """Backend/dtype keywords of one fused-kernel call."""
+        return {"backend": self.backend, "dtype": resolve_dtype(self._effective_precision(precision))}
+
+    def gate_inputs(self, windows, precision: Optional[str] = None) -> GateInputs:
+        """Gate inputs of a serving batch of :class:`~repro.nn.fused.Segment`
+        windows: each segment projected once per weight variant, then gathered."""
+        cells = (self.lstm_influencer, self.lstm_audience)
+        return gather_gate_inputs(*cells, windows, **self._kernel(precision))
+
     def _fused_hidden(
         self,
-        action_sequences: np.ndarray,
-        interaction_sequences: np.ndarray,
+        action_sequences,
+        interaction_sequences: Optional[np.ndarray] = None,
         precision: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Final ``(h, g)`` hidden states via the fused batched forward.
+
+        With ``interaction_sequences`` omitted, ``action_sequences`` is a
+        serving batch: segment windows (projected through the per-segment
+        cache here) or :class:`~repro.nn.fused.GateInputs` gathered already.
 
         Always returns *host* arrays — this is the detection-side half of the
         host↔device boundary (``to_host`` is a no-copy pass-through on the
         NumPy backend).
         """
+        cells = (self.lstm_influencer, self.lstm_audience)
+        if interaction_sequences is None:
+            gates = action_sequences
+            if not isinstance(gates, GateInputs):
+                gates = self.gate_inputs(gates, precision)
+            final_h, final_g = coupled_pair_forward_gated(*cells, gates, **self._kernel(precision))
+            return to_host(final_h), to_host(final_g)
         actions = np.asarray(
             action_sequences.data if isinstance(action_sequences, Tensor) else action_sequences,
             dtype=np.float64,
@@ -269,19 +293,14 @@ class CLSTM(nn.Module):
             dtype=np.float64,
         )
         final_h, final_g = coupled_pair_forward_fused(
-            self.lstm_influencer,
-            self.lstm_audience,
-            actions,
-            interactions,
-            backend=self.backend,
-            dtype=resolve_dtype(self._effective_precision(precision)),
+            *cells, actions, interactions, **self._kernel(precision)
         )
         return to_host(final_h), to_host(final_g)
 
     def predict_full(
         self,
-        action_sequences: np.ndarray,
-        interaction_sequences: np.ndarray,
+        action_sequences,
+        interaction_sequences: Optional[np.ndarray] = None,
         precision: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One fused inference pass returning everything the online path needs.
@@ -289,7 +308,9 @@ class CLSTM(nn.Module):
         Returns ``(I_hat, A_hat, h, g)`` as NumPy arrays: both reconstructions
         plus both final hidden states, so callers that need reconstructions
         *and* drift-detection hidden states (the serving scheduler, the
-        incremental updater) pay for a single forward.
+        incremental updater) pay for a single forward.  The serving path
+        passes its batch of segment windows (or pre-gathered gate inputs) as
+        ``action_sequences`` alone; see :meth:`_fused_hidden`.
 
         At ``float64`` (the default) only the recurrent sweep needs the fused
         kernels; the decoder heads are a single layer each, so they run
@@ -545,6 +566,10 @@ class CLSTM(nn.Module):
 
         Matches the complexity expression the paper reports,
         ``O(q * (4(h1^2 + h2^2) + 4(d1 h1 + d2 h2)))`` plus the decoders.
+        This is the *full-window* forward: the serving path projects each
+        segment once instead of ``q`` times, so shape-derived rates built on
+        it (the ledger's ``nn.fused.gflops_per_s``) overstate the work the
+        cached serving path actually does.
         """
         h1, h2 = self.action_hidden, self.interaction_hidden
         d1, d2 = self.action_dim, self.interaction_dim

@@ -9,10 +9,13 @@ module provides the inference fast path: array-namespace forwards that
 
 * stack the four gate weight matrices into a single ``(K, 4H)`` matrix so
   each time step costs one GEMM per recurrent input instead of four;
-* project the *entire* ``(batch, time, features)`` input through the
-  input-to-gate weights in one large GEMM up front (the classic cuDNN-style
-  split of the LSTM matmul into a time-parallel input part and a sequential
-  recurrent part);
+* split the LSTM matmul cuDNN-style into a time-parallel input part and a
+  sequential recurrent part.  The offline full-window entry projects the
+  whole ``(batch, time, features)`` input in one large GEMM up front; the
+  serving entry never re-projects a window — ``x_t·W_x + b`` depends only on
+  the segment and the weights, so each :class:`Segment` carries its own
+  gate-input rows, projected once per weight variant
+  (:func:`gather_gate_inputs`) and gathered into every window it appears in;
 * never allocate autograd nodes, so per-step overhead is a handful of ufunc
   calls on ``(batch, 4H)`` arrays;
 * run their per-batch state entirely inside a pooled :class:`Workspace` of
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "FusedGateWeights",
+    "GateInputs",
+    "Segment",
     "Workspace",
     "fuse_lstm_cell",
     "fuse_coupled_cell",
@@ -74,6 +79,9 @@ __all__ = [
     "transplant_fused_cache",
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
+    "coupled_pair_forward_gated",
+    "gather_gate_inputs",
+    "project_rows",
     "workspace_stats",
     "reset_workspace_stats",
     "sigmoid",
@@ -89,6 +97,9 @@ _PRIMARY_KEY = ("numpy", "float64")
 
 MAX_WORKSPACES_PER_CELL = 8
 """LRU capacity of each cell's workspace pool (shapes × threads)."""
+
+PROJECTION_BLOCK = 32
+"""Row count of every serving-side projection GEMM (see :func:`project_rows`)."""
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -134,6 +145,32 @@ class FusedGateWeights:
     w_input: np.ndarray
     bias: np.ndarray
     hidden_size: int
+
+
+class Segment:
+    """One ingested stream segment: the unit of serving state.
+
+    ``rows`` is the ``(action, interaction)`` feature pair.  ``gates`` holds,
+    per cell (0 = influencer, 1 = audience), ``None`` or ``(variant, row)``:
+    the segment's ``(4H,)`` gate-input projection and the
+    :class:`FusedGateWeights` object that produced it.  The tag is compared
+    by identity, so a hot swap to different weights (a new variant object)
+    misses and re-projects, while a same-weights republish (transplanted
+    variants) keeps hitting.  Projections are never persisted.
+    """
+
+    __slots__ = ("rows", "gates")
+
+    def __init__(self, action: np.ndarray, interaction: np.ndarray) -> None:
+        self.rows = (action, interaction)
+        self.gates: list = [None, None]
+
+
+class GateInputs(NamedTuple):
+    """A serving batch already projected and gathered: ``(B, q, 4H)`` per cell."""
+
+    influencer: Any
+    audience: Any
 
 
 def _stack_gates(cell, hidden_rows: slice, partner_rows: Optional[slice], input_rows: slice) -> FusedGateWeights:
@@ -575,6 +612,189 @@ def lstm_forward_fused(
     return hiddens, (h.copy(), c.copy())
 
 
+def _coupled_context(influencer, audience, batch: int, time_steps: int, backend, dtype):
+    """Resolve ``(fused_i, fused_a, xp, backend, dtype, workspace)`` for one
+    coupled batch; both entries share one pooled workspace per shape."""
+    backend = resolve_backend(backend)
+    dtype = _resolve_kernel_dtype(dtype)
+    fused_i = _fused_variant(influencer, fuse_coupled_cell(influencer), backend, dtype)
+    fused_a = _fused_variant(audience, fuse_coupled_cell(audience), backend, dtype)
+    xp = get_namespace(backend)
+    hidden_i, hidden_a = influencer.hidden_size, audience.hidden_size
+    features_i, features_a = fused_i.w_input.shape[0], fused_a.w_input.shape[0]
+    key = (
+        "coupled",
+        batch,
+        time_steps,
+        hidden_i,
+        hidden_a,
+        features_i,
+        features_a,
+        backend,
+        dtype.name,
+        threading.get_ident(),
+    )
+    workspace = _workspace_for(
+        influencer,
+        key,
+        lambda: Workspace(
+            xp,
+            dtype,
+            batch,
+            time_steps,
+            hidden_i,
+            hidden_a,
+            features_i,
+            features_a,
+            coupled=True,
+            partner_i=fused_i.w_partner is not None,
+            partner_a=fused_a.w_partner is not None,
+            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
+        ),
+    )
+    return fused_i, fused_a, xp, backend, dtype, workspace
+
+
+def project_rows(rows, fused: FusedGateWeights, xp=np):
+    """``x·W_x + b`` of each feature row in ``rows`` → ``(len(rows), 4H)``.
+
+    The one projection routine of the serving path.  OpenBLAS picks its
+    kernel from the row count, so the same row projected in a 1–3 row GEMM
+    and in a ≥5 row GEMM differs in the last bits.  Every GEMM here runs on
+    exactly :data:`PROJECTION_BLOCK` rows (zero-padded tail), which makes a
+    row's projection a function of the row and ``fused`` alone — not of its
+    neighbours, its position, or how a batch's missing rows were split — so
+    a restored (cold-cache) service and the process executor stay bitwise-
+    identical to an uninterrupted serial one.
+    """
+    count = len(rows)
+    padded = -(-count // PROJECTION_BLOCK) * PROJECTION_BLOCK
+    dtype = fused.w_input.dtype
+    block = xp.zeros((padded, fused.w_input.shape[0]), dtype=dtype)
+    block[:count] = xp.asarray(np.stack(rows), dtype=dtype)
+    out = xp.empty((padded, 4 * fused.hidden_size), dtype=dtype)
+    for start in range(0, padded, PROJECTION_BLOCK):
+        stop = start + PROJECTION_BLOCK
+        xp.matmul(block[start:stop], fused.w_input, out=out[start:stop])
+    out += fused.bias
+    return out[:count]
+
+
+def _gather_cell(segments, cell: int, fused: FusedGateWeights, out, xp) -> None:
+    """Fill ``out`` with the segments' gate inputs under ``fused``.
+
+    Each distinct segment with no projection under this variant is projected
+    exactly once (a backlog batch shares segments between its windows); the
+    cached row is a private copy, so a retained segment pins ``4H`` values,
+    not the block it was computed in.
+    """
+    missing = {
+        id(segment): segment
+        for segment in segments
+        if segment.gates[cell] is None or segment.gates[cell][0] is not fused
+    }
+    if missing:
+        todo = list(missing.values())
+        projected = project_rows([segment.rows[cell] for segment in todo], fused, xp)
+        for segment, row in zip(todo, projected):
+            segment.gates[cell] = (fused, row.copy())
+    xp.concatenate([segment.gates[cell][1] for segment in segments], out=out.reshape(-1))
+
+
+def gather_gate_inputs(
+    influencer: "CoupledLSTMCell",
+    audience: "CoupledLSTMCell",
+    windows,
+    *,
+    backend: Optional[str] = None,
+    dtype: Optional[Any] = None,
+) -> GateInputs:
+    """Gate inputs of a serving batch: project the misses, gather the rest.
+
+    ``windows`` is a sequence of ``B`` equal-length sequences of
+    :class:`Segment`.  In steady state only each window's newest segment is
+    unprojected, so a batch costs ``B`` projected rows per cell, not
+    ``B·q``.  The result aliases the pooled workspace's ``x_proj_*`` buffers:
+    consume it (:func:`coupled_pair_forward_gated`, or serialise it) before
+    the next same-shape batch on this thread.
+    """
+    batch, time_steps = len(windows), len(windows[0])
+    segments = [segment for window in windows for segment in window]
+    if len(segments) != batch * time_steps:
+        raise ValueError("all windows of a batch must have the same length")
+    fused_i, fused_a, xp, _, _, workspace = _coupled_context(
+        influencer, audience, batch, time_steps, backend, dtype
+    )
+    _gather_cell(segments, 0, fused_i, workspace.x_proj_i, xp)
+    _gather_cell(segments, 1, fused_a, workspace.x_proj_a, xp)
+    return GateInputs(workspace.x_proj_i, workspace.x_proj_a)
+
+
+def _coupled_sweep(fused_i, fused_a, workspace, x_proj_i, x_proj_a, return_all_hidden: bool, xp, dtype):
+    """The recurrent sweep shared by the full-window and pre-projected entries."""
+    batch, time_steps = x_proj_i.shape[:2]
+    hidden_i, hidden_a = fused_i.hidden_size, fused_a.hidden_size
+    h, c_i = workspace.h, workspace.c_i
+    g, c_a = workspace.g, workspace.c_a
+    h.fill(0.0)
+    c_i.fill(0.0)
+    g.fill(0.0)
+    c_a.fill(0.0)
+
+    # Per-step hidden states escape to the caller (training-cache consumers,
+    # drift analytics), so they are fresh arrays, never workspace views.
+    h_all = xp.empty((batch, time_steps, hidden_i), dtype=dtype) if return_all_hidden else None
+    g_all = xp.empty((batch, time_steps, hidden_a), dtype=dtype) if return_all_hidden else None
+
+    pre_i, pre_a = workspace.pre_i, workspace.pre_a
+    for t in range(time_steps):
+        # Both pre-activations read the step t-1 states; only then update.
+        xp.matmul(h, fused_i.w_hidden, out=pre_i)
+        pre_i += x_proj_i[:, t]
+        if fused_i.w_partner is not None:
+            xp.matmul(g, fused_i.w_partner, out=workspace.partner_i)
+            pre_i += workspace.partner_i
+        xp.matmul(g, fused_a.w_hidden, out=pre_a)
+        pre_a += x_proj_a[:, t]
+        if fused_a.w_partner is not None:
+            xp.matmul(h, fused_a.w_partner, out=workspace.partner_a)
+            pre_a += workspace.partner_a
+        _gate_step_into(pre_i, c_i, h, workspace.gates_i, workspace.scratch_i, hidden_i, xp)
+        _gate_step_into(pre_a, c_a, g, workspace.gates_a, workspace.scratch_a, hidden_a, xp)
+        if return_all_hidden:
+            h_all[:, t] = h
+            g_all[:, t] = g
+
+    # The final states escape (serving retains hidden rows in its drift
+    # buffer indefinitely), so they must be copies, not workspace views.
+    # These O(B·H) copies are the only per-batch allocations of the kernel.
+    h_final, g_final = h.copy(), g.copy()
+    if return_all_hidden:
+        return h_final, g_final, h_all, g_all
+    return h_final, g_final
+
+
+def coupled_pair_forward_gated(
+    influencer: "CoupledLSTMCell",
+    audience: "CoupledLSTMCell",
+    gate_inputs: GateInputs,
+    *,
+    backend: Optional[str] = None,
+    dtype: Optional[Any] = None,
+):
+    """The serving entry: the sweep over :func:`gather_gate_inputs` output
+    (possibly gathered by another process under bitwise-equal weights).
+    Returns ``(h_final, g_final)`` like :func:`coupled_pair_forward_fused`.
+    """
+    batch, time_steps = gate_inputs.influencer.shape[:2]
+    fused_i, fused_a, xp, _, dtype, workspace = _coupled_context(
+        influencer, audience, batch, time_steps, backend, dtype
+    )
+    x_proj_i = xp.asarray(gate_inputs.influencer, dtype=dtype)
+    x_proj_a = xp.asarray(gate_inputs.audience, dtype=dtype)
+    return _coupled_sweep(fused_i, fused_a, workspace, x_proj_i, x_proj_a, False, xp, dtype)
+
+
 def coupled_pair_forward_fused(
     influencer: "CoupledLSTMCell",
     audience: "CoupledLSTMCell",
@@ -612,8 +832,6 @@ def coupled_pair_forward_fused(
     final states are fresh arrays owned by the caller (workspace buffers
     never escape).
     """
-    backend = resolve_backend(backend)
-    dtype = _resolve_kernel_dtype(dtype)
     actions_raw = np.asarray(action_sequences)
     interactions_raw = np.asarray(interaction_sequences)
     if actions_raw.ndim != 3 or interactions_raw.ndim != 3:
@@ -623,84 +841,13 @@ def coupled_pair_forward_fused(
     if actions_raw.shape[1] != interactions_raw.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
     batch, time_steps, _ = actions_raw.shape
-
-    primary_i = fuse_coupled_cell(influencer)
-    primary_a = fuse_coupled_cell(audience)
-    fused_i = _fused_variant(influencer, primary_i, backend, dtype)
-    fused_a = _fused_variant(audience, primary_a, backend, dtype)
-    xp = get_namespace(backend)
-    hidden_i, hidden_a = influencer.hidden_size, audience.hidden_size
-    key = (
-        "coupled",
-        batch,
-        time_steps,
-        hidden_i,
-        hidden_a,
-        actions_raw.shape[2],
-        interactions_raw.shape[2],
-        backend,
-        dtype.name,
-        threading.get_ident(),
-    )
-    workspace = _workspace_for(
-        influencer,
-        key,
-        lambda: Workspace(
-            xp,
-            dtype,
-            batch,
-            time_steps,
-            hidden_i,
-            hidden_a,
-            actions_raw.shape[2],
-            interactions_raw.shape[2],
-            coupled=True,
-            partner_i=fused_i.w_partner is not None,
-            partner_a=fused_a.w_partner is not None,
-            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
-        ),
+    fused_i, fused_a, xp, backend, dtype, workspace = _coupled_context(
+        influencer, audience, batch, time_steps, backend, dtype
     )
     actions = _prepare_input(actions_raw, workspace.cast_a, backend, dtype, xp)
     interactions = _prepare_input(interactions_raw, workspace.cast_b, backend, dtype, xp)
-
-    h, c_i = workspace.h, workspace.c_i
-    g, c_a = workspace.g, workspace.c_a
-    h.fill(0.0)
-    c_i.fill(0.0)
-    g.fill(0.0)
-    c_a.fill(0.0)
-
     _project_into(actions, fused_i, workspace.x_proj_i, xp)
     _project_into(interactions, fused_a, workspace.x_proj_a, xp)
-
-    # Per-step hidden states escape to the caller (training-cache consumers,
-    # drift analytics), so they are fresh arrays, never workspace views.
-    h_all = xp.empty((batch, time_steps, hidden_i), dtype=dtype) if return_all_hidden else None
-    g_all = xp.empty((batch, time_steps, hidden_a), dtype=dtype) if return_all_hidden else None
-
-    pre_i, pre_a = workspace.pre_i, workspace.pre_a
-    for t in range(time_steps):
-        # Both pre-activations read the step t-1 states; only then update.
-        xp.matmul(h, fused_i.w_hidden, out=pre_i)
-        pre_i += workspace.x_proj_i[:, t]
-        if fused_i.w_partner is not None:
-            xp.matmul(g, fused_i.w_partner, out=workspace.partner_i)
-            pre_i += workspace.partner_i
-        xp.matmul(g, fused_a.w_hidden, out=pre_a)
-        pre_a += workspace.x_proj_a[:, t]
-        if fused_a.w_partner is not None:
-            xp.matmul(h, fused_a.w_partner, out=workspace.partner_a)
-            pre_a += workspace.partner_a
-        _gate_step_into(pre_i, c_i, h, workspace.gates_i, workspace.scratch_i, hidden_i, xp)
-        _gate_step_into(pre_a, c_a, g, workspace.gates_a, workspace.scratch_a, hidden_a, xp)
-        if return_all_hidden:
-            h_all[:, t] = h
-            g_all[:, t] = g
-
-    # The final states escape (serving retains hidden rows in its drift
-    # buffer indefinitely), so they must be copies, not workspace views.
-    # These O(B·H) copies are the only per-batch allocations of the kernel.
-    h_final, g_final = h.copy(), g.copy()
-    if return_all_hidden:
-        return h_final, g_final, h_all, g_all
-    return h_final, g_final
+    return _coupled_sweep(
+        fused_i, fused_a, workspace, workspace.x_proj_i, workspace.x_proj_a, return_all_hidden, xp, dtype
+    )

@@ -31,6 +31,8 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..core.detector import AnomalyDetector
 from ..core.update import incremental_training_config, merge_models, train_incremental
 from ..features.sequences import SequenceBatch
@@ -140,10 +142,15 @@ class UpdatePlane:
         needs: its ``q``-segment history window as the input sequence and the
         observed incoming segment as the reconstruction target.
         """
-        # MicroBatcher.assemble's return order matches SequenceBatch's field
-        # order by construction; sharing it keeps the training batch stacked
-        # exactly like the scoring batch.
-        return SequenceBatch(*MicroBatcher.assemble(list(samples)))
+        samples = list(samples)
+        _, action_targets, interaction_targets, indices = MicroBatcher.assemble(samples)
+        return SequenceBatch(
+            np.stack([sample.action_history for sample in samples], axis=0),
+            np.stack([sample.interaction_history for sample in samples], axis=0),
+            action_targets,
+            interaction_targets,
+            indices,
+        )
 
     def handle_trigger(
         self, trigger: UpdateTrigger, samples: Sequence[ScoreRequest]

@@ -15,10 +15,11 @@ when fan-in is too low to fill batches (see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
+
+from ..nn.fused import Segment
 
 __all__ = ["QueueFull", "ScoreRequest", "MicroBatcher"]
 
@@ -36,7 +37,6 @@ class QueueFull(RuntimeError):
         self.max_pending = max_pending
 
 
-@dataclass(frozen=True)
 class ScoreRequest:
     """One segment of one stream, ready to be scored.
 
@@ -46,8 +46,15 @@ class ScoreRequest:
         Identifier of the originating stream (routing key for the response).
     segment_index:
         Index of the predicted segment within its stream.
+    window:
+        The ``q`` history :class:`~repro.nn.fused.Segment` records feeding
+        the CLSTM — the very objects the stream's session holds, so their
+        cached gate-input projections are shared with every other queued
+        request of the stream.  Built from ``action_history`` /
+        ``interaction_history`` arrays when those are passed instead.
     action_history / interaction_history:
-        ``(q, d1)`` / ``(q, d2)`` history windows feeding the CLSTM.
+        The raw ``(q, d1)`` / ``(q, d2)`` windows, stacked on access (only
+        update-plane samples and checkpoint export read them).
     action_target / interaction_target:
         True features of the incoming segment (the reconstruction targets).
     interaction_level:
@@ -57,13 +64,36 @@ class ScoreRequest:
         the segment.
     """
 
-    stream_id: str
-    segment_index: int
-    action_history: np.ndarray
-    interaction_history: np.ndarray
-    action_target: np.ndarray
-    interaction_target: np.ndarray
-    interaction_level: float = float("nan")
+    def __init__(
+        self,
+        stream_id: str,
+        segment_index: int,
+        action_history: Optional[np.ndarray] = None,
+        interaction_history: Optional[np.ndarray] = None,
+        action_target: Optional[np.ndarray] = None,
+        interaction_target: Optional[np.ndarray] = None,
+        interaction_level: float = float("nan"),
+        *,
+        window: Optional[Tuple[Segment, ...]] = None,
+    ) -> None:
+        if window is None:
+            actions = np.asarray(action_history, dtype=np.float64)
+            interactions = np.asarray(interaction_history, dtype=np.float64)
+            window = tuple(Segment(*rows) for rows in zip(actions, interactions, strict=True))
+        self.stream_id = stream_id
+        self.segment_index = segment_index
+        self.window = window
+        self.action_target = action_target
+        self.interaction_target = interaction_target
+        self.interaction_level = interaction_level
+
+    @property
+    def action_history(self) -> np.ndarray:
+        return np.stack([segment.rows[0] for segment in self.window], axis=0)
+
+    @property
+    def interaction_history(self) -> np.ndarray:
+        return np.stack([segment.rows[1] for segment in self.window], axis=0)
 
 
 class MicroBatcher:
@@ -155,18 +185,18 @@ class MicroBatcher:
     @staticmethod
     def assemble(
         requests: List[ScoreRequest],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stack a request list into the arrays the batched scorer consumes.
+    ) -> Tuple[List[Tuple[Segment, ...]], np.ndarray, np.ndarray, np.ndarray]:
+        """Turn a request list into what the batched scorer consumes.
 
-        Returns ``(action_sequences, interaction_sequences, action_targets,
-        interaction_targets, segment_indices)`` with leading dimension
-        ``len(requests)``.
+        Returns ``(windows, action_targets, interaction_targets,
+        segment_indices)`` with leading dimension ``len(requests)``; the
+        windows stay segment records (``CLSTM.predict_full`` gathers their
+        cached gate inputs), only the targets are stacked.
         """
         if not requests:
             raise ValueError("cannot assemble an empty batch")
         return (
-            np.stack([r.action_history for r in requests], axis=0),
-            np.stack([r.interaction_history for r in requests], axis=0),
+            [r.window for r in requests],
             np.stack([r.action_target for r in requests], axis=0),
             np.stack([r.interaction_target for r in requests], axis=0),
             np.array([r.segment_index for r in requests], dtype=np.int64),

@@ -28,11 +28,13 @@ parent process:
   threshold) and then scores micro-batches in its own interpreter.  The
   parent assembles every batch, pins the snapshot through its own handle
   (so ``swaps_observed`` and version attribution behave exactly as in
-  serial), and ships only the batch arrays + the pinned version over a pipe.
+  serial), projects the batch's unseen segments through the segment-resident
+  cache, and ships only the gathered gate inputs, the targets + the pinned
+  version over a pipe.
 
-Determinism: the worker executes the *same* ``predict_full`` →
-``score_predictions`` pipeline on bit-identical ``float64`` weights, on the
-same machine and BLAS, so ``ProcessParallelExecutor(workers=1)`` is
+Determinism: parent and worker together execute the *same* projection →
+sweep → ``score_predictions`` pipeline on bit-identical ``float64`` weights,
+on the same machine and BLAS, so ``ProcessParallelExecutor(workers=1)`` is
 bitwise-identical to :class:`~repro.serving.executor.SerialExecutor` —
 including across a checkpoint/restore cycle, because all durable state lives
 in the parent.
@@ -64,6 +66,7 @@ import multiprocessing
 
 import numpy as np
 
+from ..nn.fused import GateInputs
 from .executor import default_workers
 from .service import BatchScores
 
@@ -455,8 +458,8 @@ def _worker_main(conn, prefix: str, board_name: str) -> None:
                         _,
                         slot,
                         version,
-                        action_sequences,
-                        interaction_sequences,
+                        gates_influencer,
+                        gates_audience,
                         action_targets,
                         interaction_targets,
                         segment_indices,
@@ -476,7 +479,7 @@ def _worker_main(conn, prefix: str, board_name: str) -> None:
                         current = fresh
                     _, _, model, detector = current
                     predicted_action, predicted_interaction, hidden, _ = (
-                        model.predict_full(action_sequences, interaction_sequences)
+                        model.predict_full(GateInputs(gates_influencer, gates_audience))
                     )
                     result = detector.score_predictions(
                         segment_indices,
@@ -690,13 +693,17 @@ class ProcessParallelExecutor:
         shard_index: int,
         registry,
         snapshot,
-        action_sequences: np.ndarray,
-        interaction_sequences: np.ndarray,
+        windows,
         action_targets: np.ndarray,
         interaction_targets: np.ndarray,
         segment_indices: np.ndarray,
     ) -> BatchScores:
         """Score one assembled batch in the worker owning ``shard_index``.
+
+        The parent projects ``windows`` through the segments' own cache
+        (``CLSTM.gate_inputs`` — the same fixed-block routine the serial
+        path uses, on bitwise-equal weights) and ships the gathered gate
+        inputs; the worker runs the recurrent sweep, decoders and REIA.
 
         ``snapshot`` is the version the parent's handle pinned for this
         batch; the message carries it explicitly so the worker rebuilds and
@@ -708,6 +715,7 @@ class ProcessParallelExecutor:
             raise RuntimeError("executor is closed")
         slot = self._plane.slot_for(registry)
         self._plane.ensure_exported(slot, snapshot)
+        gates = snapshot.model.gate_inputs(windows)
         with self._handles_lock:
             if not self._handles:
                 self._spawn_worker_locked()
@@ -734,8 +742,8 @@ class ProcessParallelExecutor:
                         "score",
                         slot,
                         snapshot.version,
-                        action_sequences,
-                        interaction_sequences,
+                        gates.influencer,
+                        gates.audience,
                         action_targets,
                         interaction_targets,
                         segment_indices,

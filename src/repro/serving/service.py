@@ -54,6 +54,7 @@ import numpy as np
 from ..core.detector import AnomalyDetector
 from ..core.update import hidden_set_similarity
 from ..features.pipeline import StreamFeatures
+from ..nn.fused import Segment
 from ..utils.config import UpdateConfig
 from ..utils.timer import TimingAccumulator
 from .microbatch import MicroBatcher, ScoreRequest
@@ -324,20 +325,19 @@ class BatchScores:
 
 
 class StreamSession:
-    """Rolling per-stream state: the last ``q`` feature vectors and results."""
+    """Rolling per-stream state: the last ``q`` segment records and results."""
 
     def __init__(self, stream_id: str, sequence_length: int) -> None:
         self.stream_id = stream_id
         self.sequence_length = sequence_length
-        self.action_history: Deque[np.ndarray] = deque(maxlen=sequence_length)
-        self.interaction_history: Deque[np.ndarray] = deque(maxlen=sequence_length)
+        self.history: Deque[Segment] = deque(maxlen=sequence_length)
         self.segments_seen = 0
         self.detections: List[StreamDetection] = []
 
     @property
     def warmed_up(self) -> bool:
         """Whether enough history exists to score the next incoming segment."""
-        return len(self.action_history) == self.sequence_length
+        return len(self.history) == self.sequence_length
 
     def make_request(
         self,
@@ -348,21 +348,26 @@ class StreamSession:
         """Observe one incoming segment; return a request once warmed up.
 
         The current history window predicts the incoming segment (it is the
-        reconstruction target); afterwards the segment joins the window.
+        reconstruction target); afterwards the segment joins the window.  The
+        request's window is the history's segment records themselves, not a
+        copy, so a segment's gate-input projections are computed once and
+        shared by the ``q`` requests it appears in.
         """
+        segment = Segment(
+            np.asarray(action_feature, dtype=np.float64),
+            np.asarray(interaction_feature, dtype=np.float64),
+        )
         request: Optional[ScoreRequest] = None
         if self.warmed_up:
             request = ScoreRequest(
                 stream_id=self.stream_id,
                 segment_index=self.segments_seen,
-                action_history=np.stack(self.action_history, axis=0),
-                interaction_history=np.stack(self.interaction_history, axis=0),
-                action_target=np.asarray(action_feature, dtype=np.float64),
-                interaction_target=np.asarray(interaction_feature, dtype=np.float64),
+                window=tuple(self.history),
+                action_target=segment.rows[0],
+                interaction_target=segment.rows[1],
                 interaction_level=interaction_level,
             )
-        self.action_history.append(np.asarray(action_feature, dtype=np.float64))
-        self.interaction_history.append(np.asarray(interaction_feature, dtype=np.float64))
+        self.history.append(segment)
         self.segments_seen += 1
         return request
 
@@ -505,7 +510,7 @@ class ScoringService:
         self._latencies: Deque[float] = deque(maxlen=latency_reservoir)
         # Pluggable compute kernel: when set (by the process-parallel
         # executor's bind), _score_requests ships each assembled batch to
-        # it — (snapshot, sequences..., targets..., indices) -> BatchScores
+        # it — (snapshot, windows, targets..., indices) -> BatchScores
         # — instead of running the fused forward locally.  Everything else
         # (pinning, routing, drift, checkpoints) is unaffected.
         self.remote_compute: Optional[Callable[..., BatchScores]] = None
@@ -770,13 +775,7 @@ class ScoringService:
         # A publish landing while this batch runs (the update plane executes
         # inside the drift-trigger path below) is only seen by the next pin.
         snapshot = self._handle.pin()
-        (
-            action_sequences,
-            interaction_sequences,
-            action_targets,
-            interaction_targets,
-            segment_indices,
-        ) = MicroBatcher.assemble(requests)
+        windows, action_targets, interaction_targets, indices = MicroBatcher.assemble(requests)
         timings = self._kernel_timings
         if self.remote_compute is not None:
             # The forward/score split happens inside the worker interpreter;
@@ -784,21 +783,16 @@ class ScoringService:
             # cost) rather than inventing an unobservable split.
             with timings.measure("forward"):
                 batch = self.remote_compute(
-                    snapshot,
-                    action_sequences,
-                    interaction_sequences,
-                    action_targets,
-                    interaction_targets,
-                    segment_indices,
+                    snapshot, windows, action_targets, interaction_targets, indices
                 )
         else:
             with timings.measure("forward"):
                 predicted_action, predicted_interaction, hidden, _ = snapshot.model.predict_full(
-                    action_sequences, interaction_sequences
+                    windows
                 )
             with timings.measure("score"):
                 result = snapshot.detector.score_predictions(
-                    segment_indices,
+                    indices,
                     action_targets,
                     interaction_targets,
                     predicted_action,
@@ -823,10 +817,9 @@ class ScoringService:
             # that never advance time.
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
-        detections: List[StreamDetection] = []
         precision = getattr(snapshot.model, "precision", "float64")
-        for position, request in enumerate(requests):
-            detection = StreamDetection(
+        detections = [
+            StreamDetection(
                 stream_id=request.stream_id,
                 segment_index=request.segment_index,
                 score=float(batch.scores[position]),
@@ -837,8 +830,16 @@ class ScoringService:
                 model_version=snapshot.version,
                 precision=precision,
             )
-            detections.append(detection)
-            self.session(request.stream_id).detections.append(detection)
+            for position, request in enumerate(requests)
+        ]
+        # One ingest-lock acquisition routes the whole batch; session() only
+        # runs for a request that was queued without going through ingest.
+        with self._ingest_lock:
+            for detection in detections:
+                session = self.sessions.get(detection.stream_id)
+                if session is None:
+                    session = self.session(detection.stream_id)
+                session.detections.append(detection)
         self._observe_hidden(requests, batch.hidden, snapshot.version)
         return detections
 
@@ -997,8 +998,8 @@ class ScoringService:
         return {
             "sessions": {
                 stream_id: {
-                    "action_history": list(session.action_history),
-                    "interaction_history": list(session.interaction_history),
+                    "action_history": [segment.rows[0] for segment in session.history],
+                    "interaction_history": [segment.rows[1] for segment in session.history],
                     "segments_seen": session.segments_seen,
                 }
                 for stream_id, session in self.sessions.items()
@@ -1026,10 +1027,12 @@ class ScoringService:
             raise RuntimeError("restore_state requires a fresh service (no traffic yet)")
         for stream_id, payload in state["sessions"].items():
             session = self.session(stream_id)
-            for row in payload["action_history"]:
-                session.action_history.append(np.asarray(row, dtype=np.float64))
-            for row in payload["interaction_history"]:
-                session.interaction_history.append(np.asarray(row, dtype=np.float64))
+            session.history.extend(
+                Segment(np.asarray(action, dtype=np.float64), np.asarray(interaction, dtype=np.float64))
+                for action, interaction in zip(
+                    payload["action_history"], payload["interaction_history"], strict=True
+                )
+            )
             session.segments_seen = int(payload["segments_seen"])
         historical = state["historical_hidden"]
         self._historical_hidden = (

@@ -73,9 +73,10 @@ class TestMicroBatcher:
 
     def test_assemble_shapes(self):
         requests = [make_request(index=i, seed=i) for i in range(5)]
-        actions, interactions, a_targets, i_targets, indices = MicroBatcher.assemble(requests)
-        assert actions.shape == (5, Q, D1)
-        assert interactions.shape == (5, Q, D2)
+        windows, a_targets, i_targets, indices = MicroBatcher.assemble(requests)
+        # Windows stay segment records (no re-stack); only targets are stacked.
+        assert [len(window) for window in windows] == [Q] * 5
+        assert all(window is request.window for window, request in zip(windows, requests))
         assert a_targets.shape == (5, D1)
         assert i_targets.shape == (5, D2)
         np.testing.assert_array_equal(indices, np.arange(5))
