@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 import common
+from repro import nn
 from repro.core.model import AOVLIS
 from repro.core.scoring import reia_score
 from repro.serving import (
@@ -79,16 +80,16 @@ def run_experiment():
     omega = detector.config.omega
     start = time.perf_counter()
     for position in range(sample):
-        predicted_action, predicted_interaction = detector.model.predict(
-            batch.action_sequences[position : position + 1],
-            batch.interaction_sequences[position : position + 1],
-            fused=False,
-        )
+        with nn.no_grad():
+            output = detector.model(
+                batch.action_sequences[position : position + 1],
+                batch.interaction_sequences[position : position + 1],
+            )
         reia_score(
             batch.action_targets[position : position + 1],
-            predicted_action,
+            output.action_reconstruction.numpy(),
             batch.interaction_targets[position : position + 1],
-            predicted_interaction,
+            output.interaction_reconstruction.numpy(),
             omega=omega,
         )
     per_segment_seconds = (time.perf_counter() - start) / sample

@@ -342,42 +342,28 @@ class CLSTM(nn.Module):
         self,
         action_sequences: np.ndarray,
         interaction_sequences: np.ndarray,
-        fused: bool = True,
         precision: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Inference-mode prediction; returns NumPy arrays ``(I_hat, A_hat)``.
 
-        Uses the fused batched forward by default; ``fused=False`` keeps the
-        per-timestep autograd path available as a reference (equivalence is
-        pinned to ≤1e-8 by the test-suite) and for benchmarking.
-        ``precision`` overrides the model's configured compute precision for
-        this call (the tape path is float64 only).
+        Runs the fused batched forward (pinned to ≤1e-8 of the per-timestep
+        :meth:`forward` by the test-suite).  ``precision`` overrides the
+        model's configured compute precision for this call.
         """
-        if fused:
-            reconstruction_i, reconstruction_a, _, _ = self.predict_full(
-                action_sequences, interaction_sequences, precision=precision
-            )
-            return reconstruction_i, reconstruction_a
-        with nn.no_grad():
-            output = self.forward(action_sequences, interaction_sequences)
-        return output.action_reconstruction.numpy(), output.interaction_reconstruction.numpy()
+        reconstruction_i, reconstruction_a, _, _ = self.predict_full(
+            action_sequences, interaction_sequences, precision=precision
+        )
+        return reconstruction_i, reconstruction_a
 
     def hidden_states(
         self,
         action_sequences: np.ndarray,
         interaction_sequences: np.ndarray,
-        fused: bool = True,
         precision: Optional[str] = None,
     ) -> np.ndarray:
         """Final ``h_t`` hidden states of ``LSTM_I`` (drift-detection input)."""
-        if fused:
-            final_h, _ = self._fused_hidden(
-                action_sequences, interaction_sequences, precision=precision
-            )
-            return final_h
-        with nn.no_grad():
-            output = self.forward(action_sequences, interaction_sequences)
-        return output.action_hidden.numpy()
+        final_h, _ = self._fused_hidden(action_sequences, interaction_sequences, precision=precision)
+        return final_h
 
     # ------------------------------------------------------------------ #
     # Fused training engine (analytic BPTT, tape-free)
@@ -386,9 +372,8 @@ class CLSTM(nn.Module):
     def supports_fused_training(self) -> bool:
         """Whether the analytic engine's hard-coded decoder shapes apply.
 
-        Subclasses that replace either decoder with a different architecture
-        automatically fall back to the tape path in :class:`CLSTMTrainer`
-        instead of crashing mid-fit.
+        :class:`CLSTMTrainer` refuses a subclass that replaces either decoder
+        with a different architecture instead of crashing mid-fit.
         """
         return is_softmax_head(self.decoder_action) and isinstance(
             self.decoder_interaction, nn.Linear

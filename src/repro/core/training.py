@@ -7,11 +7,11 @@ Implements the training strategy of Section IV-B3:
 * CLSTM is optimised with Adam (learning rate 0.001) on the fused
   reconstruction loss ``l(I, A) = w * JSE + (1 - w) * MSE`` (Eq. 13) — the
   action-branch loss can be switched to KL or L2 to reproduce Table I;
-* by default every step runs through the analytic fused BPTT engine
+* every step runs through the analytic fused BPTT engine
   (:mod:`repro.nn.backprop`): tape-free cached forward, hand-derived backward
-  and the flat-buffer Adam.  ``TrainingConfig(use_fused=False)`` falls back to
-  the per-op autograd tape, which remains the correctness oracle (the two
-  paths' gradients agree to ≤1e-8, see ``tests/test_fused_training.py``);
+  and the flat-buffer Adam.  The per-op autograd tape is the gradient oracle
+  the tests call directly (the two agree to ≤1e-8, see
+  ``tests/test_fused_training.py``); nothing here selects it;
 * the model is checkpointed every ``checkpoint_every`` epochs and the
   checkpoint with the lowest validation loss is kept as the final model,
   matching the paper's "save the model every 50 epochs and test on valid set"
@@ -83,6 +83,13 @@ class CLSTMTrainer:
     """Trains a :class:`~repro.core.clstm.CLSTM` on normal-segment sequences."""
 
     def __init__(self, model: CLSTM, config: TrainingConfig | None = None) -> None:
+        # The backward is hand-derived for CLSTM.forward and the stock decoder
+        # heads; on anything else it would optimise a different objective.
+        kind = type(model)
+        if not model.supports_fused_training:
+            raise TypeError(f"{kind.__name__} replaces a decoder head the analytic engine cannot train")
+        if kind.forward is not CLSTM.forward and kind.fused_training_step is CLSTM.fused_training_step:
+            raise TypeError(f"{kind.__name__} overrides forward without its own fused_training_step")
         self.model = model
         self.config = config if config is not None else TrainingConfig()
         self.history = TrainingHistory()
@@ -115,24 +122,10 @@ class CLSTMTrainer:
             raise ValueError("cannot train on an empty sequence batch")
         config = self.config
         epochs = epochs if epochs is not None else config.epochs
-        if config.tbptt_window is not None and not self._use_fused():
-            # The config validated use_fused=True; this catches models the
-            # fused engine cannot handle (custom decoders / overridden
-            # forward), where silently falling back to the tape would ignore
-            # the truncation the caller asked for.
-            raise RuntimeError(
-                "tbptt_window requires the fused training engine, but this "
-                "model falls back to the autograd tape (unsupported decoder "
-                "or overridden forward)"
-            )
         rng = np.random.default_rng(config.seed)
 
         train_batch, validation_batch = self._split(sequences, rng)
-        # The flat-buffer optimiser belongs to the fused engine; the tape path
-        # keeps the per-parameter step so it stays the exact pre-fused oracle.
-        optimizer = nn.Adam(
-            self.model.parameters(), lr=config.learning_rate, flat=self._use_fused()
-        )
+        optimizer = nn.Adam(self.model.parameters(), lr=config.learning_rate)
 
         for epoch in range(1, epochs + 1):
             train_loss = self._run_epoch(train_batch, optimizer, rng)
@@ -164,53 +157,18 @@ class CLSTMTrainer:
         """Mean fused reconstruction loss of ``batch`` without training."""
         if batch is None or len(batch) == 0:
             return float("nan")
-        if self._use_fused():
-            return self.model.fused_loss(
-                batch.action_sequences,
-                batch.interaction_sequences,
-                batch.action_targets,
-                batch.interaction_targets,
-                omega=self.config.omega,
-                action_loss=self.config.action_loss,
-            )
-        with nn.no_grad():
-            output = self.model(batch.action_sequences, batch.interaction_sequences)
-            loss = nn.weighted_reconstruction_loss(
-                output.action_reconstruction,
-                nn.Tensor(batch.action_targets),
-                output.interaction_reconstruction,
-                nn.Tensor(batch.interaction_targets),
-                omega=self.config.omega,
-                action_loss=self.config.action_loss,
-            )
-        return float(loss.item())
+        return self.model.fused_loss(
+            batch.action_sequences,
+            batch.interaction_sequences,
+            batch.action_targets,
+            batch.interaction_targets,
+            omega=self.config.omega,
+            action_loss=self.config.action_loss,
+        )
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _use_fused(self) -> bool:
-        """Whether the analytic tape-free engine handles this model.
-
-        Gated on the CLSTM type (whose ``fused_training_step``/``fused_loss``
-        carry the trainer's exact contract), not on duck-typing — other
-        models, and CLSTM subclasses with customised decoders, fall back to
-        the tape path.  A subclass that overrides ``forward`` without
-        supplying its own ``fused_training_step`` also falls back: the base
-        analytic backward would optimise a different objective than the
-        subclass's actual forward.
-        """
-        model_type = type(self.model)
-        forward_matches_engine = (
-            model_type.forward is CLSTM.forward
-            or model_type.fused_training_step is not CLSTM.fused_training_step
-        )
-        return (
-            self.config.use_fused
-            and isinstance(self.model, CLSTM)
-            and self.model.supports_fused_training
-            and forward_matches_engine
-        )
-
     def _split(self, sequences: SequenceBatch, rng: np.random.Generator) -> tuple[SequenceBatch, SequenceBatch]:
         count = len(sequences)
         validation_size = int(round(count * self.config.validation_fraction))
@@ -227,36 +185,21 @@ class CLSTMTrainer:
         count = len(batch)
         order = rng.permutation(count)
         batch_size = max(1, config.batch_size)
-        use_fused = self._use_fused()
         total_loss = 0.0
         total_samples = 0
         for start in range(0, count, batch_size):
             indices = order[start : start + batch_size]
             mini = batch.subset(indices)
-            if use_fused:
-                optimizer.zero_grad()
-                loss_value = self.model.fused_training_step(
-                    mini.action_sequences,
-                    mini.interaction_sequences,
-                    mini.action_targets,
-                    mini.interaction_targets,
-                    omega=config.omega,
-                    action_loss=config.action_loss,
-                    tbptt_window=config.tbptt_window,
-                )
-            else:
-                output = self.model(mini.action_sequences, mini.interaction_sequences)
-                loss = nn.weighted_reconstruction_loss(
-                    output.action_reconstruction,
-                    nn.Tensor(mini.action_targets),
-                    output.interaction_reconstruction,
-                    nn.Tensor(mini.interaction_targets),
-                    omega=config.omega,
-                    action_loss=config.action_loss,
-                )
-                optimizer.zero_grad()
-                loss.backward()
-                loss_value = float(loss.item())
+            optimizer.zero_grad()
+            loss_value = self.model.fused_training_step(
+                mini.action_sequences,
+                mini.interaction_sequences,
+                mini.action_targets,
+                mini.interaction_targets,
+                omega=config.omega,
+                action_loss=config.action_loss,
+                tbptt_window=config.tbptt_window,
+            )
             if config.gradient_clip > 0:
                 nn.clip_grad_norm(self.model.parameters(), config.gradient_clip)
             optimizer.step()

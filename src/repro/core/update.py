@@ -51,8 +51,8 @@ def incremental_training_config(
     """Derive the short-budget training config used for incremental updates.
 
     Incremental updates train fewer epochs on much less data; everything else
-    (including the fused-engine switch and ``tbptt_window`` — the truncated
-    BPTT that keeps per-retrain cost O(window) instead of O(sequence length))
+    (including ``tbptt_window`` — the truncated BPTT that keeps per-retrain
+    cost O(window) instead of O(sequence length))
     is inherited from ``base`` via :func:`dataclasses.replace`.  Shared by
     the offline :class:`IncrementalUpdater` and the in-service
     :class:`~repro.serving.maintenance.UpdatePlane`.

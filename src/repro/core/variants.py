@@ -144,25 +144,15 @@ class LSTMOnlyDetector(StreamAnomalyDetector):
     # ------------------------------------------------------------------ #
     def _train(self, batch: SequenceBatch) -> None:
         config = self.training
-        # As in CLSTMTrainer.fit: the flat-buffer optimiser belongs to the
-        # fused engine; use_fused=False keeps the exact pre-fused tape setup.
-        optimizer = nn.Adam(
-            self._model.parameters(), lr=config.learning_rate, flat=config.use_fused
-        )
+        optimizer = nn.Adam(self._model.parameters(), lr=config.learning_rate)
         rng = np.random.default_rng(config.seed)
         for _ in range(config.epochs):
             order = rng.permutation(len(batch))
             for start in range(0, len(batch), config.batch_size):
                 indices = order[start : start + config.batch_size]
                 mini = batch.subset(indices)
-                if config.use_fused:
-                    optimizer.zero_grad()
-                    self._model.fused_training_step(mini.action_sequences, mini.action_targets)
-                else:
-                    reconstruction = self._model(mini.action_sequences)
-                    loss = nn.js_divergence_loss(reconstruction, nn.Tensor(mini.action_targets))
-                    optimizer.zero_grad()
-                    loss.backward()
+                optimizer.zero_grad()
+                self._model.fused_training_step(mini.action_sequences, mini.action_targets)
                 nn.clip_grad_norm(self._model.parameters(), config.gradient_clip)
                 optimizer.step()
 

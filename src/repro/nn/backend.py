@@ -12,7 +12,7 @@ Two backends are recognised:
 * ``"numpy"`` — the default, always available, and the reference semantics:
   with the NumPy namespace and ``float64`` the kernels are **bitwise
   identical** to the pre-seam implementations (pinned by
-  ``tests/test_backend.py`` against :mod:`repro.nn._reference`).
+  ``tests/test_backend.py`` against ``tests/frozen_kernels.py``).
 * ``"cupy"`` — CUDA arrays via `CuPy <https://cupy.dev>`_, resolved lazily;
   selecting it without CuPy installed raises a :class:`RuntimeError` that
   names the missing dependency instead of an opaque ``ImportError`` deep

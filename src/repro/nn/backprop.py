@@ -1,10 +1,7 @@
 """Analytic backpropagation-through-time for the fused training engine.
 
-PR 1 made inference tape-free (:mod:`repro.nn.fused`); this module does the
-same for *training*.  The autograd tape advances the CLSTM one gate at a time
-and allocates a graph node per intermediate value, so an epoch of
-``CLSTMTrainer.fit`` spends most of its wall-clock building and walking Python
-closures.  Here the whole training step is hand-derived instead:
+The training twin of :mod:`repro.nn.fused`: the whole step is hand-derived,
+so no autograd graph (one Python closure per intermediate value) is built:
 
 * the two mutually coupled cells are folded into one **joint recurrent
   system**: the previous hidden states ``[h_{t-1} | g_{t-1}]`` multiply a
@@ -30,8 +27,8 @@ Numerical contract: every derivative below replicates the tape's backward
 closures exactly (including the ``max(x, eps)`` clipping inside ``log`` and
 the ``value * (1 - value)`` sigmoid derivative taken at the clipped input),
 so gradients agree with ``Tensor.backward()`` up to summation-order noise;
-the equivalence tests pin ≤1e-8.  The tape path stays available as the
-correctness oracle via ``TrainingConfig(use_fused=False)``.
+the equivalence tests pin ≤1e-8.  The tape is the correctness oracle: the
+tests call ``model(...)`` and ``loss.backward()`` directly, no option selects it.
 
 Only zero initial states are supported — that is what every training path
 uses (fresh windows per minibatch).
@@ -568,7 +565,7 @@ def _finalise_cell_grads(
 
 
 def _check_window(window: Optional[int]) -> Optional[int]:
-    if window is not None and (not isinstance(window, int) or window < 1):
+    if window is not None and (isinstance(window, bool) or not isinstance(window, int) or window < 1):
         raise ValueError(f"tbptt window must be a positive integer or None, got {window!r}")
     return window
 
@@ -680,8 +677,7 @@ def softmax_head_forward(head, x: np.ndarray) -> Tuple[np.ndarray, "Linear"]:
     if not is_softmax_head(head):
         raise RuntimeError(
             "fused training expects a Sequential(Linear, SoftmaxHead) decoder; "
-            f"found {type(head).__name__} — fall back to the tape path for "
-            "custom decoders"
+            f"found {type(head).__name__}"
         )
     linear = list(head)[0]
     return softmax_forward(linear_forward(linear, x)), linear

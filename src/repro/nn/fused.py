@@ -27,8 +27,8 @@ module provides the inference fast path: array-namespace forwards that
   or opt-in ``float32`` compute precision.
 
 Numerical contract: on the default backend (NumPy, ``float64``) the kernels
-are **bitwise identical** to the pre-seam implementations preserved in
-:mod:`repro.nn._reference` — the ``out=`` rewrite only reorders commutative
+are **bitwise identical** to the pre-seam implementations frozen in
+``tests/frozen_kernels.py`` — the ``out=`` rewrite only reorders commutative
 additions and replaces allocation with in-place evaluation of the exact same
 expressions.  Against the per-timestep ``Tensor`` path the historical ≤1e-8
 equivalence continues to hold.  The ``float32`` path is tolerance-bounded
@@ -514,8 +514,8 @@ def _gate_step_into(pre, cell_state, hidden, gates, scratch, hidden_size: int, x
 
     ``pre`` ``(B, 4H)`` holds the fused pre-activation; ``cell_state`` and
     ``hidden`` are updated in place (``c_t = i·ĉ + f·c_{t-1}``,
-    ``h_t = o·tanh(c_t)``), evaluating exactly the reference expressions of
-    :mod:`repro.nn._reference`.  Each gate column block of ``pre`` is a
+    ``h_t = o·tanh(c_t)``), evaluating exactly the expressions of the frozen
+    kernels in ``tests/frozen_kernels.py``.  Each gate column block of ``pre`` is a
     strided view, so it is first copied into a contiguous row of ``gates``
     ``(4, B, H)`` — elementwise kernels on strided data lose SIMD, and one
     contiguous copy is cheaper than five strided activation passes.

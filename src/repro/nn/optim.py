@@ -4,16 +4,15 @@ The paper trains CLSTM with the Adam optimiser (learning rate 0.001) "for its
 computing efficiency and low memory cost"; SGD with momentum is also provided
 for completeness and for the ablation benchmarks.
 
-Both optimisers run a **flat-buffer** fast path by default: all managed
-parameters are viewed as one contiguous ``float64`` array, so a step is a
-handful of vectorised NumPy passes over ~1.4 M doubles (for the paper-scale
-CLSTM) instead of a Python loop over every parameter.  After each step the
-parameters are rebound to fresh views into the new flat array, which preserves
-the repo-wide invariant that every write path *rebinds* ``parameter.data`` —
-the fused-weight caches in :mod:`repro.nn.fused` rely on array identity as
-their staleness check.  The classic per-parameter path remains available via
-``flat=False`` and is the behavioural oracle for the flat path (they agree
-bit-for-bit; parameters whose gradient is ``None`` are skipped identically).
+Both optimisers step over a **flat buffer**: all managed parameters are viewed
+as one contiguous ``float64`` array, so a step is a handful of vectorised
+NumPy passes over ~1.4 M doubles (for the paper-scale CLSTM).  After each step
+the parameters are rebound to fresh views into the new flat array, which
+preserves the repo-wide invariant that every write path *rebinds*
+``parameter.data`` — the fused-weight caches in :mod:`repro.nn.fused` rely on
+array identity as their staleness check.  ``tests/test_nn_losses_optim.py``
+keeps the textbook per-parameter step as the reference: the two agree
+bit-for-bit, and parameters whose gradient is ``None`` are skipped identically.
 
 Every optimiser buffer pins its dtype explicitly (``float64``): parameters
 and optimiser state live on the host at full precision regardless of the
@@ -74,7 +73,7 @@ class Optimizer:
 
         Missing gradients are zero-filled in the buffer; callers restore those
         parameters' state after the vectorised update so the semantics match
-        the per-parameter path (a grad-less parameter is skipped entirely).
+        the per-parameter step (a grad-less parameter is skipped entirely).
         Returns ``(None, missing)`` when no parameter has a gradient.
         """
         missing = [i for i, p in enumerate(self.parameters) if p.grad is None]
@@ -101,11 +100,10 @@ class Optimizer:
         """Rebind every parameter to a view into ``flat`` and cache it.
 
         Indices in ``skip`` (parameters the step left untouched because they
-        had no gradient) keep their current ``data`` binding, exactly like
-        the per-parameter path — rebinding them would needlessly invalidate
-        the identity-keyed fused-weight caches.  Their segments in ``flat``
-        hold the restored old values, so the cached flat buffer stays
-        consistent with every parameter either way.
+        had no gradient) keep their current ``data`` binding — rebinding them
+        would needlessly invalidate the identity-keyed fused-weight caches.
+        Their segments in ``flat`` hold the restored old values, so the cached
+        flat buffer stays consistent with every parameter either way.
         """
         skip_set = set(skip)
         views = []
@@ -127,7 +125,6 @@ class SGD(Optimizer):
         parameters: Iterable[Parameter],
         lr: float = 0.01,
         momentum: float = 0.0,
-        flat: bool = True,
     ) -> None:
         super().__init__(parameters)
         if lr <= 0:
@@ -136,19 +133,9 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self.flat = flat
-        if flat:
-            self._flat_velocity = np.zeros(self._numel, dtype=np.float64) if momentum > 0.0 else None
-        else:
-            self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+        self._flat_velocity = np.zeros(self._numel, dtype=np.float64) if momentum > 0.0 else None
 
     def step(self) -> None:
-        if self.flat:
-            self._step_flat()
-        else:
-            self._step_per_parameter()
-
-    def _step_flat(self) -> None:
         grad, missing = self._gather_flat_grad()
         if grad is None:
             return
@@ -169,18 +156,6 @@ class SGD(Optimizer):
             new_data[segment] = data[segment]
         self._scatter_flat_data(new_data, skip=missing)
 
-    def _step_per_parameter(self) -> None:
-        for index, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            update = parameter.grad
-            if self.momentum > 0.0:
-                velocity = self._velocity[index]
-                velocity = update if velocity is None else self.momentum * velocity + update
-                self._velocity[index] = velocity
-                update = velocity
-            parameter.data = parameter.data - self.lr * update
-
 
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba), the paper's training optimiser."""
@@ -192,7 +167,6 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        flat: bool = True,
     ) -> None:
         super().__init__(parameters)
         if lr <= 0:
@@ -205,25 +179,14 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.flat = flat
         self._step_count = 0
-        if flat:
-            self._flat_first = np.zeros(self._numel)
-            self._flat_second = np.zeros(self._numel)
-            self._scratch = np.empty(self._numel)
-            self._scratch2 = np.empty(self._numel)
-        else:
-            self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
-            self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
+        self._flat_first = np.zeros(self._numel)
+        self._flat_second = np.zeros(self._numel)
+        self._scratch = np.empty(self._numel)
+        self._scratch2 = np.empty(self._numel)
 
     def step(self) -> None:
         self._step_count += 1
-        if self.flat:
-            self._step_flat()
-        else:
-            self._step_per_parameter()
-
-    def _step_flat(self) -> None:
         grad, missing = self._gather_flat_grad()
         if grad is None:
             return
@@ -251,8 +214,8 @@ class Adam(Optimizer):
             second[segment] = second_segment
         bias_correction1 = 1.0 - self.beta1 ** self._step_count
         bias_correction2 = 1.0 - self.beta2 ** self._step_count
-        # Replicate the per-parameter path's operation order exactly, so the
-        # flat and legacy trajectories stay bit-for-bit identical:
+        # The textbook per-parameter operation order, kept exactly so the
+        # trajectory stays bit-for-bit the reference step's:
         # data - (lr * (first / bc1)) / (sqrt(second / bc2) + eps)
         denominator = scratch
         np.divide(second, bias_correction2, out=denominator)
@@ -267,27 +230,6 @@ class Adam(Optimizer):
             segment = self._segment(index)
             new_data[segment] = data[segment]
         self._scatter_flat_data(new_data, skip=missing)
-
-    def _step_per_parameter(self) -> None:
-        bias_correction1 = 1.0 - self.beta1 ** self._step_count
-        bias_correction2 = 1.0 - self.beta2 ** self._step_count
-        for index, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * parameter.data
-            first = self._first_moment[index]
-            second = self._second_moment[index]
-            first = self.beta1 * first + (1.0 - self.beta1) * grad
-            second = self.beta2 * second + (1.0 - self.beta2) * (grad * grad)
-            self._first_moment[index] = first
-            self._second_moment[index] = second
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            parameter.data = parameter.data - self.lr * corrected_first / (
-                np.sqrt(corrected_second) + self.eps
-            )
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

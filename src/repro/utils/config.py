@@ -217,16 +217,11 @@ class TrainingConfig(ConfigBase):
 
     seed: int = 0
 
-    use_fused: bool = True
-    """Train through the analytic fused BPTT engine (:mod:`repro.nn.backprop`);
-    ``False`` falls back to the per-op autograd tape (the correctness oracle)."""
-
     tbptt_window: int | None = None
     """Truncated-BPTT window K for streaming updates: the backward sweep only
     covers the last K timesteps (exact full BPTT when sequences fit inside
     the window), making incremental retrains O(window) instead of O(history).
-    ``None`` (default) runs full BPTT.  Requires the fused engine
-    (``use_fused=True``) — the tape path has no truncation."""
+    ``None`` (default) runs full BPTT."""
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -258,16 +253,22 @@ class TrainingConfig(ConfigBase):
             raise ValueError(
                 f"unknown action_loss '{self.action_loss}'; options: {sorted(ACTION_LOSSES)}"
             )
-        if self.tbptt_window is not None:
-            if not isinstance(self.tbptt_window, int) or self.tbptt_window < 1:
-                raise ValueError(
-                    f"tbptt_window must be a positive integer or None, got {self.tbptt_window!r}"
-                )
-            if not self.use_fused:
-                raise ValueError(
-                    "tbptt_window requires the fused training engine "
-                    "(use_fused=True); the autograd tape has no truncation"
-                )
+        window = self.tbptt_window
+        # bool passes isinstance(int) but from_dict refuses it: a config that
+        # is constructible must also be restorable from its own checkpoint.
+        if window is not None and (isinstance(window, bool) or not isinstance(window, int) or window < 1):
+            raise ValueError(f"tbptt_window must be a positive integer or None, got {window!r}")
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "TrainingConfig":
+        # Manifests written before the tape training mode was retired carry
+        # ``use_fused``: true named the only engine left and drops out; a false
+        # run trained on a trajectory that can no longer be resumed.
+        if isinstance(data, Mapping) and "use_fused" in data:
+            data = dict(data)
+            if data.pop("use_fused") is not True:
+                raise ValueError("TrainingConfig.use_fused=false: the tape training mode is retired")
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,11 @@
 
 This module is a verbatim snapshot of the :mod:`repro.nn.fused` forward
 kernels as they stood *before* the backend seam, the workspace pool and the
-precision options were introduced.  It exists for exactly two consumers and
-must never be optimised or "fixed":
-
-* ``tests/test_backend.py`` pins the contract that the live kernels on the
-  default backend (NumPy, ``float64``) remain **bitwise identical** to these
-  implementations — the backends-applied form of the serving executor's
-  ``workers=1``-bitwise guarantee;
-* ``benchmarks/test_kernel_throughput.py`` uses them as the allocation-heavy
-  baseline the workspace-reuse speedup gate is measured against.
+precision options were introduced.  It must never be optimised or "fixed":
+``tests/test_backend.py`` pins the contract that the live kernels on the
+default backend (NumPy, ``float64``) remain **bitwise identical** to these
+implementations — the backends-applied form of the serving executor's
+``workers=1``-bitwise guarantee.
 
 The functions take prebuilt :class:`~repro.nn.fused.FusedGateWeights` (the
 weight-stacking step is identical either way and orthogonal to what is being
@@ -25,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fused import FusedGateWeights
+from repro.nn.fused import FusedGateWeights
 
 __all__ = [
     "reference_sigmoid",

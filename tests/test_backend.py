@@ -5,7 +5,7 @@ backend/precision from config and environment with clear precedence, (b)
 fail loudly — not silently fall back — when the CuPy backend is requested
 but not installed, and (c) leave the default NumPy float64 kernels
 **bitwise identical** to the frozen pre-seam reference implementation
-(:mod:`repro.nn._reference`).
+(``tests/frozen_kernels.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import _reference, backend, fused
+import frozen_kernels
+from repro.nn import backend, fused
 from repro.nn.backend import (
     DEFAULT_BACKEND,
     ENV_VAR,
@@ -112,7 +113,7 @@ class TestNumpyParity:
         cell = LSTMCell(6, 5, rng=np.random.default_rng(1))
         sequence = _random_sequences(rng, 4, 9, 6)
         weights = fused.fuse_lstm_cell(cell)
-        expected = _reference.reference_lstm_forward(weights, 5, sequence)
+        expected = frozen_kernels.reference_lstm_forward(weights, 5, sequence)
         hiddens, (h, c) = fused.lstm_forward_fused(cell, sequence)
         exp_hiddens, (exp_h, exp_c) = expected
         assert np.array_equal(hiddens, exp_hiddens)
@@ -125,7 +126,7 @@ class TestNumpyParity:
         sequence = _random_sequences(rng, 2, 5, 4)
         state = (rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
         weights = fused.fuse_lstm_cell(cell)
-        exp_hiddens, (exp_h, exp_c) = _reference.reference_lstm_forward(
+        exp_hiddens, (exp_h, exp_c) = frozen_kernels.reference_lstm_forward(
             weights, 3, sequence, state=state
         )
         hiddens, (h, c) = fused.lstm_forward_fused(cell, sequence, state=state)
@@ -141,7 +142,7 @@ class TestNumpyParity:
         interactions = _random_sequences(rng, 4, 7, 3)
         fused_i = fused.fuse_coupled_cell(influencer)
         fused_a = fused.fuse_coupled_cell(audience)
-        exp_h, exp_g, exp_h_all, exp_g_all = _reference.reference_coupled_pair_forward(
+        exp_h, exp_g, exp_h_all, exp_g_all = frozen_kernels.reference_coupled_pair_forward(
             fused_i, fused_a, 5, 4, actions, interactions, return_all_hidden=True
         )
         h, g, h_all, g_all = fused.coupled_pair_forward_fused(

@@ -31,6 +31,12 @@ TOLERANCE = 1e-8
 COUPLINGS = ("both", "influencer_to_audience", "none")
 
 
+def _tape_forward(model, batch):
+    """The per-timestep autograd forward — the reference the fused path is pinned to."""
+    with nn.no_grad():
+        return model(batch.action_sequences, batch.interaction_sequences)
+
+
 def _random_sequences(rng, count=11, q=7, d1=12, d2=5):
     action = rng.random((count + q, d1)) + 1e-3
     action = action / action.sum(axis=1, keepdims=True)
@@ -124,14 +130,15 @@ class TestFusedCLSTM:
             coupling=coupling, seed=4,
         )
         batch = _random_sequences(rng)
-        ref_action, ref_interaction = model.predict(
-            batch.action_sequences, batch.interaction_sequences, fused=False
-        )
+        reference = _tape_forward(model, batch)
         fused_action, fused_interaction = model.predict(
-            batch.action_sequences, batch.interaction_sequences, fused=True
+            batch.action_sequences, batch.interaction_sequences
         )
-        assert np.abs(ref_action - fused_action).max() <= TOLERANCE
-        assert np.abs(ref_interaction - fused_interaction).max() <= TOLERANCE
+        assert np.abs(reference.action_reconstruction.numpy() - fused_action).max() <= TOLERANCE
+        assert (
+            np.abs(reference.interaction_reconstruction.numpy() - fused_interaction).max()
+            <= TOLERANCE
+        )
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_hidden_states_match_reference(self, rng, coupling):
@@ -140,9 +147,7 @@ class TestFusedCLSTM:
             coupling=coupling, seed=4,
         )
         batch = _random_sequences(rng)
-        reference = model.hidden_states(
-            batch.action_sequences, batch.interaction_sequences, fused=False
-        )
+        reference = _tape_forward(model, batch).action_hidden.numpy()
         fused = model.hidden_states(batch.action_sequences, batch.interaction_sequences)
         assert np.abs(reference - fused).max() <= TOLERANCE
 
@@ -172,12 +177,10 @@ class TestFusedCLSTM:
         detector = AnomalyDetector(model, DetectionConfig(omega=0.8, threshold=0.25))
         detector.anomaly_threshold = 0.25
         fused_scores = detector.score(batch).scores
-        ref_action, ref_interaction = model.predict(
-            batch.action_sequences, batch.interaction_sequences, fused=False
-        )
+        reference = _tape_forward(model, batch)
         ref_scores = reia_score(
-            batch.action_targets, ref_action,
-            batch.interaction_targets, ref_interaction,
+            batch.action_targets, reference.action_reconstruction.numpy(),
+            batch.interaction_targets, reference.interaction_reconstruction.numpy(),
             omega=0.8,
         )
         assert np.abs(fused_scores - ref_scores).max() <= TOLERANCE
@@ -193,7 +196,7 @@ class TestFusedCLSTM:
         other.load_state_dict(model.state_dict())
         after = other.predict(batch.action_sequences, batch.interaction_sequences)[0]
         np.testing.assert_array_equal(before, after)
-        reference = other.predict(batch.action_sequences, batch.interaction_sequences, fused=False)[0]
+        reference = _tape_forward(other, batch).action_reconstruction.numpy()
         assert np.abs(after - reference).max() <= TOLERANCE
 
     def test_fuse_lstm_cell_shapes(self):

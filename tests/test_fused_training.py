@@ -10,8 +10,11 @@ correctness oracle.  These tests pin the agreement to a max-abs-diff of 1e-8
 * all three coupling modes, and
 * all four action-loss choices (js / kl / l2 / mse),
 
-plus trainer-level parity: the same seed trained through the fused path and
-through the tape path yields identical per-epoch losses and final weights.
+plus trainer-level parity: the same seed trained by ``CLSTMTrainer`` and by
+an in-test loop over the tape yields identical per-epoch losses and final
+weights.  The tape itself is anchored to ground truth by a central-difference
+check of the whole model.  Nothing in the package selects the tape; the tests
+reach it by calling ``model(...)`` and ``loss.backward()``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.nn.backprop import (
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell, run_lstm
 from repro.nn.tensor import Tensor
 from repro.utils.config import TrainingConfig
+from test_nn_tensor import numerical_gradient
 
 TOLERANCE = 1e-8
 COUPLINGS = ("both", "influencer_to_audience", "none")
@@ -221,28 +225,78 @@ class TestGradientEquivalenceLSTMCell:
             assert np.abs(parameter.grad - tape_grads[f"a.{name}"]).max() <= TOLERANCE, name
 
 
-class TestTrainerParity:
-    def _fit(self, batch, use_fused, epochs=4):
-        model = CLSTM(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4, seed=2)
-        trainer = CLSTMTrainer(
-            model,
-            TrainingConfig(
-                epochs=epochs, batch_size=8, checkpoint_every=1, seed=0, use_fused=use_fused
-            ),
+class TestTapeAgainstFiniteDifferences:
+    """The oracle's own anchor: whole-model tape gradients vs central differences."""
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_whole_model_tape_gradient(self, rng, coupling):
+        model = CLSTM(
+            action_dim=6, interaction_dim=3, action_hidden=5, interaction_hidden=4,
+            coupling=coupling, seed=7,
         )
-        history = trainer.fit(batch)
-        return model, history
+        batch = _random_sequences(rng, count=5, q=4, d1=6, d2=3)
+        _, tape_grads = _tape_clstm_grads(model, batch, 0.8, "js")
+        sampler = np.random.default_rng(0)
+        for name, parameter in model.named_parameters():
+            base = parameter.data.copy()
+            picks = sampler.choice(base.size, size=min(4, base.size), replace=False)
+
+            def loss_at(offsets):
+                parameter.data = base.copy()
+                parameter.data.flat[picks] += offsets
+                return _tape_clstm_grads(model, batch, 0.8, "js")[0]
+
+            numeric = numerical_gradient(loss_at, np.zeros(picks.size))
+            parameter.data = base
+            np.testing.assert_allclose(
+                tape_grads[name].flat[picks], numeric, atol=1e-9, rtol=1e-4, err_msg=name
+            )
+
+
+class TestTrainerParity:
+    CONFIG = TrainingConfig(epochs=4, batch_size=8, checkpoint_every=1, seed=0)
+
+    @staticmethod
+    def _model():
+        return CLSTM(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4, seed=2)
+
+    def _fit_on_tape(self, batch):
+        """``CLSTMTrainer.fit`` step for step, with the tape computing the gradients."""
+        config = self.CONFIG
+        model = self._model()
+        rng = np.random.default_rng(config.seed)
+        train, validation = CLSTMTrainer(model, config)._split(batch, rng)
+        optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
+        train_curve, validation_curve = [], []
+        best_state = None
+        for _ in range(config.epochs):
+            order = rng.permutation(len(train))
+            total = 0.0
+            for start in range(0, len(train), config.batch_size):
+                mini = train.subset(order[start : start + config.batch_size])
+                loss, _ = _tape_clstm_grads(model, mini, config.omega, config.action_loss)
+                nn.clip_grad_norm(model.parameters(), config.gradient_clip)
+                optimizer.step()
+                total += loss * len(mini)
+            train_curve.append(total / len(train))
+            validation_loss, _ = _tape_clstm_grads(
+                model, validation, config.omega, config.action_loss
+            )
+            if best_state is None or validation_loss < min(validation_curve):
+                best_state = model.state_dict()
+            validation_curve.append(validation_loss)
+        model.load_state_dict(best_state)
+        return model, train_curve, validation_curve
 
     def test_same_seed_identical_epoch_losses(self, rng):
         batch = _random_sequences(rng, count=40, q=6, d1=10, d2=4)
-        model_fused, history_fused = self._fit(batch, use_fused=True)
-        model_tape, history_tape = self._fit(batch, use_fused=False)
-        assert len(history_fused.records) == len(history_tape.records)
+        model_fused = self._model()
+        history = CLSTMTrainer(model_fused, self.CONFIG).fit(batch)
+        model_tape, train_curve, validation_curve = self._fit_on_tape(batch)
+        assert len(history.records) == len(train_curve)
+        np.testing.assert_allclose(history.train_curve, train_curve, rtol=0, atol=TOLERANCE)
         np.testing.assert_allclose(
-            history_fused.train_curve, history_tape.train_curve, rtol=0, atol=TOLERANCE
-        )
-        np.testing.assert_allclose(
-            history_fused.validation_curve, history_tape.validation_curve, rtol=0, atol=TOLERANCE
+            history.validation_curve, validation_curve, rtol=0, atol=TOLERANCE
         )
         for (name, a), (_, b) in zip(
             model_fused.named_parameters(), model_tape.named_parameters()
@@ -251,27 +305,24 @@ class TestTrainerParity:
 
     def test_evaluate_loss_matches_tape(self, rng):
         batch = _random_sequences(rng, count=20, q=6, d1=10, d2=4)
-        model = CLSTM(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4, seed=2)
-        fused_trainer = CLSTMTrainer(model, TrainingConfig(epochs=1, checkpoint_every=1, use_fused=True))
-        tape_trainer = CLSTMTrainer(model, TrainingConfig(epochs=1, checkpoint_every=1, use_fused=False))
-        assert fused_trainer.evaluate_loss(batch) == pytest.approx(
-            tape_trainer.evaluate_loss(batch), abs=TOLERANCE
+        model = self._model()
+        config = TrainingConfig(epochs=1, checkpoint_every=1)
+        tape_loss, _ = _tape_clstm_grads(model, batch, config.omega, config.action_loss)
+        assert CLSTMTrainer(model, config).evaluate_loss(batch) == pytest.approx(
+            tape_loss, abs=TOLERANCE
         )
 
-    def test_custom_decoder_falls_back_to_tape(self, rng):
-        """A CLSTM whose decoder deviates from Linear+SoftmaxHead must train
-        through the tape path instead of crashing mid-fit."""
-        batch = _random_sequences(rng, count=12, q=5, d1=10, d2=4)
-        model = CLSTM(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4, seed=2)
+    def test_custom_decoder_is_refused(self):
+        """A CLSTM whose decoder deviates from Linear+SoftmaxHead has no
+        analytic backward; the trainer says so instead of crashing mid-fit."""
+        model = self._model()
         model.decoder_action = nn.Sequential(nn.Linear(8, 10), nn.Activation("relu"))
-        trainer = CLSTMTrainer(model, TrainingConfig(epochs=1, batch_size=8, checkpoint_every=1))
-        assert not trainer._use_fused()
-        history = trainer.fit(batch)
-        assert np.isfinite(history.train_curve).all()
+        with pytest.raises(TypeError, match="decoder"):
+            CLSTMTrainer(model, TrainingConfig(epochs=1))
 
-    def test_overridden_forward_falls_back_to_tape(self, rng):
-        """A subclass with a custom forward (and no custom fused step) must
-        not be optimised through the base class's analytic backward."""
+    def test_overridden_forward_without_step_is_refused(self):
+        """A subclass with a custom forward must bring its own training step:
+        the base analytic backward would optimise a different objective."""
 
         class ScaledCLSTM(CLSTM):
             def forward(self, action_sequences, interaction_sequences):
@@ -279,12 +330,14 @@ class TestTrainerParity:
                 output.interaction_reconstruction = output.interaction_reconstruction * 2.0
                 return output
 
-        model = ScaledCLSTM(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4, seed=2)
-        trainer = CLSTMTrainer(model, TrainingConfig(epochs=1, batch_size=8, checkpoint_every=1))
-        assert not trainer._use_fused()
-        batch = _random_sequences(rng, count=12, q=5, d1=10, d2=4)
-        history = trainer.fit(batch)
-        assert np.isfinite(history.train_curve).all()
+        class ScaledWithStep(ScaledCLSTM):
+            def fused_training_step(self, *args, **kwargs):  # pragma: no cover
+                raise NotImplementedError
+
+        dims = dict(action_dim=10, interaction_dim=4, action_hidden=8, interaction_hidden=4)
+        with pytest.raises(TypeError, match="ScaledCLSTM overrides forward"):
+            CLSTMTrainer(ScaledCLSTM(**dims), TrainingConfig(epochs=1))
+        CLSTMTrainer(ScaledWithStep(**dims), TrainingConfig(epochs=1))
 
     def test_fused_tracks_weight_updates_across_steps(self, rng):
         """The stacked-weight caches must refresh after every optimiser step."""

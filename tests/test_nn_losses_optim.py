@@ -162,9 +162,56 @@ class TestOptimisers:
             np.testing.assert_allclose(parameter.grad, grad * 0.5, rtol=1e-12)
 
 
+class _PerParameterAdam:
+    """The textbook Adam step, one parameter at a time (the seed's optimiser)."""
+
+    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.parameters = list(parameters)
+        self.lr, (self.beta1, self.beta2), self.eps = lr, betas, eps
+        self.weight_decay = weight_decay
+        self.steps = 0
+        self.first = [np.zeros_like(p.data) for p in self.parameters]
+        self.second = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self):
+        self.steps += 1
+        bias_correction1 = 1.0 - self.beta1 ** self.steps
+        bias_correction2 = 1.0 - self.beta2 ** self.steps
+        for index, parameter in enumerate(self.parameters):
+            if parameter.grad is None:
+                continue
+            grad = parameter.grad
+            if self.weight_decay > 0.0:
+                grad = grad + self.weight_decay * parameter.data
+            first = self.beta1 * self.first[index] + (1.0 - self.beta1) * grad
+            second = self.beta2 * self.second[index] + (1.0 - self.beta2) * (grad * grad)
+            self.first[index], self.second[index] = first, second
+            parameter.data = parameter.data - self.lr * (first / bias_correction1) / (
+                np.sqrt(second / bias_correction2) + self.eps
+            )
+
+
+class _PerParameterSGD:
+    """The textbook SGD-with-momentum step, one parameter at a time."""
+
+    def __init__(self, parameters, lr, momentum):
+        self.parameters = list(parameters)
+        self.lr, self.momentum = lr, momentum
+        self.velocity = [None] * len(self.parameters)
+
+    def step(self):
+        for index, parameter in enumerate(self.parameters):
+            if parameter.grad is None:
+                continue
+            previous = self.velocity[index]
+            update = parameter.grad if previous is None else self.momentum * previous + parameter.grad
+            self.velocity[index] = update
+            parameter.data = parameter.data - self.lr * update
+
+
 class TestFlatBufferOptimisers:
-    """The flat (single contiguous buffer) path must match the per-parameter
-    oracle bit-for-bit and survive external parameter rebinds."""
+    """The flat (single contiguous buffer) step must match the per-parameter
+    reference above bit-for-bit and survive external parameter rebinds."""
 
     @staticmethod
     def _twin_models(seed=0):
@@ -177,7 +224,7 @@ class TestFlatBufferOptimisers:
     def _train(model, optimizer, x, y, steps=8, clip=None):
         for _ in range(steps):
             loss = nn.mse_loss(model(Tensor(x)), Tensor(y))
-            optimizer.zero_grad()
+            model.zero_grad()
             loss.backward()
             if clip is not None:
                 nn.clip_grad_norm(model.parameters(), clip)
@@ -190,22 +237,22 @@ class TestFlatBufferOptimisers:
     def test_adam_flat_matches_per_parameter(self, rng):
         flat_model, legacy_model = self._twin_models()
         x, y = rng.random((16, 6)), rng.random((16, 4))
-        self._train(flat_model, nn.Adam(flat_model.parameters(), lr=0.01, flat=True), x, y, clip=1.0)
-        self._train(legacy_model, nn.Adam(legacy_model.parameters(), lr=0.01, flat=False), x, y, clip=1.0)
+        self._train(flat_model, nn.Adam(flat_model.parameters(), lr=0.01), x, y, clip=1.0)
+        self._train(legacy_model, _PerParameterAdam(legacy_model.parameters(), lr=0.01), x, y, clip=1.0)
         self._assert_identical(flat_model, legacy_model)
 
     def test_adam_flat_with_weight_decay(self, rng):
         flat_model, legacy_model = self._twin_models(seed=3)
         x, y = rng.random((12, 6)), rng.random((12, 4))
-        self._train(flat_model, nn.Adam(flat_model.parameters(), lr=0.01, weight_decay=0.1, flat=True), x, y)
-        self._train(legacy_model, nn.Adam(legacy_model.parameters(), lr=0.01, weight_decay=0.1, flat=False), x, y)
+        self._train(flat_model, nn.Adam(flat_model.parameters(), lr=0.01, weight_decay=0.1), x, y)
+        self._train(legacy_model, _PerParameterAdam(legacy_model.parameters(), lr=0.01, weight_decay=0.1), x, y)
         self._assert_identical(flat_model, legacy_model)
 
     def test_sgd_momentum_flat_matches_per_parameter(self, rng):
         flat_model, legacy_model = self._twin_models(seed=1)
         x, y = rng.random((16, 6)), rng.random((16, 4))
-        self._train(flat_model, nn.SGD(flat_model.parameters(), lr=0.05, momentum=0.9, flat=True), x, y)
-        self._train(legacy_model, nn.SGD(legacy_model.parameters(), lr=0.05, momentum=0.9, flat=False), x, y)
+        self._train(flat_model, nn.SGD(flat_model.parameters(), lr=0.05, momentum=0.9), x, y)
+        self._train(legacy_model, _PerParameterSGD(legacy_model.parameters(), lr=0.05, momentum=0.9), x, y)
         self._assert_identical(flat_model, legacy_model)
 
     def test_flat_step_skips_parameters_without_grad(self):
@@ -214,8 +261,8 @@ class TestFlatBufferOptimisers:
         without_grad_flat = nn.Parameter(np.ones(2) * 5.0)
         with_grad_legacy = nn.Parameter(np.ones(3))
         without_grad_legacy = nn.Parameter(np.ones(2) * 5.0)
-        flat = nn.Adam([with_grad_flat, without_grad_flat], lr=0.1, flat=True)
-        legacy = nn.Adam([with_grad_legacy, without_grad_legacy], lr=0.1, flat=False)
+        flat = nn.Adam([with_grad_flat, without_grad_flat], lr=0.1)
+        legacy = _PerParameterAdam([with_grad_legacy, without_grad_legacy], lr=0.1)
         for step in range(3):
             grad = np.full(3, 1.0 + step)
             with_grad_flat.grad = grad.copy()
@@ -235,7 +282,7 @@ class TestFlatBufferOptimisers:
 
     def test_flat_step_with_no_grads_is_a_no_op(self):
         parameter = nn.Parameter(np.ones(2))
-        optimizer = nn.Adam([parameter], lr=0.1, flat=True)
+        optimizer = nn.Adam([parameter], lr=0.1)
         optimizer.step()
         np.testing.assert_allclose(parameter.data, np.ones(2))
 
@@ -244,8 +291,8 @@ class TestFlatBufferOptimisers:
         model = nn.MLP([4, 3], rng=np.random.default_rng(0))
         twin = nn.MLP([4, 3], rng=np.random.default_rng(0))
         x, y = rng.random((8, 4)), rng.random((8, 3))
-        flat = nn.Adam(model.parameters(), lr=0.05, flat=True)
-        legacy = nn.Adam(twin.parameters(), lr=0.05, flat=False)
+        flat = nn.Adam(model.parameters(), lr=0.05)
+        legacy = _PerParameterAdam(twin.parameters(), lr=0.05)
         self._train(model, flat, x, y, steps=2)
         self._train(twin, legacy, x, y, steps=2)
         snapshot = model.state_dict()
@@ -258,7 +305,7 @@ class TestFlatBufferOptimisers:
     def test_flat_step_rebinds_parameter_data(self):
         """Each step rebinds parameter.data so fused-weight caches invalidate."""
         parameter = nn.Parameter(np.ones(3))
-        optimizer = nn.Adam([parameter], lr=0.1, flat=True)
+        optimizer = nn.Adam([parameter], lr=0.1)
         before = parameter.data
         parameter.grad = np.ones(3)
         optimizer.step()
@@ -269,7 +316,7 @@ class TestFlatBufferOptimisers:
         per-parameter path — so fused-weight caches stay warm for frozen cells."""
         updated = nn.Parameter(np.ones(3))
         frozen = nn.Parameter(np.ones(2) * 5.0)
-        optimizer = nn.Adam([updated, frozen], lr=0.1, flat=True)
+        optimizer = nn.Adam([updated, frozen], lr=0.1)
         before = frozen.data
         updated.grad = np.ones(3)
         optimizer.step()

@@ -213,6 +213,32 @@ class TestCheckpointRestore:
             == updates_before_checkpoint + len(restored.update_reports)
         )
 
+    def test_manifest_carrying_the_retired_use_fused_key(
+        self, runtime_config, tiny_features, drifting_streams, tmp_path
+    ):
+        """Every manifest written before the tape training mode was retired
+        holds ``config.training.use_fused``.  ``true`` (the engine that is now
+        the only one) restores and replays bitwise; ``false`` trained on a
+        trajectory that no longer exists and is refused by name."""
+        original = Runtime.from_config(runtime_config).fit(tiny_features)
+        feed(original, drifting_streams, stop_fraction=0.5, drain=False)
+        manifest_path = original.checkpoint(tmp_path / "ckpt") / "runtime.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["format"] == 3 and "use_fused" not in manifest["config"]["training"]
+
+        manifest["config"]["training"]["use_fused"] = False
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="use_fused"):
+            Runtime.from_checkpoint(manifest_path.parent)
+
+        manifest["config"]["training"]["use_fused"] = True
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        restored = Runtime.from_checkpoint(manifest_path.parent)
+        assert restored.config == original.config
+        tail_original = feed(original, drifting_streams, start_fraction=0.5)
+        assert tail_original == feed(restored, drifting_streams, start_fraction=0.5)
+        assert restored.update_reports, "the replayed tail never retrained"
+
     def test_checkpoint_round_trips_pending_and_buffers(
         self, runtime_config, tiny_features, drifting_streams, tmp_path
     ):

@@ -42,17 +42,18 @@ class TestWindowValidation:
             TrainingConfig(tbptt_window=0)
         with pytest.raises(ValueError, match="tbptt_window"):
             TrainingConfig(tbptt_window=-3)
-
-    def test_training_config_requires_fused_engine(self):
-        with pytest.raises(ValueError, match="use_fused"):
-            TrainingConfig(tbptt_window=4, use_fused=False)
+        # True is an int to isinstance but not to from_dict: constructible
+        # would mean a checkpoint that cannot be read back.
+        with pytest.raises(ValueError, match="tbptt_window"):
+            TrainingConfig(tbptt_window=True)
 
     def test_backward_rejects_non_positive_window(self):
         cell = LSTMCell(3, 2, rng=np.random.default_rng(0))
         sequence = np.random.default_rng(1).standard_normal((2, 4, 3))
         final, cache = lstm_forward_cached(cell, sequence)
-        with pytest.raises(ValueError, match="window"):
-            lstm_backward(cell, cache, np.ones_like(final), window=0)
+        for window in (0, True):
+            with pytest.raises(ValueError, match="window"):
+                lstm_backward(cell, cache, np.ones_like(final), window=window)
 
     def test_update_config_inherits_window(self):
         base = TrainingConfig(tbptt_window=5)
@@ -232,6 +233,9 @@ class TestModelAndTrainerWiring:
             assert np.array_equal(p_full.data, p_win.data), name
 
     def test_tape_fallback_model_raises_loudly(self):
+        """A model the analytic engine cannot train is refused when the trainer
+        is built — there is no tape to fall back to, with or without a window."""
+
         class TapeOnly(CLSTM):
             def forward(self, actions, interactions):  # pragma: no cover
                 return super().forward(actions, interactions)
@@ -239,15 +243,5 @@ class TestModelAndTrainerWiring:
         model = TapeOnly(
             action_dim=10, interaction_dim=4, action_hidden=6, interaction_hidden=5
         )
-        rng = np.random.default_rng(16)
-        actions, interactions, targets_a, targets_i = self._data(rng)
-        batch = SequenceBatch(
-            action_sequences=actions,
-            interaction_sequences=interactions,
-            action_targets=targets_a,
-            interaction_targets=targets_i,
-            target_indices=np.arange(8, dtype=np.int64),
-        )
-        trainer = CLSTMTrainer(model, TrainingConfig(epochs=1, tbptt_window=3))
-        with pytest.raises(RuntimeError, match="tbptt_window"):
-            trainer.fit(batch)
+        with pytest.raises(TypeError, match="TapeOnly overrides forward"):
+            CLSTMTrainer(model, TrainingConfig(epochs=1, tbptt_window=3))

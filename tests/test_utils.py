@@ -54,11 +54,6 @@ class TestConfig:
         assert UpdateConfig().to_dict()["buffer_size"] == 300
         assert "frame_rate" in StreamProtocol().to_dict()
 
-    def test_training_config_defaults_to_fused_engine(self):
-        config = TrainingConfig()
-        assert config.use_fused is True
-        assert TrainingConfig(use_fused=False).use_fused is False
-
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
@@ -93,7 +88,7 @@ class TestConfig:
 ROUND_TRIP_CONFIGS = [
     StreamProtocol(frame_rate=30, sequence_length=7),
     ModelConfig(action_dim=100, interaction_hidden=16),
-    TrainingConfig(epochs=7, action_loss="kl", use_fused=False),
+    TrainingConfig(epochs=7, action_loss="kl", tbptt_window=4),
     DetectionConfig(omega=0.6, threshold=0.5, sparse_groups=4),
     ServingConfig(max_batch_size=8, max_batch_delay_ms=25.0, num_shards=3),
     ExecutorConfig(mode="parallel", workers=4, background_updates=True),
