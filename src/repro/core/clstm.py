@@ -39,14 +39,11 @@ from ..nn.backend import (
     to_host,
 )
 from ..nn.backprop import (
-    coupled_pair_backward,
-    coupled_pair_forward_cached,
+    TrainingArena,
     is_softmax_head,
-    linear_backward,
-    linear_forward,
+    paired_feature_major,
+    softmax_backward,
     softmax_forward,
-    softmax_head_backward,
-    softmax_head_forward,
     weighted_loss_grad,
 )
 from ..nn.fused import (
@@ -379,6 +376,38 @@ class CLSTM(nn.Module):
             self.decoder_interaction, nn.Linear
         )
 
+    def training_arena(self) -> TrainingArena:
+        """This model's parameters packed into a fresh
+        :class:`~repro.nn.backprop.TrainingArena` (both cells, both decoders)."""
+        if not self.supports_fused_training:
+            raise RuntimeError(
+                "fused training expects a Sequential(Linear, SoftmaxHead) action decoder "
+                "and a Linear interaction decoder"
+            )
+        return TrainingArena(
+            (self.lstm_influencer, self.lstm_audience),
+            (list(self.decoder_action)[0], self.decoder_interaction),
+        )
+
+    def _arena_loss(self, arena, final, action_targets, interaction_targets, omega, action_loss):
+        """Decoder heads and the fused loss (Eq. 13) on a final joint state ``(Hs, B)``.
+
+        Returns ``(softmax_out, loss, d_softmax, d_interaction_out)``: the
+        action reconstruction, the loss value and its gradient at both
+        reconstructions.
+        """
+        h1 = self.action_hidden
+        softmax_out = softmax_forward(arena.head_forward(0, final[:h1]))
+        interaction_out = arena.head_forward(1, final[h1:])
+        return (softmax_out,) + weighted_loss_grad(
+            softmax_out,
+            action_targets,
+            interaction_out,
+            interaction_targets,
+            omega=omega,
+            action_loss=action_loss,
+        )
+
     def fused_training_step(
         self,
         action_sequences: np.ndarray,
@@ -388,46 +417,49 @@ class CLSTM(nn.Module):
         omega: float,
         action_loss: str = "js",
         tbptt_window: Optional[int] = None,
+        arena: Optional[TrainingArena] = None,
     ) -> float:
-        """One tape-free training step: fused forward, analytic backward.
+        """One tape-free training step: cached forward, analytic backward.
 
-        Runs the cached coupled forward, the decoder heads and the fused
+        Runs the joint recurrence, the decoder heads and the fused
         reconstruction loss (Eq. 13) without building an autograd graph, then
         backpropagates analytically — through the decoders, then through time
-        (:func:`repro.nn.backprop.coupled_pair_backward`).  Gradients are
+        (:meth:`repro.nn.backprop.TrainingArena.backward`) — and returns the
+        loss value.
+
+        With ``arena`` (how :class:`~repro.core.training.CLSTMTrainer` calls
+        it, once per optimiser step) everything happens in the arena's layout:
+        the sequences are feature-major ``(d, T, B)``, the weights read are
+        the arena's, and the gradient *overwrites* the arena's gradient
+        buffer; the caller owns clipping and the optimiser step over
+        ``arena.flat``.  Without it the call is one-shot: ``(B, T, d)``
+        sequences, a fresh arena packed from the parameters, and the gradient
         *accumulated* into every parameter's ``.grad``, exactly like
-        ``loss.backward()`` on the tape path, and the loss value is returned.
-        The caller owns ``zero_grad`` / clipping / the optimiser step.
+        ``loss.backward()`` on the tape (the caller owns ``zero_grad``).  The
+        targets are ``(B, d)`` either way.
 
         ``tbptt_window`` truncates the backward sweep to the last ``K``
         timesteps (exact full BPTT for sequences that fit inside the window;
         O(window) backward cost beyond it) — the streaming-update mode of
         ``TrainingConfig.tbptt_window``.
         """
-        final_h, final_g, cache = coupled_pair_forward_cached(
-            self.lstm_influencer, self.lstm_audience, action_sequences, interaction_sequences
+        one_shot = arena is None
+        if one_shot:
+            arena = self.training_arena()
+            action_sequences, interaction_sequences = paired_feature_major(
+                action_sequences, interaction_sequences
+            )
+        final, cache = arena.forward((action_sequences, interaction_sequences))
+        softmax_out, loss, d_softmax, d_interaction_out = self._arena_loss(
+            arena, final, action_targets, interaction_targets, omega, action_loss
         )
-        softmax_out, action_linear = softmax_head_forward(self.decoder_action, final_h)
-        interaction_out = linear_forward(self.decoder_interaction, final_g)
-
-        loss, d_softmax, d_interaction_out = weighted_loss_grad(
-            softmax_out,
-            action_targets,
-            interaction_out,
-            interaction_targets,
-            omega=omega,
-            action_loss=action_loss,
-        )
-        d_final_h = softmax_head_backward(action_linear, final_h, softmax_out, d_softmax)
-        d_final_g = linear_backward(self.decoder_interaction, final_g, d_interaction_out)
-        coupled_pair_backward(
-            self.lstm_influencer,
-            self.lstm_audience,
-            cache,
-            d_final_h,
-            d_final_g,
-            window=tbptt_window,
-        )
+        h1 = self.action_hidden
+        d_logits = softmax_backward(softmax_out, d_softmax)
+        arena.head_backward(0, final[:h1], d_logits, cache.d_final[:h1])
+        arena.head_backward(1, final[h1:], d_interaction_out, cache.d_final[h1:])
+        arena.backward(cache, cache.d_final, tbptt_window)
+        if one_shot:
+            arena.accumulate_grads()
         return loss
 
     def fused_loss(
@@ -438,20 +470,19 @@ class CLSTM(nn.Module):
         interaction_targets: np.ndarray,
         omega: float,
         action_loss: str = "js",
+        arena: Optional[TrainingArena] = None,
     ) -> float:
-        """Mean fused reconstruction loss via the tape-free forward only."""
-        action_reconstruction, interaction_reconstruction, _, _ = self.predict_full(
-            action_sequences, interaction_sequences
-        )
-        loss, _, _ = weighted_loss_grad(
-            action_reconstruction,
-            action_targets,
-            interaction_reconstruction,
-            interaction_targets,
-            omega=omega,
-            action_loss=action_loss,
-        )
-        return loss
+        """Mean fused reconstruction loss via the training kernel's cache-free
+        forward; ``arena`` and the layouts are as in :meth:`fused_training_step`."""
+        if arena is None:
+            arena = self.training_arena()
+            action_sequences, interaction_sequences = paired_feature_major(
+                action_sequences, interaction_sequences
+            )
+        final, _ = arena.forward((action_sequences, interaction_sequences), keep=False)
+        return self._arena_loss(
+            arena, final, action_targets, interaction_targets, omega, action_loss
+        )[1]
 
     def clone_architecture(self, seed: int = 0) -> "CLSTM":
         """A freshly initialised CLSTM with the same architecture."""

@@ -69,10 +69,11 @@ def train_incremental(base: CLSTM, batch: SequenceBatch, config: TrainingConfig,
     """Train a fresh same-architecture CLSTM on buffered presumed-normal data.
 
     Returns the newly trained model (``CLSTM_new`` of Fig. 5); the caller
-    merges it with the previous model via :func:`merge_models`.
+    merges it with the previous model via :func:`merge_models`.  Nobody reads
+    a retrain's Fig. 8 curves, so validation runs on checkpoint epochs only.
     """
     new_model = base.clone_architecture(seed=seed)
-    CLSTMTrainer(new_model, config).fit(batch)
+    CLSTMTrainer(new_model, config).fit(batch, curves=False)
     return new_model
 
 

@@ -26,11 +26,11 @@ from .. import nn
 from ..features.pipeline import StreamFeatures
 from ..features.sequences import SequenceBatch
 from ..nn.backprop import (
+    TrainingArena,
+    feature_major,
     js_loss_grad,
-    lstm_backward,
-    lstm_forward_cached,
-    softmax_head_backward,
-    softmax_head_forward,
+    softmax_backward,
+    softmax_forward,
 )
 from ..nn.recurrent import LSTMCell, run_lstm
 from ..nn.tensor import Tensor
@@ -96,11 +96,13 @@ class _LSTMOnlyModel(nn.Module):
         (:mod:`repro.nn.backprop`).  Gradients accumulate into ``.grad``; the
         JS loss value is returned.
         """
-        final_hidden, cache = lstm_forward_cached(self.cell, np.asarray(action_sequences))
-        softmax_out, linear = softmax_head_forward(self.decoder, final_hidden)
+        arena = TrainingArena((self.cell,), (list(self.decoder)[0],))
+        final_hidden, cache = arena.forward((feature_major(action_sequences),))
+        softmax_out = softmax_forward(arena.head_forward(0, final_hidden))
         loss, d_softmax = js_loss_grad(softmax_out, np.asarray(action_targets, dtype=np.float64))
-        d_final_hidden = softmax_head_backward(linear, final_hidden, softmax_out, d_softmax)
-        lstm_backward(self.cell, cache, d_final_hidden)
+        arena.head_backward(0, final_hidden, softmax_backward(softmax_out, d_softmax), cache.d_final)
+        arena.backward(cache, cache.d_final)
+        arena.accumulate_grads()
         return loss
 
 

@@ -25,6 +25,7 @@ from .backend import (
     to_host,
 )
 from .backprop import (
+    TrainingArena,
     BPTTCache,
     lstm_forward_cached,
     lstm_backward,
@@ -70,6 +71,7 @@ __all__ = [
     "fuse_coupled_cell",
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
+    "TrainingArena",
     "BPTTCache",
     "lstm_forward_cached",
     "lstm_backward",

@@ -1,27 +1,47 @@
-"""Analytic backpropagation-through-time for the fused training engine.
+"""Analytic backpropagation-through-time on a flat, feature-major training arena.
 
 The training twin of :mod:`repro.nn.fused`: the whole step is hand-derived,
-so no autograd graph (one Python closure per intermediate value) is built:
+so no autograd graph (one Python closure per intermediate value) is built.
+It trains in the layout it computes in — a :class:`TrainingArena` packs the
+parameters of one or two recurrent cells and of their decoder ``Linear``
+layers **once** into one flat ``float64`` buffer, laid out as the kernel reads
+them, next to a same-layout gradient buffer the backward writes straight
+into.  For the length of a fit the optimiser's buffer and the kernel's
+operands are the same memory: global-norm clipping is one dot over the
+gradient buffer, the optimiser step is :meth:`repro.nn.optim.Adam.advance`
+over the pair, and no per-step stacking, interleaving or scattering of
+per-gate parameters remains.
 
-* the two mutually coupled cells are folded into one **joint recurrent
-  system**: the previous hidden states ``[h_{t-1} | g_{t-1}]`` multiply a
-  single ``(H1+H2, 4(H1+H2))`` block matrix whose off-diagonal blocks are the
-  partner (coupling) weights — so one GEMM per timestep advances both cells
-  *and* their mutual influence, cuDNN-style;
-* the joint matrix's columns are grouped **by gate** (``[i | f | ĉ | o]``,
-  each block spanning both cells), so every elementwise gate expression runs
-  once over the joint width with in-place ufuncs instead of per-cell,
-  per-gate Python calls;
-* the forward caches post-activation gates, cell states and hidden states —
-  exactly what the LSTM backward equations need; the backward walks time in
-  reverse with one stacked GEMM pair per timestep (weight-gradient
-  accumulation and hidden-state propagation).  The input-to-gate weight
-  gradients are deferred to a single large ``(B·T, D)ᵀ @ (B·T, 4H)`` GEMM
-  per cell after the loop;
-* the reconstruction losses of Eq. 13 (JS / KL / L2 / MSE on the action
-  branch, MSE on the interaction branch) and the decoder heads
-  (Linear + softmax) have closed-form gradients, so no tensor tape is built
-  anywhere in the step.
+Arena blocks, in buffer order:
+
+* ``w_in[k]`` — ``(4h_k, d_k)``, the transposed input weights ``W_xᵀ`` of
+  cell ``k``, rows ``[i | f | ĉ | o]``; one block per cell, so the input
+  projections and their gradient GEMMs multiply no structural zeros;
+* ``w_rec`` — ``(4Hs, Hs)``, the transposed **joint recurrent matrix** of the
+  ``Hs = Σ h_k`` wide system ``[h_{t-1} | g_{t-1}]``: rows grouped by gate,
+  each gate block spanning every cell, off-diagonal (coupling) blocks holding
+  the partner weights.  A disabled coupling direction is a block held at
+  exactly ``0.0`` with its gradient zeroed, so one GEMM per timestep advances
+  both cells and their mutual influence, cuDNN-style;
+* ``bias`` — ``(4Hs,)`` joint gate bias; then each head's ``(in, out)`` weight
+  and ``(out,)`` bias.
+
+The recurrence runs **feature-major**: state ``(Hs, B)``, gates ``(4Hs, B)``,
+caches ``(T, ·, B)``, inputs ``(d, T, B)``.  Every gate block an elementwise
+pass touches is therefore a contiguous run of rows (batch-major ``(B, 4Hs)``
+rows made each gate block a strided column slice, several times the ufunc
+cost at these sizes), and a cell's ``(d, T·B)`` input is one GEMM operand for
+the projection and for its deferred weight gradient alike.  The forward
+caches post-activation gates, cell states and hidden states — exactly what
+the LSTM backward equations need; the backward walks time in reverse with one
+GEMM per timestep (hidden-state propagation) and defers every weight gradient
+to GEMMs over all swept steps at once.
+
+There is one BPTT implementation.  :func:`lstm_forward_cached`,
+:func:`coupled_pair_forward_cached` and their backwards keep the
+``(B, T, D)``-in / ``.grad``-out signatures as one-shot wrappers: they pack a
+fresh arena, run the same kernel and accumulate its gradient buffer into the
+parameters' ``.grad``.
 
 Numerical contract: every derivative below replicates the tape's backward
 closures exactly (including the ``max(x, eps)`` clipping inside ``log`` and
@@ -31,54 +51,44 @@ the equivalence tests pin ≤1e-8.  The tape is the correctness oracle: the
 tests call ``model(...)`` and ``loss.backward()`` directly, no option selects it.
 
 Only zero initial states are supported — that is what every training path
-uses (fresh windows per minibatch).
+uses (fresh windows per minibatch).  The arena is host ``float64`` NumPy, like
+the parameters and the optimiser state it stands in for.
 
-Two orthogonal extensions ride on the same layout:
-
-* **Truncated BPTT** — the backward sweep accepts a ``window`` (plumbed from
-  ``TrainingConfig.tbptt_window``): only the last ``window`` timesteps
-  produce pre-activation gradients, states older than the window are treated
-  as constants, and the deferred weight GEMMs shrink accordingly, so an
-  incremental retrain over a long history costs O(window) in the backward
-  instead of O(T).  For ``T ≤ window`` the gradient is *exactly* full BPTT
-  (same code path); above it the divergence is the standard TBPTT bias —
-  bounded by the LSTM's forget-gate contraction of ``∂h_t/∂h_{t-k}``.
-* **Array-namespace routing** — allocations and ufuncs resolve their
-  namespace from the arrays they operate on (:func:`repro.nn.backend
-  .namespace_of`), never from a hardcoded ``numpy`` reference, and every
-  buffer pins its dtype explicitly.  Training currently always resolves to
-  the host namespace (parameters and optimiser state live on host); the
-  kernels themselves are backend-clean.
+**Truncated BPTT** — the backward sweep accepts a ``window`` (plumbed from
+``TrainingConfig.tbptt_window``): only the last ``window`` timesteps produce
+pre-activation gradients, states older than the window are treated as
+constants, and the deferred weight GEMMs shrink accordingly, so an
+incremental retrain over a long history costs O(window) in the backward
+instead of O(T).  For ``T ≤ window`` the gradient is *exactly* full BPTT
+(same code path); above it the divergence is the standard TBPTT bias —
+bounded by the LSTM's forget-gate contraction of ``∂h_t/∂h_{t-k}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import namespace_of
-from .fused import FusedGateWeights, fuse_coupled_cell, fuse_lstm_cell
 from .losses import _EPS
+from .module import Parameter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .layers import Linear
     from .recurrent import CoupledLSTMCell, LSTMCell
 
 __all__ = [
+    "TrainingArena",
     "BPTTCache",
+    "feature_major",
+    "paired_feature_major",
     "lstm_forward_cached",
     "lstm_backward",
     "coupled_pair_forward_cached",
     "coupled_pair_backward",
     "softmax_forward",
     "softmax_backward",
-    "linear_forward",
-    "linear_backward",
     "is_softmax_head",
-    "softmax_head_forward",
-    "softmax_head_backward",
     "mse_loss_grad",
     "l2_loss_grad",
     "kl_loss_grad",
@@ -92,221 +102,431 @@ __all__ = [
 # modules must share one constant.
 
 
-def _sigmoid_into(x: np.ndarray, out: np.ndarray, xp=np) -> None:
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     """The tape's clipped sigmoid, computed fully in place into ``out``.
 
     Direct ``minimum``/``maximum`` ufuncs instead of the ``np.clip`` wrapper —
     this runs once per timestep on the joint gate width, so wrapper overhead
     is measurable.
     """
-    xp.minimum(x, 60.0, out=out)
-    xp.maximum(out, -60.0, out=out)
-    xp.negative(out, out=out)
-    xp.exp(out, out=out)
+    np.minimum(x, 60.0, out=out)
+    np.maximum(out, -60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
     out += 1.0
-    xp.reciprocal(out, out=out)
+    np.reciprocal(out, out=out)
 
 
-# ---------------------------------------------------------------------- #
-# Joint (gate-grouped) layout
-# ---------------------------------------------------------------------- #
-@dataclass
-class BPTTCache:
-    """Forward values the analytic backward pass needs, in joint layout.
+def feature_major(sequences: np.ndarray) -> np.ndarray:
+    """Lay ``(N, T, D)`` sequences out as the arena reads them: ``(D, T, N)``.
 
-    One or two cells are represented as a single recurrent system of total
-    hidden width ``Hs`` (the sum of the cells' hidden sizes).  All cached
-    arrays interleave the cells along the feature axis; the gate array groups
-    columns by gate — ``[i | f | ĉ | o]``, each block of width ``Hs``
-    spanning every cell — so the backward's elementwise expressions run once
-    over the joint width.  Every cached array is **time-major** so the
-    per-timestep slices the loops touch are contiguous (strided views cost
-    real ufunc overhead at these sizes).
-
-    Attributes
-    ----------
-    w_rec:
-        ``(Hs, 4Hs)`` joint recurrent matrix in gate-grouped column layout.
-        Off-diagonal blocks hold the coupling (partner) weights; they are
-        zero when a coupling direction is disabled.
-    hidden_sizes:
-        Per-cell hidden sizes, in joint order.
-    fused:
-        Per-cell stacked weights (for the deferred input GEMMs and for
-        splitting gradients back into parameters).
-    inputs:
-        Per-cell time-major flattened inputs ``(T·B, D)`` (row order matches
-        the flattened pre-activation gradients in the deferred input GEMM).
-    gates:
-        ``(T, B, 4Hs)`` post-activation gates, gate-grouped.
-    cells, tanh_cells, hiddens:
-        ``(T, B, Hs)`` joint cell states, their tanh, and hidden states.
+    One copy.  A training set laid out this way once yields every mini-batch
+    with a single ``np.take(..., axis=2, out=...)``.
     """
-
-    w_rec: np.ndarray
-    hidden_sizes: Tuple[int, ...]
-    fused: Tuple[FusedGateWeights, ...]
-    inputs: Tuple[np.ndarray, ...]
-    gates: np.ndarray
-    cells: np.ndarray
-    tanh_cells: np.ndarray
-    hiddens: np.ndarray
-
-
-def _time_major_inputs(sequence: np.ndarray) -> np.ndarray:
-    """Flatten ``(B, T, D)`` into time-major ``(T·B, D)`` rows (one copy)."""
-    batch, time_steps, features = sequence.shape
-    return np.ascontiguousarray(sequence.transpose(1, 0, 2)).reshape(
-        time_steps * batch, features
-    )
-
-
-def _project_inputs(flat_inputs: np.ndarray, fused: FusedGateWeights, batch: int) -> np.ndarray:
-    """All timesteps' input-to-gate projections in one GEMM: ``(T, B, 4H)``."""
-    projected = flat_inputs @ fused.w_input + fused.bias
-    return projected.reshape(-1, batch, 4 * fused.hidden_size)
-
-
-def _assemble_joint_projection(projections: Sequence[np.ndarray], hidden_sizes: Sequence[int]) -> np.ndarray:
-    """Interleave per-cell ``(T, B, 4H)`` projections into gate-grouped joint layout."""
-    if len(projections) == 1:
-        # A single cell's [i | f | ĉ | o] layout is already gate-grouped.
-        return projections[0]
-    time_steps, batch, _ = projections[0].shape
-    total = sum(hidden_sizes)
-    joint = np.empty((time_steps, batch, 4 * total), dtype=projections[0].dtype)
-    for gate in range(4):
-        offset = gate * total
-        for projection, hidden in zip(projections, hidden_sizes):
-            joint[..., offset : offset + hidden] = projection[..., gate * hidden : (gate + 1) * hidden]
-            offset += hidden
-    return joint
-
-
-def _joint_recurrent_matrix(
-    fused_list: Sequence[FusedGateWeights], hidden_sizes: Sequence[int]
-) -> np.ndarray:
-    """Build the gate-grouped joint recurrent matrix ``(Hs, 4Hs)``.
-
-    Row blocks follow the joint state order; for each gate, the column block
-    of cell ``j`` receives that cell's recurrent weights in its own rows and
-    its partner weights in the partner's rows (or zeros when the coupling
-    direction is disabled).  With a single cell this is exactly
-    ``fused.w_hidden``.
-    """
-    if len(fused_list) == 1:
-        return fused_list[0].w_hidden
-    total = sum(hidden_sizes)
-    row_offsets = np.concatenate([[0], np.cumsum(hidden_sizes)])
-    w_rec = np.zeros((total, 4 * total), dtype=fused_list[0].w_hidden.dtype)
-    for cell_index, (fused, hidden) in enumerate(zip(fused_list, hidden_sizes)):
-        own = slice(int(row_offsets[cell_index]), int(row_offsets[cell_index + 1]))
-        partner_index = 1 - cell_index
-        partner = slice(int(row_offsets[partner_index]), int(row_offsets[partner_index + 1]))
-        col_base = int(row_offsets[cell_index])
-        for gate in range(4):
-            start = gate * total + col_base
-            cols = slice(start, start + hidden)
-            w_rec[own, cols] = fused.w_hidden[:, gate * hidden : (gate + 1) * hidden]
-            if fused.w_partner is not None:
-                w_rec[partner, cols] = fused.w_partner[:, gate * hidden : (gate + 1) * hidden]
-    return w_rec
-
-
-def _cached_joint_recurrent(anchor, fused_list, hidden_sizes) -> np.ndarray:
-    """Memoise the joint recurrent matrix on ``anchor`` (a cell).
-
-    The per-cell stacked weights from :mod:`repro.nn.fused` are themselves
-    cached and rebuilt only when the underlying parameters change, so their
-    identities are a sound staleness check here too — provided the cache
-    holds references to the keyed objects (as ``_cached_fuse`` does), which
-    keeps their identities stable while the entry is alive.
-    """
-    cache = getattr(anchor, "_joint_rec_cache", None)
-    if cache is not None and all(held is live for held, live in zip(cache[0], fused_list)):
-        return cache[1]
-    w_rec = _joint_recurrent_matrix(fused_list, hidden_sizes)
-    anchor._joint_rec_cache = (tuple(fused_list), w_rec)
-    return w_rec
-
-
-# ---------------------------------------------------------------------- #
-# Cached fused forward
-# ---------------------------------------------------------------------- #
-def _joint_forward(
-    w_rec: np.ndarray,
-    x_proj: np.ndarray,
-    hidden_sizes: Tuple[int, ...],
-    fused: Tuple[FusedGateWeights, ...],
-    inputs: Tuple[np.ndarray, ...],
-) -> Tuple[np.ndarray, BPTTCache]:
-    """Run the joint recurrence over ``(T, B, 4Hs)`` projections, caching states."""
-    xp = namespace_of(x_proj)
-    dtype = x_proj.dtype
-    time_steps, batch, four_total = x_proj.shape
-    total = four_total // 4
-    gates = xp.empty((time_steps, batch, four_total), dtype=dtype)
-    cells = xp.empty((time_steps, batch, total), dtype=dtype)
-    tanh_cells = xp.empty((time_steps, batch, total), dtype=dtype)
-    hiddens = xp.empty((time_steps, batch, total), dtype=dtype)
-
-    state = xp.zeros((batch, total), dtype=dtype)
-    cell_state = xp.zeros((batch, total), dtype=dtype)
-    pre = xp.empty((batch, four_total), dtype=dtype)
-    scratch = xp.empty((batch, total), dtype=dtype)
-    for t in range(time_steps):
-        xp.matmul(state, w_rec, out=pre)
-        pre += x_proj[t]
-        gate = gates[t]
-        # One sigmoid pass over the whole joint gate width (the wasted work on
-        # the candidate block is cheaper than a second set of ufunc calls),
-        # then the candidate block is overwritten with its tanh.
-        _sigmoid_into(pre, gate, xp)
-        xp.tanh(pre[:, 2 * total : 3 * total], out=gate[:, 2 * total : 3 * total])
-        c_t = cells[t]
-        xp.multiply(gate[:, :total], gate[:, 2 * total : 3 * total], out=c_t)
-        xp.multiply(gate[:, total : 2 * total], cell_state, out=scratch)
-        c_t += scratch
-        xp.tanh(c_t, out=tanh_cells[t])
-        xp.multiply(gate[:, 3 * total :], tanh_cells[t], out=hiddens[t])
-        state = hiddens[t]
-        cell_state = c_t
-
-    cache = BPTTCache(
-        w_rec=w_rec,
-        hidden_sizes=hidden_sizes,
-        fused=fused,
-        inputs=inputs,
-        gates=gates,
-        cells=cells,
-        tanh_cells=tanh_cells,
-        hiddens=hiddens,
-    )
-    return hiddens[time_steps - 1], cache
-
-
-def _check_sequence(sequence: np.ndarray) -> np.ndarray:
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 3:
-        raise ValueError(f"expected a (batch, time, features) array, got shape {sequence.shape}")
-    if sequence.shape[1] < 1:
+    sequences = np.asarray(sequences, dtype=np.float64)
+    if sequences.ndim != 3:
+        raise ValueError(f"expected a (batch, time, features) array, got shape {sequences.shape}")
+    if sequences.shape[1] < 1:
         raise ValueError("sequences must contain at least one timestep")
-    return sequence
+    return np.ascontiguousarray(sequences.transpose(2, 1, 0))
+
+
+# ---------------------------------------------------------------------- #
+# The arena
+# ---------------------------------------------------------------------- #
+class _Blocks(NamedTuple):
+    """The arena's blocks as views of one flat buffer (values or gradients)."""
+
+    w_in: Tuple[np.ndarray, ...]
+    w_rec: np.ndarray
+    bias: np.ndarray
+    heads: Tuple[Tuple[np.ndarray, Optional[np.ndarray]], ...]
+
+
+class BPTTCache:
+    """One ``(T, B)`` shape's buffers of an arena, all feature-major.
+
+    ``gates`` is ``(T, 4Hs, B)`` post-activation, gate-grouped; ``cells``,
+    ``tanh_cells`` and ``hiddens`` are ``(T, Hs, B)`` — time-major, so the
+    per-timestep blocks the loops touch are contiguous.  With ``keep=False``
+    (loss evaluation, no backward) the caches are one step deep and the sweep
+    overwrites them in place.  ``d_final`` is where the heads leave the
+    gradient of the final joint state.  ``arena`` is set by the one-shot
+    wrappers only, whose cache owns its arena; an arena's pooled caches hold
+    no reference back (a cycle would keep every fit's buffers alive until the
+    cyclic collector runs).
+    """
+
+    def __init__(self, total: int, time_steps: int, batch: int, keep: bool) -> None:
+        depth = time_steps if keep else 1
+        self.time_steps, self.batch = time_steps, batch
+        self.arena: Optional["TrainingArena"] = None
+        self.inputs: Tuple[np.ndarray, ...] = ()
+        self.x_proj = np.empty((time_steps, 4 * total, batch))
+        # (4Hs, T, B) scratch: where (·, T·B)-shaped GEMM operands meet the
+        # time-major layout of the sweep (one transposing pass each way).
+        self.gate_major = np.empty(4 * total * time_steps * batch)
+        self.gates = np.empty((depth, 4 * total, batch))
+        self.cells = np.empty((depth, total, batch))
+        self.tanh_cells = np.empty((depth, total, batch))
+        self.hiddens = np.empty((depth, total, batch))
+        self.zero_state = np.zeros((total, batch))
+        self.pre = np.empty((4 * total, batch))
+        self.scratch = np.empty((total, batch))
+        if keep:
+            self.d_pre = np.empty((time_steps, 4 * total, batch))
+            self.one_minus_tanh_sq = np.empty((time_steps, total, batch))
+            self.hidden_major = np.empty(total * time_steps * batch)
+            self.d_final = np.empty((total, batch))
+            self.d_cell = np.empty((total, batch))
+            self.d_c_total = np.empty((total, batch))
+            self.next_state = np.empty((total, batch))
+
+
+class TrainingArena:
+    """Flat parameter and gradient buffers of one trainable recurrent system.
+
+    ``cells`` is one :class:`~repro.nn.recurrent.LSTMCell` or a mutually
+    coupled pair of :class:`~repro.nn.recurrent.CoupledLSTMCell`; ``heads``
+    are the ``Linear`` decoders trained with them.  Construction packs the
+    modules' current values; nothing reaches the modules again until
+    :meth:`write_back` (values, by rebinding every ``Parameter.data`` — the
+    fused-weight caches key on array identity) or :meth:`accumulate_grads`
+    (the gradient buffer, added into every ``Parameter.grad``).
+
+    ``flat`` is the whole arena as one :class:`~repro.nn.module.Parameter`
+    (``.data`` values, ``.grad`` gradients) for the optimiser and
+    ``clip_grad_norm``; ``values`` / ``grads`` are the same two buffers as
+    block views (module docstring).
+    """
+
+    def __init__(self, cells: Sequence, heads: Sequence["Linear"] = ()) -> None:
+        self.cells = tuple(cells)
+        self.heads = tuple(heads)
+        if len(self.cells) not in (1, 2):
+            raise ValueError("a training arena holds one cell or a coupled pair")
+        self.hidden_sizes = tuple(cell.hidden_size for cell in self.cells)
+        self.input_sizes = tuple(cell.input_size for cell in self.cells)
+        total = self.total = sum(self.hidden_sizes)
+        bounds = np.cumsum((0,) + self.hidden_sizes)
+        self.cell_rows = tuple(slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:]))
+        self.gate_rows = tuple(slice(gate * total, (gate + 1) * total) for gate in range(4))
+        shapes = [(4 * h, d) for h, d in zip(self.hidden_sizes, self.input_sizes)]
+        shapes += [(4 * total, total), (4 * total,)]
+        for head in self.heads:
+            shapes.append((head.in_features, head.out_features))
+            if head.bias is not None:
+                shapes.append((head.out_features,))
+        offsets = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+        self.flat = Parameter(np.zeros(int(offsets[-1])))
+        self.flat.grad = np.zeros(int(offsets[-1]))
+        self.values = self._blocks(self.flat.data, shapes, offsets)
+        self.grads = self._blocks(self.flat.grad, shapes, offsets)
+        self._value_bindings = self._bind(self.values)
+        self._grad_bindings = self._bind(self.grads)
+        # Gradient blocks of disabled coupling directions: the deferred joint
+        # GEMM fills them, the sweep zeroes them again.
+        rec = self.grads.w_rec.reshape(4, total, total)
+        self._dead_grads = [
+            rec[:, self.cell_rows[k], self.cell_rows[1 - k]]
+            for k, cell in enumerate(self.cells)
+            if len(self.cells) == 2 and not cell.use_partner
+        ]
+        self._caches: Dict[Tuple[int, int, bool], BPTTCache] = {}
+        for parameter, pieces in self._value_bindings:
+            for rows, view in pieces:
+                view[...] = parameter.data[rows]
+
+    def _blocks(self, flat: np.ndarray, shapes, offsets) -> _Blocks:
+        views = (flat[a:b].reshape(shape) for shape, a, b in zip(shapes, offsets, offsets[1:]))
+        return _Blocks(
+            w_in=tuple(next(views) for _ in self.cells),
+            w_rec=next(views),
+            bias=next(views),
+            heads=tuple(
+                (next(views), next(views) if head.bias is not None else None) for head in self.heads
+            ),
+        )
+
+    def _bind(self, blocks: _Blocks) -> List[Tuple[Parameter, List[Tuple[slice, np.ndarray]]]]:
+        """Per module parameter: which of its rows are which view of ``blocks``.
+
+        A gate weight is ``(concat, h)`` with rows ``[h | partner | x]``; the
+        arena holds the transposes, so every piece is a ``.T`` view.  The
+        partner rows of a disabled coupling direction are bound to nothing:
+        their arena block stays zero and :meth:`write_back` keeps their values.
+        """
+        total = self.total
+        rec = blocks.w_rec.reshape(4, total, total)
+        bias = blocks.bias.reshape(4, total)
+        bindings = []
+        for k, (cell, own) in enumerate(zip(self.cells, self.cell_rows)):
+            hidden, partner = cell.hidden_size, getattr(cell, "partner_size", 0)
+            if partner and (len(self.cells) != 2 or partner != self.hidden_sizes[1 - k]):
+                raise ValueError("coupled cells must come as a pair with matching partner sizes")
+            w_in = blocks.w_in[k].reshape(4, hidden, -1)
+            weights = (cell.w_input, cell.w_forget, cell.w_cell, cell.w_output)
+            biases = (cell.b_input, cell.b_forget, cell.b_cell, cell.b_output)
+            for gate, (weight, gate_bias) in enumerate(zip(weights, biases)):
+                pieces = [
+                    (slice(0, hidden), rec[gate, own, own].T),
+                    (slice(hidden + partner, None), w_in[gate].T),
+                ]
+                if partner and cell.use_partner:
+                    pieces.append(
+                        (slice(hidden, hidden + partner), rec[gate, own, self.cell_rows[1 - k]].T)
+                    )
+                bindings.append((weight, pieces))
+                bindings.append((gate_bias, [(slice(None), bias[gate, own])]))
+        for head, (weight, head_bias) in zip(self.heads, blocks.heads):
+            bindings.append((head.weight, [(slice(None), weight)]))
+            if head_bias is not None:
+                bindings.append((head.bias, [(slice(None), head_bias)]))
+        return bindings
+
+    def write_back(self) -> None:
+        """Rebind every module parameter to the arena's current values."""
+        for parameter, pieces in self._value_bindings:
+            data = parameter.data.copy()
+            for rows, view in pieces:
+                data[rows] = view
+            parameter.data = data
+
+    def accumulate_grads(self) -> None:
+        """Add the gradient buffer into every parameter's ``.grad`` (tape-compatible:
+        a disabled coupling direction receives the tape's exact all-zero rows)."""
+        for parameter, pieces in self._grad_bindings:
+            grad = np.zeros_like(parameter.data)
+            for rows, view in pieces:
+                grad[rows] = view
+            parameter.grad = grad if parameter.grad is None else parameter.grad + grad
+
+    # ------------------------------------------------------------------ #
+    # Decoder heads, batch-major on the output side (the losses' layout)
+    # ------------------------------------------------------------------ #
+    def head_forward(self, index: int, state: np.ndarray) -> np.ndarray:
+        """``(B, out)`` output of head ``index`` on feature-major ``(in, B)`` states."""
+        weight, bias = self.values.heads[index]
+        out = state.T @ weight
+        if bias is not None:
+            out += bias
+        return out
+
+    def head_backward(
+        self, index: int, state: np.ndarray, d_out: np.ndarray, d_state: np.ndarray
+    ) -> None:
+        """Head ``index``'s weight/bias gradients into the arena, ``d_state`` filled in place."""
+        d_weight, d_bias = self.grads.heads[index]
+        np.matmul(state, d_out, out=d_weight)
+        if d_bias is not None:
+            np.sum(d_out, axis=0, out=d_bias)
+        np.matmul(self.values.heads[index][0], d_out.T, out=d_state)
+
+    # ------------------------------------------------------------------ #
+    # Joint recurrence
+    # ------------------------------------------------------------------ #
+    def forward(self, inputs: Sequence[np.ndarray], keep: bool = True) -> Tuple[np.ndarray, BPTTCache]:
+        """Run the joint recurrence over per-cell ``(d_k, T, B)`` inputs.
+
+        Returns the final joint state ``(Hs, B)`` (a view into the cache) and
+        the :class:`BPTTCache` :meth:`backward` consumes.  Caches are pooled
+        per ``(T, B, keep)``: a later forward of the same shape reuses — and
+        overwrites — the same buffers.
+        """
+        _, time_steps, batch = inputs[0].shape
+        key = (time_steps, batch, keep)
+        cache = self._caches.get(key)
+        if cache is None:
+            cache = self._caches[key] = BPTTCache(self.total, time_steps, batch, keep)
+        cache.inputs = tuple(inputs)
+        values, total = self.values, self.total
+        i_rows, f_rows, c_rows, o_rows = self.gate_rows
+
+        # All timesteps' input-to-gate projections: one GEMM per cell and gate
+        # block, straight into joint row order, then one pass that adds the
+        # bias and turns (4Hs, T, B) time-major.
+        gate_major = cache.gate_major.reshape(4, total, time_steps * batch)
+        for own, weight, x in zip(self.cell_rows, values.w_in, inputs):
+            np.matmul(
+                weight.reshape(4, own.stop - own.start, -1),
+                x.reshape(x.shape[0], -1),
+                out=gate_major[:, own],
+            )
+        x_proj = cache.x_proj
+        np.add(
+            cache.gate_major.reshape(4 * total, time_steps, batch).transpose(1, 0, 2),
+            values.bias[:, None],
+            out=x_proj,
+        )
+
+        state = cell_state = cache.zero_state
+        pre, scratch = cache.pre, cache.scratch
+        for t in range(time_steps):
+            slot = t if keep else 0
+            gate, c_t = cache.gates[slot], cache.cells[slot]
+            np.matmul(values.w_rec, state, out=pre)
+            pre += x_proj[t]
+            # One sigmoid pass over the whole joint gate height (the wasted work
+            # on the candidate block is cheaper than a second set of ufunc
+            # calls), then the candidate block is overwritten with its tanh.
+            _sigmoid_into(pre, gate)
+            np.tanh(pre[c_rows], out=gate[c_rows])
+            np.multiply(gate[f_rows], cell_state, out=scratch)
+            np.multiply(gate[i_rows], gate[c_rows], out=c_t)
+            c_t += scratch
+            np.tanh(c_t, out=cache.tanh_cells[slot])
+            np.multiply(gate[o_rows], cache.tanh_cells[slot], out=cache.hiddens[slot])
+            state, cell_state = cache.hiddens[slot], c_t
+        return state, cache
+
+    def backward(self, cache: BPTTCache, d_final: np.ndarray, window: Optional[int] = None) -> None:
+        """Reverse sweep from the final joint state's gradient ``(Hs, B)``.
+
+        Overwrites the arena's ``w_in`` / ``w_rec`` / ``bias`` gradient blocks
+        (the heads' blocks belong to :meth:`head_backward`).
+
+        ``window`` truncates the sweep to the last ``window`` timesteps
+        (``start = max(0, T - window)``): the hidden/cell states entering step
+        ``start`` are treated as constants — the standard truncated-BPTT
+        approximation — so the deferred GEMMs shrink to the window.
+        ``window is None`` or ``window ≥ T`` takes the exact full-BPTT path
+        (``start = 0``, identical operations).
+
+        Everything that depends only on cached forward values is vectorised
+        over the swept timesteps *before* the reverse loop: the per-gate
+        factor ``∂gate/∂pre · upstream`` (``factors``) and ``1 - tanh(c)^2``.
+        The loop itself then touches each step with a handful of joint-height
+        ufuncs plus the single state-propagation GEMM; every weight gradient
+        is deferred to GEMMs over all swept steps at the end.
+        """
+        window = _check_window(window)
+        values, grads, total = self.values, self.grads, self.total
+        time_steps, batch = cache.time_steps, cache.batch
+        i_rows, f_rows, c_rows, o_rows = self.gate_rows
+        start = 0 if window is None else max(0, time_steps - window)
+        span = time_steps - start
+        gates, cells = cache.gates, cache.cells
+
+        # factors[k] (k = t - start) = d(gate)/d(pre) * (local upstream factor):
+        #   input:     i(1-i) * ĉ        forget:  f(1-f) * c_{t-1}
+        #   candidate: (1-ĉ²) * i        output:  o(1-o) * tanh(c_t)
+        gates_w = gates[start:]
+        tanh_w = cache.tanh_cells[start:]
+        factors = cache.x_proj[:span]  # the projections are dead once the forward has run
+        np.multiply(gates_w, gates_w, out=factors)
+        np.subtract(gates_w, factors, out=factors)  # g - g² = g(1-g) (sigmoid blocks)
+        candidate = gates_w[:, c_rows]
+        np.multiply(candidate, candidate, out=factors[:, c_rows])
+        np.subtract(1.0, factors[:, c_rows], out=factors[:, c_rows])  # 1 - ĉ²
+        factors[:, i_rows] *= candidate
+        factors[:, c_rows] *= gates_w[:, i_rows]
+        factors[:, o_rows] *= tanh_w
+        if start == 0:
+            factors[1:, f_rows] *= cells[:-1]  # c_{t-1}; step 0 reads the zero state
+            factors[0, f_rows] = 0.0
+        else:
+            # Every swept step has a real (cached) predecessor cell state; its
+            # *value* still enters the forget-gate factor even though no gradient
+            # is propagated into it.
+            factors[:, f_rows] *= cells[start - 1 : time_steps - 1]
+        one_minus_tanh_sq = cache.one_minus_tanh_sq[:span]
+        np.multiply(tanh_w, tanh_w, out=one_minus_tanh_sq)
+        np.subtract(1.0, one_minus_tanh_sq, out=one_minus_tanh_sq)
+
+        d_state = d_final
+        d_cell, d_c_total = cache.d_cell, cache.d_c_total
+        d_cell.fill(0.0)
+        d_pre_all = cache.d_pre[:span]
+        w_rec_t = values.w_rec.T
+        for t in reversed(range(start, time_steps)):
+            gate, d_pre = gates[t], d_pre_all[t - start]
+            # d_c_total = d_cell + d_state * o * (1 - tanh(c)^2)
+            np.multiply(d_state, gate[o_rows], out=d_c_total)
+            d_c_total *= one_minus_tanh_sq[t - start]
+            d_c_total += d_cell
+            # d_pre: the i/f/ĉ blocks share the d_c_total factor (one broadcast
+            # pass over a (3, Hs, B) view); the o block uses d_state instead.
+            np.multiply(
+                factors[t - start, : 3 * total].reshape(3, total, batch),
+                d_c_total,
+                out=d_pre[: 3 * total].reshape(3, total, batch),
+            )
+            np.multiply(factors[t - start, o_rows], d_state, out=d_pre[o_rows])
+            # Carry the cell gradient: d_c_{t-1} = d_c_total * f
+            np.multiply(d_c_total, gate[f_rows], out=d_cell)
+            if t > start:
+                # At start == 0 the initial state is zero (no grad to propagate);
+                # at start > 0 the truncation stops the sweep there.
+                np.matmul(w_rec_t, d_pre, out=cache.next_state)
+                d_state = cache.next_state
+
+        # Deferred weight gradients: turn the swept pre-activation gradients
+        # (4Hs, span·B) once, then every GEMM contracts over all steps.
+        swept = span * batch
+        d_gate_major = cache.gate_major[: 4 * total * swept].reshape(4 * total, swept)
+        np.copyto(d_gate_major.reshape(4 * total, span, batch), d_pre_all.transpose(1, 0, 2))
+        np.sum(d_gate_major, axis=1, out=grads.bias)
+        # Recurrent weights: steps with a real predecessor hidden state
+        # (t ≥ max(1, start)) against h_{t-1}.
+        first = max(1, start)
+        if time_steps > first:
+            steps = time_steps - first
+            previous = cache.hidden_major[: total * steps * batch].reshape(total, steps, batch)
+            np.copyto(previous, cache.hiddens[first - 1 : time_steps - 1].transpose(1, 0, 2))
+            np.matmul(
+                d_gate_major[:, (first - start) * batch :],
+                previous.reshape(total, steps * batch).T,
+                out=grads.w_rec,
+            )
+            for dead in self._dead_grads:
+                dead[...] = 0.0
+        else:
+            grads.w_rec.fill(0.0)
+        d_by_gate = d_gate_major.reshape(4, total, swept)
+        for own, d_w_in, x in zip(self.cell_rows, grads.w_in, cache.inputs):
+            columns = x.reshape(x.shape[0], -1)[:, start * batch :]
+            np.matmul(d_by_gate[:, own], columns.T, out=d_w_in.reshape(4, own.stop - own.start, -1))
+
+
+def _check_window(window: Optional[int]) -> Optional[int]:
+    if window is not None and (isinstance(window, bool) or not isinstance(window, int) or window < 1):
+        raise ValueError(f"tbptt window must be a positive integer or None, got {window!r}")
+    return window
+
+
+# ---------------------------------------------------------------------- #
+# One-shot wrappers: (B, T, D) in, .grad out
+# ---------------------------------------------------------------------- #
+def paired_feature_major(
+    action_sequences: np.ndarray, interaction_sequences: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both inputs of a coupled pair in arena layout, checked to be aligned."""
+    actions = feature_major(action_sequences)
+    interactions = feature_major(interaction_sequences)
+    if actions.shape[2] != interactions.shape[2]:
+        raise ValueError("action and interaction batches must have the same size")
+    if actions.shape[1] != interactions.shape[1]:
+        raise ValueError("action and interaction sequences must have the same length")
+    return actions, interactions
+
+
+def _one_shot_forward(cells: Sequence, inputs: Sequence[np.ndarray]) -> Tuple[np.ndarray, BPTTCache]:
+    """Forward on a fresh arena whose cache leaves the pool and owns the arena."""
+    arena = TrainingArena(cells)
+    final, cache = arena.forward(inputs)
+    arena._caches.clear()
+    cache.arena = arena
+    return final, cache
 
 
 def lstm_forward_cached(cell: "LSTMCell", sequence: np.ndarray) -> Tuple[np.ndarray, BPTTCache]:
-    """Fused forward of a plain LSTM cell that caches everything BPTT needs.
+    """Cached forward of a plain LSTM cell over a ``(B, T, D)`` sequence.
 
     Returns the final hidden state ``(B, H)`` and the :class:`BPTTCache`
-    (per-step hiddens are available as ``cache.hiddens``).
+    :func:`lstm_backward` consumes.
     """
-    sequence = _check_sequence(sequence)
-    fused = fuse_lstm_cell(cell)
-    flat_inputs = _time_major_inputs(sequence)
-    x_proj = _project_inputs(flat_inputs, fused, sequence.shape[0])
-    return _joint_forward(
-        fused.w_hidden, x_proj, (cell.hidden_size,), (fused,), (flat_inputs,)
-    )
+    final, cache = _one_shot_forward((cell,), (feature_major(sequence),))
+    return final.T, cache
 
 
 def coupled_pair_forward_cached(
@@ -320,254 +540,13 @@ def coupled_pair_forward_cached(
     Advances both mutually coupled cells in lockstep as one joint recurrence
     and records the gate activations and states, so
     :func:`coupled_pair_backward` can run the analytic BPTT afterwards.
-    Returns ``(h_final, g_final, cache)``.
+    Returns ``(h_final, g_final, cache)``, the states ``(B, H)``.
     """
-    actions = _check_sequence(action_sequences)
-    interactions = _check_sequence(interaction_sequences)
-    if actions.shape[0] != interactions.shape[0]:
-        raise ValueError("action and interaction batches must have the same size")
-    if actions.shape[1] != interactions.shape[1]:
-        raise ValueError("action and interaction sequences must have the same length")
-
-    fused_i = fuse_coupled_cell(influencer)
-    fused_a = fuse_coupled_cell(audience)
-    hidden_sizes = (influencer.hidden_size, audience.hidden_size)
-    w_rec = _cached_joint_recurrent(influencer, (fused_i, fused_a), hidden_sizes)
-    batch = actions.shape[0]
-    flat_actions = _time_major_inputs(actions)
-    flat_interactions = _time_major_inputs(interactions)
-    x_proj = _assemble_joint_projection(
-        [
-            _project_inputs(flat_actions, fused_i, batch),
-            _project_inputs(flat_interactions, fused_a, batch),
-        ],
-        hidden_sizes,
-    )
-    final, cache = _joint_forward(
-        w_rec, x_proj, hidden_sizes, (fused_i, fused_a), (flat_actions, flat_interactions)
+    final, cache = _one_shot_forward(
+        (influencer, audience), paired_feature_major(action_sequences, interaction_sequences)
     )
     h1 = influencer.hidden_size
-    return final[:, :h1], final[:, h1:], cache
-
-
-# ---------------------------------------------------------------------- #
-# Analytic BPTT backward
-# ---------------------------------------------------------------------- #
-def _accumulate_grad(parameter, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``parameter.grad`` (tape-compatible accumulation)."""
-    if parameter.grad is None:
-        parameter.grad = grad
-    else:
-        parameter.grad = parameter.grad + grad
-
-
-def _joint_backward(
-    cache: BPTTCache, d_final: np.ndarray, window: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Reverse sweep over the joint recurrence, optionally truncated.
-
-    Returns ``(d_w_rec, d_pre_all, start)``: the joint recurrent-weight
-    gradient ``(Hs, 4Hs)``, the per-step pre-activation gradients
-    ``(T - start, B, 4Hs)`` (gate-grouped) for the steps that were swept,
-    and the first swept step ``start``.  The input-weight and bias gradients
-    follow from ``d_pre_all``.
-
-    ``window`` truncates the sweep to the last ``window`` timesteps
-    (``start = max(0, T - window)``): the hidden/cell states entering step
-    ``start`` are treated as constants — the standard truncated-BPTT
-    approximation — so every buffer here is O(window) and the deferred GEMMs
-    shrink to the window.  ``window is None`` or ``window ≥ T`` takes the
-    exact full-BPTT path (``start = 0``, identical operations to the
-    untruncated implementation).
-
-    Everything that depends only on cached forward values is vectorised over
-    the swept timesteps *before* the reverse loop: the per-gate factor
-    ``∂gate/∂pre · upstream`` (``factors``) and ``1 - tanh(c)^2``.  The loop
-    itself then touches each step with a handful of joint-width ufuncs plus
-    the single state-propagation GEMM; the recurrent weight gradient
-    ``Σ_t s_{t-1}ᵀ · d_pre_t`` is deferred to one big GEMM at the end.
-    """
-    gates, cells, tanh_cells, hiddens = cache.gates, cache.cells, cache.tanh_cells, cache.hiddens
-    w_rec = cache.w_rec
-    xp = namespace_of(gates)
-    dtype = gates.dtype
-    time_steps, batch, total = cells.shape
-    start = 0 if window is None else max(0, time_steps - window)
-    span = time_steps - start
-    i_cols = slice(0, total)
-    f_cols = slice(total, 2 * total)
-    c_cols = slice(2 * total, 3 * total)
-    o_cols = slice(3 * total, None)
-
-    # factors[k] (k = t - start) = d(gate)/d(pre) * (local upstream factor):
-    #   input:     i(1-i) * ĉ        forget:  f(1-f) * c_{t-1}
-    #   candidate: (1-ĉ²) * i        output:  o(1-o) * tanh(c_t)
-    gates_w = gates[start:]
-    tanh_w = tanh_cells[start:]
-    factors = xp.empty((span, batch, 4 * total), dtype=dtype)
-    xp.multiply(gates_w, gates_w, out=factors)
-    xp.subtract(gates_w, factors, out=factors)  # g - g² = g(1-g) (sigmoid blocks)
-    candidate = gates_w[:, :, c_cols]
-    xp.multiply(candidate, candidate, out=factors[:, :, c_cols])
-    xp.subtract(1.0, factors[:, :, c_cols], out=factors[:, :, c_cols])  # 1 - ĉ²
-    factors[:, :, i_cols] *= candidate
-    factors[:, :, c_cols] *= gates_w[:, :, i_cols]
-    factors[:, :, o_cols] *= tanh_w
-    if start == 0:
-        factors[1:, :, f_cols] *= cells[:-1]  # c_{t-1}; step 0 reads the zero state
-        factors[0, :, f_cols] = 0.0
-    else:
-        # Every swept step has a real (cached) predecessor cell state; its
-        # *value* still enters the forget-gate factor even though no gradient
-        # is propagated into it.
-        factors[:, :, f_cols] *= cells[start - 1 : time_steps - 1]
-
-    one_minus_tanh_sq = xp.multiply(tanh_w, tanh_w)
-    xp.subtract(1.0, one_minus_tanh_sq, out=one_minus_tanh_sq)
-
-    d_state = xp.array(d_final, dtype=dtype)
-    d_cell = xp.zeros((batch, total), dtype=dtype)
-    d_pre_all = xp.empty((span, batch, 4 * total), dtype=dtype)
-    d_c_total = xp.empty((batch, total), dtype=dtype)
-    next_state = xp.empty((batch, total), dtype=dtype)
-
-    for t in reversed(range(start, time_steps)):
-        gate = gates[t]
-        d_pre = d_pre_all[t - start]
-        # d_c_total = d_cell + d_state * o * (1 - tanh(c)^2)
-        xp.multiply(d_state, gate[:, o_cols], out=d_c_total)
-        d_c_total *= one_minus_tanh_sq[t - start]
-        d_c_total += d_cell
-        # d_pre: the i/f/ĉ blocks share the d_c_total factor (one broadcast
-        # pass over a (B, 3, Hs) view); the o block uses d_state instead.
-        xp.multiply(
-            factors[t - start, :, : 3 * total].reshape(batch, 3, total),
-            d_c_total[:, None, :],
-            out=d_pre[:, : 3 * total].reshape(batch, 3, total),
-        )
-        xp.multiply(factors[t - start, :, o_cols], d_state, out=d_pre[:, o_cols])
-        # Carry the cell gradient: d_c_{t-1} = d_c_total * f
-        xp.multiply(d_c_total, gate[:, f_cols], out=d_cell)
-        if t > start:
-            # At start == 0 the initial state is zero (no grad to propagate);
-            # at start > 0 the truncation stops the sweep there.
-            xp.matmul(d_pre, w_rec.T, out=next_state)
-            d_state = next_state
-
-    # Recurrent weight gradient in one deferred GEMM over the swept steps
-    # with a real predecessor hidden state (t ≥ max(1, start)).
-    first = max(1, start)
-    if time_steps > first:
-        states = hiddens[first - 1 : time_steps - 1].reshape((time_steps - first) * batch, total)
-        d_pres = d_pre_all[first - start :].reshape((time_steps - first) * batch, 4 * total)
-        d_w_rec = states.T @ d_pres
-    else:
-        d_w_rec = xp.zeros_like(w_rec)
-    return d_w_rec, d_pre_all, start
-
-
-def _scatter_cell_grads(
-    cell,
-    d_hidden_rows: np.ndarray,
-    d_partner_rows: Optional[np.ndarray],
-    d_input_rows: np.ndarray,
-    d_bias: np.ndarray,
-) -> None:
-    """Split per-cell stacked-gate gradients back into the eight parameters.
-
-    Inputs are in the cell's own ``[i | f | ĉ | o]`` column layout; the
-    concatenated rows follow the cell's input order (``[h, x]`` for a plain
-    cell, ``[h, partner, x]`` for a coupled one).  A coupled cell with
-    ``use_partner=False`` receives an all-zero partner block, exactly like
-    the tape path (which multiplies those rows by zeros).
-    """
-    h = cell.hidden_size
-    partner_size = getattr(cell, "partner_size", 0)
-    weights = (cell.w_input, cell.w_forget, cell.w_cell, cell.w_output)
-    biases = (cell.b_input, cell.b_forget, cell.b_cell, cell.b_output)
-    for gate, (weight, bias) in enumerate(zip(weights, biases)):
-        cols = slice(gate * h, (gate + 1) * h)
-        rows = [d_hidden_rows[:, cols]]
-        if partner_size:
-            if d_partner_rows is not None:
-                rows.append(d_partner_rows[:, cols])
-            else:
-                rows.append(np.zeros((partner_size, h), dtype=d_hidden_rows.dtype))
-        rows.append(d_input_rows[:, cols])
-        _accumulate_grad(weight, np.concatenate(rows, axis=0))
-        _accumulate_grad(bias, d_bias[cols].copy())
-
-
-def _split_joint_pre(
-    d_pre_all: np.ndarray, hidden_sizes: Tuple[int, ...], cell_index: int
-) -> np.ndarray:
-    """Extract one cell's ``(T·B, 4H)`` pre-activation grads from the joint array."""
-    time_steps, batch, _ = d_pre_all.shape
-    total = sum(hidden_sizes)
-    hidden = hidden_sizes[cell_index]
-    offset = sum(hidden_sizes[:cell_index])
-    if len(hidden_sizes) == 1:
-        return d_pre_all.reshape(time_steps * batch, 4 * hidden)
-    out = np.empty((time_steps, batch, 4 * hidden), dtype=d_pre_all.dtype)
-    for gate in range(4):
-        cols = slice(gate * total + offset, gate * total + offset + hidden)
-        out[..., gate * hidden : (gate + 1) * hidden] = d_pre_all[..., cols]
-    return out.reshape(time_steps * batch, 4 * hidden)
-
-
-def _joint_rec_block(
-    d_w_rec: np.ndarray,
-    hidden_sizes: Tuple[int, ...],
-    row_cell: int,
-    col_cell: int,
-) -> np.ndarray:
-    """One ``(H_row, 4H_col)`` block of the joint recurrent gradient, de-grouped."""
-    total = sum(hidden_sizes)
-    row_offset = sum(hidden_sizes[:row_cell])
-    rows = slice(row_offset, row_offset + hidden_sizes[row_cell])
-    col_offset = sum(hidden_sizes[:col_cell])
-    hidden = hidden_sizes[col_cell]
-    if len(hidden_sizes) == 1:
-        return d_w_rec
-    out = np.empty((hidden_sizes[row_cell], 4 * hidden), dtype=d_w_rec.dtype)
-    for gate in range(4):
-        cols = slice(gate * total + col_offset, gate * total + col_offset + hidden)
-        out[:, gate * hidden : (gate + 1) * hidden] = d_w_rec[rows, cols]
-    return out
-
-
-def _finalise_cell_grads(
-    cell,
-    cache: BPTTCache,
-    d_w_rec: np.ndarray,
-    d_pre_all: np.ndarray,
-    cell_index: int,
-    start: int = 0,
-) -> None:
-    """Input/bias GEMMs and parameter scatter for one cell of the joint system.
-
-    ``start`` is the first timestep the (possibly truncated) backward swept;
-    the time-major input rows below it contribute no gradient and are sliced
-    away, keeping the deferred input GEMM O(window) as well.
-    """
-    batch = d_pre_all.shape[1]
-    flat_inputs = cache.inputs[cell_index]
-    if start:
-        flat_inputs = flat_inputs[start * batch :]
-    d_pre = _split_joint_pre(d_pre_all, cache.hidden_sizes, cell_index)
-    d_w_input = flat_inputs.T @ d_pre
-    d_bias = d_pre.sum(axis=0)
-    d_hidden_rows = _joint_rec_block(d_w_rec, cache.hidden_sizes, cell_index, cell_index)
-    d_partner_rows = None
-    if len(cache.hidden_sizes) > 1 and getattr(cell, "use_partner", False):
-        d_partner_rows = _joint_rec_block(d_w_rec, cache.hidden_sizes, 1 - cell_index, cell_index)
-    _scatter_cell_grads(cell, d_hidden_rows, d_partner_rows, d_w_input, d_bias)
-
-
-def _check_window(window: Optional[int]) -> Optional[int]:
-    if window is not None and (isinstance(window, bool) or not isinstance(window, int) or window < 1):
-        raise ValueError(f"tbptt window must be a positive integer or None, got {window!r}")
-    return window
+    return final[:h1].T, final[h1:].T, cache
 
 
 def lstm_backward(
@@ -583,8 +562,8 @@ def lstm_backward(
     ``window`` truncates the sweep to the last ``window`` timesteps (exact
     full BPTT whenever the sequence fits inside it).
     """
-    d_w_rec, d_pre_all, start = _joint_backward(cache, d_last_hidden, _check_window(window))
-    _finalise_cell_grads(cell, cache, d_w_rec, d_pre_all, 0, start)
+    cache.arena.backward(cache, np.asarray(d_last_hidden, dtype=np.float64).T, window)
+    cache.arena.accumulate_grads()
 
 
 def coupled_pair_backward(
@@ -600,26 +579,24 @@ def coupled_pair_backward(
     At step ``t`` both cells read ``h_{t-1}`` and ``g_{t-1}``; in the joint
     formulation that mutual influence is carried by the off-diagonal blocks
     of the recurrent matrix, so the reverse sweep propagates it with the same
-    single GEMM pair per timestep.  Gradients are accumulated into both
-    cells' parameters (a disabled coupling direction yields the tape's exact
+    single GEMM per timestep.  Gradients are accumulated into both cells'
+    parameters (a disabled coupling direction yields the tape's exact
     all-zero partner-weight gradient).
 
     ``window`` applies truncated BPTT to the joint system: for sequences no
     longer than the window the gradient is exactly full BPTT; beyond it, the
-    sweep (and its memory) is O(window) and states older than the window are
-    treated as constants.
+    sweep is O(window) and states older than the window are treated as
+    constants.
     """
     d_final = np.concatenate(
-        [np.asarray(d_h_final, dtype=np.float64), np.asarray(d_g_final, dtype=np.float64)],
-        axis=1,
+        [np.asarray(d_h_final, dtype=np.float64).T, np.asarray(d_g_final, dtype=np.float64).T]
     )
-    d_w_rec, d_pre_all, start = _joint_backward(cache, d_final, _check_window(window))
-    _finalise_cell_grads(influencer, cache, d_w_rec, d_pre_all, 0, start)
-    _finalise_cell_grads(audience, cache, d_w_rec, d_pre_all, 1, start)
+    cache.arena.backward(cache, d_final, window)
+    cache.arena.accumulate_grads()
 
 
 # ---------------------------------------------------------------------- #
-# Decoder heads (Linear / softmax)
+# Softmax decoder head
 # ---------------------------------------------------------------------- #
 def softmax_forward(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (the tape's expression)."""
@@ -632,22 +609,6 @@ def softmax_backward(softmax_out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     """Gradient of a softmax output w.r.t. its logits."""
     dot = (d_out * softmax_out).sum(axis=-1, keepdims=True)
     return softmax_out * (d_out - dot)
-
-
-def linear_forward(layer: "Linear", x: np.ndarray) -> np.ndarray:
-    """Tape-free forward of a :class:`~repro.nn.layers.Linear` layer."""
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
-
-
-def linear_backward(layer: "Linear", x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """Backward of a Linear layer: accumulates weight/bias grads, returns dx."""
-    _accumulate_grad(layer.weight, x.T @ d_out)
-    if layer.bias is not None:
-        _accumulate_grad(layer.bias, d_out.sum(axis=0))
-    return d_out @ layer.weight.data.T
 
 
 def is_softmax_head(head) -> bool:
@@ -664,30 +625,6 @@ def is_softmax_head(head) -> bool:
         and isinstance(layers[0], LinearLayer)
         and isinstance(layers[1], SoftmaxHead)
     )
-
-
-def softmax_head_forward(head, x: np.ndarray) -> Tuple[np.ndarray, "Linear"]:
-    """Tape-free forward of a ``Sequential(Linear, SoftmaxHead)`` decoder.
-
-    The structure is validated (:func:`is_softmax_head`) and anything else
-    fails loudly instead of silently backpropagating through the wrong
-    architecture.  Returns ``(softmax_out, linear_layer)``; pass both to
-    :func:`softmax_head_backward`.
-    """
-    if not is_softmax_head(head):
-        raise RuntimeError(
-            "fused training expects a Sequential(Linear, SoftmaxHead) decoder; "
-            f"found {type(head).__name__}"
-        )
-    linear = list(head)[0]
-    return softmax_forward(linear_forward(linear, x)), linear
-
-
-def softmax_head_backward(
-    linear: "Linear", x: np.ndarray, softmax_out: np.ndarray, d_out: np.ndarray
-) -> np.ndarray:
-    """Backward through a softmax head: accumulates the Linear's grads, returns dx."""
-    return linear_backward(linear, x, softmax_backward(softmax_out, d_out))
 
 
 # ---------------------------------------------------------------------- #

@@ -186,18 +186,37 @@ class Adam(Optimizer):
         self._scratch2 = np.empty(self._numel)
 
     def step(self) -> None:
-        self._step_count += 1
         grad, missing = self._gather_flat_grad()
         if grad is None:
+            self._step_count += 1
             return
         data = self._flat_data()
+        # Grad-less parameters are skipped entirely: their moments and values
+        # are put back after the vectorised pass over the whole buffer.
+        saved = [
+            (segment, self._flat_first[segment].copy(), self._flat_second[segment].copy())
+            for segment in map(self._segment, missing)
+        ]
+        new_data = self.advance(data, grad)
+        for segment, first_segment, second_segment in saved:
+            self._flat_first[segment] = first_segment
+            self._flat_second[segment] = second_segment
+            new_data[segment] = data[segment]
+        self._scatter_flat_data(new_data, skip=missing)
+
+    def advance(
+        self, data: np.ndarray, grad: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One Adam step over flat buffers: the arithmetic of :meth:`step`.
+
+        Advances the moment buffers in place and returns the updated values —
+        a new array, or ``out`` (which may be ``data`` itself: a training
+        arena that owns its flat buffer steps in place, nothing to rebind).
+        """
+        self._step_count += 1
         if self.weight_decay > 0.0:
             grad = grad + self.weight_decay * data
         first, second = self._flat_first, self._flat_second
-        saved = [
-            (i, first[self._segment(i)].copy(), second[self._segment(i)].copy())
-            for i in missing
-        ]
         # Moment updates and the Adam step, fully in place via one scratch
         # buffer — the whole step is a handful of vectorised passes.
         scratch = self._scratch
@@ -208,10 +227,6 @@ class Adam(Optimizer):
         scratch *= 1.0 - self.beta2
         second *= self.beta2
         second += scratch
-        for index, first_segment, second_segment in saved:
-            segment = self._segment(index)
-            first[segment] = first_segment
-            second[segment] = second_segment
         bias_correction1 = 1.0 - self.beta1 ** self._step_count
         bias_correction2 = 1.0 - self.beta2 ** self._step_count
         # The textbook per-parameter operation order, kept exactly so the
@@ -225,11 +240,7 @@ class Adam(Optimizer):
         np.divide(first, bias_correction1, out=update)
         update *= self.lr
         update /= denominator
-        new_data = data - update
-        for index in missing:
-            segment = self._segment(index)
-            new_data[segment] = data[segment]
-        self._scatter_flat_data(new_data, skip=missing)
+        return np.subtract(data, update, out=out)
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

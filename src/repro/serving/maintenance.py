@@ -66,7 +66,7 @@ class UpdateReport:
     """``T_a`` before and after re-calibration."""
 
     seconds: float
-    """Wall-clock cost of train + merge + re-calibrate + publish."""
+    """Wall-clock cost of assemble + train + merge + re-calibrate + publish."""
 
 
 class UpdatePlane:
@@ -163,9 +163,11 @@ class UpdatePlane:
         version.
         """
         with self._lock:
+            # Timed from the start of the transaction: stacking the buffered
+            # lazy windows is part of the stall the scoring path sees.
+            stopwatch = Stopwatch().start()
             batch = self.assemble_samples(samples)
             base = self.registry.latest()
-            stopwatch = Stopwatch().start()
 
             new_model = train_incremental(
                 base.model, batch, self.training_config, seed=self.updates_performed + 1

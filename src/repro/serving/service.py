@@ -124,7 +124,7 @@ class ManualClock:
         self.now += seconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamDetection:
     """One scored segment, routed back to its stream.
 
@@ -818,6 +818,7 @@ class ScoringService:
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
         precision = getattr(snapshot.model, "precision", "float64")
+        threshold = float(batch.threshold)
         detections = [
             StreamDetection(
                 stream_id=request.stream_id,
@@ -826,7 +827,7 @@ class ScoringService:
                 action_error=float(batch.action_errors[position]),
                 interaction_error=float(batch.interaction_errors[position]),
                 is_anomaly=bool(batch.is_anomaly[position]),
-                threshold=float(batch.threshold),
+                threshold=threshold,
                 model_version=snapshot.version,
                 precision=precision,
             )

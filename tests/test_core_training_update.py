@@ -54,6 +54,33 @@ class TestTrainer:
         assert history.best_epoch >= 1
         assert history.best_validation_loss <= history.validation_curve[-1] + 1e-9
 
+    def test_second_fit_keeps_its_own_training(self, rng):
+        """Best-checkpoint tracking is local to one fit(): a second call whose
+        validation losses never beat the first call's best used to end by
+        reloading the *first* call's weights."""
+        model = CLSTM(action_dim=12, interaction_dim=6, action_hidden=10, interaction_hidden=5, seed=0)
+        trainer = CLSTMTrainer(model, TrainingConfig(epochs=3, batch_size=16, checkpoint_every=1, seed=0))
+        easy = normal_batch(rng)
+        first = trainer.fit(easy)
+        after_first = model.state_dict()
+        # Same inputs, shuffled targets: much harder to reconstruct.
+        order = np.random.default_rng(5).permutation(len(easy))
+        hard = type(easy)(
+            easy.action_sequences, easy.interaction_sequences,
+            easy.action_targets[order], easy.interaction_targets[order] + 1.0,
+            easy.target_indices,
+        )
+        second = trainer.fit(hard)
+        assert second.best_validation_loss > first.best_validation_loss
+        after_second = model.state_dict()
+        assert all(not np.array_equal(after_first[k], after_second[k]) for k in after_first)
+        # Every call starts a fresh history: records restart at epoch 1 and
+        # best_epoch counts this call's epochs.
+        assert second is trainer.history and second is not first
+        assert [r.epoch for r in second.records] == [1, 2, 3]
+        assert 1 <= second.best_epoch <= 3
+        assert second.best_validation_loss == second.records[second.best_epoch - 1].validation_loss
+
     def test_empty_batch_rejected(self, rng):
         model = CLSTM(action_dim=12, interaction_dim=6, seed=0)
         trainer = CLSTMTrainer(model)

@@ -15,6 +15,13 @@ an in-test loop over the tape yields identical per-epoch losses and final
 weights.  The tape itself is anchored to ground truth by a central-difference
 check of the whole model.  Nothing in the package selects the tape; the tests
 reach it by calling ``model(...)`` and ``loss.backward()``.
+
+``CLSTMTrainer.fit`` keeps the weights in a flat training arena for the whole
+fit (in-place Adam over the arena, one-dot clipping, no write-back between
+steps); ``TestArenaTrainer`` pins that trajectory to ≤1e-10 in every weight
+after 40 steps against the step-at-a-time flow (one-shot
+``fused_training_step`` into ``.grad`` → ``clip_grad_norm`` → ``nn.Adam`` over
+``model.parameters()``), and pins what the arena must leave untouched.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from repro.utils.config import TrainingConfig
 from test_nn_tensor import numerical_gradient
 
 TOLERANCE = 1e-8
+TRAJECTORY_TOLERANCE = 1e-10
 COUPLINGS = ("both", "influencer_to_audience", "none")
 ACTION_LOSSES = ("js", "kl", "l2", "mse")
 
@@ -353,6 +361,136 @@ class TestTrainerParity:
             tape_loss, _ = _tape_clstm_grads(model, batch, 0.8, "js")
             assert abs(fused_loss - tape_loss) <= TOLERANCE
             optimizer.step()
+
+
+class TestArenaTrainer:
+    """The arena-resident fit vs the same steps taken one at a time."""
+
+    # 44 samples -> 11 validation + 33 training = 4 * 8 + 1: every epoch ends on
+    # a size-1 mini-batch (as drift_update's 225 = 7 * 32 + 1 does), and eight
+    # epochs take 40 optimiser steps.  Only the last epoch is a checkpoint, so
+    # the weights fit() leaves are the final ones.
+    CONFIG = dict(epochs=8, batch_size=8, checkpoint_every=8, seed=3, learning_rate=0.01)
+    DIMS = dict(action_dim=12, interaction_dim=5, action_hidden=9, interaction_hidden=4)
+
+    @staticmethod
+    def _partner_rows(model):
+        """Per cell: the rows of every gate weight that read the partner's state."""
+        h1, h2 = model.action_hidden, model.interaction_hidden
+        rows = {"lstm_influencer": slice(h1, h1 + h2), "lstm_audience": slice(h2, h2 + h1)}
+        return {
+            name: parameter.data[rows[name.split(".")[0]]].copy()
+            for name, parameter in model.named_parameters()
+            if name.split(".")[1].startswith("w_")
+        }
+
+    def _fit_step_at_a_time(self, model, batch, config):
+        rng = np.random.default_rng(config.seed)
+        train, _ = CLSTMTrainer(model, config)._split(batch, rng)
+        optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
+        steps = 0
+        for _ in range(config.epochs):
+            order = rng.permutation(len(train))
+            for start in range(0, len(train), config.batch_size):
+                mini = train.subset(order[start : start + config.batch_size])
+                optimizer.zero_grad()
+                model.fused_training_step(
+                    mini.action_sequences, mini.interaction_sequences,
+                    mini.action_targets, mini.interaction_targets,
+                    omega=config.omega, action_loss=config.action_loss,
+                    tbptt_window=config.tbptt_window,
+                )
+                nn.clip_grad_norm(model.parameters(), config.gradient_clip)
+                optimizer.step()
+                steps += 1
+        assert len(mini) == 1, "the sample count must leave a trailing size-1 mini-batch"
+        return steps
+
+    @pytest.mark.parametrize("q", [1, 9])
+    @pytest.mark.parametrize("tbptt_window", [None, 4])
+    @pytest.mark.parametrize("action_loss", ACTION_LOSSES)
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_trajectory_matches_step_at_a_time(self, rng, coupling, action_loss, tbptt_window, q):
+        config = TrainingConfig(action_loss=action_loss, tbptt_window=tbptt_window, **self.CONFIG)
+        batch = _random_sequences(rng, count=44, q=q)
+        arena_model = CLSTM(coupling=coupling, seed=4, **self.DIMS)
+        reference = CLSTM(coupling=coupling, seed=4, **self.DIMS)
+        CLSTMTrainer(arena_model, config).fit(batch)
+        assert self._fit_step_at_a_time(reference, batch, config) >= 40
+        initial = CLSTM(coupling=coupling, seed=4, **self.DIMS)
+        for (name, got), (_, expected), (_, start) in zip(
+            arena_model.named_parameters(), reference.named_parameters(), initial.named_parameters()
+        ):
+            assert np.abs(got.data - expected.data).max() <= TRAJECTORY_TOLERANCE, name
+            # (at q=1 the forget gate multiplies the zero state: it alone has no gradient)
+            assert q == 1 or not np.array_equal(got.data, start.data), f"{name} never trained"
+
+    @pytest.mark.parametrize("coupling", ["none", "influencer_to_audience"])
+    def test_disabled_coupling_is_never_touched(self, rng, monkeypatch, coupling):
+        """A disabled direction's partner weights leave fit() bitwise as they
+        entered it, and their arena blocks are exactly 0.0 after every step."""
+        model = CLSTM(coupling=coupling, seed=4, **self.DIMS)
+        before = self._partner_rows(model)
+        arenas = []
+        build = model.training_arena
+        monkeypatch.setattr(model, "training_arena", lambda: arenas.append(build()) or arenas[-1])
+        CLSTMTrainer(model, TrainingConfig(**self.CONFIG)).fit(_random_sequences(rng, count=44, q=5))
+        after = self._partner_rows(model)
+        disabled = ["lstm_influencer"] + (["lstm_audience"] if coupling == "none" else [])
+        for name in before:
+            if name.split(".")[0] in disabled:
+                assert np.array_equal(after[name], before[name]), name
+            else:
+                assert not np.array_equal(after[name], before[name]), name
+        (arena,) = arenas
+        h1, total = model.action_hidden, model.action_hidden + model.interaction_hidden
+        for blocks in (arena.values, arena.grads):
+            joint = blocks.w_rec.reshape(4, total, total)
+            assert not joint[:, :h1, h1:].any()  # influencer rows reading g
+            assert joint[:, h1:, :h1].any() == (coupling != "none")  # audience rows reading h
+
+    def test_curves_off_skips_unread_validations_only(self, rng, monkeypatch):
+        """curves=False trains bitwise the same weights, records NaN where it
+        skipped, and runs the validation forward once per checkpoint epoch."""
+        config = TrainingConfig(epochs=7, batch_size=8, checkpoint_every=3, seed=0)
+        batch = _random_sequences(rng, count=30, q=5)
+        anomalous = _random_sequences(np.random.default_rng(9), count=6, q=5)
+        calls = []
+        fused_loss = CLSTM.fused_loss
+        monkeypatch.setattr(
+            CLSTM, "fused_loss", lambda self, *a, **k: calls.append(1) or fused_loss(self, *a, **k)
+        )
+        models, histories = [], []
+        for curves in (True, False):
+            del calls[:]
+            model = CLSTM(seed=4, **self.DIMS)
+            histories.append(CLSTMTrainer(model, config).fit(batch, anomalous, curves=curves))
+            models.append(model)
+            # Checkpoint epochs of 7 with checkpoint_every=3: 3, 6 and the last.
+            assert len(calls) == (14 if curves else 3)
+        for (name, a), (_, b) in zip(models[0].named_parameters(), models[1].named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        full, lean = histories
+        assert np.isfinite(full.validation_curve).all() and np.isfinite(full.test_curve).all()
+        checkpoints = np.array([False, False, True, False, False, True, True])
+        assert np.array_equal(np.isnan(lean.validation_curve), ~checkpoints)
+        assert np.array_equal(lean.validation_curve[checkpoints], full.validation_curve[checkpoints])
+        assert np.isnan(lean.test_curve).all()
+        assert np.array_equal(lean.train_curve, full.train_curve)
+        assert (lean.best_epoch, lean.best_validation_loss) == (
+            full.best_epoch, full.best_validation_loss
+        )
+
+    def test_arena_input_blocks_carry_no_structural_zeros(self):
+        """One (4h, d) block per cell: a dense joint (4Hs, d1 + d2) input
+        matrix would spend FLOPs on zeros (measured 0.86x at paper shape)."""
+        arena = CLSTM(seed=4, **self.DIMS).training_arena()
+        assert [block.shape for block in arena.values.w_in] == [(4 * 9, 12), (4 * 4, 5)]
+        assert [block.shape for block in arena.grads.w_in] == [(4 * 9, 12), (4 * 4, 5)]
+        assert arena.values.w_rec.shape == (4 * 13, 13)
+        assert arena.flat.data.size == arena.flat.grad.size == sum(
+            parameter.size for parameter in CLSTM(seed=4, **self.DIMS).parameters()
+        ) - 4 * 2 * 9 * 4 + 4 * 13 * 13 - 4 * (9 * 9 + 4 * 4)
 
 
 class TestWeightedLossGrad:

@@ -8,6 +8,8 @@ the sharded scoring service.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,31 @@ class TestUpdatePlane:
         assert registry.latest().fused_fresh()
         assert plane.reports == [report]
         assert plane.total_update_seconds >= report.seconds > 0.0
+
+    def test_report_seconds_cover_sample_assembly(self, monkeypatch):
+        """The stopwatch starts with the transaction: stacking the buffered
+        windows stalls scoring like the rest of it."""
+        registry = ModelRegistry(DetectionConfig(omega=0.8))
+        registry.publish(make_model(), 0.2)
+        plane = UpdatePlane(
+            registry, update_config=update_config(), training_config=fast_training()
+        )
+        assemble = UpdatePlane.assemble_samples
+        assembled_at = []
+
+        def slow_assemble(samples):
+            time.sleep(0.05)
+            batch = assemble(samples)
+            assembled_at.append(time.perf_counter())
+            return batch
+
+        monkeypatch.setattr(UpdatePlane, "assemble_samples", staticmethod(slow_assemble))
+        trigger = UpdateTrigger(
+            segment_index=40, similarity=0.1, buffered_segments=8, stream_ids=("s",)
+        )
+        report = plane.handle_trigger(trigger, make_requests(8, seed=3))
+        after_assembly = time.perf_counter() - assembled_at[0]
+        assert report.seconds > after_assembly
 
     def test_explicit_config_threshold_stays_authoritative(self):
         registry = ModelRegistry(DetectionConfig(omega=0.8, threshold=0.33))
