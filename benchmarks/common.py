@@ -72,13 +72,6 @@ def trained_clstm(dataset_name: str) -> AOVLIS:
     return fitted_suite(dataset_name)["CLSTM"]  # type: ignore[return-value]
 
 
-@functools.lru_cache(maxsize=8)
-def update_experiment(dataset_name: str) -> Dict[str, Dict[str, float]]:
-    """Incremental-vs-retraining maintenance experiment (cached; used by both
-    the Table III and the update-cost benchmarks)."""
-    return light_harness().incremental_update_experiment(dataset_name, chunks=3)
-
-
 def suite_auroc(dataset_name: str) -> Dict[str, float]:
     """AUROC of every method on one dataset (uses the cached fitted suite)."""
     return {name: auroc(labels, scores) for name, (labels, scores) in suite_scores(dataset_name).items()}

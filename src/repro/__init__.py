@@ -34,7 +34,6 @@ from .core import (
     AnomalyDetector,
     CLSTMTrainer,
     DetectionResult,
-    IncrementalUpdater,
     LSTMOnlyDetector,
     CLSTMSingleCouplingDetector,
     ScoredStream,
@@ -109,7 +108,6 @@ __all__ = [
     "AnomalyDetector",
     "CLSTMTrainer",
     "DetectionResult",
-    "IncrementalUpdater",
     "LSTMOnlyDetector",
     "CLSTMSingleCouplingDetector",
     "ScoredStream",

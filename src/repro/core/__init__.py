@@ -13,8 +13,6 @@ from .scoring import (
 from .training import CLSTMTrainer, TrainingHistory, EpochRecord
 from .detector import AnomalyDetector, DetectionResult
 from .update import (
-    IncrementalUpdater,
-    UpdateDecision,
     hidden_set_similarity,
     merge_models,
     retrain_model,
@@ -38,8 +36,6 @@ __all__ = [
     "EpochRecord",
     "AnomalyDetector",
     "DetectionResult",
-    "IncrementalUpdater",
-    "UpdateDecision",
     "hidden_set_similarity",
     "merge_models",
     "retrain_model",

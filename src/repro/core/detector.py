@@ -25,6 +25,10 @@ from .scoring import (
 
 __all__ = ["DetectionResult", "AnomalyDetector"]
 
+#: Quantile of the presumed-normal scores that becomes ``T_a`` — one rule for
+#: the fit-time calibration and for every update-time re-calibration.
+CALIBRATION_QUANTILE = 0.98
+
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -166,7 +170,7 @@ class AnomalyDetector:
     # ------------------------------------------------------------------ #
     # Threshold calibration
     # ------------------------------------------------------------------ #
-    def calibrate(self, batch: SequenceBatch, quantile: float = 0.98) -> float:
+    def calibrate(self, batch: SequenceBatch, quantile: float = CALIBRATION_QUANTILE) -> float:
         """Calibrate the anomaly threshold ``T_a`` from (normal) training data.
 
         The paper selects the optimal threshold per dataset by sweeping
@@ -177,7 +181,7 @@ class AnomalyDetector:
         """
         return self._derive_threshold(batch, quantile, honour_config=True)
 
-    def recalibrate(self, batch: SequenceBatch, quantile: float = 0.98) -> float:
+    def recalibrate(self, batch: SequenceBatch, quantile: float = CALIBRATION_QUANTILE) -> float:
         """Re-derive ``T_a`` from fresh presumed-normal data.
 
         This is the online-maintenance twin of :meth:`calibrate`: after an

@@ -1,31 +1,31 @@
-"""AOVLIS facade: the end-to-end anomaly detection system of the paper.
+"""AOVLIS facade: fit and score the paper's detector as one frozen model.
 
 :class:`AOVLIS` ties the pieces together behind a small public API:
 
 * feature extraction (optional — users can also pass pre-extracted
   :class:`~repro.features.pipeline.StreamFeatures`);
 * CLSTM training on the normal segments of a training stream;
-* REIA scoring and thresholded detection on test streams;
-* incremental model maintenance over incoming stream chunks.
+* REIA scoring and thresholded detection on test streams.
 
 It implements :class:`~repro.core.base.StreamAnomalyDetector`, so the
-evaluation harness treats it exactly like the baselines.
+evaluation harness treats it exactly like the baselines.  The model it fits
+stays as fitted: the incremental-update loop of Section IV-D (Fig. 5) runs in
+:class:`repro.runtime.Runtime`, the assembled serving system, and nowhere else.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..features.pipeline import FeaturePipeline, StreamFeatures
 from ..streams.events import SocialVideoStream
-from ..utils.config import DetectionConfig, TrainingConfig, UpdateConfig
+from ..utils.config import DetectionConfig, TrainingConfig
 from .base import ScoredStream, StreamAnomalyDetector
 from .clstm import CLSTM, CouplingMode
 from .detector import AnomalyDetector, DetectionResult
 from .training import CLSTMTrainer, TrainingHistory
-from .update import IncrementalUpdater, UpdateDecision
 
 __all__ = ["AOVLIS"]
 
@@ -42,7 +42,7 @@ class AOVLIS(StreamAnomalyDetector):
     coupling:
         ``"both"`` for the full CLSTM (default), ``"influencer_to_audience"``
         for CLSTM-S, ``"none"`` for two uncoupled LSTMs.
-    training / detection / update:
+    training / detection:
         Configuration dataclasses; sensible paper defaults are used when
         omitted.
     pipeline:
@@ -64,7 +64,6 @@ class AOVLIS(StreamAnomalyDetector):
         coupling: CouplingMode = "both",
         training: TrainingConfig | None = None,
         detection: DetectionConfig | None = None,
-        update: UpdateConfig | None = None,
         pipeline: FeaturePipeline | None = None,
         seed: int = 0,
     ) -> None:
@@ -76,13 +75,11 @@ class AOVLIS(StreamAnomalyDetector):
         self.coupling = coupling
         self.training_config = training if training is not None else TrainingConfig()
         self.detection_config = detection if detection is not None else DetectionConfig()
-        self.update_config = update if update is not None else UpdateConfig()
         self.pipeline = pipeline
         self.seed = seed
 
         self.model: Optional[CLSTM] = None
         self.detector: Optional[AnomalyDetector] = None
-        self.updater: Optional[IncrementalUpdater] = None
         self.history: Optional[TrainingHistory] = None
         if coupling == "influencer_to_audience":
             self.name = "CLSTM-S"
@@ -116,14 +113,6 @@ class AOVLIS(StreamAnomalyDetector):
 
         self.detector = AnomalyDetector(self.model, self.detection_config)
         self.detector.calibrate(normal)
-
-        self.updater = IncrementalUpdater(
-            self.model,
-            sequence_length=self.sequence_length,
-            update_config=self.update_config,
-            training_config=self.training_config,
-        )
-        self.updater.initialise_history(features)
         return self
 
     def fit_stream(self, stream: SocialVideoStream) -> "AOVLIS":
@@ -152,18 +141,6 @@ class AOVLIS(StreamAnomalyDetector):
         """Convenience: extract features from a raw stream and detect anomalies."""
         return self.detect(self._extract(stream))
 
-    # ------------------------------------------------------------------ #
-    # Dynamic maintenance
-    # ------------------------------------------------------------------ #
-    def process_incoming(self, features: StreamFeatures) -> List[UpdateDecision]:
-        """Run the incremental-update logic over an incoming stream chunk."""
-        self._require_fitted()
-        return self.updater.process_chunk(features)
-
-    def process_incoming_stream(self, stream: SocialVideoStream) -> List[UpdateDecision]:
-        """Convenience wrapper of :meth:`process_incoming` for raw streams."""
-        return self.process_incoming(self._extract(stream))
-
     @property
     def anomaly_threshold(self) -> Optional[float]:
         """The calibrated anomaly threshold T_a (None before fitting)."""
@@ -181,4 +158,4 @@ class AOVLIS(StreamAnomalyDetector):
 
     def _require_fitted(self) -> None:
         if self.model is None or self.detector is None:
-            raise RuntimeError("AOVLIS must be fitted before scoring or updating")
+            raise RuntimeError("AOVLIS must be fitted before scoring")

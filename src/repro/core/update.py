@@ -2,18 +2,32 @@
 
 Long live streams drift: the influencer's presentation style evolves and what
 used to excite the audience stops doing so.  The paper keeps the CLSTM fresh
-with an *incremental* update scheme (Fig. 5):
+with an *incremental* update scheme (Fig. 5).  The loop itself runs in one
+place, the serving runtime (:class:`repro.runtime.Runtime`); each step below
+names where:
 
 1. every incoming segment is pushed through the current model to obtain its
-   ``LSTM_I`` hidden state ``h_i``;
+   ``LSTM_I`` hidden state ``h_i`` — ``ScoringService._score_requests``
+   (:mod:`repro.serving.service`) takes it from the same fused forward that
+   scores the segment;
 2. segments whose normalised audience interaction is below a threshold ``T``
-   are presumed normal and buffered (both the segment and its hidden state);
+   (by default the running mean of the observed levels) are presumed normal
+   and buffered, segment and hidden state — ``ScoringService._observe_hidden``;
 3. once the hidden-state buffer ``S_n`` reaches its maximal length ``l_s`` the
-   drift trigger compares it with the historical hidden states ``S_h`` using
-   the mean pairwise cosine similarity (Eq. 17);
+   drift trigger compares it with the historical hidden states ``S_h``
+   (Eq. 17, :func:`hidden_set_similarity`) and the history set absorbs the
+   buffer — ``ScoringService._drift_check``;
 4. if the similarity is above ``tau_u`` the model is kept; otherwise a new
-   CLSTM is trained on the buffered segments and *merged* with the previous
-   model, and the history set absorbs the buffer.
+   CLSTM is trained on the buffered segments (:func:`train_incremental`),
+   *merged* with the previous model (:func:`merge_models`), ``T_a`` is
+   re-derived and the result is published —
+   ``UpdatePlane.handle_trigger`` (:mod:`repro.serving.maintenance`).
+
+This module holds the pieces that loop shares — the drift statistic, the
+short-budget training config, the retrain and the merge — and
+:func:`retrain_model`, the full re-training baseline of Table III.  There is
+no offline update path: what Table III and the ledger's ``drift_update``
+measure is the code the server runs.
 
 The merge operation is a convex combination of the two models' parameters,
 which realises the paper's ``merge(CLSTM_new, CLSTM_{t-1})`` while keeping the
@@ -23,8 +37,8 @@ alternative benchmarked in Table III and Section VI-C.6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import List
 
 import numpy as np
 
@@ -36,12 +50,11 @@ from .clstm import CLSTM
 from .training import CLSTMTrainer
 
 __all__ = [
-    "UpdateDecision",
     "hidden_set_similarity",
     "merge_models",
     "incremental_training_config",
     "train_incremental",
-    "IncrementalUpdater",
+    "retrain_model",
 ]
 
 
@@ -53,9 +66,8 @@ def incremental_training_config(
     Incremental updates train fewer epochs on much less data; everything else
     (including ``tbptt_window`` — the truncated BPTT that keeps per-retrain
     cost O(window) instead of O(sequence length))
-    is inherited from ``base`` via :func:`dataclasses.replace`.  Shared by
-    the offline :class:`IncrementalUpdater` and the in-service
-    :class:`~repro.serving.maintenance.UpdatePlane`.
+    is inherited from ``base`` via :func:`dataclasses.replace`.  Used by the
+    in-service :class:`~repro.serving.maintenance.UpdatePlane`.
     """
     base = base if base is not None else TrainingConfig()
     return replace(
@@ -75,16 +87,6 @@ def train_incremental(base: CLSTM, batch: SequenceBatch, config: TrainingConfig,
     new_model = base.clone_architecture(seed=seed)
     CLSTMTrainer(new_model, config).fit(batch, curves=False)
     return new_model
-
-
-@dataclass(frozen=True)
-class UpdateDecision:
-    """Outcome of one drift check."""
-
-    triggered: bool
-    similarity: float
-    buffered_segments: int
-    update_seconds: float = 0.0
 
 
 def _mean_unit(matrix: np.ndarray) -> np.ndarray:
@@ -155,136 +157,6 @@ def merge_models(previous: CLSTM, new: CLSTM, new_weight: float = 0.5) -> CLSTM:
     return merged
 
 
-class IncrementalUpdater:
-    """Streaming maintenance of a CLSTM, implementing Fig. 5 of the paper."""
-
-    def __init__(
-        self,
-        model: CLSTM,
-        sequence_length: int,
-        update_config: UpdateConfig | None = None,
-        training_config: TrainingConfig | None = None,
-    ) -> None:
-        self.model = model
-        self.sequence_length = sequence_length
-        self.config = update_config if update_config is not None else UpdateConfig()
-        self.training_config = incremental_training_config(training_config, self.config)
-        self._historical_hidden: Optional[np.ndarray] = None
-        self._buffer_action: List[np.ndarray] = []
-        self._buffer_interaction: List[np.ndarray] = []
-        self._buffer_hidden: List[np.ndarray] = []
-        self.decisions: List[UpdateDecision] = []
-        self.updates_performed = 0
-        self.total_update_seconds = 0.0
-
-    # ------------------------------------------------------------------ #
-    # Initialisation
-    # ------------------------------------------------------------------ #
-    def initialise_history(self, features: StreamFeatures) -> None:
-        """Seed the historical hidden-state set ``S_h`` from the training stream."""
-        batch = features.sequences(self.sequence_length)
-        if len(batch) == 0:
-            raise ValueError("training features are too short to build hidden states")
-        self._historical_hidden = self.model.hidden_states(
-            batch.action_sequences, batch.interaction_sequences
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streaming update
-    # ------------------------------------------------------------------ #
-    def process_chunk(self, features: StreamFeatures) -> List[UpdateDecision]:
-        """Feed a chunk of incoming stream features through the update logic.
-
-        The chunk is processed segment-sequence by segment-sequence: presumed
-        normal sequences are buffered and the drift check runs whenever the
-        buffer is full, exactly as in the paper's algorithm.
-        """
-        if self._historical_hidden is None:
-            raise RuntimeError("call initialise_history() before processing incoming data")
-        batch = features.sequences(self.sequence_length)
-        if len(batch) == 0:
-            return []
-        hidden_states = self.model.hidden_states(batch.action_sequences, batch.interaction_sequences)
-        interaction_level = features.normalised_interaction[batch.target_indices]
-        threshold = self._interaction_threshold(features)
-
-        decisions: List[UpdateDecision] = []
-        for position in range(len(batch)):
-            if interaction_level[position] < threshold:
-                self._buffer_action.append(batch.action_sequences[position])
-                self._buffer_interaction.append(batch.interaction_sequences[position])
-                self._buffer_hidden.append(hidden_states[position])
-            if len(self._buffer_hidden) >= self.config.buffer_size:
-                decisions.append(self._maybe_update(batch, position))
-        self.decisions.extend(decisions)
-        return decisions
-
-    def flush(self) -> Optional[UpdateDecision]:
-        """Force a drift check on whatever is currently buffered."""
-        if not self._buffer_hidden:
-            return None
-        decision = self._maybe_update(None, None)
-        self.decisions.append(decision)
-        return decision
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _interaction_threshold(self, features: StreamFeatures) -> float:
-        if self.config.interaction_threshold is not None:
-            return self.config.interaction_threshold
-        # Paper: T is the average normalised audience interaction of the
-        # previous time slot; over a chunk we use the chunk mean.
-        if features.normalised_interaction.size == 0:
-            return 0.5
-        return float(features.normalised_interaction.mean())
-
-    def _maybe_update(self, batch, position) -> UpdateDecision:
-        incoming_hidden = np.stack(self._buffer_hidden, axis=0)
-        similarity = hidden_set_similarity(
-            self._historical_hidden, incoming_hidden, statistic=self.config.drift_statistic
-        )
-        triggered = similarity <= self.config.drift_threshold
-        elapsed = 0.0
-        if triggered:
-            stopwatch = Stopwatch().start()
-            self._train_and_merge()
-            elapsed = stopwatch.stop()
-            self.updates_performed += 1
-            self.total_update_seconds += elapsed
-        # History absorbs the incoming hidden states either way (line 14 of Fig. 5).
-        self._historical_hidden = np.concatenate([self._historical_hidden, incoming_hidden], axis=0)
-        decision = UpdateDecision(
-            triggered=triggered,
-            similarity=similarity,
-            buffered_segments=len(self._buffer_hidden),
-            update_seconds=elapsed,
-        )
-        self._buffer_action.clear()
-        self._buffer_interaction.clear()
-        self._buffer_hidden.clear()
-        return decision
-
-    def _train_and_merge(self) -> None:
-        action = np.stack(self._buffer_action, axis=0)
-        interaction = np.stack(self._buffer_interaction, axis=0)
-        # The buffered sequences already have (q, d) shape; their targets are
-        # the last element of each window's successor, so we rebuild targets
-        # from the buffered windows by predicting the window's own last step.
-        batch = SequenceBatch(
-            action_sequences=action[:, :-1, :] if action.shape[1] > 1 else action,
-            interaction_sequences=interaction[:, :-1, :] if interaction.shape[1] > 1 else interaction,
-            action_targets=action[:, -1, :],
-            interaction_targets=interaction[:, -1, :],
-            target_indices=np.arange(action.shape[0], dtype=np.int64),
-        )
-        new_model = train_incremental(
-            self.model, batch, self.training_config, seed=self.updates_performed + 1
-        )
-        merged = merge_models(self.model, new_model, new_weight=self.config.merge_weight)
-        self.model.load_state_dict(merged.state_dict())
-
-
 def retrain_model(
     model: CLSTM,
     all_features: List[StreamFeatures],
@@ -307,5 +179,3 @@ def retrain_model(
     elapsed = stopwatch.stop()
     return fresh, elapsed
 
-
-__all__.append("retrain_model")

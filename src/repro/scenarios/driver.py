@@ -22,10 +22,10 @@ import numpy as np
 
 from ..evaluation.harness import ExperimentScale
 from ..features.pipeline import FeaturePipeline
-from ..runtime import Runtime, RuntimeConfig
+from ..runtime import Runtime
 from ..serving.service import ManualClock, StreamDetection
 from ..streams.datasets import dataset_profile
-from ..utils.config import ModelConfig, ServingConfig, StreamProtocol
+from ..utils.config import ServingConfig, StreamProtocol
 from .config import ScenarioConfig
 from .generate import generate_scenario
 
@@ -91,18 +91,9 @@ def drive_runtime(
     train_features = pipeline.extract(streams.train)
     test_features = pipeline.extract(streams.test)
 
-    runtime_config = RuntimeConfig(
-        model=ModelConfig(
-            action_dim=train_features.action_dim,
-            interaction_dim=train_features.interaction_dim,
-            action_hidden=scale.action_hidden,
-            interaction_hidden=scale.interaction_hidden,
-        ),
-        training=scale.training_config(),
-        detection=scale.detection_config(),
+    runtime_config = scale.runtime_config(
+        train_features,
         serving=ServingConfig(max_batch_size=4, max_batch_delay_ms=2_000.0),
-        sequence_length=scale.sequence_length,
-        seed=scale.seed,
         enable_updates=enable_updates,
     )
     clock = ManualClock()

@@ -13,7 +13,8 @@ it consumes each drift trigger together with the service's drained
 presumed-normal sample buffer and
 
 1. trains a fresh CLSTM on the buffered windows through the fused training
-   engine (same short-budget config as the offline updater);
+   engine (the short-budget config of
+   :func:`~repro.core.update.incremental_training_config`);
 2. merges it with the currently published model
    (``merge(CLSTM_new, CLSTM_{t-1})``, convex parameter combination);
 3. re-calibrates the anomaly threshold ``T_a`` by scoring the buffer through
@@ -93,9 +94,6 @@ class UpdatePlane:
     training_config:
         Base training configuration the short update budget is derived from
         (fused-engine switch, learning rate, losses...).
-    recalibration_quantile:
-        Quantile of the buffered-sample scores that becomes the new ``T_a``
-        (matches :meth:`AnomalyDetector.calibrate`'s default practice).
     """
 
     def __init__(
@@ -103,14 +101,10 @@ class UpdatePlane:
         registry: ModelRegistry,
         update_config: Optional[UpdateConfig] = None,
         training_config: Optional[TrainingConfig] = None,
-        recalibration_quantile: float = 0.98,
     ) -> None:
-        if not 0.0 < recalibration_quantile < 1.0:
-            raise ValueError("recalibration_quantile must be in (0, 1)")
         self.registry = registry
         self.update_config = update_config if update_config is not None else UpdateConfig()
         self.training_config = incremental_training_config(training_config, self.update_config)
-        self.recalibration_quantile = recalibration_quantile
         self.reports: List[UpdateReport] = []
         self.total_update_seconds = 0.0
         self._restored_updates = 0
@@ -232,4 +226,4 @@ class UpdatePlane:
         if config.threshold is not None:
             return float(config.threshold)
         probe = AnomalyDetector(merged, config)
-        return probe.recalibrate(batch, quantile=self.recalibration_quantile)
+        return probe.recalibrate(batch)

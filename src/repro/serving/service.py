@@ -149,10 +149,10 @@ class StreamDetection:
 class UpdateTrigger:
     """Drift signal emitted when the buffered hidden states diverge.
 
-    Mirrors :class:`~repro.core.update.UpdateDecision`: ``similarity`` is the
-    mean pairwise cosine between historical and buffered hidden states
-    (Eq. 17), and the trigger fires when it drops to ``drift_threshold`` or
-    below.  ``stream_ids`` lists the streams that contributed buffered
+    ``similarity`` is the configured ``UpdateConfig.drift_statistic`` between
+    the historical and buffered hidden states (Eq. 17's mean pairwise cosine
+    by default), and the trigger fires when it drops to ``drift_threshold``
+    or below.  ``stream_ids`` lists the streams that contributed buffered
     segments — deduplicated and sorted, so the tuple is deterministic
     regardless of buffer insertion order.
     """
@@ -403,7 +403,7 @@ class ScoringService:
         most recent ``max_history`` rows are kept after each absorption
         (Eq. 17 compares mean unit vectors, so a recency window changes the
         comparison set, not the statistic).  ``None`` is paper-faithful:
-        the history grows without bound, like the offline updater's.
+        the history grows without bound.
     registry:
         A :class:`ModelRegistry` with at least one published snapshot; the
         service pins its latest version once per micro-batch.  Mutually

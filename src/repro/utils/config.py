@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
@@ -446,6 +447,22 @@ class UpdateConfig(ConfigBase):
     """Interpolation weight applied to the new model when merging with the old."""
 
     def __post_init__(self) -> None:
+        # Outside input (deployment JSON, checkpoint manifest): unchecked, each
+        # of these raises on the scoring path instead, mid-serving.
+        if self.buffer_size < 1:
+            raise ValueError(f"UpdateConfig.buffer_size must be positive, got {self.buffer_size}")
+        if self.update_epochs < 1:
+            raise ValueError(
+                f"UpdateConfig.update_epochs must be positive, got {self.update_epochs}"
+            )
+        if not 0.0 <= self.merge_weight <= 1.0:
+            raise ValueError(
+                f"UpdateConfig.merge_weight must be in [0, 1], got {self.merge_weight}"
+            )
+        for name in ("drift_threshold", "interaction_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"UpdateConfig.{name} must be finite, got {value}")
         if self.drift_statistic not in ("cosine", "centered"):
             raise ValueError(
                 f"UpdateConfig.drift_statistic must be 'cosine' or 'centered', "

@@ -35,7 +35,6 @@ EXPECTED_REPRO_ALL = sorted(
         "ExperimentScale",
         "FeaturePipeline",
         "FilteredDetector",
-        "IncrementalUpdater",
         "LSTMOnlyDetector",
         "LTRDetector",
         "MicroBatcher",

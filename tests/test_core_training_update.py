@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.clstm import CLSTM
+from repro.core.detector import AnomalyDetector
 from repro.core.model import AOVLIS
 from repro.core.training import CLSTMTrainer, TrainingHistory
-from repro.core.update import (
-    IncrementalUpdater,
-    hidden_set_similarity,
-    merge_models,
-    retrain_model,
-)
+from repro.core.update import hidden_set_similarity, merge_models, retrain_model
 from repro.core.variants import CLSTMSingleCouplingDetector, LSTMOnlyDetector, make_clstm_variant
 from repro.features.sequences import build_sequences
+from repro.serving import ScoringService, replay_streams
 from repro.utils.config import TrainingConfig, UpdateConfig
 
 
@@ -139,51 +136,8 @@ class TestDriftAndMerge:
 
 
 class TestIncrementalUpdater:
-    def test_drift_triggers_update_and_changes_model(self, tiny_train_test):
-        train, test = tiny_train_test
-        model = AOVLIS(
-            sequence_length=4,
-            action_hidden=12,
-            interaction_hidden=6,
-            training=TrainingConfig(epochs=2, batch_size=16, checkpoint_every=1),
-            update=UpdateConfig(buffer_size=10, drift_threshold=0.999, update_epochs=1),
-        )
-        model.fit(train)
-        before = model.model.state_dict()
-        decisions = model.process_incoming(test)
-        assert decisions, "buffer should have filled at least once"
-        assert any(d.triggered for d in decisions)
-        after = model.model.state_dict()
-        changed = any(not np.allclose(before[k], after[k]) for k in before)
-        assert changed
-
-    def test_no_update_when_similarity_high(self, tiny_train_test):
-        train, test = tiny_train_test
-        model = AOVLIS(
-            sequence_length=4,
-            action_hidden=12,
-            interaction_hidden=6,
-            training=TrainingConfig(epochs=2, batch_size=16, checkpoint_every=1),
-            update=UpdateConfig(buffer_size=10, drift_threshold=-1.0, update_epochs=1),
-        )
-        model.fit(train)
-        decisions = model.process_incoming(test)
-        assert decisions
-        assert not any(d.triggered for d in decisions)
-
-    def test_updater_requires_history(self, tiny_train_test):
-        train, _ = tiny_train_test
-        model = CLSTM(action_dim=train.action_dim, interaction_dim=train.interaction_dim)
-        updater = IncrementalUpdater(model, sequence_length=4)
-        with pytest.raises(RuntimeError):
-            updater.process_chunk(train)
-
-    def test_flush_on_empty_buffer_returns_none(self, tiny_train_test):
-        train, _ = tiny_train_test
-        model = CLSTM(action_dim=train.action_dim, interaction_dim=train.interaction_dim)
-        updater = IncrementalUpdater(model, sequence_length=4)
-        updater.initialise_history(train)
-        assert updater.flush() is None
+    """The Table III baseline; the update loop itself is tested where it runs
+    (``test_online_runtime.py``, ``test_serving.py``)."""
 
     def test_retrain_model_returns_fresh_model_and_time(self, tiny_train_test):
         train, test = tiny_train_test
@@ -246,7 +200,6 @@ class TestAOVLISFacade:
         model, train, _ = fitted
         assert model.model is not None
         assert model.detector is not None
-        assert model.updater is not None
         assert model.history is not None
         assert model.anomaly_threshold is not None
 
@@ -354,26 +307,28 @@ class TestCenteredDriftStatistic:
         with pytest.raises(ValueError, match="drift_statistic"):
             UpdateConfig(drift_statistic="bogus")
 
-    def test_updater_consumes_the_configured_statistic(self, tiny_train_test):
-        """``UpdateConfig.drift_statistic`` reaches Eq. 17: two updaters on
-        the same model and data report different similarities when the
-        statistic differs (drift_threshold=-1 keeps both from retraining,
-        so the buffers they compare stay identical)."""
+    def test_served_monitor_consumes_the_configured_statistic(self, tiny_train_test):
+        """``UpdateConfig.drift_statistic`` reaches the served Eq. 17: two
+        scoring services on the same model and stream emit different
+        ``UpdateTrigger.similarity`` series when the statistic differs.  No
+        update plane, so the buffers they compare stay identical, and
+        drift_threshold=2.0 makes every full buffer a trigger."""
         train, test = tiny_train_test
+        model = CLSTM(action_dim=train.action_dim, interaction_dim=train.interaction_dim, seed=0)
+        history = train.sequences(4)
+        historical = model.hidden_states(history.action_sequences, history.interaction_sequences)
 
         def similarities(statistic):
-            model = CLSTM(
-                action_dim=train.action_dim, interaction_dim=train.interaction_dim, seed=0
-            )
-            updater = IncrementalUpdater(
-                model,
+            service = ScoringService(
+                AnomalyDetector(model, threshold=0.5),
                 sequence_length=4,
                 update_config=UpdateConfig(
-                    buffer_size=10, drift_threshold=-1.0, drift_statistic=statistic
+                    buffer_size=10, drift_threshold=2.0, drift_statistic=statistic
                 ),
+                historical_hidden=historical,
             )
-            updater.initialise_history(train)
-            return [d.similarity for d in updater.process_chunk(test)]
+            replay_streams(service, {"tiny-test": test})
+            return [trigger.similarity for trigger in service.update_triggers]
 
         cosine = similarities("cosine")
         centered = similarities("centered")

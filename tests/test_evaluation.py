@@ -220,6 +220,13 @@ class TestHarness:
         result = tiny_harness.incremental_update_experiment("INF", chunks=2)
         assert set(result) == {"incremental", "retraining"}
         assert result["retraining"]["maintenance_seconds"] > 0
+        # The incremental arm is the served loop; it must actually have run.
+        assert result["incremental"]["updates"] >= 1
+        assert result["incremental"]["maintenance_seconds"] > 0
+        again = tiny_harness.incremental_update_experiment("INF", chunks=2)
+        for arm in ("incremental", "retraining"):
+            assert again[arm]["auroc"] == result[arm]["auroc"]
+        assert again["incremental"]["updates"] == result["incremental"]["updates"]
         with pytest.raises(ValueError):
             tiny_harness.incremental_update_experiment("INF", chunks=1)
 

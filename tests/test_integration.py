@@ -10,6 +10,9 @@ from repro import (
     FeaturePipeline,
     FilteredDetector,
     LTRDetector,
+    ModelConfig,
+    Runtime,
+    RuntimeConfig,
     auroc,
     load_dataset,
 )
@@ -35,7 +38,6 @@ def trained_aovlis(inf_dataset):
         action_hidden=16,
         interaction_hidden=8,
         training=TrainingConfig(epochs=6, batch_size=16, checkpoint_every=2, seed=1),
-        update=UpdateConfig(buffer_size=15, drift_threshold=0.5, update_epochs=1),
     )
     model.fit(train)
     return model
@@ -76,13 +78,35 @@ class TestEndToEnd:
         )
         assert filtered.filtering_power() > 0.0
 
-    def test_incremental_update_keeps_detection_working(self, inf_dataset, trained_aovlis):
-        _, test, _ = inf_dataset
-        half = test.num_segments // 2
-        trained_aovlis.process_incoming(test.subset(0, half))
-        labels, scores = trained_aovlis.evaluate_labels(test.subset(half, test.num_segments))
-        if labels.sum() and (labels == 0).sum():
-            assert auroc(labels, scores) > 0.5
+    def test_incremental_update_keeps_detection_working(self, inf_dataset):
+        """The served Fig. 5 loop end to end: a runtime with updates on replays
+        the first half of the test stream, publishes at least one merged
+        version, and that version still detects on the second half."""
+        train, test, _ = inf_dataset
+        config = RuntimeConfig(
+            model=ModelConfig(
+                action_dim=train.action_dim,
+                interaction_dim=train.interaction_dim,
+                action_hidden=16,
+                interaction_hidden=8,
+            ),
+            training=TrainingConfig(epochs=6, batch_size=16, checkpoint_every=2, seed=1),
+            # drift_threshold=2.0: every full buffer triggers an update.
+            update=UpdateConfig(buffer_size=15, drift_threshold=2.0, update_epochs=1),
+            sequence_length=5,
+        )
+        runtime = Runtime.from_config(config).fit(train)
+        try:
+            half = test.num_segments // 2
+            runtime.replay({"live": test.subset(0, half)})
+            assert runtime.model_version > 1
+            second = test.subset(half, test.num_segments)
+            result = runtime.detector.score(second.sequences(config.sequence_length))
+        finally:
+            runtime.close()
+        labels = second.labels[result.segment_indices]
+        assert labels.sum() and (labels == 0).sum()
+        assert auroc(labels, result.scores) > 0.5
 
     def test_checkpoint_roundtrip_preserves_scores(self, inf_dataset, trained_aovlis, tmp_path):
         from repro import nn

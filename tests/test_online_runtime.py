@@ -315,8 +315,6 @@ class TestUpdatePlane:
     def test_validation(self):
         registry = ModelRegistry(DetectionConfig(omega=0.8))
         registry.publish(make_model(), 0.2)
-        with pytest.raises(ValueError):
-            UpdatePlane(registry, recalibration_quantile=1.2)
         plane = UpdatePlane(registry, update_config=update_config())
         trigger = UpdateTrigger(
             segment_index=0, similarity=0.0, buffered_segments=0, stream_ids=()

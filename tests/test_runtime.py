@@ -117,6 +117,14 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError, match="RuntimeConfig.*unknown field"):
             RuntimeConfig.from_dict({"modle": {}})
 
+    @pytest.mark.parametrize(
+        "update, field",
+        [({"buffer_size": 0}, "buffer_size"), ({"merge_weight": 1.5}, "merge_weight")],
+    )
+    def test_manifest_with_unservable_update_section_refused(self, update, field):
+        with pytest.raises(ValueError, match=rf"UpdateConfig\.{field}"):
+            RuntimeConfig.from_dict({"update": update})
+
     def test_coupling_validated(self):
         with pytest.raises(ValueError, match="RuntimeConfig.coupling"):
             RuntimeConfig(coupling="sideways")

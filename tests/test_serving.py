@@ -253,6 +253,8 @@ class TestScoringService:
         )
         replay_streams(service, {"capped": features})
         assert len(service._historical_hidden) <= 12
+        # No similarity is <= -1.0: the buffers were checked and none triggered.
+        assert not service.update_triggers
 
     def test_validation(self, calibrated_detector):
         with pytest.raises(ValueError):

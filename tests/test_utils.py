@@ -142,6 +142,37 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="epochs"):
             TrainingConfig.from_dict({"epochs": 0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("buffer_size", 0),
+            ("buffer_size", -3),
+            ("update_epochs", 0),
+            ("merge_weight", 1.5),
+            ("merge_weight", -0.1),
+            ("merge_weight", float("nan")),
+            ("drift_threshold", float("nan")),
+            ("drift_threshold", float("inf")),
+            ("interaction_threshold", float("nan")),
+        ],
+    )
+    def test_update_config_rejects_values_that_crash_the_scoring_path(self, field, value):
+        """Each of these used to pass construction and raise mid-serving —
+        from the drift check on an empty buffer, or from ``merge_models``
+        after a full retrain."""
+        with pytest.raises(ValueError, match=rf"UpdateConfig\.{field}"):
+            UpdateConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"UpdateConfig\.{field}"):
+            UpdateConfig.from_dict({field: value})
+
+    def test_update_config_keeps_drift_threshold_range_open(self):
+        # -1.0 (never trigger), 2.0 (always trigger) and the endpoints of the
+        # merge are all in use by tests and examples.
+        for threshold in (-1.0, 0.9995, 2.0):
+            assert UpdateConfig(drift_threshold=threshold).drift_threshold == threshold
+        assert UpdateConfig(merge_weight=0.0).merge_weight == 0.0
+        assert UpdateConfig(merge_weight=1.0, buffer_size=1, update_epochs=1).merge_weight == 1.0
+
     def test_int_promoted_to_float_fields(self):
         config = ServingConfig.from_dict({"max_batch_delay_ms": 5})
         assert config.max_batch_delay_ms == 5.0
