@@ -47,7 +47,6 @@ from ..nn.backprop import (
     weighted_loss_grad,
 )
 from ..nn.fused import (
-    GateInputs,
     coupled_pair_forward_fused,
     coupled_pair_forward_gated,
     fused_cache_fresh,
@@ -118,6 +117,32 @@ def _float32_linear_weights(layer) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     bias32 = bias.astype(np.float32) if bias is not None else None
     layer._f32_cache = (weight, bias, weight32, bias32)
     return weight32, bias32
+
+
+def _decode(head, hidden: np.ndarray) -> np.ndarray:
+    """One decoder head evaluated directly on arrays, at ``hidden``'s precision.
+
+    ``head`` is a ``Linear`` or a ``Sequential(Linear, SoftmaxHead)``; the
+    expressions are the ones those modules evaluate (``x @ W + b``, then the
+    tape's stable softmax), so at float64 the result is bitwise the modules'
+    own, without a tape node.  At float32 the weights are cached single-
+    precision copies, keeping the whole pass single precision end to end.
+    """
+    softmax = not isinstance(head, nn.Linear)
+    if softmax and not is_softmax_head(head):
+        raise TypeError(
+            "fused inference evaluates Linear and Sequential(Linear, SoftmaxHead) "
+            f"decoders, got {head!r}"
+        )
+    layer = list(head)[0] if softmax else head
+    if hidden.dtype == np.float32:
+        weight, bias = _float32_linear_weights(layer)
+    else:
+        weight, bias = layer.weight.data, (layer.bias.data if layer.bias is not None else None)
+    out = hidden @ weight
+    if bias is not None:
+        out += bias
+    return softmax_forward(out) if softmax else out
 
 
 class CLSTM(nn.Module):
@@ -250,9 +275,10 @@ class CLSTM(nn.Module):
         """Backend/dtype keywords of one fused-kernel call."""
         return {"backend": self.backend, "dtype": resolve_dtype(self._effective_precision(precision))}
 
-    def gate_inputs(self, windows, precision: Optional[str] = None) -> GateInputs:
-        """Gate inputs of a serving batch of :class:`~repro.nn.fused.Segment`
-        windows: each segment projected once per weight variant, then gathered."""
+    def gate_inputs(self, windows, precision: Optional[str] = None) -> np.ndarray:
+        """Joint gate inputs ``(B, q, 4·h1 + 4·h2)`` of a serving batch of
+        :class:`~repro.nn.fused.Segment` windows: each segment projected once
+        per pair of weight variants, then gathered."""
         cells = (self.lstm_influencer, self.lstm_audience)
         return gather_gate_inputs(*cells, windows, **self._kernel(precision))
 
@@ -266,7 +292,7 @@ class CLSTM(nn.Module):
 
         With ``interaction_sequences`` omitted, ``action_sequences`` is a
         serving batch: segment windows (projected through the per-segment
-        cache here) or :class:`~repro.nn.fused.GateInputs` gathered already.
+        cache) or their gate inputs gathered already (:meth:`gate_inputs`).
 
         Always returns *host* arrays — this is the detection-side half of the
         host↔device boundary (``to_host`` is a no-copy pass-through on the
@@ -274,10 +300,9 @@ class CLSTM(nn.Module):
         """
         cells = (self.lstm_influencer, self.lstm_audience)
         if interaction_sequences is None:
-            gates = action_sequences
-            if not isinstance(gates, GateInputs):
-                gates = self.gate_inputs(gates, precision)
-            final_h, final_g = coupled_pair_forward_gated(*cells, gates, **self._kernel(precision))
+            final_h, final_g = coupled_pair_forward_gated(
+                *cells, action_sequences, **self._kernel(precision)
+            )
             return to_host(final_h), to_host(final_g)
         actions = np.asarray(
             action_sequences.data if isinstance(action_sequences, Tensor) else action_sequences,
@@ -305,35 +330,23 @@ class CLSTM(nn.Module):
         Returns ``(I_hat, A_hat, h, g)`` as NumPy arrays: both reconstructions
         plus both final hidden states, so callers that need reconstructions
         *and* drift-detection hidden states (the serving scheduler, the
-        incremental updater) pay for a single forward.  The serving path
-        passes its batch of segment windows (or pre-gathered gate inputs) as
+        update plane) pay for a single forward.  The serving path passes its
+        batch of segment windows (or pre-gathered gate inputs) as
         ``action_sequences`` alone; see :meth:`_fused_hidden`.
 
-        At ``float64`` (the default) only the recurrent sweep needs the fused
-        kernels; the decoder heads are a single layer each, so they run
-        through the real modules under ``no_grad`` (tape-free) and can never
-        drift from the training path.  At ``float32`` the decoders run
-        through cached single-precision weight copies instead (the Tensor
-        modules would silently upcast), keeping the whole pass single
-        precision end to end.
+        The decoder heads are a single layer each and are evaluated directly
+        on the final hidden states (:func:`_decode`), at whatever precision
+        the sweep ran in.
         """
-        effective = self._effective_precision(precision)
         final_h, final_g = self._fused_hidden(
-            action_sequences, interaction_sequences, precision=effective
+            action_sequences, interaction_sequences, precision=precision
         )
-        if effective != "float64" and self.supports_fused_training:
-            action_linear = list(self.decoder_action)[0]
-            w32, b32 = _float32_linear_weights(action_linear)
-            action_reconstruction = softmax_forward(final_h @ w32 + b32)
-            w32, b32 = _float32_linear_weights(self.decoder_interaction)
-            interaction_reconstruction = final_g @ w32
-            if b32 is not None:
-                interaction_reconstruction += b32
-            return action_reconstruction, interaction_reconstruction, final_h, final_g
-        with nn.no_grad():
-            action_reconstruction = self.decoder_action(Tensor(final_h)).numpy()
-            interaction_reconstruction = self.decoder_interaction(Tensor(final_g)).numpy()
-        return action_reconstruction, interaction_reconstruction, final_h, final_g
+        return (
+            _decode(self.decoder_action, final_h),
+            _decode(self.decoder_interaction, final_g),
+            final_h,
+            final_g,
+        )
 
     def predict(
         self,

@@ -11,29 +11,63 @@ module provides the inference fast path: array-namespace forwards that
   each time step costs one GEMM per recurrent input instead of four;
 * split the LSTM matmul cuDNN-style into a time-parallel input part and a
   sequential recurrent part.  The offline full-window entry projects the
-  whole ``(batch, time, features)`` input in one large GEMM up front; the
-  serving entry never re-projects a window — ``x_t·W_x + b`` depends only on
-  the segment and the weights, so each :class:`Segment` carries its own
-  gate-input rows, projected once per weight variant
-  (:func:`gather_gate_inputs`) and gathered into every window it appears in;
-* never allocate autograd nodes, so per-step overhead is a handful of ufunc
-  calls on ``(batch, 4H)`` arrays;
-* run their per-batch state entirely inside a pooled :class:`Workspace` of
-  preallocated buffers (``out=`` ufuncs and GEMMs), so steady-state serving
-  performs **zero large array allocations per batch** — only the final
-  hidden-state copies that escape to the caller are allocated;
+  whole ``(batch, time, features)`` input in one large GEMM per cell up
+  front; the serving entry never re-projects a window — ``x_t·W_x + b``
+  depends only on the segment and the weights, so each :class:`Segment`
+  carries **one joint gate-input row** for both cells, projected once per
+  pair of weight variants and gathered into every window it appears in
+  (:func:`gather_gate_inputs`);
+* run **one sweep for every cell of a batch** — one step routine
+  (:func:`_sweep`) under all three entry points, over the joint layout
+  below, so the activation passes and the state update run once over
+  ``(batch, H1 + H2)`` instead of once per cell;
+* never allocate autograd nodes, and run their per-batch state entirely
+  inside a pooled :class:`Workspace` of preallocated buffers (``out=`` ufuncs
+  and GEMMs), so steady-state serving performs **zero large array
+  allocations per batch** — only the final hidden-state copies that escape
+  to the caller are allocated;
 * resolve their array namespace through :mod:`repro.nn.backend`, so the same
   kernels run on NumPy (default) or CuPy unchanged, at ``float64`` (default)
   or opt-in ``float32`` compute precision.
 
+Joint layout
+------------
+With hidden sizes ``H1`` (influencer) and ``H2`` (audience), ``Hs = H1 + H2``
+(a plain LSTM is the one-cell case, ``Hs = H``):
+
+* a **gate-input row** is ``(4·Hs,)``, cell-major: the influencer's
+  ``x·W_x + b`` in stacked gate order ``[input, forget, cell, output]``
+  (``4·H1`` values) followed by the audience's (``4·H2``).  A batch of them
+  is the single ``(B, q, 4·Hs)`` array the sweep consumes — and the only
+  array the process executor ships per batch;
+* the **pre-activation** of a step is ``(B, 4·Hs)`` in the same column
+  order, so each cell's GEMMs write a column range of it through today's
+  stacked weights, unchanged in shape;
+* the **gates** of a step are gate-major, ``(4, B, Hs)``: each gate is one
+  contiguous ``(B, Hs)`` block holding the influencer's ``H1`` columns and
+  then the audience's.  One strided copy per cell moves the pre-activation
+  there; the sigmoid/tanh passes and ``c_t = i·ĉ + f·c_{t-1}``,
+  ``h_t = o·tanh(c_t)`` then run on contiguous joint blocks.  ``[h | g]``
+  and ``[c_i | c_a]`` are ``(B, Hs)``; each cell's state is a column view.
+
+A :class:`Workspace` holds exactly these buffers (plus a ``(B, 4·Hs)``
+output for the partner GEMMs and the input cast buffers of the reduced-
+precision host path) and the per-cell views into them, built once per shape.
+
 Numerical contract: on the default backend (NumPy, ``float64``) the kernels
 are **bitwise identical** to the pre-seam implementations frozen in
-``tests/frozen_kernels.py`` — the ``out=`` rewrite only reorders commutative
-additions and replaces allocation with in-place evaluation of the exact same
-expressions.  Against the per-timestep ``Tensor`` path the historical ≤1e-8
-equivalence continues to hold.  The ``float32`` path is tolerance-bounded
-against the ``float64`` oracle (:data:`repro.nn.backend.FLOAT32_RTOL` /
-:data:`~repro.nn.backend.FLOAT32_ATOL`).
+``tests/frozen_kernels.py``.  Every GEMM keeps the operand shapes and the
+``K`` order of the frozen kernels (only leading dimensions differ), every
+elementwise expression is evaluated as written there, and the three addends
+of a pre-activation keep their order ``(h·W_h + x_t·W_x) + g·W_p``.  Step 0
+of a sweep that starts from the zero state skips its recurrent GEMMs: with
+``h = g = 0`` every product is ``±0`` and every dot product sums to ``+0.0``
+(finite weights), so the frozen pre-activation is ``x_0 + 0.0`` — which is
+what the step evaluates, ``-0.0`` inputs included; a caller-supplied
+``state=`` never skips.  Against the per-timestep ``Tensor`` path the
+historical ≤1e-8 equivalence continues to hold.  The ``float32`` path is
+tolerance-bounded against the ``float64`` oracle
+(:data:`repro.nn.backend.FLOAT32_RTOL` / :data:`~repro.nn.backend.FLOAT32_ATOL`).
 
 Layout convention: gate columns are ordered ``[input, forget, cell, output]``
 in every stacked matrix, and the stacked weight rows follow the cells'
@@ -42,9 +76,8 @@ for :class:`CoupledLSTMCell`).
 
 Workspace lifetime rules
 ------------------------
-Workspaces are keyed by ``(kind, batch, time, sizes, backend, dtype,
-thread)`` and attached to the (anchor) cell object, like the fused-weight
-cache.  A published model snapshot owns fresh cell objects, so a hot swap
+Workspaces are keyed by ``(batch, time, sizes, backend, dtype, thread)``
+and attached to the (anchor) cell object, like the fused-weight cache.  A published model snapshot owns fresh cell objects, so a hot swap
 naturally retires the old snapshot's workspaces with the old cells; nothing
 ever needs explicit invalidation.  Buffers hold no weight content, so weight
 rebinds do not stale them.  The per-thread key keeps concurrent shard
@@ -68,7 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "FusedGateWeights",
-    "GateInputs",
     "Segment",
     "Workspace",
     "fuse_lstm_cell",
@@ -107,18 +139,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _sigmoid_into(x, out, xp) -> None:
-    """The same clipped sigmoid, computed fully in place into ``out``.
+def _sigmoid_in_place(x, xp) -> None:
+    """The same clipped sigmoid, computed fully in place.
 
-    ``reciprocal`` replaces the ``1.0 / _`` division — the same IEEE
-    division, bitwise — and every pass writes into ``out``.  ``x`` may
-    alias ``out``.
+    ``maximum``/``minimum`` are the two halves of ``clip`` and ``reciprocal``
+    replaces the ``1.0 / _`` division — the same IEEE operations, bitwise.
     """
-    xp.clip(x, -60.0, 60.0, out=out)
-    xp.negative(out, out=out)
-    xp.exp(out, out=out)
-    out += 1.0
-    xp.reciprocal(out, out=out)
+    xp.maximum(x, -60.0, out=x)
+    xp.minimum(x, 60.0, out=x)
+    xp.negative(x, out=x)
+    xp.exp(x, out=x)
+    x += 1.0
+    xp.reciprocal(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -150,27 +182,22 @@ class FusedGateWeights:
 class Segment:
     """One ingested stream segment: the unit of serving state.
 
-    ``rows`` is the ``(action, interaction)`` feature pair.  ``gates`` holds,
-    per cell (0 = influencer, 1 = audience), ``None`` or ``(variant, row)``:
-    the segment's ``(4H,)`` gate-input projection and the
-    :class:`FusedGateWeights` object that produced it.  The tag is compared
-    by identity, so a hot swap to different weights (a new variant object)
-    misses and re-projects, while a same-weights republish (transplanted
-    variants) keeps hitting.  Projections are never persisted.
+    ``rows`` is the ``(action, interaction)`` feature pair.  ``gate`` is
+    ``None`` or ``(variant_i, variant_a, row)``: the segment's one joint
+    gate-input row ``(4·H1 + 4·H2,)`` — the influencer cell's ``x·W_x + b``
+    followed by the audience cell's — and the two :class:`FusedGateWeights`
+    objects that produced it.  The tags are compared by identity and the
+    entry hits only when both match, so a hot swap that changed either
+    cell's weights (a new variant object) misses and re-projects, while a
+    same-weights republish (transplanted variants) keeps hitting.
+    Projections are never persisted.
     """
 
-    __slots__ = ("rows", "gates")
+    __slots__ = ("rows", "gate")
 
     def __init__(self, action: np.ndarray, interaction: np.ndarray) -> None:
         self.rows = (action, interaction)
-        self.gates: list = [None, None]
-
-
-class GateInputs(NamedTuple):
-    """A serving batch already projected and gathered: ``(B, q, 4H)`` per cell."""
-
-    influencer: Any
-    audience: Any
+        self.gate: Optional[tuple] = None
 
 
 def _stack_gates(cell, hidden_rows: slice, partner_rows: Optional[slice], input_rows: slice) -> FusedGateWeights:
@@ -348,36 +375,39 @@ def fuse_coupled_cell(cell: "CoupledLSTMCell") -> FusedGateWeights:
 # ---------------------------------------------------------------------- #
 # Workspace pool
 # ---------------------------------------------------------------------- #
+class _CellViews(NamedTuple):
+    """One cell's windows into the joint buffers of a :class:`Workspace`."""
+
+    hidden: Any
+    """``(B, H)`` columns of the joint hidden state."""
+    pre: Any
+    """``(B, 4H)`` columns of the joint pre-activation (recurrent GEMM output)."""
+    partner: Any
+    """``(B, 4H)`` columns of the joint partner GEMM output, or ``None`` for a
+    cell without a partner block."""
+    pre_by_gate: Any
+    """``pre`` seen gate-major, ``(4, B, H)`` — the source of the gate copy."""
+    gates: Any
+    """``(4, B, H)`` columns of the joint gate buffer — its destination."""
+    x_flat: Any
+    """``(B·T, 4H)`` columns of the flattened gate inputs (projection output)."""
+    cast: Any
+    """``(B, T, D)`` input cast buffer of the reduced-precision host path."""
+
+
 class Workspace:
     """Preallocated per-shape buffers one fused forward runs inside.
 
-    One workspace serves one ``(kind, batch, time, sizes, backend, dtype)``
-    shape on one thread.  All buffers are allocated once, through the
-    backend namespace with an explicit dtype, and reused via ``out=`` — a
-    steady-state batch touches them without a single large allocation.
-    ``cast_a``/``cast_b`` exist only for the reduced-precision host path,
-    where the float64 inputs must be converted once per batch (into a
-    reused buffer, not a fresh array).
+    One workspace serves one ``(batch, time, sizes, backend, dtype)``
+    shape on one thread, for every cell of the batch at once (see "Joint
+    layout" in the module docstring).  All buffers are allocated once,
+    through the backend namespace with an explicit dtype, and reused via
+    ``out=`` — a steady-state batch touches them without a single large
+    allocation.  ``cells`` holds each cell's views into them, so a step
+    creates no view objects either.
     """
 
-    __slots__ = (
-        "h",
-        "c_i",
-        "g",
-        "c_a",
-        "scratch_i",
-        "scratch_a",
-        "gates_i",
-        "gates_a",
-        "pre_i",
-        "pre_a",
-        "partner_i",
-        "partner_a",
-        "x_proj_i",
-        "x_proj_a",
-        "cast_a",
-        "cast_b",
-    )
+    __slots__ = ("hidden", "cell", "scratch", "gates", "pre", "x_proj", "cells", "partner_sums")
 
     def __init__(
         self,
@@ -385,44 +415,54 @@ class Workspace:
         dtype: np.dtype,
         batch: int,
         time_steps: int,
-        hidden_i: int,
-        hidden_a: int,
-        features_i: int,
-        features_a: int,
+        cells: Tuple[FusedGateWeights, ...],
         *,
-        coupled: bool,
-        partner_i: bool,
-        partner_a: bool,
         cast_inputs: bool,
     ) -> None:
-        self.h = xp.empty((batch, hidden_i), dtype=dtype)
-        self.c_i = xp.empty((batch, hidden_i), dtype=dtype)
-        self.scratch_i = xp.empty((batch, hidden_i), dtype=dtype)
-        # Contiguous per-gate scratch: the gate columns of `pre` are strided
-        # views, and elementwise kernels on strided data lose the SIMD fast
-        # path — each gate is copied into one of these contiguous (B, H)
-        # rows before the activation passes run on it.
-        self.gates_i = xp.empty((4, batch, hidden_i), dtype=dtype)
-        self.pre_i = xp.empty((batch, 4 * hidden_i), dtype=dtype)
-        self.x_proj_i = xp.empty((batch, time_steps, 4 * hidden_i), dtype=dtype)
-        self.partner_i = xp.empty((batch, 4 * hidden_i), dtype=dtype) if partner_i else None
-        self.cast_a = (
-            xp.empty((batch, time_steps, features_i), dtype=dtype) if cast_inputs else None
-        )
-        if coupled:
-            self.g = xp.empty((batch, hidden_a), dtype=dtype)
-            self.c_a = xp.empty((batch, hidden_a), dtype=dtype)
-            self.scratch_a = xp.empty((batch, hidden_a), dtype=dtype)
-            self.gates_a = xp.empty((4, batch, hidden_a), dtype=dtype)
-            self.pre_a = xp.empty((batch, 4 * hidden_a), dtype=dtype)
-            self.x_proj_a = xp.empty((batch, time_steps, 4 * hidden_a), dtype=dtype)
-            self.partner_a = xp.empty((batch, 4 * hidden_a), dtype=dtype) if partner_a else None
-            self.cast_b = (
-                xp.empty((batch, time_steps, features_a), dtype=dtype) if cast_inputs else None
+        total = sum(fused.hidden_size for fused in cells)
+        self.hidden = xp.empty((batch, total), dtype=dtype)
+        self.cell = xp.empty((batch, total), dtype=dtype)
+        self.scratch = xp.empty((batch, total), dtype=dtype)
+        # Gate-major: activation passes on the strided gate columns of `pre`
+        # would run row by row, so each step copies them (one strided copy
+        # per cell) into contiguous (B, Hs) blocks first.
+        self.gates = xp.empty((4, batch, total), dtype=dtype)
+        self.pre = xp.empty((batch, 4 * total), dtype=dtype)
+        partnered = [fused.w_partner is not None for fused in cells]
+        partner = xp.empty((batch, 4 * total), dtype=dtype) if any(partnered) else None
+        self.x_proj = xp.empty((batch, time_steps, 4 * total), dtype=dtype)
+        x_flat = self.x_proj.reshape(batch * time_steps, 4 * total)
+        views = []
+        start = 0
+        for fused, has_partner in zip(cells, partnered):
+            stop = start + fused.hidden_size
+            columns = slice(4 * start, 4 * stop)
+            pre = self.pre[:, columns]
+            views.append(
+                _CellViews(
+                    hidden=self.hidden[:, start:stop],
+                    pre=pre,
+                    partner=partner[:, columns] if has_partner else None,
+                    pre_by_gate=pre.reshape(batch, 4, fused.hidden_size).swapaxes(0, 1),
+                    gates=self.gates[:, :, start:stop],
+                    x_flat=x_flat[:, columns],
+                    cast=(
+                        xp.empty((batch, time_steps, fused.w_input.shape[0]), dtype=dtype)
+                        if cast_inputs
+                        else None
+                    ),
+                )
             )
-        else:
-            self.g = self.c_a = self.scratch_a = self.pre_a = None
-            self.gates_a = self.x_proj_a = self.partner_a = self.cast_b = None
+            start = stop
+        self.cells = tuple(views)
+        # ``pre += partner`` as (target, addend) pairs: one contiguous joint
+        # add when every cell has a partner block, else only the column
+        # ranges that do (a cell without one must see nothing added).
+        self.partner_sums = (
+            [(self.pre, partner)]
+            if all(partnered)
+            else [(own.pre, own.partner) for own in views if own.partner is not None]
+        )
 
 
 _workspace_lock = threading.Lock()
@@ -484,7 +524,51 @@ def _resolve_kernel_dtype(dtype) -> np.dtype:
     return resolved
 
 
-def _prepare_input(sequence: np.ndarray, workspace_buffer, backend: str, dtype: np.dtype, xp):
+class _Context(NamedTuple):
+    """Everything one batch resolves once: variants, namespace, workspace."""
+
+    cells: Tuple[FusedGateWeights, ...]
+    xp: Any
+    backend: str
+    dtype: np.dtype
+    workspace: Workspace
+
+
+def _context(cells: tuple, fuse, batch: int, time_steps: int, backend, dtype) -> _Context:
+    """Resolve the :class:`_Context` of one ``(batch, time_steps)`` batch over
+    ``cells``; the cells share one workspace, pooled on the first of them."""
+    backend = resolve_backend(backend)
+    dtype = _resolve_kernel_dtype(dtype)
+    fused = tuple(_fused_variant(cell, fuse(cell), backend, dtype) for cell in cells)
+    xp = get_namespace(backend)
+    key = (
+        batch,
+        time_steps,
+        *(weights.w_input.shape for weights in fused),
+        backend,
+        dtype.name,
+        threading.get_ident(),
+    )
+    workspace = _workspace_for(
+        cells[0],
+        key,
+        lambda: Workspace(
+            xp,
+            dtype,
+            batch,
+            time_steps,
+            fused,
+            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
+        ),
+    )
+    return _Context(fused, xp, backend, dtype, workspace)
+
+
+def _coupled_context(influencer, audience, batch: int, time_steps: int, backend, dtype) -> _Context:
+    return _context((influencer, audience), fuse_coupled_cell, batch, time_steps, backend, dtype)
+
+
+def _prepare_input(sequence: np.ndarray, cast_buffer, backend: str, dtype: np.dtype, xp):
     """Bring one host input batch into kernel form for ``(backend, dtype)``.
 
     The default path (host float64) is a no-copy ``asarray``; the reduced-
@@ -495,46 +579,74 @@ def _prepare_input(sequence: np.ndarray, workspace_buffer, backend: str, dtype: 
     if backend == "numpy":
         if dtype == _FLOAT64:
             return np.asarray(sequence, dtype=np.float64)
-        np.copyto(workspace_buffer, sequence, casting="unsafe")
-        return workspace_buffer
+        np.copyto(cast_buffer, sequence, casting="unsafe")
+        return cast_buffer
     return xp.asarray(sequence, dtype=dtype)
 
 
-def _project_into(sequence, fused: FusedGateWeights, out, xp) -> None:
-    """All timesteps' input-to-gate projections in one GEMM, into ``out``."""
-    batch, time_steps, features = sequence.shape
-    flat = sequence.reshape(batch * time_steps, features)
-    out_flat = out.reshape(batch * time_steps, 4 * fused.hidden_size)
-    xp.matmul(flat, fused.w_input, out=out_flat)
-    out_flat += fused.bias
+def _project_windows(context: _Context, sequences: tuple):
+    """All timesteps' input-to-gate projections, one GEMM per cell, into the
+    cells' column ranges of the workspace's joint gate inputs (returned)."""
+    cells, xp, backend, dtype, workspace = context
+    for fused, views, sequence in zip(cells, workspace.cells, sequences):
+        inputs = _prepare_input(sequence, views.cast, backend, dtype, xp)
+        flat = inputs.reshape(-1, inputs.shape[-1])
+        xp.matmul(flat, fused.w_input, out=views.x_flat)
+        xp.add(views.x_flat, fused.bias, out=views.x_flat)
+    return workspace.x_proj
 
 
-def _gate_step_into(pre, cell_state, hidden, gates, scratch, hidden_size: int, xp) -> None:
-    """One LSTM state update, fully in place.
+def _sweep(context: _Context, x_proj, state=None, per_step: tuple = ()) -> None:
+    """The recurrent sweep of every entry point, fully inside the workspace.
 
-    ``pre`` ``(B, 4H)`` holds the fused pre-activation; ``cell_state`` and
-    ``hidden`` are updated in place (``c_t = i·ĉ + f·c_{t-1}``,
-    ``h_t = o·tanh(c_t)``), evaluating exactly the expressions of the frozen
-    kernels in ``tests/frozen_kernels.py``.  Each gate column block of ``pre`` is a
-    strided view, so it is first copied into a contiguous row of ``gates``
-    ``(4, B, H)`` — elementwise kernels on strided data lose SIMD, and one
-    contiguous copy is cheaper than five strided activation passes.
+    ``x_proj`` ``(B, T, 4·Hs)`` holds the joint gate inputs; the cells'
+    states are left in ``workspace.hidden`` / ``workspace.cell``.  Each step
+    evaluates exactly the expressions of ``tests/frozen_kernels.py``: every
+    cell's pre-activation ``(h·W_h + x_t·W_x) + g·W_p`` is assembled in its
+    columns of ``pre`` (both cells read the step ``t-1`` states; only then
+    does anything update), copied gate-major, and the activation passes and
+    ``c_t = i·ĉ + f·c_{t-1}``, ``h_t = o·tanh(c_t)`` run once over all cells.
+
+    ``state`` is one cell's caller-supplied ``(h, c)``; without it the sweep
+    starts from zero and step 0 skips its recurrent GEMMs (module docstring).
+    ``per_step`` holds, per cell, a ``(B, T, H)`` array receiving every
+    step's hidden state.
     """
-    h = hidden_size
-    input_gate, forget_gate, candidate, output_gate = gates
-    input_gate[...] = pre[:, :h]
-    forget_gate[...] = pre[:, h : 2 * h]
-    candidate[...] = pre[:, 2 * h : 3 * h]
-    output_gate[...] = pre[:, 3 * h :]
-    _sigmoid_into(input_gate, input_gate, xp)
-    _sigmoid_into(forget_gate, forget_gate, xp)
-    xp.tanh(candidate, out=candidate)
-    _sigmoid_into(output_gate, output_gate, xp)
-    xp.multiply(forget_gate, cell_state, out=scratch)
-    xp.multiply(input_gate, candidate, out=cell_state)
-    cell_state += scratch
-    xp.tanh(cell_state, out=scratch)
-    xp.multiply(output_gate, scratch, out=hidden)
+    cells, xp, _, dtype, workspace = context
+    views = workspace.cells
+    hidden, cell_state, scratch, pre = workspace.hidden, workspace.cell, workspace.scratch, workspace.pre
+    input_gate, forget_gate, candidate, output_gate = workspace.gates
+    input_forget = workspace.gates[:2]
+    if state is None:
+        hidden.fill(0.0)
+        cell_state.fill(0.0)
+    else:
+        hidden[...] = xp.asarray(np.asarray(state[0]), dtype=dtype)
+        cell_state[...] = xp.asarray(np.asarray(state[1]), dtype=dtype)
+    for t in range(x_proj.shape[1]):
+        if t == 0 and state is None:
+            xp.add(x_proj[:, 0], 0.0, out=pre)
+        else:
+            for fused, own in zip(cells, views):
+                xp.matmul(own.hidden, fused.w_hidden, out=own.pre)
+            pre += x_proj[:, t]
+            for fused, own, other in zip(cells, views, reversed(views)):
+                if own.partner is not None:
+                    xp.matmul(other.hidden, fused.w_partner, out=own.partner)
+            for target, addend in workspace.partner_sums:
+                xp.add(target, addend, out=target)
+        for own in views:
+            own.gates[...] = own.pre_by_gate
+        _sigmoid_in_place(input_forget, xp)
+        xp.tanh(candidate, out=candidate)
+        _sigmoid_in_place(output_gate, xp)
+        xp.multiply(forget_gate, cell_state, out=scratch)
+        xp.multiply(input_gate, candidate, out=cell_state)
+        cell_state += scratch
+        xp.tanh(cell_state, out=scratch)
+        xp.multiply(output_gate, scratch, out=hidden)
+        for stack, own in zip(per_step, views):
+            stack[:, t] = own.hidden
 
 
 def lstm_forward_fused(
@@ -551,108 +663,16 @@ def lstm_forward_fused(
     ``(h, c)`` state.  On the default backend/precision these are plain
     ``float64`` NumPy arrays, bitwise-identical to the pre-seam kernel.
     """
-    backend = resolve_backend(backend)
-    dtype = _resolve_kernel_dtype(dtype)
     raw = np.asarray(sequence)
     if raw.ndim != 3:
         raise ValueError(f"expected a (batch, time, features) array, got shape {raw.shape}")
-    batch, time_steps, features = raw.shape
-    primary = fuse_lstm_cell(cell)
-    fused = _fused_variant(cell, primary, backend, dtype)
-    xp = get_namespace(backend)
-    hidden = cell.hidden_size
-    key = (
-        "lstm",
-        batch,
-        time_steps,
-        hidden,
-        features,
-        backend,
-        dtype.name,
-        threading.get_ident(),
-    )
-    workspace = _workspace_for(
-        cell,
-        key,
-        lambda: Workspace(
-            xp,
-            dtype,
-            batch,
-            time_steps,
-            hidden,
-            0,
-            features,
-            0,
-            coupled=False,
-            partner_i=False,
-            partner_a=False,
-            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
-        ),
-    )
-    inputs = _prepare_input(raw, workspace.cast_a, backend, dtype, xp)
-    h, c = workspace.h, workspace.c_i
-    if state is None:
-        h.fill(0.0)
-        c.fill(0.0)
-    else:
-        # Copy the caller's state into the workspace (the reference kernel
-        # aliased it, but never wrote through it — values are identical).
-        h[...] = xp.asarray(np.asarray(state[0]), dtype=dtype)
-        c[...] = xp.asarray(np.asarray(state[1]), dtype=dtype)
-    _project_into(inputs, fused, workspace.x_proj_i, xp)
+    batch, time_steps, _ = raw.shape
+    context = _context((cell,), fuse_lstm_cell, batch, time_steps, backend, dtype)
     # The per-step hidden states escape to the caller, so they are written to
     # a fresh array (exactly as the pre-seam kernel allocated them).
-    hiddens = xp.empty((batch, time_steps, hidden), dtype=dtype)
-    pre = workspace.pre_i
-    for t in range(time_steps):
-        xp.matmul(h, fused.w_hidden, out=pre)
-        pre += workspace.x_proj_i[:, t]
-        _gate_step_into(pre, c, h, workspace.gates_i, workspace.scratch_i, hidden, xp)
-        hiddens[:, t] = h
-    return hiddens, (h.copy(), c.copy())
-
-
-def _coupled_context(influencer, audience, batch: int, time_steps: int, backend, dtype):
-    """Resolve ``(fused_i, fused_a, xp, backend, dtype, workspace)`` for one
-    coupled batch; both entries share one pooled workspace per shape."""
-    backend = resolve_backend(backend)
-    dtype = _resolve_kernel_dtype(dtype)
-    fused_i = _fused_variant(influencer, fuse_coupled_cell(influencer), backend, dtype)
-    fused_a = _fused_variant(audience, fuse_coupled_cell(audience), backend, dtype)
-    xp = get_namespace(backend)
-    hidden_i, hidden_a = influencer.hidden_size, audience.hidden_size
-    features_i, features_a = fused_i.w_input.shape[0], fused_a.w_input.shape[0]
-    key = (
-        "coupled",
-        batch,
-        time_steps,
-        hidden_i,
-        hidden_a,
-        features_i,
-        features_a,
-        backend,
-        dtype.name,
-        threading.get_ident(),
-    )
-    workspace = _workspace_for(
-        influencer,
-        key,
-        lambda: Workspace(
-            xp,
-            dtype,
-            batch,
-            time_steps,
-            hidden_i,
-            hidden_a,
-            features_i,
-            features_a,
-            coupled=True,
-            partner_i=fused_i.w_partner is not None,
-            partner_a=fused_a.w_partner is not None,
-            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
-        ),
-    )
-    return fused_i, fused_a, xp, backend, dtype, workspace
+    hiddens = context.xp.empty((batch, time_steps, cell.hidden_size), dtype=context.dtype)
+    _sweep(context, _project_windows(context, (raw,)), state, (hiddens,))
+    return hiddens, (context.workspace.hidden.copy(), context.workspace.cell.copy())
 
 
 def project_rows(rows, fused: FusedGateWeights, xp=np):
@@ -671,7 +691,7 @@ def project_rows(rows, fused: FusedGateWeights, xp=np):
     padded = -(-count // PROJECTION_BLOCK) * PROJECTION_BLOCK
     dtype = fused.w_input.dtype
     block = xp.zeros((padded, fused.w_input.shape[0]), dtype=dtype)
-    block[:count] = xp.asarray(np.stack(rows), dtype=dtype)
+    block[:count] = xp.asarray(np.array(rows), dtype=dtype)
     out = xp.empty((padded, 4 * fused.hidden_size), dtype=dtype)
     for start in range(0, padded, PROJECTION_BLOCK):
         stop = start + PROJECTION_BLOCK
@@ -680,25 +700,46 @@ def project_rows(rows, fused: FusedGateWeights, xp=np):
     return out[:count]
 
 
-def _gather_cell(segments, cell: int, fused: FusedGateWeights, out, xp) -> None:
-    """Fill ``out`` with the segments' gate inputs under ``fused``.
+def _gather(context: _Context, windows):
+    """Fill the workspace's joint gate inputs from ``windows`` (returned).
 
-    Each distinct segment with no projection under this variant is projected
-    exactly once (a backlog batch shares segments between its windows); the
-    cached row is a private copy, so a retained segment pins ``4H`` values,
-    not the block it was computed in.
+    One pass over the batch's segments collects the cached rows and the
+    misses — a segment with no joint row under exactly this pair of
+    variants.  Each distinct miss is projected exactly once (a backlog batch
+    shares segments between its windows), both cells through
+    :func:`project_rows` into one block; the cached row is a private copy,
+    so a retained segment pins ``4·Hs`` values, not the block it was
+    computed in.
     """
-    missing = {
-        id(segment): segment
-        for segment in segments
-        if segment.gates[cell] is None or segment.gates[cell][0] is not fused
-    }
-    if missing:
-        todo = list(missing.values())
-        projected = project_rows([segment.rows[cell] for segment in todo], fused, xp)
-        for segment, row in zip(todo, projected):
-            segment.gates[cell] = (fused, row.copy())
-    xp.concatenate([segment.gates[cell][1] for segment in segments], out=out.reshape(-1))
+    cells, xp, _, _, workspace = context
+    fused_i, fused_a = cells
+    rows: list = []
+    misses: Dict[int, tuple] = {}
+    for window in windows:
+        for segment in window:
+            cached = segment.gate
+            if cached is not None and cached[0] is fused_i and cached[1] is fused_a:
+                rows.append(cached[2])
+            else:
+                misses.setdefault(id(segment), (segment, []))[1].append(len(rows))
+                rows.append(None)
+    if len(rows) != workspace.x_proj.shape[0] * workspace.x_proj.shape[1]:
+        raise ValueError("all windows of a batch must have the same length")
+    if misses:
+        block = xp.concatenate(
+            [
+                project_rows([segment.rows[index] for segment, _ in misses.values()], fused, xp)
+                for index, fused in enumerate(cells)
+            ],
+            axis=1,
+        )
+        for (segment, positions), row in zip(misses.values(), block):
+            row = row.copy()
+            segment.gate = (fused_i, fused_a, row)
+            for position in positions:
+                rows[position] = row
+    xp.concatenate(rows, out=workspace.x_proj.reshape(-1))
+    return workspace.x_proj
 
 
 def gather_gate_inputs(
@@ -708,91 +749,58 @@ def gather_gate_inputs(
     *,
     backend: Optional[str] = None,
     dtype: Optional[Any] = None,
-) -> GateInputs:
+):
     """Gate inputs of a serving batch: project the misses, gather the rest.
 
     ``windows`` is a sequence of ``B`` equal-length sequences of
     :class:`Segment`.  In steady state only each window's newest segment is
     unprojected, so a batch costs ``B`` projected rows per cell, not
-    ``B·q``.  The result aliases the pooled workspace's ``x_proj_*`` buffers:
-    consume it (:func:`coupled_pair_forward_gated`, or serialise it) before
-    the next same-shape batch on this thread.
+    ``B·q``.  The ``(B, q, 4·H1 + 4·H2)`` result aliases the pooled
+    workspace's gate-input buffer: consume it (serialise it for
+    :func:`coupled_pair_forward_gated` in another process) before the next
+    same-shape batch on this thread.
     """
-    batch, time_steps = len(windows), len(windows[0])
-    segments = [segment for window in windows for segment in window]
-    if len(segments) != batch * time_steps:
-        raise ValueError("all windows of a batch must have the same length")
-    fused_i, fused_a, xp, _, _, workspace = _coupled_context(
-        influencer, audience, batch, time_steps, backend, dtype
+    context = _coupled_context(
+        influencer, audience, len(windows), len(windows[0]), backend, dtype
     )
-    _gather_cell(segments, 0, fused_i, workspace.x_proj_i, xp)
-    _gather_cell(segments, 1, fused_a, workspace.x_proj_a, xp)
-    return GateInputs(workspace.x_proj_i, workspace.x_proj_a)
+    return _gather(context, windows)
 
 
-def _coupled_sweep(fused_i, fused_a, workspace, x_proj_i, x_proj_a, return_all_hidden: bool, xp, dtype):
-    """The recurrent sweep shared by the full-window and pre-projected entries."""
-    batch, time_steps = x_proj_i.shape[:2]
-    hidden_i, hidden_a = fused_i.hidden_size, fused_a.hidden_size
-    h, c_i = workspace.h, workspace.c_i
-    g, c_a = workspace.g, workspace.c_a
-    h.fill(0.0)
-    c_i.fill(0.0)
-    g.fill(0.0)
-    c_a.fill(0.0)
+def _final_states(workspace: Workspace) -> tuple:
+    """The cells' final hidden states as fresh arrays.
 
-    # Per-step hidden states escape to the caller (training-cache consumers,
-    # drift analytics), so they are fresh arrays, never workspace views.
-    h_all = xp.empty((batch, time_steps, hidden_i), dtype=dtype) if return_all_hidden else None
-    g_all = xp.empty((batch, time_steps, hidden_a), dtype=dtype) if return_all_hidden else None
-
-    pre_i, pre_a = workspace.pre_i, workspace.pre_a
-    for t in range(time_steps):
-        # Both pre-activations read the step t-1 states; only then update.
-        xp.matmul(h, fused_i.w_hidden, out=pre_i)
-        pre_i += x_proj_i[:, t]
-        if fused_i.w_partner is not None:
-            xp.matmul(g, fused_i.w_partner, out=workspace.partner_i)
-            pre_i += workspace.partner_i
-        xp.matmul(g, fused_a.w_hidden, out=pre_a)
-        pre_a += x_proj_a[:, t]
-        if fused_a.w_partner is not None:
-            xp.matmul(h, fused_a.w_partner, out=workspace.partner_a)
-            pre_a += workspace.partner_a
-        _gate_step_into(pre_i, c_i, h, workspace.gates_i, workspace.scratch_i, hidden_i, xp)
-        _gate_step_into(pre_a, c_a, g, workspace.gates_a, workspace.scratch_a, hidden_a, xp)
-        if return_all_hidden:
-            h_all[:, t] = h
-            g_all[:, t] = g
-
-    # The final states escape (serving retains hidden rows in its drift
-    # buffer indefinitely), so they must be copies, not workspace views.
-    # These O(B·H) copies are the only per-batch allocations of the kernel.
-    h_final, g_final = h.copy(), g.copy()
-    if return_all_hidden:
-        return h_final, g_final, h_all, g_all
-    return h_final, g_final
+    They escape (serving retains hidden rows in its drift buffer
+    indefinitely), so they must be copies, not workspace views.  These
+    O(B·H) copies are the only per-batch allocations of the kernel.
+    """
+    return tuple(views.hidden.copy() for views in workspace.cells)
 
 
 def coupled_pair_forward_gated(
     influencer: "CoupledLSTMCell",
     audience: "CoupledLSTMCell",
-    gate_inputs: GateInputs,
+    batch,
     *,
     backend: Optional[str] = None,
     dtype: Optional[Any] = None,
 ):
-    """The serving entry: the sweep over :func:`gather_gate_inputs` output
-    (possibly gathered by another process under bitwise-equal weights).
-    Returns ``(h_final, g_final)`` like :func:`coupled_pair_forward_fused`.
+    """The serving entry: gather and sweep in one resolved context.
+
+    ``batch`` is either a sequence of :class:`Segment` windows (gathered
+    here, see :func:`gather_gate_inputs`) or an already gathered
+    ``(B, q, 4·H1 + 4·H2)`` array (possibly gathered by another process
+    under bitwise-equal weights).  Returns ``(h_final, g_final)`` like
+    :func:`coupled_pair_forward_fused`.
     """
-    batch, time_steps = gate_inputs.influencer.shape[:2]
-    fused_i, fused_a, xp, _, dtype, workspace = _coupled_context(
-        influencer, audience, batch, time_steps, backend, dtype
-    )
-    x_proj_i = xp.asarray(gate_inputs.influencer, dtype=dtype)
-    x_proj_a = xp.asarray(gate_inputs.audience, dtype=dtype)
-    return _coupled_sweep(fused_i, fused_a, workspace, x_proj_i, x_proj_a, False, xp, dtype)
+    gathered = hasattr(batch, "shape")
+    size, time_steps = batch.shape[:2] if gathered else (len(batch), len(batch[0]))
+    context = _coupled_context(influencer, audience, size, time_steps, backend, dtype)
+    if gathered:
+        x_proj = context.xp.asarray(batch, dtype=context.dtype)
+    else:
+        x_proj = _gather(context, batch)
+    _sweep(context, x_proj)
+    return _final_states(context.workspace)
 
 
 def coupled_pair_forward_fused(
@@ -841,13 +849,12 @@ def coupled_pair_forward_fused(
     if actions_raw.shape[1] != interactions_raw.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
     batch, time_steps, _ = actions_raw.shape
-    fused_i, fused_a, xp, backend, dtype, workspace = _coupled_context(
-        influencer, audience, batch, time_steps, backend, dtype
+    context = _coupled_context(influencer, audience, batch, time_steps, backend, dtype)
+    # Per-step hidden states escape to the caller (training-cache consumers,
+    # drift analytics), so they are fresh arrays, never workspace views.
+    per_step = tuple(
+        context.xp.empty((batch, time_steps, fused.hidden_size), dtype=context.dtype)
+        for fused in (context.cells if return_all_hidden else ())
     )
-    actions = _prepare_input(actions_raw, workspace.cast_a, backend, dtype, xp)
-    interactions = _prepare_input(interactions_raw, workspace.cast_b, backend, dtype, xp)
-    _project_into(actions, fused_i, workspace.x_proj_i, xp)
-    _project_into(interactions, fused_a, workspace.x_proj_a, xp)
-    return _coupled_sweep(
-        fused_i, fused_a, workspace, workspace.x_proj_i, workspace.x_proj_a, return_all_hidden, xp, dtype
-    )
+    _sweep(context, _project_windows(context, (actions_raw, interactions_raw)), None, per_step)
+    return _final_states(context.workspace) + per_step

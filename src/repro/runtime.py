@@ -461,10 +461,12 @@ class Runtime:
             interarrival_seconds=interarrival_seconds,
         )
 
-    def detections(self, stream_id: str) -> List[StreamDetection]:
-        """All detections routed to ``stream_id`` since fit/restore."""
+    def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
+        """The detections routed to ``stream_id`` since fit/restore, from
+        position ``start`` on.  A read: an unknown id yields ``[]`` and
+        creates no route or session."""
         self._require_serving()
-        return self.service.detections(stream_id)
+        return self.service.detections(stream_id, start)
 
     def serve(self, *, start: bool = True):
         """Put this runtime behind the HTTP ingest tier.

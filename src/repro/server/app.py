@@ -314,14 +314,15 @@ class RuntimeServer:
         deadline = time.monotonic() + min(wait_ms, self.config.long_poll_max_ms) / 1000.0
         with self._detections:
             while True:
-                rows = list(runtime.detections(stream))
-                if len(rows) > start:
+                # The tail only: the batcher takes this condition to notify,
+                # so a wake must not copy the stream's whole history.
+                fresh = runtime.detections(stream, start)
+                if fresh:
                     break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._detections.wait(remaining)
-        fresh = rows[start:]
         return {
             "stream": stream,
             "start": start,

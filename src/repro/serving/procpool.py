@@ -66,7 +66,6 @@ import multiprocessing
 
 import numpy as np
 
-from ..nn.fused import GateInputs
 from .executor import default_workers
 from .service import BatchScores
 
@@ -458,8 +457,7 @@ def _worker_main(conn, prefix: str, board_name: str) -> None:
                         _,
                         slot,
                         version,
-                        gates_influencer,
-                        gates_audience,
+                        gate_inputs,
                         action_targets,
                         interaction_targets,
                         segment_indices,
@@ -478,8 +476,8 @@ def _worker_main(conn, prefix: str, board_name: str) -> None:
                             _close_quiet(old_segment)
                         current = fresh
                     _, _, model, detector = current
-                    predicted_action, predicted_interaction, hidden, _ = (
-                        model.predict_full(GateInputs(gates_influencer, gates_audience))
+                    predicted_action, predicted_interaction, hidden, _ = model.predict_full(
+                        gate_inputs
                     )
                     result = detector.score_predictions(
                         segment_indices,
@@ -742,8 +740,7 @@ class ProcessParallelExecutor:
                         "score",
                         slot,
                         snapshot.version,
-                        gates.influencer,
-                        gates.audience,
+                        gates,
                         action_targets,
                         interaction_targets,
                         segment_indices,

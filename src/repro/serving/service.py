@@ -563,9 +563,12 @@ class ScoringService:
                 self.sessions[stream_id] = StreamSession(stream_id, self.sequence_length)
             return self.sessions[stream_id]
 
-    def detections(self, stream_id: str) -> List[StreamDetection]:
-        """All detections routed to ``stream_id`` so far."""
-        return self.session(stream_id).detections
+    def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
+        """The detections routed to ``stream_id`` so far, from position
+        ``start`` on.  A read: it creates no session, so an id that never
+        submitted a segment yields ``[]`` and leaves the exported state as it was."""
+        session = self.sessions.get(stream_id)
+        return session.detections[start:] if session is not None else []
 
     def reset_stats(self) -> None:
         with self._score_lock:

@@ -450,9 +450,13 @@ class ShardedScoringService:
         self.quiesce()
         return produced
 
-    def detections(self, stream_id: str) -> List[StreamDetection]:
-        """All detections routed to ``stream_id`` so far."""
-        return self.shard_of(stream_id).detections(stream_id)
+    def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
+        """The detections routed to ``stream_id`` so far, from position
+        ``start`` on.  A read: unlike :meth:`shard_of` it pins no route, so an
+        id that never submitted a segment yields ``[]`` and allocates nothing."""
+        with self._routes_lock:
+            index = self._routes.get(stream_id)
+        return [] if index is None else self.shards[index].detections(stream_id, start)
 
     # ------------------------------------------------------------------ #
     # Aggregate views

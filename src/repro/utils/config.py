@@ -500,8 +500,9 @@ class ServerConfig(ConfigBase):
     ``Runtime.ingest_many`` call."""
 
     retry_after_seconds: float = 0.5
-    """Floor of the ``Retry-After`` hint returned with 429 responses; the
-    hint grows with the observed drain backlog."""
+    """The ``Retry-After`` hint returned with 429 responses — a constant,
+    not a measured drain rate (see
+    :class:`~repro.server.admission.AdmissionController`).  Must be positive."""
 
     poll_interval_ms: float = 20.0
     """How long the batcher thread waits for new work before running the
@@ -522,9 +523,9 @@ class ServerConfig(ConfigBase):
             raise ValueError(f"ServerConfig.max_pending must be positive, got {self.max_pending}")
         if self.batch_max < 1:
             raise ValueError(f"ServerConfig.batch_max must be positive, got {self.batch_max}")
-        if self.retry_after_seconds < 0:
+        if self.retry_after_seconds <= 0:
             raise ValueError(
-                f"ServerConfig.retry_after_seconds must be non-negative, "
+                f"ServerConfig.retry_after_seconds must be positive, "
                 f"got {self.retry_after_seconds}"
             )
         if self.poll_interval_ms <= 0:

@@ -17,9 +17,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.nn import fused as fused_module
-from repro.nn.fused import PROJECTION_BLOCK, FusedGateWeights, project_rows
-from repro.serving import ModelRegistry, ScoreRequest, ScoringService, StreamSession
-from repro.utils.config import DetectionConfig
+from repro.nn.fused import PROJECTION_BLOCK, FusedGateWeights, Segment, project_rows
+from repro.serving import (
+    ModelRegistry,
+    ProcessParallelExecutor,
+    ScoreRequest,
+    ScoringService,
+    SerialExecutor,
+    ShardedScoringService,
+    StreamSession,
+)
+from repro.utils.config import DetectionConfig, ServingConfig
 
 D1, D2, Q = 14, 5, 4
 
@@ -172,6 +180,81 @@ class TestHotSwap:
         assert {d.model_version for d in detections} == {2}
         assert projected_rows[D1] - before[D1] == 2 * streams
         assert projected_rows[D2] - before[D2] == 2 * streams
+
+
+def make_windows(count: int, seed: int) -> list:
+    """``count`` windows of ``Q`` fresh (unprojected) segments each."""
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(Segment(rng.random(D1), rng.random(D2)) for _ in range(Q)) for _ in range(count)
+    ]
+
+
+def expected_gate_inputs(model: CLSTM, windows) -> np.ndarray:
+    """The joint ``(B, q, 4·h1 + 4·h2)`` gate inputs, straight from ``project_rows``."""
+    segments = [segment for window in windows for segment in window]
+    per_cell = [
+        project_rows([segment.rows[index] for segment in segments], fused_module.prewarm_cell(cell))
+        for index, cell in enumerate((model.lstm_influencer, model.lstm_audience))
+    ]
+    return np.concatenate(per_cell, axis=1).reshape(len(windows), Q, -1)
+
+
+class TestJointRow:
+    def test_row_misses_when_only_one_cell_changed(self, projected_rows):
+        model = make_model()
+        windows = make_windows(3, seed=8)
+        first = model.gate_inputs(windows).copy()
+        assert projected_rows == {D1: 3 * Q, D2: 3 * Q}
+        assert np.array_equal(model.gate_inputs(windows), first)
+        assert projected_rows == {D1: 3 * Q, D2: 3 * Q}  # all hits
+        # Rebind the audience cell's weights only: the influencer keeps its
+        # variant object, the audience gets a new one, and the joint row —
+        # tagged by both — must miss as a whole.
+        for parameter in model.lstm_audience.parameters():
+            parameter.data = parameter.data * 1.5
+        second = model.gate_inputs(windows).copy()
+        assert projected_rows == {D1: 6 * Q, D2: 6 * Q}
+        assert np.array_equal(second, expected_gate_inputs(model, windows))
+        split = 4 * model.action_hidden
+        assert np.array_equal(second[..., :split], first[..., :split])
+        assert not np.array_equal(second[..., split:], first[..., split:])
+
+    def test_small_batch_after_large_batch_reads_its_own_rows(self):
+        model = make_model()
+        large, small = make_windows(64, seed=9), make_windows(8, seed=10)
+        gathered_large = model.gate_inputs(large)
+        kept = gathered_large.copy()
+        gathered_small = model.gate_inputs(small)
+        assert gathered_small.shape == (8, Q, 4 * (model.action_hidden + model.interaction_hidden))
+        assert not np.shares_memory(gathered_small, gathered_large)
+        assert np.array_equal(gathered_small, expected_gate_inputs(model, small))
+        assert np.array_equal(gathered_large, kept)
+        # ... and the forward over the windows is the forward over their rows.
+        from_rows = model.predict_full(expected_gate_inputs(model, small))
+        for got, expected in zip(model.predict_full(small), from_rows):
+            assert np.array_equal(got, expected)
+
+    def test_process_worker_scores_the_one_array_wire_bitwise(self):
+        ticks = make_ticks(3, Q + 5, seed=12)
+
+        def run(executor):
+            service = ShardedScoringService(
+                make_registry(make_model()),
+                config=ServingConfig(max_batch_size=3, num_shards=1),
+                sequence_length=Q,
+                executor=executor,
+            )
+            try:
+                for tick in ticks:
+                    for submission in tick:
+                        service.submit(*submission)
+                service.drain()
+                return [service.detections(f"s{s}") for s in range(3)]
+            finally:
+                service.close()
+
+        assert run(ProcessParallelExecutor(workers=1)) == run(SerialExecutor())
 
 
 class TestSessionHandoff:

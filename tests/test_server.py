@@ -10,6 +10,8 @@ answers 429 without dropping any accepted work; tenants are isolated; and
 from __future__ import annotations
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -234,6 +236,21 @@ class TestAdmissionController:
         with pytest.raises(ValueError, match="retry_after"):
             AdmissionController(4, 0.0)
 
+    @pytest.mark.parametrize("hint", [0, 0.0, -1.0])
+    def test_config_refuses_what_the_controller_refuses(self, hint):
+        # A hint the controller rejects must fail when the deployment is
+        # described, not when its listener starts.
+        with pytest.raises(ValueError, match=r"ServerConfig\.retry_after_seconds"):
+            ServerConfig(retry_after_seconds=hint)
+        with pytest.raises(ValueError, match=r"ServerConfig\.retry_after_seconds"):
+            RuntimeConfig.from_dict({"server": {"retry_after_seconds": hint}})
+        accepted = ServerConfig(retry_after_seconds=0.25)
+        assert (
+            AdmissionController(accepted.max_pending, accepted.retry_after_seconds)
+            .stats()["retry_after_seconds"]
+            == 0.25
+        )
+
     def test_offer_is_all_or_nothing(self):
         admission = AdmissionController(4, 0.5)
         accepted, depth = admission.offer(["a", "b", "c"])
@@ -426,6 +443,64 @@ class TestServerIngest:
                 "GET", f"{server.url}/v1/detections?stream={name}&start=0"
             )
             assert payload["next"] == 20 - SEQUENCE_LENGTH
+        runtime.close()
+
+    def test_reads_of_unknown_streams_allocate_nothing(
+        self, server_runtime_config, tiny_features
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+
+        def footprint():
+            state = runtime.service.export_state()
+            return state["routes"], [sorted(shard["sessions"]) for shard in state["shards"]]
+
+        with runtime.serve() as server:
+            for k in range(5):
+                assert runtime.detections(f"ghost-{k}") == []
+                assert runtime.detections(f"ghost-{k}", 3) == []
+                status, payload, _ = http_json(
+                    "GET", f"{server.url}/v1/detections?stream=phantom-{k}&start=2"
+                )
+                assert status == 200
+                assert payload["detections"] == [] and payload["next"] == 2
+            # No route pinned, no session created, nothing for a checkpoint.
+            assert footprint() == ({}, [[], []])
+        runtime.close()
+
+    def test_long_poll_opened_before_first_segment_wakes_on_first_detection(
+        self, server_runtime_config, tiny_features
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        streams = make_wire_streams(server_runtime_config, streams=1, segments=20)
+        segments = [wire_segment(*item) for item in round_robin(streams)]
+        (name,) = streams.keys()
+        answer = {}
+        with runtime.serve() as server:
+
+            def long_poll():
+                answer["reply"] = http_json(
+                    "GET", f"{server.url}/v1/detections?stream={name}&start=0&wait_ms=20000"
+                )
+
+            poller = threading.Thread(target=long_poll, daemon=True)
+            poller.start()
+            time.sleep(0.3)  # the poll is parked on a stream nobody has ingested yet
+            assert poller.is_alive() and runtime.service.export_state()["routes"] == {}
+            status, _, _ = http_json(
+                "POST", f"{server.url}/v1/ingest", payload={"segments": segments}
+            )
+            assert status == 202
+            poller.join(timeout=15)
+            assert not poller.is_alive()
+            status, payload, _ = answer["reply"]
+            assert status == 200 and payload["next"] >= 1
+            assert payload["detections"][0]["segment_index"] == SEQUENCE_LENGTH
+            # A tail read returns the rows from `start` on, nothing before.
+            http_json("POST", f"{server.url}/v1/drain")
+            everything = runtime.detections(name)
+            assert len(everything) == 20 - SEQUENCE_LENGTH
+            assert runtime.detections(name, 4) == everything[4:]
+            assert runtime.detections(name, len(everything)) == []
         runtime.close()
 
     def test_http_ingest_is_bitwise_identical_to_library_calls(

@@ -10,14 +10,16 @@ from repro.core.detector import AnomalyDetector
 from repro.features.pipeline import StreamFeatures
 from repro.serving import (
     MicroBatcher,
+    ModelRegistry,
     QueueFull,
     ScoreRequest,
     ScoringService,
+    ShardedScoringService,
     StreamSession,
     replay_streams,
     validate_interaction_level,
 )
-from repro.utils.config import DetectionConfig, UpdateConfig
+from repro.utils.config import DetectionConfig, ServingConfig, UpdateConfig
 
 D1, D2, Q = 14, 5, 4
 
@@ -145,6 +147,30 @@ class TestScoringService:
                 [d.score for d in routed], reference.scores, atol=1e-10
             )
             assert [d.is_anomaly for d in routed] == reference.is_anomaly.tolist()
+
+    def test_reading_detections_creates_no_state(self, calibrated_detector):
+        features = make_features("known", 12, seed=3)
+        for service in (
+            ScoringService(calibrated_detector, sequence_length=Q, max_batch_size=4),
+            ShardedScoringService(
+                ModelRegistry.from_detector(calibrated_detector),
+                config=ServingConfig(max_batch_size=4, num_shards=2),
+                sequence_length=Q,
+            ),
+        ):
+            replay_streams(service, {"known": features})
+            before = service.export_state()
+            for k in range(50):
+                assert service.detections(f"ghost-{k}") == []
+            after = service.export_state()
+            shards = [after] if "sessions" in after else after["shards"]
+            assert [sorted(shard["sessions"]) for shard in shards if shard["sessions"]] == [["known"]]
+            assert after.get("routes") == before.get("routes")
+            # Known ids read their rows from `start` on.
+            rows = service.detections("known")
+            assert len(rows) == 12 - Q
+            assert service.detections("known", 5) == rows[5:]
+            assert service.detections("known", 99) == []
 
     def test_submit_flushes_only_full_batches(self, calibrated_detector):
         features = make_features("single", 30, seed=1)
