@@ -100,5 +100,5 @@ def percent(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
-def milliseconds(value: float) -> str:
-    return f"{1000.0 * value:.3f}"
+def microseconds(value: float) -> str:
+    return f"{1e6 * value:.2f}"

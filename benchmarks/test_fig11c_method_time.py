@@ -4,10 +4,14 @@ The paper compares LTR, VEC, RTFM, CLSTM and CLSTM-ADOS: CLSTM is much faster
 than VEC and RTFM, comparable to LTR, and CLSTM-ADOS is the fastest thanks to
 bound filtering.
 
-Expected shape here: CLSTM's scoring cost per segment is of the same order as
-the cheapest baselines and far below the most expensive method; CLSTM-ADOS is
-reported alongside.  (Absolute times depend on the NumPy substrate, not on the
-paper's GPU testbed.)
+Verdict here: CLSTM's scoring cost per segment is of the same order as the
+LSTM baseline (both are one recurrent forward) and CLSTM-ADOS is at parity
+with CLSTM, not faster: what ADOS skips is ~1 µs of exact JS in a ~40 µs
+segment.  Every row is the median of 15 interleaved repeats of the method's
+whole scoring call (``ExperimentHarness.method_detection_times``); for
+CLSTM-ADOS that is the forward plus the ADOS cascade.
+(Absolute times depend on the NumPy substrate, not on the paper's GPU
+testbed; the non-recurrent baselines are cheaper here than a CLSTM forward.)
 """
 
 from __future__ import annotations
@@ -18,32 +22,16 @@ METHODS = ("LTR", "VEC", "LSTM", "RTFM", "CLSTM-S", "CLSTM", "CLSTM-ADOS")
 
 
 def run_experiment():
-    import time
-
-    from repro.optimization.ados import FilteredDetector
-
-    sequence_length = common.harness().scale.sequence_length
-    results = {}
-    for name in common.DATASETS:
-        prepared = common.dataset(name)
-        suite = common.fitted_suite(name)
-        times = {}
-        for method_name, method in suite.items():
-            start = time.perf_counter()
-            scored = method.score_stream(prepared.test)
-            times[method_name] = (time.perf_counter() - start) / max(len(scored), 1)
-        batch = prepared.test.sequences(sequence_length)
-        filtered = FilteredDetector(common.trained_clstm(name).detector)
-        start = time.perf_counter()
-        filtered.detect(batch)
-        times["CLSTM-ADOS"] = (time.perf_counter() - start) / max(len(batch), 1)
-        results[name] = times
+    results = {
+        name: common.harness().method_detection_times(name, suite=common.fitted_suite(name))
+        for name in common.DATASETS
+    }
     rows = []
     for method in METHODS:
-        rows.append([method] + [common.milliseconds(results[d][method]) for d in common.DATASETS])
+        rows.append([method] + [common.microseconds(results[d][method]) for d in common.DATASETS])
     common.table(
         "fig11c_method_time",
-        ["method (ms/segment)", *common.DATASETS],
+        ["method (us/segment)", *common.DATASETS],
         rows,
         title="Fig. 11(c) — detection time comparison with existing methods",
     )
@@ -54,7 +42,6 @@ def test_fig11c_method_time(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for name, times in results.items():
         assert all(value > 0 for value in times.values())
-        slowest = max(times[m] for m in ("LTR", "VEC", "LSTM", "RTFM"))
-        assert times["CLSTM"] <= slowest * 5, (
-            f"CLSTM scoring should remain in the same cost range as the baselines on {name}"
+        assert times["CLSTM-ADOS"] <= 1.3 * times["CLSTM"], (
+            f"CLSTM-ADOS should be at parity with CLSTM on {name}"
         )

@@ -21,8 +21,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import FeaturePipeline, FilteredDetector, ModelConfig, Runtime, RuntimeConfig, auroc
 from repro.streams import SocialStreamGenerator, dataset_profile
 from repro.utils.config import TrainingConfig, UpdateConfig
@@ -69,7 +67,7 @@ def main() -> None:
         flagged = filtered.anomalies
         stages = filtered.stage_counts()
         labels = chunk.labels[filtered.segment_indices]
-        scores_auroc = auroc(labels, np.array([o.score for o in filtered.outcomes])) if labels.sum() else float("nan")
+        scores_auroc = auroc(labels, filtered.scores) if labels.sum() else float("nan")
 
         print(f"\n=== incoming chunk {chunk_id + 1} ({chunk.num_segments} segments) ===")
         print(f"  anomalies flagged: {len(flagged)}  (ground-truth anomalous segments: {labels.sum()})")

@@ -2,10 +2,10 @@
 
 The detector turns CLSTM predictions into REIA anomaly scores (Eq. 16),
 calibrates the anomaly threshold ``T_a`` from the scores of the (normal)
-training data, and labels or ranks incoming segments.  The paper's efficiency
-optimisations (ADG bounds + ADOS) plug in through
-:mod:`repro.optimization.ados`; this module is the exact, unfiltered scorer
-they must agree with.
+training data, and labels or ranks incoming segments.  It is the exact,
+unfiltered scorer, and the only one that is served; the paper's Section V
+filter (:class:`repro.optimization.ados.FilteredDetector`, offline) wraps it
+and must reach the same thresholded decisions.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ error is computed:
    the same mapping without the table);
 3. the dimensions mapped to one subspace form a *dimension group*, summarised
    by the pair ``<f_min, f_max>`` of the feature's values in that group (plus
-   the group size).
+   the group size) — built for a whole batch at once by
+   :func:`repro.optimization.bounds._group_layout`.
 
 The group summaries support an upper bound on the JS reconstruction error
 (:mod:`repro.optimization.bounds`) that can filter segments without touching
@@ -24,16 +25,11 @@ Table II that justifies the choice of ``n = 20`` subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
 import numpy as np
 
 __all__ = [
     "subspace_boundaries",
     "assign_subspaces",
-    "ADGRepresentation",
-    "build_adg",
     "minimal_feature_contribution",
 ]
 
@@ -67,77 +63,6 @@ def assign_subspaces(values: np.ndarray, n: int) -> np.ndarray:
     return np.clip(indices, 0, n - 1)
 
 
-@dataclass(frozen=True)
-class ADGRepresentation:
-    """Group summary of one action feature vector.
-
-    Attributes
-    ----------
-    n_subspaces:
-        Number of value subspaces used for the grouping.
-    group_dimensions:
-        For every non-empty group, the array of dimension indices it contains.
-    group_min / group_max:
-        Per-group minimum and maximum feature values (the ``<f_min, f_max>``
-        pairs of the paper).
-    group_sizes:
-        Number of dimensions per group.
-    dominant_dimension:
-        Index of the dimension with the largest value (used by the ADOS
-        trigger function).
-    """
-
-    n_subspaces: int
-    group_dimensions: tuple
-    group_min: np.ndarray
-    group_max: np.ndarray
-    group_sizes: np.ndarray
-    dominant_dimension: int
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.group_dimensions)
-
-    def sparsest_groups(self, count: int) -> List[int]:
-        """Indices of the ``count`` groups with the fewest dimensions.
-
-        These are the groups whose bound is loosest relative to their exact
-        contribution; the detection optimiser evaluates them exactly
-        (Fig. 12c's ``N_sg`` parameter).
-        """
-        if count <= 0:
-            return []
-        order = np.argsort(self.group_sizes, kind="stable")
-        return list(order[: min(count, self.num_groups)])
-
-
-def build_adg(feature: np.ndarray, n_subspaces: int = 20) -> ADGRepresentation:
-    """Build the ADG representation of a single action feature vector."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise ValueError(f"feature must be 1-D, got shape {feature.shape}")
-    if feature.size == 0:
-        raise ValueError("feature must be non-empty")
-    assignments = assign_subspaces(feature, n_subspaces)
-    group_dimensions: List[np.ndarray] = []
-    group_min: List[float] = []
-    group_max: List[float] = []
-    for subspace in np.unique(assignments):
-        dims = np.nonzero(assignments == subspace)[0]
-        values = feature[dims]
-        group_dimensions.append(dims)
-        group_min.append(float(values.min()))
-        group_max.append(float(values.max()))
-    return ADGRepresentation(
-        n_subspaces=n_subspaces,
-        group_dimensions=tuple(group_dimensions),
-        group_min=np.array(group_min),
-        group_max=np.array(group_max),
-        group_sizes=np.array([len(d) for d in group_dimensions]),
-        dominant_dimension=int(np.argmax(feature)),
-    )
-
-
 def minimal_feature_contribution(features: np.ndarray, n_subspaces: int) -> float:
     """Table II statistic: worst-case JS contribution of a bottom-group dimension.
 
@@ -155,14 +80,9 @@ def minimal_feature_contribution(features: np.ndarray, n_subspaces: int) -> floa
     if features.ndim != 2:
         raise ValueError("features must be a (num_features, dim) matrix")
     bottom_upper = 2.0 ** -(n_subspaces - 1)
-    contributions = []
-    for feature in features:
-        assignments = assign_subspaces(feature, n_subspaces)
-        bottom_dims = assignments == (n_subspaces - 1)
-        if not np.any(bottom_dims):
-            contributions.append(0.0)
-            continue
-        values = feature[bottom_dims]
-        # Worst case: the reconstructed value differs by the full subspace width.
-        contributions.append(float(0.5 * np.log(2.0) * min(bottom_upper, values.max())))
-    return float(np.mean(contributions))
+    bottom_dims = assign_subspaces(features, n_subspaces) == (n_subspaces - 1)
+    largest = np.max(features, axis=1, where=bottom_dims, initial=-np.inf)
+    # Worst case: the reconstructed value differs by the full subspace width;
+    # a feature with no bottom-group dimension contributes nothing.
+    contributions = 0.5 * np.log(2.0) * np.minimum(bottom_upper, largest)
+    return float(np.mean(np.where(bottom_dims.any(axis=1), contributions, 0.0)))

@@ -1,8 +1,9 @@
 """ADaptive Optimisation Strategy (ADOS) for fast anomaly identification.
 
-Computing the exact 400-dimensional JS reconstruction error for every incoming
-segment is the dominant cost of online detection.  Section V-B of the paper
-describes an adaptive filter pipeline (Fig. 7):
+In the paper's cost model, computing the exact 400-dimensional JS
+reconstruction error for every incoming segment is the dominant cost of online
+detection (here it is not: see the package docstring).  Section V-B describes
+an adaptive filter pipeline (Fig. 7):
 
 1. a *trigger function* computed from the dominant dimension of the true and
    reconstructed action features decides whether the L1-based bounds are worth
@@ -44,8 +45,8 @@ to the exact detector's decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,73 +57,54 @@ from ..core.scoring import (
 )
 from ..features.sequences import SequenceBatch
 from ..utils.config import DetectionConfig
-from ..utils.timer import TimingAccumulator
-from .adg import build_adg
-from .bounds import (
-    adg_upper_bound,
-    adg_upper_bounds,
-    js_lower_bound_l1,
-    js_upper_bound_l1,
-    js_upper_bounds_l1,
-)
+from .bounds import adg_upper_bounds, js_upper_bounds_l1
 
-__all__ = ["FilterOutcome", "FilteredDetectionResult", "ADOSFilter", "FilteredDetector"]
+__all__ = ["STAGES", "FilteredDetectionResult", "ADOSFilter", "FilteredDetector"]
+
+#: How a segment's decision was reached; stage codes index this tuple.
+STAGES = ("l1_normal", "l1_anomaly", "adg_normal", "exact")
+_L1_NORMAL, _L1_ANOMALY, _ADG_NORMAL, _EXACT = range(len(STAGES))
 
 
 @dataclass(frozen=True)
-class FilterOutcome:
-    """How a single segment's decision was reached."""
-
-    segment_index: int
-    decision: bool
-    """True when the segment is reported as an anomaly."""
-
-    stage: str
-    """One of ``l1_normal``, ``l1_anomaly``, ``adg_normal``, ``exact``."""
-
-    score: float
-    """The REIA value (exact when stage == 'exact', otherwise the bound-based
-    value that justified the decision)."""
-
-
-@dataclass
 class FilteredDetectionResult:
-    """Aggregate result of filtered detection over a batch."""
+    """Result of filtered detection over a batch, one entry per segment."""
 
-    outcomes: List[FilterOutcome] = field(default_factory=list)
-    timings: TimingAccumulator = field(default_factory=TimingAccumulator)
+    segment_indices: np.ndarray
+    decisions: np.ndarray
+    """True where the segment is reported as an anomaly."""
+
+    scores: np.ndarray
+    """The REIA value: exact where the stage is ``exact``, otherwise the
+    bound-based value that justified the decision."""
+
+    stages: np.ndarray
+    """Integer codes into :data:`STAGES`."""
+
+    def __len__(self) -> int:
+        return len(self.decisions)
 
     @property
     def anomalies(self) -> np.ndarray:
-        return np.array([o.segment_index for o in self.outcomes if o.decision], dtype=np.int64)
-
-    @property
-    def decisions(self) -> np.ndarray:
-        return np.array([o.decision for o in self.outcomes], dtype=bool)
-
-    @property
-    def segment_indices(self) -> np.ndarray:
-        return np.array([o.segment_index for o in self.outcomes], dtype=np.int64)
+        return self.segment_indices[self.decisions]
 
     def stage_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.stage] = counts.get(outcome.stage, 0) + 1
-        return counts
+        """Segments decided at each stage (stages that decided none are omitted)."""
+        counts = np.bincount(self.stages, minlength=len(STAGES))
+        return {stage: int(count) for stage, count in zip(STAGES, counts) if count}
 
     def filtering_power(self) -> float:
         """Fraction of segments decided without the exact RE_I computation."""
-        if not self.outcomes:
+        if len(self) == 0:
             return 0.0
-        filtered = sum(1 for o in self.outcomes if o.stage != "exact")
-        return filtered / len(self.outcomes)
+        return (len(self) - self.exact_computations()) / len(self)
 
     def exact_computations(self) -> int:
-        return sum(1 for o in self.outcomes if o.stage == "exact")
+        return int(np.count_nonzero(self.stages == _EXACT))
 
 
 class ADOSFilter:
-    """Per-segment adaptive bound selection.
+    """Adaptive bound selection over a batch of segments.
 
     Parameters
     ----------
@@ -173,90 +155,18 @@ class ADOSFilter:
         self.use_adg_bound = use_adg_bound
         self.adaptive = adaptive
 
-    # ------------------------------------------------------------------ #
-    def trigger(self, feature: np.ndarray, reconstruction: np.ndarray) -> str:
-        """The ADOS trigger: predict which bound family can decide the segment.
-
-        Returns ``"upper"`` (try the normal-confirming upper bounds),
-        ``"lower"`` (try the anomaly-confirming lower bound) or ``"exact"``
-        (no bound is likely to be conclusive).  When ``adaptive`` is disabled
-        the answer is always ``"all"``: every bound is applied in sequence,
-        which is the naive strategy the paper compares ADOS against.
-        """
-        if not self.adaptive:
-            return "all"
-        dominant = int(np.argmax(feature))
-        f_value = float(feature[dominant])
-        r_value = float(reconstruction[dominant])
-        difference = abs(f_value - r_value)
-        if difference <= self.trigger_high:
-            return "upper"
-        smaller = max(min(f_value, r_value), 1e-12)
-        ratio = max(f_value, r_value) / smaller
-        if ratio >= self.trigger_low:
-            return "lower"
-        return "exact"
-
-    def should_use_l1(self, feature: np.ndarray, reconstruction: np.ndarray) -> bool:
-        """Whether any L1-based bound would be computed for this segment."""
-        if not self.use_l1_bounds:
-            return False
-        return self.trigger(feature, reconstruction) != "exact"
-
-    def decide(
-        self,
-        segment_index: int,
-        feature: np.ndarray,
-        reconstruction: np.ndarray,
-        interaction_error: float,
-    ) -> FilterOutcome:
-        """Run the ADOS cascade (Fig. 7) for one segment."""
-        omega = self.omega
-        interaction_part = (1.0 - omega) * interaction_error
-        mode = self.trigger(feature, reconstruction)
-
-        try_upper_l1 = self.use_l1_bounds and mode in ("upper", "all")
-        try_lower_l1 = self.use_l1_bounds and mode in ("upper", "lower", "all")
-        try_adg = self.use_adg_bound and mode in ("upper", "all")
-
-        if try_upper_l1 or try_lower_l1:
-            l1_score = js_upper_bound_l1(feature, reconstruction)
-            if try_upper_l1:
-                upper_score = omega * l1_score + interaction_part
-                if upper_score < self.normal_threshold:
-                    return FilterOutcome(segment_index, False, "l1_normal", upper_score)
-            if try_lower_l1:
-                js_min = 0.5 * l1_score * l1_score  # JS_min = 0.125 * L1^2 = 0.5 * JS_max^2
-                lower_score = omega * js_min + interaction_part
-                if lower_score > self.anomaly_threshold:
-                    return FilterOutcome(segment_index, True, "l1_anomaly", lower_score)
-
-        if try_adg:
-            adg = build_adg(feature, n_subspaces=self.adg_subspaces)
-            re_max = adg_upper_bound(
-                feature,
-                reconstruction,
-                adg=adg,
-                exact_groups=self.sparse_groups,
-            )
-            upper_score = omega * re_max + interaction_part
-            if upper_score <= self.normal_threshold:
-                return FilterOutcome(segment_index, False, "adg_normal", upper_score)
-
-        exact = float(action_reconstruction_error(feature[None, :], reconstruction[None, :])[0])
-        score = omega * exact + interaction_part
-        return FilterOutcome(segment_index, score > self.anomaly_threshold, "exact", score)
-
-    # ------------------------------------------------------------------ #
-    # Vectorised batch cascade
-    # ------------------------------------------------------------------ #
     _MODE_EXACT, _MODE_UPPER, _MODE_LOWER, _MODE_ALL = 0, 1, 2, 3
 
     def trigger_modes(self, features: np.ndarray, reconstructions: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`trigger` over an ``(N, d)`` batch.
+        """The ADOS trigger: predict which bound family can decide each segment.
 
-        Returns an int8 array of mode codes (``_MODE_*``); semantics are
-        identical to calling :meth:`trigger` row by row.
+        Returns an int8 array of mode codes over the ``(N, d)`` batch:
+        ``_MODE_UPPER`` (try the normal-confirming upper bounds),
+        ``_MODE_LOWER`` (try the anomaly-confirming lower bound) or
+        ``_MODE_EXACT`` (no bound is likely to be conclusive).  When
+        ``adaptive`` is disabled every row is ``_MODE_ALL``: every bound is
+        applied in sequence, which is the naive strategy the paper compares
+        ADOS against.
         """
         features = np.asarray(features, dtype=np.float64)
         reconstructions = np.asarray(reconstructions, dtype=np.float64)
@@ -278,22 +188,21 @@ class ADOSFilter:
 
     def decide_batch(
         self,
-        segment_indices: np.ndarray,
         features: np.ndarray,
         reconstructions: np.ndarray,
         interaction_errors: np.ndarray,
-    ) -> List[FilterOutcome]:
-        """Run the ADOS cascade over a whole batch with vectorised bounds.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the ADOS cascade (Fig. 7) over a batch of segments.
 
-        Produces exactly the outcomes of calling :meth:`decide` per segment
-        (same stages, decisions and scores), but evaluates the trigger, the
-        L1 bounds, the ADG group bound
+        Returns ``(decisions, scores, stages)``, one entry per row (the
+        fields of :class:`FilteredDetectionResult`).  The trigger, the L1
+        bounds, the ADG group bound
         (:func:`~repro.optimization.bounds.adg_upper_bounds`) and the
-        residual exact JS computations as NumPy batch operations.
+        residual exact JS computations are each one NumPy batch operation
+        over the rows still undecided.
         """
         features = np.asarray(features, dtype=np.float64)
         reconstructions = np.asarray(reconstructions, dtype=np.float64)
-        segment_indices = np.asarray(segment_indices, dtype=np.int64)
         interaction_parts = (1.0 - self.omega) * np.asarray(interaction_errors, dtype=np.float64)
         count = features.shape[0]
 
@@ -307,7 +216,7 @@ class ADOSFilter:
         decided = np.zeros(count, dtype=bool)
         decisions = np.zeros(count, dtype=bool)
         scores = np.zeros(count, dtype=np.float64)
-        stages = np.full(count, "exact", dtype=object)
+        stages = np.full(count, _EXACT, dtype=np.int8)
 
         need_l1 = try_upper | try_lower
         if need_l1.any():
@@ -316,14 +225,14 @@ class ADOSFilter:
             upper_scores = self.omega * js_max + interaction_parts
             normal_hits = try_upper & (upper_scores < self.normal_threshold)
             decided[normal_hits] = True
-            stages[normal_hits] = "l1_normal"
+            stages[normal_hits] = _L1_NORMAL
             scores[normal_hits] = upper_scores[normal_hits]
-            # JS_min = 0.125 * L1^2 = 0.5 * JS_max^2 (same expression as decide()).
+            # JS_min = 0.125 * L1^2 = 0.5 * JS_max^2
             lower_scores = self.omega * (0.5 * js_max * js_max) + interaction_parts
             anomaly_hits = try_lower & ~decided & (lower_scores > self.anomaly_threshold)
             decided[anomaly_hits] = True
             decisions[anomaly_hits] = True
-            stages[anomaly_hits] = "l1_anomaly"
+            stages[anomaly_hits] = _L1_ANOMALY
             scores[anomaly_hits] = lower_scores[anomaly_hits]
 
         adg_rows = np.nonzero(~decided & try_adg)[0]
@@ -338,7 +247,7 @@ class ADOSFilter:
             adg_hits = upper_adg <= self.normal_threshold
             hit_rows = adg_rows[adg_hits]
             decided[hit_rows] = True
-            stages[hit_rows] = "adg_normal"
+            stages[hit_rows] = _ADG_NORMAL
             scores[hit_rows] = upper_adg[adg_hits]
 
         remaining = ~decided
@@ -348,15 +257,7 @@ class ADOSFilter:
             scores[remaining] = exact_scores
             decisions[remaining] = exact_scores > self.anomaly_threshold
 
-        return [
-            FilterOutcome(
-                segment_index=int(segment_indices[position]),
-                decision=bool(decisions[position]),
-                stage=str(stages[position]),
-                score=float(scores[position]),
-            )
-            for position in range(count)
-        ]
+        return decisions, scores, stages
 
 
 class FilteredDetector:
@@ -379,6 +280,11 @@ class FilteredDetector:
             raise ValueError("the wrapped detector must be calibrated first")
         self.detector = detector
         self.config = config if config is not None else detector.config
+        if detector.config.top_k is not None or self.config.top_k is not None:
+            raise ValueError(
+                "DetectionConfig.top_k must be unset: the filter decides each segment "
+                "against T_a, and a bound-decided segment has no exact score to rank"
+            )
         self.filter = ADOSFilter(
             normal_threshold=detector.normal_threshold,
             anomaly_threshold=detector.anomaly_threshold,
@@ -392,24 +298,23 @@ class FilteredDetector:
             adaptive=adaptive,
         )
 
-    def detect(self, batch: SequenceBatch) -> FilteredDetectionResult:
-        """Filtered detection over a sequence batch."""
-        result = FilteredDetectionResult()
-        if len(batch) == 0:
-            return result
-        with result.timings.measure("model_prediction"):
-            predicted_action, predicted_interaction = self.detector.model.predict(
-                batch.action_sequences, batch.interaction_sequences
-            )
-        interaction_errors = interaction_reconstruction_error(
+    def reconstruct(self, batch: SequenceBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """The CLSTM forward every strategy pays before the cascade.
+
+        Returns ``(predicted_action, interaction_errors)``: the reconstruction
+        the bounds are taken against and the exact (cheap) ``RE_A``.
+        """
+        predicted_action, predicted_interaction = self.detector.model.predict(
+            batch.action_sequences, batch.interaction_sequences
+        )
+        return predicted_action, interaction_reconstruction_error(
             batch.interaction_targets, predicted_interaction
         )
-        with result.timings.measure("filtering"):
-            outcomes = self.filter.decide_batch(
-                batch.target_indices,
-                batch.action_targets,
-                predicted_action,
-                interaction_errors,
-            )
-        result.outcomes.extend(outcomes)
-        return result
+
+    def detect(self, batch: SequenceBatch) -> FilteredDetectionResult:
+        """Filtered detection over a sequence batch (an empty one included)."""
+        predicted_action, interaction_errors = self.reconstruct(batch)
+        decisions, scores, stages = self.filter.decide_batch(
+            batch.action_targets, predicted_action, interaction_errors
+        )
+        return FilteredDetectionResult(batch.target_indices, decisions, scores, stages)

@@ -28,153 +28,47 @@ contribution is therefore at most ``m * max_corner psi``.  This uses exactly
 the ADG summaries (group size + min/max pairs), costs O(1) per group instead
 of O(dims), is tight for the dense low-value groups that dominate the 400-d
 features, and guarantees ``RE_I^G >= RE_I``.  The paper's literal formula is
-provided as :func:`paper_group_bound` for reference and ablation.
+provided as :func:`paper_group_bounds` for reference and ablation.
+
+Every bound takes an ``(N, d)`` batch of pairs and returns one value per row;
+a single pair is a batch of one.  The per-row brute-force reference the tests
+compare against lives in ``tests/reference_bounds.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..core.scoring import js_divergence, l1_distance
-from .adg import ADGRepresentation, assign_subspaces, build_adg
+from ..core.scoring import l1_distance
+from .adg import assign_subspaces
 
 __all__ = [
-    "js_upper_bound_l1",
-    "js_lower_bound_l1",
     "js_upper_bounds_l1",
     "js_lower_bounds_l1",
-    "adg_upper_bound",
     "adg_upper_bounds",
-    "paper_group_bound",
     "paper_group_bounds",
-    "BoundEvaluation",
-    "evaluate_bounds",
 ]
 
 
-def js_upper_bound_l1(feature: np.ndarray, reconstruction: np.ndarray) -> float:
-    """``JS_max``: 0.5 * L1 distance, an upper bound of the JS divergence."""
-    return float(0.5 * l1_distance(np.asarray(feature), np.asarray(reconstruction)))
-
-
-def js_lower_bound_l1(feature: np.ndarray, reconstruction: np.ndarray) -> float:
-    """``JS_min``: 0.125 * (L1 distance)^2, a lower bound of the JS divergence."""
-    distance = float(l1_distance(np.asarray(feature), np.asarray(reconstruction)))
-    return 0.125 * distance * distance
-
-
 def js_upper_bounds_l1(features: np.ndarray, reconstructions: np.ndarray) -> np.ndarray:
-    """Vectorised ``JS_max`` for an ``(N, d)`` batch of pairs."""
+    """``JS_max``: 0.5 * L1 distance, an upper bound of the JS divergence."""
     return 0.5 * l1_distance(np.asarray(features), np.asarray(reconstructions))
 
 
 def js_lower_bounds_l1(features: np.ndarray, reconstructions: np.ndarray) -> np.ndarray:
-    """Vectorised ``JS_min`` for an ``(N, d)`` batch of pairs."""
+    """``JS_min``: 0.125 * (L1 distance)^2, a lower bound of the JS divergence."""
     distance = l1_distance(np.asarray(features), np.asarray(reconstructions))
     return 0.125 * distance * distance
 
 
-def adg_upper_bound(
-    feature: np.ndarray,
-    reconstruction: np.ndarray,
-    adg: Optional[ADGRepresentation] = None,
-    n_subspaces: int = 20,
-    exact_groups: int = 0,
-) -> float:
-    """``RE_I^G``: group-summary upper bound of the JS reconstruction error.
-
-    Parameters
-    ----------
-    feature / reconstruction:
-        True action feature ``f`` and CLSTM reconstruction ``f_hat``.
-    adg:
-        Pre-built ADG representation of ``feature``; built on the fly when
-        omitted (callers scoring many reconstructions of the same segment
-        should pass it in).
-    n_subspaces:
-        Number of ADG value subspaces when ``adg`` is not supplied.
-    exact_groups:
-        ``N_sg`` — the number of sparsest groups whose contribution is
-        computed exactly (in the original space) instead of bounded.  The
-        paper observes that sparse groups produce loose bounds, and their
-        exact partial sums can be reused if the full ``RE_I`` is needed later
-        (Fig. 12c studies this parameter).
-    """
-    feature = np.asarray(feature, dtype=np.float64)
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    if feature.shape != reconstruction.shape:
-        raise ValueError("feature and reconstruction must have the same shape")
-    if adg is None:
-        adg = build_adg(feature, n_subspaces=n_subspaces)
-
-    exact_set = set(adg.sparsest_groups(exact_groups))
-    total = 0.0
-    for group_index, dims in enumerate(adg.group_dimensions):
-        group_feature = feature[dims]
-        group_reconstruction = reconstruction[dims]
-        if group_index in exact_set:
-            total += float(js_divergence(group_reconstruction, group_feature))
-            continue
-        f_min, f_max = float(group_feature.min()), float(group_feature.max())
-        r_min, r_max = float(group_reconstruction.min()), float(group_reconstruction.max())
-        corner_values = (
-            _js_term(f_max, r_min),
-            _js_term(f_min, r_max),
-            _js_term(f_max, r_max),
-            _js_term(f_min, r_min),
-        )
-        total += len(dims) * max(corner_values)
-    return total
-
-
 def _js_term(a, b):
-    """Per-dimension JS contribution ``psi(a, b)`` (convex in each argument).
-
-    Accepts scalars or arrays (broadcasting); the scalar and batched group
-    bounds share this single implementation so their corner terms are
-    computed by the identical floating-point expressions.
-    """
+    """Per-dimension JS contribution ``psi(a, b)`` (convex in each argument)."""
     a = np.maximum(a, 1e-300)
     b = np.maximum(b, 1e-300)
     mixture = 0.5 * (a + b)
     return 0.5 * (a * np.log(a / mixture) + b * np.log(b / mixture))
 
 
-def paper_group_bound(
-    feature: np.ndarray,
-    reconstruction: np.ndarray,
-    adg: Optional[ADGRepresentation] = None,
-    n_subspaces: int = 20,
-) -> float:
-    """The group bound exactly as written in Eq. 18 of the paper.
-
-    Provided for reference/ablation; see the module docstring for why the
-    default filter uses :func:`adg_upper_bound` instead.
-    """
-    feature = np.asarray(feature, dtype=np.float64)
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    if adg is None:
-        adg = build_adg(feature, n_subspaces=n_subspaces)
-    epsilon = 1e-12
-    total = 0.0
-    for dims in adg.group_dimensions:
-        group_feature = feature[dims]
-        group_reconstruction = reconstruction[dims]
-        mixture = 0.5 * (group_feature + group_reconstruction)
-        f_max = max(float(group_feature.max()), float(group_reconstruction.max()))
-        f_min = min(float(group_feature.min()), float(group_reconstruction.min()))
-        m_min = max(float(mixture.min()), epsilon)
-        m_max = max(float(mixture.max()), epsilon)
-        ratio = max((f_max * max(f_min, epsilon)) / (m_min * m_max), epsilon)
-        total += 0.5 * len(dims) * np.log(ratio)
-    return total
-
-
-# --------------------------------------------------------------------- #
-# Batched group bounds over (B, D) arrays
-# --------------------------------------------------------------------- #
 def _batched_pair(features: np.ndarray, reconstructions: np.ndarray) -> tuple:
     features = np.asarray(features, dtype=np.float64)
     reconstructions = np.asarray(reconstructions, dtype=np.float64)
@@ -197,29 +91,29 @@ def _scatter_min_max(values: np.ndarray, flat: np.ndarray, cells: int, shape: tu
 
 
 def _group_layout(features: np.ndarray, n_subspaces: int):
-    """Shared grouping arithmetic of the batched bounds.
+    """The ADG representation of a batch: every row's dimension groups.
 
-    Returns ``(assignments, flat_indices, sizes, nonempty)`` where
-    ``assignments`` is the ``(B, D)`` subspace id of every dimension,
-    ``flat_indices`` the flattened ``(row, subspace)`` scatter index, and
-    ``sizes`` / ``nonempty`` the ``(B, n)`` per-group dimension counts.
-    Groups are enumerated in ascending subspace order, exactly like
-    :func:`repro.optimization.adg.build_adg` enumerates ``np.unique``.
+    Returns ``(flat_indices, sizes, nonempty)`` where ``flat_indices`` is the
+    flattened ``(row, subspace)`` scatter index of every dimension (a row's
+    dimensions sharing a value subspace form one group) and ``sizes`` /
+    ``nonempty`` the ``(B, n)`` per-group dimension counts.
     """
-    batch, dims = features.shape
+    if n_subspaces < 1:
+        raise ValueError(f"n_subspaces must be at least 1, got {n_subspaces}")
+    batch = features.shape[0]
     assignments = assign_subspaces(features, n_subspaces)
     flat = (assignments + np.arange(batch)[:, None] * n_subspaces).ravel()
     sizes = np.bincount(flat, minlength=batch * n_subspaces).reshape(batch, n_subspaces)
-    return assignments, flat, sizes, sizes > 0
+    return flat, sizes, sizes > 0
 
 
 def _exact_group_mask(sizes: np.ndarray, nonempty: np.ndarray, exact_groups: int) -> np.ndarray:
-    """Batched :meth:`ADGRepresentation.sparsest_groups` selection.
+    """The ``exact_groups`` sparsest groups of every row.
 
     Per row: the ``exact_groups`` non-empty groups with the fewest
-    dimensions, ties broken towards the lower subspace index — the same
-    stable-sort order the scalar path uses.  Empty groups get a sentinel
-    size larger than any real group so they sort last.
+    dimensions, ties broken towards the lower subspace index (a stable
+    sort).  Empty groups get a sentinel size larger than any real group so
+    they sort last.
     """
     batch, n_subspaces = sizes.shape
     if exact_groups <= 0:
@@ -234,39 +128,34 @@ def _exact_group_mask(sizes: np.ndarray, nonempty: np.ndarray, exact_groups: int
     return nonempty & (ranks < limit)
 
 
-def _ascending_group_sum(terms: np.ndarray) -> np.ndarray:
-    """Accumulate per-group terms in ascending subspace order.
-
-    A sequential loop (not ``np.sum``'s pairwise reduction) so every row's
-    total is built by the same left-to-right additions as the scalar bounds'
-    ``total += term`` loop; empty groups contribute exactly ``0.0``, which
-    leaves the float result unchanged.
-    """
-    totals = np.zeros(terms.shape[0])
-    for group in range(terms.shape[1]):
-        totals = totals + terms[:, group]
-    return totals
-
-
 def adg_upper_bounds(
     features: np.ndarray,
     reconstructions: np.ndarray,
     n_subspaces: int = 20,
     exact_groups: int = 0,
 ) -> np.ndarray:
-    """Batched ``RE_I^G`` over ``(B, D)`` pairs — one bound per row.
+    """``RE_I^G``: group-summary upper bound of the JS reconstruction error.
 
-    Elementwise-equivalent to calling :func:`adg_upper_bound` on every row
-    (the accumulation order and corner expressions are shared), but the
-    grouping, the ``<min, max>`` summaries and the corner terms of all rows
-    are computed as single scatter/ufunc operations instead of a Python loop
-    over groups per row.  Only the ``exact_groups`` sparsest groups — whose
-    contribution is an exact JS over a handful of dimensions — remain
-    per-(row, group).
+    One bound per row of the ``(B, D)`` pairs; the grouping, the
+    ``<min, max>`` summaries, the corner terms and the exact sparse-group
+    sums of all rows are single scatter/ufunc operations.
+
+    Parameters
+    ----------
+    features / reconstructions:
+        True action features ``f`` and CLSTM reconstructions ``f_hat``.
+    n_subspaces:
+        Number of ADG value subspaces the dimensions are grouped by.
+    exact_groups:
+        ``N_sg`` — the number of sparsest groups whose contribution is
+        computed exactly (in the original space) instead of bounded.  The
+        paper observes that sparse groups produce loose bounds, and their
+        exact partial sums can be reused if the full ``RE_I`` is needed later
+        (Fig. 12c studies this parameter).
     """
     features, reconstructions = _batched_pair(features, reconstructions)
     batch, _ = features.shape
-    assignments, flat, sizes, nonempty = _group_layout(features, n_subspaces)
+    flat, sizes, nonempty = _group_layout(features, n_subspaces)
     cells = batch * n_subspaces
     shape = (batch, n_subspaces)
     f_min, f_max = _scatter_min_max(features, flat, cells, shape)
@@ -286,13 +175,12 @@ def adg_upper_bounds(
     )
     terms = np.where(bounded, sizes * corner, 0.0)
 
-    if exact_mask.any():
-        for row, group in zip(*np.nonzero(exact_mask)):
-            dims = np.nonzero(assignments[row] == group)[0]
-            terms[row, group] = float(
-                js_divergence(reconstructions[row, dims], features[row, dims])
-            )
-    return _ascending_group_sum(terms)
+    if exact_groups > 0:
+        exact = np.bincount(
+            flat, weights=_js_term(features, reconstructions).ravel(), minlength=cells
+        ).reshape(shape)
+        terms = np.where(exact_mask, exact, terms)
+    return terms.sum(axis=1)
 
 
 def paper_group_bounds(
@@ -300,10 +188,14 @@ def paper_group_bounds(
     reconstructions: np.ndarray,
     n_subspaces: int = 20,
 ) -> np.ndarray:
-    """Batched :func:`paper_group_bound` (Eq. 18 as written) over ``(B, D)`` pairs."""
+    """The group bound exactly as written in Eq. 18 of the paper, per row.
+
+    Provided for reference/ablation; see the module docstring for why the
+    default filter uses :func:`adg_upper_bounds` instead.
+    """
     features, reconstructions = _batched_pair(features, reconstructions)
     batch, _ = features.shape
-    _, flat, sizes, nonempty = _group_layout(features, n_subspaces)
+    flat, sizes, nonempty = _group_layout(features, n_subspaces)
     cells = batch * n_subspaces
     shape = (batch, n_subspaces)
     f_min, f_max = _scatter_min_max(features, flat, cells, shape)
@@ -316,34 +208,4 @@ def paper_group_bounds(
     mix_min = np.maximum(np.where(nonempty, m_min, 1.0), epsilon)
     mix_max = np.maximum(np.where(nonempty, m_max, 1.0), epsilon)
     ratio = np.maximum((pair_max * np.maximum(pair_min, epsilon)) / (mix_min * mix_max), epsilon)
-    terms = np.where(nonempty, 0.5 * sizes * np.log(ratio), 0.0)
-    return _ascending_group_sum(terms)
-
-
-class BoundEvaluation:
-    """All bound values for one (feature, reconstruction) pair."""
-
-    __slots__ = ("js_max", "js_min", "adg_bound", "exact")
-
-    def __init__(self, js_max: float, js_min: float, adg_bound: float, exact: Optional[float] = None) -> None:
-        self.js_max = js_max
-        self.js_min = js_min
-        self.adg_bound = adg_bound
-        self.exact = exact
-
-
-def evaluate_bounds(
-    feature: np.ndarray,
-    reconstruction: np.ndarray,
-    n_subspaces: int = 20,
-    exact_groups: int = 0,
-    include_exact: bool = False,
-) -> BoundEvaluation:
-    """Compute every bound (and optionally the exact JS) for one pair."""
-    js_max = js_upper_bound_l1(feature, reconstruction)
-    js_min = js_lower_bound_l1(feature, reconstruction)
-    adg_bound = adg_upper_bound(
-        feature, reconstruction, n_subspaces=n_subspaces, exact_groups=exact_groups
-    )
-    exact = float(js_divergence(np.asarray(reconstruction), np.asarray(feature))) if include_exact else None
-    return BoundEvaluation(js_max=js_max, js_min=js_min, adg_bound=adg_bound, exact=exact)
+    return np.where(nonempty, 0.5 * sizes * np.log(ratio), 0.0).sum(axis=1)

@@ -9,16 +9,15 @@ benchmark (and the efficiency analysis) can reproduce the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.detector import AnomalyDetector
-from ..core.scoring import interaction_reconstruction_error
 from ..features.sequences import SequenceBatch
-from .ados import ADOSFilter
-from .bounds import adg_upper_bound, js_lower_bound_l1, js_upper_bound_l1
+from .ados import STAGES, FilteredDetector
+from .bounds import adg_upper_bounds, js_lower_bounds_l1, js_upper_bounds_l1
 
 __all__ = ["FilteringPowerReport", "filtering_power", "evaluate_filtering_power"]
 
@@ -58,78 +57,42 @@ def evaluate_filtering_power(
     via a lower bound above ``T_a``) without computing the exact JS
     reconstruction error.
     """
-    if detector.anomaly_threshold is None:
-        raise ValueError("detector must be calibrated before measuring filtering power")
     config = detector.config
-    omega = config.omega
-    normal_threshold = detector.normal_threshold
-    anomaly_threshold = detector.anomaly_threshold
-    sparse_groups = config.sparse_groups if sparse_groups is None else sparse_groups
-
+    if sparse_groups is not None:
+        config = replace(config, sparse_groups=sparse_groups)
+    filtered = FilteredDetector(detector, config=config)  # refuses an uncalibrated detector
     total = len(batch)
     if total == 0:
         return FilteringPowerReport(total_segments=0, powers={})
 
-    predicted_action, predicted_interaction = detector.model.predict(
-        batch.action_sequences, batch.interaction_sequences
-    )
-    interaction_errors = interaction_reconstruction_error(
-        batch.interaction_targets, predicted_interaction
-    )
+    features = batch.action_targets
+    reconstructions, interaction_errors = filtered.reconstruct(batch)
+    omega = config.omega
+    interaction_parts = (1.0 - omega) * interaction_errors
 
-    counters = {
-        "JS_max": 0,
-        "JS_min": 0,
-        "RE_G": 0,
-        "JS_max+JS_min": 0,
-        "JS_max+JS_min+RE_G": 0,
-        "ADOS": 0,
+    def reia(action_bounds: np.ndarray) -> np.ndarray:
+        return omega * action_bounds + interaction_parts
+
+    upper = reia(js_upper_bounds_l1(features, reconstructions)) < detector.normal_threshold
+    lower = reia(js_lower_bounds_l1(features, reconstructions)) > detector.anomaly_threshold
+    adg = reia(
+        adg_upper_bounds(
+            features,
+            reconstructions,
+            n_subspaces=config.adg_subspaces,
+            exact_groups=config.sparse_groups,
+        )
+    ) <= detector.normal_threshold
+    _, _, stages = filtered.filter.decide_batch(features, reconstructions, interaction_errors)
+    filters = {
+        "JS_max": upper,
+        "JS_min": lower,
+        "RE_G": adg,
+        "JS_max+JS_min": upper | lower,
+        "JS_max+JS_min+RE_G": upper | lower | adg,
+        "ADOS": stages != STAGES.index("exact"),
     }
-    ados = ADOSFilter(
-        normal_threshold=normal_threshold,
-        anomaly_threshold=anomaly_threshold,
-        omega=omega,
-        trigger_low=config.trigger_low,
-        trigger_high=config.trigger_high,
-        adg_subspaces=config.adg_subspaces,
-        sparse_groups=sparse_groups,
-    )
-
-    for position in range(total):
-        feature = batch.action_targets[position]
-        reconstruction = predicted_action[position]
-        interaction_part = (1.0 - omega) * float(interaction_errors[position])
-
-        js_max_score = omega * js_upper_bound_l1(feature, reconstruction) + interaction_part
-        js_min_score = omega * js_lower_bound_l1(feature, reconstruction) + interaction_part
-        adg_score = (
-            omega
-            * adg_upper_bound(
-                feature,
-                reconstruction,
-                n_subspaces=config.adg_subspaces,
-                exact_groups=sparse_groups,
-            )
-            + interaction_part
-        )
-
-        upper_filters = js_max_score < normal_threshold
-        lower_filters = js_min_score > anomaly_threshold
-        adg_filters = adg_score <= normal_threshold
-
-        counters["JS_max"] += int(upper_filters)
-        counters["JS_min"] += int(lower_filters)
-        counters["RE_G"] += int(adg_filters)
-        counters["JS_max+JS_min"] += int(upper_filters or lower_filters)
-        counters["JS_max+JS_min+RE_G"] += int(upper_filters or lower_filters or adg_filters)
-
-        outcome = ados.decide(
-            segment_index=int(batch.target_indices[position]),
-            feature=feature,
-            reconstruction=reconstruction,
-            interaction_error=float(interaction_errors[position]),
-        )
-        counters["ADOS"] += int(outcome.stage != "exact")
-
-    powers = {name: filtering_power(count, total) for name, count in counters.items()}
+    powers = {
+        name: filtering_power(int(np.count_nonzero(mask)), total) for name, mask in filters.items()
+    }
     return FilteringPowerReport(total_segments=total, powers=powers)

@@ -2,7 +2,7 @@
 
 The thread :class:`~repro.serving.executor.ParallelExecutor` tops out at the
 GIL: NumPy releases it inside the fused GEMMs, but everything around them —
-routing, micro-batch assembly, ADOS filtering, drift bookkeeping — still
+routing, micro-batch assembly, drift bookkeeping — still
 serialises, so adding threads past a handful buys little on mixed workloads.
 This module scales scoring past a single interpreter while keeping every
 piece of *state* (sessions, routes, drift monitors, checkpoints) in the

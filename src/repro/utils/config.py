@@ -288,9 +288,6 @@ class DetectionConfig(ConfigBase):
     adg_subspaces: int = 20
     """Number n of ADG value-partition subspaces (Table II)."""
 
-    adg_groups: int = 20
-    """Number of dimension groups each 400-d feature is summarised into."""
-
     sparse_groups: int = 10
     """N_sg: number of sparsest groups evaluated exactly (Fig. 12c)."""
 
@@ -306,6 +303,34 @@ class DetectionConfig(ConfigBase):
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
+        if self.adg_subspaces < 1:
+            raise ValueError(
+                f"DetectionConfig.adg_subspaces must be at least 1, got {self.adg_subspaces}"
+            )
+        if self.sparse_groups < 0:
+            raise ValueError(
+                f"DetectionConfig.sparse_groups must be non-negative, got {self.sparse_groups}"
+            )
+        if not 0.0 < self.normal_threshold_ratio <= 1.0:
+            raise ValueError(
+                "DetectionConfig.normal_threshold_ratio must be in (0, 1], "
+                f"got {self.normal_threshold_ratio}"
+            )
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"DetectionConfig.top_k must be at least 1 when set, got {self.top_k}")
+        for name in ("threshold", "trigger_low", "trigger_high"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"DetectionConfig.{name} must be finite, got {value}")
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "DetectionConfig":
+        # Every manifest written before the field was retired carries
+        # ``adg_groups``; nothing ever read it (the grouping is
+        # ``adg_subspaces``), so any value drops out.
+        if isinstance(data, Mapping) and "adg_groups" in data:
+            data = {key: value for key, value in data.items() if key != "adg_groups"}
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ change deserves).
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import repro
 import repro.runtime
 import repro.serving
@@ -149,3 +152,34 @@ def test_every_exported_name_resolves():
 
 def test_no_duplicate_exports():
     assert len(repro.__all__) == len(set(repro.__all__))
+
+
+def _imported_modules(path: Path) -> set:
+    """Absolute dotted names of everything ``path`` imports (relative imports resolved)."""
+    package = ("repro", *path.relative_to(Path(repro.__file__).parent).parts[:-1])
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join((*base, *(node.module.split(".") if node.module else ())))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_served_path_never_imports_section_v():
+    """``repro.optimization`` is an offline reproduction module: nothing the
+    server runs (serving, HTTP tier, durability plane, ``Runtime``) imports it."""
+    root = Path(repro.__file__).parent
+    served = [root / "runtime.py"]
+    for package in ("serving", "server", "durability"):
+        served.extend(sorted((root / package).rglob("*.py")))
+    assert len(served) > 10
+    offenders = {}
+    for path in served:
+        names = sorted(n for n in _imported_modules(path) if n.startswith("repro.optimization"))
+        if names:
+            offenders[str(path.relative_to(root))] = names
+    assert not offenders

@@ -21,6 +21,7 @@ from repro.evaluation import (
     roc_curve,
     true_positive_rate,
 )
+from repro.evaluation.harness import FORWARD
 
 
 class TestMetrics:
@@ -203,18 +204,28 @@ class TestHarness:
         assert "ADOS" in report.as_dict()
 
     def test_optimisation_strategy_times(self, tiny_harness):
-        times = tiny_harness.optimisation_strategy_times("INF")
-        assert set(times) == {"No Bound", "JSmin+JSmax", "JSmin+JSmax+REG", "ADOS"}
+        """The shared forward is its own row, every cascade is timed alone,
+        and the exact RE_I counts ride along."""
+        times, exact = tiny_harness.optimisation_strategy_times("INF")
+        strategies = {"No Bound", "JSmin+JSmax", "JSmin+JSmax+REG", "ADOS"}
+        assert set(times) == strategies | {FORWARD} and set(exact) == strategies
         assert all(value > 0 for value in times.values())
+        batch = tiny_harness.prepare_dataset("INF").test.sequences(tiny_harness.scale.sequence_length)
+        assert exact["No Bound"] == len(batch)
+        assert exact["JSmin+JSmax+REG"] <= exact["JSmin+JSmax"] <= len(batch)
+        assert exact["JSmin+JSmax+REG"] <= exact["ADOS"] <= len(batch)
 
     def test_sparse_group_sweep(self, tiny_harness):
-        times = tiny_harness.sparse_group_sweep("INF", group_counts=[0, 4])
-        assert set(times) == {0, 4}
+        times, exact = tiny_harness.sparse_group_sweep("INF", group_counts=[0, 4])
+        assert set(times) == {FORWARD, 0, 4} and set(exact) == {0, 4}
+        assert exact[4] <= exact[0]
 
     def test_ados_threshold_sweep(self, tiny_harness):
         sweep = tiny_harness.ados_threshold_sweep("INF", t1_values=[1.2, 1.8], t2_values=[0.1, 0.5])
+        assert set(sweep) == {FORWARD, "T1", "T2"}
         assert set(sweep["T1"]) == {1.2, 1.8}
         assert set(sweep["T2"]) == {0.1, 0.5}
+        assert sweep[FORWARD] > 0
 
     def test_incremental_update_experiment(self, tiny_harness):
         result = tiny_harness.incremental_update_experiment("INF", chunks=2)

@@ -71,11 +71,8 @@ class TestEndToEnd:
         batch = test.sequences(trained_aovlis.sequence_length)
         exact = trained_aovlis.detector.score(batch)
         filtered = FilteredDetector(trained_aovlis.detector).detect(batch)
-        exact_by_index = dict(zip(exact.segment_indices.tolist(), exact.is_anomaly.tolist()))
-        assert all(
-            outcome.decision == exact_by_index[outcome.segment_index]
-            for outcome in filtered.outcomes
-        )
+        np.testing.assert_array_equal(filtered.segment_indices, exact.segment_indices)
+        np.testing.assert_array_equal(filtered.decisions, exact.is_anomaly)
         assert filtered.filtering_power() > 0.0
 
     def test_incremental_update_keeps_detection_working(self, inf_dataset):
@@ -138,5 +135,5 @@ class TestHarnessIntegration:
     def test_method_detection_times_tiny(self):
         harness = ExperimentHarness(ExperimentScale.tiny())
         times = harness.method_detection_times("INF", method_names=["LTR", "CLSTM"])
-        assert "CLSTM-ADOS" in times
-        assert all(value >= 0 for value in times.values())
+        assert set(times) == {"LTR", "CLSTM", "CLSTM-ADOS"}
+        assert all(value > 0 for value in times.values())

@@ -19,13 +19,11 @@ from repro.core.update import hidden_set_similarity
 from repro.evaluation.metrics import auroc, roc_curve
 from repro.features.sequences import build_sequences
 from repro.nn.tensor import Tensor
-from repro.optimization.adg import assign_subspaces, build_adg
-from repro.optimization.ados import FilteredDetector
+from repro.optimization.adg import assign_subspaces
+from repro.optimization.ados import STAGES, ADOSFilter, FilteredDetector
 from repro.optimization.bounds import (
-    adg_upper_bound,
-    js_lower_bound_l1,
+    adg_upper_bounds,
     js_lower_bounds_l1,
-    js_upper_bound_l1,
     js_upper_bounds_l1,
 )
 from repro.utils.config import DetectionConfig
@@ -57,15 +55,17 @@ class TestScoringProperties:
     def test_l1_bounds_sandwich_js(self, pq):
         p, q = pq
         exact = float(js_divergence(p, q))
-        assert js_upper_bound_l1(p, q) >= exact - 1e-9
-        assert js_lower_bound_l1(p, q) <= exact + 1e-9
+        assert js_upper_bounds_l1(p[None, :], q[None, :])[0] >= exact - 1e-9
+        assert js_lower_bounds_l1(p[None, :], q[None, :])[0] <= exact + 1e-9
 
     @given(distributions(), st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_adg_bound_never_dismisses_falsely(self, pq, n_subspaces, exact_groups):
         p, q = pq
         exact = float(js_divergence(q, p))
-        bound = adg_upper_bound(p, q, n_subspaces=n_subspaces, exact_groups=exact_groups)
+        bound = adg_upper_bounds(
+            p[None, :], q[None, :], n_subspaces=n_subspaces, exact_groups=exact_groups
+        )[0]
         assert bound >= exact - 1e-9
 
     @given(distributions(), st.floats(min_value=0.0, max_value=1.0))
@@ -94,11 +94,12 @@ class TestADGProperties:
     @given(st.integers(min_value=2, max_value=25))
     @settings(max_examples=30, deadline=None)
     def test_partition_is_exhaustive(self, n):
+        """With every group exact the bound is the per-dimension JS sum, so
+        the groups cover each dimension exactly once for any subspace count."""
         rng = np.random.default_rng(n)
-        feature = rng.dirichlet(np.full(40, 0.4))
-        adg = build_adg(feature, n_subspaces=n)
-        covered = np.concatenate(adg.group_dimensions)
-        assert sorted(covered.tolist()) == list(range(40))
+        features = rng.dirichlet(np.full(40, 0.4), size=2)
+        bound = adg_upper_bounds(features[:1], features[1:], n_subspaces=n, exact_groups=n)
+        np.testing.assert_allclose(bound, js_divergence(features[1:], features[:1]), atol=1e-9, rtol=0)
 
 
 def _random_model_and_batch(seed: int):
@@ -147,14 +148,10 @@ class TestModelBoundProperties:
     def test_adg_bound_bounds_model_reconstructions(self, seed, n_subspaces, exact_groups):
         model, batch = _random_model_and_batch(seed)
         predicted_action, _ = model.predict(batch.action_sequences, batch.interaction_sequences)
-        for position in range(len(batch)):
-            feature = batch.action_targets[position]
-            reconstruction = predicted_action[position]
-            exact = float(js_divergence(reconstruction, feature))
-            bound = adg_upper_bound(
-                feature, reconstruction, n_subspaces=n_subspaces, exact_groups=exact_groups
-            )
-            assert bound >= exact - 1e-9
+        bounds = adg_upper_bounds(
+            batch.action_targets, predicted_action, n_subspaces=n_subspaces, exact_groups=exact_groups
+        )
+        assert np.all(bounds >= js_divergence(predicted_action, batch.action_targets) - 1e-9)
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -163,15 +160,15 @@ class TestModelBoundProperties:
         st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_decide_batch_matches_scalar_decide(self, seed, use_l1, use_adg, adaptive):
-        """The vectorised cascade must reproduce decide() outcome-for-outcome
-        (stage, decision and score), since figure code still uses the scalar
-        path while FilteredDetector uses the batch path."""
-        from repro.optimization.ados import ADOSFilter
-
+    def test_cascade_stages_are_justified_by_their_bounds(self, seed, use_l1, use_adg, adaptive):
+        """Every stage code is backed by the bound it names (recomputed here
+        from the public bound functions), carries that bound's score, and —
+        for the naive cascade — a row reaches ``exact`` only when no enabled
+        bound could decide it."""
         rng = np.random.default_rng(seed)
+        omega, t_n, t_a = 0.8, 0.07, 0.1
         ados = ADOSFilter(
-            normal_threshold=0.07, anomaly_threshold=0.1,
+            normal_threshold=t_n, anomaly_threshold=t_a, omega=omega,
             use_l1_bounds=use_l1, use_adg_bound=use_adg, adaptive=adaptive,
             adg_subspaces=5, sparse_groups=2,
         )
@@ -180,23 +177,45 @@ class TestModelBoundProperties:
         reconstructions = np.abs(features + noise) + 1e-12
         reconstructions /= reconstructions.sum(axis=1, keepdims=True)
         interaction_errors = rng.random(16) * 0.05
-        batch = ados.decide_batch(np.arange(16), features, reconstructions, interaction_errors)
-        for position, outcome in enumerate(batch):
-            scalar = ados.decide(
-                position, features[position], reconstructions[position],
-                float(interaction_errors[position]),
-            )
-            assert outcome == scalar
+        decisions, scores, stages = ados.decide_batch(features, reconstructions, interaction_errors)
 
-    @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.3, max_value=0.95))
-    @settings(max_examples=12, deadline=None)
-    def test_ados_filtered_detections_equal_unfiltered(self, seed, quantile):
-        """Bound-based filtering must never change a detection decision."""
+        parts = (1.0 - omega) * interaction_errors
+        l1_upper = omega * js_upper_bounds_l1(features, reconstructions) + parts
+        l1_lower = omega * js_lower_bounds_l1(features, reconstructions) + parts
+        adg = omega * adg_upper_bounds(features, reconstructions, n_subspaces=5, exact_groups=2) + parts
+        exact = omega * js_divergence(reconstructions, features) + parts
+        is_stage = {name: stages == code for code, name in enumerate(STAGES)}
+
+        assert use_l1 or not (is_stage["l1_normal"] | is_stage["l1_anomaly"]).any()
+        assert use_adg or not is_stage["adg_normal"].any()
+        assert np.all(l1_upper[is_stage["l1_normal"]] < t_n)
+        assert np.all(l1_lower[is_stage["l1_anomaly"]] > t_a)
+        assert np.all(adg[is_stage["adg_normal"]] <= t_n)
+        np.testing.assert_array_equal(decisions, np.where(is_stage["exact"], exact > t_a, is_stage["l1_anomaly"]))
+        for name, values in (("l1_normal", l1_upper), ("l1_anomaly", l1_lower), ("adg_normal", adg), ("exact", exact)):
+            np.testing.assert_allclose(scores[is_stage[name]], values[is_stage[name]], rtol=1e-12, atol=1e-15)
+        if not adaptive:
+            decidable = (use_l1 & ((l1_upper < t_n) | (l1_lower > t_a))) | (use_adg & (adg <= t_n))
+            np.testing.assert_array_equal(is_stage["exact"], ~decidable)
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=0.3, max_value=0.95),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ados_filtered_detections_equal_unfiltered(self, seed, quantile, use_l1, use_adg, adaptive):
+        """Bound-based filtering must never change a detection decision,
+        whatever the strategy switches and wherever T_a was calibrated."""
         model, batch = _random_model_and_batch(seed)
         detector = AnomalyDetector(model, DetectionConfig(omega=0.8, adg_subspaces=5, sparse_groups=2))
         detector.calibrate(batch, quantile=quantile)
         exact_result = detector.score(batch)
-        filtered = FilteredDetector(detector).detect(batch)
+        filtered = FilteredDetector(
+            detector, use_l1_bounds=use_l1, use_adg_bound=use_adg, adaptive=adaptive
+        ).detect(batch)
         np.testing.assert_array_equal(filtered.segment_indices, exact_result.segment_indices)
         np.testing.assert_array_equal(filtered.decisions, exact_result.is_anomaly)
 

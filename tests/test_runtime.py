@@ -125,6 +125,14 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError, match=rf"UpdateConfig\.{field}"):
             RuntimeConfig.from_dict({"update": update})
 
+    @pytest.mark.parametrize(
+        "detection, field",
+        [({"adg_subspaces": 0}, "adg_subspaces"), ({"normal_threshold_ratio": -1.0}, "normal_threshold_ratio")],
+    )
+    def test_manifest_with_unusable_detection_section_refused(self, detection, field):
+        with pytest.raises(ValueError, match=rf"DetectionConfig\.{field}"):
+            RuntimeConfig.from_dict({"detection": detection})
+
     def test_coupling_validated(self):
         with pytest.raises(ValueError, match="RuntimeConfig.coupling"):
             RuntimeConfig(coupling="sideways")
@@ -246,6 +254,23 @@ class TestCheckpointRestore:
         tail_original = feed(original, drifting_streams, start_fraction=0.5)
         assert tail_original == feed(restored, drifting_streams, start_fraction=0.5)
         assert restored.update_reports, "the replayed tail never retrained"
+
+    def test_manifest_carrying_the_retired_adg_groups_key(
+        self, runtime_config, tiny_features, tmp_path
+    ):
+        """Every manifest written before ``DetectionConfig.adg_groups`` was
+        deleted holds ``config.detection.adg_groups``; the key was never read,
+        so the checkpoint restores to the same configuration and threshold."""
+        original = Runtime.from_config(runtime_config).fit(tiny_features)
+        manifest_path = original.checkpoint(tmp_path / "ckpt") / "runtime.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "adg_groups" not in manifest["config"]["detection"]
+
+        manifest["config"]["detection"]["adg_groups"] = 20
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        restored = Runtime.from_checkpoint(manifest_path.parent)
+        assert restored.config == original.config
+        assert restored.anomaly_threshold == original.anomaly_threshold
 
     def test_checkpoint_round_trips_pending_and_buffers(
         self, runtime_config, tiny_features, drifting_streams, tmp_path

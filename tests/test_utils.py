@@ -165,6 +165,39 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=rf"UpdateConfig\.{field}"):
             UpdateConfig.from_dict({field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("adg_subspaces", 0),
+            ("sparse_groups", -3),
+            ("normal_threshold_ratio", -1.0),
+            ("normal_threshold_ratio", 0.0),
+            ("normal_threshold_ratio", 1.5),
+            ("normal_threshold_ratio", float("nan")),
+            ("top_k", 0),
+            ("threshold", float("nan")),
+            ("trigger_low", float("inf")),
+            ("trigger_high", float("nan")),
+        ],
+    )
+    def test_detection_config_rejects_values_that_crash_inside_numpy(self, field, value):
+        """``adg_subspaces=0`` used to construct and die in ``np.bincount``;
+        the config arrives from deployment JSON and checkpoint manifests."""
+        with pytest.raises(ValueError, match=rf"DetectionConfig\.{field}"):
+            DetectionConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"DetectionConfig\.{field}"):
+            DetectionConfig.from_dict({field: value})
+
+    def test_detection_config_accepts_boundary_values(self):
+        config = DetectionConfig(adg_subspaces=1, sparse_groups=0, normal_threshold_ratio=1.0, top_k=1)
+        assert DetectionConfig.from_dict(config.to_dict()) == config
+
+    def test_detection_config_drops_the_retired_adg_groups_key(self):
+        """Every manifest written so far carries ``adg_groups``; nothing read it."""
+        assert "adg_groups" not in DetectionConfig().to_dict()
+        legacy = {**DetectionConfig(sparse_groups=4).to_dict(), "adg_groups": 20}
+        assert DetectionConfig.from_dict(legacy) == DetectionConfig(sparse_groups=4)
+
     def test_update_config_keeps_drift_threshold_range_open(self):
         # -1.0 (never trigger), 2.0 (always trigger) and the endpoints of the
         # merge are all in use by tests and examples.
