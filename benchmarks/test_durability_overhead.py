@@ -220,7 +220,6 @@ def run_delta_experiment(tmp_path: Path):
         durability=DurabilityConfig(
             directory=str(root),
             wal=True,
-            delta=True,
             full_every=100,  # manual checkpoints below stay deltas
         ),
     )

@@ -20,7 +20,7 @@ Three gates guard the kernel-level optimisations behind the serving path
   window that covers the whole history must reproduce the full-BPTT loss
   bitwise.
 
-Every experiment appends its numbers (per backend/precision throughput,
+Every experiment appends its numbers (per-precision throughput,
 allocation counters, timings) to ``benchmarks/results/BENCH_kernels.json``
 so CI can track them as an artifact.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 import common
 from repro.core.clstm import CLSTM
-from repro.nn.backend import FLOAT32_ATOL, FLOAT32_RTOL, resolve_backend
+from repro.nn.backend import FLOAT32_ATOL, FLOAT32_RTOL
 from repro.nn.fused import (
     coupled_pair_forward_fused,
     reset_workspace_stats,
@@ -65,7 +65,6 @@ def _merge_json(section: str, payload: dict) -> None:
     common.RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = common.RESULTS_DIR / JSON_NAME
     document = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    document["backend"] = resolve_backend("auto")
     document[section] = payload
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 

@@ -90,7 +90,6 @@ def build_config(root: Path, features) -> RuntimeConfig:
             wal=True,
             wal_fsync_every=1,  # every acked record is durable
             checkpoint_every_records=40,
-            delta=True,
             full_every=4,  # compact back to a full every 4th checkpoint
         ),
     )

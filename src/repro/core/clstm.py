@@ -32,12 +32,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..nn.backend import (
-    resolve_backend,
-    resolve_dtype,
-    resolve_precision,
-    to_host,
-)
+from ..nn.backend import resolve_dtype, resolve_precision
 from ..nn.backprop import (
     TrainingArena,
     is_softmax_head,
@@ -163,11 +158,6 @@ class CLSTM(nn.Module):
         ``"none"`` (independent LSTMs).
     seed:
         Parameter-initialisation seed.
-    backend:
-        Array backend the fused inference kernels run on (``"auto"`` resolves
-        ``REPRO_BACKEND``, default NumPy).  Parameters and training always
-        live on the host; a device backend transfers inputs/outputs at the
-        kernel boundary only.
     precision:
         Compute precision of fused inference (``"float64"`` default;
         ``"float32"`` is the opt-in reduced-precision mode, tolerance-bounded
@@ -183,7 +173,6 @@ class CLSTM(nn.Module):
         interaction_hidden: int = 32,
         coupling: CouplingMode = "both",
         seed: int = 0,
-        backend: str = "auto",
         precision: str = "float64",
     ) -> None:
         super().__init__()
@@ -195,11 +184,6 @@ class CLSTM(nn.Module):
         self.action_hidden = action_hidden
         self.interaction_hidden = interaction_hidden
         self.coupling = coupling
-        self.backend = resolve_backend(backend)
-        # The pre-resolution request ("auto" stays "auto") is what configs
-        # round-trip: a checkpoint written on a GPU box must not pin "cupy"
-        # onto the CPU box that restores it.
-        self._backend_requested = backend
         self.precision = resolve_precision(precision)
 
         # Coupling switches: does LSTM_I read g_{t-1}?  Does LSTM_A read h_{t-1}?
@@ -267,20 +251,17 @@ class CLSTM(nn.Module):
     # ------------------------------------------------------------------ #
     # Convenience inference helpers (fused, tape-free fast path)
     # ------------------------------------------------------------------ #
-    def _effective_precision(self, precision: Optional[str]) -> str:
-        """Resolve a per-call precision override against the model default."""
-        return self.precision if precision is None else resolve_precision(precision)
-
-    def _kernel(self, precision: Optional[str]) -> dict:
-        """Backend/dtype keywords of one fused-kernel call."""
-        return {"backend": self.backend, "dtype": resolve_dtype(self._effective_precision(precision))}
+    def _dtype(self, precision: Optional[str]) -> np.dtype:
+        """Compute dtype of one fused-kernel call: a per-call precision
+        override, else the model default."""
+        return resolve_dtype(self.precision if precision is None else precision)
 
     def gate_inputs(self, windows, precision: Optional[str] = None) -> np.ndarray:
         """Joint gate inputs ``(B, q, 4·h1 + 4·h2)`` of a serving batch of
         :class:`~repro.nn.fused.Segment` windows: each segment projected once
         per pair of weight variants, then gathered."""
         cells = (self.lstm_influencer, self.lstm_audience)
-        return gather_gate_inputs(*cells, windows, **self._kernel(precision))
+        return gather_gate_inputs(*cells, windows, dtype=self._dtype(precision))
 
     def _fused_hidden(
         self,
@@ -293,17 +274,10 @@ class CLSTM(nn.Module):
         With ``interaction_sequences`` omitted, ``action_sequences`` is a
         serving batch: segment windows (projected through the per-segment
         cache) or their gate inputs gathered already (:meth:`gate_inputs`).
-
-        Always returns *host* arrays — this is the detection-side half of the
-        host↔device boundary (``to_host`` is a no-copy pass-through on the
-        NumPy backend).
         """
         cells = (self.lstm_influencer, self.lstm_audience)
         if interaction_sequences is None:
-            final_h, final_g = coupled_pair_forward_gated(
-                *cells, action_sequences, **self._kernel(precision)
-            )
-            return to_host(final_h), to_host(final_g)
+            return coupled_pair_forward_gated(*cells, action_sequences, dtype=self._dtype(precision))
         actions = np.asarray(
             action_sequences.data if isinstance(action_sequences, Tensor) else action_sequences,
             dtype=np.float64,
@@ -314,10 +288,7 @@ class CLSTM(nn.Module):
             else interaction_sequences,
             dtype=np.float64,
         )
-        final_h, final_g = coupled_pair_forward_fused(
-            *cells, actions, interactions, **self._kernel(precision)
-        )
-        return to_host(final_h), to_host(final_g)
+        return coupled_pair_forward_fused(*cells, actions, interactions, dtype=self._dtype(precision))
 
     def predict_full(
         self,
@@ -506,7 +477,6 @@ class CLSTM(nn.Module):
             interaction_hidden=self.interaction_hidden,
             coupling=self.coupling,
             seed=seed,
-            backend=self._backend_requested,
             precision=self.precision,
         )
 
@@ -533,7 +503,6 @@ class CLSTM(nn.Module):
             interaction_hidden=config.interaction_hidden,
             coupling=coupling,
             seed=seed,
-            backend=getattr(config, "backend", "auto"),
             precision=getattr(config, "precision", "float64"),
         )
 
@@ -547,7 +516,6 @@ class CLSTM(nn.Module):
             interaction_dim=self.interaction_dim,
             action_hidden=self.action_hidden,
             interaction_hidden=self.interaction_hidden,
-            backend=self._backend_requested,
             precision=self.precision,
         )
 

@@ -11,18 +11,14 @@ reconstruction errors (Eq. 14-16 of the paper):
 * ``REIA(t) = w * RE_I(t) + (1 - w) * RE_A(t)``.
 
 All functions operate on NumPy arrays and accept both single feature vectors
-and ``(N, d)`` batches.  Host arrays are coerced to ``float64`` (scores and
-thresholds are always full precision — a float32 *forward* still yields
-float64 scores because the true features are float64); arrays already on a
-device backend are scored in place through their own namespace
-(:func:`repro.nn.backend.namespace_of`) without a host round-trip.
+and ``(N, d)`` batches.  Inputs are coerced to ``float64``: scores and
+thresholds are always full precision, so a float32 *forward* still yields
+float64 scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..nn.backend import namespace_of
 
 __all__ = [
     "js_divergence",
@@ -37,12 +33,8 @@ _EPS = 1e-12
 
 
 def _prepare_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xp = namespace_of(p)
-    if xp is np:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-    else:
-        q = xp.asarray(q)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     return p, q
@@ -51,10 +43,9 @@ def _prepare_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     """``KL(p || q)`` along ``axis`` with epsilon-protected logarithms."""
     p, q = _prepare_pair(p, q)
-    xp = namespace_of(p)
-    safe_p = xp.maximum(p, _EPS)
-    safe_q = xp.maximum(q, _EPS)
-    return xp.sum(p * (xp.log(safe_p) - xp.log(safe_q)), axis=axis)
+    safe_p = np.maximum(p, _EPS)
+    safe_q = np.maximum(q, _EPS)
+    return np.sum(p * (np.log(safe_p) - np.log(safe_q)), axis=axis)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -67,8 +58,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
 def l1_distance(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     """L1 distance, used by the JS_max / JS_min filtering bounds."""
     p, q = _prepare_pair(p, q)
-    xp = namespace_of(p)
-    return xp.sum(xp.abs(p - q), axis=axis)
+    return np.sum(np.abs(p - q), axis=axis)
 
 
 def action_reconstruction_error(true_action: np.ndarray, predicted_action: np.ndarray) -> np.ndarray:

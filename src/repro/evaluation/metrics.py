@@ -117,7 +117,7 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     boundaries = np.nonzero(np.diff(sorted_scores))[0]
     starts = np.concatenate([[0], boundaries + 1])
     stops = np.concatenate([boundaries + 1, [scores.size]])
-    # A tie group occupying positions [start, stop) holds ranks start+1..stop,
+    # A tie group at positions [start, stop) holds ranks start+1..stop,
     # whose average is (start + stop + 1) / 2.
     group_midranks = (starts + stops + 1) / 2.0
     ranks = np.empty(scores.size, dtype=np.float64)

@@ -18,12 +18,7 @@ from .fused import (
     lstm_forward_fused,
     coupled_pair_forward_fused,
 )
-from .backend import (
-    get_namespace,
-    resolve_backend,
-    resolve_precision,
-    to_host,
-)
+from .backend import resolve_precision
 from .backprop import (
     TrainingArena,
     BPTTCache,
@@ -63,10 +58,7 @@ __all__ = [
     "run_lstm",
     "FusedGateWeights",
     "Workspace",
-    "get_namespace",
-    "resolve_backend",
     "resolve_precision",
-    "to_host",
     "fuse_lstm_cell",
     "fuse_coupled_cell",
     "lstm_forward_fused",

@@ -5,7 +5,7 @@ time step at a time and allocates a graph node for every intermediate value.
 Inference (anomaly scoring over live streams) only needs the forward values,
 and training only needs the handful of cached activations that the analytic
 BPTT in :mod:`repro.nn.backprop` consumes — neither needs the tape.  This
-module provides the inference fast path: array-namespace forwards that
+module provides the inference fast path: NumPy forwards that
 
 * stack the four gate weight matrices into a single ``(K, 4H)`` matrix so
   each time step costs one GEMM per recurrent input instead of four;
@@ -26,9 +26,8 @@ module provides the inference fast path: array-namespace forwards that
   and GEMMs), so steady-state serving performs **zero large array
   allocations per batch** — only the final hidden-state copies that escape
   to the caller are allocated;
-* resolve their array namespace through :mod:`repro.nn.backend`, so the same
-  kernels run on NumPy (default) or CuPy unchanged, at ``float64`` (default)
-  or opt-in ``float32`` compute precision.
+* compute at ``float64`` (default) or opt-in ``float32`` precision
+  (:mod:`repro.nn.backend` holds the precision contract).
 
 Joint layout
 ------------
@@ -52,10 +51,10 @@ With hidden sizes ``H1`` (influencer) and ``H2`` (audience), ``Hs = H1 + H2``
 
 A :class:`Workspace` holds exactly these buffers (plus a ``(B, 4·Hs)``
 output for the partner GEMMs and the input cast buffers of the reduced-
-precision host path) and the per-cell views into them, built once per shape.
+precision path) and the per-cell views into them, built once per shape.
 
-Numerical contract: on the default backend (NumPy, ``float64``) the kernels
-are **bitwise identical** to the pre-seam implementations frozen in
+Numerical contract: at ``float64`` (the default) the kernels are **bitwise
+identical** to the reference implementations frozen in
 ``tests/frozen_kernels.py``.  Every GEMM keeps the operand shapes and the
 ``K`` order of the frozen kernels (only leading dimensions differ), every
 elementwise expression is evaluated as written there, and the three addends
@@ -76,8 +75,9 @@ for :class:`CoupledLSTMCell`).
 
 Workspace lifetime rules
 ------------------------
-Workspaces are keyed by ``(batch, time, sizes, backend, dtype, thread)``
-and attached to the (anchor) cell object, like the fused-weight cache.  A published model snapshot owns fresh cell objects, so a hot swap
+Workspaces are keyed by ``(batch, time, sizes, dtype, thread)`` and
+attached to the (anchor) cell object, like the fused-weight cache.  A
+published model snapshot owns fresh cell objects, so a hot swap
 naturally retires the old snapshot's workspaces with the old cells; nothing
 ever needs explicit invalidation.  Buffers hold no weight content, so weight
 rebinds do not stale them.  The per-thread key keeps concurrent shard
@@ -93,8 +93,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-
-from .backend import get_namespace, resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .recurrent import CoupledLSTMCell, LSTMCell
@@ -122,10 +120,10 @@ __all__ = [
 _FLOAT64 = np.dtype(np.float64)
 _FLOAT32 = np.dtype(np.float32)
 
-# The (backend, dtype-name) key of the canonical cache entry every other
-# variant is derived from.  The primary is always built on the host in
-# float64 from the live parameter arrays.
-_PRIMARY_KEY = ("numpy", "float64")
+# The dtype-name key of the canonical cache entry every other variant is
+# derived from.  The primary is always built in float64 from the live
+# parameter arrays.
+_PRIMARY_KEY = "float64"
 
 MAX_WORKSPACES_PER_CELL = 8
 """LRU capacity of each cell's workspace pool (shapes × threads)."""
@@ -139,18 +137,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _sigmoid_in_place(x, xp) -> None:
+def _sigmoid_in_place(x) -> None:
     """The same clipped sigmoid, computed fully in place.
 
     ``maximum``/``minimum`` are the two halves of ``clip`` and ``reciprocal``
     replaces the ``1.0 / _`` division — the same IEEE operations, bitwise.
     """
-    xp.maximum(x, -60.0, out=x)
-    xp.minimum(x, 60.0, out=x)
-    xp.negative(x, out=x)
-    xp.exp(x, out=x)
+    np.maximum(x, -60.0, out=x)
+    np.minimum(x, 60.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
     x += 1.0
-    xp.reciprocal(x, out=x)
+    np.reciprocal(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,8 @@ def _cached_fuse(cell, builder) -> FusedGateWeights:
     entry is alive.  For micro-batch serving this removes the dominant cost of
     small-batch inference (re-stacking ~1-2 MB of weights per request).
 
-    The cache is a *variant map*: the canonical host float64 stack (built by
-    ``builder``, returned here) plus any derived ``(backend, dtype)`` casts
+    The cache is a *variant map*: the canonical float64 stack (built by
+    ``builder``, returned here) plus any derived dtype casts
     (:func:`_fused_variant`), all invalidated together when the parameters
     change.
     """
@@ -248,36 +246,35 @@ def _cached_fuse(cell, builder) -> FusedGateWeights:
     cache = getattr(cell, "_fused_cache", None)
     if cache is not None and all(held is live for held, live in zip(cache[0], sources)):
         return cache[1][_PRIMARY_KEY]
-    variants: Dict[Tuple[str, str], FusedGateWeights] = {_PRIMARY_KEY: builder()}
+    variants: Dict[str, FusedGateWeights] = {_PRIMARY_KEY: builder()}
     cell._fused_cache = (sources, variants)
     return variants[_PRIMARY_KEY]
 
 
-def _fused_variant(cell, primary: FusedGateWeights, backend: str, dtype: np.dtype) -> FusedGateWeights:
-    """The ``(backend, dtype)`` cast of ``cell``'s fused weights, cached.
+def _fused_variant(cell, primary: FusedGateWeights, dtype: np.dtype) -> FusedGateWeights:
+    """The ``dtype`` cast of ``cell``'s fused weights, cached.
 
     Derived casts live in the same variant map as the primary (so a weight
     rebind invalidates all of them at once) and are built lazily: the first
-    float32 (or device) batch after a swap pays one ``astype``/transfer, and
-    every later batch reuses it.  Must be called after the fuse accessor
+    float32 batch after a swap pays one ``astype``, and every later batch
+    reuses it.  Must be called after the fuse accessor
     (:func:`fuse_lstm_cell` / :func:`fuse_coupled_cell`) refreshed the cache.
     """
-    key = (backend, dtype.name)
+    key = dtype.name
     if key == _PRIMARY_KEY:
         return primary
     variants = cell._fused_cache[1]
     variant = variants.get(key)
     if variant is None:
-        xp = get_namespace(backend)
         variant = FusedGateWeights(
-            w_hidden=xp.asarray(primary.w_hidden, dtype=dtype),
+            w_hidden=np.asarray(primary.w_hidden, dtype=dtype),
             w_partner=(
-                xp.asarray(primary.w_partner, dtype=dtype)
+                np.asarray(primary.w_partner, dtype=dtype)
                 if primary.w_partner is not None
                 else None
             ),
-            w_input=xp.asarray(primary.w_input, dtype=dtype),
-            bias=xp.asarray(primary.bias, dtype=dtype),
+            w_input=np.asarray(primary.w_input, dtype=dtype),
+            bias=np.asarray(primary.bias, dtype=dtype),
             hidden_size=primary.hidden_size,
         )
         variants[key] = variant
@@ -332,7 +329,7 @@ def transplant_fused_cache(source_cell, target_cell) -> bool:
     were built from exactly the values the target just copied — the stacked
     arrays themselves are still valid for the target, so they are re-keyed to
     the target's own parameter identities instead of being rebuilt.  Every
-    derived ``(backend, dtype)`` variant rides along for free.
+    derived dtype variant rides along for free.
 
     Caller contract: ``target_cell``'s parameter values equal
     ``source_cell``'s (as after ``load_state_dict(source.state_dict())``).
@@ -378,40 +375,38 @@ def fuse_coupled_cell(cell: "CoupledLSTMCell") -> FusedGateWeights:
 class _CellViews(NamedTuple):
     """One cell's windows into the joint buffers of a :class:`Workspace`."""
 
-    hidden: Any
+    hidden: np.ndarray
     """``(B, H)`` columns of the joint hidden state."""
-    pre: Any
+    pre: np.ndarray
     """``(B, 4H)`` columns of the joint pre-activation (recurrent GEMM output)."""
-    partner: Any
+    partner: Optional[np.ndarray]
     """``(B, 4H)`` columns of the joint partner GEMM output, or ``None`` for a
     cell without a partner block."""
-    pre_by_gate: Any
+    pre_by_gate: np.ndarray
     """``pre`` seen gate-major, ``(4, B, H)`` — the source of the gate copy."""
-    gates: Any
+    gates: np.ndarray
     """``(4, B, H)`` columns of the joint gate buffer — its destination."""
-    x_flat: Any
+    x_flat: np.ndarray
     """``(B·T, 4H)`` columns of the flattened gate inputs (projection output)."""
-    cast: Any
-    """``(B, T, D)`` input cast buffer of the reduced-precision host path."""
+    cast: Optional[np.ndarray]
+    """``(B, T, D)`` input cast buffer of the reduced-precision path."""
 
 
 class Workspace:
     """Preallocated per-shape buffers one fused forward runs inside.
 
-    One workspace serves one ``(batch, time, sizes, backend, dtype)``
-    shape on one thread, for every cell of the batch at once (see "Joint
-    layout" in the module docstring).  All buffers are allocated once,
-    through the backend namespace with an explicit dtype, and reused via
-    ``out=`` — a steady-state batch touches them without a single large
-    allocation.  ``cells`` holds each cell's views into them, so a step
-    creates no view objects either.
+    One workspace serves one ``(batch, time, sizes, dtype)`` shape on one
+    thread, for every cell of the batch at once (see "Joint layout" in the
+    module docstring).  All buffers are allocated once with an explicit
+    dtype and reused via ``out=`` — a steady-state batch touches them
+    without a single large allocation.  ``cells`` holds each cell's views
+    into them, so a step creates no view objects either.
     """
 
     __slots__ = ("hidden", "cell", "scratch", "gates", "pre", "x_proj", "cells", "partner_sums")
 
     def __init__(
         self,
-        xp,
         dtype: np.dtype,
         batch: int,
         time_steps: int,
@@ -420,17 +415,17 @@ class Workspace:
         cast_inputs: bool,
     ) -> None:
         total = sum(fused.hidden_size for fused in cells)
-        self.hidden = xp.empty((batch, total), dtype=dtype)
-        self.cell = xp.empty((batch, total), dtype=dtype)
-        self.scratch = xp.empty((batch, total), dtype=dtype)
+        self.hidden = np.empty((batch, total), dtype=dtype)
+        self.cell = np.empty((batch, total), dtype=dtype)
+        self.scratch = np.empty((batch, total), dtype=dtype)
         # Gate-major: activation passes on the strided gate columns of `pre`
         # would run row by row, so each step copies them (one strided copy
         # per cell) into contiguous (B, Hs) blocks first.
-        self.gates = xp.empty((4, batch, total), dtype=dtype)
-        self.pre = xp.empty((batch, 4 * total), dtype=dtype)
+        self.gates = np.empty((4, batch, total), dtype=dtype)
+        self.pre = np.empty((batch, 4 * total), dtype=dtype)
         partnered = [fused.w_partner is not None for fused in cells]
-        partner = xp.empty((batch, 4 * total), dtype=dtype) if any(partnered) else None
-        self.x_proj = xp.empty((batch, time_steps, 4 * total), dtype=dtype)
+        partner = np.empty((batch, 4 * total), dtype=dtype) if any(partnered) else None
+        self.x_proj = np.empty((batch, time_steps, 4 * total), dtype=dtype)
         x_flat = self.x_proj.reshape(batch * time_steps, 4 * total)
         views = []
         start = 0
@@ -447,7 +442,7 @@ class Workspace:
                     gates=self.gates[:, :, start:stop],
                     x_flat=x_flat[:, columns],
                     cast=(
-                        xp.empty((batch, time_steps, fused.w_input.shape[0]), dtype=dtype)
+                        np.empty((batch, time_steps, fused.w_input.shape[0]), dtype=dtype)
                         if cast_inputs
                         else None
                     ),
@@ -525,74 +520,58 @@ def _resolve_kernel_dtype(dtype) -> np.dtype:
 
 
 class _Context(NamedTuple):
-    """Everything one batch resolves once: variants, namespace, workspace."""
+    """Everything one batch resolves once: variants, dtype, workspace."""
 
     cells: Tuple[FusedGateWeights, ...]
-    xp: Any
-    backend: str
     dtype: np.dtype
     workspace: Workspace
 
 
-def _context(cells: tuple, fuse, batch: int, time_steps: int, backend, dtype) -> _Context:
+def _context(cells: tuple, fuse, batch: int, time_steps: int, dtype) -> _Context:
     """Resolve the :class:`_Context` of one ``(batch, time_steps)`` batch over
     ``cells``; the cells share one workspace, pooled on the first of them."""
-    backend = resolve_backend(backend)
     dtype = _resolve_kernel_dtype(dtype)
-    fused = tuple(_fused_variant(cell, fuse(cell), backend, dtype) for cell in cells)
-    xp = get_namespace(backend)
+    fused = tuple(_fused_variant(cell, fuse(cell), dtype) for cell in cells)
     key = (
         batch,
         time_steps,
         *(weights.w_input.shape for weights in fused),
-        backend,
         dtype.name,
         threading.get_ident(),
     )
     workspace = _workspace_for(
         cells[0],
         key,
-        lambda: Workspace(
-            xp,
-            dtype,
-            batch,
-            time_steps,
-            fused,
-            cast_inputs=(backend == "numpy" and dtype != _FLOAT64),
-        ),
+        lambda: Workspace(dtype, batch, time_steps, fused, cast_inputs=dtype != _FLOAT64),
     )
-    return _Context(fused, xp, backend, dtype, workspace)
+    return _Context(fused, dtype, workspace)
 
 
-def _coupled_context(influencer, audience, batch: int, time_steps: int, backend, dtype) -> _Context:
-    return _context((influencer, audience), fuse_coupled_cell, batch, time_steps, backend, dtype)
+def _coupled_context(influencer, audience, batch: int, time_steps: int, dtype) -> _Context:
+    return _context((influencer, audience), fuse_coupled_cell, batch, time_steps, dtype)
 
 
-def _prepare_input(sequence: np.ndarray, cast_buffer, backend: str, dtype: np.dtype, xp):
-    """Bring one host input batch into kernel form for ``(backend, dtype)``.
+def _prepare_input(sequence: np.ndarray, cast_buffer, dtype: np.dtype):
+    """Bring one input batch into kernel form for ``dtype``.
 
-    The default path (host float64) is a no-copy ``asarray``; the reduced-
-    precision host path converts into the workspace's reused cast buffer; a
-    device backend pays exactly one host→device transfer here — the documented
-    ingest-side half of the host↔device boundary.
+    The default path (float64) is a no-copy ``asarray``; the reduced-
+    precision path converts into the workspace's reused cast buffer.
     """
-    if backend == "numpy":
-        if dtype == _FLOAT64:
-            return np.asarray(sequence, dtype=np.float64)
-        np.copyto(cast_buffer, sequence, casting="unsafe")
-        return cast_buffer
-    return xp.asarray(sequence, dtype=dtype)
+    if dtype == _FLOAT64:
+        return np.asarray(sequence, dtype=np.float64)
+    np.copyto(cast_buffer, sequence, casting="unsafe")
+    return cast_buffer
 
 
 def _project_windows(context: _Context, sequences: tuple):
     """All timesteps' input-to-gate projections, one GEMM per cell, into the
     cells' column ranges of the workspace's joint gate inputs (returned)."""
-    cells, xp, backend, dtype, workspace = context
+    cells, dtype, workspace = context
     for fused, views, sequence in zip(cells, workspace.cells, sequences):
-        inputs = _prepare_input(sequence, views.cast, backend, dtype, xp)
+        inputs = _prepare_input(sequence, views.cast, dtype)
         flat = inputs.reshape(-1, inputs.shape[-1])
-        xp.matmul(flat, fused.w_input, out=views.x_flat)
-        xp.add(views.x_flat, fused.bias, out=views.x_flat)
+        np.matmul(flat, fused.w_input, out=views.x_flat)
+        np.add(views.x_flat, fused.bias, out=views.x_flat)
     return workspace.x_proj
 
 
@@ -612,7 +591,7 @@ def _sweep(context: _Context, x_proj, state=None, per_step: tuple = ()) -> None:
     ``per_step`` holds, per cell, a ``(B, T, H)`` array receiving every
     step's hidden state.
     """
-    cells, xp, _, dtype, workspace = context
+    cells, _, workspace = context
     views = workspace.cells
     hidden, cell_state, scratch, pre = workspace.hidden, workspace.cell, workspace.scratch, workspace.pre
     input_gate, forget_gate, candidate, output_gate = workspace.gates
@@ -621,30 +600,30 @@ def _sweep(context: _Context, x_proj, state=None, per_step: tuple = ()) -> None:
         hidden.fill(0.0)
         cell_state.fill(0.0)
     else:
-        hidden[...] = xp.asarray(np.asarray(state[0]), dtype=dtype)
-        cell_state[...] = xp.asarray(np.asarray(state[1]), dtype=dtype)
+        hidden[...] = state[0]
+        cell_state[...] = state[1]
     for t in range(x_proj.shape[1]):
         if t == 0 and state is None:
-            xp.add(x_proj[:, 0], 0.0, out=pre)
+            np.add(x_proj[:, 0], 0.0, out=pre)
         else:
             for fused, own in zip(cells, views):
-                xp.matmul(own.hidden, fused.w_hidden, out=own.pre)
+                np.matmul(own.hidden, fused.w_hidden, out=own.pre)
             pre += x_proj[:, t]
             for fused, own, other in zip(cells, views, reversed(views)):
                 if own.partner is not None:
-                    xp.matmul(other.hidden, fused.w_partner, out=own.partner)
+                    np.matmul(other.hidden, fused.w_partner, out=own.partner)
             for target, addend in workspace.partner_sums:
-                xp.add(target, addend, out=target)
+                np.add(target, addend, out=target)
         for own in views:
             own.gates[...] = own.pre_by_gate
-        _sigmoid_in_place(input_forget, xp)
-        xp.tanh(candidate, out=candidate)
-        _sigmoid_in_place(output_gate, xp)
-        xp.multiply(forget_gate, cell_state, out=scratch)
-        xp.multiply(input_gate, candidate, out=cell_state)
+        _sigmoid_in_place(input_forget)
+        np.tanh(candidate, out=candidate)
+        _sigmoid_in_place(output_gate)
+        np.multiply(forget_gate, cell_state, out=scratch)
+        np.multiply(input_gate, candidate, out=cell_state)
         cell_state += scratch
-        xp.tanh(cell_state, out=scratch)
-        xp.multiply(output_gate, scratch, out=hidden)
+        np.tanh(cell_state, out=scratch)
+        np.multiply(output_gate, scratch, out=hidden)
         for stack, own in zip(per_step, views):
             stack[:, t] = own.hidden
 
@@ -654,28 +633,27 @@ def lstm_forward_fused(
     sequence: np.ndarray,
     state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     *,
-    backend: Optional[str] = None,
     dtype: Optional[Any] = None,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Run a plain LSTM cell over ``(batch, time, features)`` without the tape.
 
     Returns the stacked hidden states ``(batch, time, H)`` and the final
-    ``(h, c)`` state.  On the default backend/precision these are plain
-    ``float64`` NumPy arrays, bitwise-identical to the pre-seam kernel.
+    ``(h, c)`` state.  At the default precision these are ``float64``
+    arrays, bitwise-identical to the frozen reference kernel.
     """
     raw = np.asarray(sequence)
     if raw.ndim != 3:
         raise ValueError(f"expected a (batch, time, features) array, got shape {raw.shape}")
     batch, time_steps, _ = raw.shape
-    context = _context((cell,), fuse_lstm_cell, batch, time_steps, backend, dtype)
+    context = _context((cell,), fuse_lstm_cell, batch, time_steps, dtype)
     # The per-step hidden states escape to the caller, so they are written to
-    # a fresh array (exactly as the pre-seam kernel allocated them).
-    hiddens = context.xp.empty((batch, time_steps, cell.hidden_size), dtype=context.dtype)
+    # a fresh array (exactly as the frozen kernel allocated them).
+    hiddens = np.empty((batch, time_steps, cell.hidden_size), dtype=context.dtype)
     _sweep(context, _project_windows(context, (raw,)), state, (hiddens,))
     return hiddens, (context.workspace.hidden.copy(), context.workspace.cell.copy())
 
 
-def project_rows(rows, fused: FusedGateWeights, xp=np):
+def project_rows(rows, fused: FusedGateWeights):
     """``x·W_x + b`` of each feature row in ``rows`` → ``(len(rows), 4H)``.
 
     The one projection routine of the serving path.  OpenBLAS picks its
@@ -690,12 +668,12 @@ def project_rows(rows, fused: FusedGateWeights, xp=np):
     count = len(rows)
     padded = -(-count // PROJECTION_BLOCK) * PROJECTION_BLOCK
     dtype = fused.w_input.dtype
-    block = xp.zeros((padded, fused.w_input.shape[0]), dtype=dtype)
-    block[:count] = xp.asarray(np.array(rows), dtype=dtype)
-    out = xp.empty((padded, 4 * fused.hidden_size), dtype=dtype)
+    block = np.zeros((padded, fused.w_input.shape[0]), dtype=dtype)
+    block[:count] = np.array(rows)
+    out = np.empty((padded, 4 * fused.hidden_size), dtype=dtype)
     for start in range(0, padded, PROJECTION_BLOCK):
         stop = start + PROJECTION_BLOCK
-        xp.matmul(block[start:stop], fused.w_input, out=out[start:stop])
+        np.matmul(block[start:stop], fused.w_input, out=out[start:stop])
     out += fused.bias
     return out[:count]
 
@@ -711,7 +689,7 @@ def _gather(context: _Context, windows):
     so a retained segment pins ``4·Hs`` values, not the block it was
     computed in.
     """
-    cells, xp, _, _, workspace = context
+    cells, _, workspace = context
     fused_i, fused_a = cells
     rows: list = []
     misses: Dict[int, tuple] = {}
@@ -726,9 +704,9 @@ def _gather(context: _Context, windows):
     if len(rows) != workspace.x_proj.shape[0] * workspace.x_proj.shape[1]:
         raise ValueError("all windows of a batch must have the same length")
     if misses:
-        block = xp.concatenate(
+        block = np.concatenate(
             [
-                project_rows([segment.rows[index] for segment, _ in misses.values()], fused, xp)
+                project_rows([segment.rows[index] for segment, _ in misses.values()], fused)
                 for index, fused in enumerate(cells)
             ],
             axis=1,
@@ -738,7 +716,7 @@ def _gather(context: _Context, windows):
             segment.gate = (fused_i, fused_a, row)
             for position in positions:
                 rows[position] = row
-    xp.concatenate(rows, out=workspace.x_proj.reshape(-1))
+    np.concatenate(rows, out=workspace.x_proj.reshape(-1))
     return workspace.x_proj
 
 
@@ -747,7 +725,6 @@ def gather_gate_inputs(
     audience: "CoupledLSTMCell",
     windows,
     *,
-    backend: Optional[str] = None,
     dtype: Optional[Any] = None,
 ):
     """Gate inputs of a serving batch: project the misses, gather the rest.
@@ -760,9 +737,7 @@ def gather_gate_inputs(
     :func:`coupled_pair_forward_gated` in another process) before the next
     same-shape batch on this thread.
     """
-    context = _coupled_context(
-        influencer, audience, len(windows), len(windows[0]), backend, dtype
-    )
+    context = _coupled_context(influencer, audience, len(windows), len(windows[0]), dtype)
     return _gather(context, windows)
 
 
@@ -781,7 +756,6 @@ def coupled_pair_forward_gated(
     audience: "CoupledLSTMCell",
     batch,
     *,
-    backend: Optional[str] = None,
     dtype: Optional[Any] = None,
 ):
     """The serving entry: gather and sweep in one resolved context.
@@ -794,9 +768,9 @@ def coupled_pair_forward_gated(
     """
     gathered = hasattr(batch, "shape")
     size, time_steps = batch.shape[:2] if gathered else (len(batch), len(batch[0]))
-    context = _coupled_context(influencer, audience, size, time_steps, backend, dtype)
+    context = _coupled_context(influencer, audience, size, time_steps, dtype)
     if gathered:
-        x_proj = context.xp.asarray(batch, dtype=context.dtype)
+        x_proj = np.asarray(batch, dtype=context.dtype)
     else:
         x_proj = _gather(context, batch)
     _sweep(context, x_proj)
@@ -810,7 +784,6 @@ def coupled_pair_forward_fused(
     interaction_sequences: np.ndarray,
     return_all_hidden: bool = False,
     *,
-    backend: Optional[str] = None,
     dtype: Optional[Any] = None,
 ):
     """Advance two mutually coupled cells in lockstep over aligned batches.
@@ -824,15 +797,13 @@ def coupled_pair_forward_fused(
     Parameters
     ----------
     action_sequences / interaction_sequences:
-        ``(N, q, d1)`` / ``(N, q, d2)`` aligned input batches (host arrays;
-        a device backend transfers them once here, at the ingest boundary).
+        ``(N, q, d1)`` / ``(N, q, d2)`` aligned input batches.
     return_all_hidden:
         When ``True``, additionally return the per-step hidden states of both
         cells (``(N, q, H1)``, ``(N, q, H2)``).
-    backend / dtype:
-        Array backend (``None``/"auto" resolves ``REPRO_BACKEND``, default
-        NumPy) and compute dtype (default ``float64``; ``float32`` is the
-        opt-in reduced-precision inference mode).
+    dtype:
+        Compute dtype (default ``float64``; ``float32`` is the opt-in
+        reduced-precision inference mode).
 
     Returns
     -------
@@ -849,11 +820,11 @@ def coupled_pair_forward_fused(
     if actions_raw.shape[1] != interactions_raw.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
     batch, time_steps, _ = actions_raw.shape
-    context = _coupled_context(influencer, audience, batch, time_steps, backend, dtype)
+    context = _coupled_context(influencer, audience, batch, time_steps, dtype)
     # Per-step hidden states escape to the caller (training-cache consumers,
     # drift analytics), so they are fresh arrays, never workspace views.
     per_step = tuple(
-        context.xp.empty((batch, time_steps, fused.hidden_size), dtype=context.dtype)
+        np.empty((batch, time_steps, fused.hidden_size), dtype=context.dtype)
         for fused in (context.cells if return_all_hidden else ())
     )
     _sweep(context, _project_windows(context, (actions_raw, interactions_raw)), None, per_step)

@@ -15,10 +15,10 @@ keeps the textbook per-parameter step as the reference: the two agree
 bit-for-bit, and parameters whose gradient is ``None`` are skipped identically.
 
 Every optimiser buffer pins its dtype explicitly (``float64``): parameters
-and optimiser state live on the host at full precision regardless of the
-inference backend/precision selected through :mod:`repro.nn.backend` — the
-reduced-precision and device paths are inference-only, and their weight
-variants are *derived* from these float64 parameters at fuse time.
+and optimiser state live at full precision regardless of the inference
+precision selected through :mod:`repro.nn.backend` — the reduced-precision
+path is inference-only, and its weight variants are *derived* from these
+float64 parameters at fuse time.
 """
 
 from __future__ import annotations

@@ -690,9 +690,8 @@ class Runtime:
         wal_position = self._wal.rotate(checkpoint_id) if self._wal is not None else None
         parent = store.latest()
         kind = "full"
-        if config.delta and parent is not None:
-            if int(parent.manifest.get("delta_depth", 0)) + 1 < config.full_every:
-                kind = "delta"
+        if parent is not None and int(parent.manifest.get("delta_depth", 0)) + 1 < config.full_every:
+            kind = "delta"
         target = store.directory_for(checkpoint_id)
         directory = store.checkpoints_dir / f".{target.name}.staging"
         if directory.exists():

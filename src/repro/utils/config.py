@@ -163,24 +163,40 @@ class ModelConfig(ConfigBase):
     interaction_hidden: int = 32
     """Hidden size h2 of LSTM_A."""
 
-    backend: str = "auto"
-    """Array backend of the fused kernels: 'auto' (resolve the REPRO_BACKEND
-    environment variable, default NumPy), 'numpy' or 'cupy'."""
-
     precision: str = "float64"
     """Compute precision of fused inference: 'float64' (default, bitwise
     reference) or 'float32' (opt-in, tolerance-bounded against float64;
     weights and threshold calibration stay float64 either way)."""
 
     def __post_init__(self) -> None:
+        # Outside input (deployment JSON, checkpoint manifest): unchecked, a
+        # zero size only fails later, inside the cell constructors.
+        for name in ("action_dim", "interaction_dim", "action_hidden", "interaction_hidden"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"ModelConfig.{name} must be positive, got {value!r}")
         # Local import: utils stays import-light and nn owns the registries.
-        from ..nn.backend import BACKENDS, resolve_precision
+        from ..nn.backend import resolve_precision
 
-        if self.backend != "auto" and self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend '{self.backend}'; options: {('auto',) + BACKENDS}"
-            )
-        resolve_precision(self.precision)
+        try:
+            resolve_precision(self.precision)
+        except ValueError as error:
+            raise ValueError(f"ModelConfig.precision: {error}") from None
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ModelConfig":
+        # Every manifest written before the array-backend seam was retired
+        # carries ``backend``; "auto" and "numpy" named the NumPy kernels that
+        # are now the only ones, anything else cannot be served here.
+        if isinstance(data, Mapping) and "backend" in data:
+            data = dict(data)
+            backend = data.pop("backend")
+            if backend not in ("auto", "numpy"):
+                raise ValueError(
+                    f"ModelConfig.backend={backend!r}: the field is retired and the "
+                    "kernels run on NumPy only"
+                )
+        return super().from_dict(data)
 
     def scaled(self, factor: float) -> "ModelConfig":
         """Return a proportionally smaller configuration (used by fast tests)."""
@@ -191,7 +207,6 @@ class ModelConfig(ConfigBase):
             interaction_dim=max(2, int(self.interaction_dim * factor)),
             action_hidden=max(4, int(self.action_hidden * factor)),
             interaction_hidden=max(2, int(self.interaction_hidden * factor)),
-            backend=self.backend,
             precision=self.precision,
         )
 
@@ -609,13 +624,11 @@ class DurabilityConfig(ConfigBase):
     measured on the runtime's injectable clock and evaluated at
     ingest/poll boundaries (``None`` = no time rule)."""
 
-    delta: bool = True
-    """Write delta checkpoints (only model versions absent from the parent
-    manifest) between compactions; ``False`` makes every checkpoint full."""
-
     full_every: int = 8
-    """Compaction period: force a full checkpoint once the delta chain would
-    reach this depth (``1`` = every checkpoint is full)."""
+    """Compaction period: between full checkpoints, write delta checkpoints
+    (only model versions absent from the parent manifest) and force a full
+    one once the delta chain would reach this depth (``1`` = every
+    checkpoint is full)."""
 
     def __post_init__(self) -> None:
         if self.wal_fsync_every < 0:
@@ -650,6 +663,17 @@ class DurabilityConfig(ConfigBase):
                 "DurabilityConfig checkpoint policy rules require a directory: "
                 "set DurabilityConfig.directory or drop the checkpoint_every_* knobs"
             )
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "DurabilityConfig":
+        # Manifests written before the field was retired carry ``delta``:
+        # true is the chaining ``full_every`` governs, false made every
+        # checkpoint full — which is ``full_every=1``.
+        if isinstance(data, Mapping) and "delta" in data:
+            data = dict(data)
+            if not data.pop("delta"):
+                data["full_every"] = 1
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)

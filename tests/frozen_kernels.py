@@ -3,9 +3,9 @@
 This module is a verbatim snapshot of the :mod:`repro.nn.fused` forward
 kernels as they stood *before* the backend seam, the workspace pool and the
 precision options were introduced.  It must never be optimised or "fixed":
-``tests/test_backend.py`` pins the contract that the live kernels on the
-default backend (NumPy, ``float64``) remain **bitwise identical** to these
-implementations — the backends-applied form of the serving executor's
+``tests/test_backend.py`` pins the contract that the live kernels at the
+default ``float64`` precision remain **bitwise identical** to these
+implementations — the kernel-level form of the serving executor's
 ``workers=1``-bitwise guarantee.
 
 The functions take prebuilt :class:`~repro.nn.fused.FusedGateWeights` (the

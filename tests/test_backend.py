@@ -1,11 +1,10 @@
-"""Backend-seam tests: selection, resolution, CuPy gating and NumPy parity.
+"""Kernel precision tests: resolution, NumPy parity and float32 tolerance.
 
-The array-namespace seam (:mod:`repro.nn.backend`) must (a) resolve the
-backend/precision from config and environment with clear precedence, (b)
-fail loudly — not silently fall back — when the CuPy backend is requested
-but not installed, and (c) leave the default NumPy float64 kernels
-**bitwise identical** to the frozen pre-seam reference implementation
-(``tests/frozen_kernels.py``).
+The fused kernels must (a) resolve the ``precision`` strings of
+:class:`~repro.utils.config.ModelConfig` to dtypes, (b) stay **bitwise
+identical** at ``float64`` to the frozen reference implementation
+(``tests/frozen_kernels.py``), and (c) keep the opt-in ``float32`` path
+inside the pinned tolerances of the ``float64`` oracle.
 """
 
 from __future__ import annotations
@@ -16,48 +15,16 @@ import pytest
 import frozen_kernels
 from repro.nn import backend, fused
 from repro.nn.backend import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
     FLOAT32_ATOL,
     FLOAT32_RTOL,
-    backend_of,
-    cupy_available,
-    get_namespace,
-    namespace_of,
-    resolve_backend,
     resolve_dtype,
     resolve_precision,
-    to_host,
 )
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell
 from repro.utils.config import ModelConfig
 
 
 class TestResolution:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("auto") == "numpy"
-        assert DEFAULT_BACKEND == "numpy"
-
-    def test_explicit_selection_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "cupy")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_var_fills_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("auto") == "numpy"
-        monkeypatch.setenv(ENV_VAR, "cupy")
-        assert resolve_backend("auto") == "cupy"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("torch")
-        monkeypatch.setenv(ENV_VAR, "jax")
-        with pytest.raises(ValueError, match=ENV_VAR):
-            resolve_backend(None)
-
     def test_precision_resolution(self):
         assert resolve_precision(None) == "float64"
         assert resolve_precision("float64") == "float64"
@@ -69,36 +36,10 @@ class TestResolution:
         assert resolve_dtype("float64") == np.float64
         assert resolve_dtype("float32") == np.float32
 
-    def test_model_config_backend_validation(self):
-        config = ModelConfig(backend="numpy", precision="float32")
-        assert config.backend == "numpy"
-        assert config.precision == "float32"
-        with pytest.raises(ValueError, match="backend"):
-            ModelConfig(backend="torch")
-        with pytest.raises(ValueError, match="precision"):
+    def test_model_config_precision_validation(self):
+        assert ModelConfig(precision="float32").precision == "float32"
+        with pytest.raises(ValueError, match=r"ModelConfig\.precision"):
             ModelConfig(precision="bfloat16")
-
-
-class TestCupyGating:
-    def test_cupy_absent_is_a_clear_error(self):
-        # The test image deliberately has no CuPy; the seam must name the
-        # missing dependency instead of falling back silently.
-        if cupy_available():  # pragma: no cover - GPU CI only
-            pytest.skip("CuPy installed in this environment")
-        with pytest.raises(RuntimeError, match="[Cc]u[Pp]y"):
-            get_namespace("cupy")
-
-    def test_numpy_namespace_is_numpy(self):
-        assert get_namespace("numpy") is np
-
-    def test_namespace_of_numpy_array(self):
-        array = np.zeros(3)
-        assert namespace_of(array) is np
-        assert backend_of(array) == "numpy"
-
-    def test_to_host_is_identity_for_numpy(self):
-        array = np.arange(4.0)
-        assert to_host(array) is array
 
 
 def _random_sequences(rng, batch, time, dim):
@@ -128,7 +69,7 @@ def _coupled_pair(coupling):
 
 
 class TestNumpyParity:
-    """Default-path kernels vs the frozen pre-seam reference, bitwise."""
+    """Default-path kernels vs the frozen reference, bitwise."""
 
     def test_lstm_forward_bitwise_parity(self):
         rng = np.random.default_rng(7)
@@ -246,21 +187,6 @@ class TestNumpyParity:
                 assert np.array_equal(live, frozen)
                 assert np.array_equal(np.signbit(live), np.signbit(frozen))
 
-    def test_explicit_numpy_backend_matches_default(self):
-        rng = np.random.default_rng(17)
-        influencer = CoupledLSTMCell(4, 3, 5, rng=np.random.default_rng(5))
-        audience = CoupledLSTMCell(2, 5, 3, rng=np.random.default_rng(6))
-        actions = _random_sequences(rng, 3, 6, 4)
-        interactions = _random_sequences(rng, 3, 6, 2)
-        default = fused.coupled_pair_forward_fused(
-            influencer, audience, actions, interactions
-        )
-        explicit = fused.coupled_pair_forward_fused(
-            influencer, audience, actions, interactions, backend="numpy"
-        )
-        assert np.array_equal(default[0], explicit[0])
-        assert np.array_equal(default[1], explicit[1])
-
 
 class TestFloat32Tolerance:
     def test_float32_forward_within_pinned_tolerance(self):
@@ -316,5 +242,4 @@ class TestFloat32Tolerance:
         # The serving layer and benchmarks import through repro.nn.
         import repro.nn as nn
 
-        assert nn.resolve_backend("auto") in backend.BACKENDS
         assert nn.resolve_precision(None) in backend.PRECISIONS

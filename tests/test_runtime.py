@@ -133,6 +133,26 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError, match=rf"DetectionConfig\.{field}"):
             RuntimeConfig.from_dict({"detection": detection})
 
+    @pytest.mark.parametrize(
+        "model, field",
+        [({"action_hidden": 0}, "action_hidden"), ({"precision": "float16"}, "precision")],
+    )
+    def test_manifest_with_unusable_model_section_refused(self, model, field):
+        with pytest.raises(ValueError, match=rf"ModelConfig\.{field}"):
+            RuntimeConfig.from_dict({"model": model})
+
+    def test_retired_backend_and_delta_keys(self, runtime_config):
+        document = runtime_config.to_dict()
+        assert "backend" not in document["model"] and "delta" not in document["durability"]
+        document["model"]["backend"] = "auto"
+        document["durability"]["delta"] = True
+        assert RuntimeConfig.from_dict(document) == runtime_config
+        document["durability"]["delta"] = False
+        assert RuntimeConfig.from_dict(document).durability.full_every == 1
+        document["model"]["backend"] = "gpu"
+        with pytest.raises(ValueError, match=r"ModelConfig\.backend"):
+            RuntimeConfig.from_dict(document)
+
     def test_coupling_validated(self):
         with pytest.raises(ValueError, match="RuntimeConfig.coupling"):
             RuntimeConfig(coupling="sideways")
@@ -271,6 +291,34 @@ class TestCheckpointRestore:
         restored = Runtime.from_checkpoint(manifest_path.parent)
         assert restored.config == original.config
         assert restored.anomaly_threshold == original.anomaly_threshold
+
+    def test_manifest_carrying_the_retired_backend_and_delta_keys(
+        self, runtime_config, tiny_features, drifting_streams, tmp_path
+    ):
+        """Every manifest written before ``ModelConfig.backend`` and
+        ``DurabilityConfig.delta`` were deleted holds ``backend: "auto"`` and
+        ``delta: true``; both name what is now the only behaviour, so the
+        checkpoint restores and replays bitwise.  Any other backend is refused
+        by name."""
+        original = Runtime.from_config(runtime_config).fit(tiny_features)
+        feed(original, drifting_streams, stop_fraction=0.5, drain=False)
+        manifest_path = original.checkpoint(tmp_path / "ckpt") / "runtime.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "backend" not in manifest["config"]["model"]
+        assert "delta" not in manifest["config"]["durability"]
+
+        manifest["config"]["model"]["backend"] = "gpu"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"ModelConfig\.backend"):
+            Runtime.from_checkpoint(manifest_path.parent)
+
+        manifest["config"]["model"]["backend"] = "auto"
+        manifest["config"]["durability"]["delta"] = True
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        restored = Runtime.from_checkpoint(manifest_path.parent)
+        assert restored.config == original.config
+        tail_original = feed(original, drifting_streams, start_fraction=0.5)
+        assert tail_original == feed(restored, drifting_streams, start_fraction=0.5)
 
     def test_checkpoint_round_trips_pending_and_buffers(
         self, runtime_config, tiny_features, drifting_streams, tmp_path

@@ -9,6 +9,7 @@ import pytest
 
 from repro.utils import (
     DetectionConfig,
+    DurabilityConfig,
     ExecutorConfig,
     ModelConfig,
     ServingConfig,
@@ -197,6 +198,50 @@ class TestConfigRoundTrip:
         assert "adg_groups" not in DetectionConfig().to_dict()
         legacy = {**DetectionConfig(sparse_groups=4).to_dict(), "adg_groups": 20}
         assert DetectionConfig.from_dict(legacy) == DetectionConfig(sparse_groups=4)
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_model_config_drops_the_retired_backend_key(self, backend):
+        """Every manifest written so far carries ``backend: "auto"``."""
+        assert "backend" not in ModelConfig().to_dict()
+        legacy = {**ModelConfig(action_dim=100).to_dict(), "backend": backend}
+        assert ModelConfig.from_dict(legacy) == ModelConfig(action_dim=100)
+
+    @pytest.mark.parametrize("backend", ["gpu", "torch"])
+    def test_model_config_refuses_any_other_backend(self, backend):
+        """Only the NumPy kernels remain; a manifest naming any other array
+        library cannot be served and is refused by name."""
+        with pytest.raises(ValueError, match=r"ModelConfig\.backend.*retired"):
+            ModelConfig.from_dict({**ModelConfig().to_dict(), "backend": backend})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("action_dim", -3),
+            ("interaction_dim", 0),
+            ("action_hidden", 0),
+            ("interaction_hidden", -1),
+            ("precision", "bfloat16"),
+        ],
+    )
+    def test_model_config_rejects_unusable_values_by_name(self, field, value):
+        """Sizes below one used to construct and fail only inside the cell
+        constructors, at ``Runtime.fit`` or ``from_checkpoint``."""
+        with pytest.raises(ValueError, match=rf"ModelConfig\.{field}"):
+            ModelConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"ModelConfig\.{field}"):
+            ModelConfig.from_dict({field: value})
+
+    def test_durability_config_maps_the_retired_delta_key(self):
+        """``delta: true`` was the default chaining ``full_every`` governs;
+        ``delta: false`` made every checkpoint full, i.e. ``full_every=1``."""
+        assert "delta" not in DurabilityConfig().to_dict()
+        base = DurabilityConfig(directory="store", full_every=4).to_dict()
+        assert DurabilityConfig.from_dict({**base, "delta": True}) == DurabilityConfig(
+            directory="store", full_every=4
+        )
+        assert DurabilityConfig.from_dict({**base, "delta": False}) == DurabilityConfig(
+            directory="store", full_every=1
+        )
 
     def test_update_config_keeps_drift_threshold_range_open(self):
         # -1.0 (never trigger), 2.0 (always trigger) and the endpoints of the

@@ -29,7 +29,11 @@ from repro.core.detector import AnomalyDetector
 
 
 class _CountingNamespace:
-    """NumPy proxy that counts the allocating calls the kernels may make."""
+    """NumPy proxy that counts the allocating calls the kernels may make.
+
+    Installed as the kernel module's ``np`` global, so every NumPy call the
+    kernels make goes through it and only the allocating ones are counted.
+    """
 
     def __init__(self):
         self.allocations = 0
@@ -77,7 +81,7 @@ class TestZeroAllocationSteadyState:
         batches = _batches(rng, 6, batch=8, time=9)
 
         counting = _CountingNamespace()
-        monkeypatch.setattr(fused_module, "get_namespace", lambda backend: counting)
+        monkeypatch.setattr(fused_module, "np", counting)
 
         # Warm-up: builds the fused weights and the workspace for this
         # (batch, time) geometry.
@@ -99,7 +103,7 @@ class TestZeroAllocationSteadyState:
         actions = rng.standard_normal((4, 7, 6))
         interactions = rng.standard_normal((4, 7, 3))
         counting = _CountingNamespace()
-        monkeypatch.setattr(fused_module, "get_namespace", lambda backend: counting)
+        monkeypatch.setattr(fused_module, "np", counting)
         coupled_pair_forward_fused(influencer, audience, actions, interactions)
         counting.allocations = 0
         coupled_pair_forward_fused(
