@@ -6,13 +6,9 @@ drift-triggered incremental update → hot swap — but the library exposes it a
 many loose classes that every deployment must wire by hand.  This module is
 the assembled product:
 
-* :class:`RuntimeConfig` composes the five configuration dataclasses
-  (:class:`~repro.utils.config.ModelConfig`,
-  :class:`~repro.utils.config.TrainingConfig`,
-  :class:`~repro.utils.config.DetectionConfig`,
-  :class:`~repro.utils.config.ServingConfig`,
-  :class:`~repro.utils.config.UpdateConfig`) plus the runtime-level knobs,
-  and round-trips through JSON — a deployment is one reviewable file.
+* :class:`RuntimeConfig` composes the nine configuration sections of
+  :mod:`repro.utils.config` plus the runtime-level knobs, and round-trips
+  through JSON — a deployment is one reviewable file.
 * :class:`Runtime` owns the whole pipeline behind a small lifecycle surface:
   ``fit`` trains the CLSTM and calibrates the detector, publishing version 1
   into a :class:`~repro.serving.registry.ModelRegistry`; ``ingest``/``poll``/
@@ -65,7 +61,6 @@ from .serving.service import (
 from .serving.rebalance import Rebalancer
 from .serving.sharding import ShardedScoringService
 from .utils.config import (
-    _NESTED_CONFIGS,
     ConfigBase,
     DetectionConfig,
     DurabilityConfig,
@@ -76,6 +71,7 @@ from .utils.config import (
     ShardingConfig,
     TrainingConfig,
     UpdateConfig,
+    checked,
 )
 
 __all__ = ["RuntimeConfig", "Runtime", "CHECKPOINT_FORMAT"]
@@ -112,7 +108,7 @@ def _fsync_path(path: Path) -> None:
 class RuntimeConfig(ConfigBase):
     """Declarative description of one complete AOVLIS deployment.
 
-    Composes the five component configurations and adds the knobs that only
+    Composes the nine section configurations and adds the knobs that only
     exist at the assembled-system level.  ``to_json``/``from_json`` (from
     :class:`~repro.utils.config.ConfigBase`) make a deployment one reviewable
     JSON document; nested sections round-trip recursively and typos fail with
@@ -152,51 +148,32 @@ class RuntimeConfig(ConfigBase):
     configured queue-depth thresholds; the default keeps pure pinned
     CRC-32 routing, bit-for-bit the pre-rebalancer behaviour."""
 
-    sequence_length: int = 9
+    sequence_length: int = checked(9, ge=1)
     """History length q of the CLSTM input sequences."""
 
-    coupling: str = "both"
+    coupling: str = checked("both", one_of=("both", "influencer_to_audience", "none"))
     """CLSTM coupling mode: ``"both"``, ``"influencer_to_audience"`` or ``"none"``."""
 
     seed: int = 0
     """Model-initialisation seed."""
 
-    max_versions: int | None = None
+    max_versions: int | None = checked(None, ge=1)
     """Keep-last-K bound on retained registry snapshots (``None`` = all)."""
 
     enable_updates: bool = True
     """Attach the drift monitor and update plane (the closed learning loop).
     ``False`` serves a frozen model: no buffering, no triggers, no swaps."""
 
-    max_history: int | None = None
+    max_history: int | None = checked(None, ge=1)
     """Per-shard cap on the drift monitor's historical hidden-state set."""
 
     def __post_init__(self) -> None:
-        if self.sequence_length < 1:
-            raise ValueError(
-                f"RuntimeConfig.sequence_length must be positive, got {self.sequence_length}"
-            )
-        if self.coupling not in ("both", "influencer_to_audience", "none"):
-            raise ValueError(
-                f"RuntimeConfig.coupling must be 'both', 'influencer_to_audience' "
-                f"or 'none', got {self.coupling!r}"
-            )
-        if self.max_versions is not None and self.max_versions < 1:
-            raise ValueError(
-                f"RuntimeConfig.max_versions must be positive when set, got {self.max_versions}"
-            )
-        if self.max_history is not None and self.max_history < 1:
-            raise ValueError(
-                f"RuntimeConfig.max_history must be positive when set, got {self.max_history}"
-            )
+        super().__post_init__()
         if self.detection.top_k is not None:
             raise ValueError(
-                "RuntimeConfig.detection.top_k must be unset: top-k ranking is "
-                "batch-relative and incompatible with the serving runtime"
+                "RuntimeConfig.detection.top_k must be unset: top-k ranking is batch-relative "
+                f"and incompatible with the serving runtime, got {self.detection.top_k!r}"
             )
-
-
-_NESTED_CONFIGS["RuntimeConfig"] = RuntimeConfig
 
 
 class Runtime:

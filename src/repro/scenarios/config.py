@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..streams.generator import ProfilePerturbation
-from ..utils.config import ConfigBase, _NESTED_CONFIGS
+from ..utils.config import ConfigBase, checked
 
 __all__ = ["SCENARIO_KINDS", "ScenarioConfig", "standard_suite"]
 
@@ -48,83 +48,56 @@ class ScenarioConfig(ConfigBase):
     *compiled* from these scalars by :meth:`perturbations`.
     """
 
-    name: str
+    name: str = checked(nonempty=True)
     """Scenario identifier used in leaderboard rows and artifacts."""
 
-    kind: str
+    kind: str = checked(one_of=SCENARIO_KINDS)
     """Scenario family; one of :data:`SCENARIO_KINDS`."""
 
     base_profile: str = "INF"
     """Dataset preset (INF/SPE/TED/TWI) supplying the base stream dynamics."""
 
-    train_seconds: float = 160.0
+    train_seconds: float = checked(160.0, gt=0)
     """Length of the clean training stream."""
 
-    test_seconds: float = 120.0
+    test_seconds: float = checked(120.0, gt=0)
     """Length of the (perturbed) test stream."""
 
     seed: int = 7
     """Stream seed; the test stream uses ``seed + 1`` so train/test are
     independent trajectories of the same simulated presenters."""
 
-    intensity: float = 1.0
+    intensity: float = checked(1.0, gt=0)
     """Strength multiplier of the perturbation (injected comment rates,
     anomaly-rate scaling)."""
 
-    onset_fraction: float = 0.4
+    onset_fraction: float = checked(0.4, ge=0, lt=1)
     """Where in the test stream the perturbation window opens, as a fraction
     of ``test_seconds``."""
 
-    duration_fraction: float = 0.4
+    duration_fraction: float = checked(0.4, gt=0, le=1)
     """Length of the perturbation window as a fraction of ``test_seconds``.
     Sustained scenarios (regime switch) run from onset to the end of the
     stream regardless."""
 
-    clock_stall_seconds: float = 0.0
+    clock_stall_seconds: float = checked(0.0, ge=0)
     """``clock_skew`` only: how long the driver's :class:`ManualClock` stalls
     at the perturbation onset before resuming."""
 
-    clock_rate: float = 1.0
+    clock_rate: float = checked(1.0, gt=0)
     """``clock_skew`` only: clock seconds advanced per ingested tick once the
     stall ends (``2.0`` = a fast clock, ``0.5`` = a slow one)."""
 
-    fan_in_streams: int = 1
+    fan_in_streams: int = checked(1, ge=1)
     """``heavy_tail`` only: number of concurrent stream ids the driver fans
     the test segments across (with Pareto-weighted assignment)."""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("ScenarioConfig.name must be non-empty")
-        if self.kind not in SCENARIO_KINDS:
+        super().__post_init__()
+        if not self.onset_fraction + self.duration_fraction <= 1.0 + 1e-9:
             raise ValueError(
-                f"ScenarioConfig.kind must be one of {SCENARIO_KINDS}, got {self.kind!r}"
-            )
-        if self.train_seconds <= 0 or self.test_seconds <= 0:
-            raise ValueError("ScenarioConfig train/test durations must be positive")
-        if self.intensity <= 0:
-            raise ValueError(f"ScenarioConfig.intensity must be positive, got {self.intensity}")
-        if not 0.0 <= self.onset_fraction < 1.0:
-            raise ValueError(
-                f"ScenarioConfig.onset_fraction must be in [0, 1), got {self.onset_fraction}"
-            )
-        if not 0.0 < self.duration_fraction <= 1.0:
-            raise ValueError(
-                f"ScenarioConfig.duration_fraction must be in (0, 1], got {self.duration_fraction}"
-            )
-        if self.onset_fraction + self.duration_fraction > 1.0 + 1e-9:
-            raise ValueError(
-                "ScenarioConfig: onset_fraction + duration_fraction must not exceed 1"
-            )
-        if self.clock_stall_seconds < 0:
-            raise ValueError(
-                f"ScenarioConfig.clock_stall_seconds must be non-negative, "
-                f"got {self.clock_stall_seconds}"
-            )
-        if self.clock_rate <= 0:
-            raise ValueError(f"ScenarioConfig.clock_rate must be positive, got {self.clock_rate}")
-        if self.fan_in_streams < 1:
-            raise ValueError(
-                f"ScenarioConfig.fan_in_streams must be positive, got {self.fan_in_streams}"
+                f"ScenarioConfig.duration_fraction must be <= 1 - onset_fraction "
+                f"({self.onset_fraction}), got {self.duration_fraction!r}"
             )
 
     # ------------------------------------------------------------------ #
@@ -249,5 +222,3 @@ def standard_suite(
         ),
     )
 
-
-_NESTED_CONFIGS["ScenarioConfig"] = ScenarioConfig

@@ -183,3 +183,37 @@ def test_served_path_never_imports_section_v():
         if names:
             offenders[str(path.relative_to(root))] = names
     assert not offenders
+
+
+# The rules that span fields; every other rule is field metadata.
+CROSS_FIELD_CONFIGS = {"ServingConfig", "DurabilityConfig", "ScenarioConfig", "RuntimeConfig"}
+
+
+def test_config_rules_are_data():
+    """Config validation lives in field metadata and retired keys in
+    ``utils.config.RETIRED``: no ``ConfigBase`` subclass overrides
+    ``from_dict``, and only the cross-field rules keep a ``__post_init__``."""
+    classes = {}
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    configs, grew = {"ConfigBase"}, True
+    while grew:
+        found = {
+            name
+            for name, node in classes.items()
+            if any(isinstance(base, ast.Name) and base.id in configs for base in node.bases)
+        }
+        grew = not found <= configs
+        configs |= found
+    configs.discard("ConfigBase")
+    assert len(configs) == 12
+    offenders = sorted(
+        f"{name}.{item.name}"
+        for name in configs
+        for item in classes[name].body
+        if isinstance(item, ast.FunctionDef)
+        and (item.name == "from_dict" or (item.name == "__post_init__" and name not in CROSS_FIELD_CONFIGS))
+    )
+    assert not offenders

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import time
+import typing
 
 import numpy as np
 import pytest
 
+from repro.runtime import RuntimeConfig
 from repro.utils import (
     DetectionConfig,
     DurabilityConfig,
@@ -23,6 +28,7 @@ from repro.utils import (
     spawn_rngs,
     validation,
 )
+from repro.utils.config import RETIRED, RULE_KEYS, ConfigBase
 
 
 class TestConfig:
@@ -263,6 +269,136 @@ class TestConfigRoundTrip:
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(ValueError, match="expects a mapping"):
             TrainingConfig.from_dict([("epochs", 3)])
+
+
+def _config_classes():
+    found, pending = [], [ConfigBase]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            found.append(cls)
+            pending.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# Valid values for the fields a walked field does not vary: ScenarioConfig
+# has no defaults for name/kind and a cross-field sum; the checkpoint policy
+# rules need a directory.
+WALK_BASE = {
+    "ScenarioConfig": {"name": "x", "kind": "raid", "onset_fraction": 0.0, "duration_fraction": 1e-9},
+    "DurabilityConfig": {"directory": "store"},
+}
+
+
+def _step(value, is_float, up):
+    """The next representable value above (or below) ``value``."""
+    if is_float:
+        return math.nextafter(float(value), math.inf if up else -math.inf)
+    return value + (1 if up else -1)
+
+
+def _rule_cases():
+    """``(cls, field, accepted values, refused values)`` for every ruled field."""
+    cases = []
+    for cls in _config_classes():
+        hints = typing.get_type_hints(cls)
+        for spec in dataclasses.fields(cls):
+            is_float = float in (typing.get_args(hints[spec.name]) or (hints[spec.name],))
+            accepted, refused = [], []
+            for key, bound in spec.metadata.items():
+                if key == "one_of":
+                    options = list(bound() if callable(bound) else bound)
+                    accepted += options
+                    refused.append("not-an-option")
+                elif key == "nonempty":
+                    accepted.append("x")
+                    refused.append("")
+                else:
+                    inclusive, up = key in ("ge", "le"), key in ("le", "lt")
+                    outside = bound if not inclusive else _step(bound, is_float, up)
+                    inside = bound if inclusive else _step(bound, is_float, not up)
+                    accepted.append(inside)
+                    refused.append(outside)
+            if is_float:
+                refused += [float("nan"), float("inf"), -float("inf")]
+            if refused:
+                cases.append((cls, spec.name, accepted, refused))
+    return cases
+
+
+RULE_CASES = _rule_cases()
+
+# (class, retired key, stored value, fields it becomes); None = refused.
+RETIRED_CASES = [
+    ("TrainingConfig", "use_fused", True, {}),
+    ("TrainingConfig", "use_fused", False, None),
+    ("DetectionConfig", "adg_groups", 20, {}),
+    ("ModelConfig", "backend", "auto", {}),
+    ("ModelConfig", "backend", "numpy", {}),
+    ("ModelConfig", "backend", "gpu", None),
+    ("DurabilityConfig", "delta", True, {}),
+    ("DurabilityConfig", "delta", False, {"full_every": 1}),
+]
+
+
+class TestConfigRules:
+    def test_every_config_class_is_walked(self):
+        assert {cls.__name__ for cls in _config_classes()} == {
+            "StreamProtocol", "ModelConfig", "TrainingConfig", "DetectionConfig",
+            "ServingConfig", "ExecutorConfig", "UpdateConfig", "ServerConfig",
+            "DurabilityConfig", "ShardingConfig", "RuntimeConfig", "ScenarioConfig",
+        }
+        for cls in _config_classes():
+            for spec in dataclasses.fields(cls):
+                assert set(spec.metadata) <= set(RULE_KEYS), f"{cls.__name__}.{spec.name}"
+        walked = {f"{cls.__name__}.{name}" for cls, name, _, _ in RULE_CASES}
+        # Each of these accepted NaN before the rules became data.
+        assert walked >= {
+            "TrainingConfig.learning_rate", "TrainingConfig.gradient_clip",
+            "ServingConfig.max_batch_delay_ms", "ServerConfig.poll_interval_ms",
+            "ServerConfig.retry_after_seconds", "ServerConfig.long_poll_max_ms",
+            "DurabilityConfig.checkpoint_every_seconds", "ShardingConfig.hot_queue_factor",
+            "ScenarioConfig.intensity", "ScenarioConfig.clock_rate",
+        }
+
+    @pytest.mark.parametrize(
+        "cls, field, accepted, refused",
+        RULE_CASES,
+        ids=[f"{cls.__name__}.{field}" for cls, field, _, _ in RULE_CASES],
+    )
+    def test_rule_refuses_the_first_value_outside_and_accepts_the_boundary(
+        self, cls, field, accepted, refused
+    ):
+        base = WALK_BASE.get(cls.__name__, {})
+        for value in accepted:
+            assert getattr(cls(**{**base, field: value}), field) == value
+            assert getattr(cls.from_dict({**base, field: value}), field) == value
+        for value in refused:
+            with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field}\b.*got"):
+                cls(**{**base, field: value})
+            with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field}\b.*got"):
+                cls.from_dict({**base, field: value})
+
+    def test_json_nan_literal_is_refused(self):
+        with pytest.raises(ValueError, match=r"TrainingConfig\.learning_rate must be finite"):
+            RuntimeConfig.from_dict(json.loads('{"training": {"learning_rate": NaN}}'))
+
+    @pytest.mark.parametrize("owner, key, value, expected", RETIRED_CASES)
+    def test_retired_rows_drop_refuse_or_map(self, owner, key, value, expected):
+        section = next(
+            name for name, hint in typing.get_type_hints(RuntimeConfig).items()
+            if getattr(hint, "__name__", None) == owner
+        )
+        document = RuntimeConfig().to_dict()
+        document[section][key] = value
+        if expected is None:
+            with pytest.raises(ValueError, match=rf"{owner}\.{key} is retired"):
+                RuntimeConfig.from_dict(document)
+            return
+        restored = getattr(RuntimeConfig.from_dict(document), section)
+        assert restored == dataclasses.replace(getattr(RuntimeConfig(), section), **expected)
+
+    def test_every_retired_row_is_exercised(self):
+        assert {(owner, key) for owner, key, _, _ in RETIRED_CASES} == set(RETIRED)
 
 
 class TestRng:
