@@ -24,17 +24,21 @@ the latest valid checkpoint, plan which version files a new delta may reuse
 (failing **loudly at write time** when an ancestor's file has gone missing —
 the eviction/compaction interplay must never surface at restore time), and
 prune directories that fell off the live chain after a compaction back to a
-full checkpoint.
+full checkpoint.  :func:`pack_state`/:func:`unpack_state` are the codec of
+a checkpoint's ``state.npz``: one raw buffer per dtype.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-__all__ = ["CheckpointStore", "DeltaSourceError", "StoredCheckpoint"]
+import numpy as np
+
+__all__ = ["CheckpointStore", "DeltaSourceError", "StoredCheckpoint", "pack_state", "unpack_state"]
 
 _PREFIX = "ckpt-"
 _MANIFEST_FILE = "runtime.json"
@@ -251,3 +255,73 @@ class CheckpointStore:
             "delta_chain_depth": latest.manifest.get("delta_depth", 0) if latest else 0,
             "directories": len(self.list_ids()),
         }
+
+
+# ---------------------------------------------------------------------- #
+# State codec: JSON structure + one raw buffer per dtype
+# ---------------------------------------------------------------------- #
+_ARRAY_KEY = "__ndarray__"
+
+
+def pack_state(state: Any) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """Split a nested state structure into raw buffers plus JSON metadata.
+
+    Every ndarray leaf becomes ``{"__ndarray__": i}``, ``i`` indexing the
+    metadata's ``leaves`` table of ``[buffer, offset, shape]`` rows, and its
+    elements are appended to one flat buffer per dtype — the archive holds
+    one entry per dtype however many leaves the state has.  Everything else
+    must be JSON-representable.  :func:`unpack_state` is the exact inverse.
+    """
+    groups: Dict[np.dtype, List[np.ndarray]] = {}
+    sizes: Dict[np.dtype, int] = {}
+    leaves: List[list] = []
+
+    def pack(value: Any) -> Any:
+        if value is None or isinstance(value, (bool, int, float, str)):
+            return value
+        if isinstance(value, np.ndarray):
+            dtype = value.dtype
+            groups.setdefault(dtype, []).append(value.reshape(-1))
+            offset = sizes.get(dtype, 0)
+            sizes[dtype] = offset + value.size
+            leaves.append([f"b{list(groups).index(dtype)}", offset, list(value.shape)])
+            return {_ARRAY_KEY: len(leaves) - 1}
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, Mapping):
+            if _ARRAY_KEY in value:
+                raise ValueError(f"'{_ARRAY_KEY}' is a reserved key in checkpoint state")
+            return {str(key): pack(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [pack(item) for item in value]
+        raise TypeError(f"cannot checkpoint value of type {type(value).__name__}")
+
+    structure = pack(state)
+    arrays = {f"b{index}": np.concatenate(parts) for index, parts in enumerate(groups.values())}
+    return arrays, {"state": structure, "leaves": leaves}
+
+
+def unpack_state(metadata: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) -> Any:
+    """Inverse of :func:`pack_state`.
+
+    A marker holding a string is the older layout (checkpoint formats 1–3):
+    it names its own archive entry.
+    """
+    leaves = metadata.get("leaves")
+
+    def unpack(value: Any) -> Any:
+        if isinstance(value, dict):
+            if set(value) == {_ARRAY_KEY}:
+                marker = value[_ARRAY_KEY]
+                if isinstance(marker, str):
+                    return arrays[marker]
+                name, offset, shape = leaves[marker]
+                return arrays[name][offset : offset + math.prod(shape)].reshape(shape)
+            return {key: unpack(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [unpack(item) for item in value]
+        return value
+
+    return unpack(metadata["state"])

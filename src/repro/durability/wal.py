@@ -53,6 +53,7 @@ __all__ = [
     "WalPosition",
     "WalRecord",
     "WriteAheadLog",
+    "fsync_path",
     "list_segments",
     "read_segment",
     "read_tail",
@@ -61,6 +62,11 @@ __all__ = [
 _MAGIC = b"RPROWAL1"
 _HEADER = struct.Struct("<8sII")  # magic, checkpoint_id, sequence
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+_RECORD_HEAD = struct.Struct("<BI")  # record kind, submission count
+_SID_LEN = struct.Struct("<H")  # utf-8 stream id length
+_LEVEL_AND_LEN = struct.Struct("<BdI")  # has_level, level, action length
+_LEN = struct.Struct("<I")  # interaction length
+_FLOAT64 = np.dtype(np.float64)
 _KIND_INGEST = 1  # one Runtime.ingest call (scored mid-call)
 _KIND_BATCH = 2  # one Runtime.ingest_many tick (enqueue all, then score)
 _MAX_PAYLOAD = 1 << 31  # sanity bound against garbage length fields
@@ -99,66 +105,59 @@ def _parse_segment_name(name: str) -> Optional[WalPosition]:
 # ---------------------------------------------------------------------- #
 # Record codec
 # ---------------------------------------------------------------------- #
-def _encode_submission(out: io.BytesIO, submission: Sequence) -> None:
-    if len(submission) == 3:
-        stream_id, action, interaction = submission
-        level = None
-    elif len(submission) == 4:
-        stream_id, action, interaction, level = submission
-    else:
-        raise ValueError(
-            "submission must be (stream_id, action, interaction[, level]), "
-            f"got {len(submission)} elements"
-        )
-    sid = str(stream_id).encode("utf-8")
-    if len(sid) > 0xFFFF:
-        raise ValueError(f"stream id of {len(sid)} utf-8 bytes exceeds the WAL bound")
-    # The arrays are coerced exactly as the scoring session coerces them
-    # (float64), so the bytes logged are the bytes scored.
-    a = np.ascontiguousarray(np.asarray(action, dtype=np.float64).reshape(-1))
-    i = np.ascontiguousarray(np.asarray(interaction, dtype=np.float64).reshape(-1))
-    has_level = level is not None
-    out.write(struct.pack("<H", len(sid)))
-    out.write(sid)
-    out.write(struct.pack("<Bd", 1 if has_level else 0, float(level) if has_level else 0.0))
-    out.write(struct.pack("<I", a.shape[0]))
-    out.write(a.tobytes())
-    out.write(struct.pack("<I", i.shape[0]))
-    out.write(i.tobytes())
+def _float64_row(values) -> np.ndarray:
+    """``values`` coerced as the scoring session coerces them (flat float64),
+    so the bytes logged are the bytes scored."""
+    return np.ascontiguousarray(np.asarray(values, dtype=np.float64).reshape(-1))
 
 
 def _decode_submission(buffer: memoryview, offset: int) -> Tuple[Submission, int]:
-    (sid_len,) = struct.unpack_from("<H", buffer, offset)
-    offset += 2
+    (sid_len,) = _SID_LEN.unpack_from(buffer, offset)
+    offset += _SID_LEN.size
     stream_id = bytes(buffer[offset : offset + sid_len]).decode("utf-8")
-    offset += sid_len
-    has_level, level = struct.unpack_from("<Bd", buffer, offset)
-    offset += 9
-    (a_len,) = struct.unpack_from("<I", buffer, offset)
-    offset += 4
+    has_level, level, a_len = _LEVEL_AND_LEN.unpack_from(buffer, offset + sid_len)
+    offset += sid_len + _LEVEL_AND_LEN.size
     action = np.frombuffer(buffer, dtype=np.float64, count=a_len, offset=offset).copy()
-    offset += 8 * a_len
-    (i_len,) = struct.unpack_from("<I", buffer, offset)
-    offset += 4
+    (i_len,) = _LEN.unpack_from(buffer, offset + 8 * a_len)
+    offset += 8 * a_len + _LEN.size
     interaction = np.frombuffer(buffer, dtype=np.float64, count=i_len, offset=offset).copy()
-    offset += 8 * i_len
-    return (stream_id, action, interaction, level if has_level else None), offset
+    return (stream_id, action, interaction, level if has_level else None), offset + 8 * i_len
 
 
 def _encode_record(submissions: Sequence[Sequence], *, batch: bool) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<BI", _KIND_BATCH if batch else _KIND_INGEST, len(submissions)))
+    """One record's payload, built by a single ``b"".join`` over its parts."""
+    parts: List = [_RECORD_HEAD.pack(_KIND_BATCH if batch else _KIND_INGEST, len(submissions))]
     for submission in submissions:
-        _encode_submission(out, submission)
-    return out.getvalue()
+        if len(submission) == 4:
+            stream_id, a, i, level = submission
+        elif len(submission) == 3:
+            (stream_id, a, i), level = submission, None
+        else:
+            raise ValueError(
+                "submission must be (stream_id, action, interaction[, level]), "
+                f"got {len(submission)} elements"
+            )
+        sid = (stream_id if type(stream_id) is str else str(stream_id)).encode("utf-8")
+        if len(sid) > 0xFFFF:
+            raise ValueError(f"stream id of {len(sid)} utf-8 bytes exceeds the WAL bound")
+        # Inline test: C-contiguous float64 rows (the common case) skip the call.
+        if not (type(a) is np.ndarray and a.dtype is _FLOAT64 and a.flags.c_contiguous):
+            a = _float64_row(a)
+        if not (type(i) is np.ndarray and i.dtype is _FLOAT64 and i.flags.c_contiguous):
+            i = _float64_row(i)
+        known = level is not None
+        level_and_len = _LEVEL_AND_LEN.pack(known, float(level) if known else 0.0, a.size)
+        parts += (_SID_LEN.pack(len(sid)), sid, level_and_len, a.tobytes())
+        parts += (_LEN.pack(i.size), i.tobytes())
+    return b"".join(parts)
 
 
 def _decode_record(payload: bytes) -> WalRecord:
     buffer = memoryview(payload)
-    kind, count = struct.unpack_from("<BI", buffer, 0)
+    kind, count = _RECORD_HEAD.unpack_from(buffer, 0)
     if kind not in (_KIND_INGEST, _KIND_BATCH):
         raise ValueError(f"unknown WAL record kind {kind}")
-    offset = 5
+    offset = _RECORD_HEAD.size
     submissions: List[Submission] = []
     for _ in range(count):
         submission, offset = _decode_submission(buffer, offset)
@@ -169,8 +168,9 @@ def _decode_record(payload: bytes) -> WalRecord:
 # ---------------------------------------------------------------------- #
 # Writer
 # ---------------------------------------------------------------------- #
-def _fsync_directory(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
+def fsync_path(path: Path) -> None:
+    """fsync one file or directory (directories hold the entry names)."""
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -284,7 +284,7 @@ class WriteAheadLog:
         self._file.write(_HEADER.pack(_MAGIC, position.checkpoint_id, position.sequence))
         self._file.flush()
         os.fsync(self._file.fileno())
-        _fsync_directory(self.directory)  # the new name itself must survive
+        fsync_path(self.directory)  # the new name itself must survive
         self._position = position
         self._appends_since_sync = 0
         self._unsynced_bytes = 0
@@ -342,7 +342,7 @@ class WriteAheadLog:
                 path.unlink()
                 removed += 1
         if removed:
-            _fsync_directory(self.directory)
+            fsync_path(self.directory)
         return removed
 
     def stats(self) -> dict:

@@ -41,9 +41,15 @@ import numpy as np
 from .core.clstm import CLSTM
 from .core.detector import AnomalyDetector
 from .core.training import CLSTMTrainer, TrainingHistory
-from .durability.checkpoints import CheckpointStore, DeltaSourceError, StoredCheckpoint
+from .durability.checkpoints import (
+    CheckpointStore,
+    DeltaSourceError,
+    StoredCheckpoint,
+    pack_state,
+    unpack_state,
+)
 from .durability.policy import CheckpointPolicy
-from .durability.wal import WalPosition, WriteAheadLog, list_segments, read_tail
+from .durability.wal import WalPosition, WriteAheadLog, fsync_path, list_segments, read_tail
 from .features.pipeline import StreamFeatures
 from .nn.serialization import load_state, save_module, save_state
 from .serving.executor import build_executor
@@ -56,6 +62,7 @@ from .serving.service import (
     StreamDetection,
     UpdateTrigger,
     replay_streams,
+    validate_features,
     validate_interaction_level,
 )
 from .serving.rebalance import Rebalancer
@@ -76,32 +83,25 @@ from .utils.config import (
 
 __all__ = ["RuntimeConfig", "Runtime", "CHECKPOINT_FORMAT"]
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 """Version tag written into every checkpoint manifest.
 
-Format 3 added the durability plane's fields: ``kind`` (``"full"`` |
+Format 4 writes uncompressed archives, and ``state.npz`` as raw per-dtype
+state buffers plus a ``(buffer, offset, shape)`` leaf table
+(:func:`repro.durability.checkpoints.pack_state`).  Format 3 added the
+durability plane's fields: ``kind`` (``"full"`` |
 ``"delta"``), ``checkpoint_id``/``parent``/``delta_depth`` (the delta chain)
 and ``wal`` (the write-ahead-log position to replay from) — plus per-version
 ``source`` entries pointing at the sibling checkpoint that physically holds
 a delta's reused weight files.  Format 2 added ``plane_pending``
 (queued-but-not-started background retrains, persisted instead of
 force-executed at checkpoint time) and the manifest's ``pending_updates``
-count; formats 1 and 2 — full checkpoints with no chain and no WAL — are
-still readable."""
+count.  Formats 1–3 are still readable, and a delta chain may mix them."""
 
-_READABLE_FORMATS = (1, 2, 3)
+_READABLE_FORMATS = (1, 2, 3, 4)
 
 _MANIFEST_FILE = "runtime.json"
 _STATE_FILE = "state.npz"
-
-
-def _fsync_path(path: Path) -> None:
-    """fsync one file or directory (directories hold the entry names)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,9 @@ class Runtime:
 
         ``interaction_level`` must be finite when given; ``None`` (the
         default) is the explicit "unknown" opt-in that excludes the segment
-        from drift tracking.  Non-finite values raise at the ingest boundary.
+        from drift tracking.  Non-finite values — of the level or of any
+        feature — raise at the ingest boundary, before anything is logged or
+        queued.
 
         Returns the detections produced by any micro-batch this submission
         completed (usually for *earlier* segments — the latency/throughput
@@ -369,7 +371,8 @@ class Runtime:
         executor this is the high-throughput ingest path: batches that fill
         on different shards in the same tick are scored concurrently.  With
         durability attached the whole tick is one WAL record (replay must
-        re-drive the micro-batcher with the same call shape).
+        re-drive the micro-batcher with the same call shape).  The tick is
+        all-or-nothing: one non-finite feature refuses all of it.
         """
         self._require_serving()
         if self._store is None:
@@ -653,7 +656,7 @@ class Runtime:
             os.replace(directory, target)
         # The renames live in the parent directory's entries; without this
         # fsync a power cut can roll the whole swap back.
-        _fsync_path(target.parent)
+        fsync_path(target.parent)
         if self._policy is not None:
             self._policy.mark()
         return target
@@ -707,7 +710,7 @@ class Runtime:
             shutil.rmtree(directory, ignore_errors=True)
             raise
         os.replace(directory, target)  # fresh id: the target can never exist
-        _fsync_path(store.checkpoints_dir)
+        fsync_path(store.checkpoints_dir)
         if kind == "full":
             store.written_full += 1
         else:
@@ -775,15 +778,14 @@ class Runtime:
                         "metadata": dict(snapshot.metadata),
                     },
                 )
-                _fsync_path(directory / filename)
+                fsync_path(directory / filename)
                 entry["file"] = filename
             versions.append(entry)
 
-        arrays: Dict[str, np.ndarray] = {}
         state = self.service.export_state()
-        structure = _pack(state, arrays)
-        save_state(directory / _STATE_FILE, arrays, metadata={"state": structure})
-        _fsync_path(directory / _STATE_FILE)
+        arrays, metadata = pack_state(state)
+        save_state(directory / _STATE_FILE, arrays, metadata=metadata)
+        fsync_path(directory / _STATE_FILE)
 
         manifest = {
             "format": CHECKPOINT_FORMAT,
@@ -811,10 +813,10 @@ class Runtime:
         }
         manifest_path = directory / _MANIFEST_FILE
         manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-        _fsync_path(manifest_path)
+        fsync_path(manifest_path)
         # The directory's entry list (every name written above) must be
         # durable before the rename publishes it.
-        _fsync_path(directory)
+        fsync_path(directory)
         return manifest
 
     @classmethod
@@ -895,7 +897,7 @@ class Runtime:
         )
 
         arrays, metadata = load_state(directory / _STATE_FILE)
-        runtime.service.restore_state(_unpack(metadata["state"], arrays))
+        runtime.service.restore_state(unpack_state(metadata, arrays))
 
         # Re-attach durability.  A checkpoint inside a store's layout
         # (<root>/checkpoints/ckpt-NNNNNN) names its own root — which makes
@@ -1067,6 +1069,7 @@ class Runtime:
                     f"but ModelConfig.interaction_dim={model.interaction_dim}"
                 )
             cleaned.append((str(stream_id), action, interaction, level))
+        validate_features(cleaned)
         return cleaned
 
     def _maybe_auto_checkpoint(self) -> None:
@@ -1117,46 +1120,3 @@ class Runtime:
     def _require_serving(self) -> None:
         self._require_open()
         self._require_serving_built()
-
-
-# ---------------------------------------------------------------------- #
-# Checkpoint codec: JSON structure + ndarray leaves
-# ---------------------------------------------------------------------- #
-_ARRAY_KEY = "__ndarray__"
-
-
-def _pack(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
-    """Split a nested state structure into JSON plus an array table.
-
-    Arrays are replaced by ``{"__ndarray__": key}`` markers and collected
-    into ``arrays`` (persisted losslessly via ``.npz``); everything else must
-    be JSON-representable.  :func:`_unpack` is the exact inverse.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, np.ndarray):
-        key = f"a{len(arrays)}"
-        arrays[key] = value
-        return {_ARRAY_KEY: key}
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, Mapping):
-        if _ARRAY_KEY in value:
-            raise ValueError(f"'{_ARRAY_KEY}' is a reserved key in checkpoint state")
-        return {str(key): _pack(item, arrays) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_pack(item, arrays) for item in value]
-    raise TypeError(f"cannot checkpoint value of type {type(value).__name__}")
-
-
-def _unpack(value: Any, arrays: Mapping[str, np.ndarray]) -> Any:
-    """Inverse of :func:`_pack`."""
-    if isinstance(value, dict):
-        if set(value) == {_ARRAY_KEY}:
-            return arrays[value[_ARRAY_KEY]]
-        return {key: _unpack(item, arrays) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_unpack(item, arrays) for item in value]
-    return value

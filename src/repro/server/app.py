@@ -308,8 +308,9 @@ class RuntimeServer:
             wait_ms = float((query.get("wait_ms") or ["0"])[0])
         except ValueError:
             raise WireError(400, "'start' and 'wait_ms' must be numbers") from None
-        if start < 0 or wait_ms < 0:
-            raise WireError(400, "'start' and 'wait_ms' must be non-negative")
+        # NaN passes a `< 0` test and makes the wait loop below spin forever.
+        if start < 0 or not math.isfinite(wait_ms) or wait_ms < 0:
+            raise WireError(400, "'start' and 'wait_ms' must be finite and non-negative")
         runtime = self.router.resolve(stream)
         deadline = time.monotonic() + min(wait_ms, self.config.long_poll_max_ms) / 1000.0
         with self._detections:

@@ -47,7 +47,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,8 +73,26 @@ __all__ = [
     "ManualClock",
     "ScoringService",
     "replay_streams",
+    "validate_features",
     "validate_interaction_level",
 ]
+
+
+def validate_features(submissions: Sequence[Sequence]) -> None:
+    """Refuse ``(stream_id, action, interaction, ...)`` submissions holding a
+    non-finite feature: it scores NaN, which never exceeds the threshold, so
+    every window holding it would read "normal".  One ``isfinite`` covers the
+    whole call; only a refused call looks for the stream and field to name.
+    """
+    features = [feature for submission in submissions for feature in submission[1:3]]
+    if not features or np.isfinite(np.concatenate(features, axis=None)).all():
+        return
+    for submission in submissions:
+        for field, feature in zip(("action_feature", "interaction_feature"), submission[1:3]):
+            if not np.isfinite(np.asarray(feature, dtype=np.float64)).all():
+                raise ValueError(
+                    f"stream {submission[0]!r}: {field} contains non-finite values"
+                )
 
 
 def validate_interaction_level(level: Optional[float]) -> float:
@@ -646,7 +664,8 @@ class ScoringService:
         ingest: the sharded service enqueues on the caller's thread and fans
         the resulting ready batches out to its worker pool.  Whoever calls
         :meth:`try_score_ready` / :meth:`poll` / :meth:`flush` next scores
-        the queued work.
+        the queued work.  Feature finiteness is the caller's check
+        (:func:`validate_features`, once per call rather than per segment).
         """
         self._enqueue(stream_id, action_feature, interaction_feature, interaction_level)
 
@@ -688,7 +707,9 @@ class ScoringService:
         Returns the detections produced by any micro-batch this submission
         completed (usually empty — results for this very segment arrive with
         a later flush; this is the latency/throughput trade of micro-batching).
+        Non-finite feature values raise (:func:`validate_features`).
         """
+        validate_features(((stream_id, action_feature, interaction_feature),))
         with self._score_lock:
             now = self._enqueue(
                 stream_id, action_feature, interaction_feature, interaction_level
@@ -821,20 +842,18 @@ class ScoringService:
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
         precision = getattr(snapshot.model, "precision", "float64")
-        threshold = float(batch.threshold)
+        tail = (float(batch.threshold), snapshot.version, precision)  # shared by every row
+        # Column-wise: .tolist() yields the Python floats/bools float()/bool()
+        # would, without materialising one NumPy scalar per row and field.
+        columns = zip(
+            batch.scores.tolist(),
+            batch.action_errors.tolist(),
+            batch.interaction_errors.tolist(),
+            batch.is_anomaly.tolist(),
+        )
         detections = [
-            StreamDetection(
-                stream_id=request.stream_id,
-                segment_index=request.segment_index,
-                score=float(batch.scores[position]),
-                action_error=float(batch.action_errors[position]),
-                interaction_error=float(batch.interaction_errors[position]),
-                is_anomaly=bool(batch.is_anomaly[position]),
-                threshold=threshold,
-                model_version=snapshot.version,
-                precision=precision,
-            )
-            for position, request in enumerate(requests)
+            StreamDetection(request.stream_id, request.segment_index, *row, *tail)
+            for request, row in zip(requests, columns, strict=True)
         ]
         # One ingest-lock acquisition routes the whole batch; session() only
         # runs for a request that was queued without going through ingest.

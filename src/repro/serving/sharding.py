@@ -68,6 +68,7 @@ from .service import (
     UpdateTrigger,
     _request_from_state,
     _request_state,
+    validate_features,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoid import cycle)
@@ -373,6 +374,7 @@ class ShardedScoringService:
             return shard.submit(
                 stream_id, action_feature, interaction_feature, interaction_level
             )
+        validate_features(((stream_id, action_feature, interaction_feature),))
         shard.enqueue(stream_id, action_feature, interaction_feature, interaction_level)
         return self._score_ready()
 
@@ -387,8 +389,11 @@ class ShardedScoringService:
         each.  All segments are enqueued first and scoring runs once at the
         end, which is what lets multiple shards' batches fill in the same
         tick and score *concurrently* under a parallel executor.  Results
-        are merged deterministically by shard index.
+        are merged deterministically by shard index.  One non-finite feature
+        refuses the whole tick before anything is enqueued.
         """
+        submissions = list(submissions)
+        validate_features(submissions)
         for submission in submissions:
             stream_id, action_feature, interaction_feature = submission[:3]
             level = submission[3] if len(submission) > 3 else None

@@ -23,6 +23,9 @@ from repro.durability import (
     PrometheusRenderer,
     render_runtime_metrics,
 )
+from repro.durability.checkpoints import pack_state, unpack_state
+from repro.nn.serialization import load_state, save_state
+from repro.runtime import CHECKPOINT_FORMAT
 from repro.serving import ManualClock
 from repro.utils.config import (
     DurabilityConfig,
@@ -222,6 +225,73 @@ class TestCheckpointStore:
 
 
 # ---------------------------------------------------------------------- #
+# State codec (checkpoint format 4)
+# ---------------------------------------------------------------------- #
+def mixed_state():
+    grid = np.arange(12, dtype=np.float64).reshape(3, 4) / 3.0
+    return {
+        "floats": grid,
+        "strided": grid[:, ::2],
+        "fortran": np.asfortranarray(grid),
+        "special": np.array([np.nan, -0.0, np.inf, -np.inf, 5e-324]),
+        "ints": np.arange(-3, 4, dtype=np.int64),
+        "flags": np.array([True, False, True]),
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 4)),
+        "empty_ints": np.zeros(0, dtype=np.int64),
+        "nested": [
+            {"window": [np.ones(2), np.full(3, 7.0)], "count": 3, "level": None},
+            (np.array(1, dtype=np.int64), "tag", 0.5, True),
+            [],
+        ],
+        "numpy_scalars": [np.float64(1.25), np.int64(9)],
+    }
+
+
+def leaves_of(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in leaves_of(value[key])]
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in leaves_of(item)]
+    return []
+
+
+class TestStateCodec:
+    def test_round_trip_keeps_dtype_shape_and_bytes(self, tmp_path):
+        state = mixed_state()
+        arrays, metadata = pack_state(state)
+        # One raw buffer per dtype, however many leaves.
+        assert len(arrays) == 3
+        assert {array.dtype for array in arrays.values()} == {
+            np.dtype(np.float64),
+            np.dtype(np.int64),
+            np.dtype(bool),
+        }
+        path = save_state(tmp_path / "state.npz", arrays, metadata=metadata)
+        loaded_arrays, loaded_metadata = load_state(path)
+        restored = unpack_state(loaded_metadata, loaded_arrays)
+        before, after = leaves_of(state), leaves_of(restored)
+        assert len(before) == len(after) == 12
+        for original, back in zip(before, after):
+            assert back.dtype == original.dtype
+            assert back.shape == original.shape
+            assert back.tobytes() == original.tobytes()
+        # Non-array leaves round-trip through JSON (tuples become lists,
+        # NumPy scalars become Python numbers).
+        assert restored["nested"][0]["count"] == 3 and restored["nested"][0]["level"] is None
+        assert restored["nested"][1][1:] == ["tag", 0.5, True] and restored["nested"][2] == []
+        assert restored["numpy_scalars"] == [1.25, 9]
+
+    def test_refuses_the_reserved_key_and_unknown_leaves(self):
+        with pytest.raises(ValueError, match="reserved"):
+            pack_state({"__ndarray__": 1})
+        with pytest.raises(TypeError, match="set"):
+            pack_state({"bad": {1, 2}})
+
+
+# ---------------------------------------------------------------------- #
 # The runtime's durable ingest + checkpoint path
 # ---------------------------------------------------------------------- #
 class TestDurableRuntime:
@@ -395,6 +465,60 @@ class TestDurableRuntime:
         assert runtime.durability_stats()["wal"]["records_appended"] == 1
         runtime.close()
 
+    @pytest.mark.parametrize("variant", ["durable", "plain", "parallel"])
+    def test_non_finite_features_refuse_the_whole_call(
+        self, durable_config, tiny_features, tmp_path, variant
+    ):
+        """A NaN feature scores NaN, which never exceeds the threshold: it
+        used to read "normal" for every window holding it.  The whole call is
+        refused before anything is logged or queued, so the runtime goes on
+        exactly as if the call had never been made."""
+        config = {
+            "durable": durable(durable_config, tmp_path / "dur"),
+            "plain": durable_config,
+            "parallel": replace(durable_config, executor=ExecutorConfig(mode="parallel", workers=2)),
+        }[variant]
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        twin = Runtime.from_config(replace(config, durability=DurabilityConfig())).fit(
+            tiny_features
+        )
+        streams = make_streams(config, streams=3, segments=12)
+        ticks = [
+            [
+                (name, action[t], interaction[t], float(levels[t]))
+                for name, (action, interaction, levels) in streams.items()
+            ]
+            for t in range(12)
+        ]
+        for tick in ticks[:6]:
+            runtime.ingest_many(tick)
+            twin.ingest_many(tick)
+        before = runtime.durability_stats()
+
+        bad_tick = [list(submission) for submission in ticks[6]]
+        bad_tick[1][1] = bad_tick[1][1].copy()
+        bad_tick[1][1][3] = np.nan
+        with pytest.raises(ValueError, match=r"'cam-1': action_feature .*non-finite"):
+            runtime.ingest_many(bad_tick)
+        name, action, interaction, level = ticks[6][2]
+        with pytest.raises(ValueError, match=r"'cam-2': interaction_feature .*non-finite"):
+            runtime.ingest(name, action, np.full_like(interaction, np.inf), level)
+        # Nothing reached the WAL (the durable variant's counters and
+        # segment list are unchanged) and nothing was queued.
+        assert runtime.durability_stats() == before
+        assert runtime.stats.segments_scored == twin.stats.segments_scored
+
+        for tick in ticks[6:]:
+            runtime.ingest_many(tick)
+            twin.ingest_many(tick)
+        runtime.drain()
+        twin.drain()
+        for name in streams:
+            assert runtime.detections(name) == twin.detections(name)
+            assert len(runtime.detections(name)) == 12 - SEQUENCE_LENGTH
+        runtime.close()
+        twin.close()
+
     def test_time_rule_fires_through_the_injected_clock(
         self, durable_config, tiny_features, tmp_path
     ):
@@ -422,7 +546,7 @@ class TestDurableRuntime:
         target = runtime.checkpoint(tmp_path / "export")
         manifest = json.loads((target / "runtime.json").read_text())
         assert manifest["kind"] == "full"
-        assert manifest["format"] == 3
+        assert manifest["format"] == CHECKPOINT_FORMAT
         assert manifest["wal"] == {"checkpoint_id": 2, "sequence": 0}
         # Self-contained: every version's weights are inside the directory.
         assert all("source" not in entry for entry in manifest["versions"])

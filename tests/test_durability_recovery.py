@@ -17,6 +17,7 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -25,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from durability_workload import (
@@ -35,7 +37,9 @@ from durability_workload import (
     workload_records,
 )
 from repro import Runtime
+from repro.durability.checkpoints import unpack_state
 from repro.durability.wal import list_segments, read_segment
+from repro.nn.serialization import load_state
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +191,80 @@ class TestTornWrites:
         outcome, _, torn = recover_and_finish(torn_root, k - 1)
         assert torn == 1
         assert_matches_oracle(outcome, oracle, context=f"crc boundary {k}")
+
+
+def write_format_3(path: Path, arrays, metadata) -> None:
+    """An ``.npz`` as format 3 wrote it: zlib-compressed entries."""
+    blob = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays, __metadata__=blob)
+
+
+def downgrade_to_format_3(root: Path) -> None:
+    """Rewrite every checkpoint under ``root`` byte-for-byte the way format 3
+    laid it out: compressed archives, and ``state.npz`` with one ``a<N>``
+    entry per array leaf named by a string marker."""
+    for directory in sorted((root / "checkpoints").iterdir()):
+        manifest_path = directory / "runtime.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format"] = 3
+        manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        for weights_path in directory.glob("version_*.npz"):
+            write_format_3(weights_path, *load_state(weights_path))
+        arrays, metadata = load_state(directory / "state.npz")
+        leaves = {}
+
+        def mark(value):
+            if isinstance(value, np.ndarray):
+                leaves[f"a{len(leaves)}"] = value
+                return {"__ndarray__": f"a{len(leaves) - 1}"}
+            if isinstance(value, dict):
+                return {key: mark(item) for key, item in value.items()}
+            if isinstance(value, list):
+                return [mark(item) for item in value]
+            return value
+
+        structure = mark(unpack_state(metadata, arrays))
+        write_format_3(directory / "state.npz", leaves, {"state": structure})
+
+
+class TestFormat3Store:
+    def test_format_3_store_recovers_and_chains_format_4_deltas(
+        self, boundary_snapshots, oracle, tmp_path
+    ):
+        """A store written before state buffers (killed after record 13, its
+        two checkpoints in format 3) recovers bitwise; the recovered runtime
+        chains a format-4 delta onto the format-3 parent, and a second crash
+        on that mixed chain recovers bitwise too."""
+        root = tmp_path / "old"
+        shutil.copytree(boundary_snapshots[13], root)
+        downgrade_to_format_3(root)
+        with np.load(root / "checkpoints" / "ckpt-000002" / "state.npz") as archive:
+            assert len(archive.files) > 10 and "a0" in archive.files
+
+        recovered = Runtime.recover(root)
+        assert recovered._replayed_records == 3
+        records = workload_records()
+        for record in records[13:25]:
+            recovered.ingest(*record)
+        # The tenth ingest after recovery (record 23) fired the
+        # every-10-records rule: a format-4 delta whose parent (and reused
+        # weight files) are format 3.
+        latest = json.loads((root / "checkpoints" / "ckpt-000003" / "runtime.json").read_text())
+        parent = json.loads((root / "checkpoints" / latest["parent"] / "runtime.json").read_text())
+        assert (latest["format"], latest["kind"], parent["format"]) == (4, "delta", 3)
+        crashed_again = tmp_path / "mixed"
+        shutil.copytree(root, crashed_again)
+
+        for record in records[25:]:
+            recovered.ingest(*record)
+        recovered.drain()
+        outcome = snapshot_outcome(recovered)
+        recovered.close()
+        assert_matches_oracle(outcome, oracle, context="format-3 store")
+
+        outcome, replayed, torn = recover_and_finish(crashed_again, 25)
+        assert (replayed, torn) == (2, 0)
+        assert_matches_oracle(outcome, oracle, context="format-3 parent, format-4 delta")
 
 
 class TestMissingWal:

@@ -15,8 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
 from repro import Runtime, RuntimeConfig
+from repro.runtime import CHECKPOINT_FORMAT
 from repro.serving import ManualClock
+from repro.serving.service import BatchScores
 from repro.streams.generator import SocialStreamGenerator
 from repro.utils.config import (
     DetectionConfig,
@@ -206,6 +209,47 @@ class TestRuntimeLifecycle:
         assert report.previous_version == 1
         assert report.samples > 0
 
+    def test_detections_carry_the_batch_columns_as_python_scalars(
+        self, runtime_config, tiny_features, drifting_streams, monkeypatch
+    ):
+        """Detections are built column-wise (``.tolist()``); every field must
+        equal — bitwise, and as a Python ``float``/``bool`` — what
+        ``float()``/``bool()`` of that row's NumPy scalar gives, across a
+        replay whose update plane publishes new versions."""
+        batches = []
+
+        def recording_batch_scores(**fields):
+            batches.append(fields)
+            return BatchScores(**fields)
+
+        monkeypatch.setattr(service_module, "BatchScores", recording_batch_scores)
+        # In-process scoring: a process executor builds BatchScores remotely.
+        config = replace(runtime_config, executor=ExecutorConfig(mode="serial"))
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        detections = runtime.replay(drifting_streams)
+        assert max(d.model_version for d in detections) > 1, "no publish during the replay"
+        assert len(detections) == sum(len(batch["scores"]) for batch in batches)
+        expected = [
+            (
+                float(batch["scores"][row]),
+                float(batch["action_errors"][row]),
+                float(batch["interaction_errors"][row]),
+                bool(batch["is_anomaly"][row]),
+                float(batch["threshold"]),
+            )
+            for batch in batches
+            for row in range(len(batch["scores"]))
+        ]
+        emitted = [
+            (d.score, d.action_error, d.interaction_error, d.is_anomaly, d.threshold)
+            for d in detections
+        ]
+        assert [[type(value) for value in row] for row in emitted] == [
+            [float, float, float, bool, float]
+        ] * len(emitted)
+        assert emitted == expected
+        runtime.close()
+
     def test_frozen_runtime_never_updates(self, runtime_config, tiny_features, drifting_streams):
         config = replace(runtime_config, enable_updates=False)
         runtime = Runtime.from_config(config).fit(tiny_features)
@@ -260,7 +304,7 @@ class TestCheckpointRestore:
         feed(original, drifting_streams, stop_fraction=0.5, drain=False)
         manifest_path = original.checkpoint(tmp_path / "ckpt") / "runtime.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["format"] == 3 and "use_fused" not in manifest["config"]["training"]
+        assert manifest["format"] == CHECKPOINT_FORMAT and "use_fused" not in manifest["config"]["training"]
 
         manifest["config"]["training"]["use_fused"] = False
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -515,7 +559,7 @@ class TestPendingUpdateResume:
 
         directory = original.checkpoint(tmp_path / "ckpt")
         manifest = json.loads((directory / "runtime.json").read_text("utf-8"))
-        assert manifest["format"] == 3
+        assert manifest["format"] == CHECKPOINT_FORMAT
         assert manifest["pending_updates"] == pending
 
         restored = Runtime.from_checkpoint(directory)

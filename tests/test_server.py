@@ -382,6 +382,19 @@ class TestServerEndpoints:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("wait_ms", ["nan", "inf", "-inf"])
+    def test_non_finite_wait_ms_is_400_at_once(self, served, wait_ms):
+        """``nan < 0`` is false, so a NaN wait used to pass the check and spin
+        the long-poll loop (``Condition.wait(nan)`` returns at once) for as
+        long as the stream stayed empty — forever, for an unknown stream."""
+        _, server = served
+        started = time.monotonic()
+        status, payload, _ = http_json(
+            "GET", f"{server.url}/v1/detections?stream=nobody&wait_ms={wait_ms}"
+        )
+        assert status == 400 and "finite" in payload["error"]
+        assert time.monotonic() - started < 2.0
+
     def test_oversized_body_is_413(self, served):
         _, server = served
         raw = b'{"segments": [' + b" " * 5000 + b"]}"

@@ -8,6 +8,7 @@ boundary, pruning, and the fsync-batching counters.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 
@@ -76,6 +77,36 @@ class TestRecordCodec:
             )
         )
         assert record.submissions[0][3] is None
+
+    def test_golden_bytes(self):
+        """The on-disk record format is frozen: logs written by any earlier
+        build must replay.  Pins the sha256 of records covering both kinds,
+        3- and 4-tuples, a ``None`` level, NumPy/int levels, and the coerced
+        slow path (int arrays, lists, tuples, strided, reversed, 2-D and
+        Fortran-ordered features)."""
+        grid = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0 - 1.5
+        records = [
+            (
+                [
+                    ("cam-0", grid[0], grid[1, :3], 0.25),
+                    ("cam-1", grid[2], grid[3, :3], None),
+                    ("cam-2", grid[1], grid[0, 3:]),
+                    ("kamera-ü", grid[:, 0], grid[0, ::2], np.float32(0.5)),
+                    ("ints", np.arange(5), [1, -2, 3], 2),
+                    ("lists", [0.1, -0.0, 1e300], (2.5,), -1.0),
+                    ("matrix", grid[:2, :2], np.asfortranarray(grid[:2, :2]), None),
+                ],
+                True,
+            ),
+            ([("cam-0", grid[3], grid[2, 1:4], 0.75)], False),
+            ([("cam-3", grid[0, ::-1], grid[1, :3])], False),
+        ]
+        digest = hashlib.sha256()
+        for submissions, batch in records:
+            digest.update(_encode_record(submissions, batch=batch))
+        assert digest.hexdigest() == (
+            "1f3a837545148039145066a8abc3b0b5eed124204a2d0314b524ec236aa3e11d"
+        )
 
 
 class TestWriter:
