@@ -26,6 +26,7 @@ ablations:
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Literal, Optional, Tuple
 
 import numpy as np
@@ -42,11 +43,14 @@ from ..nn.backprop import (
     weighted_loss_grad,
 )
 from ..nn.fused import (
+    MAX_WORKSPACES_PER_CELL,
     coupled_pair_forward_fused,
     coupled_pair_forward_gated,
+    forward_in_context,
     fused_cache_fresh,
     gather_gate_inputs,
     prewarm_cell,
+    serving_context,
     transplant_fused_cache,
 )
 from ..nn.tensor import Tensor
@@ -114,14 +118,12 @@ def _float32_linear_weights(layer) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return weight32, bias32
 
 
-def _decode(head, hidden: np.ndarray) -> np.ndarray:
-    """One decoder head evaluated directly on arrays, at ``hidden``'s precision.
+def _head(head, dtype: np.dtype) -> tuple:
+    """``(weight, bias, softmax)`` of one decoder head at ``dtype``.
 
-    ``head`` is a ``Linear`` or a ``Sequential(Linear, SoftmaxHead)``; the
-    expressions are the ones those modules evaluate (``x @ W + b``, then the
-    tape's stable softmax), so at float64 the result is bitwise the modules'
-    own, without a tape node.  At float32 the weights are cached single-
-    precision copies, keeping the whole pass single precision end to end.
+    ``head`` is a ``Linear`` or a ``Sequential(Linear, SoftmaxHead)``.  At
+    float32 the weights are cached single-precision copies, keeping the
+    whole pass single precision end to end.
     """
     softmax = not isinstance(head, nn.Linear)
     if softmax and not is_softmax_head(head):
@@ -130,14 +132,27 @@ def _decode(head, hidden: np.ndarray) -> np.ndarray:
             f"decoders, got {head!r}"
         )
     layer = list(head)[0] if softmax else head
-    if hidden.dtype == np.float32:
+    if dtype == np.float32:
         weight, bias = _float32_linear_weights(layer)
     else:
         weight, bias = layer.weight.data, (layer.bias.data if layer.bias is not None else None)
+    return weight, bias, softmax
+
+
+def _apply_head(resolved: tuple, hidden: np.ndarray) -> np.ndarray:
+    """A :func:`_head` evaluated on ``hidden``: the expressions the modules
+    evaluate (``x @ W + b``, then the tape's stable softmax), so at float64
+    the result is bitwise the modules' own, without a tape node."""
+    weight, bias, softmax = resolved
     out = hidden @ weight
     if bias is not None:
         out += bias
     return softmax_forward(out) if softmax else out
+
+
+def _decode(head, hidden: np.ndarray) -> np.ndarray:
+    """One decoder head evaluated directly on arrays, at ``hidden``'s precision."""
+    return _apply_head(_head(head, hidden.dtype), hidden)
 
 
 class CLSTM(nn.Module):
@@ -309,12 +324,51 @@ class CLSTM(nn.Module):
         on the final hidden states (:func:`_decode`), at whatever precision
         the sweep ran in.
         """
+        sealed = getattr(self, "_sealed", None)
+        if sealed is not None and interaction_sequences is None:
+            return self._predict_sealed(sealed, action_sequences, self._dtype(precision))
         final_h, final_g = self._fused_hidden(
             action_sequences, interaction_sequences, precision=precision
         )
         return (
             _decode(self.decoder_action, final_h),
             _decode(self.decoder_interaction, final_g),
+            final_h,
+            final_g,
+        )
+
+    def seal(self) -> None:
+        """Promise that this model's parameters never change again.
+
+        The registry seals every published snapshot, which is immutable by
+        contract.  A sealed model's serving forward (:meth:`predict_full` of
+        a window batch) resolves its kernel context and decoder heads once
+        per batch shape, dtype and thread and keeps them, instead of
+        re-checking every weight array on every batch.  Training a sealed
+        model would serve stale weights: train a copy
+        (:meth:`clone_architecture`, :meth:`snapshot`) instead.
+        """
+        self._sealed = {}
+
+    def _predict_sealed(self, sealed: dict, batch, dtype: np.dtype):
+        """:meth:`predict_full` of a serving batch on a sealed model."""
+        cells = (self.lstm_influencer, self.lstm_audience)
+        shape = batch.shape[:2] if hasattr(batch, "shape") else (len(batch), len(batch[0]))
+        key = (*shape, dtype, threading.get_ident())
+        resolved = sealed.get(key)
+        if resolved is None:
+            if len(sealed) >= MAX_WORKSPACES_PER_CELL:
+                sealed.clear()
+            resolved = sealed[key] = (
+                serving_context(*cells, batch, dtype),
+                _head(self.decoder_action, dtype),
+                _head(self.decoder_interaction, dtype),
+            )
+        context, head_action, head_interaction = resolved
+        final_h, final_g = forward_in_context(context, batch)
+        return (
+            _apply_head(head_action, final_h),
+            _apply_head(head_interaction, final_g),
             final_h,
             final_g,
         )

@@ -124,9 +124,46 @@ def _decode_submission(buffer: memoryview, offset: int) -> Tuple[Submission, int
     return (stream_id, action, interaction, level if has_level else None), offset + 8 * i_len
 
 
+def _encode_columns(tick, kind: int) -> bytes:
+    """The payload of a columnar tick — ``stream_ids``/``levels`` lists and
+    C-contiguous float64 ``(n, d)`` ``actions``/``interactions`` arrays, as
+    :class:`repro.serving.service.Tick` holds them — byte for byte what
+    encoding its rows one by one gives: each row is a slice of one buffer
+    view instead of a ``tobytes`` copy, and the widths are packed once."""
+    a_len, i_len = tick.actions.shape[1], tick.interactions.shape[1]
+    a_step, i_step = 8 * a_len, 8 * i_len
+    actions = memoryview(tick.actions).cast("B")
+    interactions = memoryview(tick.interactions).cast("B")
+    i_head = _LEN.pack(i_len)
+    parts: List = [_RECORD_HEAD.pack(kind, len(tick.stream_ids))]
+    for row, (stream_id, level) in enumerate(zip(tick.stream_ids, tick.levels)):
+        sid = stream_id.encode("utf-8")
+        if len(sid) > 0xFFFF:
+            raise ValueError(f"stream id of {len(sid)} utf-8 bytes exceeds the WAL bound")
+        known = level is not None
+        parts += (
+            _SID_LEN.pack(len(sid)),
+            sid,
+            _LEVEL_AND_LEN.pack(known, level if known else 0.0, a_len),
+            actions[row * a_step : (row + 1) * a_step],
+            i_head,
+            interactions[row * i_step : (row + 1) * i_step],
+        )
+    return b"".join(parts)
+
+
 def _encode_record(submissions: Sequence[Sequence], *, batch: bool) -> bytes:
     """One record's payload, built by a single ``b"".join`` over its parts."""
-    parts: List = [_RECORD_HEAD.pack(_KIND_BATCH if batch else _KIND_INGEST, len(submissions))]
+    kind = _KIND_BATCH if batch else _KIND_INGEST
+    actions = getattr(submissions, "actions", None)
+    if (
+        type(actions) is np.ndarray
+        and actions.dtype is _FLOAT64
+        and actions.flags.c_contiguous
+        and actions.size
+    ):
+        return _encode_columns(submissions, kind)
+    parts: List = [_RECORD_HEAD.pack(kind, len(submissions))]
     for submission in submissions:
         if len(submission) == 4:
             stream_id, a, i, level = submission

@@ -110,6 +110,8 @@ __all__ = [
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
     "coupled_pair_forward_gated",
+    "serving_context",
+    "forward_in_context",
     "gather_gate_inputs",
     "project_rows",
     "workspace_stats",
@@ -766,10 +768,28 @@ def coupled_pair_forward_gated(
     under bitwise-equal weights).  Returns ``(h_final, g_final)`` like
     :func:`coupled_pair_forward_fused`.
     """
+    return forward_in_context(serving_context(influencer, audience, batch, dtype), batch)
+
+
+def serving_context(
+    influencer: "CoupledLSTMCell", audience: "CoupledLSTMCell", batch, dtype
+) -> _Context:
+    """The resolved kernel context of one serving ``batch`` (windows or
+    gathered gate inputs): weight variants, dtype and pooled workspace.
+
+    A caller that knows the weights cannot change (a published snapshot,
+    :meth:`repro.core.clstm.CLSTM.seal`) may keep it per batch shape and
+    thread and skip the per-batch resolution.
+    """
     gathered = hasattr(batch, "shape")
     size, time_steps = batch.shape[:2] if gathered else (len(batch), len(batch[0]))
-    context = _coupled_context(influencer, audience, size, time_steps, dtype)
-    if gathered:
+    return _coupled_context(influencer, audience, size, time_steps, dtype)
+
+
+def forward_in_context(context: _Context, batch):
+    """Gather (or adopt) ``batch``'s gate inputs and sweep them in
+    ``context``; returns the final ``(h, g)`` as fresh arrays."""
+    if hasattr(batch, "shape"):
         x_proj = np.asarray(batch, dtype=context.dtype)
     else:
         x_proj = _gather(context, batch)

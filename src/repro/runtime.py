@@ -34,7 +34,7 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,8 +62,6 @@ from .serving.service import (
     StreamDetection,
     UpdateTrigger,
     replay_streams,
-    validate_features,
-    validate_interaction_level,
 )
 from .serving.rebalance import Rebalancer
 from .serving.sharding import ShardedScoringService
@@ -346,18 +344,21 @@ class Runtime:
             return self.service.submit(
                 stream_id, action_feature, interaction_feature, interaction_level
             )
-        (cleaned,) = self._validate_submissions(
+        tick = self.service.tick(
             [(stream_id, action_feature, interaction_feature, interaction_level)]
         )
         with self._durability_lock:
+            self.service.route_tick(tick)
             if self._wal is not None:
-                self._wal.append([cleaned], batch=False)
-            # Invariant: past _validate_submissions, submit() must not raise —
-            # the WAL record above is already durable, and a logged-but-never-
-            # scored submission would replay into state the original run never
-            # had.  Anything that can reject a submission belongs in
-            # _validate_submissions, before the append.
-            detections = self.service.submit(*cleaned)
+                self._wal.append(tick, batch=False)
+            # Invariant: past the boundary checks (the tick's validation and
+            # route_tick's queue-room check), submit() must not raise — the
+            # WAL record above is already durable, and a logged-but-never-
+            # scored submission would replay into state the original run
+            # never had.  Anything that can reject a submission belongs in
+            # those checks, before the append.
+            (submission,) = tick
+            detections = self.service.submit(*submission)
             if self._policy is not None:
                 self._policy.note_records(1)
         self._maybe_auto_checkpoint()
@@ -371,21 +372,28 @@ class Runtime:
         executor this is the high-throughput ingest path: batches that fill
         on different shards in the same tick are scored concurrently.  With
         durability attached the whole tick is one WAL record (replay must
-        re-drive the micro-batcher with the same call shape).  The tick is
-        all-or-nothing: one non-finite feature refuses all of it.
+        re-drive the micro-batcher with the same call shape).
+
+        The tick is validated and copied once, at the boundary
+        (:class:`~repro.serving.service.Tick`), so the caller may reuse its
+        buffers as soon as the call returns.  It is all-or-nothing: a
+        feature of the wrong width, a non-finite value, or a tick that would
+        overflow a shard's ``max_queue_depth`` refuses all of it, before
+        anything is logged or queued.
         """
         self._require_serving()
         if self._store is None:
             return self.service.submit_many(submissions)
-        cleaned = self._validate_submissions(submissions)
+        tick = self.service.tick(submissions)
         with self._durability_lock:
-            if self._wal is not None and cleaned:
-                self._wal.append(cleaned, batch=True)
+            self.service.route_tick(tick)
+            if self._wal is not None and len(tick):
+                self._wal.append(tick, batch=True)
             # Same invariant as ingest(): the tick is durable, so submit_many
-            # must not raise past validation (see _validate_submissions).
-            detections = self.service.submit_many(cleaned)
+            # must not raise past the boundary checks.
+            detections = self.service.submit_many(tick)
             if self._policy is not None:
-                self._policy.note_records(len(cleaned))
+                self._policy.note_records(len(tick))
         self._maybe_auto_checkpoint()
         return detections
 
@@ -1023,54 +1031,6 @@ class Runtime:
                     self.service.submit(*submission)
         self._replayed_records = tail.submissions
         self._replayed_torn = tail.torn_records
-
-    def _validate_submissions(
-        self, submissions: Iterable[Sequence]
-    ) -> List[Tuple[str, np.ndarray, np.ndarray, Optional[float]]]:
-        """Normalise and fully validate submissions *before* the WAL append.
-
-        Anything that would make the scoring service raise must be rejected
-        here: a submission that reached the log but not the service would
-        replay into state the original run never had.  The arrays are
-        coerced exactly as the scoring session coerces them (flat float64),
-        so the bytes logged are the bytes scored.
-        """
-        model = self.config.model
-        cleaned: List[Tuple[str, np.ndarray, np.ndarray, Optional[float]]] = []
-        for submission in submissions:
-            if len(submission) == 3:
-                stream_id, action, interaction = submission
-                level = None
-            elif len(submission) == 4:
-                stream_id, action, interaction, level = submission
-            else:
-                raise ValueError(
-                    "submission must be (stream_id, action_feature, "
-                    f"interaction_feature[, interaction_level]), got "
-                    f"{len(submission)} elements"
-                )
-            if level is not None:
-                validate_interaction_level(level)
-                level = float(level)
-            action = np.ascontiguousarray(
-                np.asarray(action, dtype=np.float64).reshape(-1)
-            )
-            interaction = np.ascontiguousarray(
-                np.asarray(interaction, dtype=np.float64).reshape(-1)
-            )
-            if action.shape[0] != model.action_dim:
-                raise ValueError(
-                    f"action_feature has {action.shape[0]} elements but "
-                    f"ModelConfig.action_dim={model.action_dim}"
-                )
-            if interaction.shape[0] != model.interaction_dim:
-                raise ValueError(
-                    f"interaction_feature has {interaction.shape[0]} elements "
-                    f"but ModelConfig.interaction_dim={model.interaction_dim}"
-                )
-            cleaned.append((str(stream_id), action, interaction, level))
-        validate_features(cleaned)
-        return cleaned
 
     def _maybe_auto_checkpoint(self) -> None:
         """Fire the checkpoint policy if any of its rules are due."""

@@ -14,8 +14,7 @@ when fan-in is too low to fill batches (see
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +62,15 @@ class ScoreRequest:
         this quantity (Section IV-D).  ``nan`` disables drift tracking for
         the segment.
     """
+
+    __slots__ = (
+        "stream_id",
+        "segment_index",
+        "window",
+        "action_target",
+        "interaction_target",
+        "interaction_level",
+    )
 
     def __init__(
         self,
@@ -123,8 +131,10 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_delay_seconds = max_delay_seconds
         self.max_pending = max_pending
-        self._queue: Deque[ScoreRequest] = deque()
-        self._arrivals: Deque[Optional[float]] = deque()
+        # Two parallel lists: a drain is two slices and two prefix deletes,
+        # not a popleft per request and stamp.
+        self._queue: List[ScoreRequest] = []
+        self._arrivals: List[Optional[float]] = []
         self.submitted = 0
         self.batches_drained = 0
 
@@ -140,11 +150,19 @@ class MicroBatcher:
         Raises :class:`QueueFull` when ``max_pending`` is set and already
         reached — the request is *not* enqueued; shed it or retry later.
         """
-        if self.max_pending is not None and len(self._queue) >= self.max_pending:
+        self.extend((request,), now)
+
+    def extend(self, requests: Sequence[ScoreRequest], now: Optional[float] = None) -> None:
+        """Enqueue ``requests`` in order, all stamped ``now``; all or none.
+
+        Raises :class:`QueueFull` (enqueuing nothing) when they do not all
+        fit under ``max_pending``.
+        """
+        if self.max_pending is not None and len(self) + len(requests) > self.max_pending:
             raise QueueFull(self.max_pending)
-        self._queue.append(request)
-        self._arrivals.append(now)
-        self.submitted += 1
+        self._queue += requests
+        self._arrivals += [now] * len(requests)
+        self.submitted += len(requests)
 
     def ready(self) -> bool:
         """Whether a full batch is waiting."""
@@ -174,11 +192,11 @@ class MicroBatcher:
 
     def drain(self) -> List[ScoreRequest]:
         """Pop up to ``max_batch_size`` requests (empty list when idle)."""
-        batch: List[ScoreRequest] = []
-        while self._queue and len(batch) < self.max_batch_size:
-            batch.append(self._queue.popleft())
-            self._arrivals.popleft()
+        size = self.max_batch_size
+        batch = self._queue[:size]
         if batch:
+            del self._queue[:size]
+            del self._arrivals[:size]
             self.batches_drained += 1
         return batch
 
@@ -191,13 +209,14 @@ class MicroBatcher:
         Returns ``(windows, action_targets, interaction_targets,
         segment_indices)`` with leading dimension ``len(requests)``; the
         windows stay segment records (``CLSTM.predict_full`` gathers their
-        cached gate inputs), only the targets are stacked.
+        cached gate inputs), only the targets are stacked, one ``np.array``
+        each.
         """
         if not requests:
             raise ValueError("cannot assemble an empty batch")
         return (
             [r.window for r in requests],
-            np.stack([r.action_target for r in requests], axis=0),
-            np.stack([r.interaction_target for r in requests], axis=0),
+            np.array([r.action_target for r in requests], dtype=np.float64),
+            np.array([r.interaction_target for r in requests], dtype=np.float64),
             np.array([r.segment_index for r in requests], dtype=np.int64),
         )

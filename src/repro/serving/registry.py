@@ -47,8 +47,10 @@ class ModelSnapshot:
     version:
         Monotonically increasing version number (1 for the first publish).
     model:
-        Private CLSTM copy with prewarmed fused-weight caches.  Treated as
-        immutable after publish; :meth:`fused_fresh` checks the invariant.
+        Private CLSTM copy with prewarmed fused-weight caches, sealed
+        (:meth:`~repro.core.clstm.CLSTM.seal`): immutable after publish, so
+        its serving batches resolve their kernel context once per shape;
+        :meth:`fused_fresh` checks the invariant.
     threshold:
         The calibrated anomaly threshold ``T_a`` this version serves with.
     detector:
@@ -207,6 +209,7 @@ class ModelRegistry:
             else:
                 published = model
                 published.prewarm_fused()
+            published.seal()
             detector = AnomalyDetector(published, self.detection_config, threshold=threshold)
             self._published = version
             snapshot = ModelSnapshot(

@@ -45,9 +45,23 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -57,7 +71,7 @@ from ..features.pipeline import StreamFeatures
 from ..nn.fused import Segment
 from ..utils.config import UpdateConfig
 from ..utils.timer import TimingAccumulator
-from .microbatch import MicroBatcher, ScoreRequest
+from .microbatch import MicroBatcher, QueueFull, ScoreRequest
 from .registry import ModelRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -70,6 +84,7 @@ __all__ = [
     "ShardStats",
     "BatchScores",
     "StreamSession",
+    "Tick",
     "ManualClock",
     "ScoringService",
     "replay_streams",
@@ -78,21 +93,21 @@ __all__ = [
 ]
 
 
-def validate_features(submissions: Sequence[Sequence]) -> None:
-    """Refuse ``(stream_id, action, interaction, ...)`` submissions holding a
-    non-finite feature: it scores NaN, which never exceeds the threshold, so
-    every window holding it would read "normal".  One ``isfinite`` covers the
-    whole call; only a refused call looks for the stream and field to name.
+def validate_features(tick: "Tick") -> None:
+    """Refuse a tick holding a non-finite feature: it scores NaN, which never
+    exceeds the threshold, so every window holding it would read "normal".
+    One ``isfinite`` per feature array covers the whole tick; only a refused
+    tick looks for the first stream and field to name.
     """
-    features = [feature for submission in submissions for feature in submission[1:3]]
-    if not features or np.isfinite(np.concatenate(features, axis=None)).all():
+    finite = [np.isfinite(tick.actions), np.isfinite(tick.interactions)]
+    if finite[0].all() and finite[1].all():
         return
-    for submission in submissions:
-        for field, feature in zip(("action_feature", "interaction_feature"), submission[1:3]):
-            if not np.isfinite(np.asarray(feature, dtype=np.float64)).all():
-                raise ValueError(
-                    f"stream {submission[0]!r}: {field} contains non-finite values"
-                )
+    rows = np.stack([values.all(axis=1) for values in finite], axis=1)
+    position, column = np.argwhere(~rows)[0]
+    field = ("action_feature", "interaction_feature")[column]
+    raise ValueError(
+        f"stream {tick.stream_ids[position]!r}: {field} contains non-finite values"
+    )
 
 
 def validate_interaction_level(level: Optional[float]) -> float:
@@ -116,6 +131,133 @@ def validate_interaction_level(level: Optional[float]) -> float:
             "(pass None to mark the level unknown)"
         )
     return level
+
+
+def _stack_rows(
+    stream_ids: List[str], rows: Sequence, width: int, field: str, config_field: str
+) -> np.ndarray:
+    """``rows`` as a fresh float64 ``(n, width)`` array: one ``np.array``.
+
+    Only a tick that does not stack into that shape takes the slow path,
+    which flattens every row and names the first stream whose ``field`` has
+    the wrong number of elements.
+    """
+    try:
+        stacked = np.array(rows, dtype=np.float64)
+    except ValueError:  # ragged rows
+        stacked = None
+    if stacked is not None and stacked.shape == (len(rows), width):
+        return stacked
+    flat = [np.asarray(row, dtype=np.float64).reshape(-1) for row in rows]
+    for stream_id, row in zip(stream_ids, flat):
+        if row.shape[0] != width:
+            raise ValueError(
+                f"stream {stream_id!r}: {field} has {row.shape[0]} elements but "
+                f"ModelConfig.{config_field}={width}"
+            )
+    return np.array(flat, dtype=np.float64).reshape(len(rows), width)
+
+
+def _check_levels(stream_ids: List[str], levels: Sequence) -> List[Optional[float]]:
+    """The tick's levels as floats (``None`` stays the unknown opt-in); the
+    known ones are checked as one array (:func:`validate_interaction_level`
+    names the contract, the stream is named here)."""
+    known = [level for level in levels if level is not None]
+    if not known:
+        return list(levels)
+    values = np.array(known, dtype=np.float64)
+    if not np.isfinite(values).all():
+        for stream_id, level in zip(stream_ids, levels):
+            try:
+                validate_interaction_level(level)
+            except ValueError as error:
+                raise ValueError(f"stream {stream_id!r}: {error}") from None
+    if len(known) == len(levels):
+        return values.tolist()
+    floats = iter(values.tolist())
+    return [None if level is None else next(floats) for level in levels]
+
+
+class Tick:
+    """One ingest call's segments, validated and copied once, at the boundary.
+
+    :meth:`from_submissions` is the one place a tick is checked: feature
+    widths against the model (naming the stream and the ``ModelConfig``
+    field), one ``isfinite`` per feature array (:func:`validate_features`)
+    and the known interaction levels as one array.  ``actions`` and
+    ``interactions`` are fresh float64 ``(n, d)`` arrays — the tick's private
+    copy of its rows, so a caller may refill its buffers as soon as the call
+    returns.  ``action_rows``/``interaction_rows`` are their row views, made
+    once per tick; segments hold them.  ``levels`` keeps ``None`` for an
+    unknown level.  Iterating yields ``(stream_id, action, interaction,
+    level)`` tuples, the shape the write-ahead log records.
+
+    Ingest paths recognise a built tick by its type and never validate it a
+    second time.
+    """
+
+    __slots__ = (
+        "stream_ids",
+        "actions",
+        "interactions",
+        "levels",
+        "action_rows",
+        "interaction_rows",
+    )
+
+    def __init__(
+        self,
+        stream_ids: List[str],
+        actions: np.ndarray,
+        interactions: np.ndarray,
+        levels: List[Optional[float]],
+    ) -> None:
+        self.stream_ids = stream_ids
+        self.actions = actions
+        self.interactions = interactions
+        self.levels = levels
+        self.action_rows = list(actions)
+        self.interaction_rows = list(interactions)
+
+    def __len__(self) -> int:
+        return len(self.stream_ids)
+
+    def __iter__(self):
+        return zip(self.stream_ids, self.action_rows, self.interaction_rows, self.levels)
+
+    @classmethod
+    def from_submissions(
+        cls, submissions: Iterable[Sequence], action_dim: int, interaction_dim: int
+    ) -> "Tick":
+        """Validate and copy ``(stream_id, action_feature,
+        interaction_feature[, interaction_level])`` submissions; one bad
+        submission refuses the whole tick with a ``ValueError``."""
+        submissions = list(submissions)
+        lengths = set(map(len, submissions))
+        if not lengths <= {3, 4}:
+            bad = next(len(s) for s in submissions if len(s) not in (3, 4))
+            raise ValueError(
+                "submission must be (stream_id, action_feature, "
+                f"interaction_feature[, interaction_level]), got {bad} elements"
+            )
+        if not submissions:
+            stream_ids, actions, interactions, levels = [], (), (), ()
+        elif lengths == {4}:
+            stream_ids, actions, interactions, levels = zip(*submissions)
+        else:
+            stream_ids, actions, interactions = zip(*(s[:3] for s in submissions))
+            levels = [s[3] if len(s) == 4 else None for s in submissions]
+        stream_ids = list(map(str, stream_ids))
+        tick = cls(
+            stream_ids,
+            _stack_rows(stream_ids, actions, action_dim, "action_feature", "action_dim"),
+            _stack_rows(
+                stream_ids, interactions, interaction_dim, "interaction_feature", "interaction_dim"
+            ),
+            _check_levels(stream_ids, levels),
+        )
+        validate_features(tick)
+        return tick
 
 
 class ManualClock:
@@ -142,14 +284,15 @@ class ManualClock:
         self.now += seconds
 
 
-@dataclass(frozen=True, slots=True)
-class StreamDetection:
+class StreamDetection(NamedTuple):
     """One scored segment, routed back to its stream.
 
     ``model_version`` records which registry snapshot produced the decision,
     so post-swap detections are attributable to the model that made them;
     ``precision`` records the compute precision of the forward pass that
     produced the score (the threshold itself is always float64-calibrated).
+    A named tuple: immutable, hashable, equal by value, and built in C by
+    the per-batch emit.
     """
 
     stream_id: str
@@ -161,6 +304,14 @@ class StreamDetection:
     threshold: float
     model_version: int = 1
     precision: str = "float64"
+
+
+_new_detection = partial(tuple.__new__, StreamDetection)
+"""Build a :class:`StreamDetection` from one full 9-field row (no Python frame)."""
+
+_NAN = float("nan")
+
+_DETECTIONS = attrgetter("detections")
 
 
 @dataclass(frozen=True)
@@ -365,27 +516,28 @@ class StreamSession:
     ) -> Optional[ScoreRequest]:
         """Observe one incoming segment; return a request once warmed up.
 
-        The current history window predicts the incoming segment (it is the
-        reconstruction target); afterwards the segment joins the window.  The
-        request's window is the history's segment records themselves, not a
-        copy, so a segment's gate-input projections are computed once and
-        shared by the ``q`` requests it appears in.
+        The features are the segment's float64 rows, kept as they are (the
+        ingest boundary hands over row views of its private :class:`Tick`
+        copy).  The current history window predicts the incoming segment (it
+        is the reconstruction target); afterwards the segment joins the
+        window.  The request's window is the history's segment records
+        themselves, not a copy, so a segment's gate-input projections are
+        computed once and shared by the ``q`` requests it appears in.
         """
-        segment = Segment(
-            np.asarray(action_feature, dtype=np.float64),
-            np.asarray(interaction_feature, dtype=np.float64),
-        )
+        history = self.history
         request: Optional[ScoreRequest] = None
-        if self.warmed_up:
+        if len(history) == self.sequence_length:
             request = ScoreRequest(
-                stream_id=self.stream_id,
-                segment_index=self.segments_seen,
-                window=tuple(self.history),
-                action_target=segment.rows[0],
-                interaction_target=segment.rows[1],
-                interaction_level=interaction_level,
+                self.stream_id,
+                self.segments_seen,
+                None,
+                None,
+                action_feature,
+                interaction_feature,
+                interaction_level,
+                window=tuple(history),
             )
-        self.history.append(segment)
+        history.append(Segment(action_feature, interaction_feature))
         self.segments_seen += 1
         return request
 
@@ -630,25 +782,83 @@ class ScoringService:
     # ------------------------------------------------------------------ #
     # Ingest
     # ------------------------------------------------------------------ #
-    def _enqueue(
+    @property
+    def feature_dims(self) -> tuple:
+        """``(action_dim, interaction_dim)`` of the served model: the widths
+        every ingested feature must have."""
+        model = self.registry.latest().model
+        return model.action_dim, model.interaction_dim
+
+    def _one_segment(
         self,
         stream_id: str,
         action_feature: np.ndarray,
         interaction_feature: np.ndarray,
         interaction_level: Optional[float],
-    ) -> Optional[float]:
-        """Window + queue one segment; return its arrival stamp (no scoring)."""
-        level = validate_interaction_level(interaction_level)
+    ) -> Tick:
+        return Tick.from_submissions(
+            ((stream_id, action_feature, interaction_feature, interaction_level),),
+            *self.feature_dims,
+        )
+
+    def check_room(self, stream_ids: Iterable[str]) -> None:
+        """Raise :class:`~repro.serving.microbatch.QueueFull` unless the queue
+        has room for every request a tick of ``stream_ids`` would add.
+
+        Only warmed sessions' segments become requests: a stream with ``h``
+        history segments turns ``m`` segments of one tick into
+        ``max(0, m - (q - h))`` requests.
+        """
+        with self._ingest_lock:
+            if self.batcher.max_pending is None:
+                return
+            needed = 0
+            for stream_id, count in Counter(stream_ids).items():
+                session = self.sessions.get(stream_id)
+                history = len(session.history) if session is not None else 0
+                needed += max(0, count - (self.sequence_length - history))
+            if len(self.batcher) + needed > self.batcher.max_pending:
+                raise QueueFull(self.batcher.max_pending)
+
+    def enqueue_tick(self, tick: Tick, positions: Optional[Sequence[int]] = None) -> float:
+        """Window and queue ``tick``'s segments at ``positions`` (all of them
+        by default, in that order) without scoring; returns the arrival stamp.
+
+        One ingest-lock acquisition and one clock read cover the group, and
+        the group is all or nothing: when the queue lacks room for it,
+        :class:`~repro.serving.microbatch.QueueFull` is raised before any
+        session moves.  The tick is validated already (:class:`Tick`).
+        """
+        if positions is None:
+            positions = range(len(tick))
+        stream_ids, actions, interactions, levels = (
+            tick.stream_ids,
+            tick.action_rows,
+            tick.interaction_rows,
+            tick.levels,
+        )
+        q = self.sequence_length
         # Always stamp arrivals: deadline-less services still need them for
         # the flush-to-score latency percentiles (expired() stays inert
         # without a max_delay_seconds, so deadline behaviour is unchanged).
         now = self._clock()
         with self._ingest_lock:
-            request = self.session(stream_id).make_request(
-                action_feature, interaction_feature, level
-            )
-            if request is not None:
-                self.batcher.submit(request, now=now)
+            if self.batcher.max_pending is not None:
+                self.check_room([stream_ids[k] for k in positions])
+            sessions = self.sessions
+            requests: List[ScoreRequest] = []
+            for k in positions:
+                stream_id = stream_ids[k]
+                session = sessions.get(stream_id)
+                if session is None:
+                    session = sessions[stream_id] = StreamSession(stream_id, q)
+                level = levels[k]
+                request = session.make_request(
+                    actions[k], interactions[k], _NAN if level is None else level
+                )
+                if request is not None:
+                    requests.append(request)
+            self.batcher.extend(requests, now)
         return now
 
     def enqueue(
@@ -660,14 +870,15 @@ class ScoringService:
     ) -> None:
         """Queue one segment without scoring anything.
 
-        The scoring-free half of :meth:`submit`, used by executor-driven
-        ingest: the sharded service enqueues on the caller's thread and fans
-        the resulting ready batches out to its worker pool.  Whoever calls
+        The scoring-free half of :meth:`submit`: whoever calls
         :meth:`try_score_ready` / :meth:`poll` / :meth:`flush` next scores
-        the queued work.  Feature finiteness is the caller's check
-        (:func:`validate_features`, once per call rather than per segment).
+        the queued work.  The segment is validated and copied like a
+        one-segment :class:`Tick`; the sharded service enqueues whole ticks
+        through :meth:`enqueue_tick` instead.
         """
-        self._enqueue(stream_id, action_feature, interaction_feature, interaction_level)
+        self.enqueue_tick(
+            self._one_segment(stream_id, action_feature, interaction_feature, interaction_level)
+        )
 
     def has_ready_work(self) -> bool:
         """Whether a full or deadline-expired batch is waiting to be scored."""
@@ -707,13 +918,12 @@ class ScoringService:
         Returns the detections produced by any micro-batch this submission
         completed (usually empty — results for this very segment arrive with
         a later flush; this is the latency/throughput trade of micro-batching).
-        Non-finite feature values raise (:func:`validate_features`).
+        A feature of the wrong width or holding a non-finite value raises
+        ``ValueError`` before anything is queued (:class:`Tick`).
         """
-        validate_features(((stream_id, action_feature, interaction_feature),))
+        tick = self._one_segment(stream_id, action_feature, interaction_feature, interaction_level)
         with self._score_lock:
-            now = self._enqueue(
-                stream_id, action_feature, interaction_feature, interaction_level
-            )
+            now = self.enqueue_tick(tick)
             produced: List[StreamDetection] = []
             while True:
                 with self._ingest_lock:
@@ -841,28 +1051,39 @@ class ScoringService:
             # that never advance time.
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
+        if len(batch.scores) != len(requests):
+            raise ValueError(
+                f"batch scored {len(batch.scores)} rows for {len(requests)} requests"
+            )
         precision = getattr(snapshot.model, "precision", "float64")
-        tail = (float(batch.threshold), snapshot.version, precision)  # shared by every row
-        # Column-wise: .tolist() yields the Python floats/bools float()/bool()
-        # would, without materialising one NumPy scalar per row and field.
-        columns = zip(
-            batch.scores.tolist(),
-            batch.action_errors.tolist(),
-            batch.interaction_errors.tolist(),
-            batch.is_anomaly.tolist(),
+        stream_ids = [request.stream_id for request in requests]
+        # Column-wise and in C: .tolist() yields the Python floats/bools
+        # float()/bool() would, and each row becomes a StreamDetection
+        # without a Python frame.
+        detections = list(
+            map(
+                _new_detection,
+                zip(
+                    stream_ids,
+                    indices.tolist(),
+                    batch.scores.tolist(),
+                    batch.action_errors.tolist(),
+                    batch.interaction_errors.tolist(),
+                    batch.is_anomaly.tolist(),
+                    repeat(float(batch.threshold)),
+                    repeat(snapshot.version),
+                    repeat(precision),
+                ),
+            )
         )
-        detections = [
-            StreamDetection(request.stream_id, request.segment_index, *row, *tail)
-            for request, row in zip(requests, columns, strict=True)
-        ]
-        # One ingest-lock acquisition routes the whole batch; session() only
-        # runs for a request that was queued without going through ingest.
+        # One ingest-lock acquisition routes the whole batch; a request
+        # queued without going through ingest gets its session here.
         with self._ingest_lock:
-            for detection in detections:
-                session = self.sessions.get(detection.stream_id)
-                if session is None:
-                    session = self.session(detection.stream_id)
-                session.detections.append(detection)
+            sessions = list(map(self.sessions.get, stream_ids))
+            if None in sessions:
+                sessions = list(map(self.session, stream_ids))
+            # session.detections.append(detection) per row, consumed in C.
+            deque(map(list.append, map(_DETECTIONS, sessions), detections), maxlen=0)
         self._observe_hidden(requests, batch.hidden, snapshot.version)
         return detections
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import zlib
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -65,10 +66,10 @@ from .service import (
     ServiceStats,
     ShardStats,
     StreamDetection,
+    Tick,
     UpdateTrigger,
     _request_from_state,
     _request_state,
-    validate_features,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoid import cycle)
@@ -228,6 +229,12 @@ class ShardedScoringService:
                 )
             )
         self._planes = planes
+        widths = {shard.feature_dims for shard in self.shards}
+        if len(widths) != 1:
+            raise ValueError(
+                f"every shard must serve the same feature widths, got {sorted(widths)}"
+            )
+        self._feature_dims = widths.pop()
         # Construction recipe for rebalancer-driven shard splits: a fresh
         # shard over an existing registry must match its siblings exactly.
         self._shard_kwargs: Dict[str, object] = {
@@ -287,16 +294,53 @@ class ShardedScoringService:
         with self._routes_lock:
             index = self._routes.get(stream_id)
             if index is None:
-                index = int(self._router(stream_id))
-                if not 0 <= index < len(self.shards):
-                    raise ValueError(
-                        f"router assigned stream '{stream_id}' to shard {index}; "
-                        f"valid range is [0, {len(self.shards)})"
-                    )
-                if self.rebalancer is not None:
-                    index = self.rebalancer.route(stream_id, index)
-                self._routes[stream_id] = index
+                index = self._routes[stream_id] = self._new_route_locked(stream_id)
             return index
+
+    def _new_route_locked(self, stream_id: str) -> int:
+        """Route a stream seen for the first time (caller holds _routes_lock)."""
+        index = int(self._router(stream_id))
+        if not 0 <= index < len(self.shards):
+            raise ValueError(
+                f"router assigned stream '{stream_id}' to shard {index}; "
+                f"valid range is [0, {len(self.shards)})"
+            )
+        if self.rebalancer is not None:
+            index = self.rebalancer.route(stream_id, index)
+        return index
+
+    def route_tick(self, tick: Tick) -> Dict[int, List[int]]:
+        """Route every segment of ``tick``: ``shard index -> positions``.
+
+        One pass over the route table under one ``_routes_lock``
+        acquisition; a new stream goes through the router and the
+        rebalancer, which see the queue depths at the start of the tick.
+        Each shard's positions keep submission order.  Before any new route
+        is pinned, every shard's queue must have room for the requests its
+        group adds — otherwise :class:`~repro.serving.microbatch.QueueFull`
+        refuses the whole tick and nothing changed.
+        """
+        stream_ids = tick.stream_ids
+        with self._routes_lock:
+            indices = list(map(self._routes.get, stream_ids))
+            fresh: Dict[str, int] = {}
+            if None in indices:
+                for position, stream_id in enumerate(stream_ids):
+                    if indices[position] is None:
+                        if stream_id not in fresh:
+                            fresh[stream_id] = self._new_route_locked(stream_id)
+                        indices[position] = fresh[stream_id]
+            every = range(len(indices))
+            groups = {
+                index: list(compress(every, map(index.__eq__, indices)))
+                for index in sorted(set(indices))
+            }
+            for index, positions in groups.items():
+                shard = self.shards[index]
+                if shard.batcher.max_pending is not None:
+                    shard.check_room([stream_ids[k] for k in positions])
+            self._routes.update(fresh)
+        return groups
 
     def shard_of(self, stream_id: str) -> ScoringService:
         """The shard service owning ``stream_id``."""
@@ -374,32 +418,37 @@ class ShardedScoringService:
             return shard.submit(
                 stream_id, action_feature, interaction_feature, interaction_level
             )
-        validate_features(((stream_id, action_feature, interaction_feature),))
         shard.enqueue(stream_id, action_feature, interaction_feature, interaction_level)
         return self._score_ready()
 
+    def tick(self, submissions: Iterable[Tuple]) -> Tick:
+        """``submissions`` validated and copied once (:class:`Tick`); a built
+        tick passes through untouched."""
+        if type(submissions) is Tick:
+            return submissions
+        return Tick.from_submissions(submissions, *self._feature_dims)
+
     def submit_many(
-        self, submissions: Iterable[Tuple]
+        self, submissions: Union[Tick, Iterable[Tuple]]
     ) -> List[StreamDetection]:
         """Feed one tick of segments from many streams, then score once.
 
-        ``submissions`` is an iterable of ``(stream_id, action_feature,
-        interaction_feature[, interaction_level])`` tuples — the shape a
-        transport tier delivers when aligned live streams produce a segment
-        each.  All segments are enqueued first and scoring runs once at the
-        end, which is what lets multiple shards' batches fill in the same
-        tick and score *concurrently* under a parallel executor.  Results
-        are merged deterministically by shard index.  One non-finite feature
-        refuses the whole tick before anything is enqueued.
+        ``submissions`` is a :class:`~repro.serving.service.Tick` or an
+        iterable of ``(stream_id, action_feature, interaction_feature[,
+        interaction_level])`` tuples — the shape a transport tier delivers
+        when aligned live streams produce a segment each.  The tick is
+        validated and copied once (:meth:`tick`), routed in one pass
+        (:meth:`route_tick`) and enqueued once per shard
+        (:meth:`ScoringService.enqueue_tick`); scoring runs once at the end,
+        which is what lets multiple shards' batches fill in the same tick and
+        score *concurrently* under a parallel executor.  Results are merged
+        deterministically by shard index.  A bad feature or a tick that
+        would overflow a shard's ``max_queue_depth`` refuses the whole tick
+        before anything is enqueued.
         """
-        submissions = list(submissions)
-        validate_features(submissions)
-        for submission in submissions:
-            stream_id, action_feature, interaction_feature = submission[:3]
-            level = submission[3] if len(submission) > 3 else None
-            self.shard_of(stream_id).enqueue(
-                stream_id, action_feature, interaction_feature, level
-            )
+        tick = self.tick(submissions)
+        for index, positions in self.route_tick(tick).items():
+            self.shards[index].enqueue_tick(tick, positions)
         return self._score_ready()
 
     def _score_ready(self) -> List[StreamDetection]:
