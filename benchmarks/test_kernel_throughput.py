@@ -36,6 +36,7 @@ import common
 from repro.core.clstm import CLSTM
 from repro.nn.backend import FLOAT32_ATOL, FLOAT32_RTOL
 from repro.nn.fused import (
+    clear_thread_workspaces,
     coupled_pair_forward_fused,
     reset_workspace_stats,
     workspace_stats,
@@ -170,8 +171,8 @@ def run_workspace_experiment():
     rng = np.random.default_rng(4)
 
     def drop_caches():
+        clear_thread_workspaces()
         for cell in (influencer, audience):
-            getattr(cell, "_fused_workspaces", {}).clear()
             cell._fused_cache = None
 
     rows, per_batch, best_speedup = [], {}, 0.0

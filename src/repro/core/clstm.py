@@ -26,7 +26,6 @@ ablations:
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Literal, Optional, Tuple
 
 import numpy as np
@@ -43,14 +42,14 @@ from ..nn.backprop import (
     weighted_loss_grad,
 )
 from ..nn.fused import (
-    MAX_WORKSPACES_PER_CELL,
+    MAX_WORKSPACES_PER_GEOMETRY,
     coupled_pair_forward_fused,
     coupled_pair_forward_gated,
-    forward_in_context,
+    forward_planned,
     fused_cache_fresh,
     gather_gate_inputs,
     prewarm_cell,
-    serving_context,
+    serving_plan,
     transplant_fused_cache,
 )
 from ..nn.tensor import Tensor
@@ -342,10 +341,12 @@ class CLSTM(nn.Module):
 
         The registry seals every published snapshot, which is immutable by
         contract.  A sealed model's serving forward (:meth:`predict_full` of
-        a window batch) resolves its kernel context and decoder heads once
-        per batch shape, dtype and thread and keeps them, instead of
-        re-checking every weight array on every batch.  Training a sealed
-        model would serve stale weights: train a copy
+        a window batch) resolves its kernel plan and decoder heads once per
+        batch shape and dtype and keeps them, instead of re-checking every
+        weight array on every batch.  The plan holds no scratch: each batch
+        borrows its workspace from the thread's pool, which every version
+        shares (:mod:`repro.nn.fused`, "Workspace lifetime rules").  Training
+        a sealed model would serve stale weights: train a copy
         (:meth:`clone_architecture`, :meth:`snapshot`) instead.
         """
         self._sealed = {}
@@ -354,18 +355,18 @@ class CLSTM(nn.Module):
         """:meth:`predict_full` of a serving batch on a sealed model."""
         cells = (self.lstm_influencer, self.lstm_audience)
         shape = batch.shape[:2] if hasattr(batch, "shape") else (len(batch), len(batch[0]))
-        key = (*shape, dtype, threading.get_ident())
+        key = (*shape, dtype)
         resolved = sealed.get(key)
         if resolved is None:
-            if len(sealed) >= MAX_WORKSPACES_PER_CELL:
+            if len(sealed) >= MAX_WORKSPACES_PER_GEOMETRY:
                 sealed.clear()
             resolved = sealed[key] = (
-                serving_context(*cells, batch, dtype),
+                serving_plan(*cells, batch, dtype),
                 _head(self.decoder_action, dtype),
                 _head(self.decoder_interaction, dtype),
             )
-        context, head_action, head_interaction = resolved
-        final_h, final_g = forward_in_context(context, batch)
+        plan, head_action, head_interaction = resolved
+        final_h, final_g = forward_planned(plan, batch)
         return (
             _apply_head(head_action, final_h),
             _apply_head(head_interaction, final_g),

@@ -40,19 +40,25 @@ def _prepare_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return p, q
 
 
+def _kl_to(p: np.ndarray, log_q: np.ndarray, axis: int) -> np.ndarray:
+    """``KL(p || q)`` given ``log(max(q, eps))``."""
+    return np.sum(p * (np.log(np.maximum(p, _EPS)) - log_q), axis=axis)
+
+
 def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
     """``KL(p || q)`` along ``axis`` with epsilon-protected logarithms."""
     p, q = _prepare_pair(p, q)
-    safe_p = np.maximum(p, _EPS)
-    safe_q = np.maximum(q, _EPS)
-    return np.sum(p * (np.log(safe_p) - np.log(safe_q)), axis=axis)
+    return _kl_to(p, np.log(np.maximum(q, _EPS)), axis)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Jensen–Shannon divergence (natural log base, bounded by ``log 2``)."""
+    """Jensen–Shannon divergence (natural log base, bounded by ``log 2``).
+
+    Both KL halves share the mixture's protected logarithm, computed once.
+    """
     p, q = _prepare_pair(p, q)
-    mixture = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, mixture, axis=axis) + 0.5 * kl_divergence(q, mixture, axis=axis)
+    log_mixture = np.log(np.maximum(0.5 * (p + q), _EPS))
+    return 0.5 * _kl_to(p, log_mixture, axis) + 0.5 * _kl_to(q, log_mixture, axis)
 
 
 def l1_distance(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:

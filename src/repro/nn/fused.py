@@ -75,15 +75,30 @@ for :class:`CoupledLSTMCell`).
 
 Workspace lifetime rules
 ------------------------
-Workspaces are keyed by ``(batch, time, sizes, dtype, thread)`` and
-attached to the (anchor) cell object, like the fused-weight cache.  A
-published model snapshot owns fresh cell objects, so a hot swap
-naturally retires the old snapshot's workspaces with the old cells; nothing
-ever needs explicit invalidation.  Buffers hold no weight content, so weight
-rebinds do not stale them.  The per-thread key keeps concurrent shard
-forwards (the thread-parallel executor) race-free while preserving
-zero-allocation steady state per worker thread; at most
-:data:`MAX_WORKSPACES_PER_CELL` shapes are retained per cell (LRU).
+Workspaces belong to the process, not to a model: each thread keeps one
+pool (:data:`_thread_pool`, a ``threading.local``) shared by every model it
+runs — every retained published version, the offline calibration and the
+recalibration forwards.  A workspace is keyed by ``(batch, time)`` within
+its model *geometry* (dtype plus each cell's input and hidden sizes and
+whether it has a partner block), so all versions of one architecture share
+one set of buffers per shape.  Each geometry keeps at most
+:data:`MAX_WORKSPACES_PER_GEOMETRY` shapes and a thread keeps at most
+:data:`MAX_WORKSPACE_GEOMETRIES` geometries, both LRU, so a process serving
+several model sizes does not thrash and a process that trains many sizes
+does not grow without bound.
+
+Sharing is safe because buffers hold no weight content (weight rebinds and
+hot swaps never stale them) and a kernel call borrows its workspace for
+that call only: it resolves the workspace when it starts, and every state
+that escapes is a copy.  A sealed model keeps its resolved weight variants
+(:class:`_Plan`), never a workspace, so neither a retained version nor an
+evicted entry pins scratch.  The one result that aliases the pool is
+:func:`gather_gate_inputs`' array, which must be consumed before the next
+kernel call of the same shape on its thread, whatever the model version.
+Per-thread pools keep concurrent shard forwards (the thread-parallel
+executor) race-free and each worker thread allocation-free in steady state;
+:func:`clear_thread_workspaces` empties the calling thread's pool (tests and
+cold-start benchmarks).
 """
 
 from __future__ import annotations
@@ -110,12 +125,13 @@ __all__ = [
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
     "coupled_pair_forward_gated",
-    "serving_context",
-    "forward_in_context",
+    "serving_plan",
+    "forward_planned",
     "gather_gate_inputs",
     "project_rows",
     "workspace_stats",
     "reset_workspace_stats",
+    "clear_thread_workspaces",
     "sigmoid",
 ]
 
@@ -127,8 +143,11 @@ _FLOAT32 = np.dtype(np.float32)
 # parameter arrays.
 _PRIMARY_KEY = "float64"
 
-MAX_WORKSPACES_PER_CELL = 8
-"""LRU capacity of each cell's workspace pool (shapes × threads)."""
+MAX_WORKSPACES_PER_GEOMETRY = 8
+"""LRU capacity of one model geometry's shapes in a thread's workspace pool."""
+
+MAX_WORKSPACE_GEOMETRIES = 8
+"""LRU capacity of the model geometries in a thread's workspace pool."""
 
 PROJECTION_BLOCK = 32
 """Row count of every serving-side projection GEMM (see :func:`project_rows`)."""
@@ -466,6 +485,17 @@ _workspace_lock = threading.Lock()
 _WORKSPACE_COUNTERS = {"created": 0, "reused": 0, "evicted": 0}
 
 
+class _ThreadPool(threading.local):
+    """One thread's workspaces: geometry → ``(batch, time)`` → workspace,
+    both levels in LRU order (dict insertion order, most recent last)."""
+
+    def __init__(self) -> None:
+        self.geometries: Dict[tuple, Dict[tuple, Workspace]] = {}
+
+
+_thread_pool = _ThreadPool()
+
+
 def workspace_stats() -> Dict[str, int]:
     """Process-wide workspace pool counters (created / reused / evicted).
 
@@ -484,28 +514,43 @@ def reset_workspace_stats() -> None:
             _WORKSPACE_COUNTERS[key] = 0
 
 
-def _workspace_for(anchor, key: tuple, builder) -> Workspace:
-    """Fetch or build the workspace of ``key`` from ``anchor``'s LRU pool."""
-    pool: Optional[Dict[tuple, Workspace]] = getattr(anchor, "_fused_workspaces", None)
+def clear_thread_workspaces() -> None:
+    """Empty the calling thread's workspace pool (the counters are kept).
+
+    The next kernel call of every shape then builds its workspace afresh —
+    the cold start of a new process, for tests and benchmarks.
+    """
+    _thread_pool.geometries.clear()
+
+
+def _count(counter: str, amount: int = 1) -> None:
+    with _workspace_lock:
+        _WORKSPACE_COUNTERS[counter] += amount
+
+
+def _workspace_for(plan: _Plan) -> Workspace:
+    """Fetch or build ``plan``'s workspace from the calling thread's pool."""
+    geometries = _thread_pool.geometries
+    # Pop and re-insert: move-to-end keeps both levels in LRU order.
+    pool = geometries.pop(plan.geometry, None)
     if pool is None:
         pool = {}
-        anchor._fused_workspaces = pool
-    workspace = pool.get(key)
+        while len(geometries) >= MAX_WORKSPACE_GEOMETRIES:
+            _count("evicted", len(geometries.pop(next(iter(geometries)))))
+    geometries[plan.geometry] = pool
+    workspace = pool.pop(plan.shape, None)
     if workspace is not None:
-        # Move-to-end keeps the dict in LRU order for the eviction below.
-        del pool[key]
-        pool[key] = workspace
-        with _workspace_lock:
-            _WORKSPACE_COUNTERS["reused"] += 1
+        pool[plan.shape] = workspace
+        _count("reused")
         return workspace
-    while len(pool) >= MAX_WORKSPACES_PER_CELL:
+    while len(pool) >= MAX_WORKSPACES_PER_GEOMETRY:
         pool.pop(next(iter(pool)))
-        with _workspace_lock:
-            _WORKSPACE_COUNTERS["evicted"] += 1
-    workspace = builder()
-    pool[key] = workspace
-    with _workspace_lock:
-        _WORKSPACE_COUNTERS["created"] += 1
+        _count("evicted")
+    batch, time_steps = plan.shape
+    workspace = pool[plan.shape] = Workspace(
+        plan.dtype, batch, time_steps, plan.cells, cast_inputs=plan.dtype != _FLOAT64
+    )
+    _count("created")
     return workspace
 
 
@@ -521,32 +566,45 @@ def _resolve_kernel_dtype(dtype) -> np.dtype:
     return resolved
 
 
+class _Plan(NamedTuple):
+    """What one batch shape resolves once: the weight variants, the dtype
+    and the pool keys of its workspace.  It holds no buffers, so a model
+    that cannot change (:meth:`repro.core.clstm.CLSTM.seal`) may keep it."""
+
+    cells: Tuple[FusedGateWeights, ...]
+    dtype: np.dtype
+    geometry: tuple
+    shape: Tuple[int, int]
+
+
 class _Context(NamedTuple):
-    """Everything one batch resolves once: variants, dtype, workspace."""
+    """One kernel call: its plan's variants and dtype plus the workspace it
+    borrows from the thread's pool for that call only."""
 
     cells: Tuple[FusedGateWeights, ...]
     dtype: np.dtype
     workspace: Workspace
 
 
-def _context(cells: tuple, fuse, batch: int, time_steps: int, dtype) -> _Context:
-    """Resolve the :class:`_Context` of one ``(batch, time_steps)`` batch over
-    ``cells``; the cells share one workspace, pooled on the first of them."""
+def _plan(cells: tuple, fuse, batch: int, time_steps: int, dtype) -> _Plan:
+    """Resolve the :class:`_Plan` of one ``(batch, time_steps)`` batch over
+    ``cells``."""
     dtype = _resolve_kernel_dtype(dtype)
     fused = tuple(_fused_variant(cell, fuse(cell), dtype) for cell in cells)
-    key = (
-        batch,
-        time_steps,
-        *(weights.w_input.shape for weights in fused),
+    geometry = (
         dtype.name,
-        threading.get_ident(),
+        *((weights.w_input.shape, weights.w_partner is not None) for weights in fused),
     )
-    workspace = _workspace_for(
-        cells[0],
-        key,
-        lambda: Workspace(dtype, batch, time_steps, fused, cast_inputs=dtype != _FLOAT64),
-    )
-    return _Context(fused, dtype, workspace)
+    return _Plan(fused, dtype, geometry, (batch, time_steps))
+
+
+def _borrow(plan: _Plan) -> _Context:
+    """Bind ``plan`` to the calling thread's pooled workspace for one call."""
+    return _Context(plan.cells, plan.dtype, _workspace_for(plan))
+
+
+def _context(cells: tuple, fuse, batch: int, time_steps: int, dtype) -> _Context:
+    return _borrow(_plan(cells, fuse, batch, time_steps, dtype))
 
 
 def _coupled_context(influencer, audience, batch: int, time_steps: int, dtype) -> _Context:
@@ -734,10 +792,10 @@ def gather_gate_inputs(
     ``windows`` is a sequence of ``B`` equal-length sequences of
     :class:`Segment`.  In steady state only each window's newest segment is
     unprojected, so a batch costs ``B`` projected rows per cell, not
-    ``B·q``.  The ``(B, q, 4·H1 + 4·H2)`` result aliases the pooled
+    ``B·q``.  The ``(B, q, 4·H1 + 4·H2)`` result aliases the thread's pooled
     workspace's gate-input buffer: consume it (serialise it for
     :func:`coupled_pair_forward_gated` in another process) before the next
-    same-shape batch on this thread.
+    same-shape kernel call on this thread, whatever the model version.
     """
     context = _coupled_context(influencer, audience, len(windows), len(windows[0]), dtype)
     return _gather(context, windows)
@@ -768,27 +826,29 @@ def coupled_pair_forward_gated(
     under bitwise-equal weights).  Returns ``(h_final, g_final)`` like
     :func:`coupled_pair_forward_fused`.
     """
-    return forward_in_context(serving_context(influencer, audience, batch, dtype), batch)
+    return forward_planned(serving_plan(influencer, audience, batch, dtype), batch)
 
 
-def serving_context(
+def serving_plan(
     influencer: "CoupledLSTMCell", audience: "CoupledLSTMCell", batch, dtype
-) -> _Context:
-    """The resolved kernel context of one serving ``batch`` (windows or
-    gathered gate inputs): weight variants, dtype and pooled workspace.
+) -> _Plan:
+    """The resolved kernel plan of one serving ``batch`` (windows or
+    gathered gate inputs): weight variants, dtype and workspace keys.
 
     A caller that knows the weights cannot change (a published snapshot,
     :meth:`repro.core.clstm.CLSTM.seal`) may keep it per batch shape and
-    thread and skip the per-batch resolution.
+    dtype and skip the per-batch resolution; the workspace itself is looked
+    up in the thread's pool on every :func:`forward_planned`.
     """
     gathered = hasattr(batch, "shape")
     size, time_steps = batch.shape[:2] if gathered else (len(batch), len(batch[0]))
-    return _coupled_context(influencer, audience, size, time_steps, dtype)
+    return _plan((influencer, audience), fuse_coupled_cell, size, time_steps, dtype)
 
 
-def forward_in_context(context: _Context, batch):
-    """Gather (or adopt) ``batch``'s gate inputs and sweep them in
-    ``context``; returns the final ``(h, g)`` as fresh arrays."""
+def forward_planned(plan: _Plan, batch):
+    """Gather (or adopt) ``batch``'s gate inputs and sweep them under
+    ``plan``; returns the final ``(h, g)`` as fresh arrays."""
+    context = _borrow(plan)
     if hasattr(batch, "shape"):
         x_proj = np.asarray(batch, dtype=context.dtype)
     else:

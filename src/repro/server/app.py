@@ -222,12 +222,16 @@ class RuntimeServer:
             items = self.admission.take(self.config.batch_max)
             if not items:
                 return False
-            self._ingest_locked(items)
-        self._notify_detections()
+            produced = self._ingest_locked(items)
+        # Most ticks only fill a batch; waking every long-poll handler for
+        # them would have each re-read its stream and sleep again.
+        if produced:
+            self._notify_detections()
         return True
 
-    def _ingest_locked(self, items: List[tuple]) -> None:
-        """Feed admitted ``(runtime, submission)`` items, one call per tenant.
+    def _ingest_locked(self, items: List[tuple]) -> bool:
+        """Feed admitted ``(runtime, submission)`` items, one call per tenant;
+        returns whether any call produced detections.
 
         Caller holds ``_ingest_lock``.  Grouping preserves arrival order
         within each tenant, so the runtime sees exactly the segment sequence
@@ -239,8 +243,11 @@ class RuntimeServer:
             if key not in groups:
                 groups[key] = (runtime, [])
             groups[key][1].append(submission)
+        produced = False
         for runtime, submissions in groups.values():
-            runtime.ingest_many(submissions)
+            if runtime.ingest_many(submissions):
+                produced = True
+        return produced
 
     def _poll_runtimes(self) -> None:
         produced = False

@@ -412,6 +412,12 @@ def _build_slot(prefix: str, slot: int, version: int, spec: Dict[str, object]):
 
 def _worker_main(conn, prefix: str, board_name: str) -> None:
     """Persistent scoring worker: rebuild once per version, score batches."""
+    from ..nn.fused import clear_thread_workspaces, reset_workspace_stats, workspace_stats
+
+    # A fork-started worker inherits its parent thread's workspace pool and
+    # the counters; its own start empty.
+    clear_thread_workspaces()
+    reset_workspace_stats()
     try:
         board = _attach(board_name)
     except FileNotFoundError:  # parent already tearing down
@@ -445,6 +451,7 @@ def _worker_main(conn, prefix: str, board_name: str) -> None:
                         "zero_copy_bytes": int(
                             sum(entry[1].size for entry in cache.values())
                         ),
+                        "workspaces": workspace_stats(),
                     }
                     if board is not None:
                         versions = np.frombuffer(board.buf, dtype=np.int64)

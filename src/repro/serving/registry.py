@@ -49,7 +49,7 @@ class ModelSnapshot:
     model:
         Private CLSTM copy with prewarmed fused-weight caches, sealed
         (:meth:`~repro.core.clstm.CLSTM.seal`): immutable after publish, so
-        its serving batches resolve their kernel context once per shape;
+        its serving batches resolve their kernel plan once per shape;
         :meth:`fused_fresh` checks the invariant.
     threshold:
         The calibrated anomaly threshold ``T_a`` this version serves with.

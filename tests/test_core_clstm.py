@@ -141,6 +141,31 @@ class TestScoring:
         assert js_divergence(p, q).shape == (5,)
         assert l1_distance(p, q).shape == (5,)
 
+    def test_js_divergence_is_bitwise_the_two_kl_halves(self, rng):
+        def two_kl(p, q, axis):
+            # The textbook expression, each KL half with its own guarded logs.
+            def kl(x, y):
+                return np.sum(
+                    x * (np.log(np.maximum(x, 1e-12)) - np.log(np.maximum(y, 1e-12))),
+                    axis=axis,
+                )
+
+            mixture = 0.5 * (p + q)
+            return 0.5 * kl(p, mixture) + 0.5 * kl(q, mixture)
+
+        # Exact zeros on either side, and on both at once, exercise the
+        # epsilon guard of every logarithm the shared mixture log replaces.
+        p = rng.random((64, 40))
+        q = rng.random((64, 40))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        q[rng.random(q.shape) < 0.3] = 0.0
+        p[:, :3] = q[:, :3] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        q /= q.sum(axis=1, keepdims=True)
+        for axis, (left, right) in ((-1, (p, q)), (0, (p.T, q.T)), (-1, (p[5], q[5]))):
+            got = js_divergence(left, right, axis=axis)
+            assert got.tobytes() == two_kl(left, right, axis).tobytes()
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             js_divergence(np.ones(3) / 3, np.ones(4) / 4)

@@ -210,6 +210,20 @@ class TestServiceLevelParity:
             service.close()
             serial_service.close()
 
+    def test_worker_shares_its_workspaces_across_attached_versions(self):
+        registry, service, _ = self._run(ProcessParallelExecutor(workers=1))
+        try:
+            assert registry.highest_published == 3
+            (handle,) = service.executor._handles
+            with handle.lock:
+                reply = handle.request_locked(("stats",))
+            assert reply[0] == "ok"
+            # The worker rebuilt its model for each of the three versions, yet
+            # allocated scratch once per batch shape (8 full rows, 4 drained).
+            assert reply[1]["workspaces"]["created"] == 2
+        finally:
+            service.close()
+
     def test_two_workers_match_serial_on_deterministic_feed(self):
         _, serial_service, reference = self._run(SerialExecutor())
         _, service, detections = self._run(ProcessParallelExecutor(workers=2))

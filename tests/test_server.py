@@ -516,6 +516,60 @@ class TestServerIngest:
             assert runtime.detections(name, len(everything)) == []
         runtime.close()
 
+    def test_batcher_wakes_long_polls_only_when_a_tick_produced_detections(
+        self, server_runtime_config, tiny_features
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        # 13 segments make 8 windows: one full batch.
+        streams = make_wire_streams(server_runtime_config, streams=1, segments=13)
+        segments = [wire_segment(*item) for item in round_robin(streams)]
+        (name,) = streams.keys()
+        # Not started: the test drives the batcher's tick by hand.
+        server = RuntimeServer(runtime, config=ServerConfig(poll_interval_ms=5.0))
+        reads = []
+        read_detections = runtime.detections
+        runtime.detections = lambda *args: reads.append(args) or read_detections(*args)
+
+        def park(wait_ms, answer):
+            answer["reply"] = server.handle_detections(
+                {"stream": [name], "wait_ms": [str(wait_ms)]}
+            )
+            answer["returned"] = time.monotonic()
+
+        def wait_for_reads(count):
+            limit = time.monotonic() + 10.0
+            while len(reads) < count and time.monotonic() < limit:
+                time.sleep(0.005)
+            assert len(reads) == count
+
+        # A tick shorter than a window scores nothing: the poller sleeps on.
+        quiet = {}
+        started = time.monotonic()
+        poller = threading.Thread(target=park, args=(1500, quiet), daemon=True)
+        poller.start()
+        wait_for_reads(1)
+        server.handle_ingest(json.dumps({"segments": segments[:3]}).encode("utf-8"))
+        assert server._ingest_once()
+        time.sleep(0.2)
+        assert len(reads) == 1, "a tick without detections woke the long poll"
+        poller.join(timeout=10)
+        assert quiet["returned"] - started >= 1.5
+        assert quiet["reply"]["detections"] == [] and len(reads) == 2
+
+        # A tick that fills a batch wakes it at once.
+        woken = {}
+        started = time.monotonic()
+        poller = threading.Thread(target=park, args=(20_000, woken), daemon=True)
+        poller.start()
+        wait_for_reads(3)
+        server.handle_ingest(json.dumps({"segments": segments[3:]}).encode("utf-8"))
+        assert server._ingest_once()
+        poller.join(timeout=10)
+        assert not poller.is_alive() and woken["returned"] - started < 10.0
+        assert len(woken["reply"]["detections"]) == 13 - SEQUENCE_LENGTH
+        server.close()
+        runtime.close()
+
     def test_http_ingest_is_bitwise_identical_to_library_calls(
         self, server_runtime_config, tiny_features
     ):

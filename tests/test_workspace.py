@@ -3,12 +3,17 @@ float32 tolerance against the float64 oracle, and the snapshot-prewarm
 concatenate regression.
 
 The fused kernels keep all per-batch scratch in a per-``(batch, time)``
-:class:`~repro.nn.fused.Workspace` attached to the anchor cell, so
+:class:`~repro.nn.fused.Workspace` from the calling thread's pool, which
+every model of the same geometry shares, so
 steady-state serving (same batch geometry every flush) performs **no large
 allocations per batch** — only the O(B·H) output copies that must escape.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,15 +22,21 @@ import repro.nn.fused as fused_module
 from repro.core.clstm import CLSTM
 from repro.nn.backend import FLOAT32_ATOL, FLOAT32_RTOL, FLOAT32_SCORE_ATOL
 from repro.nn.fused import (
-    MAX_WORKSPACES_PER_CELL,
+    MAX_WORKSPACE_GEOMETRIES,
+    MAX_WORKSPACES_PER_GEOMETRY,
+    Segment,
+    Workspace,
+    clear_thread_workspaces,
     coupled_pair_forward_fused,
     fused_cache_fresh,
     reset_workspace_stats,
     workspace_stats,
 )
 from repro.nn.recurrent import CoupledLSTMCell
+from repro.serving import ModelRegistry, ScoreRequest, UpdatePlane, UpdateTrigger
 from repro.serving.service import ScoringService
 from repro.core.detector import AnomalyDetector
+from repro.utils.config import DetectionConfig, TrainingConfig, UpdateConfig
 
 
 class _CountingNamespace:
@@ -113,6 +124,16 @@ class TestZeroAllocationSteadyState:
         assert counting.allocations == 2
 
 
+@pytest.fixture
+def fresh_pool():
+    """An empty workspace pool on this thread: the counters below count from
+    a cold start, not from whatever earlier tests of the same geometry left."""
+    clear_thread_workspaces()
+    yield
+    clear_thread_workspaces()
+
+
+@pytest.mark.usefixtures("fresh_pool")
 class TestWorkspaceCounters:
     def test_workspace_reused_across_same_shape_batches(self):
         influencer, audience = _pair(rng_seed=11)
@@ -131,12 +152,12 @@ class TestWorkspaceCounters:
         rng = np.random.default_rng(3)
         reset_workspace_stats()
         # One more distinct geometry than the pool holds.
-        for batch in range(1, MAX_WORKSPACES_PER_CELL + 2):
+        for batch in range(1, MAX_WORKSPACES_PER_GEOMETRY + 2):
             actions = rng.standard_normal((batch, 4, 6))
             interactions = rng.standard_normal((batch, 4, 3))
             coupled_pair_forward_fused(influencer, audience, actions, interactions)
         stats = workspace_stats()
-        assert stats["created"] == MAX_WORKSPACES_PER_CELL + 1
+        assert stats["created"] == MAX_WORKSPACES_PER_GEOMETRY + 1
         assert stats["evicted"] == 1
 
     def test_weight_rebind_keeps_workspaces_but_invalidates_weights(self):
@@ -155,6 +176,164 @@ class TestWorkspaceCounters:
         reset_workspace_stats()
         coupled_pair_forward_fused(influencer, audience, actions, interactions)
         assert workspace_stats()["reused"] == 1  # scratch survived the rebind
+
+
+def _live_workspaces():
+    """``(count, bytes)`` of every :class:`Workspace` alive in the process."""
+    gc.collect()
+    live = [obj for obj in gc.get_objects() if isinstance(obj, Workspace)]
+    buffers = ("hidden", "cell", "scratch", "gates", "pre", "x_proj")
+    return len(live), sum(getattr(ws, name).nbytes for ws in live for name in buffers)
+
+
+def _clstm(seed, action_hidden=8):
+    return CLSTM(
+        action_dim=10, interaction_dim=4, action_hidden=action_hidden,
+        interaction_hidden=5, seed=seed,
+    )
+
+
+def _windows(action, interaction):
+    """Fresh :class:`Segment` windows (no cached projections) over
+    ``(B, q, d)`` feature arrays."""
+    return [
+        [Segment(a, i) for a, i in zip(actions, interactions)]
+        for actions, interactions in zip(action, interaction)
+    ]
+
+
+def _update_samples(rng, count, q=4):
+    samples = []
+    for index in range(count):
+        action = rng.random((q + 1, 10)) + 1e-3
+        action /= action.sum(axis=1, keepdims=True)
+        interaction = rng.random((q + 1, 4))
+        samples.append(
+            ScoreRequest(
+                stream_id="s",
+                segment_index=index,
+                action_history=action[:q],
+                interaction_history=interaction[:q],
+                action_target=action[q],
+                interaction_target=interaction[q],
+                interaction_level=0.1,
+            )
+        )
+    return samples
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestProcessWidePool:
+    """One pool per thread, shared by every model of a geometry."""
+
+    def test_publishing_past_max_versions_keeps_scratch_constant(self):
+        registry = ModelRegistry(DetectionConfig(omega=0.8), max_versions=3)
+        registry.publish(_clstm(seed=2), 0.2)
+        plane = UpdatePlane(
+            registry,
+            update_config=UpdateConfig(buffer_size=8, update_epochs=1),
+            training_config=TrainingConfig(epochs=1, batch_size=8, seed=0),
+        )
+        trigger = UpdateTrigger(
+            segment_index=0, similarity=0.0, buffered_segments=8, stream_ids=("s",)
+        )
+        rng = np.random.default_rng(21)
+        windows = _windows(rng.random((6, 4, 10)), rng.random((6, 4, 4)))
+        live = []
+        for _ in range(6):
+            # Publish (its recalibration forward borrows one shape), then
+            # serve a batch on the new version (the serving shape).
+            plane.handle_trigger(trigger, _update_samples(rng, 8))
+            registry.latest().model.predict_full(windows)
+            live.append(_live_workspaces())
+        assert len(registry) == 3 and registry.latest().version == 7
+        assert live == [live[0]] * len(live)
+
+    def test_versions_served_alternately_match_each_served_alone(self):
+        registry = ModelRegistry(DetectionConfig(omega=0.8))
+        first = registry.publish(_clstm(seed=2), 0.2).model
+        second = registry.publish(_clstm(seed=5), 0.2).model
+        rng = np.random.default_rng(22)
+        features = [(rng.random((8, 5, 10)), rng.random((8, 5, 4))) for _ in range(4)]
+
+        def alone(model):
+            return [model.predict_full(_windows(*batch)) for batch in features]
+
+        expected = {id(first): alone(first), id(second): alone(second)}
+        reset_workspace_stats()
+        for position, batch in enumerate(features):
+            windows = _windows(*batch)  # shared: each version re-projects
+            got_first = first.predict_full(windows)
+            # The process executor's split on one thread: gather, then sweep.
+            got_second = second.predict_full(second.gate_inputs(windows))
+            for model, got in ((first, got_first), (second, got_second)):
+                want = expected[id(model)][position]
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # Both versions ran in the one workspace their shape already had.
+        assert workspace_stats()["created"] == 0
+
+    def test_each_geometry_keeps_its_own_shapes(self):
+        small, large = _clstm(seed=3), _clstm(seed=4, action_hidden=12)
+        rng = np.random.default_rng(23)
+        batches = [
+            (rng.random((batch, 3, 10)), rng.random((batch, 3, 4)))
+            for batch in range(1, MAX_WORKSPACES_PER_GEOMETRY + 1)
+        ]
+        for model in (small, large):
+            for batch in batches:
+                model.predict(*batch)
+        reset_workspace_stats()
+        for model in (small, large):
+            for batch in batches:
+                model.predict(*batch)
+        assert workspace_stats() == {
+            "created": 0, "reused": 2 * len(batches), "evicted": 0,
+        }
+
+    def test_geometries_are_lru_bounded(self):
+        models = [
+            _clstm(seed=5, action_hidden=hidden)
+            for hidden in range(2, MAX_WORKSPACE_GEOMETRIES + 3)
+        ]
+        rng = np.random.default_rng(24)
+        batch = (rng.random((2, 3, 10)), rng.random((2, 3, 4)))
+        reset_workspace_stats()
+        for model in models:
+            model.predict(*batch)
+        assert workspace_stats()["evicted"] == 1
+        models[0].predict(*batch)  # the least recently used went first
+        assert workspace_stats()["created"] == len(models) + 1
+
+    def test_concurrent_threads_never_share_a_workspace(self):
+        models = (_clstm(seed=6), _clstm(seed=7))  # two versions, one geometry
+        rng = np.random.default_rng(25)
+        batches = [(rng.random((3, 4, 10)), rng.random((3, 4, 4))) for _ in range(3)]
+        expected = [[a.tobytes() for a in m.predict(*b)] for m in models for b in batches]
+        threads, rounds = 4, 10  # more threads than the runner's cores
+        results = {}
+
+        def work(index):
+            results[index] = [
+                [[a.tobytes() for a in m.predict(*b)] for m in models for b in batches]
+                for _ in range(rounds)
+            ]
+
+        reset_workspace_stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(results[i] == [expected] * rounds for i in range(threads))
+        # One workspace per thread, and no counter update lost.
+        calls = threads * rounds * len(expected)
+        assert workspace_stats() == {"created": threads, "reused": calls - threads, "evicted": 0}
 
 
 class TestFloat32ModelPath:
