@@ -215,8 +215,8 @@ def run_sharded_experiment():
             if position >= features.num_segments:
                 continue
             reference_detections += len(
-                per_stream[stream_id].submit(
-                    stream_id, features.action[position], features.interaction[position]
+                per_stream[stream_id].submit_many(
+                    ((stream_id, features.action[position], features.interaction[position]),)
                 )
             )
         clock.advance(INTERARRIVAL_SECONDS)

@@ -291,7 +291,7 @@ def _render_durability(out: PrometheusRenderer, stats: Mapping, tags, base) -> N
             "wal_appends_total",
             wal.get("batches_appended", 0),
             metric_type="counter",
-            help="Append calls (ingest calls / ingest_many ticks) logged.",
+            help="Ingest ticks logged, one record each (a single ingest is a one-row tick).",
             labels=base,
         )
         out.add(

@@ -2,9 +2,10 @@
 
 Checkpoints snapshot the runtime at one instant; everything ingested *after*
 the snapshot would be gone on a crash.  The WAL closes that window: every
-:meth:`Runtime.ingest` / :meth:`Runtime.ingest_many` call appends its
-submissions here **before** they reach the scoring service, so recovery is
-"restore the latest checkpoint, then replay the tail of the log" — and
+ingest tick (:meth:`Runtime.ingest_many`; :meth:`Runtime.ingest` is a
+one-row tick) appends its submissions here **before** they reach the
+scoring service, so recovery is "restore the latest checkpoint, then replay
+the tail of the log" — and
 because the fused pipeline is deterministic, the replayed runtime lands on
 detections bitwise-identical to the uninterrupted run.
 
@@ -26,12 +27,14 @@ header (magic, checkpoint id, sequence) followed by CRC-framed records::
 A torn tail — a partial frame or a CRC mismatch from a crash mid-write —
 terminates replay of that segment: the damaged record and anything after it
 in the file is dropped, which is exactly right because nothing is ever
-appended after a torn record (recovery rotates first).  Payloads encode one
-ingest call: the record *kind* preserves whether submissions arrived as one
-:meth:`~Runtime.ingest` call or one :meth:`~Runtime.ingest_many` tick,
-because the two drive the micro-batcher differently and bitwise replay must
-re-drive it identically.  Feature arrays round-trip through raw IEEE-754
-bytes (``ndarray.tobytes`` / ``np.frombuffer``) — lossless by construction.
+appended after a torn record (recovery rotates first).  A payload encodes
+one ingest tick: a ``u8`` record kind, a ``u32`` submission count, then the
+submissions.  Every record is written as kind 2 (a tick).  Older builds
+also wrote kind 1 for a single ``Runtime.ingest`` call; the reader still
+accepts it, and since such a record holds exactly one submission, replay
+feeds it as a one-row tick like any other record.  Feature arrays
+round-trip through raw IEEE-754 bytes (``ndarray.tobytes`` /
+``np.frombuffer``) — lossless by construction.
 
 Durability is fsync-batched: ``fsync_every=1`` (the default) makes every
 append call durable before the submission is scored; larger values trade the
@@ -67,8 +70,8 @@ _SID_LEN = struct.Struct("<H")  # utf-8 stream id length
 _LEVEL_AND_LEN = struct.Struct("<BdI")  # has_level, level, action length
 _LEN = struct.Struct("<I")  # interaction length
 _FLOAT64 = np.dtype(np.float64)
-_KIND_INGEST = 1  # one Runtime.ingest call (scored mid-call)
-_KIND_BATCH = 2  # one Runtime.ingest_many tick (enqueue all, then score)
+_KIND_INGEST = 1  # one Runtime.ingest call, written by older builds (read only)
+_KIND_TICK = 2  # one ingest tick: the only kind written
 _MAX_PAYLOAD = 1 << 31  # sanity bound against garbage length fields
 
 Submission = Tuple[str, np.ndarray, np.ndarray, Optional[float]]
@@ -82,9 +85,8 @@ class WalPosition(NamedTuple):
 
 
 class WalRecord(NamedTuple):
-    """One decoded ingest call."""
+    """One decoded ingest tick."""
 
-    kind: str  # "ingest" | "batch"
     submissions: List[Submission]
 
 
@@ -124,7 +126,7 @@ def _decode_submission(buffer: memoryview, offset: int) -> Tuple[Submission, int
     return (stream_id, action, interaction, level if has_level else None), offset + 8 * i_len
 
 
-def _encode_columns(tick, kind: int) -> bytes:
+def _encode_columns(tick) -> bytes:
     """The payload of a columnar tick — ``stream_ids``/``levels`` lists and
     C-contiguous float64 ``(n, d)`` ``actions``/``interactions`` arrays, as
     :class:`repro.serving.service.Tick` holds them — byte for byte what
@@ -135,7 +137,7 @@ def _encode_columns(tick, kind: int) -> bytes:
     actions = memoryview(tick.actions).cast("B")
     interactions = memoryview(tick.interactions).cast("B")
     i_head = _LEN.pack(i_len)
-    parts: List = [_RECORD_HEAD.pack(kind, len(tick.stream_ids))]
+    parts: List = [_RECORD_HEAD.pack(_KIND_TICK, len(tick.stream_ids))]
     for row, (stream_id, level) in enumerate(zip(tick.stream_ids, tick.levels)):
         sid = stream_id.encode("utf-8")
         if len(sid) > 0xFFFF:
@@ -152,9 +154,8 @@ def _encode_columns(tick, kind: int) -> bytes:
     return b"".join(parts)
 
 
-def _encode_record(submissions: Sequence[Sequence], *, batch: bool) -> bytes:
+def _encode_record(submissions: Sequence[Sequence]) -> bytes:
     """One record's payload, built by a single ``b"".join`` over its parts."""
-    kind = _KIND_BATCH if batch else _KIND_INGEST
     actions = getattr(submissions, "actions", None)
     if (
         type(actions) is np.ndarray
@@ -162,8 +163,8 @@ def _encode_record(submissions: Sequence[Sequence], *, batch: bool) -> bytes:
         and actions.flags.c_contiguous
         and actions.size
     ):
-        return _encode_columns(submissions, kind)
-    parts: List = [_RECORD_HEAD.pack(kind, len(submissions))]
+        return _encode_columns(submissions)
+    parts: List = [_RECORD_HEAD.pack(_KIND_TICK, len(submissions))]
     for submission in submissions:
         if len(submission) == 4:
             stream_id, a, i, level = submission
@@ -192,14 +193,14 @@ def _encode_record(submissions: Sequence[Sequence], *, batch: bool) -> bytes:
 def _decode_record(payload: bytes) -> WalRecord:
     buffer = memoryview(payload)
     kind, count = _RECORD_HEAD.unpack_from(buffer, 0)
-    if kind not in (_KIND_INGEST, _KIND_BATCH):
+    if kind not in (_KIND_INGEST, _KIND_TICK):
         raise ValueError(f"unknown WAL record kind {kind}")
     offset = _RECORD_HEAD.size
     submissions: List[Submission] = []
     for _ in range(count):
         submission, offset = _decode_submission(buffer, offset)
         submissions.append(submission)
-    return WalRecord("batch" if kind == _KIND_BATCH else "ingest", submissions)
+    return WalRecord(submissions)
 
 
 # ---------------------------------------------------------------------- #
@@ -328,11 +329,11 @@ class WriteAheadLog:
         self.segments_created += 1
         return position
 
-    def append(self, submissions: Sequence[Sequence], *, batch: bool) -> None:
-        """Append one ingest call (``batch=False``) or one tick (``True``)."""
+    def append(self, submissions: Sequence[Sequence]) -> None:
+        """Append one ingest tick as one record."""
         if self._file is None:
             raise RuntimeError("write-ahead log is not open")
-        payload = _encode_record(submissions, batch=batch)
+        payload = _encode_record(submissions)
         frame = _FRAME.pack(len(payload), zlib.crc32(payload))
         self._file.write(frame)
         self._file.write(payload)

@@ -61,7 +61,7 @@ from .serving.service import (
     ShardStats,
     StreamDetection,
     UpdateTrigger,
-    replay_streams,
+    _replay_rounds,
 )
 from .serving.rebalance import Rebalancer
 from .serving.sharding import ShardedScoringService
@@ -322,57 +322,36 @@ class Runtime:
         interaction_feature: np.ndarray,
         interaction_level: Optional[float] = None,
     ) -> List[StreamDetection]:
-        """Feed one incoming segment of one stream into the runtime.
+        """Feed one incoming segment of one stream: a one-row
+        :meth:`ingest_many` tick, with all of its contracts.
 
         ``interaction_level`` must be finite when given; ``None`` (the
         default) is the explicit "unknown" opt-in that excludes the segment
-        from drift tracking.  Non-finite values — of the level or of any
-        feature — raise at the ingest boundary, before anything is logged or
-        queued.
-
-        Returns the detections produced by any micro-batch this submission
-        completed (usually for *earlier* segments — the latency/throughput
-        trade of micro-batching; :meth:`drain` flushes the rest).
-
-        With durability attached the submission is validated and appended to
-        the write-ahead log *before* it is scored (write-ahead ordering:
-        anything that changed the runtime's state is on disk), and durable
-        ingest is serialised — the log is the ingest order.
+        from drift tracking.  Returns the detections produced by any
+        micro-batch that was full or past its deadline afterwards (usually
+        for *earlier* segments — the latency/throughput trade of
+        micro-batching; :meth:`drain` flushes the rest).
         """
-        self._require_serving()
-        if self._store is None:
-            return self.service.submit(
-                stream_id, action_feature, interaction_feature, interaction_level
-            )
-        tick = self.service.tick(
-            [(stream_id, action_feature, interaction_feature, interaction_level)]
+        return self.ingest_many(
+            ((stream_id, action_feature, interaction_feature, interaction_level),)
         )
-        with self._durability_lock:
-            self.service.route_tick(tick)
-            if self._wal is not None:
-                self._wal.append(tick, batch=False)
-            # Invariant: past the boundary checks (the tick's validation and
-            # route_tick's queue-room check), submit() must not raise — the
-            # WAL record above is already durable, and a logged-but-never-
-            # scored submission would replay into state the original run
-            # never had.  Anything that can reject a submission belongs in
-            # those checks, before the append.
-            (submission,) = tick
-            detections = self.service.submit(*submission)
-            if self._policy is not None:
-                self._policy.note_records(1)
-        self._maybe_auto_checkpoint()
-        return detections
 
     def ingest_many(self, submissions) -> List[StreamDetection]:
         """Feed one tick of segments from many streams, then score once.
 
         ``submissions`` is an iterable of ``(stream_id, action_feature,
-        interaction_feature[, interaction_level])`` tuples.  Under a parallel
-        executor this is the high-throughput ingest path: batches that fill
-        on different shards in the same tick are scored concurrently.  With
-        durability attached the whole tick is one WAL record (replay must
-        re-drive the micro-batcher with the same call shape).
+        interaction_feature[, interaction_level])`` tuples.  It is the one
+        ingest path: :meth:`ingest`, :meth:`replay`, the HTTP tier and WAL
+        replay all feed ticks through it or its service.  Under a parallel
+        executor batches that fill on different shards in the same tick are
+        scored concurrently.  Afterwards every shard holding a full or
+        deadline-expired batch is scored, whichever shards the tick touched.
+
+        With durability attached the tick is validated, then appended to
+        the write-ahead log as one record *before* it is scored
+        (write-ahead ordering: anything that changed the runtime's state is
+        on disk), and durable ingest is serialised — the log is the ingest
+        order, and replay re-drives each record as the same tick.
 
         The tick is validated and copied once, at the boundary
         (:class:`~repro.serving.service.Tick`), so the caller may reuse its
@@ -388,9 +367,13 @@ class Runtime:
         with self._durability_lock:
             self.service.route_tick(tick)
             if self._wal is not None and len(tick):
-                self._wal.append(tick, batch=True)
-            # Same invariant as ingest(): the tick is durable, so submit_many
-            # must not raise past the boundary checks.
+                self._wal.append(tick)
+            # Invariant: past the boundary checks (the tick's validation and
+            # route_tick's queue-room check), submit_many must not raise —
+            # the WAL record above is already durable, and a logged-but-never-
+            # scored tick would replay into state the original run never
+            # had.  Anything that can reject a tick belongs in those checks,
+            # before the append.
             detections = self.service.submit_many(tick)
             if self._policy is not None:
                 self._policy.note_records(len(tick))
@@ -435,19 +418,27 @@ class Runtime:
     ) -> List[StreamDetection]:
         """Replay whole feature streams through the runtime (round-robin).
 
-        Convenience over :func:`repro.serving.replay_streams`; when the
-        runtime was built with a :class:`ManualClock`, simulated time advances
-        by ``interarrival_seconds`` per round and deadline flushes run.
+        The rounds of :func:`repro.serving.replay_streams`, fed one segment
+        per :meth:`ingest_many` call — so a durable runtime logs every
+        segment and runs its checkpoint policy.  When the runtime was built
+        with a :class:`ManualClock`, simulated time advances by
+        ``interarrival_seconds`` per round and deadline flushes run
+        (:meth:`poll`).  ``flush`` scores whatever is still queued at the
+        end.
         """
         self._require_serving()
         clock = self._clock if isinstance(self._clock, ManualClock) else None
-        return replay_streams(
-            self.service,
-            streams,
-            flush=flush,
-            clock=clock,
-            interarrival_seconds=interarrival_seconds,
-        )
+        detections: List[StreamDetection] = []
+        for submissions in _replay_rounds(streams):
+            for submission in submissions:
+                detections.extend(self.ingest_many((submission,)))
+            if clock is not None:
+                clock.advance(interarrival_seconds)
+                detections.extend(self.poll())
+        if flush:
+            with self._durability_lock:
+                detections.extend(self.service.flush())
+        return detections
 
     def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
         """The detections routed to ``stream_id`` since fit/restore, from
@@ -1011,7 +1002,7 @@ class Runtime:
         )
 
     def _replay_wal_tail(self, position: WalPosition) -> None:
-        """Re-drive every logged ingest call at or after ``position``."""
+        """Re-drive every logged tick at or after ``position``."""
         tail = read_tail(self._store.wal_dir, position)
         if tail.segments == 0:
             raise RuntimeError(
@@ -1021,14 +1012,9 @@ class Runtime:
                 f"checkpoint state without the logged tail"
             )
         for record in tail.records:
-            # The record kind preserves the original call shape — an
-            # ingest_many tick drives the micro-batcher differently from a
-            # sequence of single submits, and bitwise replay needs the same.
-            if record.kind == "batch":
-                self.service.submit_many(record.submissions)
-            else:
-                for submission in record.submissions:
-                    self.service.submit(*submission)
+            # One record is one tick (a legacy single-ingest record is a
+            # one-row tick), re-driven as the original run drove it.
+            self.service.submit_many(record.submissions)
         self._replayed_records = tail.submissions
         self._replayed_torn = tail.torn_records
 

@@ -24,7 +24,7 @@ __all__ = ["QueueFull", "ScoreRequest", "MicroBatcher"]
 
 
 class QueueFull(RuntimeError):
-    """Raised by :meth:`MicroBatcher.submit` when the queue bound is reached.
+    """Raised by :meth:`MicroBatcher.extend` when the queue bound is reached.
 
     Carries the bound so admission layers can surface it; catching this and
     shedding the request (rather than blocking the ingest thread) is the
@@ -141,22 +141,13 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def submit(self, request: ScoreRequest, now: Optional[float] = None) -> None:
-        """Enqueue one request (order of arrival is preserved).
-
-        ``now`` stamps the arrival for deadline accounting; deadline-less
-        callers can omit it.
-
-        Raises :class:`QueueFull` when ``max_pending`` is set and already
-        reached — the request is *not* enqueued; shed it or retry later.
-        """
-        self.extend((request,), now)
-
     def extend(self, requests: Sequence[ScoreRequest], now: Optional[float] = None) -> None:
         """Enqueue ``requests`` in order, all stamped ``now``; all or none.
 
-        Raises :class:`QueueFull` (enqueuing nothing) when they do not all
-        fit under ``max_pending``.
+        ``now`` stamps the arrivals for deadline accounting; deadline-less
+        callers can omit it.  Raises :class:`QueueFull` (enqueuing nothing)
+        when they do not all fit under ``max_pending`` — shed them or retry
+        later.
         """
         if self.max_pending is not None and len(self) + len(requests) > self.max_pending:
             raise QueueFull(self.max_pending)

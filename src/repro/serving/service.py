@@ -38,7 +38,13 @@ drift monitor — so a shard scores exactly one batch at a time while other
 threads keep enqueuing.  The lock order is scoring → ingest; nothing ever
 takes them in the opposite order.  :meth:`try_score_ready` is the
 non-blocking entry the thread-parallel executor dispatches, and
-:meth:`enqueue` is the scoring-free half of :meth:`submit` it feeds from.
+:meth:`enqueue` is the scoring-free half of :meth:`submit_many` it feeds
+from.
+
+One ingest path: every segment enters as a row of a :class:`Tick` — a lone
+segment is a one-row tick — and the service (or the sharded service around
+it) enqueues the tick, then scores every batch that is full or past its
+deadline.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -119,8 +126,9 @@ def validate_interaction_level(level: Optional[float]) -> float:
     historically a ``nan`` or ``inf`` computed from bad upstream data slid
     straight through the sharding boundary, silently disabling drift tracking
     (``nan``) or corrupting the running interaction-level mean (``inf``).
-    Now every ingest path (``submit``/``enqueue``/``submit_many``/the HTTP
-    tier, which turns the error into a 400) rejects it here instead.
+    Now the one ingest path — a :class:`Tick` built by ``submit_many`` of
+    either service, ``Runtime.ingest``/``ingest_many`` or the HTTP tier,
+    which turns the error into a 400 — rejects it here instead.
     """
     if level is None:
         return float("nan")
@@ -192,8 +200,8 @@ class Tick:
     unknown level.  Iterating yields ``(stream_id, action, interaction,
     level)`` tuples, the shape the write-ahead log records.
 
-    Ingest paths recognise a built tick by its type and never validate it a
-    second time.
+    :meth:`from_submissions` returns a built tick as it is (recognised by
+    type), so no ingest path validates it a second time.
     """
 
     __slots__ = (
@@ -231,7 +239,10 @@ class Tick:
     ) -> "Tick":
         """Validate and copy ``(stream_id, action_feature,
         interaction_feature[, interaction_level])`` submissions; one bad
-        submission refuses the whole tick with a ``ValueError``."""
+        submission refuses the whole tick with a ``ValueError``.  A built
+        tick is returned as it is."""
+        if type(submissions) is cls:
+            return submissions
         submissions = list(submissions)
         lengths = set(map(len, submissions))
         if not lengths <= {3, 4}:
@@ -556,8 +567,8 @@ class ScoringService:
     sequence_length:
         History length ``q`` of each stream's rolling window.
     max_batch_size:
-        Micro-batch capacity; :meth:`submit` flushes automatically whenever a
-        full batch has accumulated.
+        Micro-batch capacity; :meth:`submit_many` flushes automatically
+        whenever a full batch has accumulated.
     update_config:
         Enables drift monitoring when provided (uses ``buffer_size`` and
         ``drift_threshold``; ``interaction_threshold`` falls back to the
@@ -585,7 +596,7 @@ class ScoringService:
         ``update_config``).
     max_batch_delay_ms:
         Wall-clock flush deadline: once the oldest queued request has waited
-        this long, the partial batch is scored (on :meth:`submit` or
+        this long, the partial batch is scored (on :meth:`submit_many` or
         :meth:`poll`).  ``None`` keeps the count-based flush only.
     clock:
         Monotonic time source for the deadline (defaults to
@@ -789,18 +800,6 @@ class ScoringService:
         model = self.registry.latest().model
         return model.action_dim, model.interaction_dim
 
-    def _one_segment(
-        self,
-        stream_id: str,
-        action_feature: np.ndarray,
-        interaction_feature: np.ndarray,
-        interaction_level: Optional[float],
-    ) -> Tick:
-        return Tick.from_submissions(
-            ((stream_id, action_feature, interaction_feature, interaction_level),),
-            *self.feature_dims,
-        )
-
     def check_room(self, stream_ids: Iterable[str]) -> None:
         """Raise :class:`~repro.serving.microbatch.QueueFull` unless the queue
         has room for every request a tick of ``stream_ids`` would add.
@@ -820,14 +819,17 @@ class ScoringService:
             if len(self.batcher) + needed > self.batcher.max_pending:
                 raise QueueFull(self.batcher.max_pending)
 
-    def enqueue_tick(self, tick: Tick, positions: Optional[Sequence[int]] = None) -> float:
+    def enqueue(self, tick: Tick, positions: Optional[Sequence[int]] = None) -> float:
         """Window and queue ``tick``'s segments at ``positions`` (all of them
         by default, in that order) without scoring; returns the arrival stamp.
 
-        One ingest-lock acquisition and one clock read cover the group, and
-        the group is all or nothing: when the queue lacks room for it,
-        :class:`~repro.serving.microbatch.QueueFull` is raised before any
-        session moves.  The tick is validated already (:class:`Tick`).
+        The scoring-free half of :meth:`submit_many`: whoever calls
+        :meth:`try_score_ready` / :meth:`poll` / :meth:`flush` next scores
+        the queued work.  One ingest-lock acquisition and one clock read
+        cover the group, and the group is all or nothing: when the queue
+        lacks room for it, :class:`~repro.serving.microbatch.QueueFull` is
+        raised before any session moves.  The tick is validated already
+        (:class:`Tick`).
         """
         if positions is None:
             positions = range(len(tick))
@@ -861,25 +863,6 @@ class ScoringService:
             self.batcher.extend(requests, now)
         return now
 
-    def enqueue(
-        self,
-        stream_id: str,
-        action_feature: np.ndarray,
-        interaction_feature: np.ndarray,
-        interaction_level: Optional[float] = None,
-    ) -> None:
-        """Queue one segment without scoring anything.
-
-        The scoring-free half of :meth:`submit`: whoever calls
-        :meth:`try_score_ready` / :meth:`poll` / :meth:`flush` next scores
-        the queued work.  The segment is validated and copied like a
-        one-segment :class:`Tick`; the sharded service enqueues whole ticks
-        through :meth:`enqueue_tick` instead.
-        """
-        self.enqueue_tick(
-            self._one_segment(stream_id, action_feature, interaction_feature, interaction_level)
-        )
-
     def has_ready_work(self) -> bool:
         """Whether a full or deadline-expired batch is waiting to be scored."""
         with self._ingest_lock:
@@ -902,42 +885,25 @@ class ScoringService:
                 return produced
             produced.extend(self._score_requests(requests, batch_arrival=arrival))
 
-    def submit(
-        self,
-        stream_id: str,
-        action_feature: np.ndarray,
-        interaction_feature: np.ndarray,
-        interaction_level: Optional[float] = None,
-    ) -> List[StreamDetection]:
-        """Feed one incoming segment of one stream into the service.
+    def submit_many(self, submissions: Iterable[Sequence]) -> List[StreamDetection]:
+        """Feed one tick of segments, then score every ready batch.
 
-        ``interaction_level`` must be finite when given; ``None`` (the
-        default) marks it unknown and excludes the segment from drift
-        tracking — see :func:`validate_interaction_level`.
+        ``submissions`` is a :class:`Tick` or an iterable of ``(stream_id,
+        action_feature, interaction_feature[, interaction_level])`` tuples;
+        a lone segment is a one-row tick.  A level must be finite when
+        given; ``None`` marks it unknown and excludes the segment from drift
+        tracking (:func:`validate_interaction_level`).  A feature of the
+        wrong width or holding a non-finite value refuses the whole tick
+        with ``ValueError`` before anything is queued.
 
-        Returns the detections produced by any micro-batch this submission
-        completed (usually empty — results for this very segment arrive with
-        a later flush; this is the latency/throughput trade of micro-batching).
-        A feature of the wrong width or holding a non-finite value raises
-        ``ValueError`` before anything is queued (:class:`Tick`).
+        Returns the detections of every batch that was full or past its
+        deadline afterwards (usually for *earlier* segments — the
+        latency/throughput trade of micro-batching).
         """
-        tick = self._one_segment(stream_id, action_feature, interaction_feature, interaction_level)
+        tick = Tick.from_submissions(submissions, *self.feature_dims)
         with self._score_lock:
-            now = self.enqueue_tick(tick)
-            produced: List[StreamDetection] = []
-            while True:
-                with self._ingest_lock:
-                    arrival = self.batcher.oldest_arrival()
-                    requests = self.batcher.drain() if self.batcher.ready() else []
-                if not requests:
-                    break
-                produced.extend(self._score_requests(requests, batch_arrival=arrival))
-            with self._ingest_lock:
-                arrival = self.batcher.oldest_arrival()
-                requests = self.batcher.drain() if self.batcher.expired(now) else []
-            if requests:
-                produced.extend(self._score_requests(requests, batch_arrival=arrival))
-            return produced
+            self.enqueue(tick)
+            return self._score_while_ready()
 
     def poll(self) -> List[StreamDetection]:
         """Flush batches whose wall-clock deadline has passed (and full ones).
@@ -954,8 +920,8 @@ class ScoringService:
         Returns immediately with ``[]`` when another thread already holds
         the scoring lock — that thread's scoring loop re-checks the queue
         after every batch, so the ready work this call observed is picked up
-        by it (or by the next poll/submit).  This is what keeps at most one
-        fused forward per shard in flight under the parallel executor.
+        by it (or by the next poll/submit_many).  This is what keeps at most
+        one fused forward per shard in flight under the parallel executor.
         """
         if not self._score_lock.acquire(blocking=False):
             return []
@@ -1289,9 +1255,7 @@ class ScoringService:
             self._buffer_requests = [_request_from_state(payload) for payload in buffered]
         self._level_sum = float(state["level_sum"])
         self._level_count = int(state["level_count"])
-        now = self._clock()
-        for payload in state["pending"]:
-            self.batcher.submit(_request_from_state(payload), now=now)
+        self.batcher.extend(list(map(_request_from_state, state["pending"])), self._clock())
 
 
 def _request_state(request: ScoreRequest) -> Dict[str, object]:
@@ -1320,6 +1284,32 @@ def _request_from_state(state: Mapping[str, object]) -> ScoreRequest:
     )
 
 
+def _replay_rounds(streams: Mapping[str, StreamFeatures]) -> Iterator[List[tuple]]:
+    """The segments of ``streams`` as round-robin rounds of ``(stream_id,
+    action, interaction, level)`` submissions: segment 0 of every stream,
+    then segment 1 of every stream, ...
+
+    Feature pipelines may emit ``nan`` levels for segments with no audience
+    signal; those become the explicit "unknown" opt-in (``None``) instead of
+    tripping the ingest boundary's finite-value validation.
+    """
+    longest = max((features.num_segments for features in streams.values()), default=0)
+    for position in range(longest):
+        submissions = []
+        for stream_id, features in streams.items():
+            if position >= features.num_segments:
+                continue
+            level: Optional[float] = None
+            if features.normalised_interaction.size > position:
+                value = float(features.normalised_interaction[position])
+                if np.isfinite(value):
+                    level = value
+            submissions.append(
+                (stream_id, features.action[position], features.interaction[position], level)
+            )
+        yield submissions
+
+
 def replay_streams(
     service: "ScoringService",
     streams: Mapping[str, StreamFeatures],
@@ -1332,17 +1322,18 @@ def replay_streams(
 
     Segments of all streams are interleaved round-robin (segment 0 of every
     stream, then segment 1 of every stream, ...), which is how aligned live
-    streams reach a real ingest tier.  Returns every detection produced, in
-    scoring order.
+    streams reach a real ingest tier; each segment is submitted as its own
+    one-row tick.  Returns every detection produced, in scoring order.
 
     ``service`` may be a :class:`ScoringService` or anything sharing its
-    ingest surface (e.g. the sharded runtime).  When a :class:`ManualClock`
-    is supplied, simulated time advances by ``interarrival_seconds`` after
-    each round-robin round and the service's deadline flushes run via
-    ``poll()`` — this is how the deadline-bounded benchmarks replay at a
-    controlled arrival rate.  The service must have been constructed with
-    the *same* clock; otherwise its deadlines would silently keep running
-    on real wall-clock time while the replay advances simulated time.
+    ingest surface (``submit_many``/``poll``/``flush``, e.g. the sharded
+    service).  When a :class:`ManualClock` is supplied, simulated time
+    advances by ``interarrival_seconds`` after each round-robin round and
+    the service's deadline flushes run via ``poll()`` — this is how the
+    deadline-bounded benchmarks replay at a controlled arrival rate.  The
+    service must have been constructed with the *same* clock; otherwise its
+    deadlines would silently keep running on real wall-clock time while the
+    replay advances simulated time.
     """
     if clock is not None:
         shards = getattr(service, "shards", None) or [service]
@@ -1352,27 +1343,9 @@ def replay_streams(
                 "(pass clock=... to the service as well)"
             )
     detections: List[StreamDetection] = []
-    longest = max((features.num_segments for features in streams.values()), default=0)
-    for position in range(longest):
-        for stream_id, features in streams.items():
-            if position >= features.num_segments:
-                continue
-            # Feature pipelines may emit nan for segments with no audience
-            # signal; map those to the explicit "unknown" opt-in instead of
-            # tripping the ingest boundary's finite-value validation.
-            level: Optional[float] = None
-            if features.normalised_interaction.size > position:
-                value = float(features.normalised_interaction[position])
-                if np.isfinite(value):
-                    level = value
-            detections.extend(
-                service.submit(
-                    stream_id,
-                    features.action[position],
-                    features.interaction[position],
-                    interaction_level=level,
-                )
-            )
+    for submissions in _replay_rounds(streams):
+        for submission in submissions:
+            detections.extend(service.submit_many((submission,)))
         if clock is not None:
             clock.advance(interarrival_seconds)
             detections.extend(service.poll())

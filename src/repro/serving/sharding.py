@@ -393,39 +393,9 @@ class ShardedScoringService:
     # ------------------------------------------------------------------ #
     # Ingest (same surface as ScoringService, so replay drivers compose)
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        stream_id: str,
-        action_feature: np.ndarray,
-        interaction_feature: np.ndarray,
-        interaction_level: Optional[float] = None,
-    ) -> List[StreamDetection]:
-        """Feed one segment of one stream to its shard.
-
-        ``interaction_level`` must be finite when given; ``None`` (the
-        default) is the explicit "unknown" opt-in.  Non-finite values are
-        rejected at the shard's ingest boundary
-        (:func:`~repro.serving.service.validate_interaction_level`) instead
-        of silently poisoning the drift monitor.
-
-        Under the serial executor this is the shard's own in-line
-        submit-and-score path (the reference semantics).  Under a parallel
-        executor the segment is enqueued and every shard's ready batches are
-        fanned out to the worker pool, merged by shard index.
-        """
-        shard = self.shard_of(stream_id)
-        if self.executor.serial:
-            return shard.submit(
-                stream_id, action_feature, interaction_feature, interaction_level
-            )
-        shard.enqueue(stream_id, action_feature, interaction_feature, interaction_level)
-        return self._score_ready()
-
     def tick(self, submissions: Iterable[Tuple]) -> Tick:
         """``submissions`` validated and copied once (:class:`Tick`); a built
         tick passes through untouched."""
-        if type(submissions) is Tick:
-            return submissions
         return Tick.from_submissions(submissions, *self._feature_dims)
 
     def submit_many(
@@ -436,19 +406,25 @@ class ShardedScoringService:
         ``submissions`` is a :class:`~repro.serving.service.Tick` or an
         iterable of ``(stream_id, action_feature, interaction_feature[,
         interaction_level])`` tuples — the shape a transport tier delivers
-        when aligned live streams produce a segment each.  The tick is
+        when aligned live streams produce a segment each; a lone segment is
+        a one-row tick.  A level must be finite when given; ``None`` is the
+        explicit "unknown" opt-in.  The tick is
         validated and copied once (:meth:`tick`), routed in one pass
         (:meth:`route_tick`) and enqueued once per shard
-        (:meth:`ScoringService.enqueue_tick`); scoring runs once at the end,
+        (:meth:`ScoringService.enqueue`); scoring runs once at the end,
         which is what lets multiple shards' batches fill in the same tick and
         score *concurrently* under a parallel executor.  Results are merged
         deterministically by shard index.  A bad feature or a tick that
         would overflow a shard's ``max_queue_depth`` refuses the whole tick
         before anything is enqueued.
+
+        Scoring covers *every* shard holding a full or deadline-expired
+        batch, not only the shards this tick touched: a one-segment tick on
+        one shard also flushes another shard's batch whose deadline passed.
         """
         tick = self.tick(submissions)
         for index, positions in self.route_tick(tick).items():
-            self.shards[index].enqueue_tick(tick, positions)
+            self.shards[index].enqueue(tick, positions)
         return self._score_ready()
 
     def _score_ready(self) -> List[StreamDetection]:

@@ -166,7 +166,7 @@ class TestConcurrencyStress:
         _, serial_service = self._build(SerialExecutor())
         for stream_id, (action, interaction) in features.items():
             for position in range(self.SEGMENTS):
-                serial_service.submit(stream_id, action[position], interaction[position])
+                serial_service.submit_many(((stream_id, action[position], interaction[position]),))
         serial_service.drain()
 
         # Parallel run: one ingest thread per stream, plus a publisher that
@@ -184,7 +184,7 @@ class TestConcurrencyStress:
                 barrier.wait()
                 for position in range(self.SEGMENTS):
                     returned[stream_id].extend(
-                        service.submit(stream_id, action[position], interaction[position])
+                        service.submit_many(((stream_id, action[position], interaction[position]),))
                     )
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
@@ -438,7 +438,7 @@ class TestShardStatsProperties:
             if op == "submit":
                 stream_id = str(rng.choice(self.STREAM_IDS))
                 submitted[stream_id] += 1
-                service.submit(stream_id, rng.random(D1), rng.random(D2))
+                service.submit_many(((stream_id, rng.random(D1), rng.random(D2)),))
             elif op == "advance":
                 clock.advance(float(rng.random() * 0.04))
             else:
@@ -471,7 +471,7 @@ class TestDrainDeadlineAudit:
         service = self._service(clock)
         action, interaction = stream_arrays(seed=5, segments=Q + 3)
         for position in range(Q + 3):
-            service.submit("audit", action[position], interaction[position])
+            service.submit_many((("audit", action[position], interaction[position]),))
         # The deadline never fires (simulated time is frozen), the batch is
         # under-filled — a poll-only driver would strand these forever.
         assert service.poll() == []
@@ -486,7 +486,7 @@ class TestDrainDeadlineAudit:
         service = self._service(clock)
         action, interaction = stream_arrays(seed=6, segments=Q + 2)
         for position in range(Q + 1):
-            service.submit("expired", action[position], interaction[position])
+            service.submit_many((("expired", action[position], interaction[position]),))
         clock.advance(0.2)  # queued request is now past its deadline
         assert service.batcher.expired(clock.now)
         produced = service.drain()
@@ -508,7 +508,7 @@ class TestDrainDeadlineAudit:
         for index in range(2):
             action, interaction = stream_arrays(seed=7 + index, segments=Q + 2)
             for position in range(Q + 2):
-                service.submit(f"s-{index}", action[position], interaction[position])
+                service.submit_many(((f"s-{index}", action[position], interaction[position]),))
         assert service.poll() == []
         produced = service.drain()
         assert len(produced) == 4

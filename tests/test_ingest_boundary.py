@@ -31,10 +31,12 @@ import pytest
 
 from durability_workload import training_features
 from repro import Runtime, RuntimeConfig
+from repro.durability import wal as wal_module
 from repro.durability.wal import _encode_record
 from repro.serving import QueueFull, ScoringService, StreamDetection
 from repro.serving import service as service_module
-from repro.serving.service import Tick
+from repro.serving.service import ManualClock, Tick
+from repro.serving.sharding import default_router
 from repro.utils.config import (
     DurabilityConfig,
     ExecutorConfig,
@@ -194,9 +196,9 @@ class TestWidthRefusal:
         service = ScoringService(registry=runtime.registry, sequence_length=SEQUENCE_LENGTH)
         action, interaction = make_ticks(ticks=1)[0][0][1:3]
         with pytest.raises(ValueError, match=r"'s'.*ModelConfig\.action_dim"):
-            service.submit("s", action[:-1], interaction)
+            service.submit_many((("s", action[:-1], interaction),))
         with pytest.raises(ValueError, match=r"'s'.*ModelConfig\.interaction_dim"):
-            service.enqueue("s", action, np.append(interaction, 0.0))
+            service.submit_many((("s", action, np.append(interaction, 0.0)),))
         assert service.sessions == {} and len(service.batcher) == 0
         runtime.close()
 
@@ -295,7 +297,7 @@ class TestGroupedEnqueue:
     def test_tick_scores_like_per_segment_enqueue_on_every_shard(self):
         """The grouped path keeps each shard's submission order, so its
         queues, batches and detections — across drift-triggered publishes —
-        equal those of enqueuing the tick one segment at a time."""
+        equal those of enqueuing the tick as one-row ticks, one at a time."""
         streams = 9
         ticks = make_ticks(streams=streams, ticks=40, seed=8)
         grouped = fit(build_config(num_shards=3))
@@ -304,7 +306,8 @@ class TestGroupedEnqueue:
         for tick in ticks:
             produced = grouped.ingest_many(tick)
             for submission in tick:
-                reference.service.shard_of(submission[0]).enqueue(*submission)
+                one_row = reference.service.tick((submission,))
+                reference.service.shard_of(submission[0]).enqueue(one_row)
             assert produced == reference.service.poll()
             for ours, theirs in zip(grouped.service.shards, reference.service.shards):
                 assert [(r.stream_id, r.segment_index) for r in ours.batcher.pending()] == [
@@ -315,6 +318,106 @@ class TestGroupedEnqueue:
         assert all_detections(grouped, streams) == all_detections(reference, streams)
         grouped.close()
         reference.close()
+
+
+# ---------------------------------------------------------------------- #
+# One ingest path: a segment is a one-row tick
+# ---------------------------------------------------------------------- #
+def streams_on_distinct_shards(count, num_shards):
+    """``count`` stream ids the default router sends to distinct shards."""
+    chosen = {}
+    for index in range(1000):
+        stream_id = f"cam-{index}"
+        chosen.setdefault(default_router(stream_id, num_shards), stream_id)
+        if len(chosen) == count:
+            return list(chosen.values())
+    raise AssertionError("router never covered the shards")  # pragma: no cover
+
+
+class TestOneIngestPath:
+    def test_a_one_segment_ingest_flushes_every_shards_expired_batch(self):
+        """A single-segment ingest is a one-row tick, and a tick scores
+        every shard holding a full or deadline-expired batch — not only the
+        shard the segment went to."""
+        clock = ManualClock()
+        config = build_config(num_shards=3, max_batch_delay_ms=100.0)
+        runtime = Runtime.from_config(config, clock=clock).fit(training_features())
+        first, second = streams_on_distinct_shards(2, 3)
+        ticks = make_ticks(streams=1, ticks=SEQUENCE_LENGTH + 2)
+        rows = [submission[1:] for (submission,) in ticks]
+        for row in rows[:SEQUENCE_LENGTH]:
+            assert runtime.ingest(first, *row) == []
+            assert runtime.ingest(second, *row) == []
+        assert runtime.ingest(second, *rows[SEQUENCE_LENGTH]) == []
+        second_shard = runtime.service.shard_of(second)
+        assert second_shard.queue_depth() == 1
+
+        clock.advance(0.2)  # past the deadline, and nobody polls
+        produced = runtime.ingest(first, *rows[SEQUENCE_LENGTH + 1])
+        assert [(d.stream_id, d.segment_index) for d in produced] == [
+            (second, SEQUENCE_LENGTH)
+        ]
+        assert second_shard.queue_depth() == 0
+        assert runtime.service.shard_of(first).queue_depth() == 1
+        runtime.close()
+
+    def test_a_durable_replay_is_logged_and_recovers(self, tmp_path):
+        """``Runtime.replay`` used to submit straight to the service: a
+        durable runtime logged none of it, and recovery lost every
+        detection.  It now ingests one segment per call."""
+        features = training_features()
+        streams = {"a": features.subset(0, 30), "b": features.subset(30, 60)}
+        root = tmp_path / "dur"
+        runtime = fit(build_config(root))
+        runtime.checkpoint()
+        oracle = fit(build_config())
+        live = runtime.replay(streams, flush=False)
+        assert live == oracle.replay(streams, flush=False)
+        assert runtime.durability_stats()["wal"]["records_appended"] == 60
+
+        shutil.copytree(root, tmp_path / "copy")  # the crash: no close
+        recovered = Runtime.recover(tmp_path / "copy")
+        assert recovered.durability_stats()["replayed_records"] == 60
+        assert recovered.drain() == runtime.drain() == oracle.drain()
+        for stream_id in streams:
+            assert recovered.detections(stream_id) == oracle.detections(stream_id)
+            assert len(oracle.detections(stream_id)) == 30 - SEQUENCE_LENGTH
+        assert recovered.model_version == oracle.model_version
+        for closing in (recovered, runtime, oracle):
+            closing.close()
+
+    def test_a_store_of_legacy_single_ingest_records_recovers(self, tmp_path, monkeypatch):
+        """Older builds logged a single ``ingest`` as a kind-1 record; replay
+        feeds it as a one-row tick, landing on the uninterrupted run."""
+        encode = wal_module._encode_record
+        legacy_records = []
+
+        def encode_as_legacy(submissions):
+            payload = encode(submissions)
+            assert len(submissions) == 1 and payload[0] == 2
+            legacy_records.append(payload)
+            return b"\x01" + payload[1:]
+
+        submissions = overflowing_tick(make_ticks(ticks=16))
+        root = tmp_path / "dur"
+        runtime = fit(build_config(root))
+        runtime.checkpoint()
+        oracle = fit(build_config())
+        monkeypatch.setattr(wal_module, "_encode_record", encode_as_legacy)
+        for submission in submissions:
+            runtime.ingest(*submission)
+            oracle.ingest(*submission)
+        monkeypatch.undo()
+        assert len(legacy_records) == len(submissions)
+
+        shutil.copytree(root, tmp_path / "copy")
+        recovered = Runtime.recover(tmp_path / "copy")
+        assert recovered.durability_stats()["replayed_records"] == len(submissions)
+        assert all_detections(recovered) == all_detections(oracle)
+        assert recovered.drain() == oracle.drain()
+        assert recovered.model_version == oracle.model_version >= 2
+        for closing in (recovered, runtime, oracle):
+            closing.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -413,10 +516,9 @@ class TestWalBytes:
         submissions[2] = (*submissions[2][:3], 1)  # an int level
         submissions[3] = ("kamera-ü", *submissions[3][1:3], -0.0)
         dims = (submissions[0][1].size, submissions[0][2].size)
-        for batch in (True, False):
-            for records in (submissions, submissions[:1], []):
-                tick = Tick.from_submissions(records, *dims)
-                assert _encode_record(tick, batch=batch) == _encode_record(records, batch=batch)
+        for records in (submissions, submissions[:1], []):
+            tick = Tick.from_submissions(records, *dims)
+            assert _encode_record(tick) == _encode_record(records)
 
 
 if __name__ == "__main__":

@@ -445,11 +445,8 @@ class TestClosedLoop:
 
         def feed(start, stop):
             for position in range(start, stop):
-                service.submit(
-                    "s",
-                    features.action[position],
-                    features.interaction[position],
-                    interaction_level=0.5,
+                service.submit_many(
+                    (("s", features.action[position], features.interaction[position], 0.5),)
                 )
 
         feed(0, Q + 3)  # warm up, then buffer 3 presumed-normal segments
@@ -502,7 +499,9 @@ class TestDeadlineFlush:
         produced = []
         for position in range(count):
             produced.extend(
-                service.submit("s", features.action[position], features.interaction[position])
+                service.submit_many(
+                    (("s", features.action[position], features.interaction[position]),)
+                )
             )
         return produced
 
@@ -528,8 +527,8 @@ class TestDeadlineFlush:
         # Advancing time alone changes nothing until an ingest or poll runs;
         # the next submit both ingests and performs the deadline flush.
         clock.advance(0.2)
-        detections = service.submit(
-            "s", features.action[Q + 3], features.interaction[Q + 3]
+        detections = service.submit_many(
+            (("s", features.action[Q + 3], features.interaction[Q + 3]),)
         )
         assert len(detections) == 4  # 3 queued + the one just submitted
         assert service.stats.batches == 1
@@ -609,7 +608,7 @@ class TestShardedScoringService:
             registry, sequence_length=Q, router=lambda stream_id: 7
         )
         with pytest.raises(ValueError, match="shard 7"):
-            bad.submit("s", np.zeros(D1), np.zeros(D2))
+            bad.submit_many((("s", np.zeros(D1), np.zeros(D2)),))
 
     def test_sharded_closed_loop_updates_only_the_drifting_shard(self):
         registries = [self.make_registry(seed=1), self.make_registry(seed=2)]

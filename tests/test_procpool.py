@@ -180,7 +180,7 @@ class TestServiceLevelParity:
             if position and position % self.REPUBLISH_EVERY == 0:
                 registry.publish(base_model, registry.latest().threshold)
             for stream_id, (action, interaction) in features.items():
-                service.submit(stream_id, action[position], interaction[position])
+                service.submit_many(((stream_id, action[position], interaction[position]),))
         service.drain()
         detections = {
             stream_id: service.detections(stream_id) for stream_id in features
@@ -364,7 +364,7 @@ class TestSharedMemoryCleanup:
         )
         action, interaction = stream_arrays(seed=7, segments=Q + 3)
         for position in range(Q + 3):
-            service.submit("live-0", action[position], interaction[position])
+            service.submit_many((("live-0", action[position], interaction[position]),))
         detections = service.drain()
         assert detections, "workload never produced a scored batch"
         return service
@@ -390,7 +390,7 @@ class TestSharedMemoryCleanup:
 
         action, interaction = stream_arrays(seed=8, segments=Q + 1)
         for position in range(Q + 1):
-            service.submit("live-1", action[position], interaction[position])
+            service.submit_many((("live-1", action[position], interaction[position]),))
         with pytest.raises(WorkerCrashed):
             service.drain()
         service.close()
@@ -453,10 +453,10 @@ class TestLatencyPercentiles:
         segments = Q + len(latencies_ms)
         action, interaction = stream_arrays(seed=seed, segments=segments)
         for position in range(Q):  # warm the session up; nothing enqueues
-            service.submit(stream, action[position], interaction[position])
+            service.submit_many(((stream, action[position], interaction[position]),))
         for offset, latency_ms in enumerate(latencies_ms):
             position = Q + offset
-            service.submit(stream, action[position], interaction[position])
+            service.submit_many(((stream, action[position], interaction[position]),))
             clock.advance(latency_ms / 1000.0)
             assert service.flush()
 

@@ -88,7 +88,7 @@ def pile_up(service, stream_id: str, depth: int, seed: int):
     """Warm ``stream_id`` up and leave ``depth`` requests queued on its shard."""
     action, interaction = stream_arrays(seed=seed, segments=Q + depth)
     for position in range(Q + depth):
-        service.submit(stream_id, action[position], interaction[position])
+        service.submit_many(((stream_id, action[position], interaction[position]),))
 
 
 # --------------------------------------------------------------------- #
@@ -211,13 +211,13 @@ class TestSplitMerge:
         # Score some history for the stream living on the split shard.
         action, interaction = stream_arrays(seed=9, segments=Q + 9)
         for position in range(Q + 5):
-            service.submit("fresh-B", action[position], interaction[position])
+            service.submit_many((("fresh-B", action[position], interaction[position]),))
         service.drain()
         scored_before = service.detections("fresh-B")
         assert scored_before, "split shard never scored its stream"
 
         # Queued work on the split shard resets its idle counter...
-        service.submit("fresh-B", action[Q + 5], interaction[Q + 5])
+        service.submit_many((("fresh-B", action[Q + 5], interaction[Q + 5]),))
         service.poll()
         assert not service.retired_shards
         service.drain()
@@ -237,7 +237,7 @@ class TestSplitMerge:
         # feeding the tail yields gapless segment indices and the history
         # (including pre-merge detections) is served from the survivor.
         for position in range(Q + 6, Q + 9):
-            service.submit("fresh-B", action[position], interaction[position])
+            service.submit_many((("fresh-B", action[position], interaction[position]),))
         service.drain()
         detections = service.detections("fresh-B")
         assert [d.segment_index for d in detections] == list(range(Q, Q + 9))
@@ -306,8 +306,8 @@ class TestDeterminismProperty:
                 for position in range(
                     round_index * burst % (Q + 8), round_index * burst % (Q + 8) + 2
                 ):
-                    service.submit(
-                        stream_id, action[position], interaction[position]
+                    service.submit_many(
+                        ((stream_id, action[position], interaction[position]),)
                     )
                 first_routes.setdefault(stream_id, service.shard_index(stream_id))
             service.poll()

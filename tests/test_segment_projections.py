@@ -60,7 +60,7 @@ def feed(service: ScoringService, ticks) -> list:
     produced = []
     for tick in ticks:
         for submission in tick:
-            produced.extend(service.submit(*submission))
+            produced.extend(service.submit_many((submission,)))
     produced.extend(service.flush())
     return produced
 
@@ -248,7 +248,7 @@ class TestJointRow:
             try:
                 for tick in ticks:
                     for submission in tick:
-                        service.submit(*submission)
+                        service.submit_many((submission,))
                 service.drain()
                 return [service.detections(f"s{s}") for s in range(3)]
             finally:
@@ -294,7 +294,7 @@ class TestExplicitWindows:
             )
             assert np.array_equal(request.action_history, action[index, :Q])
             assert np.array_equal(request.interaction_history, interaction[index, :Q])
-            service.batcher.submit(request)
+            service.batcher.extend([request])
         detections = service.flush()
         offline = registry.latest().detector.score_arrays(
             action[:, :Q], interaction[:, :Q], action[:, Q], interaction[:, Q], np.arange(3)

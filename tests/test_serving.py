@@ -61,7 +61,7 @@ class TestMicroBatcher:
     def test_fifo_order_and_batch_limit(self):
         batcher = MicroBatcher(max_batch_size=3)
         for index in range(7):
-            batcher.submit(make_request(index=index))
+            batcher.extend([make_request(index=index)])
         assert len(batcher) == 7
         assert batcher.ready()
         first = batcher.drain()
@@ -94,24 +94,24 @@ class TestMicroBatcher:
     def test_deadline_expiry_tracks_the_oldest_request(self):
         batcher = MicroBatcher(max_batch_size=4, max_delay_seconds=0.1)
         assert not batcher.expired(100.0)  # empty queue never expires
-        batcher.submit(make_request(index=0), now=1.0)
-        batcher.submit(make_request(index=1), now=1.05)
+        batcher.extend([make_request(index=0)], 1.0)
+        batcher.extend([make_request(index=1)], 1.05)
         assert batcher.oldest_arrival() == 1.0
         assert not batcher.expired(1.09)
         assert batcher.expired(1.10)
         batcher.drain()
         assert batcher.oldest_arrival() is None
         # After a drain the deadline restarts from the new queue head.
-        batcher.submit(make_request(index=2), now=2.0)
+        batcher.extend([make_request(index=2)], 2.0)
         assert batcher.oldest_arrival() == 2.0
         assert not batcher.expired(2.05)
 
     def test_unstamped_requests_never_expire(self):
         batcher = MicroBatcher(max_batch_size=4, max_delay_seconds=0.0)
-        batcher.submit(make_request())
+        batcher.extend([make_request()])
         assert not batcher.expired(100.0)
         no_deadline = MicroBatcher(max_batch_size=4)
-        no_deadline.submit(make_request(), now=0.0)
+        no_deadline.extend([make_request()], 0.0)
         assert not no_deadline.expired(100.0)
 
 
@@ -178,8 +178,8 @@ class TestScoringService:
         produced = []
         for position in range(features.num_segments):
             produced.extend(
-                service.submit(
-                    "single", features.action[position], features.interaction[position]
+                service.submit_many(
+                    (("single", features.action[position], features.interaction[position]),)
                 )
             )
         # 26 pending requests never filled a 64-batch: nothing scored yet.
@@ -315,14 +315,14 @@ class TestInteractionLevelValidation:
         service = ScoringService(calibrated_detector, sequence_length=Q, max_batch_size=8)
         features = make_features("s", 10, seed=5)
         # None is the explicit opt-in for "unknown" and stays accepted.
-        service.submit("s", features.action[0], features.interaction[0], None)
+        service.submit_many((("s", features.action[0], features.interaction[0], None),))
         with pytest.raises(ValueError, match="finite"):
-            service.submit(
-                "s", features.action[1], features.interaction[1], float("nan")
+            service.submit_many(
+                (("s", features.action[1], features.interaction[1], float("nan")),)
             )
         with pytest.raises(ValueError, match="finite"):
-            service.submit(
-                "s", features.action[1], features.interaction[1], float("inf")
+            service.submit_many(
+                (("s", features.action[1], features.interaction[1], float("inf")),)
             )
         # Nothing reached the queue: the accepted segment is still warming up
         # its session and the rejected ones never got that far.
@@ -350,13 +350,13 @@ class TestBoundedQueue:
     def test_microbatcher_refuses_overflow_without_enqueueing(self):
         batcher = MicroBatcher(max_batch_size=2, max_pending=3)
         for index in range(3):
-            batcher.submit(make_request(index=index))
+            batcher.extend([make_request(index=index)])
         with pytest.raises(QueueFull, match="3 pending") as excinfo:
-            batcher.submit(make_request(index=3))
+            batcher.extend([make_request(index=3)])
         assert excinfo.value.max_pending == 3
         assert len(batcher) == 3  # the refused request was shed, not queued
         assert [r.segment_index for r in batcher.drain()] == [0, 1]
-        batcher.submit(make_request(index=3))  # room again after a drain
+        batcher.extend([make_request(index=3)])  # room again after a drain
         assert [r.segment_index for r in batcher.drain()] == [2, 3]
 
     def test_microbatcher_bound_validation(self):

@@ -26,6 +26,13 @@ from repro.durability.wal import (
 )
 
 
+def legacy(payload: bytes) -> bytes:
+    """``payload`` as older builds wrote a single ``Runtime.ingest`` call:
+    the same bytes under record kind 1 instead of 2."""
+    assert payload[0] == 2
+    return b"\x01" + payload[1:]
+
+
 def make_submission(rng, *, stream="cam-0", dims=(6, 3), level=0.5):
     return (
         stream,
@@ -43,8 +50,7 @@ class TestRecordCodec:
             make_submission(rng, stream="καμ-1", level=None),  # non-ASCII id
             make_submission(rng, stream="cam-2", level=-1.5e-300),
         ]
-        record = _decode_record(_encode_record(submissions, batch=True))
-        assert record.kind == "batch"
+        record = _decode_record(_encode_record(submissions))
         assert len(record.submissions) == 3
         for original, decoded in zip(submissions, record.submissions):
             assert decoded[0] == original[0]
@@ -57,30 +63,35 @@ class TestRecordCodec:
             ).tobytes()
             assert decoded[3] == original[3]
 
-    def test_kind_is_preserved(self):
+    def test_legacy_single_ingest_records_decode_as_one_row_ticks(self):
         rng = np.random.default_rng(1)
-        single = _decode_record(
-            _encode_record([make_submission(rng)], batch=False)
-        )
-        assert single.kind == "ingest"
+        payload = _encode_record([make_submission(rng)])
+        tick = _decode_record(payload)
+        single = _decode_record(legacy(payload))
+        assert len(single.submissions) == 1
+        for ours, theirs in zip(single.submissions[0], tick.submissions[0]):
+            assert np.array_equal(ours, theirs)
+
+    def test_unknown_kinds_are_refused(self):
+        payload = _encode_record([make_submission(np.random.default_rng(1))])
+        with pytest.raises(ValueError, match="unknown WAL record kind 3"):
+            _decode_record(b"\x03" + payload[1:])
 
     def test_submission_arity_is_validated(self):
         with pytest.raises(ValueError, match="stream_id, action"):
-            _encode_record([("cam-0", np.zeros(3))], batch=False)
+            _encode_record([("cam-0", np.zeros(3))])
 
     def test_three_element_submission_means_unknown_level(self):
         rng = np.random.default_rng(2)
         record = _decode_record(
-            _encode_record(
-                [("cam-0", rng.standard_normal(4), rng.standard_normal(2))],
-                batch=False,
-            )
+            _encode_record([("cam-0", rng.standard_normal(4), rng.standard_normal(2))])
         )
         assert record.submissions[0][3] is None
 
     def test_golden_bytes(self):
         """The on-disk record format is frozen: logs written by any earlier
-        build must replay.  Pins the sha256 of records covering both kinds,
+        build must replay.  Pins the sha256 of records covering both kinds
+        (kind 1 as older builds wrote it: :func:`legacy`),
         3- and 4-tuples, a ``None`` level, NumPy/int levels, and the coerced
         slow path (int arrays, lists, tuples, strided, reversed, 2-D and
         Fortran-ordered features)."""
@@ -102,8 +113,9 @@ class TestRecordCodec:
             ([("cam-3", grid[0, ::-1], grid[1, :3])], False),
         ]
         digest = hashlib.sha256()
-        for submissions, batch in records:
-            digest.update(_encode_record(submissions, batch=batch))
+        for submissions, tick in records:
+            payload = _encode_record(submissions)
+            digest.update(payload if tick else legacy(payload))
         assert digest.hexdigest() == (
             "1f3a837545148039145066a8abc3b0b5eed124204a2d0314b524ec236aa3e11d"
         )
@@ -117,14 +129,14 @@ class TestWriter:
         assert position == WalPosition(0, 0)
         first = [make_submission(rng)]
         second = [make_submission(rng), make_submission(rng, stream="cam-1")]
-        wal.append(first, batch=False)
-        wal.append(second, batch=True)
+        wal.append(first)
+        wal.append(second)
         wal.close()
 
         tail = read_tail(tmp_path, WalPosition(0, 0))
         assert tail.segments == 1
         assert tail.torn_records == 0
-        assert [record.kind for record in tail.records] == ["ingest", "batch"]
+        assert [len(record.submissions) for record in tail.records] == [1, 2]
         assert tail.submissions == 3
 
     def test_open_never_reuses_a_sequence(self, tmp_path):
@@ -143,9 +155,9 @@ class TestWriter:
         rng = np.random.default_rng(4)
         wal = WriteAheadLog(tmp_path)
         wal.open(0)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         assert wal.rotate(1) == WalPosition(1, 0)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         # Same-epoch rotation (explicit-path checkpoint twice between store
         # checkpoints) bumps the sequence instead.
         assert wal.rotate(1) == WalPosition(1, 1)
@@ -166,9 +178,9 @@ class TestWriter:
         orphan = WriteAheadLog(tmp_path)
         assert orphan.open(2) == WalPosition(2, 0)
         orphan.close()
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         assert wal.rotate(2) == WalPosition(2, 1)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         wal.close()
         tail = read_tail(tmp_path, WalPosition(2, 1))
         assert tail.submissions == 1
@@ -177,7 +189,7 @@ class TestWriter:
         rng = np.random.default_rng(12)
         wal = WriteAheadLog(tmp_path)
         position = wal.open(0)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
 
         def boom(self, pos):
             raise OSError(28, "No space left on device")
@@ -190,7 +202,7 @@ class TestWriter:
         # segment stays open and appendable.
         assert wal.is_open
         assert wal.position == position
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         wal.close()
         tail = read_tail(tmp_path, WalPosition(0, 0))
         assert tail.submissions == 2
@@ -200,9 +212,9 @@ class TestWriter:
         rng = np.random.default_rng(5)
         wal = WriteAheadLog(tmp_path)
         wal.open(0)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         wal.rotate(1)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         position = wal.rotate(2)
         removed = wal.prune(position)
         assert removed == 2
@@ -215,7 +227,7 @@ class TestWriter:
         wal = WriteAheadLog(tmp_path, fsync_every=3)
         wal.open(0)
         for _ in range(7):
-            wal.append([make_submission(rng)], batch=False)
+            wal.append([make_submission(rng)])
         # 7 appends at fsync_every=3 -> syncs after the 3rd and 6th.
         assert wal.fsyncs == 2
         assert wal.records_appended == 7
@@ -232,7 +244,7 @@ class TestWriter:
         rng = np.random.default_rng(7)
         wal = WriteAheadLog(tmp_path, fsync_every=0)
         wal.open(0)
-        wal.append([make_submission(rng)], batch=False)
+        wal.append([make_submission(rng)])
         assert wal.fsyncs == 0
         wal.close()
         assert wal.fsyncs == 1  # close always syncs
@@ -240,7 +252,7 @@ class TestWriter:
     def test_append_requires_open(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         with pytest.raises(RuntimeError, match="not open"):
-            wal.append([("cam-0", np.zeros(3), np.zeros(2), None)], batch=False)
+            wal.append([("cam-0", np.zeros(3), np.zeros(2), None)])
         with pytest.raises(RuntimeError, match="not open"):
             wal.rotate(1)
 
@@ -258,7 +270,7 @@ class TestTornTails:
         wal = WriteAheadLog(tmp_path)
         wal.open(0)
         for _ in range(records):
-            wal.append([make_submission(rng)], batch=False)
+            wal.append([make_submission(rng)])
         wal.close()
         (_, path), = list_segments(tmp_path)
         return path
@@ -289,7 +301,7 @@ class TestTornTails:
             assert torn == (0 if cut in boundaries else 1), f"cut at byte {cut}"
             # Whatever survives is bitwise-identical to the uncut prefix.
             for kept, original in zip(records, full_records):
-                assert kept.kind == original.kind
+                assert len(kept.submissions) == len(original.submissions)
                 for left, right in zip(kept.submissions, original.submissions):
                     assert left[0] == right[0]
                     assert left[1].tobytes() == right[1].tobytes()

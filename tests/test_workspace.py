@@ -396,7 +396,7 @@ class TestFloat32ModelPath:
         detections = []
         for _ in range(6):
             detections.extend(
-                service.submit("s", rng.standard_normal(12), rng.standard_normal(5))
+                service.submit_many((("s", rng.standard_normal(12), rng.standard_normal(5)),))
             )
         detections.extend(service.flush())
         assert detections
@@ -409,7 +409,7 @@ class TestFloat32ModelPath:
         detections = []
         for _ in range(6):
             detections.extend(
-                service.submit("s", rng.standard_normal(12), rng.standard_normal(5))
+                service.submit_many((("s", rng.standard_normal(12), rng.standard_normal(5)),))
             )
         detections.extend(service.flush())
         assert detections
