@@ -14,12 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.core.base import StreamAnomalyDetector
 from repro.core.model import AOVLIS
-from repro.evaluation.harness import ExperimentHarness, ExperimentScale, PreparedDataset
-from repro.evaluation.metrics import auroc
+from repro.evaluation.harness import EvalRecord, ExperimentHarness, ExperimentScale, PreparedDataset, evaluate
 from repro.evaluation.reporting import format_table
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -40,41 +36,22 @@ def light_harness() -> ExperimentHarness:
     return ExperimentHarness(scale)
 
 
-@functools.lru_cache(maxsize=8)
 def dataset(name: str) -> PreparedDataset:
-    """Simulated dataset with extracted features (cached)."""
+    """Simulated dataset with extracted features (cached by the harness)."""
     return harness().prepare_dataset(name)
 
 
 @functools.lru_cache(maxsize=8)
-def fitted_suite(dataset_name: str) -> Dict[str, StreamAnomalyDetector]:
-    """Every comparison method fitted on one dataset's training stream."""
+def suite_records(dataset_name: str) -> Dict[str, EvalRecord]:
+    """Every comparison method evaluated on one dataset: fitted detector,
+    aligned test labels and scores, threshold and AUROC."""
     prepared = dataset(dataset_name)
-    suite = harness().detector_suite()
-    for method in suite.values():
-        method.fit(prepared.train)
-    return suite
+    return {name: evaluate(method, prepared) for name, method in harness().detector_suite().items()}
 
 
-@functools.lru_cache(maxsize=8)
-def suite_scores(dataset_name: str):
-    """Test-stream scores of every fitted method: name -> (labels, scores)."""
-    prepared = dataset(dataset_name)
-    return {
-        name: method.evaluate_labels(prepared.test)
-        for name, method in fitted_suite(dataset_name).items()
-    }
-
-
-@functools.lru_cache(maxsize=8)
 def trained_clstm(dataset_name: str) -> AOVLIS:
     """The fitted AOVLIS/CLSTM model of the comparison suite (shared)."""
-    return fitted_suite(dataset_name)["CLSTM"]  # type: ignore[return-value]
-
-
-def suite_auroc(dataset_name: str) -> Dict[str, float]:
-    """AUROC of every method on one dataset (uses the cached fitted suite)."""
-    return {name: auroc(labels, scores) for name, (labels, scores) in suite_scores(dataset_name).items()}
+    return suite_records(dataset_name)["CLSTM"].detector  # type: ignore[return-value]
 
 
 def write_result(name: str, content: str) -> Path:

@@ -13,18 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 import common
-from repro.evaluation.metrics import roc_curve
 
 FPR_GRID = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
 
 
 def run_experiment():
-    curves = {}
-    for dataset_name in common.DATASETS:
-        scores = common.suite_scores(dataset_name)
-        curves[dataset_name] = {
-            method: roc_curve(labels, values) for method, (labels, values) in scores.items()
-        }
+    curves = {
+        dataset_name: {method: record.roc() for method, record in common.suite_records(dataset_name).items()}
+        for dataset_name in common.DATASETS
+    }
     for dataset_name, method_curves in curves.items():
         rows = []
         for method in common.METHOD_ORDER:

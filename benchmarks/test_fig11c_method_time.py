@@ -22,10 +22,10 @@ METHODS = ("LTR", "VEC", "LSTM", "RTFM", "CLSTM-S", "CLSTM", "CLSTM-ADOS")
 
 
 def run_experiment():
-    results = {
-        name: common.harness().method_detection_times(name, suite=common.fitted_suite(name))
-        for name in common.DATASETS
-    }
+    results = {}
+    for name in common.DATASETS:
+        suite = {method: record.detector for method, record in common.suite_records(name).items()}
+        results[name] = common.harness().method_detection_times(name, suite)
     rows = []
     for method in METHODS:
         rows.append([method] + [common.microseconds(results[d][method]) for d in common.DATASETS])

@@ -18,7 +18,10 @@ import common
 
 
 def run_experiment():
-    results = {name: common.suite_auroc(name) for name in common.DATASETS}
+    results = {
+        name: {method: record.auroc for method, record in common.suite_records(name).items()}
+        for name in common.DATASETS
+    }
     rows = []
     for method in common.METHOD_ORDER:
         rows.append([method] + [common.percent(results[d][method]) for d in common.DATASETS])

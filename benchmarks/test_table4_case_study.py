@@ -15,7 +15,7 @@ import common
 
 
 def run_experiment():
-    study = common.harness().case_study("INF", num_samples=15, method_names=list(common.METHOD_ORDER))
+    study = common.harness().case_study(common.suite_records("INF"), num_samples=15)
     samples = study["samples"]
     headers = ["Si", "Lg"]
     for method in common.METHOD_ORDER:

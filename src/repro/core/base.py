@@ -56,8 +56,3 @@ class StreamAnomalyDetector(abc.ABC):
     @abc.abstractmethod
     def score_stream(self, features: StreamFeatures) -> ScoredStream:
         """Score every scoreable segment of a test stream."""
-
-    def evaluate_labels(self, features: StreamFeatures) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience: ``(labels, scores)`` aligned for ROC/AUROC computation."""
-        scored = self.score_stream(features)
-        return scored.labels_from(features), scored.scores

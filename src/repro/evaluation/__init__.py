@@ -1,4 +1,4 @@
-"""Evaluation: ROC/AUROC metrics, the experiment harness and text reporting."""
+"""Evaluation: metrics, the one ``prepare``/``evaluate`` route, the harness and text reporting."""
 
 from .metrics import (
     RocCurve,
@@ -8,8 +8,17 @@ from .metrics import (
     true_positive_rate,
     false_positive_rate,
     precision_recall_f1,
+    detection_latency,
 )
-from .harness import ExperimentHarness, ExperimentScale, PreparedDataset
+from .harness import (
+    THRESHOLD_QUANTILE,
+    EvalRecord,
+    ExperimentHarness,
+    ExperimentScale,
+    PreparedDataset,
+    evaluate,
+    prepare,
+)
 from .reporting import format_table, format_named_series, format_percentage
 
 __all__ = [
@@ -20,6 +29,11 @@ __all__ = [
     "true_positive_rate",
     "false_positive_rate",
     "precision_recall_f1",
+    "detection_latency",
+    "THRESHOLD_QUANTILE",
+    "EvalRecord",
+    "evaluate",
+    "prepare",
     "ExperimentHarness",
     "ExperimentScale",
     "PreparedDataset",

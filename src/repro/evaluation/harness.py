@@ -1,9 +1,18 @@
 """Experiment harness reproducing the paper's evaluation protocol.
 
-The harness owns the glue common to every experiment: simulate a dataset,
-extract features, train detectors and compute metrics.  Each public method
-corresponds to (part of) one table or figure of the paper; the benchmark
-modules under ``benchmarks/`` are thin wrappers that call these methods and
+Every effectiveness number — the paper tables and the scenario leaderboard —
+takes one route.  :func:`prepare` extracts a train/test stream pair's
+features at the scale's dimensions, and :func:`evaluate` fits a detector on
+the train features, scores train and then test, and returns an
+:class:`EvalRecord`: test labels and scores aligned by segment index, the
+detector's threshold (the one rule, :data:`THRESHOLD_QUANTILE` of its train
+scores), AUROC, and the ROC curve and detection latency derived from them.
+
+:class:`ExperimentHarness` holds the glue the experiments share: the
+simulated datasets (cached), the detector suite at the harness scale, the
+parameter sweeps over :func:`evaluate` (Table I, Fig. 9a), the Table IV case
+study over evaluated records, and the training-curve, update and efficiency
+experiments.  The benchmark modules under ``benchmarks/`` call these and
 print the resulting rows.
 
 Scale.  The paper's datasets are hundreds of hours long and its CLSTM trains
@@ -19,8 +28,8 @@ from __future__ import annotations
 import statistics
 import time
 from functools import partial
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,13 +41,21 @@ from ..core.update import retrain_model
 from ..features.pipeline import FeaturePipeline, StreamFeatures
 from ..features.sequences import SequenceBatch
 from ..optimization.ados import FilteredDetectionResult, FilteredDetector
-from ..optimization.filtering import FilteringPowerReport, evaluate_filtering_power
 from ..runtime import Runtime, RuntimeConfig
-from ..streams.datasets import DATASET_NAMES, load_dataset
+from ..streams.datasets import DATASET_NAMES, DatasetSpec, load_dataset
 from ..utils.config import DetectionConfig, ModelConfig, StreamProtocol, TrainingConfig, UpdateConfig
-from .metrics import RocCurve, auroc, roc_curve
+from .metrics import RocCurve, auroc, detection_latency, roc_curve
 
-__all__ = ["ExperimentScale", "PreparedDataset", "ExperimentHarness", "FORWARD"]
+__all__ = [
+    "ExperimentScale",
+    "PreparedDataset",
+    "EvalRecord",
+    "THRESHOLD_QUANTILE",
+    "prepare",
+    "evaluate",
+    "ExperimentHarness",
+    "FORWARD",
+]
 
 #: Row of the efficiency tables holding the forward every strategy shares.
 FORWARD = "CLSTM forward"
@@ -157,6 +174,70 @@ class PreparedDataset:
     pipeline: FeaturePipeline
 
 
+def prepare(spec: DatasetSpec, scale: ExperimentScale, protocol: StreamProtocol) -> PreparedDataset:
+    """Extract ``spec``'s train and test features with the scale's pipeline."""
+    pipeline = FeaturePipeline(
+        action_dim=scale.action_dim,
+        motion_channels=spec.profile.motion_channels,
+        embedding_dim=scale.interaction_embedding_dim,
+        protocol=protocol,
+        seed=scale.seed,
+    )
+    return PreparedDataset(
+        name=spec.name,
+        train=pipeline.extract(spec.train),
+        test=pipeline.extract(spec.test),
+        pipeline=pipeline,
+    )
+
+
+#: Every detector's alarm threshold is this quantile of its own train scores,
+#: one rule for all methods so thresholded comparisons stay fair.
+THRESHOLD_QUANTILE = 0.95
+
+
+@dataclass(frozen=True)
+class EvalRecord:
+    """One detector fitted on a dataset's train stream and scored on its test stream.
+
+    ``labels`` and ``scores`` are the test stream's, aligned by
+    ``segment_indices``; ``threshold`` is :data:`THRESHOLD_QUANTILE` of the
+    detector's train scores (0.0 when no train segment scored).
+    """
+
+    detector: StreamAnomalyDetector
+    segment_indices: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+    threshold: float
+    auroc: float
+
+    def roc(self) -> RocCurve:
+        """ROC curve of the test scores."""
+        return roc_curve(self.labels, self.scores)
+
+    def latency(self) -> float:
+        """Mean segments to the first alarm over the test stream's anomalous episodes."""
+        return detection_latency(self.labels, self.scores, self.threshold)
+
+
+def evaluate(detector: StreamAnomalyDetector, dataset: PreparedDataset) -> EvalRecord:
+    """Fit ``detector`` on ``dataset``'s train features, then score train and test."""
+    detector.fit(dataset.train)
+    train = detector.score_stream(dataset.train)
+    threshold = float(np.quantile(train.scores, THRESHOLD_QUANTILE)) if len(train) else 0.0
+    test = detector.score_stream(dataset.test)
+    labels = test.labels_from(dataset.test)
+    return EvalRecord(
+        detector=detector,
+        segment_indices=test.segment_indices,
+        labels=labels,
+        scores=test.scores,
+        threshold=threshold,
+        auroc=auroc(labels, test.scores),
+    )
+
+
 class ExperimentHarness:
     """Runs the paper's experiments at a configurable scale."""
 
@@ -168,40 +249,20 @@ class ExperimentHarness:
     # ------------------------------------------------------------------ #
     # Dataset preparation
     # ------------------------------------------------------------------ #
-    def prepare_dataset(self, name: str, use_cache: bool = True) -> PreparedDataset:
+    def prepare_dataset(self, name: str) -> PreparedDataset:
         """Simulate one dataset and extract its features (cached per harness)."""
         key = name.upper()
-        if use_cache and key in self._dataset_cache:
-            return self._dataset_cache[key]
-        scale = self.scale
-        spec = load_dataset(
-            key,
-            base_train_seconds=scale.train_seconds,
-            base_test_seconds=scale.test_seconds,
-            protocol=self.protocol,
-            seed=scale.seed,
-        )
-        pipeline = FeaturePipeline(
-            action_dim=scale.action_dim,
-            motion_channels=spec.profile.motion_channels,
-            embedding_dim=scale.interaction_embedding_dim,
-            protocol=self.protocol,
-            seed=scale.seed,
-        )
-        prepared = PreparedDataset(
-            name=key,
-            train=pipeline.extract(spec.train),
-            test=pipeline.extract(spec.test),
-            pipeline=pipeline,
-        )
-        if use_cache:
-            self._dataset_cache[key] = prepared
-        return prepared
-
-    def prepare_all(self, names: Optional[List[str]] = None) -> Dict[str, PreparedDataset]:
-        """Prepare several datasets (defaults to all four)."""
-        names = names if names is not None else list(DATASET_NAMES)
-        return {name: self.prepare_dataset(name) for name in names}
+        if key not in self._dataset_cache:
+            scale = self.scale
+            spec = load_dataset(
+                key,
+                base_train_seconds=scale.train_seconds,
+                base_test_seconds=scale.test_seconds,
+                protocol=self.protocol,
+                seed=scale.seed,
+            )
+            self._dataset_cache[key] = prepare(spec, scale, self.protocol)
+        return self._dataset_cache[key]
 
     # ------------------------------------------------------------------ #
     # Model construction helpers
@@ -218,7 +279,7 @@ class ExperimentHarness:
             sequence_length=scale.sequence_length,
             action_hidden=scale.action_hidden,
             interaction_hidden=scale.interaction_hidden,
-            coupling="both" if coupling == "both" else coupling,
+            coupling=coupling,
             training=scale.training_config(omega=omega, action_loss=action_loss),
             detection=scale.detection_config(omega=omega),
             seed=scale.seed,
@@ -242,74 +303,31 @@ class ExperimentHarness:
     # ------------------------------------------------------------------ #
     # Effectiveness experiments
     # ------------------------------------------------------------------ #
-    def method_auroc(self, dataset: PreparedDataset, method: StreamAnomalyDetector) -> float:
-        """Fit ``method`` on the dataset's training stream and report test AUROC."""
-        method.fit(dataset.train)
-        labels, scores = method.evaluate_labels(dataset.test)
-        return auroc(labels, scores)
-
-    def compare_methods(
-        self,
-        dataset_names: Optional[List[str]] = None,
-        method_names: Optional[List[str]] = None,
+    def loss_function_comparison(
+        self, dataset_names: Sequence[str] = DATASET_NAMES
     ) -> Dict[str, Dict[str, float]]:
-        """AUROC of every method on every dataset (Fig. 9b)."""
-        datasets = self.prepare_all(dataset_names)
-        results: Dict[str, Dict[str, float]] = {}
-        for dataset_name, dataset in datasets.items():
-            suite = self.detector_suite()
-            if method_names is not None:
-                suite = {name: suite[name] for name in method_names}
-            results[dataset_name] = {
-                method_name: self.method_auroc(dataset, method) for method_name, method in suite.items()
-            }
-        return results
-
-    def roc_curves(
-        self,
-        dataset_name: str,
-        method_names: Optional[List[str]] = None,
-    ) -> Dict[str, RocCurve]:
-        """ROC curves of the selected methods on one dataset (Fig. 10)."""
-        dataset = self.prepare_dataset(dataset_name)
-        suite = self.detector_suite()
-        if method_names is not None:
-            suite = {name: suite[name] for name in method_names}
-        curves: Dict[str, RocCurve] = {}
-        for name, method in suite.items():
-            method.fit(dataset.train)
-            labels, scores = method.evaluate_labels(dataset.test)
-            curves[name] = roc_curve(labels, scores)
-        return curves
-
-    def loss_function_comparison(self, dataset_names: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
         """AUROC of CLSTM trained with L2 / KL / JS action losses (Table I)."""
-        datasets = self.prepare_all(dataset_names)
-        results: Dict[str, Dict[str, float]] = {}
-        for loss in ("l2", "kl", "js"):
-            row: Dict[str, float] = {}
-            for dataset_name, dataset in datasets.items():
-                model = self.build_aovlis(action_loss=loss)
-                row[dataset_name] = self.method_auroc(dataset, model)
-            results[f"CLSTM+{loss.upper()}"] = row
-        return results
+        return {
+            f"CLSTM+{loss.upper()}": {
+                name: evaluate(self.build_aovlis(action_loss=loss), self.prepare_dataset(name)).auroc
+                for name in dataset_names
+            }
+            for loss in ("l2", "kl", "js")
+        }
 
     def omega_sweep(
         self,
-        omegas: Optional[List[float]] = None,
-        dataset_names: Optional[List[str]] = None,
+        omegas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0),
+        dataset_names: Sequence[str] = DATASET_NAMES,
     ) -> Dict[str, Dict[float, float]]:
         """AUROC as a function of the audience-interaction weight omega (Fig. 9a)."""
-        omegas = omegas if omegas is not None else [0.0, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0]
-        datasets = self.prepare_all(dataset_names)
-        results: Dict[str, Dict[float, float]] = {}
-        for dataset_name, dataset in datasets.items():
-            per_omega: Dict[float, float] = {}
-            for omega in omegas:
-                model = self.build_aovlis(omega=omega)
-                per_omega[omega] = self.method_auroc(dataset, model)
-            results[dataset_name] = per_omega
-        return results
+        return {
+            name: {
+                omega: evaluate(self.build_aovlis(omega=omega), self.prepare_dataset(name)).auroc
+                for omega in omegas
+            }
+            for name in dataset_names
+        }
 
     def epoch_effect(self, dataset_name: str, epochs: Optional[int] = None) -> Dict[str, list]:
         """Reconstruction error vs epoch for train/validation/test sets (Fig. 8)."""
@@ -394,8 +412,9 @@ class ExperimentHarness:
             retrain.detector = AnomalyDetector(retrain.model, retrain.detection_config)
             normal_batch = dataset.train.sequences(self.scale.sequence_length)
             retrain.detector.calibrate(normal_batch)
-            labels, scores = retrain.evaluate_labels(chunk_features[index + 1])
-            value = auroc(labels, scores)
+            upcoming = chunk_features[index + 1]
+            scored = retrain.score_stream(upcoming)
+            value = auroc(scored.labels_from(upcoming), scored.scores)
             if value == value:
                 retrain_aurocs.append(value)
 
@@ -414,22 +433,9 @@ class ExperimentHarness:
     # ------------------------------------------------------------------ #
     # Efficiency experiments
     # ------------------------------------------------------------------ #
-    def fit_detector_for_efficiency(self, dataset: PreparedDataset) -> AOVLIS:
-        """Train one CLSTM to reuse across the efficiency sweeps."""
-        model = self.build_aovlis()
-        model.fit(dataset.train)
-        return model
-
-    def _efficiency_setup(self, dataset_name: str, model: Optional[AOVLIS]) -> Tuple[AOVLIS, SequenceBatch]:
-        """The (fitted model, test batch) pair every efficiency experiment runs on."""
-        dataset = self.prepare_dataset(dataset_name)
-        model = model if model is not None else self.fit_detector_for_efficiency(dataset)
-        return model, dataset.test.sequences(self.scale.sequence_length)
-
-    def filtering_power_report(self, dataset_name: str, model: Optional[AOVLIS] = None) -> FilteringPowerReport:
-        """Filtering power of every bound strategy (Fig. 11a)."""
-        model, batch = self._efficiency_setup(dataset_name, model)
-        return evaluate_filtering_power(model.detector, batch)
+    def _test_batch(self, dataset_name: str) -> SequenceBatch:
+        """The test batch every efficiency experiment runs on."""
+        return self.prepare_dataset(dataset_name).test.sequences(self.scale.sequence_length)
 
     def _cascade_times(
         self, batch: SequenceBatch, filters: Mapping[object, FilteredDetector]
@@ -458,16 +464,15 @@ class ExperimentHarness:
         return times, exact
 
     def optimisation_strategy_times(
-        self,
-        dataset_name: str,
-        model: Optional[AOVLIS] = None,
+        self, dataset_name: str, model: AOVLIS
     ) -> Tuple[Dict[str, float], Dict[str, int]]:
         """Cascade time and exact ``RE_I`` count of each optimisation strategy (Fig. 11b).
 
-        Returns ``(seconds per segment, exact computations)`` keyed by
-        strategy; the times also hold the shared :data:`FORWARD` row.
+        ``model`` is fitted on the dataset's training stream.  Returns
+        ``(seconds per segment, exact computations)`` keyed by strategy; the
+        times also hold the shared :data:`FORWARD` row.
         """
-        model, batch = self._efficiency_setup(dataset_name, model)
+        batch = self._test_batch(dataset_name)
         strategies = {
             "No Bound": dict(use_l1_bounds=False, use_adg_bound=False, adaptive=False),
             "JSmin+JSmax": dict(use_l1_bounds=True, use_adg_bound=False, adaptive=False),
@@ -482,17 +487,15 @@ class ExperimentHarness:
     def ados_threshold_sweep(
         self,
         dataset_name: str,
-        t1_values: Optional[List[float]] = None,
-        t2_values: Optional[List[float]] = None,
-        model: Optional[AOVLIS] = None,
+        model: AOVLIS,
+        t1_values: Sequence[float] = (1.1, 1.3, 1.5, 1.7, 1.9),
+        t2_values: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
     ) -> Dict[str, Dict[float, float]]:
-        """Per-segment ADOS cascade time as T1 and T2 vary (Fig. 12a/b).
+        """Per-segment ADOS cascade time of a fitted ``model`` as T1 and T2 vary (Fig. 12a/b).
 
         ``{"T1": {t1: seconds}, "T2": {t2: seconds}, FORWARD: seconds}``.
         """
-        model, batch = self._efficiency_setup(dataset_name, model)
-        t1_values = t1_values if t1_values is not None else [1.1, 1.3, 1.5, 1.7, 1.9]
-        t2_values = t2_values if t2_values is not None else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        batch = self._test_batch(dataset_name)
 
         base_config = model.detection_config
         configs = {("T1", t1): replace(base_config, trigger_low=t1) for t1 in t1_values}
@@ -509,15 +512,14 @@ class ExperimentHarness:
     def sparse_group_sweep(
         self,
         dataset_name: str,
-        group_counts: Optional[List[int]] = None,
-        model: Optional[AOVLIS] = None,
+        model: AOVLIS,
+        group_counts: Sequence[int] = (0, 2, 4, 6, 8, 10, 12, 14),
     ) -> Tuple[Dict[object, float], Dict[int, int]]:
         """ADOS cascade time and exact ``RE_I`` count as ``N_sg`` varies (Fig. 12c).
 
         Same shape as :meth:`optimisation_strategy_times`, keyed by ``N_sg``.
         """
-        model, batch = self._efficiency_setup(dataset_name, model)
-        group_counts = group_counts if group_counts is not None else [0, 2, 4, 6, 8, 10, 12, 14]
+        batch = self._test_batch(dataset_name)
         return self._cascade_times(
             batch,
             {
@@ -529,30 +531,19 @@ class ExperimentHarness:
         )
 
     def method_detection_times(
-        self,
-        dataset_name: str,
-        method_names: Optional[List[str]] = None,
-        suite: Optional[Mapping[str, StreamAnomalyDetector]] = None,
+        self, dataset_name: str, suite: Mapping[str, StreamAnomalyDetector]
     ) -> Dict[str, float]:
         """Per-segment detection (scoring) time per method (Fig. 11c).
 
-        ``suite`` takes methods already fitted on the dataset's training
-        stream; otherwise the comparison suite is fitted here.  The CLSTM
-        entry is additionally reported with ADOS filtering ("CLSTM-ADOS": the
-        forward plus the ADOS cascade, where "CLSTM" is the forward plus the
-        exact score), matching the paper's comparison.
+        ``suite`` holds methods fitted on the dataset's training stream.  The
+        CLSTM entry is additionally reported with ADOS filtering
+        ("CLSTM-ADOS": the forward plus the ADOS cascade, where "CLSTM" is the
+        forward plus the exact score), matching the paper's comparison.
         """
-        dataset = self.prepare_dataset(dataset_name)
-        fitted = suite is not None
-        suite = suite if fitted else self.detector_suite()
-        if method_names is not None:
-            suite = {name: suite[name] for name in method_names}
-        if not fitted:
-            for method in suite.values():
-                method.fit(dataset.train)
-        scorers = {name: partial(method.score_stream, dataset.test) for name, method in suite.items()}
+        test = self.prepare_dataset(dataset_name).test
+        scorers = {name: partial(method.score_stream, test) for name, method in suite.items()}
         if "CLSTM" in suite:
-            batch = dataset.test.sequences(self.scale.sequence_length)
+            batch = self._test_batch(dataset_name)
             scorers["CLSTM-ADOS"] = partial(FilteredDetector(suite["CLSTM"].detector).detect, batch)
         return {
             name: seconds / max(len(scorers[name]()), 1)
@@ -562,50 +553,35 @@ class ExperimentHarness:
     # ------------------------------------------------------------------ #
     # Case study (Table IV)
     # ------------------------------------------------------------------ #
-    def case_study(
-        self,
-        dataset_name: str = "INF",
-        num_samples: int = 15,
-        method_names: Optional[List[str]] = None,
-    ) -> Dict[str, object]:
+    def case_study(self, records: Mapping[str, EvalRecord], num_samples: int = 15) -> Dict[str, object]:
         """Per-segment scores and decisions for a sample of test segments.
 
         Mirrors Table IV: a mix of anomalous and normal segments is sampled
-        from the test stream, every method scores them, and hard decisions are
-        made with each method's own threshold (95th percentile of its training
-        scores, the same rule for all methods to keep the comparison fair).
+        from the test segments every record scored, and each method decides
+        with its record's threshold (the one rule of :func:`evaluate`).
         """
-        dataset = self.prepare_dataset(dataset_name)
-        suite = self.detector_suite()
-        if method_names is not None:
-            suite = {name: suite[name] for name in method_names}
-
-        per_method_scored: Dict[str, object] = {}
-        per_method_thresholds: Dict[str, float] = {}
-        common_indices: Optional[np.ndarray] = None
-        for name, method in suite.items():
-            method.fit(dataset.train)
-            train_scored = method.score_stream(dataset.train)
-            threshold = float(np.quantile(train_scored.scores, 0.95)) if len(train_scored) else 0.0
-            test_scored = method.score_stream(dataset.test)
-            per_method_scored[name] = test_scored
-            per_method_thresholds[name] = threshold
-            indices = test_scored.segment_indices
+        common_indices = None
+        for record in records.values():
+            indices = record.segment_indices
             common_indices = indices if common_indices is None else np.intersect1d(common_indices, indices)
-
         if common_indices is None or len(common_indices) == 0:
             raise RuntimeError("no commonly scored segments across methods")
 
-        labels = dataset.test.labels
+        first = next(iter(records.values()))
+        labels = dict(zip(first.segment_indices.tolist(), first.labels.tolist()))
         rng = np.random.default_rng(self.scale.seed)
-        anomalous = [i for i in common_indices if labels[i] == 1]
-        normal = [i for i in common_indices if labels[i] == 0]
+        anomalous = [i for i in common_indices if labels[int(i)] == 1]
+        normal = [i for i in common_indices if labels[int(i)] == 0]
         rng.shuffle(anomalous)
         rng.shuffle(normal)
         wanted_anomalous = min(len(anomalous), max(1, num_samples // 2))
         chosen = anomalous[:wanted_anomalous] + normal[: num_samples - wanted_anomalous]
         chosen = sorted(int(i) for i in chosen)[:num_samples]
 
+        positions = {
+            name: {int(index): position for position, index in enumerate(record.segment_indices)}
+            for name, record in records.items()
+        }
         samples: List[Dict[str, object]] = []
         for sample_id, segment_index in enumerate(chosen, start=1):
             row: Dict[str, object] = {
@@ -613,12 +589,9 @@ class ExperimentHarness:
                 "segment_index": segment_index,
                 "ground_truth": int(labels[segment_index]),
             }
-            for name in suite:
-                scored = per_method_scored[name]
-                index_to_position = {int(idx): pos for pos, idx in enumerate(scored.segment_indices)}
-                position = index_to_position[segment_index]
-                score = float(scored.scores[position])
+            for name, record in records.items():
+                score = float(record.scores[positions[name][segment_index]])
                 row[f"{name}_score"] = score
-                row[f"{name}_label"] = int(score > per_method_thresholds[name])
+                row[f"{name}_label"] = int(score > record.threshold)
             samples.append(row)
-        return {"samples": samples, "thresholds": per_method_thresholds}
+        return {"samples": samples, "thresholds": {name: record.threshold for name, record in records.items()}}

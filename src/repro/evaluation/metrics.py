@@ -1,15 +1,15 @@
-"""Evaluation metrics: ROC curve, AUROC, confusion counts, filtering power.
+"""Evaluation metrics: ROC curve, AUROC, confusion counts, detection latency.
 
 The paper evaluates effectiveness with ROC curves and the area under them
-(AUROC) and efficiency with per-segment detection time and the filtering-power
-metric.  Implementations here are NumPy-only and handle the degenerate cases
+(AUROC) and thresholded decisions; the scenario leaderboard adds the
+detection latency of a threshold.  Implementations here are NumPy-only and handle the degenerate cases
 (all-normal or all-anomalous label sets) explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "true_positive_rate",
     "false_positive_rate",
     "precision_recall_f1",
+    "detection_latency",
 ]
 
 
@@ -181,3 +182,31 @@ def precision_recall_f1(labels: Sequence[int], predictions: Sequence[bool]) -> d
     recall = counts["tp"] / (counts["tp"] + counts["fn"]) if counts["tp"] + counts["fn"] else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def detection_latency(labels: Sequence[int], scores: Sequence[float], threshold: float) -> float:
+    """Mean segments-to-first-alarm over contiguous anomalous episodes.
+
+    For each maximal run of consecutive ``labels == 1`` segments, the latency
+    is the offset of the first segment inside the run whose score exceeds
+    ``threshold``; a run with no alarm contributes its full length.  Returns
+    ``nan`` when the stream has no anomalous episode.
+    """
+    labels = np.asarray(labels).astype(int)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.shape != scores.shape:
+        raise ValueError("labels and scores must align")
+    latencies: List[float] = []
+    run_start: Optional[int] = None
+    for index in range(len(labels) + 1):
+        inside = index < len(labels) and labels[index] == 1
+        if inside and run_start is None:
+            run_start = index
+        elif not inside and run_start is not None:
+            run = scores[run_start:index] > threshold
+            hits = np.nonzero(run)[0]
+            latencies.append(float(hits[0]) if len(hits) else float(index - run_start))
+            run_start = None
+    if not latencies:
+        return float("nan")
+    return float(np.mean(latencies))

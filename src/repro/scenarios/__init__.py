@@ -23,7 +23,6 @@ from .leaderboard import (
     DriftComparison,
     ScenarioCell,
     ScenarioLeaderboard,
-    detection_latency,
     run_scenario_suite,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "ScenarioCell",
     "DriftComparison",
     "ScenarioLeaderboard",
-    "detection_latency",
     "run_scenario_suite",
     "RuntimeDriveReport",
     "drive_runtime",

@@ -20,11 +20,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..evaluation.harness import ExperimentScale
-from ..features.pipeline import FeaturePipeline
+from ..evaluation.harness import ExperimentScale, prepare
 from ..runtime import Runtime
 from ..serving.service import ManualClock, StreamDetection
-from ..streams.datasets import dataset_profile
 from ..utils.config import ServingConfig, StreamProtocol
 from .config import ScenarioConfig
 from .generate import generate_scenario
@@ -80,16 +78,8 @@ def drive_runtime(
     scale = scale if scale is not None else ExperimentScale.tiny()
     protocol = protocol if protocol is not None else StreamProtocol()
     streams = generate_scenario(config, protocol=protocol)
-    profile = dataset_profile(config.base_profile)
-    pipeline = FeaturePipeline(
-        action_dim=scale.action_dim,
-        motion_channels=profile.motion_channels,
-        embedding_dim=scale.interaction_embedding_dim,
-        protocol=protocol,
-        seed=scale.seed,
-    )
-    train_features = pipeline.extract(streams.train)
-    test_features = pipeline.extract(streams.test)
+    dataset = prepare(streams.spec, scale, protocol)
+    train_features, test_features = dataset.train, dataset.test
 
     runtime_config = scale.runtime_config(
         train_features,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..streams.datasets import dataset_profile
+from ..streams.datasets import DatasetSpec, dataset_profile
 from ..streams.events import SocialVideoStream
 from ..streams.generator import ProfilePerturbation, SocialStreamGenerator
 from ..utils.config import StreamProtocol
@@ -34,6 +34,11 @@ class ScenarioStreams:
     def onset_second(self) -> float:
         """Perturbation onset within the test stream."""
         return self.config.onset_second
+
+    @property
+    def spec(self) -> DatasetSpec:
+        """The pair as a dataset of the scenario's base profile."""
+        return DatasetSpec(self.config.name, dataset_profile(self.config.base_profile), self.train, self.test)
 
 
 def generate_scenario(

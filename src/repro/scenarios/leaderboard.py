@@ -1,17 +1,18 @@
 """Leaderboard harness sweeping detector variants across the scenario suite.
 
-:func:`run_scenario_suite` fits every requested detector variant on each
-scenario's clean training stream, scores the perturbed test stream, and
-aggregates three effectiveness metrics per (scenario, variant) cell:
+:func:`run_scenario_suite` evaluates every requested detector variant on each
+scenario through :func:`repro.evaluation.evaluate` — fit on the clean
+training stream, score the perturbed test stream — and aggregates three
+effectiveness metrics per (scenario, variant) cell:
 
 * **AUROC** — the paper's headline effectiveness metric;
 * **TPR@FPR** — the point-wise operating comparison at a fixed false-positive
   budget (default 10%);
 * **detection latency** — mean number of segments between the start of a
   contiguous anomalous episode and the first segment whose score exceeds the
-  variant's own threshold (the 95th percentile of its training scores, the
-  same rule :meth:`ExperimentHarness.case_study` uses); an undetected episode
-  contributes its full length.
+  variant's threshold (the one threshold rule, which lives in
+  :func:`~repro.evaluation.evaluate`); an undetected episode contributes its
+  full length.
 
 Variants are ranked per scenario by AUROC and overall by mean rank; the
 result renders as text tables (:meth:`ScenarioLeaderboard.render`) and
@@ -28,17 +29,14 @@ with the training distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.update import hidden_set_similarity
-from ..evaluation.harness import ExperimentHarness, ExperimentScale
-from ..evaluation.metrics import auroc, roc_curve
+from ..evaluation.harness import ExperimentHarness, ExperimentScale, PreparedDataset, evaluate, prepare
 from ..evaluation.reporting import format_table
-from ..features.pipeline import FeaturePipeline, StreamFeatures
-from ..streams.datasets import dataset_profile
 from ..utils.config import StreamProtocol
 from .config import ScenarioConfig, standard_suite
 from .generate import ScenarioStreams, generate_scenario
@@ -47,39 +45,8 @@ __all__ = [
     "ScenarioCell",
     "DriftComparison",
     "ScenarioLeaderboard",
-    "detection_latency",
     "run_scenario_suite",
 ]
-
-
-def detection_latency(
-    labels: np.ndarray, scores: np.ndarray, threshold: float
-) -> float:
-    """Mean segments-to-first-alarm over contiguous anomalous episodes.
-
-    For each maximal run of consecutive ``labels == 1`` segments, the latency
-    is the offset of the first segment inside the run whose score exceeds
-    ``threshold``; a run with no alarm contributes its full length.  Returns
-    ``nan`` when the stream has no anomalous episode.
-    """
-    labels = np.asarray(labels).astype(int)
-    scores = np.asarray(scores, dtype=np.float64)
-    if labels.shape != scores.shape:
-        raise ValueError("labels and scores must align")
-    latencies: List[float] = []
-    run_start: Optional[int] = None
-    for index in range(len(labels) + 1):
-        inside = index < len(labels) and labels[index] == 1
-        if inside and run_start is None:
-            run_start = index
-        elif not inside and run_start is not None:
-            run = scores[run_start:index] > threshold
-            hits = np.nonzero(run)[0]
-            latencies.append(float(hits[0]) if len(hits) else float(index - run_start))
-            run_start = None
-    if not latencies:
-        return float("nan")
-    return float(np.mean(latencies))
 
 
 @dataclass(frozen=True)
@@ -203,32 +170,16 @@ class ScenarioLeaderboard:
         return "\n\n".join(parts)
 
 
-def _extract_features(
-    streams: ScenarioStreams,
-    scale: ExperimentScale,
-    protocol: StreamProtocol,
-) -> Tuple[StreamFeatures, StreamFeatures]:
-    profile = dataset_profile(streams.config.base_profile)
-    pipeline = FeaturePipeline(
-        action_dim=scale.action_dim,
-        motion_channels=profile.motion_channels,
-        embedding_dim=scale.interaction_embedding_dim,
-        protocol=protocol,
-        seed=scale.seed,
-    )
-    return pipeline.extract(streams.train), pipeline.extract(streams.test)
-
-
 def _drift_comparison(
     clstm,
-    train_features: StreamFeatures,
-    test_features: StreamFeatures,
+    dataset: PreparedDataset,
     streams: ScenarioStreams,
     scale: ExperimentScale,
 ) -> Optional[DriftComparison]:
     """Cosine vs centered similarity of post-onset states to training states."""
     sequence_length = scale.sequence_length
-    train_batch = train_features.sequences(sequence_length)
+    test_features = dataset.test
+    train_batch = dataset.train.sequences(sequence_length)
     onset_index = int(streams.onset_second)
     latest_start = test_features.num_segments - (sequence_length + 2)
     if latest_start <= 0:
@@ -290,8 +241,8 @@ def run_scenario_suite(
     drift: List[DriftComparison] = []
     for scenario in scenarios:
         streams = generate_scenario(scenario, protocol=protocol)
-        train_features, test_features = _extract_features(streams, scale, protocol)
-        anomaly_fraction = float(np.mean(test_features.labels))
+        dataset = prepare(streams.spec, scale, protocol)
+        anomaly_fraction = float(np.mean(dataset.test.labels))
 
         suite = harness.detector_suite()
         if variant_names is not None:
@@ -299,29 +250,18 @@ def run_scenario_suite(
 
         scenario_cells: List[ScenarioCell] = []
         for variant_name, detector in suite.items():
-            detector.fit(train_features)
-            train_scored = detector.score_stream(train_features)
-            threshold = (
-                float(np.quantile(train_scored.scores, 0.95))
-                if len(train_scored)
-                else 0.0
-            )
-            scored = detector.score_stream(test_features)
-            labels = scored.labels_from(test_features)
-            area = auroc(labels, scored.scores)
-            if area == area:
-                tpr = roc_curve(labels, scored.scores).tpr_at_fpr(fpr_target)
+            record = evaluate(detector, dataset)
+            if record.auroc == record.auroc:
+                tpr = record.roc().tpr_at_fpr(fpr_target)
             else:
                 tpr = float("nan")
             scenario_cells.append(
                 ScenarioCell(
                     scenario=scenario.name,
                     variant=variant_name,
-                    auroc=float(area),
+                    auroc=float(record.auroc),
                     tpr_at_fpr=float(tpr),
-                    detection_latency=detection_latency(
-                        labels, scored.scores, threshold
-                    ),
+                    detection_latency=record.latency(),
                     anomaly_fraction=anomaly_fraction,
                 )
             )
@@ -330,9 +270,7 @@ def run_scenario_suite(
 
         clstm = suite.get("CLSTM")
         if clstm is not None:
-            comparison = _drift_comparison(
-                clstm, train_features, test_features, streams, scale
-            )
+            comparison = _drift_comparison(clstm, dataset, streams, scale)
             if comparison is not None:
                 drift.append(comparison)
 

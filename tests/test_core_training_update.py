@@ -172,8 +172,8 @@ class TestVariants:
             sequence_length=4, action_hidden=10, interaction_hidden=5, training=fast_training
         )
         detector.fit(train)
-        labels, scores = detector.evaluate_labels(test)
-        assert len(labels) == len(scores)
+        scored = detector.score_stream(test)
+        assert len(scored.labels_from(test)) == len(scored.scores)
 
     def test_score_before_fit_raises(self, tiny_train_test):
         _, test = tiny_train_test
@@ -213,7 +213,8 @@ class TestAOVLISFacade:
     def test_scores_have_signal(self, fitted):
         """Anomalous segments should score higher on average than normal ones."""
         model, _, test = fitted
-        labels, scores = model.evaluate_labels(test)
+        scored = model.score_stream(test)
+        labels, scores = scored.labels_from(test), scored.scores
         if labels.sum() and (labels == 0).sum():
             assert scores[labels == 1].mean() > scores[labels == 0].mean()
 

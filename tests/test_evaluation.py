@@ -20,8 +20,10 @@ from repro.evaluation import (
     precision_recall_f1,
     roc_curve,
     true_positive_rate,
+    evaluate,
 )
 from repro.evaluation.harness import FORWARD
+from repro.optimization.filtering import evaluate_filtering_power
 
 
 class TestMetrics:
@@ -158,6 +160,12 @@ class TestReporting:
         assert "-" in rendered  # missing value placeholder
 
 
+@pytest.fixture(scope="module")
+def tiny_record(tiny_harness):
+    """One CLSTM evaluated on the tiny INF dataset."""
+    return evaluate(tiny_harness.build_aovlis(), tiny_harness.prepare_dataset("INF"))
+
+
 class TestHarness:
     def test_tiny_scale_values(self):
         tiny = ExperimentScale.tiny()
@@ -179,10 +187,12 @@ class TestHarness:
         suite = tiny_harness.detector_suite()
         assert set(suite) == {"LTR", "VEC", "LSTM", "RTFM", "CLSTM-S", "CLSTM"}
 
-    def test_method_auroc_runs(self, tiny_harness):
-        dataset = tiny_harness.prepare_dataset("INF")
-        value = tiny_harness.method_auroc(dataset, tiny_harness.build_aovlis())
-        assert 0.0 <= value <= 1.0
+    def test_evaluate_fits_and_scores_test(self, tiny_harness, tiny_record):
+        test = tiny_harness.prepare_dataset("INF").test
+        assert 0.0 <= tiny_record.auroc <= 1.0
+        assert tiny_record.auroc == auroc(tiny_record.labels, tiny_record.scores)
+        np.testing.assert_array_equal(tiny_record.labels, test.labels[tiny_record.segment_indices])
+        assert tiny_record.roc().fpr[-1] == 1.0
 
     def test_loss_function_comparison_rows(self, tiny_harness):
         results = tiny_harness.loss_function_comparison(dataset_names=["INF"])
@@ -198,15 +208,16 @@ class TestHarness:
         assert len(curves["train"]) == 2
         assert len(curves["validation"]) == 2
 
-    def test_filtering_power_report(self, tiny_harness):
-        report = tiny_harness.filtering_power_report("INF")
+    def test_filtering_power_of_an_evaluated_clstm(self, tiny_harness, tiny_record):
+        batch = tiny_harness.prepare_dataset("INF").test.sequences(tiny_harness.scale.sequence_length)
+        report = evaluate_filtering_power(tiny_record.detector.detector, batch)
         assert report.total_segments > 0
         assert "ADOS" in report.as_dict()
 
-    def test_optimisation_strategy_times(self, tiny_harness):
+    def test_optimisation_strategy_times(self, tiny_harness, tiny_record):
         """The shared forward is its own row, every cascade is timed alone,
         and the exact RE_I counts ride along."""
-        times, exact = tiny_harness.optimisation_strategy_times("INF")
+        times, exact = tiny_harness.optimisation_strategy_times("INF", tiny_record.detector)
         strategies = {"No Bound", "JSmin+JSmax", "JSmin+JSmax+REG", "ADOS"}
         assert set(times) == strategies | {FORWARD} and set(exact) == strategies
         assert all(value > 0 for value in times.values())
@@ -215,13 +226,15 @@ class TestHarness:
         assert exact["JSmin+JSmax+REG"] <= exact["JSmin+JSmax"] <= len(batch)
         assert exact["JSmin+JSmax+REG"] <= exact["ADOS"] <= len(batch)
 
-    def test_sparse_group_sweep(self, tiny_harness):
-        times, exact = tiny_harness.sparse_group_sweep("INF", group_counts=[0, 4])
+    def test_sparse_group_sweep(self, tiny_harness, tiny_record):
+        times, exact = tiny_harness.sparse_group_sweep("INF", tiny_record.detector, group_counts=[0, 4])
         assert set(times) == {FORWARD, 0, 4} and set(exact) == {0, 4}
         assert exact[4] <= exact[0]
 
-    def test_ados_threshold_sweep(self, tiny_harness):
-        sweep = tiny_harness.ados_threshold_sweep("INF", t1_values=[1.2, 1.8], t2_values=[0.1, 0.5])
+    def test_ados_threshold_sweep(self, tiny_harness, tiny_record):
+        sweep = tiny_harness.ados_threshold_sweep(
+            "INF", tiny_record.detector, t1_values=[1.2, 1.8], t2_values=[0.1, 0.5]
+        )
         assert set(sweep) == {FORWARD, "T1", "T2"}
         assert set(sweep["T1"]) == {1.2, 1.8}
         assert set(sweep["T2"]) == {0.1, 0.5}
@@ -241,8 +254,10 @@ class TestHarness:
         with pytest.raises(ValueError):
             tiny_harness.incremental_update_experiment("INF", chunks=1)
 
-    def test_case_study_rows(self, tiny_harness):
-        study = tiny_harness.case_study("INF", num_samples=6, method_names=["LTR", "CLSTM"])
+    def test_case_study_rows(self, tiny_harness, tiny_record):
+        ltr = evaluate(tiny_harness.detector_suite()["LTR"], tiny_harness.prepare_dataset("INF"))
+        study = tiny_harness.case_study({"LTR": ltr, "CLSTM": tiny_record}, num_samples=6)
+        assert study["thresholds"] == {"LTR": ltr.threshold, "CLSTM": tiny_record.threshold}
         samples = study["samples"]
         assert 0 < len(samples) <= 6
         for row in samples:

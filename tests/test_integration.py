@@ -16,7 +16,7 @@ from repro import (
     auroc,
     load_dataset,
 )
-from repro.evaluation import ExperimentHarness, ExperimentScale
+from repro.evaluation import ExperimentHarness, ExperimentScale, evaluate
 from repro.utils.config import TrainingConfig, UpdateConfig
 
 
@@ -46,9 +46,10 @@ def trained_aovlis(inf_dataset):
 class TestEndToEnd:
     def test_detection_beats_random(self, inf_dataset, trained_aovlis):
         _, test, _ = inf_dataset
-        labels, scores = trained_aovlis.evaluate_labels(test)
+        scored = trained_aovlis.score_stream(test)
+        labels = scored.labels_from(test)
         assert labels.sum() > 0, "test stream should contain anomalies"
-        assert auroc(labels, scores) > 0.6
+        assert auroc(labels, scored.scores) > 0.6
 
     def test_clstm_outperforms_visual_only_baseline(self, inf_dataset, trained_aovlis):
         """Headline claim of the paper: exploiting audience interaction beats
@@ -56,9 +57,11 @@ class TestEndToEnd:
         train, test, _ = inf_dataset
         ltr = LTRDetector(training=TrainingConfig(epochs=6, batch_size=16, checkpoint_every=2, seed=1))
         ltr.fit(train)
-        ltr_labels, ltr_scores = ltr.evaluate_labels(test)
-        clstm_labels, clstm_scores = trained_aovlis.evaluate_labels(test)
-        assert auroc(clstm_labels, clstm_scores) >= auroc(ltr_labels, ltr_scores) - 0.05
+        ltr_scored = ltr.score_stream(test)
+        clstm_scored = trained_aovlis.score_stream(test)
+        assert auroc(clstm_scored.labels_from(test), clstm_scored.scores) >= (
+            auroc(ltr_scored.labels_from(test), ltr_scored.scores) - 0.05
+        )
 
     def test_threshold_detection_flags_some_anomalies(self, inf_dataset, trained_aovlis):
         _, test, _ = inf_dataset
@@ -118,22 +121,30 @@ class TestEndToEnd:
         np.testing.assert_allclose(before, after, atol=1e-10)
 
 
+@pytest.fixture(scope="module")
+def tiny_records():
+    """LTR and CLSTM evaluated on the tiny INF dataset, with their harness."""
+    harness = ExperimentHarness(ExperimentScale.tiny())
+    dataset = harness.prepare_dataset("INF")
+    suite = harness.detector_suite()
+    return harness, {name: evaluate(suite[name], dataset) for name in ("LTR", "CLSTM")}
+
+
 class TestHarnessIntegration:
-    def test_compare_methods_tiny(self):
-        harness = ExperimentHarness(ExperimentScale.tiny())
-        results = harness.compare_methods(dataset_names=["INF"], method_names=["LTR", "CLSTM"])
-        assert set(results["INF"]) == {"LTR", "CLSTM"}
-        for value in results["INF"].values():
-            assert np.isnan(value) or 0.0 <= value <= 1.0
+    def test_evaluate_methods_tiny(self, tiny_records):
+        _, records = tiny_records
+        for record in records.values():
+            assert np.isnan(record.auroc) or 0.0 <= record.auroc <= 1.0
+            assert len(record.labels) == len(record.scores) == len(record.segment_indices)
 
-    def test_roc_curves_tiny(self):
-        harness = ExperimentHarness(ExperimentScale.tiny())
-        curves = harness.roc_curves("INF", method_names=["CLSTM"])
-        assert "CLSTM" in curves
-        assert curves["CLSTM"].fpr[-1] == 1.0
+    def test_record_roc_tiny(self, tiny_records):
+        _, records = tiny_records
+        curve = records["CLSTM"].roc()
+        assert curve.fpr[-1] == 1.0
+        assert curve.area() == pytest.approx(records["CLSTM"].auroc)
 
-    def test_method_detection_times_tiny(self):
-        harness = ExperimentHarness(ExperimentScale.tiny())
-        times = harness.method_detection_times("INF", method_names=["LTR", "CLSTM"])
+    def test_method_detection_times_tiny(self, tiny_records):
+        harness, records = tiny_records
+        times = harness.method_detection_times("INF", {name: r.detector for name, r in records.items()})
         assert set(times) == {"LTR", "CLSTM", "CLSTM-ADOS"}
         assert all(value > 0 for value in times.values())

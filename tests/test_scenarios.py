@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.evaluation.harness import ExperimentScale
+from repro.evaluation import ExperimentHarness, ExperimentScale, detection_latency, evaluate, prepare
 from repro.scenarios import (
     SCENARIO_KINDS,
     RuntimeDriveReport,
     ScenarioConfig,
     ScenarioLeaderboard,
-    detection_latency,
     drive_runtime,
     generate_scenario,
     run_scenario_suite,
@@ -19,6 +18,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.leaderboard import _overall_ranking, _ranked, ScenarioCell
 from repro.streams.generator import ProfilePerturbation, SocialStreamGenerator, StreamProfile
+from repro.utils.config import StreamProtocol
 
 
 SMALL = dict(train_seconds=120.0, test_seconds=100.0, seed=7)
@@ -353,6 +353,27 @@ class TestLeaderboard:
     def test_fpr_target_validated(self):
         with pytest.raises(ValueError, match="fpr_target"):
             run_scenario_suite(scenarios=(), fpr_target=1.5)
+
+
+class TestOneThresholdRule:
+    """``evaluate`` owns the one threshold rule; Table IV and the leaderboard read it."""
+
+    def test_threshold_is_the_train_quantile_everywhere(self, small_leaderboard):
+        scale = ExperimentScale.tiny()
+        harness = ExperimentHarness(scale)
+        config = ScenarioConfig(name="regime_switch", kind="regime_switch", onset_fraction=0.5, **SMALL)
+        dataset = prepare(generate_scenario(config).spec, scale, StreamProtocol())
+        record = evaluate(harness.detector_suite()["CLSTM"], dataset)
+
+        train_scores = record.detector.score_stream(dataset.train).scores
+        assert record.threshold == np.quantile(train_scores, 0.95)
+        study = harness.case_study({"CLSTM": record}, num_samples=6)
+        assert study["thresholds"]["CLSTM"] == record.threshold
+
+        assert record.labels.sum() > 0
+        cell = small_leaderboard.cell("regime_switch", "CLSTM")
+        assert cell.detection_latency == detection_latency(record.labels, record.scores, record.threshold)
+        assert cell.auroc == record.auroc
 
 
 class TestDriveRuntime:
