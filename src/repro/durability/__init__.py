@@ -13,18 +13,22 @@ since lost on a crash.  This package closes the gap end to end:
 * :mod:`~repro.durability.policy` — :class:`CheckpointPolicy`: checkpoint
   every K records / U publishes / T seconds through the runtime's injectable
   clock.
-* :mod:`~repro.durability.checkpoints` — :class:`CheckpointStore`:
-  manifest-chained *delta* checkpoints (only model versions absent from the
-  parent are rewritten), compaction back to a full checkpoint every N
-  deltas, retention of exactly the live chain, and write-time-loud failure
-  when a chain's files have gone missing.
+* :mod:`~repro.durability.checkpoints` — the checkpoint format's one home:
+  ``write_checkpoint``/``read_checkpoint`` (the only writer and reader of a
+  checkpoint directory) and :class:`CheckpointStore`: manifest-chained
+  *delta* checkpoints (only model versions absent from the parent are
+  rewritten), compaction back to a full checkpoint every N deltas,
+  retention of exactly the live chain, and write-time-loud failure when a
+  chain's files have gone missing.
 * :mod:`~repro.durability.metrics` — a dependency-free Prometheus
   text-format renderer over every counter the runtime exposes, served at
   ``GET /metrics`` by :mod:`repro.server`.
 
 Everything is driven through :class:`~repro.runtime.Runtime`: set
 ``RuntimeConfig.durability.directory`` and the runtime logs, checkpoints and
-recovers (:meth:`Runtime.recover`) on its own.
+recovers (:meth:`Runtime.recover`) on its own.  The runtime only takes the
+checkpoint's cut (WAL rotation, registry snapshot, serving state); what lands
+on disk is decided here.
 """
 
 from .checkpoints import CheckpointStore, DeltaSourceError, StoredCheckpoint

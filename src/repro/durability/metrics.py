@@ -253,7 +253,7 @@ def render_runtime_metrics(
     rebalance = runtime.rebalance_stats()
     out.add(
         "shards",
-        rebalance.get("shards", len(runtime.load_stats())),
+        rebalance["shards"],
         help="Live scoring shards (grows/shrinks under the rebalancer).",
         labels=base,
     )

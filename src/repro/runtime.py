@@ -13,10 +13,11 @@ the assembled product:
   ``fit`` trains the CLSTM and calibrates the detector, publishing version 1
   into a :class:`~repro.serving.registry.ModelRegistry`; ``ingest``/``poll``/
   ``drain`` drive the (optionally sharded) micro-batching scoring service,
-  whose attached update planes keep the model fresh; ``checkpoint`` persists
-  the full runtime — every retained model version's weights via
-  :mod:`repro.nn.serialization`, detector calibration, the version pointer,
-  per-stream session windows, the drift monitor and queued requests — so
+  whose attached update planes keep the model fresh; ``checkpoint`` takes a
+  cut of the full runtime — every retained model version, detector
+  calibration, the version pointer, per-stream session windows, the drift
+  monitor and queued requests — and hands it to
+  :mod:`repro.durability.checkpoints`, which owns the on-disk format, so
   :meth:`Runtime.from_checkpoint` resumes with **bitwise-identical**
   detections on a replayed stream (the crash-recovery contract).
 
@@ -27,14 +28,10 @@ friends are the escape hatch for deployments the facade does not model
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -42,16 +39,14 @@ from .core.clstm import CLSTM
 from .core.detector import AnomalyDetector
 from .core.training import CLSTMTrainer, TrainingHistory
 from .durability.checkpoints import (
+    CHECKPOINT_FORMAT,
     CheckpointStore,
-    DeltaSourceError,
-    StoredCheckpoint,
-    pack_state,
-    unpack_state,
+    read_checkpoint,
+    write_checkpoint,
 )
 from .durability.policy import CheckpointPolicy
-from .durability.wal import WalPosition, WriteAheadLog, fsync_path, list_segments, read_tail
+from .durability.wal import WalPosition, WriteAheadLog, list_segments, read_tail
 from .features.pipeline import StreamFeatures
-from .nn.serialization import load_state, save_module, save_state
 from .serving.executor import build_executor
 from .serving.maintenance import UpdateReport
 from .serving.registry import ModelRegistry
@@ -80,27 +75,6 @@ from .utils.config import (
 )
 
 __all__ = ["RuntimeConfig", "Runtime", "CHECKPOINT_FORMAT"]
-
-CHECKPOINT_FORMAT = 4
-"""Version tag written into every checkpoint manifest.
-
-Format 4 writes uncompressed archives, and ``state.npz`` as raw per-dtype
-state buffers plus a ``(buffer, offset, shape)`` leaf table
-(:func:`repro.durability.checkpoints.pack_state`).  Format 3 added the
-durability plane's fields: ``kind`` (``"full"`` |
-``"delta"``), ``checkpoint_id``/``parent``/``delta_depth`` (the delta chain)
-and ``wal`` (the write-ahead-log position to replay from) — plus per-version
-``source`` entries pointing at the sibling checkpoint that physically holds
-a delta's reused weight files.  Format 2 added ``plane_pending``
-(queued-but-not-started background retrains, persisted instead of
-force-executed at checkpoint time) and the manifest's ``pending_updates``
-count.  Formats 1–3 are still readable, and a delta chain may mix them."""
-
-_READABLE_FORMATS = (1, 2, 3, 4)
-
-_MANIFEST_FILE = "runtime.json"
-_STATE_FILE = "state.npz"
-
 
 @dataclass(frozen=True)
 class RuntimeConfig(ConfigBase):
@@ -573,22 +547,16 @@ class Runtime:
         historical behaviour); a durable runtime still rotates its WAL and
         records the position, so :meth:`from_checkpoint` replays the tail.
 
-        Layout: ``runtime.json`` (config, registry manifest, version
-        pointer), one ``version_<n>.npz`` per retained registry snapshot
-        (weights via :func:`repro.nn.serialization.save_module`) and
-        ``state.npz`` (session windows, drift monitor, queued requests).
-        Only *retained* snapshots are persisted — with ``max_versions`` set,
+        The directory holds the config, every retained registry snapshot's
+        weights, the version pointer and the serving state (session windows,
+        drift monitor, queued requests); its layout and its crash safety —
+        the previous checkpoint or a loud failure, through power loss — are
+        :func:`repro.durability.checkpoints.write_checkpoint`'s.  Only
+        *retained* snapshots are persisted — with ``max_versions`` set,
         evicted versions are gone by design, and a checkpoint taken
         mid-update (e.g. from an ``on_update_trigger`` callback) never
         references one.  Detections, triggers and serving counters are
         reporting, not behaviour, and are not persisted.
-
-        The write is crash-safe: everything lands in a staging directory
-        that is swapped over ``path`` only once complete, so re-checkpointing
-        to the same location (the periodic-checkpoint pattern) can never
-        leave a readable-but-inconsistent mix of old and new files — a crash
-        leaves either the previous checkpoint or, in the narrow window
-        between the two renames, no checkpoint (which fails loudly).
 
         In-flight maintenance work is *paused*, not drained: the service
         pauses its background update planes (waiting only for the retrain
@@ -597,14 +565,11 @@ class Runtime:
         re-enqueues that queue, so queued maintenance work survives the
         process instead of being force-executed at checkpoint time or
         silently dropped at shutdown.
-
-        Every written file and the directories the renames mutate are
-        ``fsync``\\ ed, so the "previous checkpoint or loud failure" guarantee
-        holds through power failure, not just process death.
         """
         self._require_fitted()
         self._require_serving_built()
-        if path is None and self._store is None:
+        store = self._store
+        if path is None and store is None:
             raise RuntimeError(
                 "checkpoint() without a path requires the durability plane "
                 "(set RuntimeConfig.durability.directory) — or pass an explicit path"
@@ -612,211 +577,46 @@ class Runtime:
         with self._durability_lock:
             self.service.pause_maintenance()
             try:
+                # The cut is a WAL rotation point even for an explicit path:
+                # the manifest records where its replay tail starts.
+                checkpoint_id = store.allocate_id() if store is not None else None
+                position = self._wal.rotate(checkpoint_id) if self._wal is not None else None
+                # One consistent registry cut: the weight files and the
+                # manifest's version pointer both derive from this single
+                # locked enumeration.  Reading highest_published separately
+                # would race a concurrent publish (parallel shard, background
+                # plane) and could point past the saved weights.
+                retained = self.registry.retained()
                 if path is None:
-                    return self._checkpoint_store_paused()
-                return self._checkpoint_paused(Path(path))
+                    target = store.directory_for(checkpoint_id)
+                    parent, reuse = store.plan(retained, self.config.durability.full_every)
+                else:
+                    target, parent, reuse = Path(path), None, None
+                manifest = write_checkpoint(
+                    target,
+                    retained,
+                    self.service.export_state(),
+                    {
+                        "config": self.config.to_dict(),
+                        "num_shards": len(self.service.shards),
+                        "checkpoint_id": checkpoint_id,
+                        "wal": position,
+                    },
+                    reuse=reuse,
+                    parent=parent,
+                )
+                if path is None:
+                    # Retention, only now that the new checkpoint is durable:
+                    # directories off the live chain first, then WAL segments
+                    # before the rotation.
+                    store.commit(manifest)
+                    if position is not None:
+                        self._wal.prune(position)
+                if self._policy is not None:
+                    self._policy.mark()
+                return target
             finally:
                 self.service.resume_maintenance()
-
-    def _checkpoint_paused(self, target: Path) -> Path:
-        """Full, self-contained checkpoint at an explicit path."""
-        checkpoint_id = None
-        wal_position = None
-        if self._store is not None:
-            # The cut must be a WAL rotation point even for out-of-store
-            # checkpoints: the manifest records where its replay tail starts.
-            checkpoint_id = self._store.allocate_id()
-            if self._wal is not None:
-                wal_position = self._wal.rotate(checkpoint_id)
-        directory = target.parent / f".{target.name}.staging"
-        if directory.exists():
-            shutil.rmtree(directory)
-        directory.mkdir(parents=True)
-        try:
-            self._write_checkpoint_files(
-                directory,
-                kind="full",
-                checkpoint_id=checkpoint_id,
-                parent=None,
-                wal_position=wal_position,
-            )
-        except BaseException:
-            shutil.rmtree(directory, ignore_errors=True)
-            raise
-        # Atomic swap: the complete staging directory replaces the target.
-        if target.exists():
-            discarded = target.parent / f".{target.name}.discarded"
-            if discarded.exists():
-                shutil.rmtree(discarded)
-            os.replace(target, discarded)
-            os.replace(directory, target)
-            shutil.rmtree(discarded)
-        else:
-            os.replace(directory, target)
-        # The renames live in the parent directory's entries; without this
-        # fsync a power cut can roll the whole swap back.
-        fsync_path(target.parent)
-        if self._policy is not None:
-            self._policy.mark()
-        return target
-
-    def _checkpoint_store_paused(self) -> Path:
-        """Policy/auto checkpoint into the durable store (delta-chained)."""
-        store = self._store
-        config = self.config.durability
-        store.ensure_layout()
-        checkpoint_id = store.allocate_id()
-        wal_position = self._wal.rotate(checkpoint_id) if self._wal is not None else None
-        parent = store.latest()
-        kind = "full"
-        if parent is not None and int(parent.manifest.get("delta_depth", 0)) + 1 < config.full_every:
-            kind = "delta"
-        target = store.directory_for(checkpoint_id)
-        directory = store.checkpoints_dir / f".{target.name}.staging"
-        if directory.exists():
-            shutil.rmtree(directory)
-        directory.mkdir(parents=True)
-        try:
-            try:
-                self._write_checkpoint_files(
-                    directory,
-                    kind=kind,
-                    checkpoint_id=checkpoint_id,
-                    parent=parent if kind == "delta" else None,
-                    wal_position=wal_position,
-                )
-            except DeltaSourceError as error:
-                # The parent chain lost version files (eviction, tampering,
-                # a half-copied store).  delta_plan raises before anything is
-                # written, so compact to a self-contained full checkpoint
-                # instead of rethrowing the same error out of every future
-                # auto-checkpoint — loudly, because the chain damage itself
-                # still deserves an operator's attention.
-                warnings.warn(
-                    f"compacting to a full checkpoint: {error}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                kind = "full"
-                self._write_checkpoint_files(
-                    directory,
-                    kind="full",
-                    checkpoint_id=checkpoint_id,
-                    parent=None,
-                    wal_position=wal_position,
-                )
-        except BaseException:
-            shutil.rmtree(directory, ignore_errors=True)
-            raise
-        os.replace(directory, target)  # fresh id: the target can never exist
-        fsync_path(store.checkpoints_dir)
-        if kind == "full":
-            store.written_full += 1
-        else:
-            store.written_delta += 1
-        # Retention, only now that the new checkpoint is durable: directories
-        # off the live chain first, then WAL segments before the rotation.
-        store.prune()
-        if self._wal is not None and wal_position is not None:
-            self._wal.prune(wal_position)
-        if self._policy is not None:
-            self._policy.mark()
-        return target
-
-    def _write_checkpoint_files(
-        self,
-        directory: Path,
-        *,
-        kind: str,
-        checkpoint_id: Optional[int],
-        parent: Optional[StoredCheckpoint],
-        wal_position: Optional[WalPosition],
-    ) -> Dict[str, Any]:
-        """Write weights/state/manifest (each fsynced) into ``directory``."""
-        versions: List[Dict[str, Any]] = []
-        # One consistent registry cut: both the weight files and the
-        # manifest's version pointer derive from this single locked
-        # enumeration.  Reading highest_published separately would race a
-        # concurrent publish (parallel shard, background plane) landing
-        # between the two reads and produce a manifest whose pointer exceeds
-        # the saved weights — a checkpoint from_checkpoint() must reject.
-        retained = self.registry.retained()
-        reuse: Dict[int, Tuple[str, str]] = {}
-        parent_name = None
-        delta_depth = 0
-        if kind == "delta":
-            # Resolves every reusable version to the sibling directory that
-            # physically holds its weights and verifies the files exist —
-            # raising DeltaSourceError (with the version ids) *now*, at write
-            # time, if eviction/compaction broke the chain.
-            reuse = self._store.delta_plan(
-                parent, [snapshot.version for snapshot in retained]
-            )
-            parent_name = parent.path.name
-            delta_depth = int(parent.manifest.get("delta_depth", 0)) + 1
-        for snapshot in retained:
-            entry: Dict[str, Any] = {
-                "version": snapshot.version,
-                "threshold": snapshot.threshold,
-                "reason": snapshot.reason,
-                "metadata": dict(snapshot.metadata),
-            }
-            if snapshot.version in reuse:
-                source, filename = reuse[snapshot.version]
-                entry["file"] = filename
-                entry["source"] = source
-            else:
-                filename = f"version_{snapshot.version:06d}.npz"
-                save_module(
-                    snapshot.model,
-                    directory / filename,
-                    metadata={
-                        "version": snapshot.version,
-                        "threshold": snapshot.threshold,
-                        "reason": snapshot.reason,
-                        "metadata": dict(snapshot.metadata),
-                    },
-                )
-                fsync_path(directory / filename)
-                entry["file"] = filename
-            versions.append(entry)
-
-        state = self.service.export_state()
-        arrays, metadata = pack_state(state)
-        save_state(directory / _STATE_FILE, arrays, metadata=metadata)
-        fsync_path(directory / _STATE_FILE)
-
-        manifest = {
-            "format": CHECKPOINT_FORMAT,
-            "config": self.config.to_dict(),
-            # Eviction always keeps the just-published latest, so the highest
-            # retained version IS the version pointer of this registry cut.
-            "published": versions[-1]["version"],
-            "versions": versions,
-            "pending_updates": sum(len(jobs) for jobs in state["plane_pending"]),
-            # Live shard count (may exceed config.serving.num_shards after
-            # rebalancer splits); from_checkpoint rebuilds this topology.
-            "num_shards": len(self.service.shards),
-            "kind": kind,
-            "checkpoint_id": checkpoint_id,
-            "parent": parent_name,
-            "delta_depth": delta_depth,
-            "wal": (
-                {
-                    "checkpoint_id": wal_position.checkpoint_id,
-                    "sequence": wal_position.sequence,
-                }
-                if wal_position is not None
-                else None
-            ),
-        }
-        manifest_path = directory / _MANIFEST_FILE
-        manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-        fsync_path(manifest_path)
-        # The directory's entry list (every name written above) must be
-        # durable before the rename publishes it.
-        fsync_path(directory)
-        return manifest
 
     @classmethod
     def from_checkpoint(
@@ -834,9 +634,10 @@ class Runtime:
         counter) — so replaying the same tail of traffic produces
         **bitwise-identical** detections and version swaps.
 
-        Delta checkpoints resolve reused version files from the sibling
-        directories their manifest names (one level of indirection; a broken
-        chain raises :class:`FileNotFoundError` naming the missing file).
+        The directory is read by
+        :func:`repro.durability.checkpoints.read_checkpoint` (a delta's
+        reused weights resolve from a sibling directory; a broken chain
+        raises :class:`FileNotFoundError` naming the missing file).
         When the checkpoint lives inside a durability store — or
         ``config.durability.directory`` points at one — the store is
         re-attached and, unless ``replay_wal=False``, the write-ahead-log
@@ -845,38 +646,14 @@ class Runtime:
         :meth:`recover` is the "resume from the latest checkpoint" shorthand.
         """
         directory = Path(path)
-        manifest_path = directory / _MANIFEST_FILE
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"no runtime checkpoint at {directory}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") not in _READABLE_FORMATS:
-            raise ValueError(
-                f"unsupported checkpoint format {manifest.get('format')!r}; "
-                f"this build reads formats {list(_READABLE_FORMATS)}"
-            )
+        manifest, versions, state = read_checkpoint(directory)
         config = RuntimeConfig.from_dict(manifest["config"])
         runtime = cls(config, clock=clock)
 
         registry = ModelRegistry(config.detection, max_versions=config.max_versions)
-        entries = sorted(manifest["versions"], key=lambda entry: entry["version"])
-        if not entries:
-            raise ValueError(f"checkpoint at {directory} holds no model versions")
-        for entry in entries:
-            source = entry.get("source")
-            if source:
-                # Delta: the weights live in a sibling checkpoint directory.
-                weights_path = directory.parent / source / entry["file"]
-            else:
-                weights_path = directory / entry["file"]
-            if not weights_path.is_file():
-                raise FileNotFoundError(
-                    f"checkpoint at {directory} references version "
-                    f"{entry['version']} weights at {weights_path}, which do "
-                    f"not exist (broken delta chain)"
-                )
+        for entry, weights in versions:
             model = CLSTM.from_config(config.model, coupling=config.coupling, seed=config.seed)
-            state, _ = load_state(weights_path)
-            model.load_state_dict(state)
+            model.load_state_dict(weights)
             registry.restore(
                 entry["version"],
                 model,
@@ -884,19 +661,11 @@ class Runtime:
                 reason=entry["reason"],
                 metadata=entry.get("metadata") or {},
             )
-        if registry.highest_published != manifest["published"]:
-            raise ValueError(
-                f"inconsistent checkpoint: manifest version pointer is "
-                f"{manifest['published']}, restored weights end at "
-                f"{registry.highest_published}"
-            )
         runtime.registry = registry
         runtime._build_service(
             historical_hidden=None, num_shards=manifest.get("num_shards")
         )
-
-        arrays, metadata = load_state(directory / _STATE_FILE)
-        runtime.service.restore_state(unpack_state(metadata, arrays))
+        runtime.service.restore_state(state)
 
         # Re-attach durability.  A checkpoint inside a store's layout
         # (<root>/checkpoints/ckpt-NNNNNN) names its own root — which makes

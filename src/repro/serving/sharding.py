@@ -504,9 +504,6 @@ class ShardedScoringService:
             total.update_seconds += shard.stats.update_seconds
         return total
 
-    def shard_stats(self) -> List[ServiceStats]:
-        return [shard.stats for shard in self.shards]
-
     def load_stats(self) -> List[ShardStats]:
         """One consistent :class:`ShardStats` sample per shard.
 

@@ -418,14 +418,21 @@ class TestDurableRuntime:
 
         # A checkpoint that fails *after* its WAL rotation orphans segment
         # (2, 0): the rotation landed durably but checkpoint 2 never
-        # published, so the store's latest stays at 1.
-        def boom(self, directory, **kwargs):
+        # published, so the store's latest stays at 1.  The failure is
+        # injected into the one checkpoint writer, which the cut calls only
+        # after rotating.
+        positions_at_write = []
+
+        def boom(target, *args, **kwargs):
+            positions_at_write.append(runtime.durability_stats()["wal"]["position"])
             raise OSError("simulated export failure")
 
-        monkeypatch.setattr(Runtime, "_write_checkpoint_files", boom)
+        monkeypatch.setattr("repro.runtime.write_checkpoint", boom)
         with pytest.raises(OSError, match="simulated"):
             runtime.checkpoint()
         monkeypatch.undo()
+        assert positions_at_write == [[2, 0]], "the WAL must rotate before the write"
+        assert CheckpointStore(tmp_path / "dur").latest().checkpoint_id == 1
         feed(runtime, streams, start=2, stop=4)  # pre-crash records in (2, 0)
         runtime.close()
 
@@ -673,4 +680,16 @@ class TestPrometheusRenderer:
         assert families["repro_auto_checkpoints_total"]["samples"] == [
             ({}, float(durability["policy"]["auto_checkpoints"]))
         ]
+        runtime.close()
+
+    def test_one_scrape_takes_one_load_sample(self, durable_config, tiny_features, monkeypatch):
+        """Each ``load_stats()`` takes every shard's scoring lock, so a scrape
+        samples once; the shard count comes from ``rebalance_stats()``."""
+        runtime = Runtime.from_config(durable_config).fit(tiny_features)
+        samples = []
+        sample = runtime.load_stats
+        monkeypatch.setattr(runtime, "load_stats", lambda: samples.append(1) or sample())
+        families = parse_exposition(render_runtime_metrics(runtime).render())
+        assert len(samples) == 1
+        assert families["repro_shards"]["samples"] == [({}, float(len(runtime.service.shards)))]
         runtime.close()

@@ -492,6 +492,36 @@ class TestCheckpointRestore:
         assert restored.model_version == runtime.model_version
         assert restored.anomaly_threshold == runtime.anomaly_threshold
 
+    def test_failed_recheckpoint_keeps_the_previous_checkpoint(
+        self, runtime_config, tiny_features, drifting_streams, tmp_path, monkeypatch
+    ):
+        """The failure side of the swap: a write that raises part-way through
+        re-checkpointing over ``target`` leaves the previous checkpoint
+        restorable and no helper directories next to it."""
+        runtime = Runtime.from_config(runtime_config).fit(tiny_features)
+        target = tmp_path / "ckpt"
+        runtime.checkpoint(target)
+        first_version, first_threshold = runtime.model_version, runtime.anomaly_threshold
+
+        feed(runtime, drifting_streams)
+        assert runtime.model_version > first_version
+
+        def disk_full(*args, **kwargs):
+            raise OSError("simulated disk full")
+
+        # The version files are already staged when the state write fails.
+        monkeypatch.setattr("repro.durability.checkpoints.save_state", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            runtime.checkpoint(target)
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"], (
+            "no .ckpt.staging or .ckpt.discarded directory may remain"
+        )
+        restored = Runtime.from_checkpoint(target)
+        assert restored.model_version == first_version
+        assert restored.anomaly_threshold == first_threshold
+
     def test_model_property_tracks_published_version(
         self, runtime_config, tiny_features, drifting_streams
     ):
