@@ -11,8 +11,9 @@ poll/long-poll endpoint.  This example walks the whole surface:
    on an ephemeral port;
 2. ``POST /v1/ingest`` / ``GET /v1/detections`` — batched wire ingest and a
    long poll that returns as soon as the batcher has scored the backlog;
-3. admission control — a deliberately tiny queue answers an oversized burst
-   with 429 + ``Retry-After`` while every accepted segment still scores;
+3. admission control — a deliberately tiny queue answers a burst that does
+   not fit with 429 + ``Retry-After``, and one larger than the queue itself
+   with 413, while every accepted segment still scores;
 4. multi-tenancy — two runtimes behind one listener via
    :class:`~repro.server.TenantRouter`; tenant ``a``'s drift-triggered
    version bump leaves tenant ``b`` untouched;
@@ -43,7 +44,7 @@ from repro import (
     UpdateConfig,
     load_dataset,
 )
-from repro.server import RuntimeServer, TenantRouter
+from repro.server import RuntimeServer, TenantRouter, WireError
 
 SEQUENCE_LENGTH = 7
 
@@ -146,22 +147,26 @@ def main() -> None:
     runtime = build_runtime(train)
     server = RuntimeServer(
         runtime, config=ServerConfig(max_pending=32, retry_after_seconds=1.0)
-    ).start()
-    status, body, _ = call(
-        "POST",
-        f"{server.url}/v1/ingest",
-        {"segments": wire_segments(live, 0, 30, "burst")},
     )
-    print(f"Burst of 30 into a 32-slot queue: {status}")
-    status, body, headers = call(
-        "POST",
-        f"{server.url}/v1/ingest",
-        {"segments": wire_segments(live, 30, 70, "burst")},
-    )
+
+    def admit(start, stop):
+        # Not started yet, so nothing drains the queue between requests:
+        # handle_ingest is the call the HTTP handler makes for each POST.
+        body = json.dumps({"segments": wire_segments(live, start, stop, "burst")})
+        return server.handle_ingest(body.encode("utf-8"))
+
+    status, _, _ = admit(0, 30)
+    print(f"Burst of 30 into a 32-segment queue: {status}")
+    status, _, headers = admit(30, 40)
     print(
-        f"Burst of 40 more: {status} (Retry-After: {headers['Retry-After']}s) — "
+        f"Burst of 10 more: {status} (Retry-After: {dict(headers)['Retry-After']}s) — "
         "refused whole, nothing half-enqueued"
     )
+    try:
+        admit(30, 70)
+    except WireError as error:
+        print(f"Burst of 40, more than the queue holds: {error.status} ({error.message})")
+    server.start()
     server.drain()
     stats = server.admission.stats()
     print(

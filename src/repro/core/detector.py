@@ -11,7 +11,7 @@ and must reach the same thresholded decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -148,19 +148,14 @@ class AnomalyDetector:
     ) -> DetectionResult:
         """Score precomputed model predictions and apply the threshold.
 
-        Single home of the REIA combination (Eq. 16) on the detection path:
-        used by :meth:`score_arrays` after its own forward pass, and by the
-        serving scheduler, which shares one ``predict_full`` pass between
-        scoring and drift detection.
+        The detection path's REIA combination (Eq. 16, :meth:`_reia`, which
+        threshold calibration shares): used by :meth:`score_arrays` after
+        its own forward pass, and by the serving scheduler, which shares one
+        ``predict_full`` pass between scoring and drift detection.
         """
-        action_errors = action_reconstruction_error(action_targets, predicted_action)
-        interaction_errors = interaction_reconstruction_error(
-            interaction_targets, predicted_interaction
+        scores, action_errors, interaction_errors = self._reia(
+            action_targets, interaction_targets, predicted_action, predicted_interaction
         )
-        # REIA (Eq. 16) from the errors already in hand — calling reia_score
-        # here would recompute both divergences, doubling the dominant cost.
-        omega = self.config.omega
-        scores = omega * action_errors + (1.0 - omega) * interaction_errors
         return self._decide(segment_indices, scores, action_errors, interaction_errors)
 
     def score_values(self, batch: SequenceBatch) -> np.ndarray:
@@ -203,14 +198,21 @@ class AnomalyDetector:
         # downstream decision, so a reduced-precision serving configuration
         # must not perturb it (the float32 accuracy contract is defined
         # *relative to* the float64-calibrated threshold).
-        result = self.score(batch, precision="float64")
-        if len(result) == 0:
+        # Scores only: a decision here would be thrown away, and on a detector
+        # not yet calibrated it would pay for the median + MAD fallback.
+        if len(batch.action_sequences) == 0:
             raise ValueError("cannot calibrate on an empty batch")
-        self._calibration_scores = result.scores
+        predicted_action, predicted_interaction = self.model.predict(
+            batch.action_sequences, batch.interaction_sequences, precision="float64"
+        )
+        scores, _, _ = self._reia(
+            batch.action_targets, batch.interaction_targets, predicted_action, predicted_interaction
+        )
+        self._calibration_scores = scores
         if honour_config and self.config.threshold is not None:
             self.anomaly_threshold = self.config.threshold
         else:
-            self.anomaly_threshold = float(np.quantile(result.scores, quantile))
+            self.anomaly_threshold = float(np.quantile(scores, quantile))
         return self.anomaly_threshold
 
     @property
@@ -223,6 +225,24 @@ class AnomalyDetector:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _reia(
+        self,
+        action_targets: np.ndarray,
+        interaction_targets: np.ndarray,
+        predicted_action: np.ndarray,
+        predicted_interaction: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scores, action_errors, interaction_errors)`` of predictions."""
+        action_errors = action_reconstruction_error(action_targets, predicted_action)
+        interaction_errors = interaction_reconstruction_error(
+            interaction_targets, predicted_interaction
+        )
+        # REIA (Eq. 16) from the errors already in hand — calling reia_score
+        # here would recompute both divergences, doubling the dominant cost.
+        omega = self.config.omega
+        scores = omega * action_errors + (1.0 - omega) * interaction_errors
+        return scores, action_errors, interaction_errors
+
     def _decide(
         self,
         segment_indices: np.ndarray,

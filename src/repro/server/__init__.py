@@ -8,8 +8,9 @@ dependencies):
 * :class:`RuntimeServer` — the server: a ``ThreadingHTTPServer`` for the
   socket, an :class:`AdmissionController` bounding what the process will
   queue (overload answers 429 + ``Retry-After`` instead of growing without
-  limit), and one batcher thread turning admitted segments into
-  :meth:`Runtime.ingest_many` calls — which keeps HTTP ingest
+  limit), and one batcher thread turning admitted requests — one
+  :class:`~repro.serving.service.Tick` each, validated once at the door —
+  into :meth:`Runtime.ingest_many` calls, which keeps HTTP ingest
   bitwise-identical to driving the library directly.
 * :class:`TenantRouter` — per-tenant namespaces: ``tenant/stream`` wire ids
   resolve to per-tenant runtimes with fully isolated registries and update

@@ -3,13 +3,22 @@
 Architecture (all stdlib, no new dependencies)::
 
     handler threads (ThreadingHTTPServer)
-        POST /v1/ingest  ── parse ── resolve tenant ── AdmissionController.offer
-                                                            │  bounded FIFO
-    batcher thread (one)                                    ▼
-        take(batch_max) ── group by tenant ── Runtime.ingest_many ── notify
+        POST /v1/ingest ── parse_ingest → one Tick ── split by tenant,
+                           widths checked once per tenant ── offer (runtime, tick)
+                                                            │  bounded FIFO,
+    batcher thread (one)                                    ▼  counted in segments
+        take(batch_max) → whole requests ── concat a tenant's ticks ──
+                           Runtime.ingest_many(tick) ── notify
                                                             │
     handler threads                                         ▼
         GET /v1/detections ── long-poll on the notify ── per-stream sessions
+
+One request is one tick from the socket to the runtime: the body is parsed
+into one :class:`~repro.serving.service.Tick` and validated there, once
+(:func:`~repro.server.wire.parse_ingest`); the queue holds that tick (one
+per tenant of a multi-tenant request); and ``Runtime.ingest_many`` takes the
+batcher's concatenation of a tenant's ticks as it is, without checking it
+again.
 
 One batcher thread is the design, not a limitation: `Runtime.ingest_many`
 is already the concurrent fan-out point (shard batches score on the
@@ -29,6 +38,7 @@ from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..durability.metrics import render_server_metrics
+from ..serving.service import Tick
 from ..utils.config import ServerConfig
 from .admission import AdmissionController
 from .handlers import RuntimeRequestHandler
@@ -36,6 +46,11 @@ from .tenancy import TenantRouter
 from .wire import WireError, detection_to_json, parse_ingest
 
 __all__ = ["RuntimeServer"]
+
+
+def _segments(entry: Tuple[object, Tick]) -> int:
+    """Segments of one admission entry: the rows of its tick."""
+    return len(entry[1])
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -87,7 +102,7 @@ class RuntimeServer:
                 config = ServerConfig()
         self.config = config
         self.admission = AdmissionController(
-            config.max_pending, config.retry_after_seconds
+            config.max_pending, config.retry_after_seconds, size=_segments
         )
         # Serialises every path that feeds the runtimes (batcher tick,
         # drain, shutdown flush) — one ingest stream, deterministic order.
@@ -155,10 +170,10 @@ class RuntimeServer:
         self._raise_batcher_error()
         while True:
             with self._ingest_lock:
-                items = self.admission.take(self.config.batch_max)
-                if not items:
+                entries = self.admission.take(self.config.batch_max)
+                if not entries:
                     break
-                self._ingest_locked(items)
+                self._ingest_locked(entries)
         with self._ingest_lock:
             counts = {
                 name: len(runtime.drain()) for name, runtime in self.router.items()
@@ -187,10 +202,10 @@ class RuntimeServer:
             self._batch_thread.join()
         while True:
             with self._ingest_lock:
-                items = self.admission.take(self.config.batch_max)
-                if not items:
+                entries = self.admission.take(self.config.batch_max)
+                if not entries:
                     break
-                self._ingest_locked(items)
+                self._ingest_locked(entries)
         self._notify_detections()
         self._raise_batcher_error()
 
@@ -219,33 +234,30 @@ class RuntimeServer:
 
     def _ingest_once(self) -> bool:
         with self._ingest_lock:
-            items = self.admission.take(self.config.batch_max)
-            if not items:
+            entries = self.admission.take(self.config.batch_max)
+            if not entries:
                 return False
-            produced = self._ingest_locked(items)
+            produced = self._ingest_locked(entries)
         # Most ticks only fill a batch; waking every long-poll handler for
         # them would have each re-read its stream and sleep again.
         if produced:
             self._notify_detections()
         return True
 
-    def _ingest_locked(self, items: List[tuple]) -> bool:
-        """Feed admitted ``(runtime, submission)`` items, one call per tenant;
-        returns whether any call produced detections.
+    def _ingest_locked(self, entries: List[Tuple[object, Tick]]) -> bool:
+        """Feed admitted ``(runtime, tick)`` entries, one ``ingest_many``
+        tick per tenant; returns whether any call produced detections.
 
-        Caller holds ``_ingest_lock``.  Grouping preserves arrival order
+        Caller holds ``_ingest_lock``.  Concatenation preserves arrival order
         within each tenant, so the runtime sees exactly the segment sequence
         the clients sent.
         """
-        groups: Dict[int, Tuple[object, List[tuple]]] = {}
-        for runtime, submission in items:
-            key = id(runtime)
-            if key not in groups:
-                groups[key] = (runtime, [])
-            groups[key][1].append(submission)
+        groups: Dict[int, Tuple[object, List[Tick]]] = {}
+        for runtime, tick in entries:
+            groups.setdefault(id(runtime), (runtime, []))[1].append(tick)
         produced = False
-        for runtime, submissions in groups.values():
-            if runtime.ingest_many(submissions):
+        for runtime, ticks in groups.values():
+            if runtime.ingest_many(Tick.concat(ticks)):
                 produced = True
         return produced
 
@@ -271,27 +283,13 @@ class RuntimeServer:
     # Request handling (called from handler threads)
     # ------------------------------------------------------------------ #
     def handle_ingest(self, body: bytes) -> Tuple[int, dict, List[Tuple[str, str]]]:
-        """Validate, resolve and admit one ingest request (all-or-nothing)."""
-        items = parse_ingest(body)
-        resolved: List[tuple] = []
-        for stream_id, action, interaction, level in items:
-            runtime = self.router.resolve(stream_id)
-            model = runtime.config.model
-            if action.shape[0] != model.action_dim:
-                raise WireError(
-                    400,
-                    f"stream {stream_id!r}: action has {action.shape[0]} "
-                    f"features; the model expects {model.action_dim}",
-                )
-            if interaction.shape[0] != model.interaction_dim:
-                raise WireError(
-                    400,
-                    f"stream {stream_id!r}: interaction has "
-                    f"{interaction.shape[0]} features; the model expects "
-                    f"{model.interaction_dim}",
-                )
-            resolved.append((runtime, (stream_id, action, interaction, level)))
-        accepted, depth = self.admission.offer(resolved)
+        """Validate, resolve and admit one ingest request (all-or-nothing).
+
+        A request larger than ``max_pending`` segments could never be
+        admitted, so it is a 413, not a 429 the client would retry forever.
+        """
+        tick = parse_ingest(body, max_items=self.admission.max_pending)
+        accepted, depth = self.admission.offer(self._by_tenant(tick))
         if not accepted:
             retry_after = self.admission.retry_after_seconds
             return (
@@ -303,7 +301,29 @@ class RuntimeServer:
                 },
                 [("Retry-After", str(int(math.ceil(retry_after))))],
             )
-        return 202, {"accepted": len(items), "queue_depth": depth}, []
+        return 202, {"accepted": len(tick), "queue_depth": depth}, []
+
+    def _by_tenant(self, tick: Tick) -> List[Tuple[object, Tick]]:
+        """``tick`` as one ``(runtime, tick)`` entry per tenant, rows in
+        request order, each tenant's widths checked against its model."""
+        groups = self.router.group(tick.stream_ids)
+        if len(groups) == 1:
+            entries = [(groups[0][0], tick)]
+        else:
+            entries = [(runtime, tick.select(rows)) for runtime, rows in groups]
+        for runtime, part in entries:
+            model = runtime.config.model
+            for field, width, expected in (
+                ("action", part.actions.shape[1], model.action_dim),
+                ("interaction", part.interactions.shape[1], model.interaction_dim),
+            ):
+                if width != expected:
+                    raise WireError(
+                        400,
+                        f"stream {part.stream_ids[0]!r}: {field} has {width} "
+                        f"features; the model expects {expected}",
+                    )
+        return entries
 
     def handle_detections(self, query: Dict[str, List[str]]) -> dict:
         """Poll (or long-poll) one stream's detections from ``start`` on."""

@@ -16,7 +16,7 @@ publishes can never move another tenant's ``model_version``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .wire import WireError
 
@@ -79,6 +79,17 @@ class TenantRouter:
     def items(self) -> List[Tuple[str, "Runtime"]]:
         """``(name, runtime)`` pairs in registration order."""
         return list(self._tenants.items())
+
+    def group(self, stream_ids: Sequence[str]) -> List[Tuple["Runtime", List[int]]]:
+        """The positions of ``stream_ids`` per owning runtime, tenants in
+        order of first appearance; :class:`WireError` 404 as :meth:`resolve`."""
+        if len(self._tenants) == 1 and self.default is not None:
+            return [(self._tenants[self.default], list(range(len(stream_ids))))]
+        groups: Dict[int, Tuple["Runtime", List[int]]] = {}
+        for position, stream_id in enumerate(stream_ids):
+            runtime = self.resolve(stream_id)
+            groups.setdefault(id(runtime), (runtime, []))[1].append(position)
+        return list(groups.values())
 
     def resolve(self, stream_id: str) -> "Runtime":
         """The runtime owning ``stream_id``; :class:`WireError` 404 if none."""

@@ -201,7 +201,8 @@ class Tick:
     level)`` tuples, the shape the write-ahead log records.
 
     :meth:`from_submissions` returns a built tick as it is (recognised by
-    type), so no ingest path validates it a second time.
+    type), so no ingest path validates it a second time; :meth:`select` and
+    :meth:`concat` build ticks from validated ticks without checking again.
     """
 
     __slots__ = (
@@ -232,6 +233,27 @@ class Tick:
 
     def __iter__(self):
         return zip(self.stream_ids, self.action_rows, self.interaction_rows, self.levels)
+
+    def select(self, positions: List[int]) -> "Tick":
+        """The rows at ``positions``, in that order, as a tick of their own."""
+        return Tick(
+            [self.stream_ids[p] for p in positions],
+            self.actions[positions],
+            self.interactions[positions],
+            [self.levels[p] for p in positions],
+        )
+
+    @classmethod
+    def concat(cls, ticks: Sequence["Tick"]) -> "Tick":
+        """``ticks`` as one tick, rows in order; a lone tick is returned as it is."""
+        if len(ticks) == 1:
+            return ticks[0]
+        return cls(
+            [stream_id for tick in ticks for stream_id in tick.stream_ids],
+            np.concatenate([tick.actions for tick in ticks]),
+            np.concatenate([tick.interactions for tick in ticks]),
+            [level for tick in ticks for level in tick.levels],
+        )
 
     @classmethod
     def from_submissions(

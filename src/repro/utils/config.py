@@ -420,9 +420,9 @@ class UpdateConfig(ConfigBase):
 class ServerConfig(ConfigBase):
     """HTTP ingest tier parameters (:mod:`repro.server`).
 
-    The server is a stdlib-only front-end: JSON wire requests land in an
-    admission-controlled ingest queue, a single batcher thread drains the
-    queue into :meth:`repro.runtime.Runtime.ingest_many`, and detections
+    The server is a stdlib-only front-end: each JSON wire request lands in an
+    admission-controlled ingest queue as one tick, a single batcher thread
+    drains the queue into :meth:`repro.runtime.Runtime.ingest_many`, and detections
     stream back through a poll/long-poll endpoint.  These knobs bound the
     queue (backpressure instead of unbounded memory), the batch the runtime
     sees per drain, and the long-poll behaviour.
@@ -436,14 +436,16 @@ class ServerConfig(ConfigBase):
     bound port back from :attr:`repro.server.RuntimeServer.port`)."""
 
     max_pending: int = checked(1024, ge=1)
-    """Admission-control bound: wire requests accepted but not yet handed to
-    the runtime.  A POST that would push the queue past this bound is refused
+    """Admission-control bound: segments accepted but not yet handed to the
+    runtime.  A POST that would push the queue past this bound is refused
     whole with 429 and a ``Retry-After`` hint — admission is all-or-nothing,
-    so accepted work is never silently dropped."""
+    so accepted work is never silently dropped.  A POST carrying more
+    segments than the bound itself can never fit and is refused with 413."""
 
     batch_max: int = checked(256, ge=1)
-    """Most wire requests the batcher thread drains into one
-    ``Runtime.ingest_many`` call."""
+    """Most segments the batcher thread drains into one
+    ``Runtime.ingest_many`` call per tenant.  It takes whole requests, and
+    always the first queued one, however large."""
 
     retry_after_seconds: float = checked(0.5, gt=0)
     """The ``Retry-After`` hint returned with 429 responses — a constant,

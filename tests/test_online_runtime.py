@@ -247,6 +247,30 @@ class TestRecalibrate:
         with pytest.raises(ValueError):
             detector.recalibrate(batch, quantile=1.5)
 
+    def test_calibration_never_reaches_the_uncalibrated_fallback(self, monkeypatch):
+        """Calibration derives ``T_a`` from the scores alone: a decision on
+        the uncalibrated detector would compute the median + MAD fallback
+        only to throw it away."""
+        features = make_features("cal", 30, seed=5)
+        batch = features.sequences(Q)
+        reference = AnomalyDetector(make_model(), DetectionConfig(omega=0.8))
+        scores = reference.score(batch, precision="float64").scores
+        # An uncalibrated score() keeps its fallback threshold.
+        median = float(np.median(scores))
+        fallback = median + 3.0 * 1.4826 * float(np.median(np.abs(scores - median)))
+        assert reference.score(batch).threshold == fallback
+
+        decisions = []
+        monkeypatch.setattr(
+            AnomalyDetector, "_decide", lambda self, *args: decisions.append(args)
+        )
+        detector = AnomalyDetector(make_model(), DetectionConfig(omega=0.8))
+        assert detector.calibrate(batch, quantile=0.9) == float(np.quantile(scores, 0.9))
+        assert detector.recalibrate(batch, quantile=0.5) == float(np.quantile(scores, 0.5))
+        fresh = AnomalyDetector(make_model(), DetectionConfig(omega=0.8))
+        assert fresh.recalibrate(batch, quantile=0.5) == float(np.quantile(scores, 0.5))
+        assert decisions == []
+
 
 class TestUpdatePlane:
     def test_handle_trigger_trains_merges_recalibrates_publishes(self):

@@ -9,7 +9,11 @@ answers 429 without dropping any accepted work; tenants are isolated; and
 
 from __future__ import annotations
 
+import http.client
 import json
+import shutil
+import socket
+import subprocess
 import threading
 import time
 import urllib.error
@@ -19,6 +23,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.server.wire as wire
+import repro.serving.service as service
 from repro import Runtime, RuntimeConfig
 from repro.server import (
     AdmissionController,
@@ -28,6 +34,7 @@ from repro.server import (
     detection_to_json,
     parse_ingest,
 )
+from repro.serving.service import Tick
 from repro.utils.config import (
     ExecutorConfig,
     ModelConfig,
@@ -212,6 +219,40 @@ class TestWireProtocol:
         with pytest.raises(WireError, match="use null"):
             parse_ingest(body(float("nan")))
 
+    def test_a_valid_body_is_one_tick_without_per_vector_checks(self, monkeypatch):
+        def per_vector(*args):
+            raise AssertionError("an accepted body ran the per-vector checks")
+
+        monkeypatch.setattr(wire, "_finite_vector", per_vector)
+        body = json.dumps(
+            {
+                "segments": [
+                    {"stream": "a", "action": [0.5, 0.5], "interaction": [1.0], "level": 0.25},
+                    {"stream": "b", "action": [0.25, 0.75], "interaction": [2.0]},
+                    {"stream": "a", "action": [1.0, 0.0], "interaction": [3.0], "level": 1},
+                ]
+            }
+        ).encode("utf-8")
+        tick = parse_ingest(body)
+        assert type(tick) is Tick and len(tick) == 3
+        assert tick.stream_ids == ["a", "b", "a"]
+        assert tick.actions.tolist() == [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+        assert tick.actions.flags.c_contiguous and tick.interactions.shape == (3, 1)
+        assert tick.levels == [0.25, None, 1.0] and type(tick.levels[2]) is float
+
+    def test_a_ragged_request_names_the_segment(self):
+        body = json.dumps(
+            {
+                "segments": [
+                    {"stream": "a", "action": [0.5, 0.5], "interaction": [1.0]},
+                    {"stream": "b", "action": [0.5, 0.25, 0.25], "interaction": [1.0]},
+                ]
+            }
+        ).encode("utf-8")
+        with pytest.raises(WireError, match=r"segments\[1\] has 3 action") as excinfo:
+            parse_ingest(body)
+        assert excinfo.value.status == 400
+
     def test_max_items_maps_to_413(self):
         body = json.dumps(
             {
@@ -292,6 +333,18 @@ class TestTenantRouter:
         assert router.resolve("no-prefix") is alpha  # default fallback
         assert router.resolve("gamma/cam-1") is alpha  # unknown prefix falls back
         assert router.tenant_names() == ["alpha", "beta"]
+
+    def test_group_keeps_request_order_per_tenant(self):
+        alpha, beta = object(), object()
+        router = TenantRouter({"alpha": alpha, "beta": beta}, default="alpha")
+        ids = ["beta/x", "alpha/y", "z", "beta/w"]
+        assert router.group(ids) == [(beta, [0, 3]), (alpha, [1, 2])]
+        assert TenantRouter({"alpha": alpha}, default="alpha").group(ids) == [
+            (alpha, [0, 1, 2, 3])
+        ]
+        with pytest.raises(WireError) as excinfo:
+            TenantRouter({"alpha": alpha}).group(["alpha/y", "beta/x"])
+        assert excinfo.value.status == 404
 
     def test_unknown_prefix_is_404_without_default(self):
         router = TenantRouter({"alpha": object()})
@@ -422,6 +475,159 @@ class TestServerEndpoints:
         )
         assert status == 400 and "null" in payload["error"]
         assert runtime.stats.segments_scored == 0
+
+
+def read_answers(sock, requests):
+    """Send each raw request on ``sock`` in turn; its ``(status, body)``
+    answers, and whether the server then closed the connection."""
+    answers = []
+    for raw in requests:
+        sock.sendall(raw)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        answers.append((response.status, response.read()))
+    sock.settimeout(0.5)
+    try:
+        closed = sock.recv(1) == b""
+    except socket.timeout:
+        closed = False
+    return answers, closed
+
+
+class TestHttpFraming:
+    """The handler's own request-line and header parse."""
+
+    @pytest.fixture(scope="class")
+    def served(self, server_runtime_config, tiny_features):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        server = runtime.serve()
+        streams = make_wire_streams(server_runtime_config, streams=1, segments=1)
+        body = json.dumps(
+            {"segments": [wire_segment(*item) for item in round_robin(streams)]}
+        ).encode("utf-8")
+        yield server, body
+        runtime.close()
+
+    @staticmethod
+    def exchange(server, *requests):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            return read_answers(sock, requests)
+
+    @staticmethod
+    def post(body, *headers):
+        head = b"".join(header + b"\r\n" for header in headers)
+        return b"POST /v1/ingest HTTP/1.1\r\nHost: t\r\n" + head + b"\r\n" + body
+
+    def test_http_1_0_closes_the_connection(self, served):
+        server, _ = served
+        answers, closed = self.exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert [status for status, _ in answers] == [200] and closed
+
+    def test_connection_close_is_honoured(self, served):
+        server, _ = served
+        answers, closed = self.exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        assert [status for status, _ in answers] == [200] and closed
+
+    def test_keep_alive_serves_several_requests_on_one_socket(self, served):
+        server, body = served
+        length = b"Content-Length: %d" % len(body)
+        answers, closed = self.exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+            self.post(body, length, b"Content-Type: application/json"),
+            self.post(body, length),
+            b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert [status for status, _ in answers] == [200, 202, 202, 200]
+        assert json.loads(answers[1][1])["accepted"] == 1
+        assert not closed
+
+    def test_header_names_are_case_insensitive(self, served):
+        server, body = served
+        answers, closed = self.exchange(
+            server,
+            self.post(body, b"cOnTeNt-LeNgTh: %d" % len(body), b"CONNECTION: Close"),
+        )
+        assert [status for status, _ in answers] == [202] and closed
+
+    def test_oversized_header_line_and_too_many_headers_are_431(self, served):
+        server, _ = served
+        get = b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+        # "X-Big: " + filler + CRLF: 65,536 bytes pass, 65,537 do not.
+        for filler, status in ((65527, 200), (65528, 431)):
+            line = b"X-Big: " + b"a" * filler + b"\r\n"
+            answers, _ = self.exchange(server, get + line + b"\r\n")
+            assert answers[0][0] == status, len(line)
+        many = b"".join(b"X-H%d: v\r\n" % index for index in range(101))
+        answers, closed = self.exchange(server, get + many + b"\r\n")
+        assert answers[0][0] == 431 and closed
+        some = b"".join(b"X-H%d: v\r\n" % index for index in range(50))
+        assert self.exchange(server, get + some + b"\r\n")[0][0][0] == 200
+
+    def test_bad_request_versions_are_refused(self, served):
+        server, _ = served
+        for line, status in (
+            (b"GET /healthz HTTP/2.0", 505),
+            (b"GET /healthz HTTP/1.x", 400),
+            (b"GET /healthz HTTP/1.\xb2", 400),
+        ):
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(line + b"\r\nHost: t\r\n\r\n")
+                # No version was accepted, so the answer is HTTP/0.9 style:
+                # the error page only, then the connection closes.
+                reply = b"".join(iter(lambda: sock.recv(65536), b""))
+            assert b"Error code: %d" % status in reply, line
+
+    def test_unframeable_requests_are_refused_and_closed(self, served):
+        server, body = served
+        accepted = server.admission.stats()["accepted"]
+        length = b"Content-Length: %d" % len(body)
+        for headers, status in (
+            ((b"X-A: one", b"  two", length), 400),  # folded
+            ((b"No colon here", length), 400),
+            ((b"Bad Name: x", length), 400),
+            ((length, b"Content-Length: %d" % (len(body) + 1)), 400),
+            ((b"Content-Length: %d, %d" % (len(body), len(body) - 1),), 400),
+            ((b"Transfer-Encoding: chunked",), 501),
+            ((length, b"Transfer-Encoding: chunked"), 501),
+        ):
+            answers, closed = self.exchange(server, self.post(body, *headers))
+            assert answers[0][0] == status and closed, headers
+        assert server.admission.stats()["accepted"] == accepted
+        # Repeating one length is not a conflict.
+        answers, _ = self.exchange(server, self.post(body, length, length))
+        assert answers[0][0] == 202
+
+    def test_oversized_body_closes_the_connection(self, served):
+        server, body = served
+        raw = self.post(b"", b"Content-Length: 20000000")
+        answers, closed = self.exchange(server, raw)
+        assert answers[0][0] == 413 and closed
+
+    @pytest.mark.skipif(shutil.which("curl") is None, reason="curl is not installed")
+    def test_expect_100_continue_is_answered(self, served, server_runtime_config, tmp_path):
+        server, _ = served
+        streams = make_wire_streams(server_runtime_config, streams=2, segments=4)
+        body = json.dumps({"segments": [wire_segment(*item) for item in round_robin(streams)]})
+        assert len(body) > 1024
+        path = tmp_path / "body.json"
+        path.write_text(body)
+        started = time.monotonic()
+        done = subprocess.run(
+            [
+                "curl", "-sS", "-v", "--expect100-timeout", "30",
+                "-H", "Expect: 100-continue", "-H", "Content-Type: application/json",
+                "--data-binary", f"@{path}", f"{server.url}/v1/ingest",
+            ],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "HTTP/1.1 100 Continue" in done.stderr
+        assert json.loads(done.stdout)["accepted"] == 8
+        # An unanswered expectation would have held the body back 30 s.
+        assert time.monotonic() - started < 15.0
 
 
 class TestServerIngest:
@@ -614,6 +820,109 @@ class TestServerIngest:
         over_http.close()
         direct.close()
 
+    def test_features_are_validated_once_per_request_never_in_the_batcher(
+        self, server_runtime_config, tiny_features, monkeypatch
+    ):
+        calls = []
+
+        def spy(original):
+            def counted(tick):
+                calls.append((threading.current_thread().name, len(tick)))
+                return original(tick)
+
+            return counted
+
+        monkeypatch.setattr(wire, "validate_features", spy(wire.validate_features))
+        monkeypatch.setattr(service, "validate_features", spy(service.validate_features))
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        streams = make_wire_streams(server_runtime_config, streams=2, segments=12)
+        items = list(round_robin(streams))
+        with runtime.serve() as server:
+            for start in range(0, len(items), 6):
+                segments = [wire_segment(*item) for item in items[start : start + 6]]
+                status, _, _ = http_json(
+                    "POST", f"{server.url}/v1/ingest", payload={"segments": segments}
+                )
+                assert status == 202
+            http_json("POST", f"{server.url}/v1/drain")
+        assert runtime.stats.segments_scored == len(items) - 2 * SEQUENCE_LENGTH
+        assert [rows for _, rows in calls] == [6, 6, 6, 6]
+        assert all(name != "repro-ingest-batcher" for name, _ in calls)
+        runtime.close()
+
+    def test_the_batcher_concatenates_whole_requests_up_to_batch_max(
+        self, server_runtime_config, tiny_features
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        direct = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        streams = make_wire_streams(server_runtime_config, streams=2, segments=10)
+        items = list(round_robin(streams))
+        ticks = []
+        feed = runtime.ingest_many
+        runtime.ingest_many = lambda tick: ticks.append(list(tick.stream_ids)) or feed(tick)
+        # Not started: all five requests queue before the batcher takes any.
+        server = RuntimeServer(runtime, config=ServerConfig(batch_max=10, poll_interval_ms=5.0))
+        for start in range(0, len(items), 4):
+            body = {"segments": [wire_segment(*item) for item in items[start : start + 4]]}
+            assert server.handle_ingest(json.dumps(body).encode("utf-8"))[0] == 202
+        server.start()
+        server.drain()
+        server.close()
+        names = [item[0] for item in items]
+        assert ticks == [names[0:8], names[8:16], names[16:20]]
+        direct.ingest_many(items)
+        direct.drain()
+        for name in streams:
+            assert runtime.detections(name) == direct.detections(name)
+        runtime.close()
+        direct.close()
+
+    def test_a_request_spanning_two_tenants_is_admitted_or_refused_whole(
+        self, server_runtime_config, tiny_features
+    ):
+        runtimes = {
+            name: Runtime.from_config(server_runtime_config).fit(tiny_features)
+            for name in ("a", "b", "direct-a", "direct-b")
+        }
+        streams = {
+            **make_wire_streams(server_runtime_config, streams=2, segments=9, prefix="a/"),
+            **make_wire_streams(server_runtime_config, streams=1, segments=9, prefix="b/", seed=3),
+        }
+        items = list(round_robin(streams))  # a/, a/, b/, a/, a/, b/, ...
+        body = json.dumps({"segments": [wire_segment(*item) for item in items]}).encode("utf-8")
+        ticks = {"a": [], "b": []}
+        for name in ticks:
+            runtime = runtimes[name]
+            runtime.ingest_many = lambda tick, name=name, feed=runtime.ingest_many: (
+                ticks[name].append(list(tick.stream_ids)) or feed(tick)
+            )
+        router = TenantRouter({"a": runtimes["a"], "b": runtimes["b"]})
+        # Not started: nothing drains the queue between the two offers.
+        server = RuntimeServer(router, config=ServerConfig(max_pending=40, poll_interval_ms=5.0))
+        status, payload, _ = server.handle_ingest(body)
+        assert status == 202 and payload == {"accepted": 27, "queue_depth": 27}
+        status, payload, _ = server.handle_ingest(body)
+        assert status == 429 and payload["queue_depth"] == 27
+        assert server.admission.stats()["rejected"] == 27
+        server.start()
+        server.drain()
+        server.close()
+        # One tick per tenant, its rows in request order.
+        assert ticks == {
+            tenant: [[item[0] for item in items if item[0].startswith(f"{tenant}/")]]
+            for tenant in ("a", "b")
+        }
+        for tenant in ("a", "b"):
+            direct = runtimes[f"direct-{tenant}"]
+            direct.ingest_many([item for item in items if item[0].startswith(f"{tenant}/")])
+            direct.drain()
+            for name in streams:
+                if name.startswith(f"{tenant}/"):
+                    assert runtimes[tenant].detections(name) == direct.detections(name)
+                    assert len(direct.detections(name)) == 9 - SEQUENCE_LENGTH
+        for runtime in runtimes.values():
+            runtime.close()
+
     def test_flood_returns_429_without_dropping_accepted_work(
         self, server_runtime_config, tiny_features
     ):
@@ -652,20 +961,35 @@ class TestServerIngest:
         assert counts == {"default": 10 - SEQUENCE_LENGTH}
         assert runtime.stats.segments_scored == 10 - SEQUENCE_LENGTH
         server.close()
+        runtime.close()
 
-        # Over the socket: a single POST larger than the bound is refused
-        # deterministically however fast the batcher drains.
+    def test_request_larger_than_max_pending_is_413_not_a_retry(
+        self, server_runtime_config, tiny_features
+    ):
+        """A request of more segments than ``max_pending`` can never be
+        admitted; a 429 would have its client retry it forever against an
+        empty queue."""
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        streams = make_wire_streams(server_runtime_config, streams=1, segments=5)
+        segments = [wire_segment(*item) for item in round_robin(streams)]
         with RuntimeServer(
             runtime, config=ServerConfig(max_pending=4, retry_after_seconds=1.0)
         ) as flooded:
-            status, payload, headers = http_json(
-                "POST",
-                f"{flooded.url}/v1/ingest",
-                payload={"segments": segments[:5]},
+            for _ in range(3):
+                status, payload, headers = http_json(
+                    "POST",
+                    f"{flooded.url}/v1/ingest",
+                    payload={"segments": segments},
+                )
+                assert status == 413
+                assert "Retry-After" not in headers
+                assert "5 segments; limit is 4" in payload["error"]
+            assert flooded.admission.stats()["queue_depth"] == 0
+            # Exactly the bound still fits.
+            status, payload, _ = http_json(
+                "POST", f"{flooded.url}/v1/ingest", payload={"segments": segments[:4]}
             )
-            assert status == 429
-            assert headers["Retry-After"] == "1"
-            assert "ingest queue is full" in payload["error"]
+            assert status == 202 and payload["accepted"] == 4
         runtime.close()
 
     def test_tenants_are_isolated(self, server_runtime_config, tiny_features):
