@@ -1,16 +1,17 @@
 """Admission control: the bounded queue between the socket and the runtime.
 
-HTTP handler threads *offer* one entry per request and tenant — a
-``(runtime, tick)`` pair, validated at the door; a single batcher thread
-*takes* whole entries in micro-batch-sized chunks.  Every count and bound is
-in segments (an entry's ``size``).  The queue is bounded — when accepting a
-request would push the depth past ``max_pending`` segments, the whole
-request is refused (HTTP 429 with a ``Retry-After`` hint) and **none** of its
-segments enqueue.  All-or-nothing admission is what makes the 429 contract
-honest: work is either fully accepted (and will be scored, barring process
-death) or fully refused (and the client retries the identical request); a
-partially admitted request would be both.  A request larger than the bound
-itself could never fit; the server refuses it with 413 before it gets here.
+HTTP handler threads *offer* one item per request and tenant — a
+:class:`~repro.serving.service.Tick`, validated at the door; a single
+batcher thread *takes* whole items in micro-batch-sized chunks.  Every count
+and bound is in segments: an item's ``len()``.  The queue is bounded — when
+accepting a request would push the depth past ``max_pending`` segments, the
+whole request is refused (HTTP 429 with a ``Retry-After`` hint) and **none**
+of its segments enqueue.  All-or-nothing admission is what makes the 429
+contract honest: work is either fully accepted (and will be scored, barring
+process death) or fully refused (and the client retries the identical
+request); a partially admitted request would be both.  A request larger than
+the bound itself could never fit; the server refuses it with 413 before it
+gets here.
 
 This is deliberately a *second* bound in front of
 ``ServingConfig.max_queue_depth``: the service-level bound protects the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Sized, Tuple
 
 __all__ = ["AdmissionController"]
 
@@ -39,16 +40,9 @@ class AdmissionController:
         The ``Retry-After`` hint attached to refusals.  A constant from
         configuration (not a measured drain rate): deterministic, and honest
         enough — the client's contract is "retry later", not a latency SLO.
-    size:
-        Segments one queued item carries (default: one each).
     """
 
-    def __init__(
-        self,
-        max_pending: int,
-        retry_after_seconds: float,
-        size: Callable[[object], int] = lambda item: 1,
-    ) -> None:
+    def __init__(self, max_pending: int, retry_after_seconds: float) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
         if retry_after_seconds <= 0:
@@ -57,9 +51,8 @@ class AdmissionController:
             )
         self.max_pending = int(max_pending)
         self.retry_after_seconds = float(retry_after_seconds)
-        self._size = size
         self._state = threading.Condition()
-        self._queue: Deque[Tuple[object, int]] = deque()
+        self._queue: Deque[Tuple[Sized, int]] = deque()
         self._pending = 0
         self._closed = False
         self.accepted = 0
@@ -71,7 +64,7 @@ class AdmissionController:
         with self._state:
             return self._pending
 
-    def offer(self, items: List[object]) -> Tuple[bool, int]:
+    def offer(self, items: List[Sized]) -> Tuple[bool, int]:
         """Admit ``items`` as a unit; returns ``(accepted, queue_depth)``.
 
         Refuses the *whole* batch when its segments do not fit below
@@ -82,7 +75,7 @@ class AdmissionController:
         """
         if not items:
             return True, self.depth()
-        sizes = list(map(self._size, items))
+        sizes = list(map(len, items))
         segments = sum(sizes)
         with self._state:
             if self._closed or self._pending + segments > self.max_pending:
@@ -102,11 +95,11 @@ class AdmissionController:
                 lambda: bool(self._queue) or self._closed, timeout=timeout
             )
 
-    def take(self, max_segments: int) -> List[object]:
+    def take(self, max_segments: int) -> List[Sized]:
         """Pop whole queued items, FIFO, without blocking: as many as fit in
         ``max_segments``, and always the first one however large."""
         with self._state:
-            batch: List[object] = []
+            batch: List[Sized] = []
             taken = 0
             while self._queue and (not batch or taken + self._queue[0][1] <= max_segments):
                 item, size = self._queue.popleft()

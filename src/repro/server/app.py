@@ -4,11 +4,11 @@ Architecture (all stdlib, no new dependencies)::
 
     handler threads (ThreadingHTTPServer)
         POST /v1/ingest ── parse_ingest → one Tick ── split by tenant,
-                           widths checked once per tenant ── offer (runtime, tick)
+                           widths checked once per tenant ── offer the ticks
                                                             │  bounded FIFO,
     batcher thread (one)                                    ▼  counted in segments
         take(batch_max) → whole requests ── concat a tenant's ticks ──
-                           Runtime.ingest_many(tick) ── notify
+                           Runtime.ingest_many(≤ batch_max rows) ── notify
                                                             │
     handler threads                                         ▼
         GET /v1/detections ── long-poll on the notify ── per-stream sessions
@@ -18,15 +18,16 @@ into one :class:`~repro.serving.service.Tick` and validated there, once
 (:func:`~repro.server.wire.parse_ingest`); the queue holds that tick (one
 per tenant of a multi-tenant request); and ``Runtime.ingest_many`` takes the
 batcher's concatenation of a tenant's ticks as it is, without checking it
-again.
+again.  ``batch_max`` bounds every ``ingest_many`` call: a request larger
+than it enters its runtime as consecutive slices.
 
 One batcher thread is the design, not a limitation: `Runtime.ingest_many`
 is already the concurrent fan-out point (shard batches score on the
 executor's worker pool), so a second ingest thread would only interleave
 submissions nondeterministically *before* the deterministic part.  With a
 single batcher, one HTTP request's segments enter the runtime as one
-contiguous `ingest_many` call per tenant, in request order — which is what
-makes HTTP ingest bitwise-identical to calling the library directly.
+contiguous run of `ingest_many` calls per tenant, in request order — which
+is what makes HTTP ingest bitwise-identical to calling the library directly.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ from .tenancy import TenantRouter
 from .wire import WireError, detection_to_json, parse_ingest
 
 __all__ = ["RuntimeServer"]
-
-
-def _segments(entry: Tuple[object, Tick]) -> int:
-    """Segments of one admission entry: the rows of its tick."""
-    return len(entry[1])
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -101,9 +97,7 @@ class RuntimeServer:
             else:
                 config = ServerConfig()
         self.config = config
-        self.admission = AdmissionController(
-            config.max_pending, config.retry_after_seconds, size=_segments
-        )
+        self.admission = AdmissionController(config.max_pending, config.retry_after_seconds)
         # Serialises every path that feeds the runtimes (batcher tick,
         # drain, shutdown flush) — one ingest stream, deterministic order.
         self._ingest_lock = threading.Lock()
@@ -170,10 +164,10 @@ class RuntimeServer:
         self._raise_batcher_error()
         while True:
             with self._ingest_lock:
-                entries = self.admission.take(self.config.batch_max)
-                if not entries:
+                ticks = self.admission.take(self.config.batch_max)
+                if not ticks:
                     break
-                self._ingest_locked(entries)
+                self._ingest_locked(ticks)
         with self._ingest_lock:
             counts = {
                 name: len(runtime.drain()) for name, runtime in self.router.items()
@@ -202,10 +196,10 @@ class RuntimeServer:
             self._batch_thread.join()
         while True:
             with self._ingest_lock:
-                entries = self.admission.take(self.config.batch_max)
-                if not entries:
+                ticks = self.admission.take(self.config.batch_max)
+                if not ticks:
                     break
-                self._ingest_locked(entries)
+                self._ingest_locked(ticks)
         self._notify_detections()
         self._raise_batcher_error()
 
@@ -234,31 +228,42 @@ class RuntimeServer:
 
     def _ingest_once(self) -> bool:
         with self._ingest_lock:
-            entries = self.admission.take(self.config.batch_max)
-            if not entries:
+            ticks = self.admission.take(self.config.batch_max)
+            if not ticks:
                 return False
-            produced = self._ingest_locked(entries)
+            produced = self._ingest_locked(ticks)
         # Most ticks only fill a batch; waking every long-poll handler for
         # them would have each re-read its stream and sleep again.
         if produced:
             self._notify_detections()
         return True
 
-    def _ingest_locked(self, entries: List[Tuple[object, Tick]]) -> bool:
-        """Feed admitted ``(runtime, tick)`` entries, one ``ingest_many``
-        tick per tenant; returns whether any call produced detections.
+    def _ingest_locked(self, ticks: List[Tick]) -> bool:
+        """Feed admitted one-tenant ticks to their runtimes, one
+        ``ingest_many`` call per tenant and ``batch_max`` segments; returns
+        whether any call produced detections.
 
         Caller holds ``_ingest_lock``.  Concatenation preserves arrival order
         within each tenant, so the runtime sees exactly the segment sequence
-        the clients sent.
+        the clients sent.  ``take`` returns a request larger than
+        ``batch_max`` whole, so it is cut here: ``batch_max`` bounds every
+        call, which keeps a call inside the runtime's own
+        ``ServingConfig.max_queue_depth``.
         """
-        groups: Dict[int, Tuple[object, List[Tick]]] = {}
-        for runtime, tick in entries:
-            groups.setdefault(id(runtime), (runtime, []))[1].append(tick)
+        size = self.config.batch_max
         produced = False
-        for runtime, ticks in groups.values():
-            if runtime.ingest_many(Tick.concat(ticks)):
-                produced = True
+        for runtime, positions in self.router.group([tick.stream_ids[0] for tick in ticks]):
+            tick = Tick.concat([ticks[position] for position in positions])
+            if len(tick) > size:
+                parts = [
+                    tick.select(range(start, min(start + size, len(tick))))
+                    for start in range(0, len(tick), size)
+                ]
+            else:
+                parts = [tick]
+            for part in parts:
+                if runtime.ingest_many(part):
+                    produced = True
         return produced
 
     def _poll_runtimes(self) -> None:
@@ -303,9 +308,9 @@ class RuntimeServer:
             )
         return 202, {"accepted": len(tick), "queue_depth": depth}, []
 
-    def _by_tenant(self, tick: Tick) -> List[Tuple[object, Tick]]:
-        """``tick`` as one ``(runtime, tick)`` entry per tenant, rows in
-        request order, each tenant's widths checked against its model."""
+    def _by_tenant(self, tick: Tick) -> List[Tick]:
+        """``tick`` as one tick per tenant, rows in request order, each
+        tenant's widths checked against its model."""
         groups = self.router.group(tick.stream_ids)
         if len(groups) == 1:
             entries = [(groups[0][0], tick)]
@@ -323,7 +328,7 @@ class RuntimeServer:
                         f"stream {part.stream_ids[0]!r}: {field} has {width} "
                         f"features; the model expects {expected}",
                     )
-        return entries
+        return [part for _, part in entries]
 
     def handle_detections(self, query: Dict[str, List[str]]) -> dict:
         """Poll (or long-poll) one stream's detections from ``start`` on."""

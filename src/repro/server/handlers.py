@@ -10,8 +10,11 @@ HTTP/1.1 with keep-alive).
 The header parse is the handler's own (:meth:`RuntimeRequestHandler.
 parse_request`): the stdlib's goes through the ``email`` package, ≈ 25 µs
 per ingest request against ≈ 8 µs here (one core of a 2-vCPU x86 VM,
-Python 3.11).  It answers as the stdlib does, and refuses and closes on
-what would misframe the body.
+Python 3.11).  On that VM it alone took the ``http_fanin`` ledger workload
+from a median 157.9 to 145.5 µs of server CPU per segment, in ten
+alternating pairs against the same server with the stdlib's parse.  It
+answers as the stdlib does, and refuses and closes on what would misframe
+the body.
 
 Routes
 ------

@@ -234,7 +234,7 @@ class Tick:
     def __iter__(self):
         return zip(self.stream_ids, self.action_rows, self.interaction_rows, self.levels)
 
-    def select(self, positions: List[int]) -> "Tick":
+    def select(self, positions: Sequence[int]) -> "Tick":
         """The rows at ``positions``, in that order, as a tick of their own."""
         return Tick(
             [self.stream_ids[p] for p in positions],

@@ -444,8 +444,9 @@ class ServerConfig(ConfigBase):
 
     batch_max: int = checked(256, ge=1)
     """Most segments the batcher thread drains into one
-    ``Runtime.ingest_many`` call per tenant.  It takes whole requests, and
-    always the first queued one, however large."""
+    ``Runtime.ingest_many`` call.  It takes whole requests and cuts one
+    larger than this into consecutive calls; keep it within the runtime's
+    ``ServingConfig.max_queue_depth``."""
 
     retry_after_seconds: float = checked(0.5, gt=0)
     """The ``Retry-After`` hint returned with 429 responses — a constant,

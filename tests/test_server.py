@@ -877,6 +877,88 @@ class TestServerIngest:
         runtime.close()
         direct.close()
 
+    def test_batch_max_bounds_every_runtime_call(self, server_runtime_config, tiny_features):
+        """A request larger than ``batch_max`` is admitted whole but reaches
+        its runtime in ``batch_max`` slices, so a runtime whose
+        ``max_queue_depth`` is smaller than the request still takes it."""
+        config = replace(
+            server_runtime_config,
+            serving=replace(server_runtime_config.serving, max_queue_depth=16),
+        )
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        direct = Runtime.from_config(config).fit(tiny_features)
+        streams = make_wire_streams(config, streams=2, segments=30)
+        items = list(round_robin(streams))
+        calls = []
+        feed = runtime.ingest_many
+        runtime.ingest_many = lambda tick: calls.append(len(tick)) or feed(tick)
+        # Not started: both requests queue before the batcher takes any.
+        server = RuntimeServer(
+            runtime, config=ServerConfig(batch_max=8, max_pending=64, poll_interval_ms=5.0)
+        )
+        warm, rest = items[: 2 * SEQUENCE_LENGTH], items[2 * SEQUENCE_LENGTH :]
+        for part in (warm, rest):
+            body = {"segments": [wire_segment(*item) for item in part]}
+            status, payload, _ = server.handle_ingest(json.dumps(body).encode("utf-8"))
+            assert status == 202 and payload["accepted"] == len(part)
+        server.start()
+        server.drain()
+        server.close()
+        assert calls == [8, 2] + [8] * 6 + [2]
+        assert runtime.stats.segments_scored == len(items) - 2 * SEQUENCE_LENGTH
+        for part in (warm, rest):
+            for start in range(0, len(part), 8):
+                direct.ingest_many(part[start : start + 8])
+        direct.drain()
+        for name in streams:
+            assert runtime.detections(name) == direct.detections(name)
+        runtime.close()
+        direct.close()
+
+    def test_one_request_carries_one_width_per_field(
+        self, server_runtime_config, tiny_features
+    ):
+        """Tenants may serve models of different widths, but one request is
+        one tick: a request mixing widths is refused whole with 400, and
+        one request per width is admitted."""
+        narrow_dim = tiny_features.interaction_dim - 1
+        narrow_config = replace(
+            server_runtime_config,
+            model=replace(server_runtime_config.model, interaction_dim=narrow_dim),
+        )
+        wide = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        narrow = Runtime.from_config(narrow_config).fit(
+            replace(tiny_features, interaction=tiny_features.interaction[:, :narrow_dim])
+        )
+        router = TenantRouter({"wide": wide, "narrow": narrow})
+        wide_segments = [
+            wire_segment(*item)
+            for item in round_robin(
+                make_wire_streams(server_runtime_config, streams=1, segments=3, prefix="wide/")
+            )
+        ]
+        narrow_segments = [
+            wire_segment(*item)
+            for item in round_robin(
+                make_wire_streams(narrow_config, streams=1, segments=3, prefix="narrow/")
+            )
+        ]
+        with RuntimeServer(router, config=ServerConfig(poll_interval_ms=5.0)) as server:
+            url = f"{server.url}/v1/ingest"
+            status, payload, _ = http_json(
+                "POST", url, payload={"segments": wide_segments + narrow_segments}
+            )
+            assert status == 400
+            assert "one request carries one width per field" in payload["error"]
+            assert server.admission.stats()["accepted"] == 0
+            for segments in (wide_segments, narrow_segments):
+                status, payload, _ = http_json("POST", url, payload={"segments": segments})
+                assert status == 202 and payload["accepted"] == 3
+            server.drain()
+            assert server.admission.stats()["accepted"] == 6
+        wide.close()
+        narrow.close()
+
     def test_a_request_spanning_two_tenants_is_admitted_or_refused_whole(
         self, server_runtime_config, tiny_features
     ):
@@ -961,6 +1043,30 @@ class TestServerIngest:
         assert counts == {"default": 10 - SEQUENCE_LENGTH}
         assert runtime.stats.segments_scored == 10 - SEQUENCE_LENGTH
         server.close()
+
+        # Over the socket: while the batcher is held off the queue (it takes
+        # under the ingest lock), a POST that does not fit is refused
+        # deterministically, with the Retry-After header on the wire.
+        with RuntimeServer(
+            runtime, config=ServerConfig(max_pending=4, retry_after_seconds=1.0)
+        ) as flooded:
+            with flooded._ingest_lock:
+                status, _, _ = flooded.handle_ingest(
+                    json.dumps({"segments": segments[10:14]}).encode("utf-8")
+                )
+                assert status == 202
+                status, payload, headers = http_json(
+                    "POST",
+                    f"{flooded.url}/v1/ingest",
+                    payload={"segments": segments[14:15]},
+                )
+            assert status == 429
+            assert headers["Retry-After"] == "1"
+            assert "ingest queue is full" in payload["error"]
+            assert payload["queue_depth"] == 4
+            flooded.drain()
+            assert flooded.admission.stats()["queue_depth"] == 0
+        assert runtime.stats.segments_scored == 14 - SEQUENCE_LENGTH
         runtime.close()
 
     def test_request_larger_than_max_pending_is_413_not_a_retry(
