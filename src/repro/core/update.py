@@ -16,7 +16,10 @@ names where:
 3. once the hidden-state buffer ``S_n`` reaches its maximal length ``l_s`` the
    drift trigger compares it with the historical hidden states ``S_h``
    (Eq. 17, :func:`hidden_set_similarity`) and the history set absorbs the
-   buffer — ``ScoringService._drift_check``;
+   buffer — ``ScoringService._drift_check``.  ``S_h`` and ``S_n`` hold hidden
+   states of one model version: a hidden state is a function of the model,
+   so after a publish both are dropped, the next full buffer seeds the new
+   version's ``S_h`` and comparisons resume from the one after it;
 4. if the similarity is above ``tau_u`` the model is kept; otherwise a new
    CLSTM is trained on the buffered segments (:func:`train_incremental`),
    *merged* with the previous model (:func:`merge_models`), ``T_a`` is

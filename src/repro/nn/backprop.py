@@ -364,8 +364,14 @@ class TrainingArena:
         for t in range(time_steps):
             slot = t if keep else 0
             gate, c_t = cache.gates[slot], cache.cells[slot]
-            np.matmul(values.w_rec, state, out=pre)
-            pre += x_proj[t]
+            if t == 0:
+                # Skip the recurrent GEMM on the zero state: every product is
+                # ±0 and every dot product sums to +0.0, so the pre-activation
+                # is x_0 + 0.0 (the inference sweep's argument, nn.fused).
+                np.add(x_proj[0], 0.0, out=pre)
+            else:
+                np.matmul(values.w_rec, state, out=pre)
+                pre += x_proj[t]
             # One sigmoid pass over the whole joint gate height (the wasted work
             # on the candidate block is cheaper than a second set of ufunc
             # calls), then the candidate block is overwritten with its tanh.

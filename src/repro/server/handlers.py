@@ -4,8 +4,9 @@ The handler is deliberately thin: it parses the request line and headers,
 reads the (bounded) body and delegates to the owning
 :class:`~repro.server.app.RuntimeServer` — all admission, tenancy and
 runtime logic lives there, where it is testable without a socket.  Every
-response is JSON with an explicit ``Content-Length`` (the handler speaks
-HTTP/1.1 with keep-alive).
+response goes through one writer (``_send``) with an explicit
+``Content-Length``; it is JSON except the Prometheus text of ``/metrics``
+(the handler speaks HTTP/1.1 with keep-alive).
 
 The header parse is the handler's own (:meth:`RuntimeRequestHandler.
 parse_request`): the stdlib's goes through the ``email`` package, ≈ 25 µs
@@ -207,22 +208,25 @@ class RuntimeRequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: object, headers: Iterable[Tuple[str, str]] = ()
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload), "application/json", headers)
+
+    def _send(
+        self,
+        status: int,
+        text: str,
+        content_type: str,
+        headers: Iterable[Tuple[str, str]] = (),
+    ) -> None:
+        """The one response writer: every body is framed by its length, and
+        a connection about to close says so."""
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers:
             self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -268,7 +272,7 @@ class RuntimeRequestHandler(BaseHTTPRequestHandler):
             elif route == "/stats":
                 self._send_json(200, self.app.handle_stats())
             elif route == "/metrics":
-                self._send_text(200, self.app.handle_metrics(), _METRICS_CONTENT_TYPE)
+                self._send(200, self.app.handle_metrics(), _METRICS_CONTENT_TYPE)
             elif route == "/v1/detections":
                 self._send_json(200, self.app.handle_detections(self._query()))
             else:

@@ -13,7 +13,9 @@ The same forward pass also feeds the dynamic-maintenance machinery of
 Section IV-D: final ``LSTM_I`` hidden states of presumed-normal segments are
 buffered (together with the segments themselves), and whenever the buffer
 fills, the drift check (Eq. 17) runs against the historical hidden-state
-set.  Reaction to drift is pluggable: the service always emits
+set.  Both sets hold hidden states of one model version: a batch scored
+under another version drops them, and the next full buffer seeds the
+history again.  Reaction to drift is pluggable: the service always emits
 :class:`UpdateTrigger` events, and when an
 :class:`~repro.serving.maintenance.UpdatePlane` is attached it additionally
 hands the plane the drained presumed-normal sample buffer, closing the
@@ -365,9 +367,9 @@ class UpdateTrigger:
     stream_ids: tuple[str, ...]
     model_version: int = 1
     """Version pinned by the micro-batch whose segment completed the buffer.
-    When a swap lands while the buffer is filling, earlier buffered hidden
-    states may come from older versions — this field records where the
-    drift check *ran*, not a provenance guarantee for every buffered row."""
+    Every buffered hidden state and the history ``S_h`` it was compared
+    with come from this version: the monitor drops both when a batch is
+    scored under another one."""
 
 
 @dataclass
@@ -599,6 +601,13 @@ class ScoringService:
         Optional seed for the historical hidden-state set ``S_h``; when
         omitted, the first full buffer becomes the history (no trigger can
         fire before that).
+    history_version:
+        The model version whose hidden states ``historical_hidden`` holds
+        (defaults to the registry's latest version).  ``S_h`` and the
+        presumed-normal buffer hold states of one version only: a hidden
+        state is a function of the model, so the first batch scored under
+        another version drops both, the next full buffer re-seeds ``S_h``
+        and comparisons resume under that version.
     on_update_trigger:
         Optional callback invoked with each emitted :class:`UpdateTrigger`.
     max_history:
@@ -641,6 +650,7 @@ class ScoringService:
         on_update_trigger: Optional[Callable[[UpdateTrigger], None]] = None,
         max_history: Optional[int] = None,
         *,
+        history_version: Optional[int] = None,
         registry: Optional[ModelRegistry] = None,
         update_plane: Optional["UpdatePlane"] = None,
         max_batch_delay_ms: Optional[float] = None,
@@ -700,6 +710,10 @@ class ScoringService:
             np.asarray(historical_hidden, dtype=np.float64)
             if historical_hidden is not None
             else None
+        )
+        # The one model version whose hidden states S_h and the buffer hold.
+        self._history_version = (
+            history_version if history_version is not None else registry.latest().version
         )
         self.max_history = max_history
         self._buffer_hidden: List[np.ndarray] = []
@@ -1083,6 +1097,13 @@ class ScoringService:
     ) -> None:
         if self.update_config is None:
             return
+        if model_version != self._history_version:
+            # Hidden states of another version are not comparable with these
+            # (a publish would read as drift by itself): drop S_h and the
+            # buffer, and let the next full buffer seed this version's S_h.
+            self._historical_hidden = None
+            self._clear_buffer()
+            self._history_version = model_version
         threshold = self._interaction_threshold()
         reactions: List[tuple] = []
         for position, request in enumerate(requests):
@@ -1214,7 +1235,8 @@ class ScoringService:
         """Everything a restored service needs to *continue* this one.
 
         Covers the per-stream rolling windows, the drift monitor (history
-        set, presumed-normal buffers, interaction-level running mean) and the
+        set and the model version it belongs to, presumed-normal buffers,
+        interaction-level running mean) and the
         requests still queued in the micro-batcher.  Deliberately excluded —
         they are reporting, not behaviour: past detections, emitted triggers,
         and serving counters (a restored service starts those at zero).
@@ -1237,6 +1259,7 @@ class ScoringService:
                 for stream_id, session in self.sessions.items()
             },
             "historical_hidden": self._historical_hidden,
+            "history_version": self._history_version,
             "buffer_hidden": list(self._buffer_hidden),
             "buffer_stream_ids": list(self._buffer_stream_ids),
             "buffer_requests": (
@@ -1269,6 +1292,11 @@ class ScoringService:
         historical = state["historical_hidden"]
         self._historical_hidden = (
             np.asarray(historical, dtype=np.float64) if historical is not None else None
+        )
+        # A state written before the monitor tracked versions binds its
+        # history to the restored latest version.
+        self._history_version = int(
+            state.get("history_version", self.registry.latest().version)
         )
         self._buffer_hidden = [np.asarray(row, dtype=np.float64) for row in state["buffer_hidden"]]
         self._buffer_stream_ids = [str(stream_id) for stream_id in state["buffer_stream_ids"]]

@@ -139,7 +139,9 @@ class ShardedScoringService:
     historical_hidden:
         Optional seed for every shard's historical hidden-state set ``S_h``
         (only meaningful with a shared registry, where all shards serve the
-        same model).
+        same model).  It holds hidden states of the version published at
+        construction; a shard split off later keeps it bound to that
+        version, so it is dropped, not compared, under a newer one.
     on_update_trigger:
         Callback invoked with every shard's :class:`UpdateTrigger`.
     max_history:
@@ -242,6 +244,10 @@ class ShardedScoringService:
             "max_batch_size": config.max_batch_size,
             "update_config": update_config,
             "historical_hidden": historical_hidden,
+            # The version whose hidden states that seed holds: a shard split
+            # off after a publish must drop it, not compare it.  (Splits need
+            # one shared registry, see Rebalancer.bind.)
+            "history_version": shard_registries[0].latest().version,
             "on_update_trigger": on_update_trigger,
             "max_history": max_history,
             "max_batch_delay_ms": config.max_batch_delay_ms,

@@ -26,15 +26,19 @@ after 40 steps against the step-at-a-time flow (one-shot
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core.clstm import CLSTM
 from repro.core.training import CLSTMTrainer
+from repro.core.update import incremental_training_config, train_incremental
 from repro.core.variants import _LSTMOnlyModel
 from repro.features.sequences import build_sequences
 from repro.nn.backprop import (
+    TrainingArena,
     coupled_pair_backward,
     coupled_pair_forward_cached,
     lstm_backward,
@@ -43,7 +47,7 @@ from repro.nn.backprop import (
 )
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell, run_lstm
 from repro.nn.tensor import Tensor
-from repro.utils.config import TrainingConfig
+from repro.utils.config import TrainingConfig, UpdateConfig
 from test_nn_tensor import numerical_gradient
 
 TOLERANCE = 1e-8
@@ -491,6 +495,72 @@ class TestArenaTrainer:
         assert arena.flat.data.size == arena.flat.grad.size == sum(
             parameter.size for parameter in CLSTM(seed=4, **self.DIMS).parameters()
         ) - 4 * 2 * 9 * 4 + 4 * 13 * 13 - 4 * (9 * 9 + 4 * 4)
+
+
+def _sweep_with_every_gemm(arena, cache):
+    """Re-run ``cache``'s recurrence as ``TrainingArena.forward`` ran it before
+    step 0 skipped its recurrent GEMM, overwriting the cache."""
+    values, pre, scratch = arena.values, cache.pre, cache.scratch
+    i_rows, f_rows, c_rows, o_rows = arena.gate_rows
+    state = cell_state = cache.zero_state
+    keep = len(cache.gates) == cache.time_steps
+    for t in range(cache.time_steps):
+        slot = t if keep else 0
+        gate, c_t = cache.gates[slot], cache.cells[slot]
+        np.matmul(values.w_rec, state, out=pre)
+        pre += cache.x_proj[t]
+        gate[...] = 1.0 / (1.0 + np.exp(-np.clip(pre, -60.0, 60.0)))
+        np.tanh(pre[c_rows], out=gate[c_rows])
+        np.multiply(gate[f_rows], cell_state, out=scratch)
+        np.multiply(gate[i_rows], gate[c_rows], out=c_t)
+        c_t += scratch
+        np.tanh(c_t, out=cache.tanh_cells[slot])
+        np.multiply(gate[o_rows], cache.tanh_cells[slot], out=cache.hiddens[slot])
+        state, cell_state = cache.hiddens[slot], c_t
+    return state
+
+
+class TestZeroStateStep:
+    """Step 0 of the training forward starts from the zero state and skips
+    its recurrent GEMM (``x_0 + 0.0``): a retrain must not move a bit."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            dict(action_dim=64, interaction_dim=16, action_hidden=32, interaction_hidden=16),
+            dict(action_dim=400, interaction_dim=32, action_hidden=128, interaction_hidden=32),
+        ],
+        ids=["small", "paper"],
+    )
+    def test_retrain_weights_are_bitwise_those_of_the_full_gemm(self, monkeypatch, dims):
+        batch = _random_sequences(
+            np.random.default_rng(5), count=41, q=9,
+            d1=dims["action_dim"], d2=dims["interaction_dim"],
+        )
+        config = incremental_training_config(
+            TrainingConfig(batch_size=16, seed=0), UpdateConfig(update_epochs=2)
+        )
+        base = CLSTM(seed=1, **dims)
+
+        def weights_digest():
+            model = train_incremental(base, batch, config, seed=7)
+            digest = hashlib.sha256()
+            for _, parameter in model.named_parameters():
+                digest.update(parameter.data.tobytes())
+            return digest.hexdigest()
+
+        skipped = weights_digest()
+        live_forward = TrainingArena.forward
+        replayed = []
+
+        def forward_with_every_gemm(arena, inputs, keep=True):
+            _, cache = live_forward(arena, inputs, keep)
+            replayed.append(keep)
+            return _sweep_with_every_gemm(arena, cache), cache
+
+        monkeypatch.setattr(TrainingArena, "forward", forward_with_every_gemm)
+        assert weights_digest() == skipped
+        assert True in replayed and False in replayed
 
 
 class TestWeightedLossGrad:

@@ -9,10 +9,12 @@ the sharded scoring service.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.serving.service as service_module
 from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.features.pipeline import StreamFeatures
@@ -505,6 +507,125 @@ class TestClosedLoop:
             ScoringService(registry.latest().detector, registry=registry)
         with pytest.raises(ValueError, match="at least one"):
             ScoringService(registry=ModelRegistry(DetectionConfig(omega=0.8)))
+
+
+def drifted(features: StreamFeatures) -> StreamFeatures:
+    """``features`` with a quarter of the action dimensions boosted (the
+    ledger's ``drift_update`` regime change, renormalised)."""
+    action = features.action.copy()
+    action[:, : D1 // 4] += 3.0
+    return replace(features, action=action / action.sum(axis=1, keepdims=True))
+
+
+class TestDriftMonitorVersions:
+    """``S_h`` and the presumed-normal buffer hold hidden states of one model
+    version: a publish is never read as drift by itself."""
+
+    BUFFER = 64
+
+    @pytest.fixture
+    def similarities(self, monkeypatch):
+        """Every Eq. 17 comparison the monitor runs, as it runs it."""
+        calls = []
+        compare = service_module.hidden_set_similarity
+
+        def spy(historical, incoming, *, statistic):
+            calls.append(compare(historical, incoming, statistic=statistic))
+            return calls[-1]
+
+        monkeypatch.setattr(service_module, "hidden_set_similarity", spy)
+        return calls
+
+    def monitored(self):
+        """A service whose ``S_h`` is the fit-time hidden states of version 1
+        (as ``Runtime.fit`` seeds it), under the ledger's centered statistic."""
+        model = make_model()
+        registry = ModelRegistry(DetectionConfig(omega=0.8))
+        registry.publish(model, 0.2)
+        batch = make_features("train", 200, seed=1).sequences(Q)
+        config = update_config(buffer_size=self.BUFFER, drift_statistic="centered")
+        service = ScoringService(
+            sequence_length=Q,
+            max_batch_size=8,
+            update_config=config,
+            historical_hidden=model.hidden_states(
+                batch.action_sequences, batch.interaction_sequences
+            ),
+            registry=registry,
+        )
+        return service, registry, config
+
+    def publish(self, registry, config):
+        """Version 2: a real retrain-and-merge of version 1."""
+        trigger = UpdateTrigger(
+            segment_index=0, similarity=0.0, buffered_segments=self.BUFFER, stream_ids=("s",)
+        )
+        UpdatePlane(registry, update_config=config, training_config=fast_training()).handle_trigger(
+            trigger, make_requests(self.BUFFER, seed=3)
+        )
+        assert registry.latest().version == 2
+
+    def test_same_distribution_after_a_publish_does_not_trigger(self, similarities):
+        service, registry, config = self.monitored()
+        replay_streams(service, {"a": make_features("a", self.BUFFER + Q, seed=2)})
+        assert len(similarities) == 1 and not service.update_triggers
+        self.publish(registry, config)
+        del similarities[:]
+        replay_streams(service, {"b": make_features("b", 3 * self.BUFFER + Q, seed=20)})
+        # The first version-2 buffer seeds S_h; the two after it compare
+        # version-2 states with version-2 states of the same distribution.
+        assert len(similarities) == 2
+        assert min(similarities) > config.drift_threshold
+        assert not service.update_triggers
+
+    def test_drift_after_a_publish_triggers_on_the_first_comparison(self, similarities):
+        service, registry, config = self.monitored()
+        self.publish(registry, config)
+        replay_streams(service, {"a": make_features("a", self.BUFFER + Q, seed=2)})
+        assert similarities == [] and not service.update_triggers
+        replay_streams(service, {"c": drifted(make_features("c", self.BUFFER + Q, seed=40))})
+        (similarity,) = similarities
+        (trigger,) = service.update_triggers
+        assert trigger.similarity == similarity <= config.drift_threshold
+        assert trigger.model_version == 2
+        assert trigger.stream_ids == ("c",)
+
+    def test_a_buffer_straddling_a_publish_is_never_compared(self, similarities):
+        service, registry, config = self.monitored()
+        straddle = self.BUFFER * 5 // 8
+        replay_streams(service, {"a": make_features("a", straddle + Q, seed=2)})
+        assert len(service.export_state()["buffer_hidden"]) == straddle
+        self.publish(registry, config)
+        replay_streams(service, {"b": make_features("b", straddle + Q, seed=20)})
+        # Old and new rows together would overfill the buffer; the first
+        # version-2 batch dropped the version-1 rows and S_h with them.
+        assert similarities == [] and not service.update_triggers
+        state = service.export_state()
+        assert len(state["buffer_hidden"]) == straddle
+        assert state["historical_hidden"] is None and state["history_version"] == 2
+        assert set(state["buffer_stream_ids"]) == {"b"}
+
+    def test_a_state_without_the_version_binds_to_the_latest(self, similarities):
+        """A state exported before the monitor tracked versions restores with
+        its history bound to the restored latest version and resumes."""
+        service, registry, config = self.monitored()
+        self.publish(registry, config)
+        replay_streams(service, {"a": make_features("a", self.BUFFER + 20 + Q, seed=2)})
+        state = service.export_state()
+        assert state["history_version"] == 2 and state["historical_hidden"] is not None
+        del state["history_version"]
+        restored = ScoringService(
+            sequence_length=Q, max_batch_size=8, update_config=config, registry=registry
+        )
+        restored.restore_state(state)
+        assert restored.export_state()["history_version"] == 2
+        tail = {"c": drifted(make_features("c", self.BUFFER + Q, seed=40))}
+        replay_streams(service, tail)
+        del similarities[:]
+        replay_streams(restored, tail)
+        assert len(similarities) == 1, "the restored history was not compared"
+        assert restored.detections("c") == service.detections("c")
+        assert restored.update_triggers == service.update_triggers[-1:]
 
 
 class TestDeadlineFlush:

@@ -25,6 +25,7 @@ import pytest
 from repro import Runtime, RuntimeConfig
 from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
+from repro.features.sequences import build_sequences
 from repro.serving import (
     ManualClock,
     ModelRegistry,
@@ -268,6 +269,46 @@ class TestSplitMerge:
         service.poll()
         assert service.num_shards == 2
         assert all(d.kind != "split" for d in rebalancer.decisions)
+
+    def test_split_after_a_publish_keeps_the_seed_bound_to_its_version(self):
+        """The fit-time ``S_h`` seed holds version-1 hidden states: a shard
+        split off under version 2 drops it instead of comparing it."""
+        clock = ManualClock()
+        registry = make_registry()
+        batch = build_sequences(*stream_arrays(seed=3, segments=20), Q)
+        seed = registry.latest().model.hidden_states(
+            batch.action_sequences, batch.interaction_sequences
+        )
+        service = ShardedScoringService(
+            registry,
+            config=ServingConfig(max_batch_size=64, num_shards=2),
+            sequence_length=Q,
+            # drift_threshold=1.0: any comparison the split shard ran would trigger.
+            update_config=UpdateConfig(
+                buffer_size=4, drift_threshold=1.0, interaction_threshold=10.0
+            ),
+            historical_hidden=seed,
+            router=lambda stream_id: 2 if stream_id == "fresh-B" else 0,
+            clock=clock,
+            rebalancer=Rebalancer(self.SHARDING, clock=clock),
+        )
+        registry.publish(registry.latest().model, 0.3)
+        pile_up(service, "hot-A", depth=8, seed=1)
+        service.poll()
+        assert service.num_shards == 3
+        state = service.shards[2].export_state()
+        assert state["history_version"] == 1
+        assert np.array_equal(state["historical_hidden"], seed)
+        action, interaction = stream_arrays(seed=9, segments=Q + 4)
+        for position in range(Q + 4):
+            service.submit_many((("fresh-B", action[position], interaction[position], 0.5),))
+        service.drain()
+        assert len(service.detections("fresh-B")) == 4
+        # The first full version-2 buffer seeded S_h instead of being compared.
+        assert service.shards[2].update_triggers == []
+        state = service.shards[2].export_state()
+        assert state["history_version"] == 2 and len(state["historical_hidden"]) == 4
+        assert state["buffer_hidden"] == []
 
 
 # --------------------------------------------------------------------- #

@@ -530,6 +530,23 @@ class TestHttpFraming:
         )
         assert [status for status, _ in answers] == [200] and closed
 
+    @pytest.mark.parametrize("route", [b"/healthz", b"/metrics"])
+    def test_a_closing_response_says_so(self, served, route):
+        """JSON and Prometheus text share one writer: a response on a
+        connection the handler is about to close carries ``Connection:
+        close`` and a ``Content-Length`` that frames its body."""
+        server, _ = served
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"GET " + route + b" HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = response.read()
+            assert response.status == 200 and body
+            assert response.getheader("Connection") == "close"
+            assert response.getheader("Content-Length") == str(len(body))
+            sock.settimeout(0.5)
+            assert sock.recv(1) == b""
+
     def test_keep_alive_serves_several_requests_on_one_socket(self, served):
         server, body = served
         length = b"Content-Length: %d" % len(body)
