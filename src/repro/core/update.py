@@ -11,12 +11,13 @@ names where:
    (:mod:`repro.serving.service`) takes it from the same fused forward that
    scores the segment;
 2. segments whose normalised audience interaction is below a threshold ``T``
-   (by default the running mean of the observed levels) are presumed normal
-   and buffered, segment and hidden state — ``ScoringService._observe_hidden``;
+   (by default the mean of the levels observed before the current
+   micro-batch) are presumed normal and buffered, segment and hidden state —
+   ``DriftMonitor.observe`` (:mod:`repro.serving.service`);
 3. once the hidden-state buffer ``S_n`` reaches its maximal length ``l_s`` the
    drift trigger compares it with the historical hidden states ``S_h``
    (Eq. 17, :func:`hidden_set_similarity`) and the history set absorbs the
-   buffer — ``ScoringService._drift_check``.  ``S_h`` and ``S_n`` hold hidden
+   buffer — also ``DriftMonitor.observe``.  ``S_h`` and ``S_n`` hold hidden
    states of one model version: a hidden state is a function of the model,
    so after a publish both are dropped, the next full buffer seeds the new
    version's ``S_h`` and comparisons resume from the one after it;

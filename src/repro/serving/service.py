@@ -9,18 +9,15 @@ coalesces ready segments *across streams* through a
 single fused ``predict_full`` pass, and routes the resulting detections back
 to their streams.
 
-The same forward pass also feeds the dynamic-maintenance machinery of
-Section IV-D: final ``LSTM_I`` hidden states of presumed-normal segments are
-buffered (together with the segments themselves), and whenever the buffer
-fills, the drift check (Eq. 17) runs against the historical hidden-state
-set.  Both sets hold hidden states of one model version: a batch scored
-under another version drops them, and the next full buffer seeds the
-history again.  Reaction to drift is pluggable: the service always emits
-:class:`UpdateTrigger` events, and when an
-:class:`~repro.serving.maintenance.UpdatePlane` is attached it additionally
-hands the plane the drained presumed-normal sample buffer, closing the
-paper's Fig. 5 loop inside the runtime — the plane retrains, merges,
-re-calibrates ``T_a`` and publishes the new version back through the shared
+The same forward pass also feeds Section IV-D's dynamic maintenance: each
+service owns one :class:`DriftMonitor`, which buffers the final ``LSTM_I``
+hidden states of presumed-normal segments and compares every full buffer
+with the historical set (Eq. 17).  The service records each
+:class:`UpdateTrigger` it fires and, when an
+:class:`~repro.serving.maintenance.UpdatePlane` was attached at
+construction, hands the plane the drained sample buffer, closing the paper's
+Fig. 5 loop inside the runtime — the plane retrains, merges, re-calibrates
+``T_a`` and publishes the new version back through the shared
 :class:`~repro.serving.registry.ModelRegistry`.
 
 Model access is registry-mediated: each service holds a
@@ -93,6 +90,7 @@ __all__ = [
     "ShardStats",
     "BatchScores",
     "StreamSession",
+    "DriftMonitor",
     "Tick",
     "ManualClock",
     "ScoringService",
@@ -577,6 +575,173 @@ class StreamSession:
         return request
 
 
+class DriftMonitor:
+    """Fig. 5's drift monitor (Section IV-D) over one shard's scored batches.
+
+    A scored segment whose interaction level is below ``T`` is presumed
+    normal: its ``LSTM_I`` hidden state is buffered, and with
+    ``retain_samples`` its request too.  ``T`` is
+    ``config.interaction_threshold`` when set; otherwise it is the mean of
+    every level observed *before* the current micro-batch — frozen for the
+    batch and never reset on publish, so which rows are buffered depends on
+    where batch boundaries fall.  Whenever the buffer reaches
+    ``config.buffer_size`` rows it is compared with the historical set
+    ``S_h`` by Eq. 17 (:func:`~repro.core.update.hidden_set_similarity`); a
+    similarity at or below ``config.drift_threshold`` fires an
+    :class:`UpdateTrigger`, and ``S_h`` absorbs the buffer either way,
+    keeping its last ``max_history`` rows when that is set.  With no seed,
+    the first full buffer becomes ``S_h``.  ``S_h`` and the buffer hold
+    hidden states of one model version, ``history_version``: a batch scored
+    under another version drops both.
+
+    A plain object — no locks, no plane, no callbacks: :meth:`observe`
+    returns what fired and its owner reacts.  With ``config=None`` nothing
+    is observed and the monitor only carries its seed.
+    """
+
+    def __init__(
+        self,
+        config: Optional[UpdateConfig],
+        history_version: int,
+        historical_hidden: Optional[np.ndarray] = None,
+        max_history: Optional[int] = None,
+        retain_samples: bool = False,
+    ) -> None:
+        if max_history is not None and max_history < 1:
+            raise ValueError("max_history must be positive when set")
+        self.config = config
+        self.max_history = max_history
+        self._historical_hidden = (
+            np.asarray(historical_hidden, dtype=np.float64)
+            if historical_hidden is not None
+            else None
+        )
+        self._history_version = history_version
+        self._buffer_hidden: List[np.ndarray] = []
+        self._buffer_stream_ids: List[str] = []
+        # Sample payloads are kept only for an owner that trains on them:
+        # otherwise buffer_size feature windows would be pinned for nothing.
+        self._buffer_requests: Optional[List[ScoreRequest]] = [] if retain_samples else None
+        self._level_sum = 0.0
+        self._level_count = 0
+
+    def observe(
+        self, requests: Sequence[ScoreRequest], hidden: np.ndarray, model_version: int
+    ) -> List[tuple]:
+        """Observe one micro-batch scored under ``model_version`` (``hidden``
+        holds its rows' hidden states) and return the ``(trigger, samples)``
+        pairs it fired, in order.  ``samples`` is the trigger's buffered
+        requests, or ``None`` unless every buffered row was retained.  A
+        request with a ``nan`` level is not observed."""
+        config = self.config
+        if config is None:
+            return []
+        if model_version != self._history_version:
+            # Hidden states of another version are not comparable with these
+            # (a publish would read as drift by itself): drop S_h and the
+            # buffer, and let the next full buffer seed this version's S_h.
+            self._historical_hidden = None
+            self._clear_buffer()
+            self._history_version = model_version
+        if config.interaction_threshold is not None:
+            threshold = config.interaction_threshold
+        elif self._level_count:
+            threshold = self._level_sum / self._level_count
+        else:
+            threshold = float("inf")  # before any observation, everything buffers
+        fired: List[tuple] = []
+        for position, request in enumerate(requests):
+            level = request.interaction_level
+            if np.isnan(level):
+                continue
+            self._level_sum += level
+            self._level_count += 1
+            if level < threshold:
+                self._buffer_hidden.append(hidden[position])
+                self._buffer_stream_ids.append(request.stream_id)
+                if self._buffer_requests is not None:
+                    self._buffer_requests.append(request)
+            if len(self._buffer_hidden) >= config.buffer_size:
+                reaction = self._check(request.segment_index)
+                if reaction is not None:
+                    fired.append(reaction)
+        return fired
+
+    def _check(self, segment_index: int) -> Optional[tuple]:
+        """Compare the full buffer with ``S_h``, absorb it and clear it;
+        return the ``(trigger, samples)`` pair when it fired."""
+        incoming = np.stack(self._buffer_hidden, axis=0)
+        if self._historical_hidden is None:
+            # First full buffer seeds the history; no drift can be measured yet.
+            self._historical_hidden = incoming
+            self._clear_buffer()
+            return None
+        similarity = hidden_set_similarity(
+            self._historical_hidden, incoming, statistic=self.config.drift_statistic
+        )
+        reaction: Optional[tuple] = None
+        if similarity <= self.config.drift_threshold:
+            trigger = UpdateTrigger(
+                segment_index=segment_index,
+                similarity=float(similarity),
+                buffered_segments=len(self._buffer_hidden),
+                stream_ids=tuple(sorted(set(self._buffer_stream_ids))),
+                model_version=self._history_version,
+            )
+            samples = self._buffer_requests
+            # A buffer restored from a state that kept no samples holds only
+            # part of them: no samples rather than a fragment to train on.
+            complete = samples is not None and len(samples) == len(self._buffer_hidden)
+            reaction = (trigger, tuple(samples) if complete else None)
+        # History absorbs the buffer either way (line 14 of Fig. 5).
+        self._historical_hidden = np.concatenate([self._historical_hidden, incoming], axis=0)
+        if self.max_history is not None and len(self._historical_hidden) > self.max_history:
+            self._historical_hidden = self._historical_hidden[-self.max_history :]
+        self._clear_buffer()
+        return reaction
+
+    def _clear_buffer(self) -> None:
+        self._buffer_hidden.clear()
+        self._buffer_stream_ids.clear()
+        if self._buffer_requests is not None:
+            self._buffer_requests.clear()
+
+
+    def state(self) -> Dict[str, object]:
+        """The monitor as checkpoint leaves: ``S_h`` and its version, the
+        buffers and the level running sum."""
+        return {
+            "historical_hidden": self._historical_hidden,
+            "history_version": self._history_version,
+            "buffer_hidden": list(self._buffer_hidden),
+            "buffer_stream_ids": list(self._buffer_stream_ids),
+            "buffer_requests": (
+                [_request_state(request) for request in self._buffer_requests]
+                if self._buffer_requests is not None
+                else None
+            ),
+            "level_sum": self._level_sum,
+            "level_count": self._level_count,
+        }
+
+    def load_state(self, state: Mapping[str, object], latest_version: int) -> None:
+        """Continue from a :meth:`state` payload.  A state written before the
+        monitor tracked versions binds its history to ``latest_version``."""
+        historical = state["historical_hidden"]
+        self._historical_hidden = (
+            np.asarray(historical, dtype=np.float64) if historical is not None else None
+        )
+        self._history_version = int(state.get("history_version", latest_version))
+        self._buffer_hidden = [np.asarray(row, dtype=np.float64) for row in state["buffer_hidden"]]
+        self._buffer_stream_ids = [str(stream_id) for stream_id in state["buffer_stream_ids"]]
+        if self._buffer_requests is not None:
+            self._buffer_requests = list(
+                map(_request_from_state, state.get("buffer_requests") or [])
+            )
+        self._level_sum = float(state["level_sum"])
+        self._level_count = int(state["level_count"])
+
+
 class ScoringService:
     """Micro-batching scoring front-end for many concurrent streams.
 
@@ -594,28 +759,16 @@ class ScoringService:
         Micro-batch capacity; :meth:`submit_many` flushes automatically
         whenever a full batch has accumulated.
     update_config:
-        Enables drift monitoring when provided (uses ``buffer_size`` and
-        ``drift_threshold``; ``interaction_threshold`` falls back to the
-        running mean of observed interaction levels, as in the paper).
-    historical_hidden:
-        Optional seed for the historical hidden-state set ``S_h``; when
-        omitted, the first full buffer becomes the history (no trigger can
-        fire before that).
-    history_version:
-        The model version whose hidden states ``historical_hidden`` holds
-        (defaults to the registry's latest version).  ``S_h`` and the
-        presumed-normal buffer hold states of one version only: a hidden
-        state is a function of the model, so the first batch scored under
-        another version drops both, the next full buffer re-seeds ``S_h``
-        and comparisons resume under that version.
+        Enables the service's :class:`DriftMonitor` when provided; with no
+        ``interaction_threshold`` set, ``T`` is the mean of every level
+        observed before the current micro-batch.
+    historical_hidden, history_version, max_history:
+        The monitor's seed ``S_h``, the model version whose hidden states it
+        holds (default: the registry's latest) and the cap on ``S_h``.
+        ``max_history=None`` is paper-faithful: the history grows without
+        bound; a cap changes the comparison set, not the Eq. 17 statistic.
     on_update_trigger:
         Optional callback invoked with each emitted :class:`UpdateTrigger`.
-    max_history:
-        Optional cap on the historical hidden-state set; when set, only the
-        most recent ``max_history`` rows are kept after each absorption
-        (Eq. 17 compares mean unit vectors, so a recency window changes the
-        comparison set, not the statistic).  ``None`` is paper-faithful:
-        the history grows without bound.
     registry:
         A :class:`ModelRegistry` with at least one published snapshot; the
         service pins its latest version once per micro-batch.  Mutually
@@ -624,7 +777,8 @@ class ScoringService:
         Optional :class:`~repro.serving.maintenance.UpdatePlane` wired to the
         *same* registry; every drift trigger is handed to it together with
         the drained presumed-normal sample buffer (requires
-        ``update_config``).
+        ``update_config``).  A plane attaches here or not at all: the
+        monitor retains sample payloads only for a plane it was built with.
     max_batch_delay_ms:
         Wall-clock flush deadline: once the oldest queued request has waited
         this long, the partial batch is scored (on :meth:`submit_many` or
@@ -660,8 +814,6 @@ class ScoringService:
     ) -> None:
         if sequence_length < 1:
             raise ValueError("sequence_length must be positive")
-        if max_history is not None and max_history < 1:
-            raise ValueError("max_history must be positive when set")
         if latency_reservoir < 1:
             raise ValueError("latency_reservoir must be positive")
         # Lock order is always scoring → ingest (see the module docstring).
@@ -680,15 +832,24 @@ class ScoringService:
             registry = ModelRegistry.from_detector(detector)
         elif len(registry) == 0:
             raise ValueError("registry must hold at least one published snapshot")
+        if update_plane is not None:
+            if update_plane.registry is not registry:
+                raise ValueError(
+                    "update_plane must publish into the same registry this service reads"
+                )
+            if update_config is None:
+                raise ValueError("update_plane requires update_config (drift monitoring)")
         self.registry = registry
         self._handle = registry.handle()
         self.update_config = update_config
-        self._update_plane: Optional["UpdatePlane"] = None
-        # Full sample payloads are only retained when something consumes them
-        # — with no update plane, holding buffer_size feature windows would
-        # pin megabytes per drift check for nothing.
-        self._buffer_requests: Optional[List[ScoreRequest]] = None
-        self.update_plane = update_plane  # validating property
+        self._update_plane = update_plane
+        self._monitor = DriftMonitor(
+            update_config,
+            history_version if history_version is not None else registry.latest().version,
+            historical_hidden,
+            max_history,
+            retain_samples=update_plane is not None,
+        )
         self.sequence_length = sequence_length
         self.max_batch_delay_ms = max_batch_delay_ms
         self._clock: Callable[[], float] = clock if clock is not None else time.monotonic
@@ -706,21 +867,6 @@ class ScoringService:
         self._kernel_timings = TimingAccumulator()
         self.on_update_trigger = on_update_trigger
         self.update_triggers: List[UpdateTrigger] = []
-        self._historical_hidden = (
-            np.asarray(historical_hidden, dtype=np.float64)
-            if historical_hidden is not None
-            else None
-        )
-        # The one model version whose hidden states S_h and the buffer hold.
-        self._history_version = (
-            history_version if history_version is not None else registry.latest().version
-        )
-        self.max_history = max_history
-        self._buffer_hidden: List[np.ndarray] = []
-        self._buffer_stream_ids: List[str] = []
-        # Running mean of observed interaction levels (O(1) per segment).
-        self._level_sum = 0.0
-        self._level_count = 0
         # Bounded flush-to-score latency reservoir (ms); feeds the
         # p50/p95/p99 fields of load_stats().  Mutated only under the
         # scoring lock, read under both locks by load_stats.
@@ -734,26 +880,8 @@ class ScoringService:
 
     @property
     def update_plane(self) -> Optional["UpdatePlane"]:
-        """The attached maintenance plane (settable; validated on set)."""
+        """The maintenance plane attached at construction, if any."""
         return self._update_plane
-
-    @update_plane.setter
-    def update_plane(self, plane: Optional["UpdatePlane"]) -> None:
-        if plane is not None:
-            if plane.registry is not self.registry:
-                raise ValueError(
-                    "update_plane must publish into the same registry this service reads"
-                )
-            if self.update_config is None:
-                raise ValueError("update_plane requires update_config (drift monitoring)")
-            if self._buffer_requests is None:
-                # Start collecting sample payloads from here on; segments
-                # buffered before the plane was attached have hidden states
-                # but no retainable windows.
-                self._buffer_requests = []
-        else:
-            self._buffer_requests = None
-        self._update_plane = plane
 
     @property
     def detector(self) -> AnomalyDetector:
@@ -1086,116 +1214,23 @@ class ScoringService:
                 sessions = list(map(self.session, stream_ids))
             # session.detections.append(detection) per row, consumed in C.
             deque(map(list.append, map(_DETECTIONS, sessions), detections), maxlen=0)
-        self._observe_hidden(requests, batch.hidden, snapshot.version)
-        return detections
-
-    # ------------------------------------------------------------------ #
-    # Drift monitoring (incremental-update triggers)
-    # ------------------------------------------------------------------ #
-    def _observe_hidden(
-        self, requests: List[ScoreRequest], hidden: np.ndarray, model_version: int
-    ) -> None:
-        if self.update_config is None:
-            return
-        if model_version != self._history_version:
-            # Hidden states of another version are not comparable with these
-            # (a publish would read as drift by itself): drop S_h and the
-            # buffer, and let the next full buffer seed this version's S_h.
-            self._historical_hidden = None
-            self._clear_buffer()
-            self._history_version = model_version
-        threshold = self._interaction_threshold()
-        reactions: List[tuple] = []
-        for position, request in enumerate(requests):
-            level = request.interaction_level
-            if np.isnan(level):
-                continue
-            self._level_sum += level
-            self._level_count += 1
-            if level < threshold:
-                self._buffer_hidden.append(hidden[position])
-                self._buffer_stream_ids.append(request.stream_id)
-                if self._buffer_requests is not None:
-                    self._buffer_requests.append(request)
-            if len(self._buffer_hidden) >= self.update_config.buffer_size:
-                reaction = self._drift_check(request.segment_index, model_version)
-                if reaction is not None:
-                    reactions.append(reaction)
-        # React only after every row of the batch has been observed.  The
-        # drift transaction itself (similarity check, history absorption,
-        # buffer clear) completed inside _drift_check, so by the time the
-        # update plane or a trigger callback runs — both may checkpoint the
-        # runtime — the monitor is in a consistent, resumable state and no
-        # half-observed batch is left behind: a checkpoint taken inside a
-        # callback lands exactly on an inter-batch boundary.
-        for trigger, samples in reactions:
+        fired = self._monitor.observe(requests, batch.hidden, snapshot.version)
+        self.update_triggers.extend(trigger for trigger, _ in fired)
+        # React only after every row of the batch has been observed: the
+        # monitor is then in a consistent, resumable state, so a checkpoint
+        # taken by the update plane or a trigger callback lands exactly on an
+        # inter-batch boundary.
+        for trigger, samples in fired:
             if samples is not None:
                 # Close the Fig. 5 loop in-runtime: train on the drained
                 # presumed-normal buffer, merge, re-calibrate, publish.  The
                 # swap becomes visible at the next batch's snapshot pin.
                 with self._kernel_timings.measure("update"):
-                    self.update_plane.handle_trigger(trigger, samples)
+                    self._update_plane.handle_trigger(trigger, samples)
                 self.stats.update_seconds = self._kernel_timings.total("update")
             if self.on_update_trigger is not None:
                 self.on_update_trigger(trigger)
-
-    def _interaction_threshold(self) -> float:
-        if self.update_config.interaction_threshold is not None:
-            return self.update_config.interaction_threshold
-        if self._level_count == 0:
-            return float("inf")  # before any observation, everything buffers
-        return self._level_sum / self._level_count
-
-    def _drift_check(self, segment_index: int, model_version: int) -> Optional[tuple]:
-        """Run one drift check; return the deferred reaction (or ``None``).
-
-        The whole drift *transaction* happens here — similarity, trigger
-        recording, sample materialisation, history absorption (line 14 of
-        Fig. 5) and buffer clearing — but the *reaction* (update plane,
-        user callback) is returned to the caller to run once the batch is
-        fully observed.
-        """
-        incoming = np.stack(self._buffer_hidden, axis=0)
-        if self._historical_hidden is None:
-            # First full buffer seeds the history; no drift can be measured yet.
-            self._historical_hidden = incoming
-            self._clear_buffer()
-            return None
-        similarity = hidden_set_similarity(
-            self._historical_hidden, incoming, statistic=self.update_config.drift_statistic
-        )
-        reaction: Optional[tuple] = None
-        if similarity <= self.update_config.drift_threshold:
-            trigger = UpdateTrigger(
-                segment_index=segment_index,
-                similarity=float(similarity),
-                buffered_segments=len(self._buffer_hidden),
-                stream_ids=tuple(sorted(set(self._buffer_stream_ids))),
-                model_version=model_version,
-            )
-            self.update_triggers.append(trigger)
-            samples: Optional[tuple] = None
-            if self.update_plane is not None and len(self._buffer_requests) == len(
-                self._buffer_hidden
-            ):
-                # (A plane attached mid-buffer retained only part of this
-                # buffer's samples — skip the update rather than train and
-                # re-calibrate on a fragment; the next full buffer is
-                # complete, since the buffer clears below.)
-                samples = tuple(self._buffer_requests)
-            reaction = (trigger, samples)
-        # History absorbs the buffer either way (line 14 of Fig. 5).
-        self._historical_hidden = np.concatenate([self._historical_hidden, incoming], axis=0)
-        if self.max_history is not None and len(self._historical_hidden) > self.max_history:
-            self._historical_hidden = self._historical_hidden[-self.max_history :]
-        self._clear_buffer()
-        return reaction
-
-    def _clear_buffer(self) -> None:
-        self._buffer_hidden.clear()
-        self._buffer_stream_ids.clear()
-        if self._buffer_requests is not None:
-            self._buffer_requests.clear()
+        return detections
 
     # ------------------------------------------------------------------ #
     # Session handoff (shard merge)
@@ -1258,17 +1293,7 @@ class ScoringService:
                 }
                 for stream_id, session in self.sessions.items()
             },
-            "historical_hidden": self._historical_hidden,
-            "history_version": self._history_version,
-            "buffer_hidden": list(self._buffer_hidden),
-            "buffer_stream_ids": list(self._buffer_stream_ids),
-            "buffer_requests": (
-                [_request_state(request) for request in self._buffer_requests]
-                if self._buffer_requests is not None
-                else None
-            ),
-            "level_sum": self._level_sum,
-            "level_count": self._level_count,
+            **self._monitor.state(),
             "pending": [_request_state(request) for request in self.batcher.pending()],
         }
 
@@ -1289,22 +1314,7 @@ class ScoringService:
                 )
             )
             session.segments_seen = int(payload["segments_seen"])
-        historical = state["historical_hidden"]
-        self._historical_hidden = (
-            np.asarray(historical, dtype=np.float64) if historical is not None else None
-        )
-        # A state written before the monitor tracked versions binds its
-        # history to the restored latest version.
-        self._history_version = int(
-            state.get("history_version", self.registry.latest().version)
-        )
-        self._buffer_hidden = [np.asarray(row, dtype=np.float64) for row in state["buffer_hidden"]]
-        self._buffer_stream_ids = [str(stream_id) for stream_id in state["buffer_stream_ids"]]
-        buffered = state.get("buffer_requests")
-        if self._buffer_requests is not None and buffered is not None:
-            self._buffer_requests = [_request_from_state(payload) for payload in buffered]
-        self._level_sum = float(state["level_sum"])
-        self._level_count = int(state["level_count"])
+        self._monitor.load_state(state, self.registry.latest().version)
         self.batcher.extend(list(map(_request_from_state, state["pending"])), self._clock())
 
 

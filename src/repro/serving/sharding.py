@@ -142,8 +142,6 @@ class ShardedScoringService:
         same model).  It holds hidden states of the version published at
         construction; a shard split off later keeps it bound to that
         version, so it is dropped, not compared, under a newer one.
-    on_update_trigger:
-        Callback invoked with every shard's :class:`UpdateTrigger`.
     max_history:
         Per-shard cap on the historical hidden-state set.
     router:
@@ -174,7 +172,6 @@ class ShardedScoringService:
         attach_update_planes: bool = False,
         training_config: Optional[TrainingConfig] = None,
         historical_hidden: Optional[np.ndarray] = None,
-        on_update_trigger: Optional[Callable[[UpdateTrigger], None]] = None,
         max_history: Optional[int] = None,
         router: Optional[Callable[[str], int]] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -195,66 +192,48 @@ class ShardedScoringService:
             raise ValueError("background_updates requires attach_update_planes")
         self.config = config
         self.executor = executor if executor is not None else SerialExecutor()
-        self.shards: List[ScoringService] = []
         # One plane per *distinct* registry: shards sharing a registry share
         # the plane, so every update trains and merges against the latest
         # published version instead of N planes racing each other.  (Each
         # shard still has its own drift monitor over its own streams, so two
         # shards of one model can both legitimately request updates — from
         # disjoint sample buffers.)
-        planes: Dict[int, Union[UpdatePlane, BackgroundUpdatePlane]] = {}
-        for registry in shard_registries:
-            plane = None
-            if attach_update_planes:
-                plane = planes.get(id(registry))
-                if plane is None:
-                    plane = UpdatePlane(
-                        registry, update_config=update_config, training_config=training_config
-                    )
-                    if background_updates:
-                        plane = BackgroundUpdatePlane(plane)
-                    planes[id(registry)] = plane
-            self.shards.append(
-                ScoringService(
-                    sequence_length=sequence_length,
-                    max_batch_size=config.max_batch_size,
-                    update_config=update_config,
-                    historical_hidden=historical_hidden,
-                    on_update_trigger=on_update_trigger,
-                    max_history=max_history,
-                    registry=registry,
-                    update_plane=plane,
-                    max_batch_delay_ms=config.max_batch_delay_ms,
-                    clock=clock,
-                    max_queue_depth=config.max_queue_depth,
-                    latency_reservoir=config.latency_reservoir,
+        self._planes: Dict[int, Union[UpdatePlane, BackgroundUpdatePlane]] = {}
+        for registry in shard_registries if attach_update_planes else ():
+            if id(registry) not in self._planes:
+                plane = UpdatePlane(
+                    registry, update_config=update_config, training_config=training_config
                 )
-            )
-        self._planes = planes
-        widths = {shard.feature_dims for shard in self.shards}
-        if len(widths) != 1:
-            raise ValueError(
-                f"every shard must serve the same feature widths, got {sorted(widths)}"
-            )
-        self._feature_dims = widths.pop()
-        # Construction recipe for rebalancer-driven shard splits: a fresh
-        # shard over an existing registry must match its siblings exactly.
+                self._planes[id(registry)] = (
+                    BackgroundUpdatePlane(plane) if background_updates else plane
+                )
+        # The one shard recipe (_new_shard), for the initial shards and the
+        # rebalancer's splits alike.  The seed S_h holds hidden states of each
+        # registry's version at construction, so a shard split off after a
+        # publish drops it instead of comparing it.
+        self._seed_versions = {
+            id(registry): registry.latest().version
+            for registry in shard_registries
+            if len(registry)  # ScoringService refuses an empty registry
+        }
         self._shard_kwargs: Dict[str, object] = {
             "sequence_length": sequence_length,
             "max_batch_size": config.max_batch_size,
             "update_config": update_config,
             "historical_hidden": historical_hidden,
-            # The version whose hidden states that seed holds: a shard split
-            # off after a publish must drop it, not compare it.  (Splits need
-            # one shared registry, see Rebalancer.bind.)
-            "history_version": shard_registries[0].latest().version,
-            "on_update_trigger": on_update_trigger,
             "max_history": max_history,
             "max_batch_delay_ms": config.max_batch_delay_ms,
             "clock": clock,
             "max_queue_depth": config.max_queue_depth,
             "latency_reservoir": config.latency_reservoir,
         }
+        self.shards: List[ScoringService] = list(map(self._new_shard, shard_registries))
+        widths = {shard.feature_dims for shard in self.shards}
+        if len(widths) != 1:
+            raise ValueError(
+                f"every shard must serve the same feature widths, got {sorted(widths)}"
+            )
+        self._feature_dims = widths.pop()
         self._router = router if router is not None else (
             lambda stream_id: default_router(stream_id, len(self.shards))
         )
@@ -355,6 +334,15 @@ class ShardedScoringService:
     # ------------------------------------------------------------------ #
     # Topology primitives (rebalancer-driven; caller holds _routes_lock)
     # ------------------------------------------------------------------ #
+    def _new_shard(self, registry: ModelRegistry) -> ScoringService:
+        """A fresh shard over ``registry``, built by the one shard recipe."""
+        return ScoringService(
+            registry=registry,
+            update_plane=self._planes.get(id(registry)),
+            history_version=self._seed_versions.get(id(registry)),
+            **self._shard_kwargs,
+        )
+
     def _spawn_shard_locked(self, source_index: int) -> int:
         """Append a fresh shard over ``source_index``'s registry; return it.
 
@@ -364,11 +352,7 @@ class ShardedScoringService:
         drift to it through the rebalancer's hot-shard diversion.  Existing
         streams keep their pinned routes.
         """
-        registry = self.shards[source_index].registry
-        plane = self._planes.get(id(registry))
-        shard = ScoringService(
-            registry=registry, update_plane=plane, **self._shard_kwargs
-        )
+        shard = self._new_shard(self.shards[source_index].registry)
         self.shards.append(shard)
         index = len(self.shards) - 1
         notify = getattr(self.executor, "notify_shard_added", None)

@@ -407,7 +407,10 @@ class UpdateConfig(ConfigBase):
 
     interaction_threshold: float | None = None
     """Threshold T for labelling incoming segments normal; ``None`` uses the
-    running mean of the previous slot's normalised audience interaction."""
+    mean of every normalised interaction level the drift monitor observed
+    before the current micro-batch — frozen for the batch and never reset on
+    publish, so which segments are buffered depends on batch boundaries
+    (:class:`~repro.serving.service.DriftMonitor`)."""
 
     update_epochs: int = checked(20, ge=1)
     """Epochs used when training the incremental model on buffered segments."""

@@ -434,24 +434,7 @@ class TestClosedLoop:
             r.version for r in second_service.update_plane.reports
         ]
 
-    def test_update_plane_can_be_attached_after_construction(self):
-        service, registry, features = closed_loop_service(plane=False)
-        service.update_plane = UpdatePlane(
-            registry, update_config=update_config(), training_config=fast_training()
-        )
-        replay_streams(service, {"drifty": features})
-        # The late-attached plane closes the loop exactly like a
-        # constructor-attached one.
-        assert service.update_triggers
-        assert service.update_plane.reports
-        assert registry.latest().version >= 2
-        # Validation still applies on late attachment.
-        other = ModelRegistry(DetectionConfig(omega=0.8))
-        other.publish(make_model(), 0.2)
-        with pytest.raises(ValueError, match="same registry"):
-            service.update_plane = UpdatePlane(other, update_config=update_config())
-
-    def test_plane_attached_mid_buffer_skips_the_partial_update(self):
+    def test_plane_less_state_restored_under_a_plane_skips_the_partial_update(self):
         model = make_model()
         registry = ModelRegistry(DetectionConfig(omega=0.8))
         registry.publish(model, 0.2)
@@ -461,29 +444,35 @@ class TestClosedLoop:
         # drift_threshold=1.0: every drift check (after the seeded history)
         # triggers, so the skip is attributable to the partial sample buffer.
         config = update_config(buffer_size=6, drift_threshold=1.0)
-        service = ScoringService(
-            sequence_length=Q,
-            max_batch_size=1,
-            update_config=config,
-            historical_hidden=-hidden,
-            registry=registry,
-        )
 
-        def feed(start, stop):
+        def build(plane=None):
+            return ScoringService(
+                sequence_length=Q,
+                max_batch_size=1,
+                update_config=config,
+                historical_hidden=-hidden,
+                registry=registry,
+                update_plane=plane,
+            )
+
+        def feed(service, start, stop):
             for position in range(start, stop):
                 service.submit_many(
                     (("s", features.action[position], features.interaction[position], 0.5),)
                 )
 
-        feed(0, Q + 3)  # warm up, then buffer 3 presumed-normal segments
-        assert len(service._buffer_hidden) == 3
+        service = build()
+        feed(service, 0, Q + 3)  # warm up, then buffer 3 presumed-normal segments
+        state = service.export_state()
+        assert len(state["buffer_hidden"]) == 3 and state["buffer_requests"] is None
         plane = UpdatePlane(registry, update_config=config, training_config=fast_training())
-        service.update_plane = plane
-        feed(Q + 3, Q + 6)  # buffer fills: trigger fires, but only 3 samples retained
-        assert service.update_triggers
+        restored = build(plane)
+        restored.restore_state(state)
+        feed(restored, Q + 3, Q + 6)  # buffer fills: trigger fires, 3 samples retained
+        assert restored.update_triggers
         assert plane.reports == [], "a partial sample buffer must not train an update"
         assert registry.latest().version == 1
-        feed(Q + 6, Q + 12)  # next buffer is fully retained: the update runs
+        feed(restored, Q + 6, Q + 12)  # next buffer is fully retained: the update runs
         assert plane.reports and plane.reports[0].samples == 6
         assert registry.latest().version == 2
 

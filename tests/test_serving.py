@@ -263,7 +263,7 @@ class TestScoringService:
         # The very first full buffer became S_h; later identical-distribution
         # buffers keep similarity high, so the near-1.0 threshold may trigger,
         # but the seeding buffer itself must not.
-        assert service._historical_hidden is not None
+        assert service.export_state()["historical_hidden"] is not None
         assert all(t.segment_index >= Q + 5 for t in service.update_triggers)
 
     def test_history_cap_bounds_memory(self, calibrated_detector):
@@ -278,7 +278,7 @@ class TestScoringService:
             max_history=12,
         )
         replay_streams(service, {"capped": features})
-        assert len(service._historical_hidden) <= 12
+        assert len(service.export_state()["historical_hidden"]) <= 12
         # No similarity is <= -1.0: the buffers were checked and none triggered.
         assert not service.update_triggers
 
