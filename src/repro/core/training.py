@@ -82,20 +82,24 @@ class TrainingHistory:
 
 
 class _ArenaSet:
-    """A sequence batch laid out once in the training arena's layout.
+    """The windows ``indices`` picks from a sequence batch (all of them by
+    default), laid out once in the training arena's layout.
 
-    Inputs are feature-major ``(d, T, N)``, targets stay ``(N, d)``;
+    Inputs are gathered straight into feature-major ``(d, T, n)`` — one copy
+    each, no batch-major subset first — and targets stay ``(n, d)``;
     :meth:`take` gathers a mini-batch into per-size workspaces, one
     ``np.take`` per array.
     """
 
-    def __init__(self, batch: SequenceBatch) -> None:
-        self.count = len(batch)
+    def __init__(self, batch: SequenceBatch, indices: Optional[np.ndarray] = None) -> None:
+        targets = (batch.action_targets, batch.interaction_targets)
+        if indices is not None:
+            targets = tuple(target[indices] for target in targets)
+        self.count = len(targets[0])
         self.arrays = (
-            feature_major(batch.action_sequences),
-            feature_major(batch.interaction_sequences),
-            np.ascontiguousarray(batch.action_targets, dtype=np.float64),
-            np.ascontiguousarray(batch.interaction_targets, dtype=np.float64),
+            feature_major(batch.action_sequences, indices),
+            feature_major(batch.interaction_sequences, indices),
+            *(np.ascontiguousarray(target, dtype=np.float64) for target in targets),
         )
         self._workspaces: Dict[int, tuple] = {}
 
@@ -180,8 +184,9 @@ class CLSTMTrainer:
         rng = np.random.default_rng(config.seed)
         history = self.history = TrainingHistory()
 
-        # (The split's batch-major copies are dropped as soon as each is laid out.)
-        train, validation = (_ArenaSet(part) for part in self._split(sequences, rng))
+        train, validation = (
+            _ArenaSet(sequences, indices) for indices in self._split(len(sequences), rng)
+        )
         has_test = anomalous_sequences is not None and len(anomalous_sequences) > 0
         test = _ArenaSet(anomalous_sequences) if has_test else None
         arena = self.model.training_arena()
@@ -231,16 +236,16 @@ class CLSTMTrainer:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _split(self, sequences: SequenceBatch, rng: np.random.Generator) -> tuple[SequenceBatch, SequenceBatch]:
-        count = len(sequences)
+    def _split(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(train, validation)`` index sets of ``count`` windows; a
+        single window is both."""
         validation_size = int(round(count * self.config.validation_fraction))
         validation_size = min(max(validation_size, 1), count - 1) if count > 1 else 0
         permutation = rng.permutation(count)
-        validation_indices = permutation[:validation_size]
         train_indices = permutation[validation_size:]
         if validation_size == 0:
-            return sequences, sequences
-        return sequences.subset(train_indices), sequences.subset(validation_indices)
+            return train_indices, train_indices
+        return train_indices, permutation[:validation_size]
 
     def _arena_loss(self, data: _ArenaSet, arena: TrainingArena) -> float:
         """Loss of a whole set at the arena's current weights (no write-back)."""

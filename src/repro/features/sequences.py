@@ -82,6 +82,11 @@ def build_sequences(
     sequence_length:
         History length ``q``.  A stream of ``M`` segments yields
         ``N = M - q`` sequences.
+
+    The ``(N, q, d)`` windows are read-only views of the feature matrices
+    (window ``i`` is rows ``i .. i+q-1``), not ``N·q`` copied rows: they
+    cost no memory, and they show any later in-place write to the matrices.
+    Copy a window set (``np.array``, :meth:`SequenceBatch.subset`) to own it.
     """
     action_features = np.asarray(action_features, dtype=np.float64)
     interaction_features = np.asarray(interaction_features, dtype=np.float64)
@@ -107,22 +112,21 @@ def build_sequences(
             target_indices=np.zeros(0, dtype=np.int64),
         )
 
-    action_sequences = np.stack(
-        [action_features[t - sequence_length : t] for t in range(sequence_length, num_segments)],
-        axis=0,
-    )
-    interaction_sequences = np.stack(
-        [interaction_features[t - sequence_length : t] for t in range(sequence_length, num_segments)],
-        axis=0,
-    )
     target_indices = np.arange(sequence_length, num_segments, dtype=np.int64)
     return SequenceBatch(
-        action_sequences=action_sequences,
-        interaction_sequences=interaction_sequences,
+        action_sequences=_windows(action_features, sequence_length, num_sequences),
+        interaction_sequences=_windows(interaction_features, sequence_length, num_sequences),
         action_targets=action_features[sequence_length:],
         interaction_targets=interaction_features[sequence_length:],
         target_indices=target_indices,
     )
+
+
+def _windows(features: np.ndarray, sequence_length: int, count: int) -> np.ndarray:
+    """The first ``count`` length-``sequence_length`` windows of ``features``
+    ``(M, d)`` as a read-only ``(count, q, d)`` view."""
+    windows = np.lib.stride_tricks.sliding_window_view(features, sequence_length, axis=0)
+    return windows[:count].transpose(0, 2, 1)
 
 
 def latest_sequence(

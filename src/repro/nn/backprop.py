@@ -70,6 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
+from .fused import FORWARD_BLOCK
 from .losses import _EPS
 from .module import Parameter
 
@@ -117,18 +118,27 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     np.reciprocal(out, out=out)
 
 
-def feature_major(sequences: np.ndarray) -> np.ndarray:
-    """Lay ``(N, T, D)`` sequences out as the arena reads them: ``(D, T, N)``.
+def feature_major(sequences: np.ndarray, indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """Lay ``(N, T, D)`` sequences — or the ``n`` windows ``indices`` picks
+    from them — out as the arena reads them: ``(D, T, n)``.
 
-    One copy.  A training set laid out this way once yields every mini-batch
-    with a single ``np.take(..., axis=2, out=...)``.
+    One copy: the windows are gathered :data:`~repro.nn.fused.FORWARD_BLOCK`
+    at a time, so no batch-major copy of the picked set is made first.  A
+    training set laid out this way once yields every mini-batch with a single
+    ``np.take(..., axis=2, out=...)``.
     """
     sequences = np.asarray(sequences, dtype=np.float64)
     if sequences.ndim != 3:
         raise ValueError(f"expected a (batch, time, features) array, got shape {sequences.shape}")
     if sequences.shape[1] < 1:
         raise ValueError("sequences must contain at least one timestep")
-    return np.ascontiguousarray(sequences.transpose(2, 1, 0))
+    count = len(sequences) if indices is None else len(indices)
+    out = np.empty(sequences.shape[:0:-1] + (count,))
+    for start in range(0, count, FORWARD_BLOCK):
+        stop = min(start + FORWARD_BLOCK, count)
+        picked = slice(start, stop) if indices is None else indices[start:stop]
+        out[..., start:stop] = sequences[picked].transpose(2, 1, 0)
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -151,36 +161,59 @@ class BPTTCache:
     per-timestep blocks the loops touch are contiguous.  With ``keep=False``
     (loss evaluation, no backward) the caches are one step deep and the sweep
     overwrites them in place.  ``d_final`` is where the heads leave the
-    gradient of the final joint state.  ``arena`` is set by the one-shot
+    gradient of the final joint state.
+
+    Every buffer is a contiguous view of the front of one of its arena's
+    flat scratch buffers (:meth:`shapes` names them), so the caches of one
+    fit — the training batch, the tail batch, the validation set — share one
+    set of buffers sized for the largest of them; a forward overwrites what
+    the previous one of any shape left.  ``arena`` is set by the one-shot
     wrappers only, whose cache owns its arena; an arena's pooled caches hold
-    no reference back (a cycle would keep every fit's buffers alive until the
-    cyclic collector runs).
+    no reference back (a cycle would keep every fit's buffers alive until
+    the cyclic collector runs).
     """
 
-    def __init__(self, total: int, time_steps: int, batch: int, keep: bool) -> None:
+    @staticmethod
+    def shapes(total: int, time_steps: int, batch: int, keep: bool) -> Dict[str, Tuple[int, ...]]:
+        """Every buffer of one ``(T, B, keep)`` cache: name → shape."""
         depth = time_steps if keep else 1
+        shapes = {
+            "x_proj": (time_steps, 4 * total, batch),
+            # (4Hs, T, B) scratch: where (·, T·B)-shaped GEMM operands meet the
+            # time-major layout of the sweep (one transposing pass each way).
+            "gate_major": (4 * total * time_steps * batch,),
+            "gates": (depth, 4 * total, batch),
+            "cells": (depth, total, batch),
+            "tanh_cells": (depth, total, batch),
+            "hiddens": (depth, total, batch),
+            "zero_state": (total, batch),
+            "pre": (4 * total, batch),
+            "scratch": (total, batch),
+        }
+        if keep:
+            shapes.update(
+                d_pre=(time_steps, 4 * total, batch),
+                one_minus_tanh_sq=(time_steps, total, batch),
+                hidden_major=(total * time_steps * batch,),
+                d_final=(total, batch),
+                d_cell=(total, batch),
+                d_c_total=(total, batch),
+                next_state=(total, batch),
+            )
+        return shapes
+
+    def __init__(
+        self, total: int, time_steps: int, batch: int, keep: bool, scratch: Dict[str, np.ndarray]
+    ) -> None:
         self.time_steps, self.batch = time_steps, batch
         self.arena: Optional["TrainingArena"] = None
         self.inputs: Tuple[np.ndarray, ...] = ()
-        self.x_proj = np.empty((time_steps, 4 * total, batch))
-        # (4Hs, T, B) scratch: where (·, T·B)-shaped GEMM operands meet the
-        # time-major layout of the sweep (one transposing pass each way).
-        self.gate_major = np.empty(4 * total * time_steps * batch)
-        self.gates = np.empty((depth, 4 * total, batch))
-        self.cells = np.empty((depth, total, batch))
-        self.tanh_cells = np.empty((depth, total, batch))
-        self.hiddens = np.empty((depth, total, batch))
-        self.zero_state = np.zeros((total, batch))
-        self.pre = np.empty((4 * total, batch))
-        self.scratch = np.empty((total, batch))
-        if keep:
-            self.d_pre = np.empty((time_steps, 4 * total, batch))
-            self.one_minus_tanh_sq = np.empty((time_steps, total, batch))
-            self.hidden_major = np.empty(total * time_steps * batch)
-            self.d_final = np.empty((total, batch))
-            self.d_cell = np.empty((total, batch))
-            self.d_c_total = np.empty((total, batch))
-            self.next_state = np.empty((total, batch))
+        for name, shape in self.shapes(total, time_steps, batch, keep).items():
+            setattr(self, name, scratch[name][: _size(shape)].reshape(shape))
+
+
+def _size(shape: Tuple[int, ...]) -> int:
+    return int(np.prod(shape))
 
 
 class TrainingArena:
@@ -233,6 +266,7 @@ class TrainingArena:
             if len(self.cells) == 2 and not cell.use_partner
         ]
         self._caches: Dict[Tuple[int, int, bool], BPTTCache] = {}
+        self._scratch: Dict[str, np.ndarray] = {}
         for parameter, pieces in self._value_bindings:
             for rows, view in pieces:
                 view[...] = parameter.data[rows]
@@ -334,10 +368,7 @@ class TrainingArena:
         overwrites — the same buffers.
         """
         _, time_steps, batch = inputs[0].shape
-        key = (time_steps, batch, keep)
-        cache = self._caches.get(key)
-        if cache is None:
-            cache = self._caches[key] = BPTTCache(self.total, time_steps, batch, keep)
+        cache = self._cache(time_steps, batch, keep)
         cache.inputs = tuple(inputs)
         values, total = self.values, self.total
         i_rows, f_rows, c_rows, o_rows = self.gate_rows
@@ -384,6 +415,28 @@ class TrainingArena:
             np.multiply(gate[o_rows], cache.tanh_cells[slot], out=cache.hiddens[slot])
             state, cell_state = cache.hiddens[slot], c_t
         return state, cache
+
+    def _cache(self, time_steps: int, batch: int, keep: bool) -> BPTTCache:
+        """The pooled cache of one shape, its buffers views of the arena's
+        scratch; a shape larger than every earlier one grows the scratch
+        (``zero_state`` stays all zeros: nothing writes it) and drops every
+        cache viewing the old buffers."""
+        key = (time_steps, batch, keep)
+        cache = self._caches.get(key)
+        if cache is None:
+            scratch = self._scratch
+            shapes = BPTTCache.shapes(self.total, time_steps, batch, keep)
+            short = [
+                name for name, shape in shapes.items()
+                if name not in scratch or scratch[name].size < _size(shape)
+            ]
+            if short:
+                self._caches.clear()
+                for name in short:
+                    allocate = np.zeros if name == "zero_state" else np.empty
+                    scratch[name] = allocate(_size(shapes[name]))
+            cache = self._caches[key] = BPTTCache(self.total, time_steps, batch, keep, scratch)
+        return cache
 
     def backward(self, cache: BPTTCache, d_final: np.ndarray, window: Optional[int] = None) -> None:
         """Reverse sweep from the final joint state's gradient ``(Hs, B)``.

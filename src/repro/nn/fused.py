@@ -87,6 +87,13 @@ one set of buffers per shape.  Each geometry keeps at most
 several model sizes does not thrash and a process that trains many sizes
 does not grow without bound.
 
+No kernel call puts a workspace of more than :data:`FORWARD_BLOCK` windows
+into the pool: an offline forward over a whole data set (calibration,
+recalibration, the drift seed's hidden states, evaluation, the baselines)
+runs in blocks of that many windows, zero-padding its tail, inside the
+workspace a full serving batch uses, and writes its results into arrays of
+the whole call.
+
 Sharing is safe because buffers hold no weight content (weight rebinds and
 hot swaps never stale them) and a kernel call borrows its workspace for
 that call only: it resolves the workspace when it starts, and every state
@@ -151,6 +158,10 @@ MAX_WORKSPACE_GEOMETRIES = 8
 
 PROJECTION_BLOCK = 32
 """Row count of every serving-side projection GEMM (see :func:`project_rows`)."""
+
+FORWARD_BLOCK = 64
+"""Window count of every block of a forward over more windows than this
+(the ``ServingConfig.max_batch_size`` default; see :func:`_forward_blocks`)."""
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -705,12 +716,66 @@ def lstm_forward_fused(
     if raw.ndim != 3:
         raise ValueError(f"expected a (batch, time, features) array, got shape {raw.shape}")
     batch, time_steps, _ = raw.shape
+    if batch > FORWARD_BLOCK:
+        (h, c), hiddens = _forward_blocks(
+            (cell,), fuse_lstm_cell, (raw,), state, dtype, all_hidden=True, with_cell=True
+        )
+        return hiddens[0], (h, c)
     context = _context((cell,), fuse_lstm_cell, batch, time_steps, dtype)
     # The per-step hidden states escape to the caller, so they are written to
     # a fresh array (exactly as the frozen kernel allocated them).
     hiddens = np.empty((batch, time_steps, cell.hidden_size), dtype=context.dtype)
     _sweep(context, _project_windows(context, (raw,)), state, (hiddens,))
     return hiddens, (context.workspace.hidden.copy(), context.workspace.cell.copy())
+
+
+def _zero_padded(rows: np.ndarray, block: int) -> np.ndarray:
+    """``rows`` followed by zero rows up to ``block`` rows."""
+    padded = np.zeros((block,) + rows.shape[1:], dtype=rows.dtype)
+    padded[: len(rows)] = rows
+    return padded
+
+
+def _forward_blocks(cells: tuple, fuse, inputs: tuple, state, dtype, *, all_hidden: bool, with_cell: bool):
+    """Project and sweep more than :data:`FORWARD_BLOCK` windows, block by block.
+
+    Every block runs on :data:`FORWARD_BLOCK` windows — the tail is zero-
+    padded, as :func:`project_rows` pads its rows — so each window's result
+    is the one a single call of that many windows gives (OpenBLAS picks its
+    kernel from the row count; a short tail would change the last bits), and
+    the call borrows the one ``(FORWARD_BLOCK, T)`` workspace the serving
+    batches use.  Results go straight into caller-owned arrays of the whole
+    call: each cell's final hidden state ``(N, H)``, then (``with_cell``)
+    the joint final cell state ``(N, Hs)``; plus, with ``all_hidden``, each
+    cell's per-step hidden states ``(N, T, H)``.
+    """
+    count, time_steps = inputs[0].shape[:2]
+    context = _context(cells, fuse, FORWARD_BLOCK, time_steps, dtype)
+    workspace = context.workspace
+    sizes = [fused.hidden_size for fused in context.cells]
+    sources = [views.hidden for views in workspace.cells] + ([workspace.cell] if with_cell else [])
+    finals = tuple(np.empty((count, source.shape[1]), dtype=context.dtype) for source in sources)
+    per_step = tuple(
+        np.empty((count, time_steps, size), dtype=context.dtype) for size in (sizes if all_hidden else ())
+    )
+    for start in range(0, count, FORWARD_BLOCK):
+        stop = min(start + FORWARD_BLOCK, count)
+        rows = stop - start
+        part = tuple(x[start:stop] for x in inputs)
+        part_state = None if state is None else tuple(s[start:stop] for s in state)
+        steps = tuple(stack[start:stop] for stack in per_step)
+        if rows < FORWARD_BLOCK:
+            part = tuple(_zero_padded(x, FORWARD_BLOCK) for x in part)
+            if part_state is not None:
+                part_state = tuple(_zero_padded(np.asarray(s), FORWARD_BLOCK) for s in part_state)
+            steps = tuple(np.empty((FORWARD_BLOCK,) + stack.shape[1:], context.dtype) for stack in steps)
+        _sweep(context, _project_windows(context, part), part_state, steps)
+        for target, source in zip(finals, sources):
+            target[start:stop] = source[:rows]
+        if rows < FORWARD_BLOCK:
+            for target, source in zip(per_step, steps):
+                target[start:stop] = source[:rows]
+    return finals, per_step
 
 
 def project_rows(rows, fused: FusedGateWeights):
@@ -728,8 +793,7 @@ def project_rows(rows, fused: FusedGateWeights):
     count = len(rows)
     padded = -(-count // PROJECTION_BLOCK) * PROJECTION_BLOCK
     dtype = fused.w_input.dtype
-    block = np.zeros((padded, fused.w_input.shape[0]), dtype=dtype)
-    block[:count] = np.array(rows)
+    block = _zero_padded(np.array(rows, dtype=dtype), padded)
     out = np.empty((padded, 4 * fused.hidden_size), dtype=dtype)
     for start in range(0, padded, PROJECTION_BLOCK):
         stop = start + PROJECTION_BLOCK
@@ -900,6 +964,17 @@ def coupled_pair_forward_fused(
     if actions_raw.shape[1] != interactions_raw.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
     batch, time_steps, _ = actions_raw.shape
+    if batch > FORWARD_BLOCK:
+        finals, per_step = _forward_blocks(
+            (influencer, audience),
+            fuse_coupled_cell,
+            (actions_raw, interactions_raw),
+            None,
+            dtype,
+            all_hidden=return_all_hidden,
+            with_cell=False,
+        )
+        return finals + per_step
     context = _coupled_context(influencer, audience, batch, time_steps, dtype)
     # Per-step hidden states escape to the caller (training-cache consumers,
     # drift analytics), so they are fresh arrays, never workspace views.

@@ -234,7 +234,9 @@ class Runtime:
         model = CLSTM.from_config(config.model, coupling=config.coupling, seed=config.seed)
         batch = features.sequences(config.sequence_length)
         labels = features.sequence_labels(config.sequence_length)
-        normal = batch.subset(labels == 0)
+        normal_rows = labels == 0
+        # An all-normal stream trains on its windows as they are (no copy).
+        normal = batch if normal_rows.all() else batch.subset(normal_rows)
         anomalous = batch.subset(labels == 1)
         if len(normal) == 0:
             raise ValueError("training stream contains no normal sequences")

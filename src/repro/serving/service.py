@@ -588,8 +588,9 @@ class DriftMonitor:
     ``config.buffer_size`` rows it is compared with the historical set
     ``S_h`` by Eq. 17 (:func:`~repro.core.update.hidden_set_similarity`); a
     similarity at or below ``config.drift_threshold`` fires an
-    :class:`UpdateTrigger`, and ``S_h`` absorbs the buffer either way,
-    keeping its last ``max_history`` rows when that is set.  With no seed,
+    :class:`UpdateTrigger`, and ``S_h`` absorbs the buffer either way.
+    ``S_h`` — the seed included — keeps its last ``max_history`` rows when
+    that is set.  With no seed,
     the first full buffer becomes ``S_h``.  ``S_h`` and the buffer hold
     hidden states of one model version, ``history_version``: a batch scored
     under another version drops both.
@@ -612,7 +613,7 @@ class DriftMonitor:
         self.config = config
         self.max_history = max_history
         self._historical_hidden = (
-            np.asarray(historical_hidden, dtype=np.float64)
+            self._capped(np.asarray(historical_hidden, dtype=np.float64))
             if historical_hidden is not None
             else None
         )
@@ -694,11 +695,18 @@ class DriftMonitor:
             complete = samples is not None and len(samples) == len(self._buffer_hidden)
             reaction = (trigger, tuple(samples) if complete else None)
         # History absorbs the buffer either way (line 14 of Fig. 5).
-        self._historical_hidden = np.concatenate([self._historical_hidden, incoming], axis=0)
-        if self.max_history is not None and len(self._historical_hidden) > self.max_history:
-            self._historical_hidden = self._historical_hidden[-self.max_history :]
+        self._historical_hidden = self._capped(
+            np.concatenate([self._historical_hidden, incoming], axis=0)
+        )
         self._clear_buffer()
         return reaction
+
+    def _capped(self, history: np.ndarray) -> np.ndarray:
+        """The last ``max_history`` rows of ``history``, copied when cut so
+        the dropped rows are freed."""
+        if self.max_history is None or len(history) <= self.max_history:
+            return history
+        return history[-self.max_history :].copy()
 
     def _clear_buffer(self) -> None:
         self._buffer_hidden.clear()

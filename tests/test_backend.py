@@ -188,6 +188,70 @@ class TestNumpyParity:
                 assert np.array_equal(np.signbit(live), np.signbit(frozen))
 
 
+# Whole-data-set sizes: inside one block, exactly one block, and more than
+# one block with a 1-window, a 1-window and a 39-window tail.
+BLOCKED_COUNTS = [1, 4, 64, 65, 129, 231]
+assert fused.FORWARD_BLOCK == 64
+
+# (influencer input, influencer hidden, audience input, audience hidden):
+# the test geometry, and the ledger's paper shape, whose K = 400 projection
+# gives different bits at 1-4 rows than at 5 or more.
+GEOMETRIES = {"small": (6, 5, 3, 4), "paper": (400, 128, 32, 32)}
+
+
+class TestBlockedForwardParity:
+    """Calls over more than FORWARD_BLOCK windows run in zero-padded blocks
+    and still match the frozen whole-batch kernel bitwise."""
+
+    @pytest.mark.parametrize("return_all_hidden", [False, True])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("count", BLOCKED_COUNTS)
+    def test_coupled_entry(self, count, geometry, return_all_hidden):
+        d1, h1, d2, h2 = GEOMETRIES[geometry]
+        influencer = CoupledLSTMCell(d1, h1, h2, rng=np.random.default_rng(3))
+        audience = CoupledLSTMCell(d2, h2, h1, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(300 + count)
+        actions = _random_sequences(rng, count, 9, d1)
+        interactions = _random_sequences(rng, count, 9, d2)
+        expected = frozen_kernels.reference_coupled_pair_forward(
+            fused.fuse_coupled_cell(influencer),
+            fused.fuse_coupled_cell(audience),
+            h1,
+            h2,
+            actions,
+            interactions,
+            return_all_hidden=return_all_hidden,
+        )
+        got = fused.coupled_pair_forward_fused(
+            influencer, audience, actions, interactions, return_all_hidden=return_all_hidden
+        )
+        assert len(got) == len(expected)
+        for live, frozen in zip(got, expected):
+            assert live.shape == frozen.shape and live.flags.c_contiguous
+            assert np.array_equal(live, frozen)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("count", BLOCKED_COUNTS)
+    def test_lstm_entry(self, count, geometry, with_state):
+        features, hidden = GEOMETRIES[geometry][:2]
+        cell = LSTMCell(features, hidden, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(400 + count)
+        sequence = _random_sequences(rng, count, 9, features)
+        state = (
+            (rng.standard_normal((count, hidden)), rng.standard_normal((count, hidden)))
+            if with_state
+            else None
+        )
+        exp_hiddens, (exp_h, exp_c) = frozen_kernels.reference_lstm_forward(
+            fused.fuse_lstm_cell(cell), hidden, sequence, state=state
+        )
+        hiddens, (h, c) = fused.lstm_forward_fused(cell, sequence, state=state)
+        assert np.array_equal(hiddens, exp_hiddens)
+        assert np.array_equal(h, exp_h)
+        assert np.array_equal(c, exp_c)
+
+
 class TestFloat32Tolerance:
     def test_float32_forward_within_pinned_tolerance(self):
         rng = np.random.default_rng(23)

@@ -110,6 +110,14 @@ class TestDriftMonitor:
         with pytest.raises(ValueError, match="max_history"):
             DriftMonitor(config(), history_version=1, max_history=0)
 
+    def test_the_seed_keeps_only_its_last_max_history_rows(self, pinned):
+        seed = rows(0, 5)
+        monitor = DriftMonitor(config(), history_version=1, historical_hidden=seed, max_history=3)
+        # Before any buffer fills, S_h already holds the cap, not the seed.
+        np.testing.assert_array_equal(monitor.state()["historical_hidden"], seed[-3:])
+        monitor.observe(requests([0.5] * 3), rows(1, 3), 1)
+        assert pinned.calls == 0 and len(monitor.state()["historical_hidden"]) == 3
+
     def test_a_version_change_drops_history_and_buffer(self, pinned):
         monitor = DriftMonitor(config(), history_version=1, historical_hidden=rows(0, 4))
         monitor.observe(requests([0.5] * 3, "old"), rows(0, 3), 1)

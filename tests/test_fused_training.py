@@ -277,7 +277,9 @@ class TestTrainerParity:
         config = self.CONFIG
         model = self._model()
         rng = np.random.default_rng(config.seed)
-        train, validation = CLSTMTrainer(model, config)._split(batch, rng)
+        train, validation = (
+            batch.subset(indices) for indices in CLSTMTrainer(model, config)._split(len(batch), rng)
+        )
         optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
         train_curve, validation_curve = [], []
         best_state = None
@@ -390,7 +392,7 @@ class TestArenaTrainer:
 
     def _fit_step_at_a_time(self, model, batch, config):
         rng = np.random.default_rng(config.seed)
-        train, _ = CLSTMTrainer(model, config)._split(batch, rng)
+        train = batch.subset(CLSTMTrainer(model, config)._split(len(batch), rng)[0])
         optimizer = nn.Adam(model.parameters(), lr=config.learning_rate)
         steps = 0
         for _ in range(config.epochs):
