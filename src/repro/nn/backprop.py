@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from .fused import FORWARD_BLOCK
 from .losses import _EPS
 from .module import Parameter
 
@@ -103,6 +102,11 @@ __all__ = [
 # modules must share one constant.
 
 
+_GATHER_CHUNK = 64
+"""Windows :func:`feature_major` transposes per copy, which bounds its
+temporaries."""
+
+
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     """The tape's clipped sigmoid, computed fully in place into ``out``.
 
@@ -122,9 +126,9 @@ def feature_major(sequences: np.ndarray, indices: Optional[np.ndarray] = None) -
     """Lay ``(N, T, D)`` sequences — or the ``n`` windows ``indices`` picks
     from them — out as the arena reads them: ``(D, T, n)``.
 
-    One copy: the windows are gathered :data:`~repro.nn.fused.FORWARD_BLOCK`
-    at a time, so no batch-major copy of the picked set is made first.  A
-    training set laid out this way once yields every mini-batch with a single
+    One copy: the windows are gathered :data:`_GATHER_CHUNK` at a time, so
+    no batch-major copy of the picked set is made first.  A training set
+    laid out this way once yields every mini-batch with a single
     ``np.take(..., axis=2, out=...)``.
     """
     sequences = np.asarray(sequences, dtype=np.float64)
@@ -134,8 +138,8 @@ def feature_major(sequences: np.ndarray, indices: Optional[np.ndarray] = None) -
         raise ValueError("sequences must contain at least one timestep")
     count = len(sequences) if indices is None else len(indices)
     out = np.empty(sequences.shape[:0:-1] + (count,))
-    for start in range(0, count, FORWARD_BLOCK):
-        stop = min(start + FORWARD_BLOCK, count)
+    for start in range(0, count, _GATHER_CHUNK):
+        stop = min(start + _GATHER_CHUNK, count)
         picked = slice(start, stop) if indices is None else indices[start:stop]
         out[..., start:stop] = sequences[picked].transpose(2, 1, 0)
     return out

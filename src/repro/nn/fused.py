@@ -715,18 +715,10 @@ def lstm_forward_fused(
     raw = np.asarray(sequence)
     if raw.ndim != 3:
         raise ValueError(f"expected a (batch, time, features) array, got shape {raw.shape}")
-    batch, time_steps, _ = raw.shape
-    if batch > FORWARD_BLOCK:
-        (h, c), hiddens = _forward_blocks(
-            (cell,), fuse_lstm_cell, (raw,), state, dtype, all_hidden=True, with_cell=True
-        )
-        return hiddens[0], (h, c)
-    context = _context((cell,), fuse_lstm_cell, batch, time_steps, dtype)
-    # The per-step hidden states escape to the caller, so they are written to
-    # a fresh array (exactly as the frozen kernel allocated them).
-    hiddens = np.empty((batch, time_steps, cell.hidden_size), dtype=context.dtype)
-    _sweep(context, _project_windows(context, (raw,)), state, (hiddens,))
-    return hiddens, (context.workspace.hidden.copy(), context.workspace.cell.copy())
+    (h, c), (hiddens,) = _forward_blocks(
+        (cell,), fuse_lstm_cell, (raw,), state, dtype, all_hidden=True, with_cell=True
+    )
+    return hiddens, (h, c)
 
 
 def _zero_padded(rows: np.ndarray, block: int) -> np.ndarray:
@@ -737,44 +729,49 @@ def _zero_padded(rows: np.ndarray, block: int) -> np.ndarray:
 
 
 def _forward_blocks(cells: tuple, fuse, inputs: tuple, state, dtype, *, all_hidden: bool, with_cell: bool):
-    """Project and sweep more than :data:`FORWARD_BLOCK` windows, block by block.
+    """Project and sweep ``N`` windows in blocks of at most :data:`FORWARD_BLOCK`.
 
-    Every block runs on :data:`FORWARD_BLOCK` windows — the tail is zero-
-    padded, as :func:`project_rows` pads its rows — so each window's result
-    is the one a single call of that many windows gives (OpenBLAS picks its
-    kernel from the row count; a short tail would change the last bits), and
-    the call borrows the one ``(FORWARD_BLOCK, T)`` workspace the serving
-    batches use.  Results go straight into caller-owned arrays of the whole
-    call: each cell's final hidden state ``(N, H)``, then (``with_cell``)
-    the joint final cell state ``(N, Hs)``; plus, with ``all_hidden``, each
-    cell's per-step hidden states ``(N, T, H)``.
+    The call borrows one ``(min(N, FORWARD_BLOCK), T)`` workspace — for a
+    whole data set, the one a full serving batch uses.  Every block runs on
+    that many windows, the tail zero-padded as :func:`project_rows` pads its
+    rows, so each window's result is the one a single call of that many
+    windows gives (OpenBLAS picks its kernel from the row count; a short tail
+    would change the last bits).  Results escape to the caller (training-cache
+    consumers, drift analytics, serving's drift buffer), so they are fresh
+    arrays of the whole call, never workspace views: each cell's final
+    hidden state ``(N, H)``, then (``with_cell``) the joint final cell state
+    ``(N, Hs)`` — a block's copies, joined when there are several — plus,
+    with ``all_hidden``, each cell's per-step hidden states ``(N, T, H)``.
     """
     count, time_steps = inputs[0].shape[:2]
-    context = _context(cells, fuse, FORWARD_BLOCK, time_steps, dtype)
+    block = min(count, FORWARD_BLOCK)
+    context = _context(cells, fuse, block, time_steps, dtype)
     workspace = context.workspace
     sizes = [fused.hidden_size for fused in context.cells]
     sources = [views.hidden for views in workspace.cells] + ([workspace.cell] if with_cell else [])
-    finals = tuple(np.empty((count, source.shape[1]), dtype=context.dtype) for source in sources)
+    copies: list = [[] for _ in sources]
     per_step = tuple(
         np.empty((count, time_steps, size), dtype=context.dtype) for size in (sizes if all_hidden else ())
     )
-    for start in range(0, count, FORWARD_BLOCK):
+    # An empty call still sweeps once, so it returns (0, H) states.
+    for start in range(0, max(count, 1), FORWARD_BLOCK):
         stop = min(start + FORWARD_BLOCK, count)
         rows = stop - start
         part = tuple(x[start:stop] for x in inputs)
         part_state = None if state is None else tuple(s[start:stop] for s in state)
         steps = tuple(stack[start:stop] for stack in per_step)
-        if rows < FORWARD_BLOCK:
-            part = tuple(_zero_padded(x, FORWARD_BLOCK) for x in part)
+        if rows < block:
+            part = tuple(_zero_padded(x, block) for x in part)
             if part_state is not None:
-                part_state = tuple(_zero_padded(np.asarray(s), FORWARD_BLOCK) for s in part_state)
-            steps = tuple(np.empty((FORWARD_BLOCK,) + stack.shape[1:], context.dtype) for stack in steps)
+                part_state = tuple(_zero_padded(np.asarray(s), block) for s in part_state)
+            steps = tuple(np.empty((block,) + stack.shape[1:], context.dtype) for stack in steps)
         _sweep(context, _project_windows(context, part), part_state, steps)
-        for target, source in zip(finals, sources):
-            target[start:stop] = source[:rows]
-        if rows < FORWARD_BLOCK:
+        for blocks, source in zip(copies, sources):
+            blocks.append(source[:rows].copy())
+        if rows < block:
             for target, source in zip(per_step, steps):
                 target[start:stop] = source[:rows]
+    finals = tuple(blocks[0] if len(blocks) == 1 else np.concatenate(blocks) for blocks in copies)
     return finals, per_step
 
 
@@ -963,24 +960,13 @@ def coupled_pair_forward_fused(
         raise ValueError("action and interaction batches must have the same size")
     if actions_raw.shape[1] != interactions_raw.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
-    batch, time_steps, _ = actions_raw.shape
-    if batch > FORWARD_BLOCK:
-        finals, per_step = _forward_blocks(
-            (influencer, audience),
-            fuse_coupled_cell,
-            (actions_raw, interactions_raw),
-            None,
-            dtype,
-            all_hidden=return_all_hidden,
-            with_cell=False,
-        )
-        return finals + per_step
-    context = _coupled_context(influencer, audience, batch, time_steps, dtype)
-    # Per-step hidden states escape to the caller (training-cache consumers,
-    # drift analytics), so they are fresh arrays, never workspace views.
-    per_step = tuple(
-        np.empty((batch, time_steps, fused.hidden_size), dtype=context.dtype)
-        for fused in (context.cells if return_all_hidden else ())
+    finals, per_step = _forward_blocks(
+        (influencer, audience),
+        fuse_coupled_cell,
+        (actions_raw, interactions_raw),
+        None,
+        dtype,
+        all_hidden=return_all_hidden,
+        with_cell=False,
     )
-    _sweep(context, _project_windows(context, (actions_raw, interactions_raw)), None, per_step)
-    return _final_states(context.workspace) + per_step
+    return finals + per_step
