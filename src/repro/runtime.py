@@ -28,6 +28,8 @@ friends are the escape hatch for deployments the facade does not model
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -75,6 +77,41 @@ from .utils.config import (
 )
 
 __all__ = ["RuntimeConfig", "Runtime", "CHECKPOINT_FORMAT"]
+
+
+def _resolve_malloc_trim() -> Optional[Callable[[int], int]]:
+    """glibc's ``malloc_trim``, or None where the C library has none (musl,
+    macOS) or the process has no POSIX symbol table to look in (Windows)."""
+    if os.name != "posix":
+        return None
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _resolve_malloc_trim()
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS; a no-op without glibc.
+
+    A runtime is started once and then serves for the life of the process,
+    so whatever start-up freed but glibc kept — the fit's data layouts and
+    BPTT scratch, a restore's decoded state — would otherwise stay resident
+    under everything serving allocates later.  Only memory that is already
+    free is released: no value anywhere changes.  Called once at the end of
+    each way a runtime starts (:meth:`Runtime.fit`,
+    :meth:`Runtime.from_checkpoint`), never per batch or per update: a trim
+    after every in-service publish measured no resolvable change in the
+    ledger's ``drift_update`` ``peak_rss_mb``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
 
 @dataclass(frozen=True)
 class RuntimeConfig(ConfigBase):
@@ -215,7 +252,10 @@ class Runtime:
         the anomaly threshold ``T_a``, publishes version 1 into the model
         registry, seeds the drift monitor's historical hidden-state set with
         the training hidden states, and builds the sharded scoring service
-        (with attached update planes when ``enable_updates``).
+        (with attached update planes when ``enable_updates``).  Last, the C
+        heap the fit freed (its data layouts and training scratch) goes
+        back to the OS, so a long-running server keeps resident only what
+        it serves.
         """
         self._require_open()
         if self.fitted:
@@ -254,6 +294,7 @@ class Runtime:
         historical = model.hidden_states(batch.action_sequences, batch.interaction_sequences)
         self._build_service(historical_hidden=historical)
         self._attach_durability()
+        _release_free_heap()
         return self
 
     def _build_service(
@@ -418,8 +459,8 @@ class Runtime:
 
     def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
         """The detections routed to ``stream_id`` since fit/restore, from
-        position ``start`` on.  A read: an unknown id yields ``[]`` and
-        creates no route or session."""
+        position ``start`` on (a negative ``start`` raises ``ValueError``).
+        A read: an unknown id yields ``[]`` and creates no route or session."""
         self._require_serving()
         return self.service.detections(stream_id, start)
 
@@ -646,6 +687,8 @@ class Runtime:
         tail recorded by the manifest is replayed through the scoring
         service, recovering every submission ingested after the checkpoint.
         :meth:`recover` is the "resume from the latest checkpoint" shorthand.
+        Last, as after :meth:`fit`, the C heap the restore and the replay
+        freed goes back to the OS.
         """
         directory = Path(path)
         manifest, versions, state = read_checkpoint(directory)
@@ -678,6 +721,7 @@ class Runtime:
         elif config.durability.directory is not None:
             root = Path(config.durability.directory)
         runtime._attach_durability(root=root, manifest=manifest, replay_wal=replay_wal)
+        _release_free_heap()
         return runtime
 
     @classmethod

@@ -141,6 +141,13 @@ def validate_interaction_level(level: Optional[float]) -> float:
     return level
 
 
+def _check_start(start: int) -> None:
+    """A ``detections`` read's ``start`` is a position from the first
+    detection on; a negative one would slice from the end instead."""
+    if start < 0:
+        raise ValueError(f"start must be a non-negative position, got {start}")
+
+
 def _stack_rows(
     stream_ids: List[str], rows: Sequence, width: int, field: str, config_field: str
 ) -> np.ndarray:
@@ -918,8 +925,11 @@ class ScoringService:
 
     def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
         """The detections routed to ``stream_id`` so far, from position
-        ``start`` on.  A read: it creates no session, so an id that never
-        submitted a segment yields ``[]`` and leaves the exported state as it was."""
+        ``start`` on (``ValueError`` for a negative ``start``: it is a
+        position, not a slice from the end).  A read: it creates no session,
+        so an id that never submitted a segment yields ``[]`` and leaves the
+        exported state as it was."""
+        _check_start(start)
         session = self.sessions.get(stream_id)
         return session.detections[start:] if session is not None else []
 

@@ -68,6 +68,7 @@ from .service import (
     StreamDetection,
     Tick,
     UpdateTrigger,
+    _check_start,
     _request_from_state,
     _request_state,
 )
@@ -472,8 +473,10 @@ class ShardedScoringService:
 
     def detections(self, stream_id: str, start: int = 0) -> List[StreamDetection]:
         """The detections routed to ``stream_id`` so far, from position
-        ``start`` on.  A read: unlike :meth:`shard_of` it pins no route, so an
+        ``start`` on (``ValueError`` for a negative ``start``, also for an
+        unknown id).  A read: unlike :meth:`shard_of` it pins no route, so an
         id that never submitted a segment yields ``[]`` and allocates nothing."""
+        _check_start(start)
         with self._routes_lock:
             index = self._routes.get(stream_id)
         return [] if index is None else self.shards[index].detections(stream_id, start)

@@ -171,6 +171,11 @@ class TestScoringService:
             assert len(rows) == 12 - Q
             assert service.detections("known", 5) == rows[5:]
             assert service.detections("known", 99) == []
+            # A negative start is refused, not sliced from the end — for an
+            # unknown id too (the sharded service checks before its lookup).
+            for stream_id in ("known", "ghost-0"):
+                with pytest.raises(ValueError, match="non-negative position"):
+                    service.detections(stream_id, -1)
 
     def test_submit_flushes_only_full_batches(self, calibrated_detector):
         features = make_features("single", 30, seed=1)
