@@ -100,14 +100,16 @@ def _release_free_heap() -> None:
     """Hand the C heap's free pages back to the OS; a no-op without glibc.
 
     A runtime is started once and then serves for the life of the process,
-    so whatever start-up freed but glibc kept — the fit's data layouts and
-    BPTT scratch, a restore's decoded state — would otherwise stay resident
-    under everything serving allocates later.  Only memory that is already
-    free is released: no value anywhere changes.  Called once at the end of
-    each way a runtime starts (:meth:`Runtime.fit`,
-    :meth:`Runtime.from_checkpoint`), never per batch or per update: a trim
-    after every in-service publish measured no resolvable change in the
-    ledger's ``drift_update`` ``peak_rss_mb``.
+    so whatever start-up freed but glibc kept would otherwise stay resident
+    under everything serving allocates later: the fit's data layouts and
+    BPTT scratch (≈ 37 MB after the ledger's ``lib_gemm`` fit), and the
+    batches a recovery's WAL replay scored (≈ 6 MB after ``durable_ingest``'s
+    8,000-record replay; the checkpoint decode itself frees ≈ 0.5 MB).  Only
+    memory that is already free is released: no value anywhere changes.
+    Called once at the end of each way a runtime starts
+    (:meth:`Runtime.fit`, :meth:`Runtime.from_checkpoint`), never per batch
+    or per update: a trim after every in-service publish measured no
+    resolvable change in the ledger's ``drift_update`` ``peak_rss_mb``.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -687,8 +689,8 @@ class Runtime:
         tail recorded by the manifest is replayed through the scoring
         service, recovering every submission ingested after the checkpoint.
         :meth:`recover` is the "resume from the latest checkpoint" shorthand.
-        Last, as after :meth:`fit`, the C heap the restore and the replay
-        freed goes back to the OS.
+        Last, as after :meth:`fit`, the C heap the WAL replay freed goes
+        back to the OS.
         """
         directory = Path(path)
         manifest, versions, state = read_checkpoint(directory)

@@ -300,15 +300,16 @@ def test_a_fit_leaves_resident_only_what_it_keeps():
 
 
 class _CountingTrim:
-    """A stand-in for ``malloc_trim`` that records its calls."""
+    """``malloc_trim`` (where the C library has it) that records its calls."""
 
     def __init__(self) -> None:
         self.calls = 0
+        self.real = runtime_module._MALLOC_TRIM
 
     def __call__(self, pad: int) -> int:
         assert pad == 0
         self.calls += 1
-        return 0
+        return 0 if self.real is None else self.real(pad)
 
 
 class TestHeapReleaseAtStart:
@@ -368,18 +369,16 @@ class TestHeapReleaseAtStart:
         recovered.close()
         return counts, detections
 
-    def test_once_per_start_path_never_per_batch_or_update(self, config, tiny_features, monkeypatch):
+    def test_once_per_start_path_and_the_same_without_it(self, config, tiny_features, tmp_path, monkeypatch):
         trim = _CountingTrim()
         monkeypatch.setattr(runtime_module, "_MALLOC_TRIM", trim)
-        counts, _ = self._start_serve_crash_recover(config, tiny_features, lambda: trim.calls)
+        counts, reference = self._start_serve_crash_recover(config, tiny_features, lambda: trim.calls)
         # fit: 1; 50 ticks of serving, updates and a checkpoint: none;
         # recover (from_checkpoint and its WAL replay): 1; serving: none.
         assert counts == [1, 1, 2, 2]
 
-    def test_without_malloc_trim_a_runtime_starts_and_serves_the_same(
-        self, config, tiny_features, tmp_path, monkeypatch
-    ):
-        _, reference = self._start_serve_crash_recover(config, tiny_features)
+        # Where the C library has no malloc_trim the release is skipped, and
+        # nothing a runtime computes depends on it.
         monkeypatch.setattr(runtime_module, "_MALLOC_TRIM", None)
         stubbed = replace(config, durability=DurabilityConfig(directory=str(tmp_path / "stubbed")))
         _, detections = self._start_serve_crash_recover(stubbed, tiny_features)
