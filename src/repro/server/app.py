@@ -280,7 +280,9 @@ class RuntimeServer:
             self._detections.notify_all()
 
     def _raise_batcher_error(self) -> None:
-        error, self._batcher_error = self._batcher_error, None
+        # Sticky: the thread is gone for good, so every later drain()/close()
+        # (and /healthz) reports it, not only the first.
+        error = self._batcher_error
         if error is not None:
             raise RuntimeError("ingest batcher thread failed") from error
 
@@ -292,7 +294,11 @@ class RuntimeServer:
 
         A request larger than ``max_pending`` segments could never be
         admitted, so it is a 413, not a 429 the client would retry forever.
+        Once the batcher thread has failed every request is a 503.
         """
+        if self._batcher_error is not None:
+            # No thread would ever take what this request admitted.
+            raise WireError(503, "ingest batcher thread failed; no segments are accepted")
         tick = parse_ingest(body, max_items=self.admission.max_pending)
         accepted, depth = self.admission.offer(self._by_tenant(tick))
         if not accepted:

@@ -20,7 +20,7 @@ the body.
 Routes
 ------
 ==============================  =====================================________
-``POST /v1/ingest``             admit a batch of segments (202 / 400 / 413 / 429)
+``POST /v1/ingest``             admit a batch of segments (202 / 400 / 413 / 429 / 503)
 ``GET  /v1/detections``         poll or long-poll one stream's detections
 ``POST /v1/drain``              flush every queue; returns per-tenant counts
 ``GET  /healthz``               liveness + per-tenant model versions

@@ -19,7 +19,10 @@ ingests a few more ticks and SIGKILLs itself.
 
 from __future__ import annotations
 
+import copy
+import json
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -30,14 +33,16 @@ import numpy as np
 import pytest
 
 from durability_workload import training_features
-from repro import Runtime, RuntimeConfig
+from repro import CLSTM, AnomalyDetector, Runtime, RuntimeConfig
 from repro.durability import wal as wal_module
 from repro.durability.wal import _encode_record
+from repro.server.wire import detection_to_json
 from repro.serving import QueueFull, ScoringService, StreamDetection
 from repro.serving import service as service_module
 from repro.serving.service import ManualClock, Tick
 from repro.serving.sharding import default_router
 from repro.utils.config import (
+    DetectionConfig,
     DurabilityConfig,
     ExecutorConfig,
     ModelConfig,
@@ -482,28 +487,73 @@ class TestValidatedOnce:
 # ---------------------------------------------------------------------- #
 # Unchanged surfaces
 # ---------------------------------------------------------------------- #
-class TestStreamDetectionApi:
-    def test_fields_defaults_equality_immutability_and_hash(self):
-        names = (
-            "stream_id",
-            "segment_index",
-            "score",
-            "action_error",
-            "interaction_error",
-            "is_anomaly",
-            "threshold",
-            "model_version",
-            "precision",
+def emitted_detection() -> StreamDetection:
+    """The last row of one 64-row scored batch."""
+    batch = 64
+    model = CLSTM(action_dim=6, interaction_dim=3, action_hidden=8, interaction_hidden=4, seed=2)
+    detector = AnomalyDetector(model, DetectionConfig(omega=0.8, threshold=0.2))
+    detector.anomaly_threshold = 0.2
+    service = ScoringService(detector, sequence_length=SEQUENCE_LENGTH, max_batch_size=batch)
+    rng = np.random.default_rng(batch)
+    names = [f"cam-{s}" for s in range(batch)]
+    for _ in range(SEQUENCE_LENGTH + 1):
+        produced = service.submit_many(
+            [(name, rng.random(6), rng.random(3), float(rng.random())) for name in names]
         )
-        values = ("cam-0", 7, 0.5, 0.25, 0.75, True, 0.4)
-        detection = StreamDetection(*values)
-        assert tuple(getattr(detection, name) for name in names) == (*values, 1, "float64")
+    assert len(produced) == batch
+    return produced[-1]
+
+
+class TestStreamDetectionApi:
+    NAMES = (
+        "stream_id",
+        "segment_index",
+        "score",
+        "action_error",
+        "interaction_error",
+        "is_anomaly",
+        "threshold",
+        "model_version",
+        "precision",
+    )
+    TYPES = (str, int, float, float, float, bool, float, int, str)
+
+    @pytest.mark.parametrize("source", ["constructed", "emitted"])
+    def test_fields_defaults_equality_immutability_and_hash(self, source):
+        names = self.NAMES
+        if source == "constructed":
+            values = ("cam-0", 7, 0.5, 0.25, 0.75, True, 0.4)
+            detection = StreamDetection(*values)
+            assert tuple(getattr(detection, name) for name in names) == (*values, 1, "float64")
+            values = (*values, 1, "float64")
+        else:
+            detection = emitted_detection()
+            values = tuple(getattr(detection, name) for name in names)
+        # An emitted row is a value: equal to, and hashing like, a row
+        # constructed from the same fields.
         same = StreamDetection(**dict(zip(names, values)))
         assert detection == same and hash(detection) == hash(same)
         assert len({detection, same}) == 1
-        assert detection != StreamDetection(*values[:2], 0.6, *values[3:])
-        with pytest.raises(AttributeError):
-            detection.score = 0.0
+        assert detection != StreamDetection(*values[:2], values[2] + 0.1, *values[3:])
+        assert tuple(type(getattr(detection, name)) for name in names) == self.TYPES
+        assert json.loads(json.dumps(detection_to_json(detection)))["score"] == values[2]
+        assert repr(detection) == repr(same)
+        # Pickles and copies carry the values, not the batch's block: an
+        # emitted row of a 64-row batch pickles to the bytes of a one-row one.
+        for copied in (
+            pickle.loads(pickle.dumps(detection)),
+            copy.copy(detection),
+            copy.deepcopy(detection),
+        ):
+            assert copied == detection and hash(copied) == hash(detection)
+        assert len(pickle.dumps(detection)) == len(pickle.dumps(same))
+        assert len(pickle.dumps(copy.deepcopy(detection))) == len(pickle.dumps(same))
+        for name in (*names, "_block", "_row", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(detection, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(detection, name)
+        assert detection == same
 
 
 class TestWalBytes:

@@ -681,6 +681,41 @@ class TestServerIngest:
             assert payload["next"] == 20 - SEQUENCE_LENGTH
         runtime.close()
 
+    def test_a_failed_batcher_refuses_ingest_and_stays_failing(
+        self, server_runtime_config, tiny_features, monkeypatch
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+
+        def broken(tick):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(runtime, "ingest_many", broken)
+        streams = make_wire_streams(server_runtime_config, streams=1, segments=4)
+        body = {"segments": [wire_segment(*item) for item in round_robin(streams)]}
+        server = RuntimeServer(runtime, config=ServerConfig(poll_interval_ms=5.0)).start()
+
+        def health():
+            return http_json("GET", f"{server.url}/healthz")[1]["status"]
+
+        status, _, _ = http_json("POST", f"{server.url}/v1/ingest", payload=body)
+        assert status == 202
+        deadline = time.monotonic() + 10.0
+        while health() != "failing":
+            assert time.monotonic() < deadline, "the batcher never took the request"
+            time.sleep(0.01)
+        # No thread is left to ingest what a 202 would admit.
+        status, payload, _ = http_json("POST", f"{server.url}/v1/ingest", payload=body)
+        assert status == 503 and "batcher" in payload["error"]
+        assert server.admission.stats()["accepted"] == 4
+        for _ in range(2):  # sticky: raising once does not clear it
+            with pytest.raises(RuntimeError, match="batcher thread failed") as raised:
+                server.drain()
+            assert isinstance(raised.value.__cause__, OSError)
+            assert health() == "failing"
+        with pytest.raises(RuntimeError, match="batcher thread failed"):
+            server.close()
+        runtime.close()
+
     def test_reads_of_unknown_streams_allocate_nothing(
         self, server_runtime_config, tiny_features
     ):

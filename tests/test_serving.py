@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from repro.serving import (
     replay_streams,
     validate_interaction_level,
 )
+from repro.serving import service as service_module
 from repro.utils.config import DetectionConfig, ServingConfig, UpdateConfig
 
 D1, D2, Q = 14, 5, 4
@@ -375,3 +380,55 @@ class TestBoundedQueue:
             calibrated_detector, sequence_length=Q, max_batch_size=8, max_queue_depth=8
         )
         assert service.batcher.max_pending == 8
+
+
+class TestDetectionMemory:
+    def test_a_retained_detection_costs_its_numbers(self, calibrated_detector, monkeypatch):
+        """A caller that keeps every returned list (and the sessions, which
+        keep every row too) pays for each detection about its numbers: one
+        small row object plus its share of the batch's compact block.  A row
+        keeps alive that block only — not the batch's hidden states, not the
+        scorer's result arrays."""
+        streams, warm, measured = 64, Q + 10, 100
+        latest = []  # weak references to the last batch's kernel arrays
+        real_batch_scores = service_module.BatchScores
+
+        def recording(**fields):
+            latest[:] = [weakref.ref(v) for v in fields.values() if isinstance(v, np.ndarray)]
+            return real_batch_scores(**fields)
+
+        monkeypatch.setattr(service_module, "BatchScores", recording)
+        service = ScoringService(calibrated_detector, sequence_length=Q, max_batch_size=streams)
+        rng = np.random.default_rng(3)
+        ids = [f"cam-{s}" for s in range(streams)]
+        ticks = [
+            [(name, rng.random(D1), rng.random(D2), float(rng.random())) for name in ids]
+            for _ in range(warm + measured)
+        ]
+        kept = []
+        tracemalloc.start()
+        try:
+            # Warm up traced, so the steady-state churn (history windows,
+            # workspaces) is counted both when allocated and when freed.
+            for tick in ticks[:warm]:
+                kept.append(service.submit_many(tick))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for tick in ticks[warm:]:
+                kept.append(service.submit_many(tick))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = kept[warm:]
+        assert [len(batch) for batch in rows] == [streams] * measured
+        per_row = grown / (streams * measured)
+        assert per_row <= 130, f"{per_row:.1f} B retained per detection"
+
+        batch = kept[-1]
+        assert latest and all(ref() is None for ref in latest)
+        assert len({id(row._block) for row in batch}) == 1
+        referents = gc.get_referents(batch[0]._block)
+        arrays = [value for value in referents if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3 and all(array.base is None for array in arrays)
+        assert batch[0] == service.detections(batch[0].stream_id)[-1]
