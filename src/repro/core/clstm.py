@@ -428,12 +428,14 @@ class CLSTM(nn.Module):
             (list(self.decoder_action)[0], self.decoder_interaction),
         )
 
-    def _arena_loss(self, arena, final, action_targets, interaction_targets, omega, action_loss):
+    def _arena_loss(
+        self, arena, final, action_targets, interaction_targets, omega, action_loss, grad=True
+    ):
         """Decoder heads and the fused loss (Eq. 13) on a final joint state ``(Hs, B)``.
 
         Returns ``(softmax_out, loss, d_softmax, d_interaction_out)``: the
         action reconstruction, the loss value and its gradient at both
-        reconstructions.
+        reconstructions (``None`` with ``grad=False``).
         """
         h1 = self.action_hidden
         softmax_out = softmax_forward(arena.head_forward(0, final[:h1]))
@@ -445,6 +447,7 @@ class CLSTM(nn.Module):
             interaction_targets,
             omega=omega,
             action_loss=action_loss,
+            grad=grad,
         )
 
     def fused_training_step(
@@ -512,7 +515,14 @@ class CLSTM(nn.Module):
         arena: Optional[TrainingArena] = None,
     ) -> float:
         """Mean fused reconstruction loss via the training kernel's cache-free
-        forward; ``arena`` and the layouts are as in :meth:`fused_training_step`."""
+        forward; ``arena`` and the layouts are as in :meth:`fused_training_step`.
+
+        Value only: the loss goes through the expressions the training step's
+        loss does (:func:`~repro.nn.backprop.weighted_loss_grad` with
+        ``grad=False``), so it is bitwise that step's value, and no gradient
+        is computed — the trainer's validation and test losses allocate
+        nothing beyond the forward and the loss value's own temporaries.
+        """
         if arena is None:
             arena = self.training_arena()
             action_sequences, interaction_sequences = paired_feature_major(
@@ -520,7 +530,7 @@ class CLSTM(nn.Module):
             )
         final, _ = arena.forward((action_sequences, interaction_sequences), keep=False)
         return self._arena_loss(
-            arena, final, action_targets, interaction_targets, omega, action_loss
+            arena, final, action_targets, interaction_targets, omega, action_loss, grad=False
         )[1]
 
     def clone_architecture(self, seed: int = 0) -> "CLSTM":

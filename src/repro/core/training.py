@@ -150,9 +150,14 @@ class CLSTMTrainer:
 
         The whole fit runs on one :class:`~repro.nn.backprop.TrainingArena`:
         the parameters are packed once, every step reads and updates the
-        arena in place, the best checkpoint is a copy of its flat buffer, and
-        the model's parameters are written (rebound) exactly once, when
-        ``fit`` returns — with the best checkpoint's weights.
+        arena in place, and the model's parameters are written (rebound)
+        exactly once, when ``fit`` returns — with the best checkpoint's
+        weights.  The best checkpoint is one buffer the size of the arena's
+        flat buffer: the first improvement copies into a new one, every later
+        one into the same.  So a fit holds five parameter-sized buffers (the
+        arena's values and gradients, Adam's two moments, the checkpoint);
+        the laid-out sets, Adam and the arena's BPTT scratch are freed before
+        the write-back allocates the model's new arrays.
 
         Every call is self-contained: it starts a fresh :attr:`history`
         (records restart at epoch 1) and tracks its own best checkpoint, so a
@@ -213,10 +218,19 @@ class CLSTMTrainer:
             if checkpoint and validation_loss < history.best_validation_loss:
                 history.best_validation_loss = validation_loss
                 history.best_epoch = epoch
-                best_weights = arena.flat.data.copy()
+                if best_weights is None:
+                    best_weights = arena.flat.data.copy()
+                else:
+                    best_weights[...] = arena.flat.data
 
+        # Only the weights outlive the epochs: free the laid-out sets, Adam's
+        # moments and the BPTT scratch before write-back allocates the
+        # model's new parameter arrays.
+        del train, validation, test, optimizer
+        arena.release_scratch()
         if best_weights is not None:
             arena.flat.data[...] = best_weights
+            del best_weights
         arena.write_back()
         return history
 

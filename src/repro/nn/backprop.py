@@ -322,6 +322,12 @@ class TrainingArena:
                 bindings.append((head.bias, [(slice(None), head_bias)]))
         return bindings
 
+    def release_scratch(self) -> None:
+        """Drop the pooled BPTT caches and the scratch they view (and with them
+        the inputs of the last forward); a later forward allocates afresh."""
+        self._caches.clear()
+        self._scratch.clear()
+
     def write_back(self) -> None:
         """Rebind every module parameter to the arena's current values."""
         for parameter, pieces in self._value_bindings:
@@ -693,21 +699,29 @@ def is_softmax_head(head) -> bool:
 # ---------------------------------------------------------------------- #
 # Analytic reconstruction-loss gradients (Eq. 13 and the Table I variants)
 # ---------------------------------------------------------------------- #
-def mse_loss_grad(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
+# Each returns ``(value, gradient)``; ``grad=False`` returns ``(value, None)``
+# from the same value expressions, stopping before the gradient.
+def mse_loss_grad(
+    prediction: np.ndarray, target: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
     """Value and prediction-gradient of the element-mean squared error."""
     diff = prediction - target
     value = float(np.mean(diff * diff))
-    return value, (2.0 / diff.size) * diff
+    return value, (2.0 / diff.size) * diff if grad else None
 
 
-def l2_loss_grad(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
+def l2_loss_grad(
+    prediction: np.ndarray, target: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
     """Value and gradient of the per-sample squared-L2 loss (Table I "L2")."""
     diff = prediction - target
     value = float(np.mean(np.sum(diff * diff, axis=-1)))
-    return value, (2.0 / prediction.shape[0]) * diff
+    return value, (2.0 / prediction.shape[0]) * diff if grad else None
 
 
-def kl_loss_grad(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
+def kl_loss_grad(
+    prediction: np.ndarray, target: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
     """Value and gradient of mean ``KL(target || prediction)``.
 
     Replicates the tape exactly: the log is evaluated at ``max(x, eps)`` and
@@ -717,29 +731,37 @@ def kl_loss_grad(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.
     clipped_t = np.maximum(target, _EPS)
     ratio = np.log(clipped_t) - np.log(clipped_p)
     value = float(np.mean(np.sum(target * ratio, axis=-1)))
-    grad = -(target / clipped_p) / prediction.shape[0]
-    return value, grad
+    return value, -(target / clipped_p) / prediction.shape[0] if grad else None
 
 
-def js_loss_grad(prediction: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Value and gradient of the mean Jensen–Shannon divergence (paper's JSE)."""
-    mixture = 0.5 * (prediction + target)
-    clipped_p = np.maximum(prediction, _EPS)
-    clipped_m = np.maximum(mixture, _EPS)
-    log_p = np.log(clipped_p)
-    log_m = np.log(clipped_m)
-    log_t = np.log(np.maximum(target, _EPS))
-    kl_pm = np.sum(prediction * (log_p - log_m), axis=-1)
-    kl_qm = np.sum(target * (log_t - log_m), axis=-1)
+def js_loss_grad(
+    prediction: np.ndarray, target: np.ndarray, grad: bool = True
+) -> Tuple[float, Optional[np.ndarray]]:
+    """Value and gradient of the mean Jensen–Shannon divergence (paper's JSE).
+
+    The value holds three ``prediction``-sized arrays at a time (the two log
+    ratios in place); the gradient reuses ``log p - log m`` and recomputes
+    its clipped operands.
+    """
+    log_m = np.log(np.maximum(0.5 * (prediction + target), _EPS))
+    log_pm = np.log(np.maximum(prediction, _EPS))
+    log_pm -= log_m
+    log_tm = np.log(np.maximum(target, _EPS))
+    log_tm -= log_m
+    kl_pm = np.sum(prediction * log_pm, axis=-1)
+    kl_qm = np.sum(target * log_tm, axis=-1)
     value = float(np.mean(0.5 * (kl_pm + kl_qm)))
+    if not grad:
+        return value, None
+    del log_m, log_tm
     # d/dp of p*(log p - log m) + t*(log t - log m) with m = (p + t)/2 and the
     # tape's clipped-log derivative 1/max(x, eps):
-    grad = (0.5 / prediction.shape[0]) * (
-        (log_p - log_m)
-        + prediction / clipped_p
-        - 0.5 * (prediction + target) / clipped_m
+    mixture = 0.5 * (prediction + target)
+    return value, (0.5 / prediction.shape[0]) * (
+        log_pm
+        + prediction / np.maximum(prediction, _EPS)
+        - mixture / np.maximum(mixture, _EPS)
     )
-    return value, grad
 
 
 ACTION_LOSS_GRADS = {
@@ -757,10 +779,14 @@ def weighted_loss_grad(
     interaction_target: np.ndarray,
     omega: float,
     action_loss: str = "js",
-) -> Tuple[float, np.ndarray, np.ndarray]:
+    grad: bool = True,
+) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Value and both prediction-gradients of the fused CLSTM loss (Eq. 13).
 
-    Returns ``(loss, d_action_prediction, d_interaction_prediction)``.
+    Returns ``(loss, d_action_prediction, d_interaction_prediction)``.  With
+    ``grad=False`` both gradients are ``None`` and never computed: the value
+    comes from the same expressions, so it is bitwise the one ``grad=True``
+    returns (a validation or test loss allocates no gradient).
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
@@ -771,10 +797,14 @@ def weighted_loss_grad(
     action_value, action_grad = ACTION_LOSS_GRADS[action_loss](
         np.asarray(action_prediction, dtype=np.float64),
         np.asarray(action_target, dtype=np.float64),
+        grad,
     )
     interaction_value, interaction_grad = mse_loss_grad(
         np.asarray(interaction_prediction, dtype=np.float64),
         np.asarray(interaction_target, dtype=np.float64),
+        grad,
     )
     value = omega * action_value + (1.0 - omega) * interaction_value
+    if not grad:
+        return value, None, None
     return value, omega * action_grad, (1.0 - omega) * interaction_grad

@@ -6,8 +6,9 @@ for completeness and for the ablation benchmarks.
 
 Both optimisers step over a **flat buffer**: all managed parameters are viewed
 as one contiguous ``float64`` array, so a step is a handful of vectorised
-NumPy passes over ~1.4 M doubles (for the paper-scale CLSTM).  After each step
-the parameters are rebound to fresh views into the new flat array, which
+NumPy passes over it (Adam's over cache-sized chunks in one fixed scratch
+block, so its only parameter-sized state is the two moments).  After each
+step the parameters are rebound to fresh views into the new flat array, which
 preserves the repo-wide invariant that every write path *rebinds*
 ``parameter.data`` — the fused-weight caches in :mod:`repro.nn.fused` rely on
 array identity as their staleness check.  ``tests/test_nn_losses_optim.py``
@@ -160,6 +161,12 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba), the paper's training optimiser."""
 
+    #: Elements per pass of :meth:`advance` (256 KiB a buffer): a chunk's
+    #: operands stay in cache between its passes.  The paper-shape step
+    #: (364,592 parameters) ran fastest at this size of 2**11 .. 2**16, and
+    #: a small model's whole buffer is one chunk.
+    CHUNK = 32768
+
     def __init__(
         self,
         parameters: Iterable[Parameter],
@@ -182,8 +189,9 @@ class Adam(Optimizer):
         self._step_count = 0
         self._flat_first = np.zeros(self._numel)
         self._flat_second = np.zeros(self._numel)
-        self._scratch = np.empty(self._numel)
-        self._scratch2 = np.empty(self._numel)
+        # Two rows of at most CHUNK doubles: all the scratch a step uses,
+        # whatever the parameter count.
+        self._scratch = np.empty((2, min(self.CHUNK, self._numel)))
 
     def step(self) -> None:
         grad, missing = self._gather_flat_grad()
@@ -212,35 +220,47 @@ class Adam(Optimizer):
         Advances the moment buffers in place and returns the updated values —
         a new array, or ``out`` (which may be ``data`` itself: a training
         arena that owns its flat buffer steps in place, nothing to rebind).
+
+        The step runs chunk by chunk, :attr:`CHUNK` elements at a time, every
+        pass of a chunk in the optimiser's one fixed scratch block, so a step
+        allocates nothing the size of the parameter set (``weight_decay``'s
+        ``grad + wd * data`` included).  The step is elementwise and each
+        element sees the textbook per-parameter operations in their order —
+        ``data - (lr * (first / bc1)) / (sqrt(second / bc2) + eps)`` — so the
+        trajectory is bit-for-bit the reference step's.
         """
         self._step_count += 1
-        if self.weight_decay > 0.0:
-            grad = grad + self.weight_decay * data
-        first, second = self._flat_first, self._flat_second
-        # Moment updates and the Adam step, fully in place via one scratch
-        # buffer — the whole step is a handful of vectorised passes.
-        scratch = self._scratch
-        np.multiply(grad, 1.0 - self.beta1, out=scratch)
-        first *= self.beta1
-        first += scratch
-        np.multiply(grad, grad, out=scratch)
-        scratch *= 1.0 - self.beta2
-        second *= self.beta2
-        second += scratch
-        bias_correction1 = 1.0 - self.beta1 ** self._step_count
-        bias_correction2 = 1.0 - self.beta2 ** self._step_count
-        # The textbook per-parameter operation order, kept exactly so the
-        # trajectory stays bit-for-bit the reference step's:
-        # data - (lr * (first / bc1)) / (sqrt(second / bc2) + eps)
-        denominator = scratch
-        np.divide(second, bias_correction2, out=denominator)
-        np.sqrt(denominator, out=denominator)
-        denominator += self.eps
-        update = self._scratch2
-        np.divide(first, bias_correction1, out=update)
-        update *= self.lr
-        update /= denominator
-        return np.subtract(data, update, out=out)
+        if out is None:
+            out = np.empty_like(data)
+        beta1, beta2, weight_decay = self.beta1, self.beta2, self.weight_decay
+        bias_correction1 = 1.0 - beta1 ** self._step_count
+        bias_correction2 = 1.0 - beta2 ** self._step_count
+        for start in range(0, len(data), self.CHUNK):
+            chunk = slice(start, start + self.CHUNK)
+            first, second = self._flat_first[chunk], self._flat_second[chunk]
+            values, gradient = data[chunk], grad[chunk]
+            scratch, update = self._scratch[:, : len(values)]
+            if weight_decay > 0.0:
+                # grad + wd * data, in the update row until the moments are done.
+                np.multiply(values, weight_decay, out=update)
+                update += gradient
+                gradient = update
+            np.multiply(gradient, 1.0 - beta1, out=scratch)
+            first *= beta1
+            first += scratch
+            np.multiply(gradient, gradient, out=scratch)
+            scratch *= 1.0 - beta2
+            second *= beta2
+            second += scratch
+            denominator = scratch
+            np.divide(second, bias_correction2, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            np.divide(first, bias_correction1, out=update)
+            update *= self.lr
+            update /= denominator
+            np.subtract(values, update, out=out[chunk])
+        return out
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

@@ -496,19 +496,26 @@ class Runtime:
         reaches the runtime, then drains, then stops the executor pool and
         any maintenance threads.  Idempotent; a closed runtime can still be
         inspected and checkpointed, but not fed.
+
+        A server that fails to close (its ingest batcher died) does not keep
+        the rest open: the runtime still drains, stops its executor, closes
+        its WAL and marks itself closed, then raises the server's error; a
+        later call returns ``[]``.
         """
         if self._closed:
             return []
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        final: List[StreamDetection] = []
-        if self.fitted:
-            final = self.service.drain()
-            self.service.close()
-        if self._wal is not None:
-            self._wal.close()
-        self._closed = True
+        server, self._server = self._server, None
+        try:
+            if server is not None:
+                server.close()
+        finally:
+            final: List[StreamDetection] = []
+            if self.fitted:
+                final = self.service.drain()
+                self.service.close()
+            if self._wal is not None:
+                self._wal.close()
+            self._closed = True
         return final
 
     # ------------------------------------------------------------------ #

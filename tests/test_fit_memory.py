@@ -29,7 +29,7 @@ from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.core.training import CLSTMTrainer
 from repro.features.sequences import build_sequences
-from repro.nn import fused
+from repro.nn import Adam, fused
 from repro.nn.backprop import BPTTCache, TrainingArena
 from repro.serving import ModelRegistry, ScoreRequest, UpdatePlane, UpdateTrigger
 from repro.utils.config import (
@@ -132,25 +132,24 @@ class TestTrainerLayout:
     D1, D2, HIDDEN = 200, 8, (8, 4)
     CONFIG = TrainingConfig(epochs=2, batch_size=32, checkpoint_every=1, seed=0)
 
-    def _batch(self, count, q):
+    def _batch(self, count, q, d1=D1, d2=D2):
         rng = np.random.default_rng(5)
-        return build_sequences(*_features(rng, count + q, self.D1, self.D2), q)
+        return build_sequences(*_features(rng, count + q, d1, d2), q)
 
-    def _model(self):
-        h1, h2 = self.HIDDEN
+    def _model(self, d1=D1, d2=D2, hidden=HIDDEN):
+        h1, h2 = hidden
         return CLSTM(
-            action_dim=self.D1, interaction_dim=self.D2, action_hidden=h1, interaction_hidden=h2, seed=1
+            action_dim=d1, interaction_dim=d2, action_hidden=h1, interaction_hidden=h2, seed=1
         )
 
-    def test_peak_is_one_feature_major_copy_plus_batch_scratch(self):
-        # Windows (24 MB) large against everything a fit sizes by a batch.
-        batch = self._batch(count=600, q=24)
+    @staticmethod
+    def _data_parts(config, batch, hidden):
+        """``(validation, train, laid_out, bptt, minibatch)`` bytes of a fit on ``batch``."""
         count, q = len(batch), batch.sequence_length
-        config = replace(self.CONFIG, epochs=1)
         validation = int(round(count * config.validation_fraction))
         train = count - validation
         tail = train % config.batch_size
-        width = self.D1 + self.D2
+        width = batch.action_sequences.shape[2] + batch.interaction_sequences.shape[2]
         # The one copy: every window and target, feature-major, in float64.
         laid_out = count * (q + 1) * width * 8
         # Fixed scratch: the BPTT buffers of the fit's three cache shapes
@@ -158,15 +157,24 @@ class TestTrainerLayout:
         shapes = [(config.batch_size, True), (tail, True), (validation, False)]
         sizes = {}
         for size, keep in shapes:
-            for name, shape in BPTTCache.shapes(sum(self.HIDDEN), q, size, keep).items():
+            for name, shape in BPTTCache.shapes(sum(hidden), q, size, keep).items():
                 sizes[name] = max(sizes.get(name, 0), int(np.prod(shape)))
         bptt = 8 * sum(sizes.values())
-        # ... the two mini-batch gather buffers (full and tail batch) ...
+        # ... and the two mini-batch gather buffers (full and tail batch).
         minibatch = (config.batch_size + tail) * (q + 1) * width * 8
-        # ... plus the validation loss's temporaries (≈ 12 arrays of
-        # validation × d1; 16 allowed) and 256 KiB for the arena, Adam's
-        # moments, the best checkpoint and Python objects.
-        allowance = 16 * validation * self.D1 * 8 + (256 << 10)
+        return validation, train, laid_out, bptt, minibatch
+
+    def test_peak_is_one_feature_major_copy_plus_batch_scratch(self):
+        # Windows (24 MB) large against everything a fit sizes by a batch.
+        batch = self._batch(count=600, q=24)
+        q, width = batch.sequence_length, self.D1 + self.D2
+        config = replace(self.CONFIG, epochs=1)
+        validation, train, laid_out, bptt, minibatch = self._data_parts(config, batch, self.HIDDEN)
+        # Beside those, the value-only validation loss's temporaries (all the
+        # rest measures ≈ 7 arrays of validation × d1; 9 allowed) and
+        # 256 KiB for the arena, Adam's moments, the best checkpoint and
+        # Python objects.
+        allowance = 9 * validation * self.D1 * 8 + (256 << 10)
         bound = laid_out + bptt + minibatch + allowance
         # Even a batch-major copy of the training part alone, held while it
         # is laid out, would not fit under it.
@@ -179,6 +187,38 @@ class TestTrainerLayout:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+    def test_a_fit_holds_each_parameter_sized_buffer_once(self):
+        # Many parameters (≈ 145k, 1.2 MB a set) on few windows, so the
+        # parameter-sized buffers dominate the peak.
+        d1, d2, hidden = 64, 8, (128, 32)
+        batch = self._batch(count=40, q=5, d1=d1, d2=d2)
+        config = TrainingConfig(epochs=3, batch_size=8, checkpoint_every=1, seed=0)
+        validation, _, laid_out, bptt, minibatch = self._data_parts(config, batch, hidden)
+        model = self._model(d1, d2, hidden)
+        params = sum(parameter.data.size for parameter in model.parameters())
+        # Five sets: the arena's values and gradients, Adam's two moments and
+        # the one best checkpoint; plus Adam's fixed scratch block.
+        sets = 5 * params * 8 + 2 * min(Adam.CHUNK, params) * 8
+        # The value-only loss holds ≈ 5 arrays of validation × d1; 512 KiB
+        # covers a step's own temporaries and Python objects (≈ 200 KiB
+        # measured).
+        loss = 6 * validation * d1 * 8
+        bound = laid_out + bptt + minibatch + loss + sets + (512 << 10)
+        # Eight sets (Adam's two full-size scratch buffers, a second
+        # checkpoint while one replaces the other) would not fit under it.
+        assert bound < laid_out + bptt + minibatch + 8 * params * 8
+
+        trainer = CLSTMTrainer(model, config)
+        tracemalloc.start()
+        try:
+            history = trainer.fit(batch, curves=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A later epoch improved on the first: the checkpoint buffer was reused.
+        assert history.best_epoch > 1
         assert peak < bound, (peak, bound)
 
     def test_weights_match_the_subset_layout_with_private_caches(self, monkeypatch):

@@ -41,10 +41,13 @@ from repro.nn.backprop import (
     TrainingArena,
     coupled_pair_backward,
     coupled_pair_forward_cached,
+    js_loss_grad,
     lstm_backward,
     lstm_forward_cached,
+    paired_feature_major,
     weighted_loss_grad,
 )
+from repro.nn.losses import _EPS
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell, run_lstm
 from repro.nn.tensor import Tensor
 from repro.utils.config import TrainingConfig, UpdateConfig
@@ -595,3 +598,54 @@ class TestWeightedLossGrad:
             omega=0.7, action_loss=action_loss,
         )
         assert value == pytest.approx(float(reference.item()), abs=1e-12)
+
+    @staticmethod
+    def _distributions(rng, rows=7, cols=10):
+        raw = rng.random((rows, cols)) + 1e-3
+        raw[0, :3] = 0.0  # below the log clip
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("action_loss", ACTION_LOSSES)
+    def test_value_only_returns_the_gradient_calls_value(self, rng, action_loss):
+        action_p, action_t = self._distributions(rng), self._distributions(rng)
+        inter_p, inter_t = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        value, d_action, d_interaction = weighted_loss_grad(
+            action_p, action_t, inter_p, inter_t, 0.7, action_loss
+        )
+        assert d_action is not None and d_interaction is not None
+        alone = weighted_loss_grad(
+            action_p, action_t, inter_p, inter_t, 0.7, action_loss, grad=False
+        )
+        assert alone[1:] == (None, None)
+        assert alone[0].hex() == value.hex()
+
+    def test_js_keeps_the_textbook_expressions_bitwise(self, rng):
+        prediction, target = self._distributions(rng), self._distributions(rng)
+        # The reference: the loss and its derivative as written out, term for term.
+        mixture = 0.5 * (prediction + target)
+        clipped_p = np.maximum(prediction, _EPS)
+        clipped_m = np.maximum(mixture, _EPS)
+        log_p, log_m = np.log(clipped_p), np.log(clipped_m)
+        log_t = np.log(np.maximum(target, _EPS))
+        kl_pm = np.sum(prediction * (log_p - log_m), axis=-1)
+        kl_qm = np.sum(target * (log_t - log_m), axis=-1)
+        want_value = float(np.mean(0.5 * (kl_pm + kl_qm)))
+        want_grad = (0.5 / prediction.shape[0]) * (
+            (log_p - log_m) + prediction / clipped_p - 0.5 * (prediction + target) / clipped_m
+        )
+        value, grad = js_loss_grad(prediction, target)
+        assert value.hex() == want_value.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("action_loss", ACTION_LOSSES)
+    def test_fused_loss_is_the_training_steps_value(self, rng, action_loss):
+        model = CLSTM(action_dim=12, interaction_dim=5, action_hidden=6, interaction_hidden=3, seed=4)
+        batch = _random_sequences(rng)
+        arena = model.training_arena()
+        inputs = paired_feature_major(batch.action_sequences, batch.interaction_sequences)
+        targets = (batch.action_targets, batch.interaction_targets)
+        loss = model.fused_loss(*inputs, *targets, omega=0.8, action_loss=action_loss, arena=arena)
+        step = model.fused_training_step(
+            *inputs, *targets, omega=0.8, action_loss=action_loss, arena=arena
+        )
+        assert loss.hex() == step.hex()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,86 @@ class TestFlatBufferOptimisers:
         optimizer.step()
         assert frozen.data is before
         np.testing.assert_array_equal(frozen.data, np.ones(2) * 5.0)
+
+
+CHUNK = nn.Adam.CHUNK
+
+
+class TestChunkedAdam:
+    """``Adam.advance`` steps chunk by chunk in one fixed scratch block and is
+    bit-for-bit the textbook per-parameter step at every chunk boundary."""
+
+    @pytest.mark.parametrize("numel", [CHUNK // 3, CHUNK, 3 * CHUNK + 123])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_advance_is_the_textbook_step(self, numel, weight_decay, in_place):
+        rng = np.random.default_rng(numel)
+        start = rng.normal(size=numel)
+        optimizer = nn.Adam([nn.Parameter(start.copy())], lr=0.01, weight_decay=weight_decay)
+        reference = nn.Parameter(start.copy())
+        textbook = _PerParameterAdam([reference], lr=0.01, weight_decay=weight_decay)
+        data = start.copy()
+        for _ in range(3):
+            grad = rng.normal(size=numel)
+            untouched = grad.copy()
+            reference.grad = grad.copy()
+            textbook.step()
+            result = optimizer.advance(data, grad, out=data if in_place else None)
+            assert (result is data) == in_place
+            data = result
+            assert data.tobytes() == reference.data.tobytes()
+            assert grad.tobytes() == untouched.tobytes()
+        assert optimizer._flat_first.tobytes() == textbook.first[0].tobytes()
+        assert optimizer._flat_second.tobytes() == textbook.second[0].tobytes()
+
+    def test_step_skips_a_gradless_parameter_across_chunks(self):
+        rng = np.random.default_rng(7)
+        shapes = [(2 * CHUNK + 5,), (7,), (CHUNK,)]
+        starts = [rng.normal(size=shape) for shape in shapes]
+        flat = [nn.Parameter(start.copy()) for start in starts]
+        legacy = [nn.Parameter(start.copy()) for start in starts]
+        optimizer = nn.Adam(flat, lr=0.01)
+        textbook = _PerParameterAdam(legacy, lr=0.01)
+        for step in range(4):
+            for index, shape in enumerate(shapes):
+                # The first parameter has no gradient on odd steps, the
+                # middle one only on the last step.
+                present = (index == 0 and step % 2 == 0) or index == 2 or (index == 1 and step == 3)
+                grad = rng.normal(size=shape) if present else None
+                flat[index].grad = None if grad is None else grad.copy()
+                legacy[index].grad = None if grad is None else grad.copy()
+            optimizer.step()
+            textbook.step()
+            for a, b in zip(flat, legacy):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_state_is_two_moments_and_one_scratch_block(self):
+        numel = 3 * CHUNK + 123
+        optimizer = nn.Adam([nn.Parameter(np.zeros(numel))], weight_decay=0.1)
+        held = sum(
+            value.nbytes
+            for value in vars(optimizer).values()
+            if isinstance(value, np.ndarray) and value is not optimizer._offsets
+        )
+        assert held <= (2 * numel + 2 * CHUNK) * 8
+        # A small model's scratch is no larger than its parameter set.
+        small = nn.Adam([nn.Parameter(np.zeros(100))])
+        assert small._scratch.nbytes == 2 * 100 * 8
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_an_in_place_step_allocates_no_parameter_sized_buffer(self, weight_decay):
+        numel = 3 * CHUNK + 123
+        rng = np.random.default_rng(3)
+        data, grad = rng.normal(size=numel), rng.normal(size=numel)
+        optimizer = nn.Adam([nn.Parameter(data.copy())], weight_decay=weight_decay)
+        optimizer.advance(data, grad, out=data)
+        tracemalloc.start()
+        try:
+            optimizer.advance(data, grad, out=data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK * 8, peak
 
 
 class TestSerialization:

@@ -36,6 +36,7 @@ from repro.server import (
 )
 from repro.serving.service import Tick
 from repro.utils.config import (
+    DurabilityConfig,
     ExecutorConfig,
     ModelConfig,
     ServerConfig,
@@ -715,6 +716,42 @@ class TestServerIngest:
         with pytest.raises(RuntimeError, match="batcher thread failed"):
             server.close()
         runtime.close()
+
+    def test_a_failed_batcher_still_closes_the_runtime(
+        self, server_runtime_config, tiny_features, monkeypatch, tmp_path
+    ):
+        config = replace(
+            server_runtime_config,
+            durability=DurabilityConfig(directory=str(tmp_path / "store")),
+            server=ServerConfig(poll_interval_ms=5.0),
+        )
+        runtime = Runtime.from_config(config).fit(tiny_features)
+
+        def broken(tick):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(runtime, "ingest_many", broken)
+        streams = make_wire_streams(config, streams=1, segments=4)
+        body = {"segments": [wire_segment(*item) for item in round_robin(streams)]}
+        server = runtime.serve()
+        status, _, _ = http_json("POST", f"{server.url}/v1/ingest", payload=body)
+        assert status == 202
+        deadline = time.monotonic() + 10.0
+        while http_json("GET", f"{server.url}/healthz")[1]["status"] != "failing":
+            assert time.monotonic() < deadline, "the batcher never took the request"
+            time.sleep(0.01)
+        wal = runtime._wal
+        assert wal.is_open
+        # The owned server's failure surfaces, but only once every part is released.
+        with pytest.raises(RuntimeError, match="batcher thread failed") as raised:
+            runtime.close()
+        assert isinstance(raised.value.__cause__, OSError)
+        assert runtime._closed and not wal.is_open
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="runtime is closed"):
+            model = config.model
+            runtime.ingest("s", np.ones(model.action_dim), np.ones(model.interaction_dim))
+        assert runtime.close() == []
 
     def test_reads_of_unknown_streams_allocate_nothing(
         self, server_runtime_config, tiny_features
