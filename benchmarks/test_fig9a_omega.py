@@ -1,4 +1,4 @@
-"""Fig. 9(a) — effect of the audience-interaction weight omega on AUROC.
+"""Fig. 9(a) — effect of the action-branch weight omega on AUROC.
 
 The paper sweeps omega from 0 to 1 and finds the optimum at 0.8 for INF and
 0.9 for SPE/TED/TWI; both extremes (omega = 0: interaction only, omega = 1:
@@ -25,7 +25,7 @@ def run_experiment():
         "fig9a_omega",
         ["dataset", *[f"w={omega}" for omega in OMEGAS]],
         rows,
-        title="Fig. 9(a) — AUROC (%) vs interaction weight omega",
+        title="Fig. 9(a) — AUROC (%) vs action-branch weight omega",
     )
     return results
 

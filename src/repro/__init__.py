@@ -23,7 +23,7 @@ The batch-oriented facade remains::
 
     from repro import AOVLIS
 
-    model = AOVLIS(pipeline=pipeline)
+    model = AOVLIS()
     model.fit(pipeline.extract(spec.train))
     result = model.detect(pipeline.extract(spec.test))
 """

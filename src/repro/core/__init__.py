@@ -4,7 +4,6 @@ from .base import ScoredStream, StreamAnomalyDetector
 from .clstm import CLSTM, CLSTMOutput
 from .scoring import (
     js_divergence,
-    kl_divergence,
     l1_distance,
     action_reconstruction_error,
     interaction_reconstruction_error,
@@ -26,7 +25,6 @@ __all__ = [
     "CLSTM",
     "CLSTMOutput",
     "js_divergence",
-    "kl_divergence",
     "l1_distance",
     "action_reconstruction_error",
     "interaction_reconstruction_error",

@@ -55,13 +55,6 @@ class DetectionResult:
     is_anomaly: np.ndarray
     threshold: float
 
-    def top(self, k: int) -> np.ndarray:
-        """Indices (into the stream) of the k highest-scoring segments."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        order = np.argsort(self.scores)[::-1][:k]
-        return self.segment_indices[order]
-
     def __len__(self) -> int:
         return len(self.scores)
 
@@ -157,10 +150,6 @@ class AnomalyDetector:
             action_targets, interaction_targets, predicted_action, predicted_interaction
         )
         return self._decide(segment_indices, scores, action_errors, interaction_errors)
-
-    def score_values(self, batch: SequenceBatch) -> np.ndarray:
-        """Convenience: only the REIA scores of ``batch``."""
-        return self.score(batch).scores
 
     # ------------------------------------------------------------------ #
     # Threshold calibration

@@ -2,8 +2,6 @@
 
 :class:`AOVLIS` ties the pieces together behind a small public API:
 
-* feature extraction (optional — users can also pass pre-extracted
-  :class:`~repro.features.pipeline.StreamFeatures`);
 * CLSTM training on the normal segments of a training stream;
 * REIA scoring and thresholded detection on test streams.
 
@@ -19,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..features.pipeline import FeaturePipeline, StreamFeatures
-from ..streams.events import SocialVideoStream
+from ..features.pipeline import StreamFeatures
 from ..utils.config import DetectionConfig, TrainingConfig
 from .base import ScoredStream, StreamAnomalyDetector
 from .clstm import CLSTM, CouplingMode
@@ -45,11 +42,6 @@ class AOVLIS(StreamAnomalyDetector):
     training / detection:
         Configuration dataclasses; sensible paper defaults are used when
         omitted.
-    pipeline:
-        Optional :class:`FeaturePipeline` enabling the stream-level
-        convenience methods (:meth:`fit_stream`, :meth:`score`); required only
-        when raw :class:`SocialVideoStream` objects are passed instead of
-        pre-extracted features.
     seed:
         Model initialisation seed.
     """
@@ -64,7 +56,6 @@ class AOVLIS(StreamAnomalyDetector):
         coupling: CouplingMode = "both",
         training: TrainingConfig | None = None,
         detection: DetectionConfig | None = None,
-        pipeline: FeaturePipeline | None = None,
         seed: int = 0,
     ) -> None:
         if sequence_length < 1:
@@ -75,7 +66,6 @@ class AOVLIS(StreamAnomalyDetector):
         self.coupling = coupling
         self.training_config = training if training is not None else TrainingConfig()
         self.detection_config = detection if detection is not None else DetectionConfig()
-        self.pipeline = pipeline
         self.seed = seed
 
         self.model: Optional[CLSTM] = None
@@ -115,10 +105,6 @@ class AOVLIS(StreamAnomalyDetector):
         self.detector.calibrate(normal)
         return self
 
-    def fit_stream(self, stream: SocialVideoStream) -> "AOVLIS":
-        """Extract features with the attached pipeline and train on them."""
-        return self.fit(self._extract(stream))
-
     # ------------------------------------------------------------------ #
     # Scoring and detection
     # ------------------------------------------------------------------ #
@@ -133,14 +119,6 @@ class AOVLIS(StreamAnomalyDetector):
         batch = features.sequences(self.sequence_length)
         return self.detector.score(batch)
 
-    def score(self, stream: SocialVideoStream) -> ScoredStream:
-        """Convenience: extract features from a raw stream and score them."""
-        return self.score_stream(self._extract(stream))
-
-    def detect_stream(self, stream: SocialVideoStream) -> DetectionResult:
-        """Convenience: extract features from a raw stream and detect anomalies."""
-        return self.detect(self._extract(stream))
-
     @property
     def anomaly_threshold(self) -> Optional[float]:
         """The calibrated anomaly threshold T_a (None before fitting)."""
@@ -149,12 +127,6 @@ class AOVLIS(StreamAnomalyDetector):
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _extract(self, stream: SocialVideoStream) -> StreamFeatures:
-        if self.pipeline is None:
-            raise RuntimeError(
-                "no FeaturePipeline attached; construct AOVLIS(pipeline=...) to work on raw streams"
-            )
-        return self.pipeline.extract(stream)
 
     def _require_fitted(self) -> None:
         if self.model is None or self.detector is None:

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "js_divergence",
-    "kl_divergence",
     "l1_distance",
     "action_reconstruction_error",
     "interaction_reconstruction_error",
@@ -43,12 +42,6 @@ def _prepare_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _kl_to(p: np.ndarray, log_q: np.ndarray, axis: int) -> np.ndarray:
     """``KL(p || q)`` given ``log(max(q, eps))``."""
     return np.sum(p * (np.log(np.maximum(p, _EPS)) - log_q), axis=axis)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``KL(p || q)`` along ``axis`` with epsilon-protected logarithms."""
-    p, q = _prepare_pair(p, q)
-    return _kl_to(p, np.log(np.maximum(q, _EPS)), axis)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray:

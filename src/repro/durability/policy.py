@@ -81,9 +81,6 @@ class CheckpointPolicy:
         self.checkpoints += 1
         self._last_checkpoint_at = self._clock()
 
-    def seconds_since_checkpoint(self) -> float:
-        return self._clock() - self._last_checkpoint_at
-
     def stats(self) -> dict:
         """JSON-safe view for ``/stats`` and the Prometheus renderer."""
         return {

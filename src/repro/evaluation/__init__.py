@@ -4,10 +4,6 @@ from .metrics import (
     RocCurve,
     roc_curve,
     auroc,
-    confusion_counts,
-    true_positive_rate,
-    false_positive_rate,
-    precision_recall_f1,
     detection_latency,
 )
 from .harness import (
@@ -19,16 +15,12 @@ from .harness import (
     evaluate,
     prepare,
 )
-from .reporting import format_table, format_named_series, format_percentage
+from .reporting import format_table
 
 __all__ = [
     "RocCurve",
     "roc_curve",
     "auroc",
-    "confusion_counts",
-    "true_positive_rate",
-    "false_positive_rate",
-    "precision_recall_f1",
     "detection_latency",
     "THRESHOLD_QUANTILE",
     "EvalRecord",
@@ -38,6 +30,4 @@ __all__ = [
     "ExperimentScale",
     "PreparedDataset",
     "format_table",
-    "format_named_series",
-    "format_percentage",
 ]

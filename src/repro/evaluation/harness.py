@@ -116,21 +116,6 @@ class ExperimentScale:
         """Laptop-scale defaults used by the benchmark suite."""
         return ExperimentScale()
 
-    @staticmethod
-    def paper() -> "ExperimentScale":
-        """Paper-faithful dimensions (heavy; hours of simulated stream)."""
-        return ExperimentScale(
-            action_dim=400,
-            interaction_embedding_dim=16,
-            action_hidden=128,
-            interaction_hidden=32,
-            sequence_length=9,
-            train_seconds=3600.0,
-            test_seconds=1800.0,
-            epochs=100,
-            batch_size=64,
-        )
-
     def training_config(self, omega: float = 0.8, action_loss: str = "js") -> TrainingConfig:
         """Training configuration at this scale."""
         return TrainingConfig(
@@ -320,7 +305,7 @@ class ExperimentHarness:
         omegas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0),
         dataset_names: Sequence[str] = DATASET_NAMES,
     ) -> Dict[str, Dict[float, float]]:
-        """AUROC as a function of the audience-interaction weight omega (Fig. 9a)."""
+        """AUROC as a function of the action-branch weight omega (Fig. 9a)."""
         return {
             name: {
                 omega: evaluate(self.build_aovlis(omega=omega), self.prepare_dataset(name)).auroc

@@ -1,8 +1,8 @@
-"""Evaluation metrics: ROC curve, AUROC, confusion counts, detection latency.
+"""Evaluation metrics: ROC curve, AUROC, detection latency.
 
 The paper evaluates effectiveness with ROC curves and the area under them
-(AUROC) and thresholded decisions; the scenario leaderboard adds the
-detection latency of a threshold.  Implementations here are NumPy-only and handle the degenerate cases
+(AUROC); the scenario leaderboard adds the detection latency of a
+threshold.  Implementations here are NumPy-only and handle the degenerate cases
 (all-normal or all-anomalous label sets) explicitly.
 """
 
@@ -17,10 +17,6 @@ __all__ = [
     "RocCurve",
     "roc_curve",
     "auroc",
-    "confusion_counts",
-    "true_positive_rate",
-    "false_positive_rate",
-    "precision_recall_f1",
     "detection_latency",
 ]
 
@@ -145,43 +141,6 @@ def auroc(labels: Sequence[int], scores: Sequence[float]) -> float:
     ranks = _midranks(scores)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
-
-
-def confusion_counts(labels: Sequence[int], predictions: Sequence[bool]) -> dict[str, int]:
-    """Confusion-matrix counts for hard anomaly decisions."""
-    labels = np.asarray(labels).astype(bool)
-    predictions = np.asarray(predictions).astype(bool)
-    if labels.shape != predictions.shape:
-        raise ValueError("labels and predictions must align")
-    return {
-        "tp": int(np.sum(labels & predictions)),
-        "fp": int(np.sum(~labels & predictions)),
-        "tn": int(np.sum(~labels & ~predictions)),
-        "fn": int(np.sum(labels & ~predictions)),
-    }
-
-
-def true_positive_rate(labels: Sequence[int], predictions: Sequence[bool]) -> float:
-    """TPR (recall) of hard decisions; 0 when there are no positives."""
-    counts = confusion_counts(labels, predictions)
-    denominator = counts["tp"] + counts["fn"]
-    return counts["tp"] / denominator if denominator else 0.0
-
-
-def false_positive_rate(labels: Sequence[int], predictions: Sequence[bool]) -> float:
-    """FPR of hard decisions; 0 when there are no negatives."""
-    counts = confusion_counts(labels, predictions)
-    denominator = counts["fp"] + counts["tn"]
-    return counts["fp"] / denominator if denominator else 0.0
-
-
-def precision_recall_f1(labels: Sequence[int], predictions: Sequence[bool]) -> dict[str, float]:
-    """Precision, recall and F1 of hard decisions (all 0 when undefined)."""
-    counts = confusion_counts(labels, predictions)
-    precision = counts["tp"] / (counts["tp"] + counts["fp"]) if counts["tp"] + counts["fp"] else 0.0
-    recall = counts["tp"] / (counts["tp"] + counts["fn"]) if counts["tp"] + counts["fn"] else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 def detection_latency(labels: Sequence[int], scores: Sequence[float], threshold: float) -> float:

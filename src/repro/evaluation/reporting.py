@@ -7,16 +7,9 @@ benchmark output is directly comparable with the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_named_series", "format_percentage"]
-
-
-def format_percentage(value: float, decimals: int = 2) -> str:
-    """Render a fraction in [0, 1] as a percentage string (e.g. 0.7988 -> '79.88')."""
-    if value != value:  # NaN
-        return "n/a"
-    return f"{100.0 * value:.{decimals}f}"
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str | None = None) -> str:
@@ -49,22 +42,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
 
-
-def format_named_series(series: Mapping[str, Mapping[str, float]], value_format: str = "{:.3f}") -> str:
-    """Render a nested mapping ``{row: {column: value}}`` as a table."""
-    columns: list[str] = []
-    for row_values in series.values():
-        for column in row_values:
-            if column not in columns:
-                columns.append(column)
-    headers = ["name"] + columns
-    rows = []
-    for name, row_values in series.items():
-        rows.append(
-            [name]
-            + [
-                value_format.format(row_values[column]) if column in row_values else "-"
-                for column in columns
-            ]
-        )
-    return format_table(headers, rows)

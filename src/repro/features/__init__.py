@@ -1,11 +1,10 @@
 """Feature extraction: simulated I3D action features, audience-interaction
-features, sliding-window segmentation and CLSTM sequence construction."""
+features and CLSTM sequence construction."""
 
 from .i3d import SimulatedI3DExtractor
 from .text import HashingWordEmbedding, LexiconSentimentAnalyzer, tokenize
 from .interaction import InteractionFeatureExtractor
-from .segmentation import SlidingWindowSegmenter
-from .sequences import SequenceBatch, build_sequences, latest_sequence
+from .sequences import SequenceBatch, build_sequences
 from .pipeline import FeaturePipeline, StreamFeatures
 
 __all__ = [
@@ -14,10 +13,8 @@ __all__ = [
     "LexiconSentimentAnalyzer",
     "tokenize",
     "InteractionFeatureExtractor",
-    "SlidingWindowSegmenter",
     "SequenceBatch",
     "build_sequences",
-    "latest_sequence",
     "FeaturePipeline",
     "StreamFeatures",
 ]

@@ -15,11 +15,10 @@ evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-__all__ = ["SequenceBatch", "build_sequences", "latest_sequence"]
+__all__ = ["SequenceBatch", "build_sequences"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class SequenceBatch:
 
     def __len__(self) -> int:
         return self.action_sequences.shape[0]
-
-    @property
-    def sequence_length(self) -> int:
-        return self.action_sequences.shape[1]
 
     def subset(self, mask: np.ndarray) -> "SequenceBatch":
         """Return the batch restricted to the boolean or index ``mask``."""
@@ -128,24 +123,3 @@ def _windows(features: np.ndarray, sequence_length: int, count: int) -> np.ndarr
     windows = np.lib.stride_tricks.sliding_window_view(features, sequence_length, axis=0)
     return windows[:count].transpose(0, 2, 1)
 
-
-def latest_sequence(
-    action_features: np.ndarray,
-    interaction_features: np.ndarray,
-    sequence_length: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the most recent history window ``(1, q, d)`` for online scoring.
-
-    Used when a new segment arrives over the stream: the previous ``q``
-    segments form the input from which CLSTM predicts the incoming one.
-    """
-    action_features = np.asarray(action_features, dtype=np.float64)
-    interaction_features = np.asarray(interaction_features, dtype=np.float64)
-    if action_features.shape[0] < sequence_length:
-        raise ValueError(
-            f"need at least {sequence_length} historical segments, have {action_features.shape[0]}"
-        )
-    return (
-        action_features[-sequence_length:][None, :, :],
-        interaction_features[-sequence_length:][None, :, :],
-    )

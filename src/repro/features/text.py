@@ -63,10 +63,6 @@ class HashingWordEmbedding:
         self._cache[word] = vector
         return vector
 
-    def embed_text(self, text: str) -> np.ndarray:
-        """Average embedding of the words in ``text`` (zeros when empty)."""
-        return self.embed_many([text])
-
     def embed_many(self, texts: Iterable[str]) -> np.ndarray:
         """Average embedding over all words of all ``texts`` (zeros when empty)."""
         words: List[str] = []

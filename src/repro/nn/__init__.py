@@ -2,13 +2,14 @@
 
 The original system is implemented in PyTorch; this package provides the
 framework pieces the paper's models need — a reverse-mode autograd tensor,
-Linear/LSTM/coupled-LSTM layers, JS/KL/MSE losses and the Adam optimiser —
+Linear/LSTM/coupled-LSTM layers, the baselines' JS/MSE tape losses, the
+analytic-gradient training arena and the Adam optimiser —
 without any external deep-learning dependency.
 """
 
 from .tensor import Tensor, no_grad, is_grad_enabled
 from .module import Module, Parameter
-from .layers import Linear, Dropout, Sequential, MLP, Activation, SoftmaxHead
+from .layers import Linear, Sequential, MLP, Activation, SoftmaxHead
 from .recurrent import LSTMCell, CoupledLSTMCell, run_lstm
 from .fused import (
     FusedGateWeights,
@@ -22,21 +23,11 @@ from .backend import resolve_precision
 from .backprop import (
     TrainingArena,
     BPTTCache,
-    lstm_forward_cached,
-    lstm_backward,
-    coupled_pair_forward_cached,
-    coupled_pair_backward,
     weighted_loss_grad,
 )
-from .losses import (
-    mse_loss,
-    l2_loss,
-    kl_divergence_loss,
-    js_divergence_loss,
-    weighted_reconstruction_loss,
-)
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .serialization import save_state, save_module, load_state, load_into_module
+from .losses import mse_loss, js_divergence_loss
+from .optim import Adam, Optimizer, clip_grad_norm
+from .serialization import save_state, save_module, load_state
 from . import backprop
 from . import functional
 from . import init
@@ -48,7 +39,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
-    "Dropout",
     "Sequential",
     "MLP",
     "Activation",
@@ -65,24 +55,15 @@ __all__ = [
     "coupled_pair_forward_fused",
     "TrainingArena",
     "BPTTCache",
-    "lstm_forward_cached",
-    "lstm_backward",
-    "coupled_pair_forward_cached",
-    "coupled_pair_backward",
     "weighted_loss_grad",
     "mse_loss",
-    "l2_loss",
-    "kl_divergence_loss",
     "js_divergence_loss",
-    "weighted_reconstruction_loss",
-    "SGD",
     "Adam",
     "Optimizer",
     "clip_grad_norm",
     "save_state",
     "save_module",
     "load_state",
-    "load_into_module",
     "backprop",
     "functional",
     "init",

@@ -37,11 +37,8 @@ the LSTM backward equations need; the backward walks time in reverse with one
 GEMM per timestep (hidden-state propagation) and defers every weight gradient
 to GEMMs over all swept steps at once.
 
-There is one BPTT implementation.  :func:`lstm_forward_cached`,
-:func:`coupled_pair_forward_cached` and their backwards keep the
-``(B, T, D)``-in / ``.grad``-out signatures as one-shot wrappers: they pack a
-fresh arena, run the same kernel and accumulate its gradient buffer into the
-parameters' ``.grad``.
+There is one BPTT implementation, the arena's.  Its one-shot drivers for
+tests (``(B, T, D)`` in, ``.grad`` out) live in ``tests/tape_oracles.py``.
 
 Numerical contract: every derivative below replicates the tape's backward
 closures exactly (including the ``max(x, eps)`` clipping inside ``log`` and
@@ -75,17 +72,12 @@ from .module import Parameter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .layers import Linear
-    from .recurrent import CoupledLSTMCell, LSTMCell
 
 __all__ = [
     "TrainingArena",
     "BPTTCache",
     "feature_major",
     "paired_feature_major",
-    "lstm_forward_cached",
-    "lstm_backward",
-    "coupled_pair_forward_cached",
-    "coupled_pair_backward",
     "softmax_forward",
     "softmax_backward",
     "is_softmax_head",
@@ -564,7 +556,7 @@ def _check_window(window: Optional[int]) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------- #
-# One-shot wrappers: (B, T, D) in, .grad out
+# Coupled-pair layout
 # ---------------------------------------------------------------------- #
 def paired_feature_major(
     action_sequences: np.ndarray, interaction_sequences: np.ndarray
@@ -577,91 +569,6 @@ def paired_feature_major(
     if actions.shape[1] != interactions.shape[1]:
         raise ValueError("action and interaction sequences must have the same length")
     return actions, interactions
-
-
-def _one_shot_forward(cells: Sequence, inputs: Sequence[np.ndarray]) -> Tuple[np.ndarray, BPTTCache]:
-    """Forward on a fresh arena whose cache leaves the pool and owns the arena."""
-    arena = TrainingArena(cells)
-    final, cache = arena.forward(inputs)
-    arena._caches.clear()
-    cache.arena = arena
-    return final, cache
-
-
-def lstm_forward_cached(cell: "LSTMCell", sequence: np.ndarray) -> Tuple[np.ndarray, BPTTCache]:
-    """Cached forward of a plain LSTM cell over a ``(B, T, D)`` sequence.
-
-    Returns the final hidden state ``(B, H)`` and the :class:`BPTTCache`
-    :func:`lstm_backward` consumes.
-    """
-    final, cache = _one_shot_forward((cell,), (feature_major(sequence),))
-    return final.T, cache
-
-
-def coupled_pair_forward_cached(
-    influencer: "CoupledLSTMCell",
-    audience: "CoupledLSTMCell",
-    action_sequences: np.ndarray,
-    interaction_sequences: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, BPTTCache]:
-    """Cached twin of :func:`repro.nn.fused.coupled_pair_forward_fused`.
-
-    Advances both mutually coupled cells in lockstep as one joint recurrence
-    and records the gate activations and states, so
-    :func:`coupled_pair_backward` can run the analytic BPTT afterwards.
-    Returns ``(h_final, g_final, cache)``, the states ``(B, H)``.
-    """
-    final, cache = _one_shot_forward(
-        (influencer, audience), paired_feature_major(action_sequences, interaction_sequences)
-    )
-    h1 = influencer.hidden_size
-    return final[:h1].T, final[h1:].T, cache
-
-
-def lstm_backward(
-    cell: "LSTMCell",
-    cache: BPTTCache,
-    d_last_hidden: np.ndarray,
-    window: Optional[int] = None,
-) -> None:
-    """Analytic BPTT for a plain LSTM cell, from the final hidden state only.
-
-    Accumulates gradients into the cell's parameters (``.grad``), matching
-    what ``state[0].backward(d_last_hidden)`` produces on the tape path.
-    ``window`` truncates the sweep to the last ``window`` timesteps (exact
-    full BPTT whenever the sequence fits inside it).
-    """
-    cache.arena.backward(cache, np.asarray(d_last_hidden, dtype=np.float64).T, window)
-    cache.arena.accumulate_grads()
-
-
-def coupled_pair_backward(
-    influencer: "CoupledLSTMCell",
-    audience: "CoupledLSTMCell",
-    cache: BPTTCache,
-    d_h_final: np.ndarray,
-    d_g_final: np.ndarray,
-    window: Optional[int] = None,
-) -> None:
-    """Analytic BPTT through two mutually coupled cells.
-
-    At step ``t`` both cells read ``h_{t-1}`` and ``g_{t-1}``; in the joint
-    formulation that mutual influence is carried by the off-diagonal blocks
-    of the recurrent matrix, so the reverse sweep propagates it with the same
-    single GEMM per timestep.  Gradients are accumulated into both cells'
-    parameters (a disabled coupling direction yields the tape's exact
-    all-zero partner-weight gradient).
-
-    ``window`` applies truncated BPTT to the joint system: for sequences no
-    longer than the window the gradient is exactly full BPTT; beyond it, the
-    sweep is O(window) and states older than the window are treated as
-    constants.
-    """
-    d_final = np.concatenate(
-        [np.asarray(d_h_final, dtype=np.float64).T, np.asarray(d_g_final, dtype=np.float64).T]
-    )
-    cache.arena.backward(cache, d_final, window)
-    cache.arena.accumulate_grads()
 
 
 # ---------------------------------------------------------------------- #

@@ -8,8 +8,6 @@ Tensor methods directly.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .tensor import Tensor
 
 __all__ = [
@@ -17,12 +15,8 @@ __all__ = [
     "tanh",
     "relu",
     "softmax",
-    "exp",
     "log",
-    "concatenate",
-    "stack",
     "linear",
-    "dropout",
 ]
 
 
@@ -46,24 +40,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.ensure(x).softmax(axis=axis)
 
 
-def exp(x: Tensor) -> Tensor:
-    """Element-wise exponential."""
-    return Tensor.ensure(x).exp()
-
-
 def log(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Element-wise natural logarithm with epsilon floor."""
     return Tensor.ensure(x).log(eps=eps)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis``."""
-    return Tensor.concatenate(tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new dimension ``axis``."""
-    return Tensor.stack(tensors, axis=axis)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -76,27 +55,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
-    """Inverted dropout.
-
-    Parameters
-    ----------
-    x:
-        Input tensor.
-    rate:
-        Probability of zeroing each element.
-    rng:
-        ``numpy.random.Generator`` supplying the mask; passing it explicitly
-        keeps every model run reproducible.
-    training:
-        When ``False`` the input is returned unchanged.
-    """
-    if not training or rate <= 0.0:
-        return Tensor.ensure(x)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    x = Tensor.ensure(x)
-    mask = (rng.random(x.shape) >= rate).astype(float) / (1.0 - rate)
-    return x * Tensor(mask)

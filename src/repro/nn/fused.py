@@ -127,7 +127,6 @@ __all__ = [
     "fuse_coupled_cell",
     "fused_cache_fresh",
     "prewarm_cell",
-    "invalidate_cell",
     "transplant_fused_cache",
     "lstm_forward_fused",
     "coupled_pair_forward_fused",
@@ -139,7 +138,6 @@ __all__ = [
     "workspace_stats",
     "reset_workspace_stats",
     "clear_thread_workspaces",
-    "sigmoid",
 ]
 
 _FLOAT64 = np.dtype(np.float64)
@@ -162,11 +160,6 @@ PROJECTION_BLOCK = 32
 FORWARD_BLOCK = 64
 """Window count of every block of a forward over more windows than this
 (the ``ServingConfig.max_batch_size`` default; see :func:`_forward_blocks`)."""
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The exact sigmoid the autograd tensor uses (input clipped to ±60)."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
 def _sigmoid_in_place(x) -> None:
@@ -339,16 +332,6 @@ def prewarm_cell(cell) -> FusedGateWeights:
     if hasattr(cell, "partner_size"):
         return fuse_coupled_cell(cell)
     return fuse_lstm_cell(cell)
-
-
-def invalidate_cell(cell) -> None:
-    """Drop the fused-weight cache of ``cell`` (next fuse rebuilds it).
-
-    In-place parameter mutation (anything writing through ``parameter.data``
-    views instead of rebinding) is invisible to the identity check; callers
-    doing that must invalidate explicitly.
-    """
-    cell._fused_cache = None
 
 
 def transplant_fused_cache(source_cell, target_cell) -> bool:

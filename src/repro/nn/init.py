@@ -2,8 +2,8 @@
 
 The CLSTM paper states that "the initial states of CLSTM parameters are
 randomly initialized and tuned during training"; we provide the standard
-initialisers (Xavier/Glorot, orthogonal, zeros) that PyTorch would apply to
-``nn.Linear`` and ``nn.LSTM`` so the reproduction behaves comparably.
+initialisers (Xavier/Glorot uniform, zeros) that PyTorch would apply to
+``nn.Linear`` so the reproduction behaves comparably.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ import numpy as np
 
 __all__ = [
     "xavier_uniform",
-    "xavier_normal",
-    "orthogonal",
     "zeros",
-    "uniform",
 ]
 
 
@@ -29,32 +26,9 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialisation, commonly used for recurrent weight matrices."""
-    if len(shape) != 2:
-        raise ValueError("orthogonal initialisation requires a 2-D shape")
-    rows, cols = shape
-    size = max(rows, cols)
-    matrix = rng.normal(0.0, 1.0, size=(size, size))
-    q, _ = np.linalg.qr(matrix)
-    return gain * q[:rows, :cols]
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (used for biases)."""
     return np.zeros(shape)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    """Plain uniform initialisation in ``[low, high)``."""
-    return rng.uniform(low, high, size=shape)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

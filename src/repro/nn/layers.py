@@ -1,4 +1,4 @@
-"""Feed-forward building blocks: Linear, MLP decoder, Dropout, Sequential.
+"""Feed-forward building blocks: Linear, MLP decoder, Sequential.
 
 These layers are the non-recurrent half of the CLSTM architecture: the decoder
 ``De_I`` / ``De_A`` layers (Eq. 12 in the paper) are linear or shallow MLP
@@ -17,7 +17,7 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["Linear", "Dropout", "Sequential", "MLP", "Activation", "SoftmaxHead"]
+__all__ = ["Linear", "Sequential", "MLP", "Activation", "SoftmaxHead"]
 
 
 class Linear(Module):
@@ -42,9 +42,6 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def __repr__(self) -> str:
-        return f"Linear(in={self.in_features}, out={self.out_features})"
-
 
 class Activation(Module):
     """Wraps an element-wise activation so it can live inside a Sequential."""
@@ -64,9 +61,6 @@ class Activation(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self._FUNCTIONS[self.name](x)
 
-    def __repr__(self) -> str:
-        return f"Activation({self.name})"
-
 
 class SoftmaxHead(Module):
     """Softmax output layer.
@@ -82,20 +76,6 @@ class SoftmaxHead(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.softmax(x, axis=self.axis)
-
-
-class Dropout(Module):
-    """Inverted dropout with an explicit RNG for reproducibility."""
-
-    def __init__(self, rate: float = 0.1, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self._rng, training=self.training)
 
 
 class Sequential(Module):
@@ -162,5 +142,3 @@ class MLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.network(x)
 
-    def __repr__(self) -> str:
-        return f"MLP(sizes={self.sizes})"

@@ -1,4 +1,4 @@
-"""Reconstruction losses used by AOVLIS and its baselines.
+"""Differentiable (tape) reconstruction losses of the baselines.
 
 The paper's training objective (Eq. 13) fuses a Jensen–Shannon divergence term
 over reconstructed action features with a mean-squared-error term over
@@ -6,11 +6,9 @@ reconstructed audience interaction features:
 
 ``l(I, A) = w * JSE(I_hat, I) + (1 - w) * MSE(A_hat, A)``
 
-Table I additionally compares training with L2, KL and JS losses on the action
-branch, so all three are provided here as differentiable loss functions (an
-element-mean MSE is accepted on the action branch too, giving four choices).
-Closed-form gradients of the same losses live in :mod:`repro.nn.backprop` for
-the tape-free fused training engine.
+CLSTM trains on the closed-form gradients of Eq. 13 and of the Table I
+action losses in :mod:`repro.nn.backprop`; the baselines that train on the
+tape use the two losses here.
 """
 
 from __future__ import annotations
@@ -18,14 +16,7 @@ from __future__ import annotations
 from .tensor import Tensor
 from . import functional as F
 
-__all__ = [
-    "mse_loss",
-    "l2_loss",
-    "kl_divergence_loss",
-    "js_divergence_loss",
-    "weighted_reconstruction_loss",
-    "ACTION_LOSSES",
-]
+__all__ = ["mse_loss", "js_divergence_loss"]
 
 _EPS = 1e-12
 
@@ -36,33 +27,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     target = Tensor.ensure(target)
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def l2_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean (over batch) of the squared L2 norm of the reconstruction error.
-
-    This is the "CLSTM+L2" variant from Table I: the loss for each sample is
-    ``||x_hat - x||_2^2`` and samples are averaged.
-    """
-    prediction = Tensor.ensure(prediction)
-    target = Tensor.ensure(target)
-    diff = prediction - target
-    per_sample = (diff * diff).sum(axis=-1)
-    return per_sample.mean()
-
-
-def kl_divergence_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean KL divergence ``KL(target || prediction)`` over the batch.
-
-    Both inputs are expected to be (approximately) normalised distributions
-    along the last axis, which holds for the action-recognition features and
-    for the softmax output of the action decoder.
-    """
-    prediction = Tensor.ensure(prediction)
-    target = Tensor.ensure(target)
-    ratio = F.log(target, eps=_EPS) - F.log(prediction, eps=_EPS)
-    per_sample = (target * ratio).sum(axis=-1)
-    return per_sample.mean()
 
 
 def js_divergence_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -80,49 +44,3 @@ def js_divergence_loss(prediction: Tensor, target: Tensor) -> Tensor:
     kl_qm = (target * (F.log(target, eps=_EPS) - log_m)).sum(axis=-1)
     per_sample = (kl_pm + kl_qm) * 0.5
     return per_sample.mean()
-
-
-ACTION_LOSSES = {
-    "js": js_divergence_loss,
-    "kl": kl_divergence_loss,
-    "l2": l2_loss,
-    "mse": mse_loss,
-}
-"""Canonical registry of action-branch losses.
-
-Single source of truth for which losses the action branch supports:
-:func:`weighted_reconstruction_loss` dispatches through it,
-``TrainingConfig`` validates against its keys, and the analytic gradient
-table in :mod:`repro.nn.backprop` is tested to match it key-for-key.
-"""
-
-
-def weighted_reconstruction_loss(
-    action_prediction: Tensor,
-    action_target: Tensor,
-    interaction_prediction: Tensor,
-    interaction_target: Tensor,
-    omega: float,
-    action_loss: str = "js",
-) -> Tensor:
-    """Overall CLSTM loss (Eq. 13).
-
-    Parameters
-    ----------
-    action_prediction, action_target:
-        Reconstructed and true action-recognition features.
-    interaction_prediction, interaction_target:
-        Reconstructed and true audience-interaction features.
-    omega:
-        Weight ``w`` of the action branch, in ``[0, 1]``.
-    action_loss:
-        Loss applied to the action branch — ``"js"`` (paper default), ``"kl"``
-        or ``"l2"`` (the Table I alternatives), or ``"mse"``.
-    """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
-    if action_loss not in ACTION_LOSSES:
-        raise ValueError(f"unknown action loss '{action_loss}'; options: {sorted(ACTION_LOSSES)}")
-    action_term = ACTION_LOSSES[action_loss](action_prediction, action_target)
-    interaction_term = mse_loss(interaction_prediction, interaction_target)
-    return action_term * omega + interaction_term * (1.0 - omega)

@@ -34,7 +34,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Parameter] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     # ------------------------------------------------------------------ #
     # Attribute registration
@@ -45,11 +44,6 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
         object.__setattr__(self, name, value)
-
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
 
     def register_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module under ``name``."""
@@ -71,29 +65,13 @@ class Module:
         for child_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and every descendant module."""
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     def num_parameters(self) -> int:
         """Total number of scalar parameters (paper reports 1,382,713 for CLSTM)."""
         return sum(parameter.size for parameter in self.parameters())
 
     # ------------------------------------------------------------------ #
-    # Training / gradient state
+    # Gradient state
     # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        """Switch this module (and children) between training and eval mode."""
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        """Shortcut for ``train(False)``."""
-        return self.train(False)
-
     def zero_grad(self) -> None:
         """Reset all parameter gradients."""
         for parameter in self.parameters():

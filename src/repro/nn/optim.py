@@ -1,10 +1,9 @@
 """Gradient-based optimisers for the :mod:`repro.nn` substrate.
 
 The paper trains CLSTM with the Adam optimiser (learning rate 0.001) "for its
-computing efficiency and low memory cost"; SGD with momentum is also provided
-for completeness and for the ablation benchmarks.
+computing efficiency and low memory cost".
 
-Both optimisers step over a **flat buffer**: all managed parameters are viewed
+The optimiser steps over a **flat buffer**: all managed parameters are viewed
 as one contiguous ``float64`` array, so a step is a handful of vectorised
 NumPy passes over it (Adam's over cache-sized chunks in one fixed scratch
 block, so its only parameter-sized state is the two moments).  After each
@@ -30,16 +29,16 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
     """Base class holding a list of parameters to update.
 
-    Provides the flat-buffer plumbing shared by :class:`SGD` and
-    :class:`Adam`: gathering all gradients into one contiguous array,
-    maintaining a cached flat copy of the parameter data, and scattering an
-    updated flat array back by rebinding each ``parameter.data`` to a view.
+    Provides the flat-buffer plumbing of :class:`Adam`: gathering all
+    gradients into one contiguous array, maintaining a cached flat copy of the
+    parameter data, and scattering an updated flat array back by rebinding
+    each ``parameter.data`` to a view.
     """
 
     def __init__(self, parameters: Iterable[Parameter]) -> None:
@@ -116,46 +115,6 @@ class Optimizer:
             parameter.data = view
             views.append(view)
         self._flat_cache = (tuple(views), flat)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._flat_velocity = np.zeros(self._numel, dtype=np.float64) if momentum > 0.0 else None
-
-    def step(self) -> None:
-        grad, missing = self._gather_flat_grad()
-        if grad is None:
-            return
-        data = self._flat_data()
-        if self.momentum > 0.0:
-            velocity = self._flat_velocity
-            saved = [(i, velocity[self._segment(i)].copy()) for i in missing]
-            velocity *= self.momentum
-            velocity += grad
-            for index, segment in saved:
-                velocity[self._segment(index)] = segment
-            update = velocity
-        else:
-            update = grad
-        new_data = data - self.lr * update
-        for index in missing:
-            segment = self._segment(index)
-            new_data[segment] = data[segment]
-        self._scatter_flat_data(new_data, skip=missing)
 
 
 class Adam(Optimizer):

@@ -87,7 +87,7 @@ class LSTMCell(Module):
         (h_t, c_t)
         """
         h_prev, c_prev = state
-        zed = F.concatenate([h_prev, x], axis=-1)
+        zed = Tensor.concatenate([h_prev, x], axis=-1)
         input_gate = F.sigmoid(F.linear(zed, self.w_input, self.b_input))
         forget_gate = F.sigmoid(F.linear(zed, self.w_forget, self.b_forget))
         candidate = F.tanh(F.linear(zed, self.w_cell, self.b_cell))
@@ -163,7 +163,7 @@ class CoupledLSTMCell(Module):
             # One-way / uncoupled variant: the partner contribution is zeroed
             # so the concatenated input keeps its shape but carries no signal.
             partner = Tensor(np.zeros_like(partner_hidden.data))
-        zed = F.concatenate([h_prev, partner, x], axis=-1)
+        zed = Tensor.concatenate([h_prev, partner, x], axis=-1)
         input_gate = F.sigmoid(F.linear(zed, self.w_input, self.b_input))
         forget_gate = F.sigmoid(F.linear(zed, self.w_forget, self.b_forget))
         candidate = F.tanh(F.linear(zed, self.w_cell, self.b_cell))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .module import Module
 
-__all__ = ["save_state", "save_module", "load_state", "load_into_module"]
+__all__ = ["save_state", "save_module", "load_state"]
 
 _METADATA_KEY = "__metadata__"
 
@@ -77,9 +77,3 @@ def load_state(path: Union[str, Path]) -> tuple[Dict[str, np.ndarray], Dict[str,
             metadata = json.loads(raw) if raw else {}
     return state, metadata
 
-
-def load_into_module(module: Module, path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a checkpoint into ``module`` in place and return its metadata."""
-    state, metadata = load_state(path)
-    module.load_state_dict(state)
-    return metadata

@@ -12,12 +12,11 @@ so Figs. 11(b)/(c) and 12 read "parity, not faster" (see the README's
 "Detection efficiency (Section V)" paragraph for the measured stage costs).
 """
 
-from .adg import assign_subspaces, minimal_feature_contribution, subspace_boundaries
+from .adg import assign_subspaces, minimal_feature_contribution
 from .bounds import (
     adg_upper_bounds,
     js_lower_bounds_l1,
     js_upper_bounds_l1,
-    paper_group_bounds,
 )
 from .ados import STAGES, ADOSFilter, FilteredDetectionResult, FilteredDetector
 from .filtering import FilteringPowerReport, evaluate_filtering_power, filtering_power
@@ -25,11 +24,9 @@ from .filtering import FilteringPowerReport, evaluate_filtering_power, filtering
 __all__ = [
     "assign_subspaces",
     "minimal_feature_contribution",
-    "subspace_boundaries",
     "adg_upper_bounds",
     "js_lower_bounds_l1",
     "js_upper_bounds_l1",
-    "paper_group_bounds",
     "STAGES",
     "ADOSFilter",
     "FilteredDetectionResult",

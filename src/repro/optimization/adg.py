@@ -28,23 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "subspace_boundaries",
     "assign_subspaces",
     "minimal_feature_contribution",
 ]
-
-
-def subspace_boundaries(n: int) -> np.ndarray:
-    """Lower boundaries of the ``n`` recursive-binary-partition subspaces.
-
-    Subspace 0 is ``[0.5, 1)``, subspace 1 is ``[0.25, 0.5)`` and so on; the
-    last subspace is ``[0, 2^-(n-1))``.  Returned array has length ``n`` and
-    holds each subspace's lower boundary in decreasing order.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    boundaries = np.array([2.0 ** -(i + 1) for i in range(n - 1)] + [0.0])
-    return boundaries
 
 
 def assign_subspaces(values: np.ndarray, n: int) -> np.ndarray:

@@ -27,8 +27,7 @@ divergence, where ``psi(a, b) = 0.5 * (a*log(2a/(a+b)) + b*log(2b/(a+b)))``.
 contribution is therefore at most ``m * max_corner psi``.  This uses exactly
 the ADG summaries (group size + min/max pairs), costs O(1) per group instead
 of O(dims), is tight for the dense low-value groups that dominate the 400-d
-features, and guarantees ``RE_I^G >= RE_I``.  The paper's literal formula is
-provided as :func:`paper_group_bounds` for reference and ablation.
+features, and guarantees ``RE_I^G >= RE_I``.
 
 Every bound takes an ``(N, d)`` batch of pairs and returns one value per row;
 a single pair is a batch of one.  The per-row brute-force reference the tests
@@ -46,7 +45,6 @@ __all__ = [
     "js_upper_bounds_l1",
     "js_lower_bounds_l1",
     "adg_upper_bounds",
-    "paper_group_bounds",
 ]
 
 
@@ -182,30 +180,3 @@ def adg_upper_bounds(
         terms = np.where(exact_mask, exact, terms)
     return terms.sum(axis=1)
 
-
-def paper_group_bounds(
-    features: np.ndarray,
-    reconstructions: np.ndarray,
-    n_subspaces: int = 20,
-) -> np.ndarray:
-    """The group bound exactly as written in Eq. 18 of the paper, per row.
-
-    Provided for reference/ablation; see the module docstring for why the
-    default filter uses :func:`adg_upper_bounds` instead.
-    """
-    features, reconstructions = _batched_pair(features, reconstructions)
-    batch, _ = features.shape
-    flat, sizes, nonempty = _group_layout(features, n_subspaces)
-    cells = batch * n_subspaces
-    shape = (batch, n_subspaces)
-    f_min, f_max = _scatter_min_max(features, flat, cells, shape)
-    r_min, r_max = _scatter_min_max(reconstructions, flat, cells, shape)
-    m_min, m_max = _scatter_min_max(0.5 * (features + reconstructions), flat, cells, shape)
-
-    epsilon = 1e-12
-    pair_max = np.maximum(np.where(nonempty, f_max, 1.0), np.where(nonempty, r_max, 1.0))
-    pair_min = np.minimum(np.where(nonempty, f_min, 1.0), np.where(nonempty, r_min, 1.0))
-    mix_min = np.maximum(np.where(nonempty, m_min, 1.0), epsilon)
-    mix_max = np.maximum(np.where(nonempty, m_max, 1.0), epsilon)
-    ratio = np.maximum((pair_max * np.maximum(pair_min, epsilon)) / (mix_min * mix_max), epsilon)
-    return np.where(nonempty, 0.5 * sizes * np.log(ratio), 0.0).sum(axis=1)

@@ -29,9 +29,6 @@ class FilteringPowerReport:
     total_segments: int
     powers: Dict[str, float]
 
-    def __getitem__(self, strategy: str) -> float:
-        return self.powers[strategy]
-
     def as_dict(self) -> Dict[str, float]:
         return dict(self.powers)
 

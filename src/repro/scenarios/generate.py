@@ -1,7 +1,9 @@
 """Turn a :class:`ScenarioConfig` into simulated streams.
 
-The training stream is always clean — detectors learn "normal" from ordinary
-traffic — and the perturbation schedule compiled by
+Both streams come from the scenario's base profile, so the training stream
+carries the profile's own Definition-1 anomalies: it is not clean (over seeds
+7-26 the ``stationary`` train stream is 0-27% anomalous).  A declared training
+contamination is ROADMAP item 15.  The perturbation schedule compiled by
 :meth:`ScenarioConfig.perturbations` is applied to the test stream only.
 Generation is fully deterministic in the scenario seed: the same
 configuration yields bitwise-identical streams.

@@ -73,9 +73,6 @@ class TenantRouter:
             raise ValueError(f"tenant {name!r} is already registered")
         self._tenants[name] = runtime
 
-    def tenant_names(self) -> List[str]:
-        return list(self._tenants)
-
     def items(self) -> List[Tuple[str, "Runtime"]]:
         """``(name, runtime)`` pairs in registration order."""
         return list(self._tenants.items())

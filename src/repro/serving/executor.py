@@ -119,9 +119,6 @@ class SerialExecutor:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return "SerialExecutor()"
-
 
 class ParallelExecutor:
     """Fan shard tasks out to a persistent worker-thread pool.
@@ -176,9 +173,6 @@ class ParallelExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"ParallelExecutor(workers={self.workers})"
 
 
 def build_executor(

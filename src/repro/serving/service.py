@@ -679,11 +679,6 @@ class StreamSession:
         self.segments_seen = 0
         self.detections: List[StreamDetection] = []
 
-    @property
-    def warmed_up(self) -> bool:
-        """Whether enough history exists to score the next incoming segment."""
-        return len(self.history) == self.sequence_length
-
     def make_request(
         self,
         action_feature: np.ndarray,
@@ -1035,19 +1030,9 @@ class ScoringService:
         return self._update_plane
 
     @property
-    def detector(self) -> AnomalyDetector:
-        """The currently published snapshot's detector (read-only view)."""
-        return self.registry.latest().detector
-
-    @property
     def model_version(self) -> int:
         """Version number of the currently published snapshot."""
         return self.registry.latest().version
-
-    @property
-    def model_swaps_observed(self) -> int:
-        """How many version changes this service's batches have crossed."""
-        return self._handle.swaps_observed
 
     # ------------------------------------------------------------------ #
     # Stream management

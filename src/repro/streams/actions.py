@@ -172,17 +172,6 @@ class InfluencerBehaviourModel:
     # ------------------------------------------------------------------ #
     # State evolution
     # ------------------------------------------------------------------ #
-    @property
-    def current_state(self) -> ActionState:
-        """The state the influencer is currently in."""
-        return self._current
-
-    def reset(self) -> None:
-        """Return to the first normal state and clear any running action."""
-        self._current = self.normal_states[0]
-        self._anomaly_seconds_left = 0.0
-        self._distractor_seconds_left = 0.0
-
     def step(self, audience_pressure: float = 0.0, anomaly_rate_scale: float = 1.0) -> ActionState:
         """Advance the behaviour process by one second.
 

@@ -170,11 +170,6 @@ class AudienceModel:
         self._excitement = _ExcitementState()
         self._pending_stimuli: List[float] = []
 
-    def reset(self) -> None:
-        """Clear excitement and pending stimuli."""
-        self._excitement = _ExcitementState()
-        self._pending_stimuli = []
-
     # ------------------------------------------------------------------ #
     # Per-second simulation
     # ------------------------------------------------------------------ #

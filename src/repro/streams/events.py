@@ -75,10 +75,6 @@ class VideoSegment:
     is_anomaly: bool
     attractiveness: float
 
-    def duration(self) -> float:
-        """Segment length in seconds."""
-        return self.end_time - self.start_time
-
 
 @dataclass
 class SocialVideoStream:
@@ -185,20 +181,3 @@ class SocialVideoStream:
             metadata=dict(self.metadata),
         )
 
-    def split(self, fraction: float) -> tuple["SocialVideoStream", "SocialVideoStream"]:
-        """Split the stream in time into ``(head, tail)`` at ``fraction`` of its duration."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-        cut = self.duration * fraction
-        return (
-            self.slice_time(0.0, cut, name=f"{self.name}-head"),
-            self.slice_time(cut, self.duration, name=f"{self.name}-tail"),
-        )
-
-    def normal_segments(self) -> List[VideoSegment]:
-        """Segments labelled normal (used to build training sets)."""
-        return [s for s in self.segments if not s.is_anomaly]
-
-    def anomalous_segments(self) -> List[VideoSegment]:
-        """Segments labelled anomalous."""
-        return [s for s in self.segments if s.is_anomaly]

@@ -1,4 +1,4 @@
-"""Shared utilities: configuration, RNG management, validation, timing."""
+"""Shared utilities: configuration and timing."""
 
 from .config import (
     ConfigBase,
@@ -13,9 +13,7 @@ from .config import (
     UpdateConfig,
     ServerConfig,
 )
-from .rng import make_rng, spawn_rngs, derive_rng
 from .timer import Stopwatch, TimingAccumulator
-from . import validation
 
 __all__ = [
     "ConfigBase",
@@ -29,10 +27,6 @@ __all__ = [
     "ShardingConfig",
     "UpdateConfig",
     "ServerConfig",
-    "make_rng",
-    "spawn_rngs",
-    "derive_rng",
     "Stopwatch",
     "TimingAccumulator",
-    "validation",
 ]

@@ -14,7 +14,7 @@ constructor, a deployment file or a checkpoint manifest:
 * ``ge`` / ``gt`` / ``le`` / ``lt`` — numeric bounds, written so that NaN
   fails them; a ``bool`` is not a number here;
 * ``one_of`` — membership in a collection, or in a zero-argument callable's
-  result (late-bound registries such as ``repro.nn.losses.ACTION_LOSSES``);
+  result (late-bound registries such as ``repro.nn.backprop.ACTION_LOSS_GRADS``);
 * ``nonempty`` — the value is truthy.
 
 A ``None`` value skips a field's rules, and every ``float`` value must be
@@ -208,13 +208,6 @@ class StreamProtocol(ConfigBase):
     sequence_length: int = 9
     """Length q of the feature sequences fed to CLSTM (covers a 250-frame slot)."""
 
-    def segments_per_hour(self) -> int:
-        """Number of segments produced by one hour of stream."""
-        frames = 3600 * self.frame_rate
-        if frames < self.segment_frames:
-            return 0
-        return 1 + (frames - self.segment_frames) // self.stride_frames
-
 
 @dataclass(frozen=True)
 class ModelConfig(ConfigBase):
@@ -237,18 +230,6 @@ class ModelConfig(ConfigBase):
     reference) or 'float32' (opt-in, tolerance-bounded against float64;
     weights and threshold calibration stay float64 either way)."""
 
-    def scaled(self, factor: float) -> "ModelConfig":
-        """Return a proportionally smaller configuration (used by fast tests)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return ModelConfig(
-            action_dim=max(4, int(self.action_dim * factor)),
-            interaction_dim=max(2, int(self.interaction_dim * factor)),
-            action_hidden=max(4, int(self.action_hidden * factor)),
-            interaction_hidden=max(2, int(self.interaction_hidden * factor)),
-            precision=self.precision,
-        )
-
 
 @dataclass(frozen=True)
 class TrainingConfig(ConfigBase):
@@ -258,9 +239,9 @@ class TrainingConfig(ConfigBase):
     epochs: int = checked(100, ge=1)
     batch_size: int = checked(32, ge=1)
     omega: float = checked(0.8, ge=0, le=1)
-    """Weight of the action branch in the loss / REIA score (Fig. 9a optimum)."""
+    """Weight of the action branch (its error RE_I) in the loss and the REIA score."""
 
-    action_loss: str = checked("js", one_of=_registry("..nn.losses", "ACTION_LOSSES"))
+    action_loss: str = checked("js", one_of=_registry("..nn.backprop", "ACTION_LOSS_GRADS"))
     """Reconstruction loss for the action branch: 'js' (default), 'kl', 'l2' or 'mse'."""
 
     gradient_clip: float = checked(5.0, ge=0)
@@ -284,7 +265,7 @@ class DetectionConfig(ConfigBase):
     """Anomaly identification and ADOS filtering parameters (Sections IV-C, V)."""
 
     omega: float = checked(0.8, ge=0, le=1)
-    """Weight of RE_I in the REIA score (Eq. 16)."""
+    """Weight of the action branch (its error RE_I) in the REIA score (Eq. 16)."""
 
     threshold: float | None = None
     """Anomaly-score threshold tau; ``None`` selects it from training scores."""

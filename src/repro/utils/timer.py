@@ -1,9 +1,8 @@
-"""Lightweight timing utilities for the efficiency experiments.
+"""Lightweight timing utilities.
 
-The paper's efficiency evaluation (Fig. 11, Fig. 12, Section VI-C) reports
-average per-segment detection time and model-update wall time.  These helpers
-provide a context-manager stopwatch and a named accumulator that the
-benchmark harness uses to collect those numbers.
+The paper's efficiency evaluation (Section VI-C) reports model-update wall
+time: a stopwatch times each update, and a named accumulator sums the
+serving-side update time.
 """
 
 from __future__ import annotations
@@ -37,19 +36,6 @@ class Stopwatch:
         self._started_at = None
         return self.elapsed
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started_at = None
-
-    @contextmanager
-    def measure(self) -> Iterator["Stopwatch"]:
-        """Context manager form: ``with watch.measure(): ...``."""
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-
 
 class TimingAccumulator:
     """Accumulates named timings and per-name call counts."""
@@ -67,27 +53,7 @@ class TimingAccumulator:
             self._totals[name] += time.perf_counter() - start
             self._counts[name] += 1
 
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record an externally measured duration."""
-        self._totals[name] += seconds
-        self._counts[name] += count
-
     def total(self, name: str) -> float:
         """Total seconds recorded under ``name``."""
         return self._totals.get(name, 0.0)
 
-    def count(self, name: str) -> int:
-        """Number of measurements recorded under ``name``."""
-        return self._counts.get(name, 0)
-
-    def mean(self, name: str) -> float:
-        """Mean seconds per measurement (0.0 when nothing was recorded)."""
-        count = self._counts.get(name, 0)
-        return self._totals.get(name, 0.0) / count if count else 0.0
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Snapshot of all timings: ``{name: {"total": ..., "count": ..., "mean": ...}}``."""
-        return {
-            name: {"total": self._totals[name], "count": self._counts[name], "mean": self.mean(name)}
-            for name in self._totals
-        }

@@ -224,25 +224,6 @@ class TestAOVLISFacade:
         with pytest.raises(RuntimeError):
             model.detect(test)
 
-    def test_stream_methods_require_pipeline(self, tiny_stream):
-        model = AOVLIS()
-        with pytest.raises(RuntimeError):
-            model.fit_stream(tiny_stream)
-
-    def test_stream_convenience_with_pipeline(self, tiny_stream, tiny_pipeline):
-        model = AOVLIS(
-            sequence_length=4,
-            action_hidden=10,
-            interaction_hidden=5,
-            training=TrainingConfig(epochs=2, batch_size=16, checkpoint_every=1),
-            pipeline=tiny_pipeline,
-        )
-        model.fit_stream(tiny_stream)
-        result = model.detect_stream(tiny_stream)
-        assert len(result) > 0
-        scored = model.score(tiny_stream)
-        assert len(scored) == len(result)
-
     def test_sequence_length_validation(self):
         with pytest.raises(ValueError):
             AOVLIS(sequence_length=0)

@@ -132,7 +132,6 @@ class TestCheckpointPolicy:
         assert policy.due()
         policy.mark()
         assert not policy.due()
-        assert policy.seconds_since_checkpoint() == 0.0
 
     def test_stats_shape(self):
         policy = CheckpointPolicy(every_records=3)

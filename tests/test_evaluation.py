@@ -12,14 +12,8 @@ from repro.evaluation import (
     ExperimentHarness,
     ExperimentScale,
     auroc,
-    confusion_counts,
-    false_positive_rate,
-    format_named_series,
-    format_percentage,
     format_table,
-    precision_recall_f1,
     roc_curve,
-    true_positive_rate,
     evaluate,
 )
 from repro.evaluation.harness import FORWARD
@@ -84,23 +78,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             auroc([0, 1], [0.1])
 
-    def test_confusion_and_rates(self):
-        labels = [1, 1, 0, 0, 1]
-        predictions = [True, False, True, False, True]
-        counts = confusion_counts(labels, predictions)
-        assert counts == {"tp": 2, "fp": 1, "tn": 1, "fn": 1}
-        assert true_positive_rate(labels, predictions) == pytest.approx(2 / 3)
-        assert false_positive_rate(labels, predictions) == pytest.approx(1 / 2)
-        prf = precision_recall_f1(labels, predictions)
-        assert prf["precision"] == pytest.approx(2 / 3)
-        assert prf["recall"] == pytest.approx(2 / 3)
-        assert prf["f1"] == pytest.approx(2 / 3)
-
-    def test_rates_handle_degenerate_inputs(self):
-        assert true_positive_rate([0, 0], [False, True]) == 0.0
-        assert false_positive_rate([1, 1], [False, True]) == 0.0
-        assert precision_recall_f1([0], [False])["f1"] == 0.0
-
     def test_roc_curve_sorts_unsorted_fpr(self):
         # Construct a RocCurve with deliberately shuffled points: the
         # constructor must restore ascending fpr so np.interp is valid.
@@ -134,9 +111,6 @@ class TestMetrics:
 
 
 class TestReporting:
-    def test_format_percentage(self):
-        assert format_percentage(0.7988) == "79.88"
-        assert format_percentage(float("nan")) == "n/a"
 
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [["a", 1], ["long-name", 2.5]], title="Demo")
@@ -153,12 +127,6 @@ class TestReporting:
         table = format_table(["a", "b", "c"], [["only"]])
         assert "only" in table.splitlines()[-1]
 
-    def test_format_named_series(self):
-        series = {"CLSTM": {"INF": 0.98, "SPE": 0.86}, "LTR": {"INF": 0.66}}
-        rendered = format_named_series(series)
-        assert "CLSTM" in rendered
-        assert "-" in rendered  # missing value placeholder
-
 
 @pytest.fixture(scope="module")
 def tiny_record(tiny_harness):
@@ -170,7 +138,6 @@ class TestHarness:
     def test_tiny_scale_values(self):
         tiny = ExperimentScale.tiny()
         assert tiny.action_dim < ExperimentScale.benchmark().action_dim
-        assert ExperimentScale.paper().action_dim == 400
 
     def test_prepare_dataset_caches(self, tiny_harness):
         first = tiny_harness.prepare_dataset("INF")

@@ -12,13 +12,10 @@ from repro.features import (
     LexiconSentimentAnalyzer,
     SequenceBatch,
     SimulatedI3DExtractor,
-    SlidingWindowSegmenter,
     build_sequences,
-    latest_sequence,
     tokenize,
 )
 from repro.streams.events import VideoSegment
-from repro.utils.config import StreamProtocol
 
 
 def make_segment(signature: np.ndarray, frames: int = 64, noise: float = 0.02, seed: int = 0) -> VideoSegment:
@@ -110,12 +107,6 @@ class TestTextFeatures:
         b = HashingWordEmbedding(dim=12, seed=2).embed_word("wow")
         assert not np.allclose(a, b)
 
-    def test_embed_text_average_and_empty(self):
-        table = HashingWordEmbedding(dim=8, seed=0)
-        assert np.allclose(table.embed_text(""), np.zeros(8))
-        avg = table.embed_text("wow wow")
-        np.testing.assert_allclose(avg, table.embed_word("wow"))
-
     def test_sentiment_polarity_signs(self):
         analyzer = LexiconSentimentAnalyzer()
         assert analyzer.polarity("this is amazing and awesome") > 0
@@ -177,33 +168,6 @@ class TestInteractionFeatures:
             assert counts[labels == 1].mean() > counts[labels == 0].mean()
 
 
-class TestSegmenter:
-    def test_num_segments_formula(self):
-        segmenter = SlidingWindowSegmenter(StreamProtocol())
-        assert segmenter.num_segments(64) == 1
-        assert segmenter.num_segments(63) == 0
-        assert segmenter.num_segments(64 + 25 * 3) == 4
-
-    def test_segmentation_labels_and_states(self):
-        protocol = StreamProtocol()
-        frames = np.random.default_rng(0).random((150, 4))
-        states = ["a"] * 100 + ["b"] * 50
-        labels = [False] * 120 + [True] * 30
-        segments = SlidingWindowSegmenter(protocol).segment(frames, states, labels)
-        assert len(segments) == 1 + (150 - 64) // 25
-        assert segments[0].action_state == "a"
-        assert segments[-1].is_anomaly
-
-    def test_segmentation_validation(self):
-        segmenter = SlidingWindowSegmenter()
-        with pytest.raises(ValueError):
-            segmenter.segment(np.ones(10))
-        with pytest.raises(ValueError):
-            segmenter.segment(np.ones((100, 3)), action_states=["a"] * 5)
-        with pytest.raises(ValueError):
-            segmenter.segment(np.ones((100, 3)), labels=[False] * 5)
-
-
 class TestSequences:
     def test_build_sequences_shapes_and_alignment(self):
         action = np.arange(20, dtype=float).reshape(10, 2)
@@ -232,16 +196,7 @@ class TestSequences:
         batch = build_sequences(np.ones((10, 2)), np.ones((10, 3)), 3)
         subset = batch.subset(np.array([0, 2]))
         assert len(subset) == 2
-        assert subset.sequence_length == 3
-
-    def test_latest_sequence(self):
-        action = np.arange(12, dtype=float).reshape(6, 2)
-        interaction = np.arange(18, dtype=float).reshape(6, 3)
-        latest_action, latest_interaction = latest_sequence(action, interaction, 4)
-        assert latest_action.shape == (1, 4, 2)
-        np.testing.assert_allclose(latest_action[0], action[-4:])
-        with pytest.raises(ValueError):
-            latest_sequence(action[:2], interaction[:2], 4)
+        assert subset.action_sequences.shape[1] == 3
 
 
 class TestPipeline:

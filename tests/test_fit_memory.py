@@ -145,7 +145,7 @@ class TestTrainerLayout:
     @staticmethod
     def _data_parts(config, batch, hidden):
         """``(validation, train, laid_out, bptt, minibatch)`` bytes of a fit on ``batch``."""
-        count, q = len(batch), batch.sequence_length
+        count, q = batch.action_sequences.shape[:2]
         validation = int(round(count * config.validation_fraction))
         train = count - validation
         tail = train % config.batch_size
@@ -167,7 +167,7 @@ class TestTrainerLayout:
     def test_peak_is_one_feature_major_copy_plus_batch_scratch(self):
         # Windows (24 MB) large against everything a fit sizes by a batch.
         batch = self._batch(count=600, q=24)
-        q, width = batch.sequence_length, self.D1 + self.D2
+        q, width = batch.action_sequences.shape[1], self.D1 + self.D2
         config = replace(self.CONFIG, epochs=1)
         validation, train, laid_out, bptt, minibatch = self._data_parts(config, batch, self.HIDDEN)
         # Beside those, the value-only validation loss's temporaries (all the

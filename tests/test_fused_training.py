@@ -37,21 +37,19 @@ from repro.core.training import CLSTMTrainer
 from repro.core.update import incremental_training_config, train_incremental
 from repro.core.variants import _LSTMOnlyModel
 from repro.features.sequences import build_sequences
-from repro.nn.backprop import (
-    TrainingArena,
-    coupled_pair_backward,
-    coupled_pair_forward_cached,
-    js_loss_grad,
-    lstm_backward,
-    lstm_forward_cached,
-    paired_feature_major,
-    weighted_loss_grad,
-)
+from repro.nn.backprop import TrainingArena, js_loss_grad, paired_feature_major, weighted_loss_grad
 from repro.nn.losses import _EPS
 from repro.nn.recurrent import CoupledLSTMCell, LSTMCell, run_lstm
 from repro.nn.tensor import Tensor
 from repro.utils.config import TrainingConfig, UpdateConfig
 from test_nn_tensor import numerical_gradient
+from tape_oracles import (
+    coupled_pair_backward,
+    coupled_pair_forward_cached,
+    lstm_backward,
+    lstm_forward_cached,
+    weighted_reconstruction_loss,
+)
 
 TOLERANCE = 1e-8
 TRAJECTORY_TOLERANCE = 1e-10
@@ -69,7 +67,7 @@ def _random_sequences(rng, count=11, q=7, d1=12, d2=5):
 def _tape_clstm_grads(model, batch, omega, action_loss):
     model.zero_grad()
     output = model(batch.action_sequences, batch.interaction_sequences)
-    loss = nn.weighted_reconstruction_loss(
+    loss = weighted_reconstruction_loss(
         output.action_reconstruction,
         nn.Tensor(batch.action_targets),
         output.interaction_reconstruction,
@@ -572,7 +570,7 @@ class TestWeightedLossGrad:
     def test_gradient_registry_matches_tape_registry(self):
         """The analytic-gradient table must cover exactly the tape's losses."""
         from repro.nn.backprop import ACTION_LOSS_GRADS
-        from repro.nn.losses import ACTION_LOSSES
+        from tape_oracles import ACTION_LOSSES
 
         assert set(ACTION_LOSS_GRADS) == set(ACTION_LOSSES)
         assert set(ACTION_LOSS_GRADS) == set(ACTION_LOSSES) == {"js", "kl", "l2", "mse"}
@@ -593,7 +591,7 @@ class TestWeightedLossGrad:
         inter_p = rng.normal(size=(6, 4))
         inter_t = rng.normal(size=(6, 4))
         value, _, _ = weighted_loss_grad(action_p, action_t, inter_p, inter_t, 0.7, action_loss)
-        reference = nn.weighted_reconstruction_loss(
+        reference = weighted_reconstruction_loss(
             Tensor(action_p), Tensor(action_t), Tensor(inter_p), Tensor(inter_t),
             omega=0.7, action_loss=action_loss,
         )

@@ -115,7 +115,7 @@ class TestEndToEnd:
         before = trained_aovlis.score_stream(test).scores
         path = nn.save_module(trained_aovlis.model, tmp_path / "clstm.npz", metadata={"dataset": "INF"})
         clone = trained_aovlis.model.clone_architecture(seed=99)
-        nn.load_into_module(clone, path)
+        clone.load_state_dict(nn.load_state(path)[0])
         trained_aovlis.model.load_state_dict(clone.state_dict())
         after = trained_aovlis.score_stream(test).scores
         np.testing.assert_allclose(before, after, atol=1e-10)

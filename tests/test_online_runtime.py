@@ -399,7 +399,6 @@ class TestClosedLoop:
         # The swap is visible from the next batch on.
         assert versions[-1] >= 2
         assert 2 in versions
-        assert service.model_swaps_observed >= 1
 
         # Post-swap detections carry the re-calibrated threshold.
         post = next(d for d in detections if d.model_version == 2)

@@ -22,8 +22,6 @@ from repro.optimization import (
     js_lower_bounds_l1,
     js_upper_bounds_l1,
     minimal_feature_contribution,
-    paper_group_bounds,
-    subspace_boundaries,
 )
 from repro.optimization import ados as ados_module
 from repro.utils.config import DetectionConfig
@@ -34,11 +32,6 @@ def random_distributions(rng, count=30, dim=50, concentration=0.3):
 
 
 class TestADG:
-    def test_subspace_boundaries(self):
-        boundaries = subspace_boundaries(5)
-        np.testing.assert_allclose(boundaries, [0.5, 0.25, 0.125, 0.0625, 0.0])
-        with pytest.raises(ValueError):
-            subspace_boundaries(0)
 
     def test_assign_subspaces_matches_boundaries(self):
         values = np.array([0.9, 0.5, 0.3, 0.1, 0.01, 1e-9])
@@ -125,17 +118,6 @@ class TestBounds:
         assert js_upper_bounds_l1(p, p) == pytest.approx(0.0)
         assert js_lower_bounds_l1(p, p) == pytest.approx(0.0)
 
-    def test_paper_group_bound_computes(self, rng):
-        """With one subspace Eq. 18 has a single group of all D dimensions."""
-        features, reconstructions = perturbed_batch(rng, noise=0.2)
-        values = paper_group_bounds(features, reconstructions, n_subspaces=1)
-        mixture = 0.5 * (features + reconstructions)
-        f_max = np.maximum(features.max(axis=1), reconstructions.max(axis=1))
-        f_min = np.minimum(features.min(axis=1), reconstructions.min(axis=1))
-        ratio = f_max * np.maximum(f_min, 1e-12) / (mixture.min(axis=1) * mixture.max(axis=1))
-        np.testing.assert_allclose(values, 0.5 * features.shape[1] * np.log(ratio), rtol=1e-12)
-        assert np.all(np.isfinite(paper_group_bounds(features, reconstructions, n_subspaces=20)))
-
 
 class TestBatchedGroupBounds:
     """Grouping, corners and sparsest-group choice against the brute-force
@@ -189,8 +171,6 @@ class TestBatchedGroupBounds:
             adg_upper_bounds(np.ones(4) / 4, np.ones(4) / 4)  # 1-D input
         with pytest.raises(ValueError):
             adg_upper_bounds(np.ones((2, 4)) / 4, np.ones((2, 5)) / 5)
-        with pytest.raises(ValueError):
-            paper_group_bounds(np.ones((2, 0)), np.ones((2, 0)))
         with pytest.raises(ValueError, match="n_subspaces"):
             adg_upper_bounds(np.ones((2, 4)) / 4, np.ones((2, 4)) / 4, n_subspaces=0)
 
@@ -364,7 +344,6 @@ class TestFilteringPower:
         # Combinations are at least as powerful as their components.
         assert powers["JS_max+JS_min"] >= max(powers["JS_max"], powers["JS_min"]) - 1e-12
         assert powers["JS_max+JS_min+RE_G"] >= powers["JS_max+JS_min"] - 1e-12
-        assert report["RE_G"] == powers["RE_G"]
 
     def test_requires_calibrated_detector(self, rng):
         model = CLSTM(action_dim=10, interaction_dim=4, seed=0)

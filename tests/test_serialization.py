@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.clstm import CLSTM
 from repro.core.training import CLSTMTrainer
-from repro.nn.serialization import load_into_module, load_state, save_module, save_state
+from repro.nn.serialization import load_state, save_module, save_state
 from repro.utils.config import ModelConfig
 
 
@@ -38,7 +38,8 @@ class TestModuleRoundTrip:
         path = save_module(model, tmp_path / "clstm", metadata={"epochs": 3})
 
         restored = model.clone_architecture(seed=99)  # different init, fully overwritten
-        metadata = load_into_module(restored, path)
+        state, metadata = load_state(path)
+        restored.load_state_dict(state)
         assert metadata == {"epochs": 3}
 
         expected = model.predict_full(batch.action_sequences, batch.interaction_sequences)
@@ -51,7 +52,7 @@ class TestModuleRoundTrip:
         model, _ = trained_clstm
         path = save_module(model, tmp_path / "clstm")
         restored = model.clone_architecture(seed=0)
-        load_into_module(restored, path)
+        restored.load_state_dict(load_state(path)[0])
         restored.prewarm_fused()
         assert restored.fused_fresh(), "fused caches must match the loaded parameters"
 
@@ -74,7 +75,7 @@ class TestModuleRoundTrip:
             interaction_hidden=model.interaction_hidden,
         )
         rebuilt = CLSTM.from_config(config, coupling=model.coupling, seed=0)
-        load_into_module(rebuilt, path)
+        rebuilt.load_state_dict(load_state(path)[0])
         expected = model.predict_full(batch.action_sequences, batch.interaction_sequences)
         actual = rebuilt.predict_full(batch.action_sequences, batch.interaction_sequences)
         for ours, theirs in zip(expected, actual):

@@ -47,13 +47,6 @@ class TestInfluencerBehaviour:
         states = [model.step() for _ in range(100)]
         assert not any(s.is_anomalous for s in states)
 
-    def test_reset_restores_initial_state(self):
-        model = InfluencerBehaviourModel(anomaly_rate=0.9, rng=np.random.default_rng(4))
-        for _ in range(10):
-            model.step()
-        model.reset()
-        assert model.current_state is model.normal_states[0]
-
     def test_motion_frames_are_distributions(self):
         model = InfluencerBehaviourModel(motion_channels=6, rng=np.random.default_rng(5))
         frames = model.motion_frames(model.normal_states[0], frames=32)
@@ -155,13 +148,11 @@ class TestGenerator:
 
     def test_anomalies_present_and_labelled(self, tiny_stream):
         assert tiny_stream.anomaly_rate > 0
-        anomalous = tiny_stream.anomalous_segments()
-        assert anomalous and all(s.is_anomaly for s in anomalous)
-        assert len(anomalous) + len(tiny_stream.normal_segments()) == tiny_stream.num_segments
+        assert any(s.is_anomaly for s in tiny_stream.segments)
 
     def test_segment_fields(self, tiny_stream):
         segment = tiny_stream.segments[0]
-        assert segment.duration() == pytest.approx(64 / 25)
+        assert segment.end_time - segment.start_time == pytest.approx(64 / 25)
         assert segment.motion_content.shape[0] == 64
         assert 0.0 <= segment.attractiveness <= 1.0
 
@@ -194,13 +185,6 @@ class TestStreamContainer:
         assert sliced.duration <= 60.0
         with pytest.raises(ValueError):
             tiny_stream.slice_time(50.0, 40.0)
-
-    def test_split_fractions(self, tiny_stream):
-        head, tail = tiny_stream.split(0.6)
-        assert head.duration == pytest.approx(tiny_stream.duration * 0.6, abs=1.0)
-        assert head.num_segments + tail.num_segments <= tiny_stream.num_segments + 2
-        with pytest.raises(ValueError):
-            tiny_stream.split(1.5)
 
     def test_iteration_and_len(self, tiny_stream):
         assert len(list(iter(tiny_stream))) == len(tiny_stream)

@@ -17,14 +17,14 @@ from repro.core.clstm import CLSTM
 from repro.core.training import CLSTMTrainer
 from repro.core.update import incremental_training_config
 from repro.features.sequences import SequenceBatch
-from repro.nn.backprop import (
+from repro.nn.recurrent import CoupledLSTMCell, LSTMCell
+from repro.utils.config import TrainingConfig, UpdateConfig
+from tape_oracles import (
     coupled_pair_backward,
     coupled_pair_forward_cached,
     lstm_backward,
     lstm_forward_cached,
 )
-from repro.nn.recurrent import CoupledLSTMCell, LSTMCell
-from repro.utils.config import TrainingConfig, UpdateConfig
 
 
 def _grads(module):

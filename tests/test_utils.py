@@ -1,4 +1,4 @@
-"""Tests for configuration, RNG management, validation and timing utilities."""
+"""Tests for configuration and timing utilities."""
 
 from __future__ import annotations
 
@@ -23,10 +23,6 @@ from repro.utils import (
     TimingAccumulator,
     TrainingConfig,
     UpdateConfig,
-    derive_rng,
-    make_rng,
-    spawn_rngs,
-    validation,
 )
 from repro.utils.config import RETIRED, RULE_KEYS, ConfigBase
 
@@ -38,22 +34,6 @@ class TestConfig:
         assert protocol.segment_frames == 64
         assert protocol.stride_frames == 25
         assert protocol.sequence_length == 9
-
-    def test_segments_per_hour(self):
-        protocol = StreamProtocol()
-        frames = 3600 * 25
-        expected = 1 + (frames - 64) // 25
-        assert protocol.segments_per_hour() == expected
-
-    def test_segments_per_hour_short_stream(self):
-        assert StreamProtocol(frame_rate=1, segment_frames=7200).segments_per_hour() == 0
-
-    def test_model_config_scaled(self):
-        scaled = ModelConfig().scaled(0.1)
-        assert scaled.action_dim == 40
-        assert scaled.action_hidden >= 4
-        with pytest.raises(ValueError):
-            ModelConfig().scaled(0.0)
 
     def test_configs_serialise_to_dicts(self):
         assert TrainingConfig().to_dict()["learning_rate"] == 0.001
@@ -401,73 +381,11 @@ class TestConfigRules:
         assert {(owner, key) for owner, key, _, _ in RETIRED_CASES} == set(RETIRED)
 
 
-class TestRng:
-    def test_make_rng_deterministic(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
-    def test_spawn_rngs_independent(self):
-        a, b = spawn_rngs(3, 2)
-        assert a.random() != b.random()
-        with pytest.raises(ValueError):
-            spawn_rngs(3, 0)
-
-    def test_derive_rng_label_sensitivity(self):
-        same_a = derive_rng(7, "INF", "comments").random()
-        same_b = derive_rng(7, "INF", "comments").random()
-        other = derive_rng(7, "INF", "actions").random()
-        assert same_a == same_b
-        assert same_a != other
-
-    def test_derive_rng_accepts_ints(self):
-        assert derive_rng(1, 2, 3).random() == derive_rng(1, 2, 3).random()
-
-
-class TestValidation:
-    def test_require_positive(self):
-        assert validation.require_positive("x", 1.5) == 1.5
-        with pytest.raises(ValueError):
-            validation.require_positive("x", 0)
-
-    def test_require_non_negative(self):
-        assert validation.require_non_negative("x", 0) == 0
-        with pytest.raises(ValueError):
-            validation.require_non_negative("x", -1)
-
-    def test_require_in_range(self):
-        assert validation.require_in_range("x", 0.5, 0, 1) == 0.5
-        with pytest.raises(ValueError):
-            validation.require_in_range("x", 2, 0, 1)
-
-    def test_require_probability_vector(self):
-        vector = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(validation.require_probability_vector("p", vector), vector)
-        with pytest.raises(ValueError):
-            validation.require_probability_vector("p", np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            validation.require_probability_vector("p", np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            validation.require_probability_vector("p", np.array([-0.1, 1.1]))
-
-    def test_require_matrix(self):
-        matrix = np.ones((2, 3))
-        assert validation.require_matrix("m", matrix, columns=3).shape == (2, 3)
-        with pytest.raises(ValueError):
-            validation.require_matrix("m", np.ones(3))
-        with pytest.raises(ValueError):
-            validation.require_matrix("m", matrix, columns=4)
-
-    def test_as_float_array_rejects_nan(self):
-        with pytest.raises(ValueError):
-            validation.as_float_array("x", [1.0, float("nan")])
-        np.testing.assert_allclose(validation.as_float_array("x", [1, 2]), [1.0, 2.0])
-
-
 class TestTimers:
     def test_stopwatch_measures_time(self):
-        watch = Stopwatch()
-        with watch.measure():
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.005
+        watch = Stopwatch().start()
+        time.sleep(0.01)
+        assert watch.stop() >= 0.005
 
     def test_stopwatch_state_errors(self):
         watch = Stopwatch()
@@ -477,21 +395,14 @@ class TestTimers:
         with pytest.raises(RuntimeError):
             watch.start()
         watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
 
     def test_timing_accumulator(self):
         acc = TimingAccumulator()
-        with acc.measure("stage"):
-            time.sleep(0.005)
-        acc.add("stage", 0.1, count=2)
-        assert acc.count("stage") == 3
-        assert acc.total("stage") >= 0.1
-        assert acc.mean("stage") > 0
-        summary = acc.as_dict()
-        assert "stage" in summary and summary["stage"]["count"] == 3
+        for _ in range(2):
+            with acc.measure("stage"):
+                time.sleep(0.005)
+        assert acc.total("stage") >= 0.01
 
     def test_timing_accumulator_unknown_name(self):
         acc = TimingAccumulator()
         assert acc.total("missing") == 0.0
-        assert acc.mean("missing") == 0.0
