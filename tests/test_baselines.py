@@ -114,3 +114,11 @@ class TestDetectorSuite:
         suite = all_detectors(training=FAST)
         for key, detector in suite.items():
             assert detector.name == key
+
+    def test_a_detector_must_implement_fit_and_score_stream(self):
+        class FitOnly(StreamAnomalyDetector):
+            def fit(self, features):
+                return self
+
+        with pytest.raises(TypeError, match="score_stream"):
+            FitOnly()

@@ -83,6 +83,11 @@ class TestExecutors:
         assert order == list(range(5))
         assert executor.serial and executor.workers == 1
 
+    def test_serial_executor_is_a_context_manager(self):
+        with SerialExecutor() as executor:
+            assert isinstance(executor, SerialExecutor)
+            assert executor.map([lambda: 1, lambda: 2]) == [1, 2]
+
     def test_parallel_map_merges_in_submission_order(self):
         with ParallelExecutor(workers=3) as executor:
             assert not executor.serial
@@ -450,6 +455,24 @@ class TestShardStatsProperties:
         assert all(s.queue_depth == 0 for s in stats)
         assert sum(s.segments_scored for s in stats) == sum(
             max(0, count - Q) for count in submitted.values()
+        )
+
+    def test_reset_stats_zeroes_every_shard_and_keeps_the_detections(self):
+        service = ShardedScoringService(
+            make_registry(),
+            config=ServingConfig(max_batch_size=self.MAX_BATCH, num_shards=self.SHARDS),
+            sequence_length=Q,
+        )
+        for index, stream_id in enumerate(self.STREAM_IDS):
+            action, interaction = stream_arrays(index, Q + 3)
+            service.submit_many((stream_id, a, i) for a, i in zip(action, interaction))
+        service.drain()
+        assert sum(s.segments_scored for s in service.load_stats()) == 3 * len(self.STREAM_IDS)
+        service.reset_stats()
+        for s in service.load_stats():
+            assert (s.segments_scored, s.batches, s.scoring_seconds) == (0, 0, 0.0)
+        assert sum(len(service.detections(stream_id)) for stream_id in self.STREAM_IDS) == 3 * len(
+            self.STREAM_IDS
         )
 
 

@@ -80,6 +80,47 @@ class TestLosses:
         assert np.all(np.isfinite(prediction.grad))
 
 
+class TestAnalyticLosses:
+    """The training step's closed-form losses (``repro.nn.backprop``) on their own."""
+
+    def test_kl_is_non_negative_and_zero_at_equality(self, rng):
+        from repro.nn.backprop import kl_loss_grad
+
+        p = random_distributions(rng)
+        for _ in range(5):
+            q = random_distributions(rng)
+            assert kl_loss_grad(q, p, grad=False)[0] >= 0.0
+        assert kl_loss_grad(p, p, grad=False)[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_js_is_symmetric_and_at_most_log_2(self, rng):
+        from repro.nn.backprop import js_loss_grad
+
+        p, q = random_distributions(rng), random_distributions(rng)
+        value = js_loss_grad(p, q, grad=False)[0]
+        assert value == pytest.approx(js_loss_grad(q, p, grad=False)[0], rel=1e-12)
+        assert 0.0 < value <= np.log(2.0)
+        disjoint = np.eye(2)
+        assert js_loss_grad(disjoint, disjoint[::-1], grad=False)[0] == pytest.approx(np.log(2.0))
+
+    @pytest.mark.parametrize("action_loss", ["js", "kl", "l2", "mse"])
+    def test_gradient_matches_finite_differences(self, rng, action_loss):
+        from repro.nn.backprop import ACTION_LOSS_GRADS
+
+        loss_grad = ACTION_LOSS_GRADS[action_loss]
+        prediction = random_distributions(rng, rows=3, cols=5)
+        target = random_distributions(rng, rows=3, cols=5)
+        _, gradient = loss_grad(prediction, target)
+        numeric = np.zeros_like(prediction)
+        eps = 1e-6
+        for index in np.ndindex(prediction.shape):
+            upper, lower = prediction.copy(), prediction.copy()
+            upper[index] += eps
+            lower[index] -= eps
+            rise = loss_grad(upper, target, grad=False)[0] - loss_grad(lower, target, grad=False)[0]
+            numeric[index] = rise / (2 * eps)
+        np.testing.assert_allclose(gradient, numeric, rtol=1e-5, atol=1e-8)
+
+
 class TestOptimisers:
     @staticmethod
     def _quadratic_problem():
@@ -103,6 +144,11 @@ class TestOptimisers:
             nn.Adam([parameter], lr=0.0)
         with pytest.raises(ValueError):
             nn.Adam([], lr=0.1)
+
+    def test_the_base_optimizer_has_no_update_rule(self):
+        optimizer = nn.Optimizer([nn.Parameter(np.zeros(2))])
+        with pytest.raises(NotImplementedError):
+            optimizer.step()
 
     def test_step_skips_parameters_without_grad(self):
         parameter = nn.Parameter(np.ones(2))

@@ -163,6 +163,47 @@ class TestGradients:
         check_gradient(lambda t: t.clip(-0.5, 0.5).sum(), rng.normal(size=(6,)) * 2.0)
         check_gradient(lambda t: t.abs().sum(), rng.normal(size=(6,)) + 2.0)
 
+    def test_negation_value_and_gradient(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 2))
+        np.testing.assert_array_equal((-Tensor(x)).numpy(), -x)
+        check_gradient(lambda t: (-t * t).sum(), x)
+
+    def test_scalar_minus_tensor(self):
+        x = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal((3.0 - Tensor(x)).numpy(), 3.0 - x)
+        check_gradient(lambda t: ((1.0 - t) ** 2).sum(), x)
+
+    def test_scalar_times_tensor(self):
+        x = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal((2.5 * Tensor(x)).numpy(), 2.5 * x)
+        check_gradient(lambda t: (2.5 * t * t).sum(), x)
+
+    def test_sqrt_value_and_gradient(self):
+        x = np.array([0.25, 1.0, 4.0, 9.0])
+        np.testing.assert_allclose(Tensor(x).sqrt().numpy(), np.sqrt(x))
+        tensor = Tensor(x, requires_grad=True)
+        tensor.sqrt().sum().backward()
+        np.testing.assert_allclose(tensor.grad, 0.5 / np.sqrt(x))
+
+    def test_max_along_an_axis_routes_the_gradient_to_the_maximum(self):
+        x = np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]])
+        tensor = Tensor(x, requires_grad=True)
+        out = tensor.max(axis=1)
+        np.testing.assert_array_equal(out.numpy(), [5.0, 7.0])
+        (out * Tensor([2.0, 3.0])).sum().backward()
+        np.testing.assert_array_equal(tensor.grad, [[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+        kept = Tensor(x).max(axis=0, keepdims=True)
+        assert kept.shape == (1, 3)
+        check_gradient(lambda t: t.max(axis=0, keepdims=True).sum(), x)
+
+    def test_max_splits_the_gradient_between_ties(self):
+        tensor = Tensor(np.array([4.0, 1.0, 4.0, 4.0]), requires_grad=True)
+        out = tensor.max()
+        assert out.item() == 4.0
+        out.backward()
+        np.testing.assert_allclose(tensor.grad, [1 / 3, 0.0, 1 / 3, 1 / 3])
+
 
 class TestBackwardProtocol:
     def test_backward_requires_grad(self):

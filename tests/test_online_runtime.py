@@ -163,6 +163,17 @@ class TestModelRegistry:
         assert handle.pin().version == 2
         assert handle.swaps_observed == 1
 
+    def test_handle_version_is_that_of_its_last_pin(self):
+        registry = ModelRegistry(DetectionConfig(omega=0.8))
+        registry.publish(make_model(seed=1), 0.2)
+        handle = registry.handle()
+        assert handle.version is None
+        handle.pin()
+        registry.publish(make_model(seed=2), 0.3)
+        assert handle.version == 1
+        handle.pin()
+        assert handle.version == 2
+
     def test_max_versions_evicts_oldest_but_keeps_numbering(self):
         registry = ModelRegistry(DetectionConfig(omega=0.8), max_versions=2)
         for seed in range(4):

@@ -388,6 +388,17 @@ class TestDriveRuntime:
         versions = {detection.model_version for detection in report.detections}
         assert versions == {1}  # updates disabled by default
 
+    def test_report_counts_detections_and_flagged_ones(self):
+        from repro.serving import StreamDetection
+
+        flags = [True, False, True, False, False]
+        detections = tuple(
+            StreamDetection("s", index, 0.5, 0.1, 0.2, flag, 0.4) for index, flag in enumerate(flags)
+        )
+        report = RuntimeDriveReport("r", ("s",), len(flags), detections, float(len(flags)))
+        assert report.num_detections == 5
+        assert report.num_flagged == 2
+
     def test_clock_skew_stalls_then_skews(self):
         config = ScenarioConfig(
             name="skew",

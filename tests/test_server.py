@@ -422,6 +422,12 @@ class TestServerEndpoints:
         status, payload, _ = http_json("POST", f"{server.url}/nope", payload={})
         assert status == 404
 
+    def test_port_is_the_bound_ephemeral_port(self, served):
+        _, server = served
+        host, port = server.address
+        assert server.port == port > 0
+        assert server.url == f"http://{host}:{port}"
+
     def test_detections_query_validation(self, served):
         _, server = served
         status, payload, _ = http_json("GET", f"{server.url}/v1/detections")

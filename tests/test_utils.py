@@ -70,6 +70,13 @@ class TestConfig:
         assert TrainingConfig(epochs=1, batch_size=1, checkpoint_every=1).epochs == 1
         assert TrainingConfig(action_loss="mse").action_loss == "mse"
 
+    @pytest.mark.parametrize("action_loss", ["js", "kl", "l2", "mse"])
+    def test_training_config_takes_each_trainable_action_loss(self, action_loss):
+        from repro.nn.backprop import ACTION_LOSS_GRADS
+
+        assert action_loss in ACTION_LOSS_GRADS
+        assert TrainingConfig(action_loss=action_loss).action_loss == action_loss
+
 
 # Non-default instances of every config dataclass, for round-trip tests.
 ROUND_TRIP_CONFIGS = [
