@@ -23,8 +23,10 @@ The throughput benchmarks are not entry points: they time modes, they do
 not reproduce the paper.
 
 ``reach.txt`` lists, per module, every function none of them reaches (the
-outermost one where nested functions are unreached too), with its lines and
-its triage class from ``TRIAGE``.  The granularity is the function: a
+outermost one where nested functions are unreached too), with its line count
+and its triage class from ``TRIAGE``.  Rows carry no line numbers and are
+sorted by qualname, so only a change in what is reached, or an edit inside
+an unreached function, changes the file.  The granularity is the function: a
 reached function's dead branches are not counted.
 """
 
@@ -67,11 +69,21 @@ PAPER_BENCHMARKS = (
 # or "module:qualname"; the longest key that matches wins.  Anything without a
 # row is "untriaged", and reach.txt shows it.  An unreached function that is
 # none of these is deleted, or moved to tests/ when a test compares against it.
+# Whole modules and classes are keyed only for item 10's modes and the tape;
+# public API is keyed per function, so a method that loses its last caller
+# later shows as untriaged instead of hiding under its class's row.
 # One of the four modes ROADMAP item 10 measures on the ledger, or deletes:
 FLOAT32, REBALANCE, PROCPOOL, BACKGROUND = (f"item 10({mode})" for mode in "abcd")
 API = "public API"  # a method of a class tests/test_api_surface.py names, or of a type it takes or returns
 ENGINE = "tape engine"  # the autograd tape: nn/tensor.py and the Module protocol (ROADMAP "Decided")
 SAFETY = "safety"  # an input check, an error path, or a branch for input no entry point sends
+
+
+def _api(owner: str, *methods: str) -> Dict[str, str]:
+    """One public-API row per method of ``owner`` ("module:Class")."""
+    return {f"{owner}.{method}": API for method in methods}
+
+
 TRIAGE: Dict[str, str] = {
     # (a) float32 plumbing
     "repro/core/clstm.py:_float32_linear_weights": FLOAT32,
@@ -107,7 +119,7 @@ TRIAGE: Dict[str, str] = {
     "repro/nn/recurrent.py:LSTMCell.forward": ENGINE,
     "repro/nn/recurrent.py:CoupledLSTMCell.initial_state": ENGINE,
     "repro/nn/recurrent.py:CoupledLSTMCell.forward": ENGINE,
-    "repro/core/clstm.py:CLSTMOutput": ENGINE,
+    "repro/core/clstm.py:CLSTMOutput.__init__": ENGINE,
     "repro/core/clstm.py:CLSTM.forward": ENGINE,
     # safety
     "repro/durability/checkpoints.py:DeltaSourceError.__init__": SAFETY,
@@ -119,31 +131,30 @@ TRIAGE: Dict[str, str] = {
     "repro/server/admission.py:AdmissionController.depth": SAFETY,  # admission of a request the queue cannot take
     "repro/server/handlers.py:RuntimeRequestHandler.handle_expect_100": SAFETY,
     # public API
-    "repro/core/base.py:StreamAnomalyDetector": API,
-    "repro/core/detector.py:DetectionResult": API,
-    "repro/core/model.py:AOVLIS": API,
     "repro/core/scoring.py:reia_score": API,
-    "repro/core/training.py:TrainingHistory": API,
     "repro/core/training.py:CLSTMTrainer.evaluate_loss": API,
-    "repro/durability/policy.py:CheckpointPolicy": API,
-    "repro/durability/wal.py:WriteAheadLog": API,
-    "repro/evaluation/harness.py:ExperimentScale": API,
-    "repro/evaluation/metrics.py:RocCurve": API,
-    "repro/features/i3d.py:SimulatedI3DExtractor": API,
-    "repro/features/pipeline.py:FeaturePipeline": API,
     "repro/nn/backprop.py:paired_feature_major": API,  # CLSTM.fused_training_step/fused_loss without an arena
     "repro/serving/executor.py:default_workers": API,  # ParallelExecutor(workers=None)
-    "repro/serving/executor.py:SerialExecutor": API,
-    "repro/serving/executor.py:ParallelExecutor": API,
-    "repro/serving/registry.py:ModelRegistry": API,
-    "repro/serving/registry.py:RegistryHandle": API,
-    "repro/serving/service.py:Tick": API,  # what Runtime.ingest_many takes
-    "repro/serving/service.py:StreamDetection": API,
-    "repro/serving/service.py:ScoringService": API,
-    "repro/serving/sharding.py:ShardedScoringService": API,
     "repro/streams/datasets.py:load_all_datasets": API,
-    "repro/streams/events.py:SocialVideoStream": API,
     "repro/utils/config.py:ConfigBase.from_json": API,
+    **_api("repro/core/base.py:StreamAnomalyDetector", "fit", "score_stream"),
+    **_api("repro/core/detector.py:DetectionResult", "__len__"),
+    **_api("repro/core/training.py:TrainingHistory", "train_curve", "validation_curve", "test_curve"),
+    **_api("repro/durability/wal.py:WriteAheadLog", "position"),
+    **_api("repro/evaluation/metrics.py:RocCurve", "area"),
+    **_api("repro/features/i3d.py:SimulatedI3DExtractor", "extract"),
+    **_api("repro/features/pipeline.py:FeaturePipeline", "action_dim", "interaction_dim"),
+    **_api("repro/serving/executor.py:SerialExecutor", "__enter__", "__exit__"),
+    **_api("repro/serving/executor.py:ParallelExecutor", "__enter__", "__exit__"),
+    **_api("repro/serving/registry.py:ModelRegistry", "versions"),
+    **_api("repro/serving/registry.py:RegistryHandle", "pinned", "version"),
+    **_api("repro/serving/service.py:Tick", "__iter__"),  # Tick is what Runtime.ingest_many takes
+    **_api("repro/serving/service.py:ScoringService", "reset_stats", "queue_depth"),
+    **_api("repro/serving/service.py:StreamDetection", "__init__", "_values", "__eq__", "__hash__",
+           "__repr__", "__reduce__", "__setattr__", "__delattr__"),
+    **_api("repro/serving/sharding.py:ShardedScoringService", "num_shards", "shard_index", "shard_of",
+           "reset_stats"),
+    **_api("repro/streams/events.py:SocialVideoStream", "__iter__", "__len__"),
 }
 
 
@@ -315,7 +326,7 @@ def report(src_root: Path, found: Iterable[Tuple[str, int, str]]) -> str:
     lines = [
         "# src/ functions that no entry point reaches: the ledger smoke, every",
         "# example, the paper benchmarks.  Written by benchmarks/reach.py; do not edit.",
-        f"# {len(every)} functions; {len(outermost)} unreached (outermost), {total} lines.",
+        f"# {len(outermost)} unreached functions (outermost), {total} lines.",
         f"# outside item 10: {total - item_10} lines.",
     ]
     for name in sorted(by_class):
@@ -325,8 +336,8 @@ def report(src_root: Path, found: Iterable[Tuple[str, int, str]]) -> str:
         rows = modules[module]
         lines.append("")
         lines.append(f"{module}  ({sum(f.lines for f in rows)} lines)")
-        for f in rows:
-            lines.append(f"  {f.first:>4}-{f.last:<4} {f.lines:>4}  {f.qualname}  [{triage(f)}]")
+        for f in sorted(rows, key=lambda f: f.qualname):
+            lines.append(f"  {f.lines:>4}  {f.qualname}  [{triage(f)}]")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ the graph and runs the closures in reverse order.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -554,13 +554,3 @@ class Tensor:
         for node in reversed(ordering):
             if node.grad is not None:
                 node._backward()
-
-
-def _sum_tensors(tensors: Iterable[Tensor]) -> Tensor:
-    """Sum an iterable of tensors (utility used by losses)."""
-    result: Optional[Tensor] = None
-    for tensor in tensors:
-        result = tensor if result is None else result + tensor
-    if result is None:
-        raise ValueError("cannot sum an empty iterable of tensors")
-    return result

@@ -38,11 +38,10 @@ class Stopwatch:
 
 
 class TimingAccumulator:
-    """Accumulates named timings and per-name call counts."""
+    """Accumulates wall-clock seconds per name."""
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = defaultdict(float)
-        self._counts: Dict[str, int] = defaultdict(int)
 
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
@@ -51,7 +50,6 @@ class TimingAccumulator:
             yield
         finally:
             self._totals[name] += time.perf_counter() - start
-            self._counts[name] += 1
 
     def total(self, name: str) -> float:
         """Total seconds recorded under ``name``."""

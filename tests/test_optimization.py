@@ -171,6 +171,8 @@ class TestBatchedGroupBounds:
             adg_upper_bounds(np.ones(4) / 4, np.ones(4) / 4)  # 1-D input
         with pytest.raises(ValueError):
             adg_upper_bounds(np.ones((2, 4)) / 4, np.ones((2, 5)) / 5)
+        with pytest.raises(ValueError, match="non-empty"):
+            adg_upper_bounds(np.ones((2, 0)), np.ones((2, 0)))
         with pytest.raises(ValueError, match="n_subspaces"):
             adg_upper_bounds(np.ones((2, 4)) / 4, np.ones((2, 4)) / 4, n_subspaces=0)
 

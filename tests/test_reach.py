@@ -216,6 +216,18 @@ class TestTriage:
     def test_a_function_without_a_row_is_untriaged(self, reach):
         assert reach.triage(self._function(reach, "anything", module="pkg/nowhere.py")) == "untriaged"
 
+    def test_a_new_method_of_a_public_class_is_untriaged(self, reach):
+        """Public API is keyed per method: a stranded method of a served class
+        must not pass under its class's name."""
+        for module, qualname in [
+            ("repro/serving/service.py", "ScoringService.stranded"),
+            ("repro/serving/sharding.py", "ShardedScoringService.stranded"),
+            ("repro/serving/service.py", "StreamDetection.stranded"),
+            ("repro/core/model.py", "AOVLIS.stranded"),
+            ("repro/core/detector.py", "DetectionResult.stranded"),
+        ]:
+            assert reach.triage(self._function(reach, qualname, module=module)) == "untriaged", qualname
+
     def test_every_row_names_a_module_or_function_of_the_package(self, reach):
         """A row left behind by a deleted or renamed function would triage nothing."""
         every = reach.functions(REACH.parent.parent / "src")
@@ -305,19 +317,19 @@ class TestRecorder:
 
 # -------------------------------------------------------------------- report
 
-ROW = re.compile(r"^  +(\d+)-(\d+) +(\d+)  (\S+)  \[(.+)\]$")
+ROW = re.compile(r"^  +(\d+)  (\S+)  \[(.+)\]$")
 
 
 def _rows(text):
-    """``(module, first, last, lines, qualname, class)`` of each report row."""
+    """``(module, lines, qualname, class)`` of each report row."""
     module, rows = None, []
     for line in text.splitlines():
         if line and not line.startswith(("#", " ")):
             module = line.split()[0]
         match = ROW.match(line)
         if match:
-            first, last, lines, qualname, name = match.groups()
-            rows.append((module, int(first), int(last), int(lines), qualname, name))
+            lines, qualname, name = match.groups()
+            rows.append((module, int(lines), qualname, name))
     return rows
 
 
@@ -329,33 +341,44 @@ class TestReport:
         found = {(f.module, f.first, f.qualname.rsplit(".", 1)[-1]) for f in every if f.qualname == "tag"}
         text = reach.report(shapes, found)
         rows = _rows(text)
-        assert [(r[4], r[5]) for r in rows] == [
-            ("make_adder", "item 10(c)"),
-            ("Outer.value", "public API"),
-            ("Outer.twice", "public API"),
+        by_name = {f.qualname: f for f in every}
+        assert [(r[2], r[3]) for r in rows] == [
             ("Outer.Inner.method", "public API"),
+            ("Outer.twice", "public API"),
+            ("Outer.value", "public API"),
             ("coroutine", "untriaged"),
+            ("make_adder", "item 10(c)"),
         ]
-        assert all(last - first + 1 == lines for _, first, last, lines, _, _ in rows)
-        total = sum(r[3] for r in rows)
-        outside = total - sum(r[3] for r in rows if r[5].startswith("item 10"))
-        assert f"# {len(every)} functions; 5 unreached (outermost), {total} lines." in text
+        assert all(lines == by_name[qualname].lines for _, lines, qualname, _ in rows)
+        total = sum(r[1] for r in rows)
+        outside = total - sum(r[1] for r in rows if r[3].startswith("item 10"))
+        assert f"# 5 unreached functions (outermost), {total} lines." in text
         assert f"# outside item 10: {outside} lines." in text
         assert f"pkg/shapes.py  ({total} lines)" in text
 
+    def test_rows_do_not_move_when_code_above_them_does(self, reach, shapes):
+        """Only reach, not an edit elsewhere in the module, changes the report."""
+        every = reach.functions(shapes)
+        found = {(f.module, f.first, f.qualname.rsplit(".", 1)[-1]) for f in every if f.qualname == "tag"}
+        text = reach.report(shapes, found)
+        module = shapes / "pkg" / "shapes.py"
+        module.write_text("\n\n\n" + module.read_text(encoding="utf-8"), encoding="utf-8")
+        moved = {(m, first + 3, name) for m, first, name in found}
+        assert reach.report(shapes, moved) == text
+
     def test_the_committed_report_matches_the_package(self, reach):
         """Every row of ``benchmarks/results/reach.txt`` names a function the
-        package still has, in the class ``TRIAGE`` gives it, and its header
-        adds up; none is untriaged."""
+        package still has, with its line count, in the class ``TRIAGE`` gives
+        it, and its header adds up; none is untriaged."""
         text = (REACH.parent / "results" / "reach.txt").read_text(encoding="utf-8")
         rows = _rows(text)
         assert rows
         every = {(f.module, f.qualname): f for f in reach.functions(REACH.parent.parent / "src")}
-        for module, first, last, lines, qualname, name in rows:
+        for module, lines, qualname, name in rows:
             assert (module, qualname) in every, (module, qualname)
             assert name == reach.triage(every[module, qualname]) != "untriaged"
-            assert last - first + 1 == lines
-        total = sum(r[3] for r in rows)
-        outside = total - sum(r[3] for r in rows if r[5].startswith("item 10"))
-        assert f"unreached (outermost), {total} lines." in text
+            assert lines == every[module, qualname].lines, (module, qualname)
+        total = sum(r[1] for r in rows)
+        outside = total - sum(r[1] for r in rows if r[3].startswith("item 10"))
+        assert f"unreached functions (outermost), {total} lines." in text
         assert f"# outside item 10: {outside} lines." in text
