@@ -5,7 +5,7 @@ The two LSTM-family ablations (plain LSTM, CLSTM-S) live in
 set used by the effectiveness benchmarks.
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from ..core.base import StreamAnomalyDetector
 from ..core.model import AOVLIS

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Literal, Optional, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
 from ..nn.backend import resolve_dtype, resolve_precision
 from ..nn.backprop import (
     TrainingArena,

@@ -11,7 +11,7 @@ and must reach the same thresholded decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

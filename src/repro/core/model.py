@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..features.pipeline import StreamFeatures
 from ..utils.config import DetectionConfig, TrainingConfig
 from .base import ScoredStream, StreamAnomalyDetector

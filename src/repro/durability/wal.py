@@ -48,7 +48,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

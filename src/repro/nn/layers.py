@@ -8,7 +8,7 @@ baseline autoencoders (LTR, VEC, RTFM's scorer) are stacks of Linear layers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 

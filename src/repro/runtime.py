@@ -156,8 +156,8 @@ class RuntimeConfig(ConfigBase):
     """Load-rebalancing policy over the shard set.  ``rebalance=True``
     attaches a :class:`~repro.serving.rebalance.Rebalancer` that diverts
     *new* streams away from hot shards and splits/merges shards under the
-    configured queue-depth thresholds; the default keeps pure pinned
-    CRC-32 routing, bit-for-bit the pre-rebalancer behaviour."""
+    configured queue-depth thresholds; the default keeps the pinned
+    fewest-routes placement alone."""
 
     sequence_length: int = checked(9, ge=1)
     """History length q of the CLSTM input sequences."""

@@ -51,7 +51,7 @@ from .service import (
     replay_streams,
     validate_interaction_level,
 )
-from .sharding import ShardedScoringService, default_router
+from .sharding import ShardedScoringService
 
 __all__ = [
     "BackgroundUpdatePlane",
@@ -79,7 +79,6 @@ __all__ = [
     "UpdateTrigger",
     "WorkerCrashed",
     "build_executor",
-    "default_router",
     "replay_streams",
     "validate_interaction_level",
 ]

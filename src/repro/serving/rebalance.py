@@ -1,22 +1,23 @@
 """ShardStats-driven load rebalancing for the sharded serving runtime.
 
-CRC-32 routing spreads streams uniformly *in expectation*, but live traffic
-is not uniform: a flash crowd can pin a burst of hot streams onto one shard
-while its siblings idle.  The :class:`Rebalancer` consumes the load signal
+The default placement levels the *number* of streams pinned to each shard,
+but live traffic is not uniform: a flash crowd can pin a burst of hot
+streams onto one shard while its siblings idle.  The :class:`Rebalancer`
+consumes the load signal
 :meth:`~repro.serving.service.ScoringService.load_stats` established (queue
 depth, occupancy, flush latency) and acts on it three ways, all of them
 preserving the per-stream ordering contract:
 
-* **New-stream diversion** — when the hash proposes a *hot* shard (queue
-  depth at least ``hot_queue_factor`` times the active mean, and at least
-  ``min_hot_depth``), a stream seen for the first time is pinned to the
+* **New-stream diversion** — when the placement proposes a *hot* shard
+  (queue depth at least ``hot_queue_factor`` times the active mean, and at
+  least ``min_hot_depth``), a stream seen for the first time is pinned to the
   least-loaded active shard instead.  Existing streams never move: a route,
   once pinned, changes only through an explicit merge handoff.
 * **Deterministic split** — under sustained backlog
   (``split_queue_depth``), the deepest shard triggers the creation of a
   fresh shard over the same registry/update plane; new streams start
-  routing to it (it is the least loaded by construction) while every
-  existing stream stays where it was.
+  routing to it (it holds no routes and no queue) while every existing
+  stream stays where it was.
 * **Deterministic merge** — a split-created shard whose queue has been
   empty for ``merge_idle_rounds`` consecutive rebalance rounds hands its
   sessions — rolling windows, detection history and all — to the
@@ -69,8 +70,8 @@ class RebalanceDecision:
         The diverted stream for ``"route"`` decisions; ``None`` for
         topology changes.
     source:
-        The shard the hash proposed (route), the shard that triggered the
-        split, or the shard being retired (merge).
+        The shard the placement proposed (route), the shard that triggered
+        the split, or the shard being retired (merge).
     target:
         The shard actually chosen (route), the freshly created shard
         (split), or the shard adopting the sessions (merge).
@@ -101,7 +102,7 @@ class Rebalancer:
     ``RuntimeConfig.sharding.rebalance=True`` and let the runtime wire it);
     the service calls :meth:`bind` once its shards exist.  With
     ``config.rebalance`` false every method is a no-op passthrough, keeping
-    the pure-CRC-32 behaviour bitwise intact.
+    the service's own placement bitwise intact.
     """
 
     def __init__(

@@ -16,13 +16,15 @@ Two deployment shapes are supported:
 * **one registry per shard** (the multi-model deployment; the router must
   send each stream to the shard owning its model).
 
-Routing is deterministic: the default router hashes the stream id with
-CRC-32, and every stream's first route is pinned so detections keep landing
-on the same shard even if a custom router misbehaves.  Cross-stream
-micro-batching happens *within* a shard, which is the point: streams of the
-same model coalesce into full batches, while the wall-clock flush deadline
-(`ServingConfig.max_batch_delay_ms`) bounds how stale a queued segment can
-get when a shard's fan-in is low.
+Routing is deterministic: a stream seen for the first time goes to the
+active shard holding the fewest pinned routes (ties to the lowest index),
+and every stream's first route is pinned so detections keep landing on the
+same shard even if a custom router misbehaves.  When streams tick at one
+rate, level route counts make every shard's batches fill at the same pace.
+Cross-stream micro-batching happens *within* a shard, which is the point:
+streams of the same model coalesce into full batches, while the wall-clock
+flush deadline (`ServingConfig.max_batch_delay_ms`) bounds how stale a
+queued segment can get when a shard's fan-in is low.
 
 Execution is pluggable: with the default
 :class:`~repro.serving.executor.SerialExecutor` every code path is
@@ -39,7 +41,6 @@ reproducible at any worker count.
 from __future__ import annotations
 
 import threading
-import zlib
 from itertools import compress
 from typing import (
     TYPE_CHECKING,
@@ -76,12 +77,7 @@ from .service import (
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoid import cycle)
     from .rebalance import Rebalancer
 
-__all__ = ["default_router", "ShardedScoringService"]
-
-
-def default_router(stream_id: str, num_shards: int) -> int:
-    """Stable stream → shard assignment (CRC-32 of the stream id)."""
-    return zlib.crc32(stream_id.encode("utf-8")) % num_shards
+__all__ = ["ShardedScoringService"]
 
 
 def _pending_job_state(trigger: UpdateTrigger, samples: Sequence) -> Dict[str, object]:
@@ -146,8 +142,8 @@ class ShardedScoringService:
     max_history:
         Per-shard cap on the historical hidden-state set.
     router:
-        Optional ``stream_id -> shard_index`` override; results are pinned
-        per stream on first use.
+        Optional ``stream_id -> shard_index`` override of the fewest-routes
+        placement; results are pinned per stream on first use.
     clock:
         Shared time source for the wall-clock flush deadlines.
     executor:
@@ -235,11 +231,12 @@ class ShardedScoringService:
                 f"every shard must serve the same feature widths, got {sorted(widths)}"
             )
         self._feature_dims = widths.pop()
-        self._router = router if router is not None else (
-            lambda stream_id: default_router(stream_id, len(self.shards))
-        )
+        self._router = router
         self._routes: Dict[str, int] = {}
-        # Guards the route table only; shards have their own internal locks.
+        # Pinned routes per shard index, kept with the route table: the
+        # default placement of a new stream reads them.
+        self._route_counts: List[int] = [0] * len(self.shards)
+        # Guards the route table and its counts; shards have their own locks.
         self._routes_lock = threading.Lock()
         # Shards retired by a merge: never routed to again, kept in the list
         # so historical shard indices (detections, stats, checkpoints) stay
@@ -272,49 +269,64 @@ class ShardedScoringService:
     def shard_index(self, stream_id: str) -> int:
         """The (pinned) shard index owning ``stream_id`` (thread-safe).
 
-        A stream seen for the first time is routed by the router and — when
-        a rebalancer is attached — possibly diverted away from a retired or
-        hot shard before the route is pinned.  Pinned routes only ever
-        change through an explicit merge handoff.
+        A stream seen for the first time goes to the active shard holding
+        the fewest pinned routes (or where the caller's router sends it)
+        and — when a rebalancer is attached — is possibly diverted away
+        from a retired or hot shard before the route is pinned.  Pinned
+        routes only ever change through an explicit merge handoff.  A route
+        pinned here before its stream's first ingest reaches no write-ahead
+        log: a recovery from an older checkpoint places later streams without it.
         """
         with self._routes_lock:
             index = self._routes.get(stream_id)
             if index is None:
-                index = self._routes[stream_id] = self._new_route_locked(stream_id)
+                index = self._routes[stream_id] = self._new_route_locked(
+                    stream_id, self._route_counts
+                )
             return index
 
-    def _new_route_locked(self, stream_id: str) -> int:
-        """Route a stream seen for the first time (caller holds _routes_lock)."""
-        index = int(self._router(stream_id))
-        if not 0 <= index < len(self.shards):
-            raise ValueError(
-                f"router assigned stream '{stream_id}' to shard {index}; "
-                f"valid range is [0, {len(self.shards)})"
-            )
+    def _new_route_locked(self, stream_id: str, counts: List[int]) -> int:
+        """Route a stream seen for the first time and count it in ``counts``
+        (caller holds _routes_lock)."""
+        if self._router is None:
+            active = (i for i in range(len(counts)) if i not in self._retired)
+            index = min(active, key=counts.__getitem__)
+        else:
+            index = int(self._router(stream_id))
+            if not 0 <= index < len(self.shards):
+                raise ValueError(
+                    f"router assigned stream '{stream_id}' to shard {index}; "
+                    f"valid range is [0, {len(self.shards)})"
+                )
         if self.rebalancer is not None:
             index = self.rebalancer.route(stream_id, index)
+        counts[index] += 1
         return index
 
     def route_tick(self, tick: Tick) -> Dict[int, List[int]]:
         """Route every segment of ``tick``: ``shard index -> positions``.
 
         One pass over the route table under one ``_routes_lock``
-        acquisition; a new stream goes through the router and the
-        rebalancer, which see the queue depths at the start of the tick.
-        Each shard's positions keep submission order.  Before any new route
-        is pinned, every shard's queue must have room for the requests its
-        group adds — otherwise :class:`~repro.serving.microbatch.QueueFull`
-        refuses the whole tick and nothing changed.
+        acquisition; a new stream is placed against the route counts with
+        this tick's earlier new streams in them, and the router and the
+        rebalancer see the queue depths at the start of the tick.  Each
+        shard's positions keep submission order.  Before any new route is
+        pinned or counted, every shard's queue must have room for the
+        requests its group adds — otherwise
+        :class:`~repro.serving.microbatch.QueueFull` refuses the whole tick
+        and nothing changed.
         """
         stream_ids = tick.stream_ids
         with self._routes_lock:
             indices = list(map(self._routes.get, stream_ids))
             fresh: Dict[str, int] = {}
+            counts = self._route_counts
             if None in indices:
+                counts = list(counts)
                 for position, stream_id in enumerate(stream_ids):
                     if indices[position] is None:
                         if stream_id not in fresh:
-                            fresh[stream_id] = self._new_route_locked(stream_id)
+                            fresh[stream_id] = self._new_route_locked(stream_id, counts)
                         indices[position] = fresh[stream_id]
             every = range(len(indices))
             groups = {
@@ -326,6 +338,7 @@ class ShardedScoringService:
                 if shard.batcher.max_pending is not None:
                     shard.check_room([stream_ids[k] for k in positions])
             self._routes.update(fresh)
+            self._route_counts = counts
         return groups
 
     def shard_of(self, stream_id: str) -> ScoringService:
@@ -348,13 +361,15 @@ class ShardedScoringService:
         """Append a fresh shard over ``source_index``'s registry; return it.
 
         The new shard matches its siblings exactly (same construction
-        recipe, same update plane when one is attached) and starts empty —
-        so it is the least-loaded shard by construction and new streams
-        drift to it through the rebalancer's hot-shard diversion.  Existing
-        streams keep their pinned routes.
+        recipe, same update plane when one is attached) and starts empty,
+        with no routes — so the default placement sends it new streams until
+        the counts are level, and it is the least-loaded target of the
+        rebalancer's hot-shard diversion.  Existing streams keep their
+        pinned routes.
         """
         shard = self._new_shard(self.shards[source_index].registry)
         self.shards.append(shard)
+        self._route_counts.append(0)
         index = len(self.shards) - 1
         notify = getattr(self.executor, "notify_shard_added", None)
         if callable(notify):
@@ -379,6 +394,9 @@ class ShardedScoringService:
         for stream_id, index in self._routes.items():
             if index == source_index:
                 self._routes[stream_id] = target_index
+        counts = self._route_counts
+        counts[target_index] += counts[source_index]
+        counts[source_index] = 0
         self._retired.add(source_index)
 
     # ------------------------------------------------------------------ #
@@ -657,6 +675,9 @@ class ShardedScoringService:
                     f"valid range is [0, {len(self.shards)})"
                 )
             self._routes[str(stream_id)] = index
+        self._route_counts = [0] * len(self.shards)
+        for index in self._routes.values():
+            self._route_counts[index] += 1
         # Retired shards survive the checkpoint (their indices must stay
         # routable-away-from); merge eligibility resets, though — the
         # restored topology becomes the new base shard count.

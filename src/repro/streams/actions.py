@@ -24,8 +24,8 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

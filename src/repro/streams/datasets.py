@@ -20,7 +20,7 @@ up through ``duration_scale``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..utils.config import StreamProtocol
 from .events import SocialVideoStream

@@ -18,7 +18,7 @@ detectors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
 import numpy as np
 

@@ -512,19 +512,20 @@ class DurabilityConfig(ConfigBase):
 class ShardingConfig(ConfigBase):
     """Load-aware shard routing and topology policy (:mod:`repro.serving.rebalance`).
 
-    By default streams stay pinned to the CRC-32 shard they hash to for their
-    whole life.  Enabling ``rebalance`` puts a
-    :class:`~repro.serving.rebalance.Rebalancer` between the hash and the
-    route table: *new* streams are diverted away from hot shards, and shards
-    may be deterministically split under sustained backlog and merged back
-    once the split shard drains.  Existing streams never move mid-flight —
-    per-stream ordering is preserved; only the route a stream gets *at first
-    sight* (and the explicit whole-session handoff of a merge) ever changes.
+    By default a new stream is pinned, for its whole life, to the active
+    shard holding the fewest pinned routes.  Enabling ``rebalance`` puts a
+    :class:`~repro.serving.rebalance.Rebalancer` between that placement and
+    the route table: *new* streams are diverted away from hot shards, and
+    shards may be deterministically split under sustained backlog and merged
+    back once the split shard drains.  Existing streams never move
+    mid-flight — per-stream ordering is preserved; only the route a stream
+    gets *at first sight* (and the explicit whole-session handoff of a
+    merge) ever changes.
     """
 
     rebalance: bool = False
-    """Master switch.  ``False`` keeps pure CRC-32 routing and a fixed shard
-    topology — bitwise-identical to every pre-rebalancer release."""
+    """Master switch.  ``False`` keeps the fewest-routes placement alone and a
+    fixed shard topology: no diversion, split or merge ever happens."""
 
     hot_queue_factor: float = checked(2.0, ge=1)
     """A shard counts as hot for new-stream diversion when its queue depth is

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +38,10 @@ from repro.utils.config import (
 
 SEQUENCE_LENGTH = 5
 NUM_STREAMS = 2
-SEGMENTS_PER_STREAM = 18
+# The two streams land on the two shards, one each, and each shard's drift
+# monitor fills its 12-sample buffers from its own stream alone: 30 segments
+# (26 scored windows per shard) are what it takes for a publish.
+SEGMENTS_PER_STREAM = 30
 TOTAL_RECORDS = NUM_STREAMS * SEGMENTS_PER_STREAM
 
 _FEATURES = None

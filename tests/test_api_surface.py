@@ -122,7 +122,6 @@ EXPECTED_SERVING_ALL = sorted(
         "UpdateTrigger",
         "WorkerCrashed",
         "build_executor",
-        "default_router",
         "replay_streams",
         "validate_interaction_level",
     ]

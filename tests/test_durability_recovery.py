@@ -13,6 +13,9 @@ Three layers of evidence:
   mid-record (the CRC must detect and drop exactly the damaged record);
 * a subprocess that fits, ingests and then SIGKILLs itself (no drain, no
   close, WAL left open) — the real crash, not a simulation of one.
+
+Streams first seen in the WAL tail are placed against the route counts the
+checkpoint's routes rebuild, and land where the live run put them.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ import pytest
 
 from durability_workload import (
     TOTAL_RECORDS,
+    build_config,
     run_oracle,
     snapshot_outcome,
     start_runtime,
+    training_features,
     workload_records,
 )
 from repro import Runtime
@@ -313,3 +318,64 @@ class TestSigkillSubprocess:
         assert_matches_oracle(
             outcome, oracle, context=f"sigkill after {kill_after} records"
         )
+
+
+def placement_ticks():
+    """Three streams, then four more that first appear after tick 6 — the
+    tick the test below cuts its checkpoint at."""
+    features = training_features()
+    rng = np.random.default_rng(77)
+    ticks = []
+    for position in range(16):
+        names = [f"old-{k}" for k in range(3)]
+        if position >= 6:
+            names += [f"new-{k}" for k in range(4)]
+        ticks.append(
+            [
+                (
+                    name,
+                    rng.random(features.action_dim),
+                    rng.random(features.interaction_dim),
+                    float(rng.random()),
+                )
+                for name in names
+            ]
+        )
+    return ticks
+
+
+class TestPlacementRecovery:
+    def test_streams_first_seen_after_the_checkpoint_recover_to_their_shards(
+        self, tmp_path
+    ):
+        """A new stream goes to the shard with the fewest pinned routes, so
+        recovery must rebuild the counts from the checkpoint's routes: the
+        WAL tail then places the streams it introduces exactly as the live
+        run did, and everything after the crash is bitwise equal."""
+        ticks = placement_ticks()
+        root = tmp_path / "live"
+        live = Runtime.from_config(
+            build_config(root, checkpoint_every_records=None)
+        ).fit(training_features())
+        for tick in ticks[:6]:
+            live.ingest_many(tick)
+        live.checkpoint()
+        for tick in ticks[6:10]:
+            live.ingest_many(tick)
+        shutil.copytree(root, tmp_path / "crashed")
+
+        recovered = Runtime.recover(tmp_path / "crashed")
+        assert recovered._replayed_records == sum(map(len, ticks[6:10]))
+        names = [name for name, *_ in ticks[-1]]
+        placed = [live.service.shard_index(name) for name in names]
+        # Three old streams leave counts (2, 1); the new ones level them.
+        assert placed == [0, 1, 0, 1, 0, 1, 0]
+        assert [recovered.service.shard_index(name) for name in names] == placed
+        for tick in ticks[10:]:
+            assert recovered.ingest_many(tick) == live.ingest_many(tick)
+        assert recovered.drain() == live.drain()
+        for name in names:
+            rows, oracle = recovered.detections(name), live.detections(name)
+            assert rows and oracle[len(oracle) - len(rows) :] == rows, name
+        recovered.close()
+        live.close()

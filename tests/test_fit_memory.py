@@ -382,19 +382,21 @@ class TestHeapReleaseAtStart:
         stages, and every detection of the run."""
         rng = np.random.default_rng(9)
         model = config.model
+        # One stream per shard, so each shard's drift buffer fills from one
+        # stream: 90 segments each put the first publish before the cut.
         streams = {
             f"cam-{index}": (
-                rng.random((60, model.action_dim)),
-                rng.random((60, model.interaction_dim)),
-                rng.random(60),
+                rng.random((90, model.action_dim)),
+                rng.random((90, model.interaction_dim)),
+                rng.random(90),
             )
             for index in range(2)
         }
         runtime = Runtime.from_config(config).fit(features)
         counts = [calls()]
-        self._feed(runtime, streams, 0, 40)
+        self._feed(runtime, streams, 0, 60)
         runtime.checkpoint()
-        self._feed(runtime, streams, 40, 50)
+        self._feed(runtime, streams, 60, 75)
         assert runtime.model_version > 1, "no drift update while serving"
         counts.append(calls())
         served = {name: runtime.detections(name) for name in streams}
@@ -402,7 +404,7 @@ class TestHeapReleaseAtStart:
 
         recovered = Runtime.recover(config.durability.directory)
         counts.append(calls())
-        self._feed(recovered, streams, 50, 60)
+        self._feed(recovered, streams, 75, 90)
         recovered.drain()
         counts.append(calls())
         detections = [served, {name: recovered.detections(name) for name in streams}]
@@ -413,7 +415,7 @@ class TestHeapReleaseAtStart:
         trim = _CountingTrim()
         monkeypatch.setattr(runtime_module, "_MALLOC_TRIM", trim)
         counts, reference = self._start_serve_crash_recover(config, tiny_features, lambda: trim.calls)
-        # fit: 1; 50 ticks of serving, updates and a checkpoint: none;
+        # fit: 1; 75 ticks of serving, updates and a checkpoint: none;
         # recover (from_checkpoint and its WAL replay): 1; serving: none.
         assert counts == [1, 1, 2, 2]
 

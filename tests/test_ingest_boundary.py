@@ -27,6 +27,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,6 @@ from repro.server.wire import detection_to_json
 from repro.serving import QueueFull, ScoringService, StreamDetection
 from repro.serving import service as service_module
 from repro.serving.service import ManualClock, Tick
-from repro.serving.sharding import default_router
 from repro.utils.config import (
     DetectionConfig,
     DurabilityConfig,
@@ -328,17 +328,6 @@ class TestGroupedEnqueue:
 # ---------------------------------------------------------------------- #
 # One ingest path: a segment is a one-row tick
 # ---------------------------------------------------------------------- #
-def streams_on_distinct_shards(count, num_shards):
-    """``count`` stream ids the default router sends to distinct shards."""
-    chosen = {}
-    for index in range(1000):
-        stream_id = f"cam-{index}"
-        chosen.setdefault(default_router(stream_id, num_shards), stream_id)
-        if len(chosen) == count:
-            return list(chosen.values())
-    raise AssertionError("router never covered the shards")  # pragma: no cover
-
-
 class TestOneIngestPath:
     def test_a_one_segment_ingest_flushes_every_shards_expired_batch(self):
         """A single-segment ingest is a one-row tick, and a tick scores
@@ -347,7 +336,9 @@ class TestOneIngestPath:
         clock = ManualClock()
         config = build_config(num_shards=3, max_batch_delay_ms=100.0)
         runtime = Runtime.from_config(config, clock=clock).fit(training_features())
-        first, second = streams_on_distinct_shards(2, 3)
+        # The service's own placement pins two new streams to two shards.
+        first, second = "cam-0", "cam-1"
+        assert runtime.service.shard_index(first) != runtime.service.shard_index(second)
         ticks = make_ticks(streams=1, ticks=SEQUENCE_LENGTH + 2)
         rows = [submission[1:] for (submission,) in ticks]
         for row in rows[:SEQUENCE_LENGTH]:
@@ -423,6 +414,60 @@ class TestOneIngestPath:
         assert recovered.model_version == oracle.model_version >= 2
         for closing in (recovered, runtime, oracle):
             closing.close()
+
+
+# ---------------------------------------------------------------------- #
+# Placement: a new stream goes to the shard with the fewest routes
+# ---------------------------------------------------------------------- #
+def uniform_ticks(ticks, streams=64):
+    """One segment of each of ``streams`` streams per tick, named as the
+    ledger names them (``cam-00`` … ``cam-63``)."""
+    return [
+        [(f"cam-{s:02d}", *submission[1:]) for s, submission in enumerate(tick)]
+        for tick in make_ticks(streams=streams, ticks=ticks)
+    ]
+
+
+class TestPlacement:
+    def test_a_tick_of_new_streams_is_split_evenly(self):
+        runtime = fit(build_config(max_batch_size=64))
+        (tick,) = uniform_ticks(1)
+        runtime.ingest_many(tick)
+        placed = [runtime.service.shard_index(stream_id) for stream_id, *_ in tick]
+        # Alternating, lowest index first: 32 streams on each shard.
+        assert placed == [0, 1] * 32
+        runtime.close()
+
+    def test_a_refused_tick_places_nothing(self):
+        """A tick refused for want of queue room neither pins nor counts its
+        new stream's route, so the stream is placed afresh later."""
+        ticks = make_ticks(ticks=WARM_TICKS + 3)
+        runtime = fit(build_config(max_queue_depth=8))
+        for tick in ticks[:WARM_TICKS]:
+            runtime.ingest_many(tick)
+        late = ("late", *ticks[0][0][1:])
+        with pytest.raises(QueueFull):
+            runtime.ingest_many([late, *overflowing_tick(ticks[WARM_TICKS:])])
+        # cam-0 … cam-3 hold two routes on each shard.
+        assert runtime.service.shard_index("late") == 0
+        runtime.close()
+
+    def test_uniform_ticks_return_every_detection_within_one_extra_call(self):
+        """Each shard takes half the streams, so a batch of twice that fills
+        every second tick and no segment waits for a third."""
+        config = replace(
+            build_config(max_batch_size=64, max_batch_delay_ms=1000.0), enable_updates=False
+        )
+        runtime = Runtime.from_config(config, clock=ManualClock()).fit(training_features())
+        ticks = uniform_ticks(SEQUENCE_LENGTH + 16)
+        returned = 0
+        for position, tick in enumerate(ticks):
+            produced = runtime.ingest_many(tick)
+            assert {position - d.segment_index for d in produced} <= {0, 1}, position
+            returned += len(produced)
+        # Sixteen ticks of windows are eight full batches on each shard.
+        assert returned == 64 * (len(ticks) - SEQUENCE_LENGTH)
+        runtime.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -9,6 +9,8 @@ the sharded scoring service.
 from __future__ import annotations
 
 import time
+import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,6 @@ from repro.serving import (
     ShardedScoringService,
     UpdatePlane,
     UpdateTrigger,
-    default_router,
     replay_streams,
 )
 from repro.utils.config import (
@@ -697,12 +698,6 @@ class TestShardedScoringService:
         registry.publish(make_model(seed=seed), threshold)
         return registry
 
-    def test_default_router_is_stable_and_in_range(self):
-        for stream in ("a", "b", "stream-17", "x" * 50):
-            index = default_router(stream, 4)
-            assert 0 <= index < 4
-            assert index == default_router(stream, 4)
-
     def test_shared_registry_sharding_matches_offline_scoring(self):
         registry = self.make_registry()
         service = ShardedScoringService(
@@ -741,6 +736,28 @@ class TestShardedScoringService:
         assert {d.threshold for d in service.detections("inf-0")} == {0.15}
         assert {d.threshold for d in service.detections("twi-0")} == {0.9}
         assert service.model_versions() == {0: 1, 1: 1}
+
+    def test_crc32_routes_restore_unchanged_and_new_streams_level_them(self):
+        """A checkpoint taken while routes were pinned by CRC-32 of the id
+        keeps every route; new streams then fill the lighter shard first."""
+        registry = self.make_registry()
+        config = ServingConfig(max_batch_size=8, num_shards=2)
+        hashed = ShardedScoringService(
+            registry,
+            config=config,
+            sequence_length=Q,
+            router=lambda stream_id: zlib.crc32(stream_id.encode("utf-8")) % 2,
+        )
+        for index in range(64):
+            hashed.shard_index(f"cam-{index:02d}")
+        state = hashed.export_state()
+        assert Counter(state["routes"].values()) == {0: 34, 1: 30}
+
+        restored = ShardedScoringService(registry, config=config, sequence_length=Q)
+        restored.restore_state(state)
+        assert restored.export_state()["routes"] == state["routes"]
+        placed = [restored.shard_index(f"new-{index}") for index in range(6)]
+        assert placed == [1, 1, 1, 1, 0, 1]
 
     def test_router_validation_and_plane_requirements(self):
         registry = self.make_registry()

@@ -8,6 +8,9 @@ Covers the acceptance contract of ``repro.serving.rebalance``:
 * deterministic split under sustained backlog and merge after idle
   rounds, with session continuity across the handoff (windows and
   detection history travel, segment indices stay gapless);
+* the default placement (fewest pinned routes) across a split and a
+  merge: a split shard takes new streams until the counts are level, a
+  retired one never takes any;
 * the determinism property: identical :class:`ManualClock` schedules and
   identical seeded load produce identical decision logs and route tables;
 * checkpoint round-trip of a split topology through
@@ -140,7 +143,7 @@ class TestHotShardDiversion:
         service, rebalancer = build_service(
             ShardingConfig(rebalance=True, min_hot_depth=4),
             clock,
-            router=lambda stream_id: 0,  # the hash would send everyone to 0
+            router=lambda stream_id: 0,  # the router proposes shard 0 for everyone
         )
         pile_up(service, "hot-A", depth=8, seed=1)
         assert service.shards[0].queue_depth() == 8
@@ -193,8 +196,8 @@ class TestSplitMerge:
 
     def test_backlog_splits_then_idle_merges_with_session_continuity(self):
         clock = ManualClock()
-        # "fresh-B" and "late-C" hash to shard 2 — which only exists after
-        # the split, and is retired again by the merge below.
+        # The router proposes shard 2 for "fresh-B" and "late-C" — a shard
+        # that only exists after the split, and is retired by the merge below.
         proposals = {"hot-A": 0, "fresh-B": 2, "late-C": 2}
         service, rebalancer = build_service(
             self.SHARDING, clock, router=lambda stream_id: proposals.get(stream_id, 0)
@@ -206,7 +209,7 @@ class TestSplitMerge:
         split = rebalancer.decisions[-1]
         assert split.kind == "split"
         assert (split.source, split.target) == (0, 2)
-        # The split shard is live: a stream hashing to it routes straight in.
+        # The split shard is live: a stream routed to it goes straight in.
         assert service.shard_index("fresh-B") == 2
 
         # Score some history for the stream living on the split shard.
@@ -244,8 +247,8 @@ class TestSplitMerge:
         assert [d.segment_index for d in detections] == list(range(Q, Q + 9))
         assert detections[: len(scored_before)] == scored_before
 
-        # A retired shard is never routed to again: "late-C" hashes to the
-        # retired shard 2 and gets diverted to a live one.
+        # A retired shard is never routed to again: the router proposes the
+        # retired shard 2 for "late-C", which is diverted to a live one.
         assert service.shard_index("late-C") != 2
         diverted = rebalancer.decisions[-1]
         assert diverted.kind == "route" and "retired" in diverted.reason
@@ -309,6 +312,45 @@ class TestSplitMerge:
         state = service.shards[2].export_state()
         assert state["history_version"] == 2 and len(state["historical_hidden"]) == 4
         assert state["buffer_hidden"] == []
+
+
+# --------------------------------------------------------------------- #
+# The default placement (fewest pinned routes) under a changing topology
+# --------------------------------------------------------------------- #
+class TestPlacementUnderTopology:
+    def test_a_retired_shard_never_receives_a_new_route(self):
+        clock = ManualClock()
+        service, rebalancer = build_service(TestSplitMerge.SHARDING, clock)
+        pile_up(service, "hot-A", depth=8, seed=1)
+        service.poll()  # split: shard 2, with no routes
+        assert [service.shard_index(name) for name in ("B", "C")] == [1, 2]
+        service.drain()
+        service.poll()
+        service.poll()  # idle twice: shard 2 merges into shard 0
+        assert service.retired_shards == frozenset({2})
+        assert [d.kind for d in rebalancer.decisions] == ["split", "merge"]
+        assert service.shard_index("C") == 0
+
+        # The handoff moved C's route to shard 0's count: (2, 1).
+        placed = [service.shard_index(f"new-{k}") for k in range(5)]
+        assert placed == [1, 0, 1, 0, 1]
+        # The placement never proposed the retired shard, so nothing had to
+        # be diverted off it.
+        assert [d.kind for d in rebalancer.decisions] == ["split", "merge"]
+
+    def test_a_split_shard_takes_new_streams_until_the_counts_are_level(self):
+        clock = ManualClock()
+        service, rebalancer = build_service(
+            replace(TestSplitMerge.SHARDING, merge_idle_rounds=None), clock
+        )
+        assert [service.shard_index(name) for name in "abcd"] == [0, 1, 0, 1]
+        pile_up(service, "a", depth=8, seed=1)
+        service.poll()
+        assert service.num_shards == 3
+        service.drain()  # no hot shard left to divert from
+        placed = [service.shard_index(name) for name in "efghi"]
+        assert placed == [2, 2, 0, 1, 2]
+        assert [d.kind for d in rebalancer.decisions] == ["split"]
 
 
 # --------------------------------------------------------------------- #
