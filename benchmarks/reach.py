@@ -72,8 +72,10 @@ PAPER_BENCHMARKS = (
 # Whole modules and classes are keyed only for item 10's modes and the tape;
 # public API is keyed per function, so a method that loses its last caller
 # later shows as untriaged instead of hiding under its class's row.
-# One of the four modes ROADMAP item 10 measures on the ledger, or deletes:
-FLOAT32, REBALANCE, PROCPOOL, BACKGROUND = (f"item 10({mode})" for mode in "abcd")
+# One of the modes ROADMAP item 10 measures on the ledger, or deletes ((c), the
+# process pool, is deleted):
+FLOAT32, REBALANCE, BACKGROUND = (f"item 10({mode})" for mode in "abd")
+SEAM = "test seam"  # a kernel hook tests or the kernel throughput benchmark call
 API = "public API"  # a method of a class tests/test_api_surface.py names, or of a type it takes or returns
 ENGINE = "tape engine"  # the autograd tape: nn/tensor.py and the Module protocol (ROADMAP "Decided")
 SAFETY = "safety"  # an input check, an error path, or a branch for input no entry point sends
@@ -94,20 +96,14 @@ TRIAGE: Dict[str, str] = {
     "repro/serving/sharding.py:ShardedScoringService.retired_shards": REBALANCE,
     "repro/serving/service.py:ScoringService.evict_sessions": REBALANCE,
     "repro/serving/service.py:ScoringService.adopt_sessions": REBALANCE,
-    # (c) the process pool, and what only it calls: gathered gate inputs
-    # scored in a worker, the worker's cold start
-    "repro/serving/procpool.py": PROCPOOL,
-    "repro/core/clstm.py:CLSTM.gate_inputs": PROCPOOL,
-    "repro/core/clstm.py:CLSTM.model_config": PROCPOOL,
-    "repro/nn/fused.py:_coupled_context": PROCPOOL,
-    "repro/nn/fused.py:gather_gate_inputs": PROCPOOL,
-    "repro/nn/fused.py:coupled_pair_forward_gated": PROCPOOL,
-    "repro/nn/fused.py:clear_thread_workspaces": PROCPOOL,
-    "repro/nn/fused.py:reset_workspace_stats": PROCPOOL,
     # (d) the background update plane and its pending-job checkpoint state
     "repro/serving/executor.py:BackgroundUpdatePlane": BACKGROUND,
     "repro/serving/sharding.py:_pending_job_state": BACKGROUND,
     "repro/serving/sharding.py:_pending_job_from_state": BACKGROUND,
+    # test seams
+    "repro/nn/fused.py:coupled_pair_forward_gated": SEAM,  # pins the sweep's -0.0 gate inputs to the frozen kernel
+    "repro/nn/fused.py:clear_thread_workspaces": SEAM,  # a cold start: tests/test_workspace.py, test_kernel_throughput.py
+    "repro/nn/fused.py:reset_workspace_stats": SEAM,  # zeroes the counters tests and test_kernel_throughput.py read
     # the tape
     "repro/nn/tensor.py": ENGINE,
     "repro/nn/functional.py:sigmoid": ENGINE,

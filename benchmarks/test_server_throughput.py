@@ -23,7 +23,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import common
 from repro import Runtime, RuntimeConfig, StreamFeatures

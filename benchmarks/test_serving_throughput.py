@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 import common
 from repro import nn
 from repro.core.model import AOVLIS

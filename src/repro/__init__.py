@@ -66,7 +66,6 @@ from .serving import (
     ModelRegistry,
     ModelSnapshot,
     ParallelExecutor,
-    ProcessParallelExecutor,
     RebalanceDecision,
     Rebalancer,
     ScoringService,
@@ -140,7 +139,6 @@ __all__ = [
     "ModelRegistry",
     "ModelSnapshot",
     "ParallelExecutor",
-    "ProcessParallelExecutor",
     "RebalanceDecision",
     "Rebalancer",
     "ScoringService",

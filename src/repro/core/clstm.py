@@ -46,7 +46,6 @@ from ..nn.fused import (
     coupled_pair_forward_gated,
     forward_planned,
     fused_cache_fresh,
-    gather_gate_inputs,
     prewarm_cell,
     serving_plan,
     transplant_fused_cache,
@@ -269,13 +268,6 @@ class CLSTM(nn.Module):
         override, else the model default."""
         return resolve_dtype(self.precision if precision is None else precision)
 
-    def gate_inputs(self, windows, precision: Optional[str] = None) -> np.ndarray:
-        """Joint gate inputs ``(B, q, 4·h1 + 4·h2)`` of a serving batch of
-        :class:`~repro.nn.fused.Segment` windows: each segment projected once
-        per pair of weight variants, then gathered."""
-        cells = (self.lstm_influencer, self.lstm_audience)
-        return gather_gate_inputs(*cells, windows, dtype=self._dtype(precision))
-
     def _fused_hidden(
         self,
         action_sequences,
@@ -286,7 +278,7 @@ class CLSTM(nn.Module):
 
         With ``interaction_sequences`` omitted, ``action_sequences`` is a
         serving batch: segment windows (projected through the per-segment
-        cache) or their gate inputs gathered already (:meth:`gate_inputs`).
+        cache) or their gate inputs gathered already.
         """
         cells = (self.lstm_influencer, self.lstm_audience)
         if interaction_sequences is None:
@@ -556,9 +548,9 @@ class CLSTM(nn.Module):
     ) -> "CLSTM":
         """Build a CLSTM from a :class:`~repro.utils.config.ModelConfig`.
 
-        The inverse of :attr:`model_config`; the unified runtime and the
-        checkpoint restore path rebuild architectures through this so a model
-        is fully described by ``(ModelConfig, coupling, seed)``.
+        The unified runtime and the checkpoint restore path rebuild
+        architectures through this, so a model is fully described by
+        ``(ModelConfig, coupling, seed)``.
         """
         return cls(
             action_dim=config.action_dim,
@@ -568,19 +560,6 @@ class CLSTM(nn.Module):
             coupling=coupling,
             seed=seed,
             precision=getattr(config, "precision", "float64"),
-        )
-
-    @property
-    def model_config(self) -> "ModelConfig":
-        """The :class:`~repro.utils.config.ModelConfig` describing this model."""
-        from ..utils.config import ModelConfig
-
-        return ModelConfig(
-            action_dim=self.action_dim,
-            interaction_dim=self.interaction_dim,
-            action_hidden=self.action_hidden,
-            interaction_hidden=self.interaction_hidden,
-            precision=self.precision,
         )
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ module provides the inference fast path: NumPy forwards that
   depends only on the segment and the weights, so each :class:`Segment`
   carries **one joint gate-input row** for both cells, projected once per
   pair of weight variants and gathered into every window it appears in
-  (:func:`gather_gate_inputs`);
+  (:func:`coupled_pair_forward_gated`);
 * run **one sweep for every cell of a batch** — one step routine
   (:func:`_sweep`) under all three entry points, over the joint layout
   below, so the activation passes and the state update run once over
@@ -37,8 +37,7 @@ With hidden sizes ``H1`` (influencer) and ``H2`` (audience), ``Hs = H1 + H2``
 * a **gate-input row** is ``(4·Hs,)``, cell-major: the influencer's
   ``x·W_x + b`` in stacked gate order ``[input, forget, cell, output]``
   (``4·H1`` values) followed by the audience's (``4·H2``).  A batch of them
-  is the single ``(B, q, 4·Hs)`` array the sweep consumes — and the only
-  array the process executor ships per batch;
+  is the single ``(B, q, 4·Hs)`` array the sweep consumes;
 * the **pre-activation** of a step is ``(B, 4·Hs)`` in the same column
   order, so each cell's GEMMs write a column range of it through today's
   stacked weights, unchanged in shape;
@@ -99,9 +98,7 @@ hot swaps never stale them) and a kernel call borrows its workspace for
 that call only: it resolves the workspace when it starts, and every state
 that escapes is a copy.  A sealed model keeps its resolved weight variants
 (:class:`_Plan`), never a workspace, so neither a retained version nor an
-evicted entry pins scratch.  The one result that aliases the pool is
-:func:`gather_gate_inputs`' array, which must be consumed before the next
-kernel call of the same shape on its thread, whatever the model version.
+evicted entry pins scratch.  No result aliases the pool.
 Per-thread pools keep concurrent shard forwards (the thread-parallel
 executor) race-free and each worker thread allocation-free in steady state;
 :func:`clear_thread_workspaces` empties the calling thread's pool (tests and
@@ -133,7 +130,6 @@ __all__ = [
     "coupled_pair_forward_gated",
     "serving_plan",
     "forward_planned",
-    "gather_gate_inputs",
     "project_rows",
     "workspace_stats",
     "reset_workspace_stats",
@@ -601,10 +597,6 @@ def _context(cells: tuple, fuse, batch: int, time_steps: int, dtype) -> _Context
     return _borrow(_plan(cells, fuse, batch, time_steps, dtype))
 
 
-def _coupled_context(influencer, audience, batch: int, time_steps: int, dtype) -> _Context:
-    return _context((influencer, audience), fuse_coupled_cell, batch, time_steps, dtype)
-
-
 def _prepare_input(sequence: np.ndarray, cast_buffer, dtype: np.dtype):
     """Bring one input batch into kernel form for ``dtype``.
 
@@ -767,8 +759,8 @@ def project_rows(rows, fused: FusedGateWeights):
     exactly :data:`PROJECTION_BLOCK` rows (zero-padded tail), which makes a
     row's projection a function of the row and ``fused`` alone — not of its
     neighbours, its position, or how a batch's missing rows were split — so
-    a restored (cold-cache) service and the process executor stay bitwise-
-    identical to an uninterrupted serial one.
+    a restored (cold-cache) service stays bitwise-identical to an
+    uninterrupted one.
     """
     count = len(rows)
     padded = -(-count // PROJECTION_BLOCK) * PROJECTION_BLOCK
@@ -824,27 +816,6 @@ def _gather(context: _Context, windows):
     return workspace.x_proj
 
 
-def gather_gate_inputs(
-    influencer: "CoupledLSTMCell",
-    audience: "CoupledLSTMCell",
-    windows,
-    *,
-    dtype: Optional[Any] = None,
-):
-    """Gate inputs of a serving batch: project the misses, gather the rest.
-
-    ``windows`` is a sequence of ``B`` equal-length sequences of
-    :class:`Segment`.  In steady state only each window's newest segment is
-    unprojected, so a batch costs ``B`` projected rows per cell, not
-    ``B·q``.  The ``(B, q, 4·H1 + 4·H2)`` result aliases the thread's pooled
-    workspace's gate-input buffer: consume it (serialise it for
-    :func:`coupled_pair_forward_gated` in another process) before the next
-    same-shape kernel call on this thread, whatever the model version.
-    """
-    context = _coupled_context(influencer, audience, len(windows), len(windows[0]), dtype)
-    return _gather(context, windows)
-
-
 def _final_states(workspace: Workspace) -> tuple:
     """The cells' final hidden states as fresh arrays.
 
@@ -864,11 +835,13 @@ def coupled_pair_forward_gated(
 ):
     """The serving entry: gather and sweep in one resolved context.
 
-    ``batch`` is either a sequence of :class:`Segment` windows (gathered
-    here, see :func:`gather_gate_inputs`) or an already gathered
-    ``(B, q, 4·H1 + 4·H2)`` array (possibly gathered by another process
-    under bitwise-equal weights).  Returns ``(h_final, g_final)`` like
-    :func:`coupled_pair_forward_fused`.
+    ``batch`` is either a sequence of :class:`Segment` windows or an
+    already gathered ``(B, q, 4·H1 + 4·H2)`` array.  Windows are gathered
+    here: in steady state only each window's newest segment is unprojected,
+    so a batch costs ``B`` projected rows per cell, not ``B·q``.  The
+    gathered form lets a test pin the sweep against the frozen kernels on
+    chosen gate inputs (``-0.0`` at step 0, say).  Returns
+    ``(h_final, g_final)`` like :func:`coupled_pair_forward_fused`.
     """
     return forward_planned(serving_plan(influencer, audience, batch, dtype), batch)
 

@@ -562,7 +562,7 @@ class Runtime:
         return self.service.load_stats()
 
     def executor_stats(self) -> Dict[str, Any]:
-        """JSON-safe executor introspection (shared segments, workers...)."""
+        """JSON-safe executor introspection: mode and worker count."""
         self._require_serving_built()
         return self.service.executor_stats()
 

@@ -16,16 +16,15 @@ runtime:
   publishes the new version;
 * the :class:`ShardedScoringService` routes streams across N shards (one
   registry handle + one batcher each) for multi-model deployments;
-* execution is pluggable: the :class:`ParallelExecutor` fans ready shard
-  batches out to a worker-thread pool (NumPy's BLAS kernels release the GIL)
-  and the :class:`BackgroundUpdatePlane` moves retrains onto a maintenance
-  thread, while the default :class:`SerialExecutor` stays bit-for-bit
-  identical to the single-threaded runtime;
-* the :class:`ProcessParallelExecutor` scales past the GIL entirely: shard
-  batches score in persistent worker *processes* over zero-copy
-  shared-memory snapshot segments, and the :class:`Rebalancer` consumes the
-  :class:`ShardStats` load signal to divert new streams away from hot
-  shards and split/merge shards deterministically.
+* execution is pluggable within one process: the :class:`ParallelExecutor`
+  fans ready shard batches out to a worker-thread pool (NumPy's BLAS
+  kernels release the GIL) and the :class:`BackgroundUpdatePlane` moves
+  retrains onto a maintenance thread, while the default
+  :class:`SerialExecutor` stays bit-for-bit identical to the single-threaded
+  runtime;
+* the :class:`Rebalancer` consumes the :class:`ShardStats` load signal to
+  divert new streams away from hot shards and split/merge shards
+  deterministically.
 """
 
 from .executor import (
@@ -36,11 +35,9 @@ from .executor import (
 )
 from .maintenance import UpdatePlane, UpdateReport
 from .microbatch import MicroBatcher, QueueFull, ScoreRequest
-from .procpool import ProcessParallelExecutor, WorkerCrashed
 from .rebalance import RebalanceDecision, Rebalancer
 from .registry import ModelRegistry, ModelSnapshot, RegistryHandle
 from .service import (
-    BatchScores,
     ManualClock,
     ScoringService,
     ServiceStats,
@@ -55,13 +52,11 @@ from .sharding import ShardedScoringService
 
 __all__ = [
     "BackgroundUpdatePlane",
-    "BatchScores",
     "ManualClock",
     "MicroBatcher",
     "ModelRegistry",
     "ModelSnapshot",
     "ParallelExecutor",
-    "ProcessParallelExecutor",
     "QueueFull",
     "RebalanceDecision",
     "Rebalancer",
@@ -77,7 +72,6 @@ __all__ = [
     "UpdatePlane",
     "UpdateReport",
     "UpdateTrigger",
-    "WorkerCrashed",
     "build_executor",
     "replay_streams",
     "validate_interaction_level",

@@ -68,9 +68,8 @@ T = TypeVar("T")
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 """Environment variable consulted by ``ExecutorConfig(mode="auto")``.
 
-Set to ``serial``, ``parallel`` or ``process``; CI runs the fast test-suite
-once with ``REPRO_EXECUTOR=parallel`` and once with
-``REPRO_EXECUTOR=process`` so every concurrency path gates every PR."""
+Set to ``serial`` or ``parallel``; CI runs the fast test-suite once with
+``REPRO_EXECUTOR=parallel`` so the thread path gates every change."""
 
 _DEFAULT_WORKER_CAP = 8
 
@@ -183,30 +182,19 @@ def build_executor(
     ``mode="auto"`` resolves through the :data:`EXECUTOR_ENV_VAR` environment
     variable (unset → serial), so a deployment JSON can leave the execution
     strategy to the machine it lands on and CI can flip the whole suite to
-    the parallel or process path without touching any test.  ``"process"``
-    builds a :class:`~repro.serving.procpool.ProcessParallelExecutor`
-    scoring shard batches in worker interpreters over shared-memory
-    snapshots.
+    the thread path without touching any test.
     """
     config = config if config is not None else ExecutorConfig()
     mode = config.mode
     if mode == "auto":
         env = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower()
-        if env and env not in ("serial", "parallel", "process"):
+        if env and env not in ("serial", "parallel"):
             raise ValueError(
-                f"{EXECUTOR_ENV_VAR} must be 'serial', 'parallel' or 'process', "
-                f"got {env!r}"
+                f"{EXECUTOR_ENV_VAR} must be 'serial' or 'parallel', got {env!r}"
             )
         mode = env or "serial"
     if mode == "serial":
         return SerialExecutor()
-    if mode == "process":
-        # Imported lazily: procpool imports default_workers from this module.
-        from .procpool import ProcessParallelExecutor
-
-        return ProcessParallelExecutor(
-            workers=config.workers, start_method=config.start_method
-        )
     return ParallelExecutor(workers=config.workers)
 
 

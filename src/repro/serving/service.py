@@ -86,7 +86,6 @@ __all__ = [
     "UpdateTrigger",
     "ServiceStats",
     "ShardStats",
-    "BatchScores",
     "StreamSession",
     "DriftMonitor",
     "Tick",
@@ -521,9 +520,7 @@ class ServiceStats:
     batches: int = 0
     scoring_seconds: float = 0.0
     forward_seconds: float = 0.0
-    """Seconds in the fused CLSTM forward (``predict_full``); for remote
-    kernels the whole worker round-trip is counted here (the split is not
-    observable across the process boundary)."""
+    """Seconds in the fused CLSTM forward (``predict_full``)."""
     score_seconds: float = 0.0
     """Seconds in the REIA combination + threshold decision."""
     update_seconds: float = 0.0
@@ -576,8 +573,7 @@ class ShardStats:
     signal a rebalancer (and an operator) needs beyond means."""
 
     forward_seconds: float = 0.0
-    """Seconds spent in the fused forward kernel (see
-    :attr:`ServiceStats.forward_seconds` for the remote-kernel caveat)."""
+    """Seconds spent in the fused forward kernel."""
 
     score_seconds: float = 0.0
     """Seconds spent in REIA scoring + threshold decisions."""
@@ -644,29 +640,6 @@ class ShardStats:
             "mean_score_ms": self.mean_score_ms,
             "throughput": self.throughput,
         }
-
-
-@dataclass(frozen=True)
-class BatchScores:
-    """Result of one micro-batch's compute kernel (forward + REIA scoring).
-
-    This is the seam the process-parallel executor plugs into: everything in
-    :meth:`ScoringService._score_requests` *except* the fused forward and
-    :meth:`~repro.core.detector.AnomalyDetector.score_predictions` —
-    snapshot pinning, batch assembly, detection routing, drift monitoring —
-    stays in the calling process; the kernel itself may run locally or in a
-    worker interpreter over a shared-memory snapshot, returning exactly
-    these arrays either way.
-    """
-
-    scores: np.ndarray
-    action_errors: np.ndarray
-    interaction_errors: np.ndarray
-    is_anomaly: np.ndarray
-    threshold: float
-    hidden: np.ndarray
-    """Final ``LSTM_I`` hidden states, ``(batch, h1)`` — the drift monitor
-    consumes these in the parent regardless of where the forward ran."""
 
 
 class StreamSession:
@@ -1017,12 +990,6 @@ class ScoringService:
         # p50/p95/p99 fields of load_stats().  Mutated only under the
         # scoring lock, read under both locks by load_stats.
         self._latencies: Deque[float] = deque(maxlen=latency_reservoir)
-        # Pluggable compute kernel: when set (by the process-parallel
-        # executor's bind), _score_requests ships each assembled batch to
-        # it — (snapshot, windows, targets..., indices) -> BatchScores
-        # — instead of running the fused forward locally.  Everything else
-        # (pinning, routing, drift, checkpoints) is unaffected.
-        self.remote_compute: Optional[Callable[..., BatchScores]] = None
 
     @property
     def update_plane(self) -> Optional["UpdatePlane"]:
@@ -1280,34 +1247,17 @@ class ScoringService:
         snapshot = self._handle.pin()
         windows, action_targets, interaction_targets, indices = MicroBatcher.assemble(requests)
         timings = self._kernel_timings
-        if self.remote_compute is not None:
-            # The forward/score split happens inside the worker interpreter;
-            # the whole round-trip is attributed to "forward" (the dominant
-            # cost) rather than inventing an unobservable split.
-            with timings.measure("forward"):
-                batch = self.remote_compute(
-                    snapshot, windows, action_targets, interaction_targets, indices
-                )
-        else:
-            with timings.measure("forward"):
-                predicted_action, predicted_interaction, hidden, _ = snapshot.model.predict_full(
-                    windows
-                )
-            with timings.measure("score"):
-                result = snapshot.detector.score_predictions(
-                    indices,
-                    action_targets,
-                    interaction_targets,
-                    predicted_action,
-                    predicted_interaction,
-                )
-            batch = BatchScores(
-                scores=result.scores,
-                action_errors=result.action_errors,
-                interaction_errors=result.interaction_errors,
-                is_anomaly=result.is_anomaly,
-                threshold=float(result.threshold),
-                hidden=hidden,
+        with timings.measure("forward"):
+            predicted_action, predicted_interaction, hidden, _ = snapshot.model.predict_full(
+                windows
+            )
+        with timings.measure("score"):
+            result = snapshot.detector.score_predictions(
+                indices,
+                action_targets,
+                interaction_targets,
+                predicted_action,
+                predicted_interaction,
             )
         self.stats.scoring_seconds += time.perf_counter() - started
         self.stats.segments_scored += len(requests)
@@ -1320,21 +1270,17 @@ class ScoringService:
             # that never advance time.
             self._latencies.append(max(0.0, (self._clock() - batch_arrival) * 1000.0))
 
-        if len(batch.scores) != len(requests):
-            raise ValueError(
-                f"batch scored {len(batch.scores)} rows for {len(requests)} requests"
-            )
         stream_ids = [request.stream_id for request in requests]
         detections = _emit_rows(
             _DetectionBlock(
                 stream_ids,
                 indices,
                 np.array(
-                    (batch.scores, batch.action_errors, batch.interaction_errors),
+                    (result.scores, result.action_errors, result.interaction_errors),
                     dtype=np.float64,
                 ),
-                np.array(batch.is_anomaly, dtype=bool),
-                float(batch.threshold),
+                np.array(result.is_anomaly, dtype=bool),
+                float(result.threshold),
                 snapshot.version,
                 getattr(snapshot.model, "precision", "float64"),
             )
@@ -1347,7 +1293,7 @@ class ScoringService:
                 sessions = list(map(self.session, stream_ids))
             # session.detections.append(detection) per row, consumed in C.
             deque(map(list.append, map(_DETECTIONS, sessions), detections), maxlen=0)
-        fired = self._monitor.observe(requests, batch.hidden, snapshot.version)
+        fired = self._monitor.observe(requests, hidden, snapshot.version)
         self.update_triggers.extend(trigger for trigger, _ in fired)
         # React only after every row of the batch has been observed: the
         # monitor is then in a consistent, resumable state, so a checkpoint

@@ -247,12 +247,6 @@ class ShardedScoringService:
         self.rebalancer = rebalancer
         if rebalancer is not None:
             rebalancer.bind(self)
-        # Executors that manage per-shard resources (the process pool's
-        # shared-memory workers) learn the shard set here and extend it via
-        # notify_shard_added when a split lands.
-        bind = getattr(self.executor, "bind", None)
-        if callable(bind):
-            bind(self)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -370,11 +364,7 @@ class ShardedScoringService:
         shard = self._new_shard(self.shards[source_index].registry)
         self.shards.append(shard)
         self._route_counts.append(0)
-        index = len(self.shards) - 1
-        notify = getattr(self.executor, "notify_shard_added", None)
-        if callable(notify):
-            notify(shard, index)
-        return index
+        return len(self.shards) - 1
 
     def _merge_shard_locked(self, source_index: int, target_index: int) -> None:
         """Retire ``source_index``, handing its sessions to ``target_index``.
@@ -529,14 +519,7 @@ class ShardedScoringService:
             shard.reset_stats()
 
     def executor_stats(self) -> Dict[str, object]:
-        """JSON-safe executor introspection (segments, workers, zero-copy).
-
-        Executors with real resources (the process pool) report their full
-        stats dict; the thread/serial executors report mode and width.
-        """
-        stats = getattr(self.executor, "stats", None)
-        if callable(stats):
-            return stats()
+        """JSON-safe executor introspection: mode and width."""
         return {
             "mode": "serial" if self.executor.serial else "thread",
             "workers": self.executor.workers,

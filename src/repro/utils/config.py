@@ -99,6 +99,12 @@ RETIRED: Dict[Tuple[str, str], Callable[[Any], Optional[Dict[str, Any]]]] = {
     ("ModelConfig", "backend"): lambda value: {} if value in ("auto", "numpy") else None,
     # true is the chaining full_every governs; false made every checkpoint full.
     ("DurabilityConfig", "delta"): lambda value: {} if value else {"full_every": 1},
+    # The process pool's start method; the pool is gone.
+    ("ExecutorConfig", "start_method"): lambda value: {},
+    # "process" scored in worker interpreters, bitwise equal to the threads.
+    ("ExecutorConfig", "mode"): lambda value: {
+        "mode": "parallel" if value == "process" else value
+    },
 }
 
 
@@ -337,31 +343,24 @@ class ExecutorConfig(ConfigBase):
     in-line path, which is bit-for-bit identical to a runtime with no executor
     at all; ``mode="parallel"`` fans ready shard batches out to a worker
     thread pool (NumPy's BLAS kernels release the GIL, so fused forwards of
-    different shards genuinely overlap).
+    different shards genuinely overlap).  Every scoring runs in this one
+    process.
     """
 
-    mode: str = checked("auto", one_of=("auto", "serial", "parallel", "process"))
-    """``"serial"``, ``"parallel"``, ``"process"``, or ``"auto"`` — auto
-    resolves from the ``REPRO_EXECUTOR`` environment variable (unset →
-    serial), which is how CI runs the whole fast suite once under each
-    concurrent executor."""
+    mode: str = checked("auto", one_of=("auto", "serial", "parallel"))
+    """``"serial"``, ``"parallel"``, or ``"auto"`` — auto resolves from the
+    ``REPRO_EXECUTOR`` environment variable (unset → serial), which is how CI
+    runs the whole fast suite once under the thread executor."""
 
     workers: int | None = checked(None, ge=1)
-    """Worker pool size for ``mode="parallel"`` (threads) and
-    ``mode="process"`` (interpreters); ``None`` derives it from the CPU
-    count.  ``workers=1`` is bitwise-identical to serial in both modes."""
+    """Thread pool size for ``mode="parallel"``; ``None`` derives it from the
+    CPU count.  ``workers=1`` is bitwise-identical to serial."""
 
     background_updates: bool = False
     """Run incremental retrains on a maintenance thread instead of inside the
     scoring path: scoring continues against the pinned snapshot while the
     retrain runs, and the publish lands at a later micro-batch boundary.
     Trades the serial path's deterministic swap timing for latency isolation."""
-
-    start_method: str | None = checked(None, one_of=("fork", "spawn", "forkserver"))
-    """``multiprocessing`` start method for ``mode="process"`` workers —
-    ``"fork"``, ``"spawn"``, or ``"forkserver"``; ``None`` picks ``fork``
-    where available (cheap, inherits the parent's imports) and falls back to
-    the platform default elsewhere.  Ignored by the thread and serial modes."""
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ EXPECTED_REPRO_ALL = sorted(
         "ModelRegistry",
         "ModelSnapshot",
         "ParallelExecutor",
-        "ProcessParallelExecutor",
         "ProfilePerturbation",
         "PrometheusRenderer",
         "RTFMDetector",
@@ -98,13 +97,11 @@ EXPECTED_RUNTIME_ALL = sorted(["CHECKPOINT_FORMAT", "Runtime", "RuntimeConfig"])
 EXPECTED_SERVING_ALL = sorted(
     [
         "BackgroundUpdatePlane",
-        "BatchScores",
         "ManualClock",
         "MicroBatcher",
         "ModelRegistry",
         "ModelSnapshot",
         "ParallelExecutor",
-        "ProcessParallelExecutor",
         "QueueFull",
         "RebalanceDecision",
         "Rebalancer",
@@ -120,7 +117,6 @@ EXPECTED_SERVING_ALL = sorted(
         "UpdatePlane",
         "UpdateReport",
         "UpdateTrigger",
-        "WorkerCrashed",
         "build_executor",
         "replay_streams",
         "validate_interaction_level",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.evaluation import (
     RocCurve,
-    ExperimentHarness,
     ExperimentScale,
     auroc,
     format_table,

@@ -134,6 +134,10 @@ class TestExecutors:
         monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
         with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
             build_executor(ExecutorConfig())
+        # The process pool is gone; its value is refused, naming what is left.
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        with pytest.raises(ValueError, match=r"REPRO_EXECUTOR must be 'serial' or 'parallel'"):
+            build_executor(ExecutorConfig())
 
 
 # --------------------------------------------------------------------- #

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.features import (
-    FeaturePipeline,
     HashingWordEmbedding,
     InteractionFeatureExtractor,
     LexiconSentimentAnalyzer,
-    SequenceBatch,
     SimulatedI3DExtractor,
     build_sequences,
     tokenize,

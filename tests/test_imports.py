@@ -1,4 +1,5 @@
-"""Every import in ``src/`` is used by the module that makes it.
+"""Every import in ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``
+is used by the module that makes it.
 
 The repository has no lint step, so an import left behind by a refactor
 stays until someone reads for it.  :func:`unused_imports` is a stdlib
@@ -16,7 +17,8 @@ import textwrap
 from pathlib import Path
 from typing import List, Set
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _bound_names(node: ast.AST):
@@ -160,6 +162,16 @@ def test_every_import_in_src_is_used():
     found = {
         str(path.relative_to(SRC)): unused_imports(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.rglob("*.py"))
+    }
+    assert len(found) > 50
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_every_import_in_tests_benchmarks_and_examples_is_used():
+    found = {
+        str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
+        for folder in ("tests", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
     }
     assert len(found) > 50
     assert {path: names for path, names in found.items() if names} == {}

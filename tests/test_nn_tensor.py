@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
 
 

@@ -12,7 +12,6 @@ from repro.core.detector import AnomalyDetector
 from repro.core.scoring import (
     interaction_reconstruction_error,
     js_divergence,
-    l1_distance,
     reia_score,
 )
 from repro.core.update import hidden_set_similarity

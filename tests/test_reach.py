@@ -335,7 +335,7 @@ def _rows(text):
 
 class TestReport:
     def test_header_totals_are_the_sums_of_the_rows(self, reach, shapes, monkeypatch):
-        monkeypatch.setitem(reach.TRIAGE, "pkg/shapes.py:make_adder", reach.PROCPOOL)
+        monkeypatch.setitem(reach.TRIAGE, "pkg/shapes.py:make_adder", reach.REBALANCE)
         monkeypatch.setitem(reach.TRIAGE, "pkg/shapes.py:Outer", reach.API)
         every = reach.functions(shapes)
         found = {(f.module, f.first, f.qualname.rsplit(".", 1)[-1]) for f in every if f.qualname == "tag"}
@@ -347,7 +347,7 @@ class TestReport:
             ("Outer.twice", "public API"),
             ("Outer.value", "public API"),
             ("coroutine", "untriaged"),
-            ("make_adder", "item 10(c)"),
+            ("make_adder", "item 10(b)"),
         ]
         assert all(lines == by_name[qualname].lines for _, lines, qualname, _ in rows)
         total = sum(r[1] for r in rows)

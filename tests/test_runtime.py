@@ -15,11 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.serving.service as service_module
 from repro import Runtime, RuntimeConfig
 from repro.runtime import CHECKPOINT_FORMAT
 from repro.serving import ManualClock
-from repro.serving.service import BatchScores
+from repro.core.detector import AnomalyDetector
 from repro.streams.generator import SocialStreamGenerator
 from repro.utils.config import (
     DetectionConfig,
@@ -217,28 +216,29 @@ class TestRuntimeLifecycle:
         ``float()``/``bool()`` of that row's NumPy scalar gives, across a
         replay whose update plane publishes new versions."""
         batches = []
+        score_predictions = AnomalyDetector.score_predictions
 
-        def recording_batch_scores(**fields):
-            batches.append(fields)
-            return BatchScores(**fields)
+        def recording_score_predictions(self, *arrays):
+            batches.append(score_predictions(self, *arrays))
+            return batches[-1]
 
-        monkeypatch.setattr(service_module, "BatchScores", recording_batch_scores)
-        # In-process scoring: a process executor builds BatchScores remotely.
+        monkeypatch.setattr(AnomalyDetector, "score_predictions", recording_score_predictions)
+        # Serial: the batches are recorded in the order their rows are emitted.
         config = replace(runtime_config, executor=ExecutorConfig(mode="serial"))
         runtime = Runtime.from_config(config).fit(tiny_features)
         detections = runtime.replay(drifting_streams)
         assert max(d.model_version for d in detections) > 1, "no publish during the replay"
-        assert len(detections) == sum(len(batch["scores"]) for batch in batches)
+        assert len(detections) == sum(len(batch.scores) for batch in batches)
         expected = [
             (
-                float(batch["scores"][row]),
-                float(batch["action_errors"][row]),
-                float(batch["interaction_errors"][row]),
-                bool(batch["is_anomaly"][row]),
-                float(batch["threshold"]),
+                float(batch.scores[row]),
+                float(batch.action_errors[row]),
+                float(batch.interaction_errors[row]),
+                bool(batch.is_anomaly[row]),
+                float(batch.threshold),
             )
             for batch in batches
-            for row in range(len(batch["scores"]))
+            for row in range(len(batch.scores))
         ]
         emitted = [
             (d.score, d.action_error, d.interaction_error, d.is_anomaly, d.threshold)
@@ -363,6 +363,30 @@ class TestCheckpointRestore:
         assert restored.config == original.config
         tail_original = feed(original, drifting_streams, start_fraction=0.5)
         assert tail_original == feed(restored, drifting_streams, start_fraction=0.5)
+
+    def test_manifest_written_under_the_retired_process_executor(
+        self, runtime_config, tiny_features, drifting_streams, tmp_path
+    ):
+        """Every manifest written under the retired process pool holds
+        ``executor.mode: "process"`` and a ``start_method``.  The pool scored
+        bitwise equal to the thread executor, so the checkpoint restores onto
+        threads and replays bitwise equal to its serial twin."""
+        config = replace(runtime_config, executor=ExecutorConfig(mode="serial", workers=1))
+        original = Runtime.from_config(config).fit(tiny_features)
+        feed(original, drifting_streams, stop_fraction=0.5, drain=False)
+        manifest_path = original.checkpoint(tmp_path / "ckpt") / "runtime.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "start_method" not in manifest["config"]["executor"]
+
+        manifest["config"]["executor"].update(mode="process", start_method="fork")
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        restored = Runtime.from_checkpoint(manifest_path.parent)
+        assert restored.config.executor == ExecutorConfig(mode="parallel", workers=1)
+        assert replace(restored.config, executor=config.executor) == original.config
+        tail_original = feed(original, drifting_streams, start_fraction=0.5)
+        assert tail_original == feed(restored, drifting_streams, start_fraction=0.5)
+        assert restored.update_reports, "the replayed tail never retrained"
+        restored.close()
 
     def test_checkpoint_round_trips_pending_and_buffers(
         self, runtime_config, tiny_features, drifting_streams, tmp_path

@@ -10,14 +10,13 @@ from repro.scenarios import (
     SCENARIO_KINDS,
     RuntimeDriveReport,
     ScenarioConfig,
-    ScenarioLeaderboard,
     drive_runtime,
     generate_scenario,
     run_scenario_suite,
     standard_suite,
 )
 from repro.scenarios.leaderboard import _overall_ranking, _ranked, ScenarioCell
-from repro.streams.generator import ProfilePerturbation, SocialStreamGenerator, StreamProfile
+from repro.streams.generator import SocialStreamGenerator
 from repro.utils.config import StreamProtocol
 
 

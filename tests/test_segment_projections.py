@@ -20,14 +20,11 @@ from repro.nn import fused as fused_module
 from repro.nn.fused import PROJECTION_BLOCK, FusedGateWeights, Segment, project_rows
 from repro.serving import (
     ModelRegistry,
-    ProcessParallelExecutor,
     ScoreRequest,
     ScoringService,
-    SerialExecutor,
-    ShardedScoringService,
     StreamSession,
 )
-from repro.utils.config import DetectionConfig, ServingConfig
+from repro.utils.config import DetectionConfig
 
 D1, D2, Q = 14, 5, 4
 
@@ -200,20 +197,28 @@ def expected_gate_inputs(model: CLSTM, windows) -> np.ndarray:
     return np.concatenate(per_cell, axis=1).reshape(len(windows), Q, -1)
 
 
+def cached_rows(windows) -> np.ndarray:
+    """The joint rows a forward left on each window's segments, ``(B, q, 4·Hs)``."""
+    return np.array([[segment.gate[2] for segment in window] for window in windows])
+
+
 class TestJointRow:
     def test_row_misses_when_only_one_cell_changed(self, projected_rows):
         model = make_model()
         windows = make_windows(3, seed=8)
-        first = model.gate_inputs(windows).copy()
+        model.predict_full(windows)
+        first = cached_rows(windows)
         assert projected_rows == {D1: 3 * Q, D2: 3 * Q}
-        assert np.array_equal(model.gate_inputs(windows), first)
+        model.predict_full(windows)
+        assert np.array_equal(cached_rows(windows), first)
         assert projected_rows == {D1: 3 * Q, D2: 3 * Q}  # all hits
         # Rebind the audience cell's weights only: the influencer keeps its
         # variant object, the audience gets a new one, and the joint row —
         # tagged by both — must miss as a whole.
         for parameter in model.lstm_audience.parameters():
             parameter.data = parameter.data * 1.5
-        second = model.gate_inputs(windows).copy()
+        model.predict_full(windows)
+        second = cached_rows(windows)
         assert projected_rows == {D1: 6 * Q, D2: 6 * Q}
         assert np.array_equal(second, expected_gate_inputs(model, windows))
         split = 4 * model.action_hidden
@@ -223,38 +228,20 @@ class TestJointRow:
     def test_small_batch_after_large_batch_reads_its_own_rows(self):
         model = make_model()
         large, small = make_windows(64, seed=9), make_windows(8, seed=10)
-        gathered_large = model.gate_inputs(large)
-        kept = gathered_large.copy()
-        gathered_small = model.gate_inputs(small)
+        model.predict_full(large)
+        kept = cached_rows(large)
+        model.predict_full(small)
+        gathered_small = cached_rows(small)
         assert gathered_small.shape == (8, Q, 4 * (model.action_hidden + model.interaction_hidden))
-        assert not np.shares_memory(gathered_small, gathered_large)
+        # Each cached row is a private copy, not a view of the workspace.
+        rows = [segment.gate[2] for window in small + large for segment in window]
+        assert all(row.base is None for row in rows)
         assert np.array_equal(gathered_small, expected_gate_inputs(model, small))
-        assert np.array_equal(gathered_large, kept)
+        assert np.array_equal(cached_rows(large), kept)
         # ... and the forward over the windows is the forward over their rows.
         from_rows = model.predict_full(expected_gate_inputs(model, small))
         for got, expected in zip(model.predict_full(small), from_rows):
             assert np.array_equal(got, expected)
-
-    def test_process_worker_scores_the_one_array_wire_bitwise(self):
-        ticks = make_ticks(3, Q + 5, seed=12)
-
-        def run(executor):
-            service = ShardedScoringService(
-                make_registry(make_model()),
-                config=ServingConfig(max_batch_size=3, num_shards=1),
-                sequence_length=Q,
-                executor=executor,
-            )
-            try:
-                for tick in ticks:
-                    for submission in tick:
-                        service.submit_many((submission,))
-                service.drain()
-                return [service.detections(f"s{s}") for s in range(3)]
-            finally:
-                service.close()
-
-        assert run(ProcessParallelExecutor(workers=1)) == run(SerialExecutor())
 
 
 class TestSessionHandoff:

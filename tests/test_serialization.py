@@ -64,11 +64,10 @@ class TestModuleRoundTrip:
             assert np.array_equal(state[name], value)
 
     def test_from_config_round_trip(self, trained_clstm, tmp_path):
-        """model_config + save_module fully describe a model (restore path)."""
+        """ModelConfig + save_module fully describe a model (restore path)."""
         model, batch = trained_clstm
         path = save_module(model, tmp_path / "clstm")
-        config = model.model_config
-        assert config == ModelConfig(
+        config = ModelConfig(
             action_dim=model.action_dim,
             interaction_dim=model.interaction_dim,
             action_hidden=model.action_hidden,

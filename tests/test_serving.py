@@ -13,6 +13,7 @@ from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.features.pipeline import StreamFeatures
 from repro.serving import (
+    ManualClock,
     MicroBatcher,
     ModelRegistry,
     QueueFull,
@@ -23,7 +24,6 @@ from repro.serving import (
     replay_streams,
     validate_interaction_level,
 )
-from repro.serving import service as service_module
 from repro.utils.config import DetectionConfig, ServingConfig, UpdateConfig
 
 D1, D2, Q = 14, 5, 4
@@ -382,6 +382,82 @@ class TestBoundedQueue:
         assert service.batcher.max_pending == 8
 
 
+class TestLatencyPercentiles:
+    """The flush-to-score latency reservoir behind ``ShardStats`` p50/p95/p99,
+    driven by a :class:`ManualClock`."""
+
+    def _service(self, detector, clock, latency_reservoir: int = 512) -> ScoringService:
+        return ScoringService(
+            detector,
+            sequence_length=Q,
+            max_batch_size=64,
+            clock=clock,
+            latency_reservoir=latency_reservoir,
+        )
+
+    def _record(self, service, clock, latencies_ms, seed: int = 5, stream: str = "s"):
+        """Queue one segment per latency, advance the clock by exactly that
+        much, then flush — each flush records one reservoir sample."""
+        features = make_features(stream, Q + len(latencies_ms), seed)
+        action, interaction = features.action, features.interaction
+        for position in range(Q):  # warm the session up; nothing enqueues
+            service.submit_many(((stream, action[position], interaction[position]),))
+        for offset, latency_ms in enumerate(latencies_ms):
+            position = Q + offset
+            service.submit_many(((stream, action[position], interaction[position]),))
+            clock.advance(latency_ms / 1000.0)
+            assert service.flush()
+
+    def test_rejects_non_positive_reservoir(self, calibrated_detector):
+        with pytest.raises(ValueError, match="latency_reservoir"):
+            self._service(calibrated_detector, ManualClock(), latency_reservoir=0)
+        with pytest.raises(ValueError, match="latency_reservoir"):
+            ServingConfig(latency_reservoir=0)
+
+    def test_percentiles_are_zero_before_any_batch(self, calibrated_detector):
+        stats = self._service(calibrated_detector, ManualClock()).load_stats()
+        assert (stats.latency_p50_ms, stats.latency_p95_ms, stats.latency_p99_ms) == (
+            0.0,
+            0.0,
+            0.0,
+        )
+
+    def test_percentiles_match_numpy_on_known_latencies(self, calibrated_detector):
+        clock = ManualClock()
+        service = self._service(calibrated_detector, clock)
+        latencies = [10.0, 20.0, 30.0, 40.0]
+        self._record(service, clock, latencies)
+        stats = service.load_stats()
+        p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
+        assert stats.latency_p50_ms == pytest.approx(float(p50))
+        assert stats.latency_p95_ms == pytest.approx(float(p95))
+        assert stats.latency_p99_ms == pytest.approx(float(p99))
+
+    def test_reservoir_is_bounded_and_keeps_newest(self, calibrated_detector):
+        clock = ManualClock()
+        service = self._service(calibrated_detector, clock, latency_reservoir=4)
+        self._record(service, clock, [10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
+        stats = service.load_stats()
+        # Only the four newest samples survive in the bounded deque.
+        p50, p95, p99 = np.percentile([30.0, 40.0, 50.0, 60.0], [50.0, 95.0, 99.0])
+        assert stats.latency_p50_ms == pytest.approx(float(p50))
+        assert stats.latency_p95_ms == pytest.approx(float(p95))
+        assert stats.latency_p99_ms == pytest.approx(float(p99))
+
+    def test_reset_stats_clears_the_reservoir(self, calibrated_detector):
+        clock = ManualClock()
+        service = self._service(calibrated_detector, clock)
+        self._record(service, clock, [15.0, 25.0])
+        assert service.load_stats().latency_p50_ms > 0.0
+        service.reset_stats()
+        stats = service.load_stats()
+        assert (stats.latency_p50_ms, stats.latency_p95_ms, stats.latency_p99_ms) == (
+            0.0,
+            0.0,
+            0.0,
+        )
+
+
 class TestDetectionMemory:
     def test_a_retained_detection_costs_its_numbers(self, calibrated_detector, monkeypatch):
         """A caller that keeps every returned list (and the sessions, which
@@ -391,13 +467,24 @@ class TestDetectionMemory:
         scorer's result arrays."""
         streams, warm, measured = 64, Q + 10, 100
         latest = []  # weak references to the last batch's kernel arrays
-        real_batch_scores = service_module.BatchScores
+        predict_full = CLSTM.predict_full
+        score_predictions = AnomalyDetector.score_predictions
 
-        def recording(**fields):
-            latest[:] = [weakref.ref(v) for v in fields.values() if isinstance(v, np.ndarray)]
-            return real_batch_scores(**fields)
+        def recording_forward(self, *args, **kwargs):
+            outputs = predict_full(self, *args, **kwargs)  # reconstructions, h, g
+            latest[:] = [weakref.ref(array) for array in outputs]
+            return outputs
 
-        monkeypatch.setattr(service_module, "BatchScores", recording)
+        def recording_scorer(self, *arrays):
+            result = score_predictions(self, *arrays)
+            # segment_indices is the batch's own index array, which the
+            # emitted block keeps by design.
+            columns = (result.scores, result.action_errors, result.interaction_errors)
+            latest.extend(weakref.ref(array) for array in (*columns, result.is_anomaly))
+            return result
+
+        monkeypatch.setattr(CLSTM, "predict_full", recording_forward)
+        monkeypatch.setattr(AnomalyDetector, "score_predictions", recording_scorer)
         service = ScoringService(calibrated_detector, sequence_length=Q, max_batch_size=streams)
         rng = np.random.default_rng(3)
         ids = [f"cam-{s}" for s in range(streams)]

@@ -7,15 +7,12 @@ import pytest
 
 from repro.streams import (
     AudienceModel,
-    Comment,
     CommentTextGenerator,
     DATASET_NAMES,
     InfluencerBehaviourModel,
     ProfilePerturbation,
     SocialStreamGenerator,
-    SocialVideoStream,
     StreamProfile,
-    VideoSegment,
     dataset_profile,
     load_all_datasets,
     load_dataset,

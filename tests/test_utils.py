@@ -8,7 +8,6 @@ import math
 import time
 import typing
 
-import numpy as np
 import pytest
 
 from repro.runtime import RuntimeConfig
@@ -324,6 +323,9 @@ RETIRED_CASES = [
     ("ModelConfig", "backend", "gpu", None),
     ("DurabilityConfig", "delta", True, {}),
     ("DurabilityConfig", "delta", False, {"full_every": 1}),
+    ("ExecutorConfig", "start_method", "fork", {}),
+    ("ExecutorConfig", "mode", "process", {"mode": "parallel"}),
+    ("ExecutorConfig", "mode", "serial", {"mode": "serial"}),
 ]
 
 

@@ -264,8 +264,7 @@ class TestProcessWidePool:
         for position, batch in enumerate(features):
             windows = _windows(*batch)  # shared: each version re-projects
             got_first = first.predict_full(windows)
-            # The process executor's split on one thread: gather, then sweep.
-            got_second = second.predict_full(second.gate_inputs(windows))
+            got_second = second.predict_full(windows)
             for model, got in ((first, got_first), (second, got_second)):
                 want = expected[id(model)][position]
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
