@@ -9,6 +9,9 @@ Covers the acceptance contract of ``repro.serving.executor``:
 * determinism regression: ``ParallelExecutor(workers=1)`` is bitwise
   identical to the serial path — detections, version swaps and checkpoint
   archives — on the replayed drift-stream workload;
+* service-level parity through same-weights republishes, and runtime
+  parity across a checkpoint/restore boundary, of the thread executor with
+  the serial path; one workspace per batch shape across model versions;
 * :class:`ShardStats` invariants under randomised ingest schedules;
 * the ``drain()`` deadline audit (a poll-only driver skips the final
   under-filled batch when the clock never advances; drain must not);
@@ -29,6 +32,7 @@ import pytest
 from repro import Runtime, RuntimeConfig
 from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
+from repro.nn.fused import clear_thread_workspaces, reset_workspace_stats, workspace_stats
 from repro.nn.serialization import load_state
 from repro.serving import (
     BackgroundUpdatePlane,
@@ -138,6 +142,108 @@ class TestExecutors:
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
         with pytest.raises(ValueError, match=r"REPRO_EXECUTOR must be 'serial' or 'parallel'"):
             build_executor(ExecutorConfig())
+
+    def test_executor_config_refuses_the_retired_process_mode(self):
+        # Only a loaded document maps "process" onto threads (the RETIRED
+        # table); a config built in code must name a mode that exists.
+        with pytest.raises(ValueError, match=r"ExecutorConfig\.mode .*'parallel', 'serial'"):
+            ExecutorConfig(mode="process")
+        with pytest.raises(TypeError, match="start_method"):
+            ExecutorConfig(start_method="fork")
+
+    @pytest.mark.parametrize(
+        "mode, workers, reported", [("serial", None, "serial"), ("parallel", 2, "thread")]
+    )
+    def test_executor_stats_report_mode_and_width_only(self, mode, workers, reported):
+        service = ShardedScoringService(
+            make_registry(),
+            config=ServingConfig(max_batch_size=4, num_shards=2),
+            sequence_length=Q,
+            executor=build_executor(ExecutorConfig(mode=mode, workers=workers)),
+        )
+        try:
+            assert service.executor_stats() == {
+                "mode": reported,
+                "workers": workers or 1,
+            }
+        finally:
+            service.close()
+
+
+# --------------------------------------------------------------------- #
+# Bitwise parity at the service level, through same-weights republishes
+# --------------------------------------------------------------------- #
+class TestServiceLevelParity:
+    STREAMS = 2
+    SEGMENTS = 48
+    REPUBLISH_EVERY = 16
+
+    def _run(self, executor):
+        """Single-threaded feed with same-weights republishes at fixed points.
+
+        The publish schedule is deterministic, so serial and thread runs pin
+        the same versions for the same batches — detections must be *fully*
+        equal, model_version included.
+        """
+        registry = make_registry()
+        service = ShardedScoringService(
+            registry,
+            config=ServingConfig(max_batch_size=8, num_shards=self.STREAMS),
+            sequence_length=Q,
+            router=lambda stream_id: int(stream_id.rsplit("-", 1)[1]),
+            executor=executor,
+        )
+        base_model = registry.latest().model
+        features = {
+            f"stream-{index}": stream_arrays(seed=40 + index, segments=self.SEGMENTS)
+            for index in range(self.STREAMS)
+        }
+        try:
+            for position in range(self.SEGMENTS):
+                if position and position % self.REPUBLISH_EVERY == 0:
+                    registry.publish(base_model, registry.latest().threshold)
+                for stream_id, (action, interaction) in features.items():
+                    service.submit_many(
+                        ((stream_id, action[position], interaction[position]),)
+                    )
+            service.drain()
+            detections = {
+                stream_id: service.detections(stream_id) for stream_id in features
+            }
+        finally:
+            service.close()
+        return registry, detections
+
+    def test_workers1_matches_serial_bitwise_through_republishes(self):
+        _, reference = self._run(SerialExecutor())
+        registry, detections = self._run(ParallelExecutor(workers=1))
+        assert detections == reference  # frozen dataclasses: exact equality
+        # Republishes land at positions 16 and 32 on top of the seed version,
+        # and the batches scored after each carry the version they pinned.
+        assert registry.highest_published == 3
+        versions = {d.model_version for rows in detections.values() for d in rows}
+        assert versions == {1, 2, 3}
+
+    def test_two_workers_match_serial_on_deterministic_feed(self):
+        _, reference = self._run(SerialExecutor())
+        _, detections = self._run(ParallelExecutor(workers=2))
+        assert detections == reference
+        # Every segment past the first window was scored exactly once.
+        for rows in detections.values():
+            assert [d.segment_index for d in rows] == list(range(Q, self.SEGMENTS))
+
+    def test_scoring_shares_its_workspaces_across_versions(self):
+        # A lone ready batch is scored on the calling thread: start its
+        # workspace pool cold.
+        clear_thread_workspaces()
+        reset_workspace_stats()
+        registry, _ = self._run(ParallelExecutor(workers=1))
+        assert registry.highest_published == 3
+        # Three versions were scored, yet scratch was allocated once per
+        # batch shape (8 full rows, 4 drained) and reused from then on.
+        stats = workspace_stats()
+        assert stats["created"] == 2
+        assert stats["reused"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -308,13 +414,22 @@ def drifting_streams(tiny_profile, tiny_pipeline):
     }
 
 
-def feed(runtime, streams, drain=True):
-    """Round-robin every stream through ``runtime.ingest`` (replay order)."""
+def feed(runtime, streams, drain=True, start_fraction=0.0, stop_fraction=1.0):
+    """Round-robin a segment range of every stream through ``runtime.ingest``
+    (replay order); by default the whole of each stream."""
     detections = []
-    longest = max(features.num_segments for features in streams.values())
+    ranges = {
+        stream_id: (
+            int(features.num_segments * start_fraction),
+            int(features.num_segments * stop_fraction),
+        )
+        for stream_id, features in streams.items()
+    }
+    longest = max(stop for _, stop in ranges.values())
     for position in range(longest):
         for stream_id, features in streams.items():
-            if position < features.num_segments:
+            start, stop = ranges[stream_id]
+            if start <= position < stop:
                 detections.extend(
                     runtime.ingest(
                         stream_id,
@@ -386,6 +501,38 @@ class TestDeterminismRegression:
                 assert array.tobytes() == other.tobytes(), f"{name}:{key} differs"
         serial.close()
         parallel.close()
+
+
+class TestCheckpointParity:
+    def test_parallel_runtime_matches_serial_across_checkpoint_restore(
+        self, runtime_config, tiny_features, drifting_streams, tmp_path
+    ):
+        """A thread-executor runtime fed half the drift workload,
+        checkpointed, restored and fed the tail matches the serial runtime's
+        uninterrupted run detection-for-detection: scores, thresholds,
+        versions and update lineage.
+        """
+        serial = Runtime.from_config(
+            replace(runtime_config, executor=ExecutorConfig(mode="serial"))
+        ).fit(tiny_features)
+        parallel = Runtime.from_config(
+            replace(runtime_config, executor=ExecutorConfig(mode="parallel", workers=2))
+        ).fit(tiny_features)
+        reference = feed(serial, drifting_streams)
+
+        head = feed(parallel, drifting_streams, drain=False, stop_fraction=0.5)
+        restored = Runtime.from_checkpoint(parallel.checkpoint(tmp_path / "ckpt"))
+        # The checkpointed config carries the executor section.
+        assert restored.executor_stats() == {"mode": "thread", "workers": 2}
+        tail = feed(restored, drifting_streams, start_fraction=0.5)
+
+        assert reference == head + tail  # exact dataclass equality
+        assert serial.model_version == restored.model_version
+        assert serial.anomaly_threshold == restored.anomaly_threshold
+        assert restored.update_reports, "restored runtime never updated on the tail"
+        serial.close()
+        parallel.close()
+        restored.close()
 
 
 # --------------------------------------------------------------------- #

@@ -32,7 +32,9 @@ from repro.features.sequences import build_sequences
 from repro.serving import (
     ManualClock,
     ModelRegistry,
+    ParallelExecutor,
     Rebalancer,
+    SerialExecutor,
     ShardedScoringService,
 )
 from repro.streams.generator import SocialStreamGenerator
@@ -70,6 +72,8 @@ def build_service(
     num_shards: int = 2,
     max_batch_size: int = 64,
     router=None,
+    max_batch_delay_ms=None,
+    executor=None,
 ):
     """A sharded service whose queues can actually accumulate.
 
@@ -79,11 +83,16 @@ def build_service(
     rebalancer = Rebalancer(sharding, clock=clock)
     service = ShardedScoringService(
         make_registry(),
-        config=ServingConfig(max_batch_size=max_batch_size, num_shards=num_shards),
+        config=ServingConfig(
+            max_batch_size=max_batch_size,
+            max_batch_delay_ms=max_batch_delay_ms,
+            num_shards=num_shards,
+        ),
         sequence_length=Q,
         router=router,
         clock=clock,
         rebalancer=rebalancer,
+        executor=executor,
     )
     return service, rebalancer
 
@@ -272,6 +281,44 @@ class TestSplitMerge:
         service.poll()
         assert service.num_shards == 2
         assert all(d.kind != "split" for d in rebalancer.decisions)
+
+    def test_a_split_shard_scores_alike_under_the_thread_executor(self):
+        """A shard split off mid-stream joins the thread executor's fan-out
+        with no hook on the executor: its detections match the serial run."""
+
+        def run(executor):
+            clock = ManualClock()
+            service, rebalancer = build_service(
+                replace(self.SHARDING, max_shards=3, merge_idle_rounds=None),
+                clock,
+                router=lambda stream_id: 2 if stream_id == "fresh-B" else 0,
+                max_batch_delay_ms=100.0,
+                executor=executor,
+            )
+            try:
+                pile_up(service, "hot-A", depth=8, seed=1)
+                service.poll()
+                assert [d.kind for d in rebalancer.decisions] == ["split"]
+                hot = stream_arrays(seed=5, segments=Q + 4)
+                fresh = stream_arrays(seed=9, segments=Q + 4)
+                for position in range(Q + 4):
+                    service.submit_many(
+                        (
+                            ("hot-A", hot[0][position], hot[1][position]),
+                            ("fresh-B", fresh[0][position], fresh[1][position]),
+                        )
+                    )
+                # Both queues pass their deadline: one poll fans the expired
+                # batches of shards 0 and 2 out across the executor at once.
+                clock.advance(1.0)
+                service.poll()
+                return {name: service.detections(name) for name in ("hot-A", "fresh-B")}
+            finally:
+                service.close()
+
+        reference = run(SerialExecutor())
+        assert [len(rows) for rows in reference.values()] == [8 + Q + 4, 4]
+        assert run(ParallelExecutor(workers=2)) == reference
 
     def test_split_after_a_publish_keeps_the_seed_bound_to_its_version(self):
         """The fit-time ``S_h`` seed holds version-1 hidden states: a shard

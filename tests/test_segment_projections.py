@@ -20,11 +20,14 @@ from repro.nn import fused as fused_module
 from repro.nn.fused import PROJECTION_BLOCK, FusedGateWeights, Segment, project_rows
 from repro.serving import (
     ModelRegistry,
+    ParallelExecutor,
     ScoreRequest,
     ScoringService,
+    SerialExecutor,
+    ShardedScoringService,
     StreamSession,
 )
-from repro.utils.config import DetectionConfig
+from repro.utils.config import DetectionConfig, ServingConfig
 
 D1, D2, Q = 14, 5, 4
 
@@ -242,6 +245,32 @@ class TestJointRow:
         from_rows = model.predict_full(expected_gate_inputs(model, small))
         for got, expected in zip(model.predict_full(small), from_rows):
             assert np.array_equal(got, expected)
+
+
+    def test_thread_executor_scores_the_cached_rows_bitwise(self):
+        ticks = make_ticks(3, Q + 5, seed=12)
+
+        def run(executor):
+            service = ShardedScoringService(
+                make_registry(make_model()),
+                config=ServingConfig(max_batch_size=3, num_shards=2),
+                sequence_length=Q,
+                executor=executor,
+            )
+            try:
+                # One call per tick: when both shards fill on the same tick,
+                # their batches score on two worker threads at once, each
+                # with its own workspaces.
+                for tick in ticks:
+                    service.submit_many(tick)
+                service.drain()
+                return [service.detections(f"s{s}") for s in range(3)]
+            finally:
+                service.close()
+
+        reference = run(SerialExecutor())
+        assert all(len(rows) == 5 for rows in reference)
+        assert run(ParallelExecutor(workers=2)) == reference
 
 
 class TestSessionHandoff:

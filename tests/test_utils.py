@@ -326,6 +326,8 @@ RETIRED_CASES = [
     ("ExecutorConfig", "start_method", "fork", {}),
     ("ExecutorConfig", "mode", "process", {"mode": "parallel"}),
     ("ExecutorConfig", "mode", "serial", {"mode": "serial"}),
+    ("ExecutorConfig", "mode", "parallel", {"mode": "parallel"}),
+    ("ExecutorConfig", "mode", "auto", {"mode": "auto"}),
 ]
 
 
@@ -385,6 +387,12 @@ class TestConfigRules:
             return
         restored = getattr(RuntimeConfig.from_dict(document), section)
         assert restored == dataclasses.replace(getattr(RuntimeConfig(), section), **expected)
+
+    def test_the_mode_row_leaves_an_unknown_mode_to_the_field_check(self):
+        document = RuntimeConfig().to_dict()
+        document["executor"]["mode"] = "sideways"
+        with pytest.raises(ValueError, match=r"ExecutorConfig\.mode must be one of .*'sideways'"):
+            RuntimeConfig.from_dict(document)
 
     def test_every_retired_row_is_exercised(self):
         assert {(owner, key) for owner, key, _, _ in RETIRED_CASES} == set(RETIRED)
