@@ -121,10 +121,10 @@ TRIAGE: Dict[str, str] = {
     "repro/durability/checkpoints.py:DeltaSourceError.__init__": SAFETY,
     "repro/serving/microbatch.py:QueueFull.__init__": SAFETY,
     "repro/durability/wal.py:_float64_row": SAFETY,  # a row that is not C-contiguous float64
+    "repro/durability/wal.py:WriteAheadLog._truncate": SAFETY,  # an append whose write or fsync fails
     "repro/serving/service.py:ScoringService.check_room": SAFETY,
     "repro/serving/service.py:validate_interaction_level": SAFETY,  # a tick whose levels are not all finite
     "repro/serving/service.py:Tick.select": SAFETY,  # a request over batch_max, or over several tenants
-    "repro/server/admission.py:AdmissionController.depth": SAFETY,  # admission of a request the queue cannot take
     "repro/server/handlers.py:RuntimeRequestHandler.handle_expect_100": SAFETY,
     # public API
     "repro/core/scoring.py:reia_score": API,

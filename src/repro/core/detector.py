@@ -154,7 +154,13 @@ class AnomalyDetector:
     # ------------------------------------------------------------------ #
     # Threshold calibration
     # ------------------------------------------------------------------ #
-    def calibrate(self, batch: SequenceBatch, quantile: float = CALIBRATION_QUANTILE) -> float:
+    def calibrate(
+        self,
+        batch: SequenceBatch,
+        quantile: float = CALIBRATION_QUANTILE,
+        *,
+        predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> float:
         """Calibrate the anomaly threshold ``T_a`` from (normal) training data.
 
         The paper selects the optimal threshold per dataset by sweeping
@@ -162,8 +168,10 @@ class AnomalyDetector:
         training scores, which is the standard reconstruction-error practice
         and gives the same detection behaviour on the simulated data.  The
         explicit ``DetectionConfig.threshold`` always wins when provided.
+        ``predictions`` are the ``(I_hat, A_hat)`` of a float64 forward over
+        ``batch`` the caller already ran; without them this runs its own.
         """
-        return self._derive_threshold(batch, quantile, honour_config=True)
+        return self._derive_threshold(batch, quantile, honour_config=True, predictions=predictions)
 
     def recalibrate(self, batch: SequenceBatch, quantile: float = CALIBRATION_QUANTILE) -> float:
         """Re-derive ``T_a`` from fresh presumed-normal data.
@@ -179,7 +187,11 @@ class AnomalyDetector:
         return self._derive_threshold(batch, quantile, honour_config=False)
 
     def _derive_threshold(
-        self, batch: SequenceBatch, quantile: float, honour_config: bool
+        self,
+        batch: SequenceBatch,
+        quantile: float,
+        honour_config: bool,
+        predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> float:
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
@@ -191,9 +203,11 @@ class AnomalyDetector:
         # not yet calibrated it would pay for the median + MAD fallback.
         if len(batch.action_sequences) == 0:
             raise ValueError("cannot calibrate on an empty batch")
-        predicted_action, predicted_interaction = self.model.predict(
-            batch.action_sequences, batch.interaction_sequences, precision="float64"
-        )
+        if predictions is None:
+            predictions = self.model.predict(
+                batch.action_sequences, batch.interaction_sequences, precision="float64"
+            )
+        predicted_action, predicted_interaction = predictions
         scores, _, _ = self._reia(
             batch.action_targets, batch.interaction_targets, predicted_action, predicted_interaction
         )

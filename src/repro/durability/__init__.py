@@ -41,6 +41,7 @@ from .metrics import (
 from .policy import CheckpointPolicy
 from .wal import (
     ReplayTail,
+    WalDamagedError,
     WalPosition,
     WalRecord,
     WriteAheadLog,
@@ -59,6 +60,7 @@ __all__ = [
     "render_runtime_metrics",
     "render_server_metrics",
     "ReplayTail",
+    "WalDamagedError",
     "WalPosition",
     "WalRecord",
     "WriteAheadLog",

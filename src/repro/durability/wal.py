@@ -39,6 +39,14 @@ round-trip through raw IEEE-754 bytes (``ndarray.tobytes`` /
 Durability is fsync-batched: ``fsync_every=1`` (the default) makes every
 append call durable before the submission is scored; larger values trade the
 tail of a crash for fewer ``fsync`` stalls; ``0`` leaves flushing to the OS.
+
+A refused append leaves nothing in the log.  When writing or syncing a
+record raises, the segment is truncated back to the record's start (and
+that truncation fsynced) before the error reaches the caller, which then
+refuses the tick: a retry logs it once, and recovery never replays a tick
+the live runtime did not score.  If the truncation fails too, the record may
+still be on disk, so every later append raises :class:`WalDamagedError`
+until :meth:`WriteAheadLog.rotate` starts a clean segment.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = [
+    "WalDamagedError",
     "WalPosition",
     "WalRecord",
     "WriteAheadLog",
@@ -215,6 +224,14 @@ def fsync_path(path: Path) -> None:
         os.close(fd)
 
 
+class WalDamagedError(RuntimeError):
+    """The open segment may hold a refused record: its removal failed.
+
+    Raised by every :meth:`WriteAheadLog.append` until
+    :meth:`WriteAheadLog.rotate`; ``__cause__`` is the truncation's error.
+    """
+
+
 class WriteAheadLog:
     """Appender over a directory of CRC-framed segments.
 
@@ -230,8 +247,11 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_every = fsync_every
-        self._file: Optional[io.BufferedWriter] = None
+        # Unbuffered: a record is on the OS side of the file once append
+        # returns, and a refused one is removed by truncation alone.
+        self._file: Optional[io.FileIO] = None
         self._position: Optional[WalPosition] = None
+        self._damage: Optional[OSError] = None
         self._appends_since_sync = 0
         self._unsynced_bytes = 0
         # Cumulative counters (exported via stats()/Prometheus).
@@ -312,15 +332,15 @@ class WriteAheadLog:
             self._position = previous_position
             raise
         previous_file.close()
+        self._damage = None
         return position
 
     def _start_segment(self, position: WalPosition) -> WalPosition:
         path = self.directory / _segment_name(position)
         if path.exists():
             raise FileExistsError(f"WAL segment already exists: {path}")
-        self._file = open(path, "xb")
-        self._file.write(_HEADER.pack(_MAGIC, position.checkpoint_id, position.sequence))
-        self._file.flush()
+        self._file = open(path, "xb", buffering=0)
+        self._write(_HEADER.pack(_MAGIC, position.checkpoint_id, position.sequence))
         os.fsync(self._file.fileno())
         fsync_path(self.directory)  # the new name itself must survive
         self._position = position
@@ -330,29 +350,52 @@ class WriteAheadLog:
         return position
 
     def append(self, submissions: Sequence[Sequence]) -> None:
-        """Append one ingest tick as one record."""
+        """Append one ingest tick as one record, all or nothing: when the
+        write or its fsync raises, the record is truncated away first."""
         if self._file is None:
             raise RuntimeError("write-ahead log is not open")
+        if self._damage is not None:
+            raise WalDamagedError(
+                "a refused record could not be removed from the open WAL segment; "
+                "appends are refused until the log rotates"
+            ) from self._damage
         payload = _encode_record(submissions)
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload))
-        self._file.write(frame)
-        self._file.write(payload)
-        written = len(frame) + len(payload)
-        self.bytes_appended += written
-        self._unsynced_bytes += written
+        record = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        start = self._file.tell()
+        unsynced_bytes, appends_since_sync = self._unsynced_bytes, self._appends_since_sync
+        try:
+            self._write(record)
+            self._unsynced_bytes += len(record)
+            self._appends_since_sync += 1
+            if self.fsync_every and self._appends_since_sync >= self.fsync_every:
+                self.sync()
+        except BaseException:
+            self._unsynced_bytes, self._appends_since_sync = unsynced_bytes, appends_since_sync
+            self._truncate(start)
+            raise
+        self.bytes_appended += len(record)
         self.records_appended += len(submissions)
         self.batches_appended += 1
-        self._appends_since_sync += 1
-        if self.fsync_every and self._appends_since_sync >= self.fsync_every:
-            self.sync()
-        else:
-            self._file.flush()
+
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[self._file.write(view) :]
+
+    def _truncate(self, start: int) -> None:
+        """Cut the open segment back to ``start``, durably; on failure mark
+        the log damaged (the caller is already raising the first error)."""
+        try:
+            os.ftruncate(self._file.fileno(), start)
+            os.fsync(self._file.fileno())
+            self._file.seek(start)
+        except OSError as error:
+            self._damage = error
 
     def sync(self) -> None:
-        """Flush and fsync the open segment."""
+        """Fsync the open segment."""
         if self._file is None:
             return
-        self._file.flush()
         os.fsync(self._file.fileno())
         self.fsyncs += 1
         self.bytes_fsynced += self._unsynced_bytes

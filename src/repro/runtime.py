@@ -286,14 +286,28 @@ class Runtime:
         self.history = trainer.fit(
             normal, anomalous_sequences=anomalous if len(anomalous) else None
         )
+        # One float64 forward over every window gives the calibration its
+        # reconstructions (the normal rows) and the drift monitor its seed.
+        predicted_action, predicted_interaction, historical, _ = model.predict_full(
+            batch.action_sequences, batch.interaction_sequences, precision="float64"
+        )
+        if normal is not batch:
+            predicted_action = predicted_action[normal_rows]
+            predicted_interaction = predicted_interaction[normal_rows]
         detector = AnomalyDetector(model, config.detection)
-        threshold = detector.calibrate(normal)
+        threshold = detector.calibrate(
+            normal, predictions=(predicted_action, predicted_interaction)
+        )
+        # Dropped before the heap release below can return them.
+        del predicted_action, predicted_interaction
 
         self.registry = ModelRegistry(config.detection, max_versions=config.max_versions)
         # The runtime owns the trained model, so the registry adopts it
         # directly (copy=False) instead of paying one more parameter copy.
         self.registry.publish(model, threshold, reason="initial", copy=False)
-        historical = model.hidden_states(batch.action_sequences, batch.interaction_sequences)
+        if model.precision != "float64":
+            # The seed holds hidden states at the precision the model serves.
+            historical = model.hidden_states(batch.action_sequences, batch.interaction_sequences)
         self._build_service(historical_hidden=historical)
         self._attach_durability()
         _release_free_heap()
@@ -411,6 +425,22 @@ class Runtime:
             return self.service.poll()
         with self._durability_lock:
             detections = self.service.poll()
+        self._maybe_auto_checkpoint()
+        return detections
+
+    def _score_idle(self) -> List[StreamDetection]:
+        """Score every shard holding a full, deadline-expired or half-full
+        batch: what the HTTP batcher calls once it has ingested everything
+        its admission queue holds (:class:`~repro.server.RuntimeServer`).
+
+        The library entry points never apply the half-batch rule, so
+        :meth:`ingest_many`, :meth:`poll`, :meth:`drain` and :meth:`replay`
+        keep their batch boundaries.  Like :meth:`poll` it scores under the
+        durability lock and then runs the auto-checkpoint check.
+        """
+        self._require_serving()
+        with self._durability_lock:
+            detections = self.service._score_ready(idle=True)
         self._maybe_auto_checkpoint()
         return detections
 

@@ -8,7 +8,8 @@ Architecture (all stdlib, no new dependencies)::
                                                             │  bounded FIFO,
     batcher thread (one)                                    ▼  counted in segments
         take(batch_max) → whole requests ── concat a tenant's ticks ──
-                           Runtime.ingest_many(≤ batch_max rows) ── notify
+                           Runtime.ingest_many(≤ batch_max rows) ──
+                           admission empty? score half-full batches ── notify
                                                             │
     handler threads                                         ▼
         GET /v1/detections ── long-poll on the notify ── per-stream sessions
@@ -28,6 +29,9 @@ submissions nondeterministically *before* the deterministic part.  With a
 single batcher, one HTTP request's segments enter the runtime as one
 contiguous run of `ingest_many` calls per tenant, in request order — which
 is what makes HTTP ingest bitwise-identical to calling the library directly.
+The one difference is where batches may end: between requests an idle
+batcher scores half a batch (:meth:`RuntimeServer._batch_loop`), a cut the
+library calls alone would leave to the fill, the deadline or a drain.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ class RuntimeServer:
         Bind address and queue/batch/long-poll knobs; defaults to the
         runtime's own ``config.server`` in single-tenant mode, else a
         default :class:`ServerConfig`.
+
+    The batcher thread scores a shard's batch when it is full, when its
+    deadline (``ServingConfig.max_batch_delay_ms``) passes, or, once the
+    batcher has ingested everything admitted, when it is at least half
+    full: past half, waiting for the fill saves at most one batch's fixed
+    cost per ``max_batch_size`` segments, so the rule at most doubles the
+    batch count.  The library entry points (``ingest_many``, ``poll``,
+    ``drain``) keep the first two rules only.
 
     Lifecycle: :meth:`start` binds the socket and starts the listener and
     batcher threads; :meth:`drain` flushes every queue end to end;
@@ -215,6 +227,16 @@ class RuntimeServer:
     # The batcher thread
     # ------------------------------------------------------------------ #
     def _batch_loop(self) -> None:
+        """Take admitted requests and feed them in; flush when idle.
+
+        A batch is scored when it is full, when its oldest segment has
+        waited ``ServingConfig.max_batch_delay_ms`` (the poll after each
+        quiet ``poll_interval_ms``), or when the batcher has ingested
+        everything admission holds and the batch is at least half full.  A
+        backlog still forms full batches, since the batcher goes idle only
+        once admission is empty, and a paced feed scores at most twice as
+        many batches as full ones would need.
+        """
         interval = self.config.poll_interval_ms / 1000.0
         while not self._stop.is_set():
             self.admission.wait(interval)
@@ -232,6 +254,12 @@ class RuntimeServer:
             if not ticks:
                 return False
             produced = self._ingest_locked(ticks)
+            if not self.admission.depth():
+                # Nothing left to ingest: waiting for the fill would only
+                # add its time to every queued segment's latency.
+                for _, runtime in self.router.items():
+                    if runtime._score_idle():
+                        produced = True
         # Most ticks only fill a batch; waking every long-poll handler for
         # them would have each re-read its stream and sleep again.
         if produced:

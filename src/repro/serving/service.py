@@ -1133,13 +1133,24 @@ class ScoringService:
             self.batcher.extend(requests, now)
         return now
 
-    def has_ready_work(self) -> bool:
-        """Whether a full or deadline-expired batch is waiting to be scored."""
+    def has_ready_work(self, idle: bool = False) -> bool:
+        """Whether a full or deadline-expired batch is waiting to be scored
+        (with ``idle``, also at least half a batch)."""
         with self._ingest_lock:
-            return self.batcher.ready() or self.batcher.expired(self._clock())
+            return self._flushable(idle)
 
-    def _score_while_ready(self) -> List[StreamDetection]:
-        """Score batches while one is full or past its deadline.
+    def _flushable(self, idle: bool) -> bool:
+        """The flush rules: a full batch, an expired deadline and, when the
+        caller has nothing more to enqueue (``idle``), half a batch — past
+        half, waiting for the fill saves at most one batch's fixed cost per
+        ``max_batch_size`` segments.  Caller holds the ingest lock."""
+        batcher = self.batcher
+        if idle and len(batcher) >= max(1, batcher.max_batch_size // 2):
+            return True
+        return batcher.ready() or batcher.expired(self._clock())
+
+    def _score_while_ready(self, idle: bool = False) -> List[StreamDetection]:
+        """Score batches while one is flushable (:meth:`_flushable`).
 
         Caller must hold the scoring lock.  The queue is re-checked under the
         ingest lock before every drain, so requests enqueued by other threads
@@ -1148,7 +1159,7 @@ class ScoringService:
         produced: List[StreamDetection] = []
         while True:
             with self._ingest_lock:
-                flushable = self.batcher.ready() or self.batcher.expired(self._clock())
+                flushable = self._flushable(idle)
                 arrival = self.batcher.oldest_arrival()
                 requests = self.batcher.drain() if flushable else []
             if not requests:
@@ -1184,7 +1195,7 @@ class ScoringService:
         with self._score_lock:
             return self._score_while_ready()
 
-    def try_score_ready(self) -> List[StreamDetection]:
+    def try_score_ready(self, idle: bool = False) -> List[StreamDetection]:
         """Non-blocking :meth:`poll`: score ready batches unless busy.
 
         Returns immediately with ``[]`` when another thread already holds
@@ -1192,11 +1203,13 @@ class ScoringService:
         after every batch, so the ready work this call observed is picked up
         by it (or by the next poll/submit_many).  This is what keeps at most
         one fused forward per shard in flight under the parallel executor.
+        ``idle`` also scores a batch at least half full: the HTTP batcher
+        passes it when its admission queue is empty.
         """
         if not self._score_lock.acquire(blocking=False):
             return []
         try:
-            return self._score_while_ready()
+            return self._score_while_ready(idle)
         finally:
             self._score_lock.release()
 

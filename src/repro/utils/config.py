@@ -305,7 +305,10 @@ class ServingConfig(ConfigBase):
     max_batch_delay_ms: float | None = checked(None, ge=0)
     """Wall-clock flush deadline: a partial batch is scored once its oldest
     queued request has waited this long.  ``None`` keeps the count-based
-    flush only (the caller controls latency by flushing explicitly)."""
+    flush only (the caller controls latency by flushing explicitly).  Behind
+    the HTTP tier a third rule applies: once the batcher thread has ingested
+    everything admitted, a batch at least half full is scored without
+    waiting for the fill or this deadline (:class:`~repro.server.RuntimeServer`)."""
 
     num_shards: int = checked(1, ge=1)
     """Number of scoring shards a shared model registry is served across.

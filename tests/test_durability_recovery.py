@@ -15,11 +15,14 @@ Three layers of evidence:
   close, WAL left open) — the real crash, not a simulation of one.
 
 Streams first seen in the WAL tail are placed against the route counts the
-checkpoint's routes rebuild, and land where the live run put them.
+checkpoint's routes rebuild, and land where the live run put them.  A tick
+whose WAL append fails is refused and leaves no record, so a retried tick
+recovers like a tick that never failed.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -196,6 +199,44 @@ class TestTornWrites:
         outcome, _, torn = recover_and_finish(torn_root, k - 1)
         assert torn == 1
         assert_matches_oracle(outcome, oracle, context=f"crc boundary {k}")
+
+
+class TestRefusedAppend:
+    def test_a_retried_tick_recovers_like_a_fault_free_run(
+        self, boundary_snapshots, oracle, tmp_path, monkeypatch
+    ):
+        # Crash after record 45: checkpoints cut at 10, 20, 30 and 40, so the
+        # refused-then-retried record 43 is in the replayed tail.
+        fault_at, crash_after = 42, 45
+        records = workload_records()
+        root = tmp_path / "dur"
+        runtime = start_runtime(root)
+        real_fsync = os.fsync
+        for index, record in enumerate(records[:crash_after]):
+            if index == fault_at:
+
+                def failing_fsync(fd):
+                    monkeypatch.setattr(os, "fsync", real_fsync)
+                    raise OSError(errno.EIO, "I/O error")
+
+                monkeypatch.setattr(os, "fsync", failing_fsync)
+                with pytest.raises(OSError, match="I/O error"):
+                    runtime.ingest(*record)
+                assert os.fsync is real_fsync, "the refused tick never reached its fsync"
+            runtime.ingest(*record)
+        crashed = tmp_path / "crashed"
+        shutil.copytree(root, crashed)
+        recovered = recover_and_finish(crashed, crash_after)
+        assert recovered[1:] == (crash_after % 10, 0)
+        # Bitwise the recovery of a run that never failed.
+        assert recovered == recover_and_finish(boundary_snapshots[crash_after], crash_after)
+        assert_matches_oracle(recovered[0], oracle, context="refused append")
+        # The live runtime, too, scored the tick once.
+        for record in records[crash_after:]:
+            runtime.ingest(*record)
+        runtime.drain()
+        assert snapshot_outcome(runtime) == oracle
+        runtime.close()
 
 
 def write_format_3(path: Path, arrays, metadata) -> None:

@@ -18,6 +18,7 @@ import pytest
 from repro import Runtime, RuntimeConfig
 from repro.runtime import CHECKPOINT_FORMAT
 from repro.serving import ManualClock
+from repro.core.clstm import CLSTM
 from repro.core.detector import AnomalyDetector
 from repro.streams.generator import SocialStreamGenerator
 from repro.utils.config import (
@@ -257,6 +258,83 @@ class TestRuntimeLifecycle:
         assert runtime.update_triggers == []
         assert runtime.update_reports == []
         assert runtime.model_version == 1
+
+
+class TestFitForward:
+    """``Runtime.fit`` calibrates ``T_a`` and seeds the drift monitor from
+    one float64 forward over the training windows, bitwise what a separate
+    ``calibrate`` and ``hidden_states`` pass give."""
+
+    @staticmethod
+    def spy_seed(monkeypatch):
+        """Record the drift-monitor seed ``fit`` hands the service."""
+        seen = {}
+        build = Runtime._build_service
+
+        def spy_build(self, historical_hidden, num_shards=None):
+            seen["seed"] = historical_hidden
+            return build(self, historical_hidden, num_shards)
+
+        monkeypatch.setattr(Runtime, "_build_service", spy_build)
+        return seen
+
+    @pytest.mark.parametrize("anomalous", [False, True], ids=["all-normal", "anomalous"])
+    def test_one_forward_matches_calibrate_then_hidden_states(
+        self, runtime_config, tiny_features, monkeypatch, anomalous
+    ):
+        features = tiny_features
+        if not anomalous:
+            features = replace(features, labels=np.zeros_like(features.labels))
+        batch = features.sequences(SEQUENCE_LENGTH)
+        labels = features.sequence_labels(SEQUENCE_LENGTH)
+        assert bool(labels.any()) == anomalous
+        seen = self.spy_seed(monkeypatch)
+        seen["forwards"] = 0
+        derive = AnomalyDetector._derive_threshold
+        predict_full = CLSTM.predict_full
+        hidden_states = CLSTM.hidden_states
+
+        def spy_derive(self, *args, **kwargs):
+            threshold = derive(self, *args, **kwargs)
+            seen["scores"] = self._calibration_scores
+            return threshold
+
+        def counted(function):
+            def call(self, *args, **kwargs):
+                seen["forwards"] += 1
+                return function(self, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(AnomalyDetector, "_derive_threshold", spy_derive)
+        monkeypatch.setattr(CLSTM, "predict_full", counted(predict_full))
+        monkeypatch.setattr(CLSTM, "hidden_states", counted(hidden_states))
+        runtime = Runtime.from_config(runtime_config).fit(features)
+        monkeypatch.undo()
+        assert seen["forwards"] == 1
+
+        model = runtime.model
+        normal = batch.subset(labels == 0) if anomalous else batch
+        reference = AnomalyDetector(model, runtime_config.detection)
+        threshold = reference.calibrate(normal)
+        seed = model.hidden_states(batch.action_sequences, batch.interaction_sequences)
+        assert runtime.anomaly_threshold == threshold
+        assert runtime.registry.latest().threshold == threshold
+        assert seen["scores"].tobytes() == reference._calibration_scores.tobytes()
+        assert seen["seed"].tobytes() == seed.tobytes()
+        runtime.close()
+
+    def test_a_float32_model_seeds_at_its_serving_precision(
+        self, runtime_config, tiny_features, monkeypatch
+    ):
+        seen = self.spy_seed(monkeypatch)
+        config = replace(runtime_config, model=replace(runtime_config.model, precision="float32"))
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        batch = tiny_features.sequences(SEQUENCE_LENGTH)
+        expected = runtime.model.hidden_states(batch.action_sequences, batch.interaction_sequences)
+        assert expected.dtype == np.float32
+        assert seen["seed"].tobytes() == expected.tobytes()
+        runtime.close()
 
 
 class TestCheckpointRestore:

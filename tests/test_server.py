@@ -3,14 +3,16 @@
 Covers the acceptance contract of the server: loopback ingest through the
 admission queue and batcher thread produces detections bitwise-identical to
 driving :class:`~repro.runtime.Runtime` directly; a flooded bounded queue
-answers 429 without dropping any accepted work; tenants are isolated; and
-``/stats`` reports exactly what the library's ``load_stats()`` reports.
+answers 429 without dropping any accepted work; tenants are isolated;
+``/stats`` reports exactly what the library's ``load_stats()`` reports; and
+an idle batcher scores half a batch instead of waiting for the fill.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import shutil
 import socket
 import subprocess
@@ -34,6 +36,7 @@ from repro.server import (
     detection_to_json,
     parse_ingest,
 )
+from repro.serving import ManualClock
 from repro.serving.service import Tick
 from repro.utils.config import (
     DurabilityConfig,
@@ -1131,10 +1134,12 @@ class TestServerIngest:
         assert stats["accepted"] == 10 and stats["rejected"] == 8
 
         # The refused request never half-enqueued; the accepted one is
-        # scored in full once the server runs.
+        # scored in full once the server runs (by the batcher's half-batch
+        # flush or by the drain, whichever takes the request).
         server.start()
-        counts = server.drain()
-        assert counts == {"default": 10 - SEQUENCE_LENGTH}
+        server.drain()
+        (name,) = streams
+        assert len(runtime.detections(name)) == 10 - SEQUENCE_LENGTH
         assert runtime.stats.segments_scored == 10 - SEQUENCE_LENGTH
         server.close()
 
@@ -1284,6 +1289,131 @@ class TestServerIngest:
 # ---------------------------------------------------------------------- #
 # Prometheus scrape endpoint
 # ---------------------------------------------------------------------- #
+def wait_until(condition, what, timeout=10.0):
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def ingest_body(items):
+    return json.dumps({"segments": [wire_segment(*item) for item in items]}).encode("utf-8")
+
+
+class TestIdleFlush:
+    """Once the batcher has ingested everything admitted, a shard holding
+    half a batch (``max_batch_size // 2`` = 4 here) is scored; a shard
+    below half waits for the fill, the deadline or a drain."""
+
+    @staticmethod
+    def one_shard(config, **serving):
+        return replace(
+            config, serving=replace(config.serving, num_shards=1, **serving)
+        )
+
+    def test_half_a_batch_is_scored_before_drain_and_its_long_poll_returns(
+        self, server_runtime_config, tiny_features
+    ):
+        config = self.one_shard(server_runtime_config, max_batch_delay_ms=600_000.0)
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        # SEQUENCE_LENGTH warm-up segments, then 4 windows: half a batch.
+        streams = make_wire_streams(config, streams=1, segments=SEQUENCE_LENGTH + 4)
+        (name,) = streams
+        with runtime.serve() as server:
+            status, _, _ = http_json(
+                "POST", f"{server.url}/v1/ingest",
+                raw=ingest_body(round_robin(streams)),
+            )
+            assert status == 202
+            status, payload, _ = http_json(
+                "GET", f"{server.url}/v1/detections?stream={name}&start=0&wait_ms=20000"
+            )
+            assert status == 200 and payload["next"] == 4
+            assert (runtime.stats.batches, runtime.stats.segments_scored) == (1, 4)
+        runtime.close()
+
+    @pytest.mark.parametrize("until", ["deadline", "drain"])
+    def test_one_segment_fewer_waits_for_the_deadline_or_drain(
+        self, server_runtime_config, tiny_features, until
+    ):
+        clock = ManualClock()
+        config = self.one_shard(server_runtime_config, max_batch_delay_ms=50.0)
+        runtime = Runtime.from_config(config, clock=clock).fit(tiny_features)
+        streams = make_wire_streams(config, streams=1, segments=SEQUENCE_LENGTH + 3)
+        (name,) = streams
+        # Not started: the test is the batcher, so nothing runs between steps.
+        server = RuntimeServer(runtime, config=ServerConfig(poll_interval_ms=5.0))
+        assert server.handle_ingest(ingest_body(round_robin(streams)))[0] == 202
+        assert server._ingest_once()
+        assert runtime.service.shards[0].queue_depth() == 3
+        assert runtime.stats.segments_scored == 0
+        assert server.handle_detections({"stream": [name]})["detections"] == []
+        server._poll_runtimes()  # the deadline has not passed
+        assert runtime.stats.segments_scored == 0
+        if until == "deadline":
+            clock.advance(0.05)
+            server._poll_runtimes()
+        else:
+            server.drain()
+        assert (runtime.stats.batches, runtime.stats.segments_scored) == (1, 3)
+        assert len(server.handle_detections({"stream": [name]})["detections"]) == 3
+        server.close()
+        runtime.close()
+
+    def test_a_backlog_admitted_while_the_batcher_is_busy_scores_full_batches(
+        self, server_runtime_config, tiny_features
+    ):
+        runtime = Runtime.from_config(server_runtime_config).fit(tiny_features)
+        # Two streams, one per shard: 27 windows each, three full batches
+        # and 3 left over, sent as 6-segment requests the batcher takes two
+        # at a time.
+        streams = make_wire_streams(
+            server_runtime_config, streams=2, segments=SEQUENCE_LENGTH + 27
+        )
+        items = list(round_robin(streams))
+        server = RuntimeServer(
+            runtime, config=ServerConfig(batch_max=12, poll_interval_ms=5.0)
+        ).start()
+        with server._ingest_lock:  # the batcher is busy: admission fills up
+            for start in range(0, len(items), 6):
+                assert server.handle_ingest(ingest_body(items[start : start + 6]))[0] == 202
+        wait_until(lambda: server.admission.depth() == 0, "the backlog to be taken")
+        with server._ingest_lock:  # the batcher's last pass is over
+            assert (runtime.stats.batches, runtime.stats.segments_scored) == (6, 48)
+            assert [shard.queue_depth() for shard in runtime.service.shards] == [3, 3]
+        server.drain()
+        assert runtime.stats.segments_scored == 54
+        server.close()
+        runtime.close()
+
+    def test_a_paced_feed_at_most_doubles_the_batch_count(
+        self, server_runtime_config, tiny_features
+    ):
+        config = self.one_shard(server_runtime_config)
+        runtime = Runtime.from_config(config).fit(tiny_features)
+        streams = make_wire_streams(config, streams=3, segments=30)
+        items = list(round_robin(streams))
+        server = RuntimeServer(runtime, config=ServerConfig(poll_interval_ms=5.0))
+        sizes = np.random.default_rng(5).integers(1, 4, size=len(items))
+        start = 0
+        for size in sizes:
+            if start == len(items):
+                break
+            # One request at a time, each taken before the next arrives:
+            # the batcher is idle after every one.
+            assert server.handle_ingest(ingest_body(items[start : start + size]))[0] == 202
+            assert server._ingest_once()
+            start = min(start + int(size), len(items))
+        server.drain()
+        scored = runtime.stats.segments_scored
+        assert scored == len(items) - 3 * SEQUENCE_LENGTH
+        batch = config.serving.max_batch_size
+        assert runtime.stats.batches <= math.ceil(2 * scored / batch) + 1
+        server.close()
+        runtime.close()
+
+
 class TestMetricsEndpoint:
     def scrape(self, server):
         """GET /metrics raw (it is text, not JSON like the other routes)."""

@@ -3,11 +3,13 @@
 Covers the disk format's crash contract in isolation: bitwise codec
 round-trips, fresh-segment-on-open (never append after a possibly-torn
 tail), rotation keyed to checkpoint ids, torn-tail detection at every byte
-boundary, pruning, and the fsync-batching counters.
+boundary, pruning, the fsync-batching counters, and refused appends that
+leave nothing in the log.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import struct
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.durability.wal import (
+    WalDamagedError,
     WalPosition,
     WriteAheadLog,
     _decode_record,
@@ -346,3 +349,110 @@ class TestTornTails:
         records, torn = read_segment(path)
         assert records == []
         assert torn == 1
+
+
+class TestRefusedAppends:
+    """An append that raises leaves the segment as it was before it."""
+
+    @staticmethod
+    def fail_next(monkeypatch, name, error):
+        """Make the next ``os.<name>`` call raise ``error``; later calls run."""
+        real = getattr(os, name)
+        armed = [True]
+
+        def faulty(*args):
+            if armed[0]:
+                armed[0] = False
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(os, name, faulty)
+
+    @staticmethod
+    def ticks(count, seed=21):
+        rng = np.random.default_rng(seed)
+        return [[make_submission(rng, stream=f"cam-{k}")] for k in range(count)]
+
+    def write(self, directory, ticks, fsync_every=1):
+        wal = WriteAheadLog(directory, fsync_every=fsync_every)
+        wal.open(0)
+        for tick in ticks:
+            wal.append(tick)
+        wal.close()
+        ((_, path),) = list_segments(directory)
+        return wal, path.read_bytes()
+
+    @pytest.mark.parametrize("fsync_every", [1, 3])
+    def test_a_failed_fsync_is_truncated_and_a_retry_logs_the_tick_once(
+        self, tmp_path, monkeypatch, fsync_every
+    ):
+        ticks = self.ticks(3)
+        twin, expected = self.write(tmp_path / "twin", ticks, fsync_every)
+        wal = WriteAheadLog(tmp_path / "live", fsync_every=fsync_every)
+        wal.open(0)
+        wal.append(ticks[0])
+        # fsync_every=3 syncs on the third append: fail that one.
+        if fsync_every == 3:
+            wal.append(ticks[1])
+            faulty, rest = ticks[2], []
+        else:
+            faulty, rest = ticks[1], ticks[2:]
+        self.fail_next(monkeypatch, "fsync", OSError(errno.EIO, "I/O error"))
+        with pytest.raises(OSError, match="I/O error"):
+            wal.append(faulty)
+        # Only the appends before the refused one count.
+        assert (wal.batches_appended, wal.fsyncs) == ((1, 1) if fsync_every == 1 else (2, 0))
+        wal.append(faulty)  # the retry
+        for tick in rest:
+            wal.append(tick)
+        wal.close()
+        ((_, path),) = list_segments(tmp_path / "live")
+        # Byte for byte the log of a run that never failed.
+        assert path.read_bytes() == expected
+        tail = read_tail(tmp_path / "live", WalPosition(0, 0))
+        assert (len(tail.records), tail.torn_records) == (3, 0)
+        for name in ("records_appended", "batches_appended", "bytes_appended", "bytes_fsynced"):
+            assert getattr(wal, name) == getattr(twin, name), name
+
+    def test_a_short_write_is_truncated(self, tmp_path, monkeypatch):
+        ticks = self.ticks(3, seed=22)
+        _, expected = self.write(tmp_path / "twin", ticks)
+        wal = WriteAheadLog(tmp_path / "live")
+        wal.open(0)
+        wal.append(ticks[0])
+        real = WriteAheadLog._write
+
+        def half_then_full(self, data):
+            real(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(WriteAheadLog, "_write", half_then_full)
+        with pytest.raises(OSError, match="No space"):
+            wal.append(ticks[1])
+        monkeypatch.undo()
+        for tick in ticks[1:]:
+            wal.append(tick)
+        wal.close()
+        ((_, path),) = list_segments(tmp_path / "live")
+        assert path.read_bytes() == expected
+
+    def test_a_failed_truncation_refuses_appends_until_rotate(self, tmp_path, monkeypatch):
+        ticks = self.ticks(4, seed=23)
+        wal = WriteAheadLog(tmp_path)
+        wal.open(0)
+        wal.append(ticks[0])
+        self.fail_next(monkeypatch, "fsync", OSError(errno.EIO, "I/O error"))
+        self.fail_next(monkeypatch, "ftruncate", OSError(errno.EROFS, "Read-only file system"))
+        with pytest.raises(OSError, match="I/O error"):
+            wal.append(ticks[1])
+        for _ in range(2):  # every later append, not only the next one
+            with pytest.raises(WalDamagedError, match="until the log rotates") as raised:
+                wal.append(ticks[2])
+            assert isinstance(raised.value.__cause__, OSError)
+            assert raised.value.__cause__.errno == errno.EROFS
+        assert wal.batches_appended == 1
+        position = wal.rotate(1)
+        wal.append(ticks[3])
+        wal.close()
+        tail = read_tail(tmp_path, position)
+        assert [record.submissions[0][0] for record in tail.records] == ["cam-3"]
