@@ -1287,7 +1287,7 @@ class TestServerIngest:
 
 
 # ---------------------------------------------------------------------- #
-# Prometheus scrape endpoint
+# Idle flush (the batcher's half-batch rule)
 # ---------------------------------------------------------------------- #
 def wait_until(condition, what, timeout=10.0):
     """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
@@ -1414,6 +1414,9 @@ class TestIdleFlush:
         runtime.close()
 
 
+# ---------------------------------------------------------------------- #
+# Prometheus scrape endpoint
+# ---------------------------------------------------------------------- #
 class TestMetricsEndpoint:
     def scrape(self, server):
         """GET /metrics raw (it is text, not JSON like the other routes)."""
