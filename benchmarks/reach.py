@@ -122,6 +122,7 @@ TRIAGE: Dict[str, str] = {
     "repro/serving/microbatch.py:QueueFull.__init__": SAFETY,
     "repro/durability/wal.py:_float64_row": SAFETY,  # a row that is not C-contiguous float64
     "repro/durability/wal.py:WriteAheadLog._truncate": SAFETY,  # an append whose write or fsync fails
+    "repro/durability/wal.py:WriteAheadLog.append_flush": SAFETY,  # an idle flush of a durable runtime behind HTTP
     "repro/serving/service.py:ScoringService.check_room": SAFETY,
     "repro/serving/service.py:validate_interaction_level": SAFETY,  # a tick whose levels are not all finite
     "repro/serving/service.py:Tick.select": SAFETY,  # a request over batch_max, or over several tenants

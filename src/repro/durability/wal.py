@@ -27,14 +27,17 @@ header (magic, checkpoint id, sequence) followed by CRC-framed records::
 A torn tail — a partial frame or a CRC mismatch from a crash mid-write —
 terminates replay of that segment: the damaged record and anything after it
 in the file is dropped, which is exactly right because nothing is ever
-appended after a torn record (recovery rotates first).  A payload encodes
-one ingest tick: a ``u8`` record kind, a ``u32`` submission count, then the
-submissions.  Every record is written as kind 2 (a tick).  Older builds
-also wrote kind 1 for a single ``Runtime.ingest`` call; the reader still
-accepts it, and since such a record holds exactly one submission, replay
-feeds it as a one-row tick like any other record.  Feature arrays
-round-trip through raw IEEE-754 bytes (``ndarray.tobytes`` /
-``np.frombuffer``) — lossless by construction.
+appended after a torn record (recovery rotates first).  A payload starts
+with a ``u8`` record kind and a ``u32`` count.  Kind 2 is one ingest tick:
+the count is its submissions, which follow.  Kind 3 is a flush marker with
+nothing after the head: the runtime scored, at that point of the log,
+every shard queueing at least ``count`` windows
+(:meth:`Runtime.poll` with ``min_fill``), a batch boundary replay must cut
+again.  Older builds also wrote kind 1 for a single ``Runtime.ingest`` call;
+the reader still accepts it, and since such a record holds exactly one
+submission, replay feeds it as a one-row tick like any other record.
+Feature arrays round-trip through raw IEEE-754 bytes (``ndarray.tobytes``
+/ ``np.frombuffer``) — lossless by construction.
 
 Durability is fsync-batched: ``fsync_every=1`` (the default) makes every
 append call durable before the submission is scored; larger values trade the
@@ -46,7 +49,12 @@ that truncation fsynced) before the error reaches the caller, which then
 refuses the tick: a retry logs it once, and recovery never replays a tick
 the live runtime did not score.  If the truncation fails too, the record may
 still be on disk, so every later append raises :class:`WalDamagedError`
-until :meth:`WriteAheadLog.rotate` starts a clean segment.
+until :meth:`WriteAheadLog.rotate` starts a clean segment.  The same holds
+when an fsync fails while earlier appends wait unsynced
+(``fsync_every`` above 1): those records were accepted, but after a failed
+fsync the OS may have dropped their pages, and a later fsync that succeeds
+says nothing about them.  The checkpoint that rotates the log captures
+their effect in its state, so nothing after the possible hole is logged.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ _LEVEL_AND_LEN = struct.Struct("<BdI")  # has_level, level, action length
 _LEN = struct.Struct("<I")  # interaction length
 _FLOAT64 = np.dtype(np.float64)
 _KIND_INGEST = 1  # one Runtime.ingest call, written by older builds (read only)
-_KIND_TICK = 2  # one ingest tick: the only kind written
+_KIND_TICK = 2  # one ingest tick
+_KIND_FLUSH = 3  # a flush marker; the count field is its min_fill
 _MAX_PAYLOAD = 1 << 31  # sanity bound against garbage length fields
 
 Submission = Tuple[str, np.ndarray, np.ndarray, Optional[float]]
@@ -94,9 +103,11 @@ class WalPosition(NamedTuple):
 
 
 class WalRecord(NamedTuple):
-    """One decoded ingest tick."""
+    """One decoded record: an ingest tick, or a flush marker (``min_fill``
+    set, no submissions)."""
 
     submissions: List[Submission]
+    min_fill: Optional[int] = None
 
 
 def _segment_name(position: WalPosition) -> str:
@@ -202,6 +213,8 @@ def _encode_record(submissions: Sequence[Sequence]) -> bytes:
 def _decode_record(payload: bytes) -> WalRecord:
     buffer = memoryview(payload)
     kind, count = _RECORD_HEAD.unpack_from(buffer, 0)
+    if kind == _KIND_FLUSH:
+        return WalRecord([], count)
     if kind not in (_KIND_INGEST, _KIND_TICK):
         raise ValueError(f"unknown WAL record kind {kind}")
     offset = _RECORD_HEAD.size
@@ -352,30 +365,46 @@ class WriteAheadLog:
     def append(self, submissions: Sequence[Sequence]) -> None:
         """Append one ingest tick as one record, all or nothing: when the
         write or its fsync raises, the record is truncated away first."""
+        self._append(_encode_record(submissions))
+        self.records_appended += len(submissions)
+        self.batches_appended += 1
+
+    def append_flush(self, min_fill: int) -> None:
+        """Append a flush marker: here every shard queueing at least
+        ``min_fill`` windows was scored.  All or nothing, like :meth:`append`."""
+        self._append(_RECORD_HEAD.pack(_KIND_FLUSH, min_fill))
+
+    def _append(self, payload: bytes) -> None:
         if self._file is None:
             raise RuntimeError("write-ahead log is not open")
         if self._damage is not None:
             raise WalDamagedError(
-                "a refused record could not be removed from the open WAL segment; "
-                "appends are refused until the log rotates"
+                "the open WAL segment may hold a refused record or lack an accepted "
+                "one; appends are refused until the log rotates"
             ) from self._damage
-        payload = _encode_record(submissions)
         record = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         start = self._file.tell()
-        unsynced_bytes, appends_since_sync = self._unsynced_bytes, self._appends_since_sync
         try:
             self._write(record)
-            self._unsynced_bytes += len(record)
-            self._appends_since_sync += 1
-            if self.fsync_every and self._appends_since_sync >= self.fsync_every:
-                self.sync()
         except BaseException:
-            self._unsynced_bytes, self._appends_since_sync = unsynced_bytes, appends_since_sync
             self._truncate(start)
             raise
+        if self.fsync_every and self._appends_since_sync + 1 >= self.fsync_every:
+            try:
+                self._unsynced_bytes += len(record)
+                self.sync()
+            except BaseException as error:
+                self._unsynced_bytes -= len(record)
+                self._truncate(start)
+                if self._appends_since_sync and isinstance(error, OSError):
+                    # Earlier accepted records waited on this fsync, and
+                    # their pages may be gone.
+                    self._damage = self._damage or error
+                raise
+        else:
+            self._unsynced_bytes += len(record)
+            self._appends_since_sync += 1
         self.bytes_appended += len(record)
-        self.records_appended += len(submissions)
-        self.batches_appended += 1
 
     def _write(self, data: bytes) -> None:
         view = memoryview(data)

@@ -413,36 +413,40 @@ class Runtime:
         self._maybe_auto_checkpoint()
         return detections
 
-    def poll(self) -> List[StreamDetection]:
+    def poll(self, *, min_fill: Optional[int] = None) -> List[StreamDetection]:
         """Flush micro-batches whose wall-clock deadline has passed.
 
         Also the heartbeat of the time-based auto-checkpoint rule: a policy
         with ``checkpoint_every_seconds`` fires at the next ingest or poll
         after the interval elapses.
+
+        ``min_fill`` also scores every shard queueing at least that many
+        windows, without a rebalance round: the HTTP batcher passes half a
+        batch once it has ingested everything admitted
+        (:class:`~repro.server.RuntimeServer`).  Such a cut is a batch
+        boundary the ticks alone do not give, so with a write-ahead log it
+        is logged as a flush marker before it is scored, and recovery cuts
+        it again.
         """
         self._require_serving()
+        if min_fill is not None and min_fill < 1:
+            raise ValueError(f"min_fill must be at least 1, got {min_fill}")
         if self._store is None:
-            return self.service.poll()
+            return self._poll(min_fill)
         with self._durability_lock:
-            detections = self.service.poll()
+            detections = self._poll(min_fill)
         self._maybe_auto_checkpoint()
         return detections
 
-    def _score_idle(self) -> List[StreamDetection]:
-        """Score every shard holding a full, deadline-expired or half-full
-        batch: what the HTTP batcher calls once it has ingested everything
-        its admission queue holds (:class:`~repro.server.RuntimeServer`).
-
-        The library entry points never apply the half-batch rule, so
-        :meth:`ingest_many`, :meth:`poll`, :meth:`drain` and :meth:`replay`
-        keep their batch boundaries.  Like :meth:`poll` it scores under the
-        durability lock and then runs the auto-checkpoint check.
-        """
-        self._require_serving()
-        with self._durability_lock:
-            detections = self.service._score_ready(idle=True)
-        self._maybe_auto_checkpoint()
-        return detections
+    def _poll(self, min_fill: Optional[int]) -> List[StreamDetection]:
+        service = self.service
+        if min_fill is None:
+            return service.poll()
+        if self._wal is not None and any(
+            shard.queue_depth() >= min_fill for shard in service.shards
+        ):
+            self._wal.append_flush(min_fill)
+        return service._score_ready(min_fill)
 
     def drain(self) -> List[StreamDetection]:
         """Score everything queued and wait for in-flight maintenance work.
@@ -867,8 +871,12 @@ class Runtime:
             )
         for record in tail.records:
             # One record is one tick (a legacy single-ingest record is a
-            # one-row tick), re-driven as the original run drove it.
-            self.service.submit_many(record.submissions)
+            # one-row tick) or one flush marker, re-driven as the original
+            # run drove it.
+            if record.min_fill is not None:
+                self._poll(record.min_fill)  # the log is not open yet
+            else:
+                self.service.submit_many(record.submissions)
         self._replayed_records = tail.submissions
         self._replayed_torn = tail.torn_records
 

@@ -84,8 +84,10 @@ class RuntimeServer:
     batcher has ingested everything admitted, when it is at least half
     full: past half, waiting for the fill saves at most one batch's fixed
     cost per ``max_batch_size`` segments, so the rule at most doubles the
-    batch count.  The library entry points (``ingest_many``, ``poll``,
-    ``drain``) keep the first two rules only.
+    batch count.  It is applied here, through
+    :meth:`~repro.runtime.Runtime.poll` with ``min_fill``; the library
+    entry points (``ingest_many``, ``poll()``, ``drain``) keep the first
+    two rules only.
 
     Lifecycle: :meth:`start` binds the socket and starts the listener and
     batcher threads; :meth:`drain` flushes every queue end to end;
@@ -258,7 +260,8 @@ class RuntimeServer:
                 # Nothing left to ingest: waiting for the fill would only
                 # add its time to every queued segment's latency.
                 for _, runtime in self.router.items():
-                    if runtime._score_idle():
+                    half = max(1, runtime.config.serving.max_batch_size // 2)
+                    if runtime.poll(min_fill=half):
                         produced = True
         # Most ticks only fill a batch; waking every long-poll handler for
         # them would have each re-read its stream and sleep again.

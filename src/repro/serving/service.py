@@ -1133,23 +1133,21 @@ class ScoringService:
             self.batcher.extend(requests, now)
         return now
 
-    def has_ready_work(self, idle: bool = False) -> bool:
-        """Whether a full or deadline-expired batch is waiting to be scored
-        (with ``idle``, also at least half a batch)."""
+    def has_ready_work(self, min_fill: Optional[int] = None) -> bool:
+        """Whether a flushable batch (:meth:`_flushable`) is waiting."""
         with self._ingest_lock:
-            return self._flushable(idle)
+            return self._flushable(min_fill)
 
-    def _flushable(self, idle: bool) -> bool:
-        """The flush rules: a full batch, an expired deadline and, when the
-        caller has nothing more to enqueue (``idle``), half a batch — past
-        half, waiting for the fill saves at most one batch's fixed cost per
-        ``max_batch_size`` segments.  Caller holds the ingest lock."""
+    def _flushable(self, min_fill: Optional[int] = None) -> bool:
+        """Whether the queue holds a full batch, one past its deadline or,
+        given ``min_fill``, at least that many requests.  Caller holds the
+        ingest lock."""
         batcher = self.batcher
-        if idle and len(batcher) >= max(1, batcher.max_batch_size // 2):
+        if min_fill is not None and len(batcher) >= min_fill:
             return True
         return batcher.ready() or batcher.expired(self._clock())
 
-    def _score_while_ready(self, idle: bool = False) -> List[StreamDetection]:
+    def _score_while_ready(self, min_fill: Optional[int] = None) -> List[StreamDetection]:
         """Score batches while one is flushable (:meth:`_flushable`).
 
         Caller must hold the scoring lock.  The queue is re-checked under the
@@ -1159,7 +1157,7 @@ class ScoringService:
         produced: List[StreamDetection] = []
         while True:
             with self._ingest_lock:
-                flushable = self._flushable(idle)
+                flushable = self._flushable(min_fill)
                 arrival = self.batcher.oldest_arrival()
                 requests = self.batcher.drain() if flushable else []
             if not requests:
@@ -1195,7 +1193,7 @@ class ScoringService:
         with self._score_lock:
             return self._score_while_ready()
 
-    def try_score_ready(self, idle: bool = False) -> List[StreamDetection]:
+    def try_score_ready(self, min_fill: Optional[int] = None) -> List[StreamDetection]:
         """Non-blocking :meth:`poll`: score ready batches unless busy.
 
         Returns immediately with ``[]`` when another thread already holds
@@ -1203,13 +1201,13 @@ class ScoringService:
         after every batch, so the ready work this call observed is picked up
         by it (or by the next poll/submit_many).  This is what keeps at most
         one fused forward per shard in flight under the parallel executor.
-        ``idle`` also scores a batch at least half full: the HTTP batcher
-        passes it when its admission queue is empty.
+        ``min_fill`` also scores a queue holding at least that many requests
+        (:meth:`_flushable`).
         """
         if not self._score_lock.acquire(blocking=False):
             return []
         try:
-            return self._score_while_ready(idle)
+            return self._score_while_ready(min_fill)
         finally:
             self._score_lock.release()
 

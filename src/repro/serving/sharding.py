@@ -427,19 +427,19 @@ class ShardedScoringService:
             self.shards[index].enqueue(tick, positions)
         return self._score_ready()
 
-    def _score_ready(self, idle: bool = False) -> List[StreamDetection]:
-        """Score every shard holding a full or deadline-expired batch (with
-        ``idle``, also every shard holding half a batch).
+    def _score_ready(self, min_fill: Optional[int] = None) -> List[StreamDetection]:
+        """Score every shard holding a full or deadline-expired batch (given
+        ``min_fill``, also every shard queueing at least that many windows).
 
         Ready shards are dispatched through the executor (one non-blocking
         scoring task per shard — a shard already being scored by another
         thread is skipped, keeping one fused forward per shard in flight)
         and the detections are merged in ascending shard-index order.
         """
-        ready = [shard for shard in self.shards if shard.has_ready_work(idle)]
+        ready = [shard for shard in self.shards if shard.has_ready_work(min_fill)]
         if not ready:
             return []
-        results = self.executor.map([partial(shard.try_score_ready, idle) for shard in ready])
+        results = self.executor.map([partial(shard.try_score_ready, min_fill) for shard in ready])
         return [detection for result in results for detection in result]
 
     def poll(self) -> List[StreamDetection]:

@@ -17,7 +17,9 @@ Three layers of evidence:
 Streams first seen in the WAL tail are placed against the route counts the
 checkpoint's routes rebuild, and land where the live run put them.  A tick
 whose WAL append fails is refused and leaves no record, so a retried tick
-recovers like a tick that never failed.
+recovers like a tick that never failed.  The HTTP batcher's half-batch
+flushes are logged as flush markers, so a recovered runtime cuts the
+batches the live server cut.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from repro import Runtime
 from repro.durability.checkpoints import unpack_state
 from repro.durability.wal import list_segments, read_segment
 from repro.nn.serialization import load_state
+from repro.server import RuntimeServer
+from repro.utils.config import ServerConfig
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +241,64 @@ class TestRefusedAppend:
         runtime.drain()
         assert snapshot_outcome(runtime) == oracle
         runtime.close()
+
+
+def serve_request(server, records) -> None:
+    """One ingest request through the HTTP handler, then one batcher pass:
+    the server is not started, so the batcher goes idle after every
+    request and nothing runs between the steps."""
+    body = {
+        "segments": [
+            {"stream": name, "action": a.tolist(), "interaction": i.tolist(), "level": level}
+            for name, a, i, level in records
+        ]
+    }
+    assert server.handle_ingest(json.dumps(body).encode("utf-8"))[0] == 202
+    assert server._ingest_once()
+
+
+class TestIdleFlushRecovery:
+    def test_recovery_cuts_the_batches_the_live_server_cut(self, tmp_path):
+        records = workload_records()
+        sizes = np.random.default_rng(7).integers(1, 4, size=len(records))
+        bounds = np.minimum(np.cumsum(np.concatenate(([0], sizes))), len(records))
+        requests = [records[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        # The crash lands past the checkpoint at 30 records, with flush
+        # markers and a drift publish still ahead in the replayed tail.
+        crash_at = int(np.searchsorted(bounds, 36))
+        root = tmp_path / "live"
+        live = start_runtime(root)
+        server = RuntimeServer(live, config=ServerConfig(poll_interval_ms=5.0))
+        for request in requests[:crash_at]:
+            serve_request(server, request)
+        crashed = tmp_path / "crashed"
+        shutil.copytree(root, crashed)
+        depths = [shard.queue_depth() for shard in live.service.shards]
+        version = live.model_version
+        for request in requests[crash_at:]:
+            serve_request(server, request)
+        server.drain()
+        expected = snapshot_outcome(live)
+        server.close()
+        live.close()
+        assert expected["model_version"] > version, "no publish after the crash point"
+
+        tail = [
+            record for _, path in list_segments(crashed / "wal") for record in read_segment(path)[0]
+        ]
+        assert any(record.min_fill == 3 for record in tail), "no flush marker in the tail"
+        recovered = Runtime.recover(crashed)
+        assert [shard.queue_depth() for shard in recovered.service.shards] == depths
+        assert recovered.model_version == version
+        server = RuntimeServer(recovered, config=ServerConfig(poll_interval_ms=5.0))
+        for request in requests[crash_at:]:
+            serve_request(server, request)
+        server.drain()
+        outcome = snapshot_outcome(recovered)
+        server.close()
+        recovered.close()
+        assert_matches_oracle(outcome, expected, context="idle flushes")
+        assert outcome["update_reports"] >= 1
 
 
 def write_format_3(path: Path, arrays, metadata) -> None:

@@ -1137,7 +1137,8 @@ class TestServerIngest:
         # scored in full once the server runs (by the batcher's half-batch
         # flush or by the drain, whichever takes the request).
         server.start()
-        server.drain()
+        counts = server.drain()
+        assert set(counts) == {"default"} and counts["default"] <= 10 - SEQUENCE_LENGTH
         (name,) = streams
         assert len(runtime.detections(name)) == 10 - SEQUENCE_LENGTH
         assert runtime.stats.segments_scored == 10 - SEQUENCE_LENGTH
@@ -1351,11 +1352,14 @@ class TestIdleFlush:
         assert server.handle_detections({"stream": [name]})["detections"] == []
         server._poll_runtimes()  # the deadline has not passed
         assert runtime.stats.segments_scored == 0
+        with pytest.raises(ValueError, match="min_fill"):
+            runtime.poll(min_fill=0)
         if until == "deadline":
             clock.advance(0.05)
             server._poll_runtimes()
         else:
-            server.drain()
+            # What the final runtime drains scored, per tenant.
+            assert server.drain() == {"default": 3}
         assert (runtime.stats.batches, runtime.stats.segments_scored) == (1, 3)
         assert len(server.handle_detections({"stream": [name]})["detections"]) == 3
         server.close()

@@ -77,8 +77,21 @@ class TestRecordCodec:
 
     def test_unknown_kinds_are_refused(self):
         payload = _encode_record([make_submission(np.random.default_rng(1))])
-        with pytest.raises(ValueError, match="unknown WAL record kind 3"):
-            _decode_record(b"\x03" + payload[1:])
+        with pytest.raises(ValueError, match="unknown WAL record kind 4"):
+            _decode_record(b"\x04" + payload[1:])
+
+    def test_flush_markers_round_trip_in_log_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        wal = WriteAheadLog(tmp_path)
+        wal.open(0)
+        wal.append([make_submission(rng)])
+        wal.append_flush(32)
+        wal.append([make_submission(rng)])
+        assert (wal.records_appended, wal.batches_appended) == (2, 2)
+        wal.close()
+        tail = read_tail(tmp_path, WalPosition(0, 0))
+        assert [record.min_fill for record in tail.records] == [None, 32, None]
+        assert tail.records[1].submissions == [] and tail.submissions == 2
 
     def test_submission_arity_is_validated(self):
         with pytest.raises(ValueError, match="stream_id, action"):
@@ -369,6 +382,14 @@ class TestRefusedAppends:
         monkeypatch.setattr(os, name, faulty)
 
     @staticmethod
+    def assert_damaged(wal, tick, errno_):
+        for _ in range(2):  # every later append, not only the next one
+            with pytest.raises(WalDamagedError, match="until the log rotates") as raised:
+                wal.append(tick)
+            assert isinstance(raised.value.__cause__, OSError)
+            assert raised.value.__cause__.errno == errno_
+
+    @staticmethod
     def ticks(count, seed=21):
         rng = np.random.default_rng(seed)
         return [[make_submission(rng, stream=f"cam-{k}")] for k in range(count)]
@@ -382,28 +403,20 @@ class TestRefusedAppends:
         ((_, path),) = list_segments(directory)
         return wal, path.read_bytes()
 
-    @pytest.mark.parametrize("fsync_every", [1, 3])
     def test_a_failed_fsync_is_truncated_and_a_retry_logs_the_tick_once(
-        self, tmp_path, monkeypatch, fsync_every
+        self, tmp_path, monkeypatch
     ):
         ticks = self.ticks(3)
-        twin, expected = self.write(tmp_path / "twin", ticks, fsync_every)
-        wal = WriteAheadLog(tmp_path / "live", fsync_every=fsync_every)
+        twin, expected = self.write(tmp_path / "twin", ticks)
+        wal = WriteAheadLog(tmp_path / "live")
         wal.open(0)
         wal.append(ticks[0])
-        # fsync_every=3 syncs on the third append: fail that one.
-        if fsync_every == 3:
-            wal.append(ticks[1])
-            faulty, rest = ticks[2], []
-        else:
-            faulty, rest = ticks[1], ticks[2:]
         self.fail_next(monkeypatch, "fsync", OSError(errno.EIO, "I/O error"))
         with pytest.raises(OSError, match="I/O error"):
-            wal.append(faulty)
+            wal.append(ticks[1])
         # Only the appends before the refused one count.
-        assert (wal.batches_appended, wal.fsyncs) == ((1, 1) if fsync_every == 1 else (2, 0))
-        wal.append(faulty)  # the retry
-        for tick in rest:
+        assert (wal.batches_appended, wal.fsyncs) == (1, 1)
+        for tick in ticks[1:]:  # the retry, then the rest
             wal.append(tick)
         wal.close()
         ((_, path),) = list_segments(tmp_path / "live")
@@ -445,12 +458,35 @@ class TestRefusedAppends:
         self.fail_next(monkeypatch, "ftruncate", OSError(errno.EROFS, "Read-only file system"))
         with pytest.raises(OSError, match="I/O error"):
             wal.append(ticks[1])
-        for _ in range(2):  # every later append, not only the next one
-            with pytest.raises(WalDamagedError, match="until the log rotates") as raised:
-                wal.append(ticks[2])
-            assert isinstance(raised.value.__cause__, OSError)
-            assert raised.value.__cause__.errno == errno.EROFS
+        self.assert_damaged(wal, ticks[2], errno.EROFS)
         assert wal.batches_appended == 1
+        position = wal.rotate(1)
+        wal.append(ticks[3])
+        wal.close()
+        tail = read_tail(tmp_path, position)
+        assert [record.submissions[0][0] for record in tail.records] == ["cam-3"]
+
+    def test_a_failed_fsync_behind_unsynced_appends_refuses_appends_until_rotate(
+        self, tmp_path, monkeypatch
+    ):
+        # At fsync_every=3 the third append syncs the two before it too.
+        # After a failed fsync the OS may have dropped their pages, and a
+        # later fsync that succeeds would not say so.
+        ticks = self.ticks(4, seed=24)
+        wal = WriteAheadLog(tmp_path, fsync_every=3)
+        wal.open(0)
+        wal.append(ticks[0])
+        wal.append(ticks[1])
+        self.fail_next(monkeypatch, "fsync", OSError(errno.EIO, "I/O error"))
+        with pytest.raises(OSError, match="I/O error"):
+            wal.append(ticks[2])
+        # The refused record itself is gone; the two before it stay.
+        records, torn = read_segment(wal.directory / "wal-000000-0000.log")
+        assert ([r.submissions[0][0] for r in records], torn) == (["cam-0", "cam-1"], 0)
+        self.assert_damaged(wal, ticks[2], errno.EIO)
+        with pytest.raises(WalDamagedError):
+            wal.append_flush(4)
+        assert (wal.batches_appended, wal.fsyncs) == (2, 0)
         position = wal.rotate(1)
         wal.append(ticks[3])
         wal.close()
